@@ -49,8 +49,7 @@ func main() {
 		flightDir  = flag.String("flight-dir", "", "directory for flight-recorder dumps (slow queries, audit failures, shutdown)")
 		flightSize = flag.Int("flight-size", flight.DefaultSize, "flight-recorder ring capacity in query records")
 		drain      = flag.Duration("drain", 10*time.Second, "how long shutdown waits for in-flight requests before closing hard")
-		conc       = flag.Int("concurrency", transport.DefaultWorkerLimit, "max requests served concurrently per multiplexed (wire v2) connection")
-		legacyWire = flag.Bool("legacy-wire", false, "refuse the multiplexed wire protocol and serve every client over the v1 gob stream (emulates a pre-mux daemon)")
+		conc       = flag.Int("concurrency", transport.DefaultWorkerLimit, "max requests served concurrently per connection")
 		sloP99     = flag.Duration("slo-p99", 0, "SLO: windowed p99 request latency must stay under this; serves /slostatusz and dumps the flight recorder on sustained breach (0 = off)")
 		sloEvery   = flag.Duration("slo-interval", 10*time.Second, "SLO evaluation cadence (needs -slo-p99)")
 	)
@@ -99,8 +98,7 @@ func main() {
 	if *conc > 0 {
 		srv.SetWorkerLimit(*conc)
 	}
-	srv.SetLegacyOnly(*legacyWire)
-	// Wire-level frame accounting: every v2 mux frame in or out bumps
+	// Wire-level frame accounting: every frame in or out bumps
 	// dsud_site_frames_total / dsud_site_frame_bytes_total broken down by
 	// direction and frame type. Counters are pre-registered per type so
 	// the per-frame tap is an array index and two atomic adds. (Frame
@@ -139,7 +137,7 @@ func main() {
 	// /metrics — the live feed dsud-top renders.
 	eng.SetWorkerStats(srv.WorkerStats)
 	obs.ExposeWindow(reg, "dsud_site_request_window_seconds", eng.Window(), "site", fmt.Sprint(*id))
-	// Telemetry push plane: wire-v2 coordinators subscribe and receive one
+	// Telemetry push plane: coordinators subscribe and receive one
 	// snapshot per interval; /statusz reports the publisher's own counters
 	// so operators can see who is listening and when the last push went out.
 	srv.SetTelemetrySource(eng)

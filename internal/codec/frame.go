@@ -1,25 +1,22 @@
 package codec
 
-// Wire protocol v2 frames. The v1 site protocol is a bare gob stream —
-// one request, one response, strictly alternating — which forces one
-// in-flight RPC per connection. v2 wraps each message in a
-// length-prefixed frame carrying a request ID, so many RPCs can be
-// pipelined over a single TCP connection and responses may return out
-// of order. The layout reuses this package's conventions (version byte
-// up front, CRC-32 trailer):
+// Wire frames. Every message between a coordinator and a site rides in a
+// length-prefixed frame carrying a request ID, so many RPCs pipeline over
+// a single TCP connection and responses may return out of order. The
+// layout follows this package's conventions (version byte up front,
+// CRC-32 trailer):
 //
 //	length  u32 LE   — byte count of everything after this field
 //	version u8       — FrameVersion
-//	type    u8       — FrameRequest | FrameResponse | FrameCancel
+//	type    u8       — FrameRequest | FrameResponse | FrameCancel | ...
 //	id      u64 LE   — request identifier, echoed on the response
-//	payload bytes    — opaque body (the transport's gob message)
+//	payload bytes    — opaque body (for requests and responses, the
+//	                   transport's message encoding, internal/transport/wire.go)
 //	crc32   u32 LE   — IEEE CRC of version..payload
 //
-// A connection opts into v2 with a 5-byte handshake (MuxHandshake): the
-// magic's first byte 0xD5 can never begin a gob stream (gob message
-// lengths start 0x00–0x7F or 0xF8–0xFF), so a v2 hello is unambiguous
-// to a server, and a v1-only server rejects it immediately rather than
-// hanging — the client then falls back to the gob protocol.
+// A connection opens with a 5-byte hello (MuxHandshake) that the server
+// echoes; a peer that answers anything else speaks another generation
+// and is refused.
 
 import (
 	"encoding/binary"
@@ -27,33 +24,33 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // FrameVersion is the wire protocol generation carried in every frame
-// and in the handshake (v1 is the unframed gob protocol).
-const FrameVersion = 2
+// and in the handshake. Generation 3 replaced the gob message payloads
+// of generation 2 with the flat encoding; the frame layout is unchanged.
+const FrameVersion = 3
 
-// MuxMagic opens the v2 handshake. The leading 0xD5 is outside both
-// ranges a gob stream can start with, so the two protocols cannot be
-// confused on the wire.
+// MuxMagic opens the handshake.
 var MuxMagic = [4]byte{0xD5, 'S', 'Q', '2'}
 
-// MuxHandshake is the full 5-byte hello a v2 client sends at dial time;
-// a v2 server echoes it back verbatim as the accept.
+// MuxHandshake is the full 5-byte hello a client sends at dial time; the
+// server echoes it back verbatim as the accept.
 func MuxHandshake() [5]byte {
 	return [5]byte{MuxMagic[0], MuxMagic[1], MuxMagic[2], MuxMagic[3], FrameVersion}
 }
 
-// FrameType discriminates v2 frames.
+// FrameType discriminates frames.
 type FrameType uint8
 
 // Frame types.
 const (
-	// FrameRequest carries one gob-encoded request; id is
-	// caller-assigned and unique per in-flight request.
+	// FrameRequest carries one encoded request; id is caller-assigned
+	// and unique per in-flight request.
 	FrameRequest FrameType = 1
-	// FrameResponse carries one gob-encoded response; id echoes the
-	// request it answers.
+	// FrameResponse carries one encoded response; id echoes the request
+	// it answers.
 	FrameResponse FrameType = 2
 	// FrameCancel tells the peer the identified request was abandoned;
 	// it has no payload and receives no reply. Best-effort: the
@@ -66,8 +63,7 @@ const (
 	// and the ID names the subscription in every subsequent
 	// FrameTelemetry push and in the FrameCancel that ends it. A server
 	// that predates telemetry ignores the frame (unknown types are
-	// padding), so the client simply never sees a push — the same
-	// degraded-visibility story as a v1 peer.
+	// padding), so the client simply never sees a push.
 	FrameSubscribe FrameType = 4
 	// FrameTelemetry is one pushed site-telemetry snapshot: the ID
 	// echoes the subscription and the payload is an AppendTelemetry
@@ -100,15 +96,15 @@ const frameOverhead = 4 + frameHeaderLen + 4
 // frameHeaderLen is version + type + id.
 const frameHeaderLen = 1 + 1 + 8
 
-// MaxFramePayload bounds a frame's payload so a corrupt or hostile
-// length prefix cannot force a giant allocation. Partitions shipped
-// whole (KindShipAll at paper scale) stay well under this.
+// MaxFramePayload bounds a frame's payload; a length prefix beyond it is
+// corrupt. Partitions shipped whole (KindShipAll at paper scale) stay
+// well under this.
 const MaxFramePayload = 1 << 30
 
-// ErrFrame reports a structurally invalid or corrupt v2 frame.
+// ErrFrame reports a structurally invalid or corrupt frame.
 var ErrFrame = errors.New("codec: corrupt frame")
 
-// Frame is one decoded v2 frame. Payload aliases the decode buffer.
+// Frame is one decoded frame. Payload aliases the decode buffer.
 type Frame struct {
 	Type    FrameType
 	ID      uint64
@@ -153,29 +149,67 @@ func DecodeFrameBody(body []byte) (Frame, error) {
 	}, nil
 }
 
-// ReadFrame reads one complete frame from r, returning the frame and
-// the total wire bytes consumed. A clean EOF before the first length
-// byte returns io.EOF unwrapped, so connection teardown is
-// distinguishable from corruption mid-frame.
-func ReadFrame(r io.Reader) (Frame, int, error) {
+// frameChunk bounds how far readBody allocates ahead of the bytes that
+// have arrived: past it the buffer at most doubles per read, so a hostile
+// length prefix costs its sender real bytes, not four.
+const frameChunk = 64 << 10
+
+// readBody reads a claimed n-byte body from r, reusing buf's capacity.
+func readBody(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		step := min(n-len(buf), max(frameChunk, len(buf)))
+		buf = slices.Grow(buf, step)[:len(buf)+step]
+		if _, err := io.ReadFull(r, buf[len(buf)-step:]); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
+// maxRetainedFrame is the largest buffer a FrameReader keeps between
+// frames; one shipped partition must not pin its size for the life of
+// the connection.
+const maxRetainedFrame = 1 << 20
+
+// FrameReader reads frames from one stream into a buffer it reuses, so a
+// steady stream of small frames allocates nothing.
+type FrameReader struct {
+	r   io.Reader
+	buf []byte
+}
+
+// NewFrameReader returns a FrameReader over r.
+func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
+
+// ReadFrame reads one complete frame, returning it and the total wire
+// bytes consumed. The frame's Payload is valid until the next call. A
+// clean EOF before the first length byte returns io.EOF unwrapped, so
+// connection teardown is distinguishable from corruption mid-frame.
+func (fr *FrameReader) ReadFrame() (Frame, int, error) {
 	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	if _, err := io.ReadFull(fr.r, lenBuf[:]); err != nil {
 		if err == io.EOF {
 			return Frame{}, 0, io.EOF
 		}
 		return Frame{}, 0, fmt.Errorf("%w: length prefix: %v", ErrFrame, err)
 	}
-	body := binary.LittleEndian.Uint32(lenBuf[:])
+	body := int(binary.LittleEndian.Uint32(lenBuf[:]))
 	if body < frameHeaderLen+4 || body > MaxFramePayload+frameHeaderLen+4 {
 		return Frame{}, 0, fmt.Errorf("%w: implausible frame length %d", ErrFrame, body)
 	}
-	buf := make([]byte, body)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf, err := readBody(fr.r, fr.buf, body)
+	if err != nil {
 		return Frame{}, 0, fmt.Errorf("%w: truncated frame (%d byte body): %v", ErrFrame, body, err)
 	}
-	fr, err := DecodeFrameBody(buf)
+	if cap(buf) <= maxRetainedFrame {
+		fr.buf = buf
+	} else {
+		fr.buf = nil
+	}
+	f, err := DecodeFrameBody(buf)
 	if err != nil {
 		return Frame{}, 0, err
 	}
-	return fr, 4 + int(body), nil
+	return f, 4 + body, nil
 }

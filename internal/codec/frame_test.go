@@ -6,8 +6,10 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -22,10 +24,10 @@ func TestFrameRoundTrip(t *testing.T) {
 		wire = AppendFrame(wire, ft, id, p)
 		want = append(want, Frame{Type: ft, ID: id, Payload: p})
 	}
-	r := bytes.NewReader(wire)
+	r := NewFrameReader(bytes.NewReader(wire))
 	total := 0
 	for i, w := range want {
-		fr, n, err := ReadFrame(r)
+		fr, n, err := r.ReadFrame()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -40,7 +42,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if total != len(wire) {
 		t.Fatalf("consumed %d of %d wire bytes", total, len(wire))
 	}
-	if _, _, err := ReadFrame(r); err != io.EOF {
+	if _, _, err := r.ReadFrame(); err != io.EOF {
 		t.Fatalf("exhausted stream: want io.EOF, got %v", err)
 	}
 }
@@ -53,7 +55,7 @@ func TestFrameCorruption(t *testing.T) {
 	for i := 4; i < len(frame); i++ { // skip the length prefix: handled below
 		corrupt := append([]byte(nil), frame...)
 		corrupt[i] ^= 0x01
-		if _, _, err := ReadFrame(bytes.NewReader(corrupt)); err == nil {
+		if _, _, err := NewFrameReader(bytes.NewReader(corrupt)).ReadFrame(); err == nil {
 			t.Fatalf("bit flip at byte %d decoded cleanly", i)
 		}
 	}
@@ -61,21 +63,21 @@ func TestFrameCorruption(t *testing.T) {
 	// A length prefix pointing past the buffer is a truncation error.
 	short := append([]byte(nil), frame...)
 	binary.LittleEndian.PutUint32(short[:4], uint32(len(frame)+100))
-	if _, _, err := ReadFrame(bytes.NewReader(short)); err == nil || errors.Is(err, io.EOF) {
+	if _, _, err := NewFrameReader(bytes.NewReader(short)).ReadFrame(); err == nil || errors.Is(err, io.EOF) {
 		t.Fatalf("oversized length prefix: want frame error, got %v", err)
 	}
 
 	// An implausibly large length must error before allocating.
 	huge := binary.LittleEndian.AppendUint32(nil, 1<<31)
-	if _, _, err := ReadFrame(bytes.NewReader(huge)); !errors.Is(err, ErrFrame) {
+	if _, _, err := NewFrameReader(bytes.NewReader(huge)).ReadFrame(); !errors.Is(err, ErrFrame) {
 		t.Fatalf("huge length: want ErrFrame, got %v", err)
 	}
 
 	// Truncation inside the body is an error, not EOF.
-	if _, _, err := ReadFrame(bytes.NewReader(frame[:len(frame)-3])); !errors.Is(err, ErrFrame) {
+	if _, _, err := NewFrameReader(bytes.NewReader(frame[:len(frame)-3])).ReadFrame(); !errors.Is(err, ErrFrame) {
 		t.Fatalf("truncated body: want ErrFrame, got %v", err)
 	}
-	if _, _, err := ReadFrame(bytes.NewReader(frame[:2])); !errors.Is(err, ErrFrame) {
+	if _, _, err := NewFrameReader(bytes.NewReader(frame[:2])).ReadFrame(); !errors.Is(err, ErrFrame) {
 		t.Fatalf("truncated length prefix: want ErrFrame, got %v", err)
 	}
 }
@@ -89,21 +91,49 @@ func TestFrameVersionRejected(t *testing.T) {
 	rebuilt := binary.LittleEndian.AppendUint32(nil, uint32(len(body)+4))
 	rebuilt = append(rebuilt, body...)
 	rebuilt = appendCRC(rebuilt, body)
-	_, _, err := ReadFrame(bytes.NewReader(rebuilt))
+	_, _, err := NewFrameReader(bytes.NewReader(rebuilt)).ReadFrame()
 	if !errors.Is(err, ErrFrame) || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("future version: want version error, got %v", err)
 	}
 }
 
-func TestMuxHandshakeDistinctFromGob(t *testing.T) {
-	h := MuxHandshake()
-	if h[4] != FrameVersion {
-		t.Fatalf("handshake carries version %d, want %d", h[4], FrameVersion)
+// A plausible length prefix is a claim, not a fact: the reader must not
+// allocate the claimed gigabyte before the bytes behind it have arrived.
+func TestReadFrameHostileLength(t *testing.T) {
+	stream := binary.LittleEndian.AppendUint32(nil, MaxFramePayload)
+	stream = append(stream, "sixbyt"...) // a 10-byte stream in all
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := NewFrameReader(bytes.NewReader(stream)).ReadFrame()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrFrame) {
+		t.Fatalf("1 GiB prefix on a 10-byte stream: want ErrFrame, got %v", err)
 	}
-	// gob streams begin with a message length: a single byte 0x00–0x7F,
-	// or a negated byte count 0xF8–0xFF. The magic must be outside both.
-	if b := h[0]; b <= 0x7F || b >= 0xF8 {
-		t.Fatalf("handshake first byte %#x is a legal gob stream opener", b)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("reader allocated %d bytes for a 10-byte stream", grew)
+	}
+}
+
+// A frame larger than one read chunk arrives through several reads into
+// a buffer that grows as the bytes do; a small frame after it reuses it.
+func TestReadFrameChunkedGrowth(t *testing.T) {
+	big := bytes.Repeat([]byte{0x5A}, 5*frameChunk+123)
+	wire := AppendFrame(nil, FrameResponse, 9, big)
+	wire = AppendFrame(wire, FrameRequest, 10, []byte("small"))
+	r := NewFrameReader(iotest.OneByteReader(bytes.NewReader(wire)))
+	fr, n, err := r.ReadFrame()
+	if err != nil || fr.ID != 9 || !bytes.Equal(fr.Payload, big) || n != FrameBytes(len(big)) {
+		t.Fatalf("big frame: id %d, %d payload bytes, n %d, err %v", fr.ID, len(fr.Payload), n, err)
+	}
+	fr, _, err = r.ReadFrame()
+	if err != nil || fr.ID != 10 || string(fr.Payload) != "small" {
+		t.Fatalf("small frame after big: %+v, %v", fr, err)
+	}
+}
+
+func TestMuxHandshakeCarriesVersion(t *testing.T) {
+	if h := MuxHandshake(); [4]byte(h[:4]) != MuxMagic || h[4] != FrameVersion {
+		t.Fatalf("handshake %x, want magic %x + version %d", h, MuxMagic, FrameVersion)
 	}
 }
 
@@ -119,7 +149,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(long[:7])
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, n, err := ReadFrame(bytes.NewReader(data))
+		fr, n, err := NewFrameReader(bytes.NewReader(data)).ReadFrame()
 		if err != nil {
 			return
 		}

@@ -239,48 +239,19 @@ func DecodeTelemetry(data []byte, out, prev *Telemetry) error {
 		return fmt.Errorf("codec: unsupported telemetry version %d", payload[4])
 	}
 	delta := payload[5]&1 != 0
-	rest := payload[6:]
+	r := NewReader(payload[6:], ErrCorrupt, "telemetry")
 
-	readVarint := func(what string) (int64, error) {
-		v, n := binary.Varint(rest)
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: telemetry %s", ErrCorrupt, what)
-		}
-		rest = rest[n:]
-		return v, nil
-	}
-	readUvarint := func(what string) (uint64, error) {
-		v, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: telemetry %s", ErrCorrupt, what)
-		}
-		rest = rest[n:]
-		return v, nil
-	}
-
-	var t Telemetry
-	var err error
-	if t.Seq, err = readUvarint("seq"); err != nil {
-		return err
-	}
-	if t.WallNano, err = readVarint("wall"); err != nil {
-		return err
-	}
-	if t.Site, err = readVarint("site"); err != nil {
-		return err
-	}
+	t := Telemetry{Seq: r.Uvarint("seq"), WallNano: r.Varint("wall"), Site: r.Varint("site")}
 	for _, f := range []*int64{
 		&t.Tuples, &t.Sessions, &t.InFlight, &t.ReplicaSize, &t.ReplicaVersion,
 		&t.MuxConns, &t.MuxBusy, &t.MuxLimit, &t.MuxQueued,
+		&t.Requests, &t.LastUpdateNano,
 	} {
-		if *f, err = readVarint("gauge"); err != nil {
-			return err
-		}
+		*f = r.Varint("gauge")
 	}
-	if t.Requests, err = readVarint("requests"); err != nil {
-		return err
-	}
-	if t.LastUpdateNano, err = readVarint("last update"); err != nil {
+	// A delta is judged against prev only once its own fields are known
+	// to be intact: a truncated frame is corrupt, not a lost base.
+	if err := r.Err(); err != nil {
 		return err
 	}
 	if delta {
@@ -290,26 +261,14 @@ func DecodeTelemetry(data []byte, out, prev *Telemetry) error {
 		t.Requests += prev.Requests
 		t.LastUpdateNano += prev.LastUpdateNano
 	}
-	if t.WindowWidthNS, err = readVarint("window width"); err != nil {
+	for _, f := range []*int64{&t.WindowWidthNS, &t.WindowSpanNS, &t.WindowCount, &t.WindowSumNS} {
+		*f = r.Varint("window")
+	}
+	nbounds := r.Count("bucket count", 1, maxTelemetryBuckets)
+	if err := r.Err(); err != nil {
 		return err
 	}
-	if t.WindowSpanNS, err = readVarint("window span"); err != nil {
-		return err
-	}
-	if t.WindowCount, err = readVarint("window count"); err != nil {
-		return err
-	}
-	if t.WindowSumNS, err = readVarint("window sum"); err != nil {
-		return err
-	}
-	nbounds, err := readUvarint("bound count")
-	if err != nil {
-		return err
-	}
-	if nbounds > maxTelemetryBuckets {
-		return fmt.Errorf("%w: implausible telemetry bucket count %d", ErrCorrupt, nbounds)
-	}
-	if delta && (uint64(len(prev.Bounds)) != nbounds || uint64(len(prev.Counts)) != nbounds+1) {
+	if delta && (len(prev.Bounds) != nbounds || len(prev.Counts) != nbounds+1) {
 		return ErrTelemetryDelta
 	}
 
@@ -320,65 +279,36 @@ func DecodeTelemetry(data []byte, out, prev *Telemetry) error {
 	if delta {
 		bounds = prev.Bounds[:nbounds] // alias-safe: unchanged by a delta frame
 	} else {
-		for i := uint64(0); i < nbounds; i++ {
-			b, err := readVarint("bound")
-			if err != nil {
-				return err
-			}
-			bounds = append(bounds, b)
+		for i := 0; i < nbounds; i++ {
+			bounds = append(bounds, r.Varint("bound"))
 		}
 	}
 	counts := out.Counts[:0]
-	for i := uint64(0); i < nbounds+1; i++ {
-		if delta {
-			d, err := readVarint("count delta")
-			if err != nil {
-				return err
-			}
-			c := int64(prev.Counts[i]) + d
-			if c < 0 {
-				return fmt.Errorf("%w: telemetry count underflow", ErrCorrupt)
-			}
-			counts = append(counts, uint64(c))
-		} else {
-			c, err := readUvarint("count")
-			if err != nil {
-				return err
-			}
-			counts = append(counts, c)
+	for i := 0; i <= nbounds; i++ {
+		if !delta {
+			counts = append(counts, r.Uvarint("count"))
+			continue
 		}
-	}
-	nslo, err := readUvarint("slo count")
-	if err != nil {
-		return err
-	}
-	if nslo > maxTelemetrySLOs {
-		return fmt.Errorf("%w: implausible telemetry slo count %d", ErrCorrupt, nslo)
+		d := r.Varint("count delta")
+		c := int64(prev.Counts[i]) + d
+		if c < 0 {
+			r.Fail("count underflow")
+			c -= d
+		}
+		counts = append(counts, uint64(c))
 	}
 	slos := out.SLO[:0]
-	for i := uint64(0); i < nslo; i++ {
-		var s TelemetrySLO
-		nameLen, err := readUvarint("slo name length")
-		if err != nil {
-			return err
-		}
-		if nameLen > maxTelemetrySLOName || uint64(len(rest)) < nameLen {
-			return fmt.Errorf("%w: telemetry slo name length %d", ErrCorrupt, nameLen)
-		}
-		s.Name = string(rest[:nameLen])
-		rest = rest[nameLen:]
-		if len(rest) < 3*8+1 {
-			return fmt.Errorf("%w: telemetry slo truncated", ErrCorrupt)
-		}
-		s.Current = math.Float64frombits(binary.LittleEndian.Uint64(rest))
-		s.Target = math.Float64frombits(binary.LittleEndian.Uint64(rest[8:]))
-		s.Burn = math.Float64frombits(binary.LittleEndian.Uint64(rest[16:]))
-		s.Breached = rest[24]&1 != 0
-		rest = rest[25:]
-		slos = append(slos, s)
+	for n := r.Count("slo count", 1+3*8+1, maxTelemetrySLOs); n > 0; n-- {
+		slos = append(slos, TelemetrySLO{
+			Name:     string(r.Bytes("slo name", r.Count("slo name length", 1, maxTelemetrySLOName))),
+			Current:  r.Float("slo current"),
+			Target:   r.Float("slo target"),
+			Burn:     r.Float("slo burn"),
+			Breached: r.Byte("slo state")&1 != 0,
+		})
 	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing telemetry bytes", ErrCorrupt, len(rest))
+	if err := r.Finish(); err != nil {
+		return err
 	}
 
 	*out = t

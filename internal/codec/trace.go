@@ -37,6 +37,7 @@ const traceVersion = 1
 const (
 	maxBatchSpans = 1 << 16
 	maxSpanName   = 256
+	minSpanBytes  = 8 // eight varints, one byte each at least
 )
 
 // AppendTraceContext appends the trace-context wire fields to dst.
@@ -50,34 +51,13 @@ func AppendTraceContext(dst []byte, tc obs.TraceContext) []byte {
 	return append(dst, flags)
 }
 
-// decodeTraceContext consumes a trace context from data, returning the
-// remainder.
-func decodeTraceContext(data []byte) (obs.TraceContext, []byte, error) {
-	var tc obs.TraceContext
-	var n int
-	if tc.TraceID, n = binary.Uvarint(data); n <= 0 {
-		return tc, nil, fmt.Errorf("%w: trace id", ErrCorrupt)
+// TraceContext reads the wire fields written by AppendTraceContext.
+func (r *Reader) TraceContext() obs.TraceContext {
+	return obs.TraceContext{
+		TraceID: r.Uvarint("trace id"),
+		Parent:  r.Uvarint("trace parent"),
+		Sampled: r.Byte("trace flags")&1 != 0,
 	}
-	data = data[n:]
-	if tc.Parent, n = binary.Uvarint(data); n <= 0 {
-		return tc, nil, fmt.Errorf("%w: trace parent", ErrCorrupt)
-	}
-	data = data[n:]
-	if len(data) < 1 {
-		return tc, nil, fmt.Errorf("%w: trace flags", ErrCorrupt)
-	}
-	tc.Sampled = data[0]&1 != 0
-	return tc, data[1:], nil
-}
-
-// DecodeTraceContext decodes wire fields written by AppendTraceContext,
-// returning the number of bytes consumed.
-func DecodeTraceContext(data []byte) (obs.TraceContext, int, error) {
-	tc, rest, err := decodeTraceContext(data)
-	if err != nil {
-		return obs.TraceContext{}, 0, err
-	}
-	return tc, len(data) - len(rest), nil
 }
 
 // AppendSpanBatch appends the encoded batch to dst. A nil batch encodes
@@ -136,91 +116,22 @@ func DecodeSpanBatch(data []byte) (*obs.SpanBatch, error) {
 	if payload[4] != traceVersion {
 		return nil, fmt.Errorf("codec: unsupported span batch version %d", payload[4])
 	}
-	rest := payload[5:]
-
-	b := &obs.SpanBatch{}
-	var err error
-	if b.Ctx, rest, err = decodeTraceContext(rest); err != nil {
+	r := NewReader(payload[5:], ErrCorrupt, "span batch")
+	b := &obs.SpanBatch{Ctx: r.TraceContext(), SiteID: int(r.Varint("site id")), SiteClock: r.Varint("site clock")}
+	b.Spans = make([]obs.SpanRecord, r.Count("span count", minSpanBytes, maxBatchSpans))
+	for i := range b.Spans {
+		s := &b.Spans[i]
+		s.ID = r.Uvarint("span id")
+		s.Parent = r.Uvarint("span parent")
+		s.Name = string(r.Bytes("span name", r.Count("span name length", 1, maxSpanName)))
+		s.Site = int(r.Varint("span site"))
+		s.Start = r.Varint("span start") + b.SiteClock
+		s.End = r.Varint("span end") + b.SiteClock
+		s.Tuples = r.Varint("span tuples")
+		s.Bytes = r.Varint("span bytes")
+	}
+	if err := r.Finish(); err != nil {
 		return nil, err
-	}
-	readVarint := func(what string) (int64, error) {
-		v, n := binary.Varint(rest)
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: span batch %s", ErrCorrupt, what)
-		}
-		rest = rest[n:]
-		return v, nil
-	}
-	readUvarint := func(what string) (uint64, error) {
-		v, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: span batch %s", ErrCorrupt, what)
-		}
-		rest = rest[n:]
-		return v, nil
-	}
-	siteID, err := readVarint("site id")
-	if err != nil {
-		return nil, err
-	}
-	b.SiteID = int(siteID)
-	if b.SiteClock, err = readVarint("site clock"); err != nil {
-		return nil, err
-	}
-	count, err := readUvarint("span count")
-	if err != nil {
-		return nil, err
-	}
-	if count > maxBatchSpans {
-		return nil, fmt.Errorf("%w: implausible span count %d", ErrCorrupt, count)
-	}
-	// Cap the preallocation: the body must prove its length before a
-	// large header-driven allocation (the CRC does not authenticate).
-	prealloc := count
-	if prealloc > 1024 {
-		prealloc = 1024
-	}
-	b.Spans = make([]obs.SpanRecord, 0, prealloc)
-	for i := uint64(0); i < count; i++ {
-		var s obs.SpanRecord
-		if s.ID, err = readUvarint("span id"); err != nil {
-			return nil, err
-		}
-		if s.Parent, err = readUvarint("span parent"); err != nil {
-			return nil, err
-		}
-		nameLen, err := readUvarint("span name length")
-		if err != nil {
-			return nil, err
-		}
-		if nameLen > maxSpanName || uint64(len(rest)) < nameLen {
-			return nil, fmt.Errorf("%w: span name length %d", ErrCorrupt, nameLen)
-		}
-		s.Name = string(rest[:nameLen])
-		rest = rest[nameLen:]
-		site, err := readVarint("span site")
-		if err != nil {
-			return nil, err
-		}
-		s.Site = int(site)
-		if s.Start, err = readVarint("span start"); err != nil {
-			return nil, err
-		}
-		if s.End, err = readVarint("span end"); err != nil {
-			return nil, err
-		}
-		s.Start += b.SiteClock
-		s.End += b.SiteClock
-		if s.Tuples, err = readVarint("span tuples"); err != nil {
-			return nil, err
-		}
-		if s.Bytes, err = readVarint("span bytes"); err != nil {
-			return nil, err
-		}
-		b.Spans = append(b.Spans, s)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing span batch bytes", ErrCorrupt, len(rest))
 	}
 	return b, nil
 }

@@ -19,12 +19,10 @@ func TestTraceContextRoundTrip(t *testing.T) {
 	}
 	for _, tc := range cases {
 		wire := AppendTraceContext(nil, tc)
-		got, n, err := DecodeTraceContext(wire)
-		if err != nil {
-			t.Fatalf("%+v: %v", tc, err)
-		}
-		if n != len(wire) {
-			t.Fatalf("%+v: consumed %d of %d bytes", tc, n, len(wire))
+		r := NewReader(wire, ErrCorrupt, "test")
+		got := r.TraceContext()
+		if err := r.Finish(); err != nil {
+			t.Fatalf("%+v: %v (all %d bytes must be consumed)", tc, err, len(wire))
 		}
 		if got != tc {
 			t.Fatalf("round trip: got %+v want %+v", got, tc)
@@ -35,8 +33,9 @@ func TestTraceContextRoundTrip(t *testing.T) {
 func TestTraceContextDecodeTruncated(t *testing.T) {
 	wire := AppendTraceContext(nil, obs.TraceContext{TraceID: 9999, Parent: 8888, Sampled: true})
 	for i := 0; i < len(wire); i++ {
-		if _, _, err := DecodeTraceContext(wire[:i]); err == nil {
-			t.Fatalf("truncation at %d not detected", i)
+		r := NewReader(wire[:i], ErrCorrupt, "test")
+		if r.TraceContext(); !errors.Is(r.Err(), ErrCorrupt) {
+			t.Fatalf("truncation at %d not detected: %v", i, r.Err())
 		}
 	}
 }

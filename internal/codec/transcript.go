@@ -12,11 +12,10 @@ package codec
 //
 // Unknown frame types are padding — a reader skips them — so future
 // recorders can add annotation frames without breaking old replayers,
-// the same forward-compat contract the v2 mux frames carry. Message
-// payloads (the gob-encoded Request/Response bodies) ride as opaque
-// blobs: each is encoded with a fresh gob encoder so it is decodable
-// standalone, unlike the stateful per-connection gob stream the live
-// transport runs.
+// the same forward-compat contract the wire frames carry. Message
+// payloads ride as opaque blobs in the transport's own message encoding
+// (transport.AppendRequest / AppendResponse), the same bytes a wire
+// frame carries.
 //
 // The format is deliberately self-contained: TranscriptHeader carries
 // everything needed to re-run the query (algorithm, threshold, dims,
@@ -26,6 +25,7 @@ package codec
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -36,8 +36,9 @@ import (
 // and is bumped on incompatible layout changes.
 var TranscriptMagic = [4]byte{'D', 'S', 'T', 'R'}
 
-// TranscriptVersion is the transcript format generation.
-const TranscriptVersion = 1
+// TranscriptVersion is the transcript format generation. Version 1
+// carried gob payload blobs; version 2 carries the flat message encoding.
+const TranscriptVersion = 2
 
 // TranscriptFrameType discriminates transcript frames.
 type TranscriptFrameType uint8
@@ -163,7 +164,11 @@ func CheckTranscriptPreamble(data []byte) (int, error) {
 	if [4]byte(data[:4]) != TranscriptMagic {
 		return 0, fmt.Errorf("%w: transcript magic", ErrCorrupt)
 	}
-	if data[4] != TranscriptVersion {
+	switch data[4] {
+	case TranscriptVersion:
+	case 1:
+		return 0, errors.New("transcript version 1 (gob payloads) is no longer readable, re-record")
+	default:
 		return 0, fmt.Errorf("codec: unsupported transcript version %d (this build speaks %d)", data[4], TranscriptVersion)
 	}
 	return 5, nil
@@ -203,8 +208,8 @@ func ReadTranscriptFrame(r io.Reader) (TranscriptFrame, int, error) {
 	if body < 1+4 || body > maxTranscriptPayload+1+4 {
 		return TranscriptFrame{}, 0, fmt.Errorf("%w: implausible transcript frame length %d", ErrCorrupt, body)
 	}
-	buf := make([]byte, body)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf, err := readBody(r, nil, int(body))
+	if err != nil {
 		return TranscriptFrame{}, 0, fmt.Errorf("%w: truncated transcript frame (%d byte body): %v", ErrCorrupt, body, err)
 	}
 	payloadEnd := len(buf) - 4
@@ -215,46 +220,6 @@ func ReadTranscriptFrame(r io.Reader) (TranscriptFrame, int, error) {
 		Type:    TranscriptFrameType(buf[0]),
 		Payload: buf[1:payloadEnd],
 	}, 4 + int(body), nil
-}
-
-// transcriptReader wraps a payload with the varint helpers every
-// transcript body decoder needs.
-type transcriptReader struct {
-	rest []byte
-}
-
-func (r *transcriptReader) varint(what string) (int64, error) {
-	v, n := binary.Varint(r.rest)
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: transcript %s", ErrCorrupt, what)
-	}
-	r.rest = r.rest[n:]
-	return v, nil
-}
-
-func (r *transcriptReader) uvarint(what string) (uint64, error) {
-	v, n := binary.Uvarint(r.rest)
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: transcript %s", ErrCorrupt, what)
-	}
-	r.rest = r.rest[n:]
-	return v, nil
-}
-
-func (r *transcriptReader) float(what string) (float64, error) {
-	if len(r.rest) < 8 {
-		return 0, fmt.Errorf("%w: transcript %s", ErrCorrupt, what)
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.rest))
-	r.rest = r.rest[8:]
-	return v, nil
-}
-
-func (r *transcriptReader) done(what string) error {
-	if len(r.rest) != 0 {
-		return fmt.Errorf("%w: %d trailing transcript %s bytes", ErrCorrupt, len(r.rest), what)
-	}
-	return nil
 }
 
 // AppendTranscriptHeader appends h's body encoding (not framed — wrap
@@ -280,57 +245,25 @@ func AppendTranscriptHeader(dst []byte, h *TranscriptHeader) []byte {
 // DecodeTranscriptHeader parses a TranscriptHeaderFrame payload. Never
 // panics, whatever the input.
 func DecodeTranscriptHeader(data []byte) (TranscriptHeader, error) {
-	var h TranscriptHeader
-	r := transcriptReader{rest: data}
-	var err error
-	if h.QueryID, err = r.uvarint("query id"); err != nil {
-		return h, err
+	r := NewReader(data, ErrCorrupt, "transcript header")
+	h := TranscriptHeader{
+		QueryID:   r.Uvarint("query id"),
+		Session:   r.Uvarint("session"),
+		Algorithm: r.Byte("algorithm"),
+		Policy:    r.Byte("policy"),
+		Flags:     r.Byte("flags"),
+		Threshold: r.Float("threshold"),
 	}
-	if h.Session, err = r.uvarint("session"); err != nil {
-		return h, err
+	for _, f := range []*int64{
+		&h.StartUnixNano, &h.Sites, &h.Dimensionality, &h.TopK, &h.MaxResults, &h.SynopsisGrid,
+	} {
+		*f = r.Varint("option")
 	}
-	if len(r.rest) < 3 {
-		return h, fmt.Errorf("%w: transcript header truncated", ErrCorrupt)
+	h.Dims = make([]int64, r.Count("dim count", 1, maxTranscriptDims))
+	for i := range h.Dims {
+		h.Dims[i] = r.Varint("dim")
 	}
-	h.Algorithm, h.Policy, h.Flags = r.rest[0], r.rest[1], r.rest[2]
-	r.rest = r.rest[3:]
-	if h.Threshold, err = r.float("threshold"); err != nil {
-		return h, err
-	}
-	if h.StartUnixNano, err = r.varint("start"); err != nil {
-		return h, err
-	}
-	if h.Sites, err = r.varint("sites"); err != nil {
-		return h, err
-	}
-	if h.Dimensionality, err = r.varint("dimensionality"); err != nil {
-		return h, err
-	}
-	if h.TopK, err = r.varint("topk"); err != nil {
-		return h, err
-	}
-	if h.MaxResults, err = r.varint("max results"); err != nil {
-		return h, err
-	}
-	if h.SynopsisGrid, err = r.varint("synopsis grid"); err != nil {
-		return h, err
-	}
-	ndims, err := r.uvarint("dim count")
-	if err != nil {
-		return h, err
-	}
-	if ndims > maxTranscriptDims {
-		return h, fmt.Errorf("%w: implausible transcript dim count %d", ErrCorrupt, ndims)
-	}
-	h.Dims = make([]int64, 0, ndims)
-	for i := uint64(0); i < ndims; i++ {
-		d, err := r.varint("dim")
-		if err != nil {
-			return h, err
-		}
-		h.Dims = append(h.Dims, d)
-	}
-	return h, r.done("header")
+	return h, r.Finish()
 }
 
 // AppendTranscriptMessage appends m's body encoding (not framed).
@@ -348,38 +281,18 @@ func AppendTranscriptMessage(dst []byte, m *TranscriptMessage) []byte {
 // DecodeTranscriptMessage parses a TranscriptMessageFrame payload. The
 // returned Payload aliases data. Never panics, whatever the input.
 func DecodeTranscriptMessage(data []byte) (TranscriptMessage, error) {
-	var m TranscriptMessage
-	if len(data) < 2 {
-		return m, fmt.Errorf("%w: transcript message truncated", ErrCorrupt)
+	r := NewReader(data, ErrCorrupt, "transcript message")
+	m := TranscriptMessage{
+		Dir:       r.Byte("direction"),
+		Phase:     r.Byte("phase"),
+		Kind:      r.Varint("kind"),
+		Site:      r.Varint("site"),
+		Ordinal:   r.Varint("ordinal"),
+		WireBytes: r.Varint("wire bytes"),
+		TNano:     r.Varint("tnano"),
 	}
-	m.Dir, m.Phase = data[0], data[1]
-	r := transcriptReader{rest: data[2:]}
-	var err error
-	if m.Kind, err = r.varint("kind"); err != nil {
-		return m, err
-	}
-	if m.Site, err = r.varint("site"); err != nil {
-		return m, err
-	}
-	if m.Ordinal, err = r.varint("ordinal"); err != nil {
-		return m, err
-	}
-	if m.WireBytes, err = r.varint("wire bytes"); err != nil {
-		return m, err
-	}
-	if m.TNano, err = r.varint("tnano"); err != nil {
-		return m, err
-	}
-	plen, err := r.uvarint("payload length")
-	if err != nil {
-		return m, err
-	}
-	if plen > maxTranscriptPayload || uint64(len(r.rest)) < plen {
-		return m, fmt.Errorf("%w: transcript message payload length %d", ErrCorrupt, plen)
-	}
-	m.Payload = r.rest[:plen]
-	r.rest = r.rest[plen:]
-	return m, r.done("message")
+	m.Payload = r.Bytes("payload", r.Count("payload length", 1, maxTranscriptPayload))
+	return m, r.Finish()
 }
 
 // AppendTranscriptSummary appends s's body encoding (not framed).
@@ -409,61 +322,28 @@ func AppendTranscriptSummary(dst []byte, s *TranscriptSummary) []byte {
 // Never panics, whatever the input.
 func DecodeTranscriptSummary(data []byte) (TranscriptSummary, error) {
 	var s TranscriptSummary
-	r := transcriptReader{rest: data}
-	var err error
+	r := NewReader(data, ErrCorrupt, "transcript summary")
 	for _, f := range []*int64{
 		&s.Results, &s.Iterations, &s.Broadcasts, &s.Expunged, &s.Refills,
 		&s.PrunedLocal, &s.TuplesUp, &s.TuplesDown, &s.Messages, &s.Bytes,
 		&s.ElapsedNS,
 	} {
-		if *f, err = r.varint("summary tally"); err != nil {
-			return s, err
-		}
+		*f = r.Varint("tally")
 	}
-	if s.AUCBandwidth, err = r.float("auc"); err != nil {
-		return s, err
+	s.AUCBandwidth = r.Float("auc")
+	nsky := r.Count("skyline count", 1+8, maxTranscriptSkyline)
+	s.SkylineIDs = make([]uint64, nsky)
+	s.SkylineProbs = make([]float64, nsky)
+	for i := range s.SkylineIDs {
+		s.SkylineIDs[i] = r.Uvarint("skyline id")
+		s.SkylineProbs[i] = r.Float("skyline prob")
 	}
-	nsky, err := r.uvarint("skyline count")
-	if err != nil {
-		return s, err
+	nsites := r.Count("site count", 2, maxTranscriptSites)
+	s.PerSiteShipped = make([]int64, nsites)
+	s.PerSitePruned = make([]int64, nsites)
+	for i := range s.PerSiteShipped {
+		s.PerSiteShipped[i] = r.Varint("site shipped")
+		s.PerSitePruned[i] = r.Varint("site pruned")
 	}
-	if nsky > maxTranscriptSkyline {
-		return s, fmt.Errorf("%w: implausible transcript skyline count %d", ErrCorrupt, nsky)
-	}
-	s.SkylineIDs = make([]uint64, 0, nsky)
-	s.SkylineProbs = make([]float64, 0, nsky)
-	for i := uint64(0); i < nsky; i++ {
-		id, err := r.uvarint("skyline id")
-		if err != nil {
-			return s, err
-		}
-		p, err := r.float("skyline prob")
-		if err != nil {
-			return s, err
-		}
-		s.SkylineIDs = append(s.SkylineIDs, id)
-		s.SkylineProbs = append(s.SkylineProbs, p)
-	}
-	nsites, err := r.uvarint("site count")
-	if err != nil {
-		return s, err
-	}
-	if nsites > maxTranscriptSites {
-		return s, fmt.Errorf("%w: implausible transcript site count %d", ErrCorrupt, nsites)
-	}
-	s.PerSiteShipped = make([]int64, 0, nsites)
-	s.PerSitePruned = make([]int64, 0, nsites)
-	for i := uint64(0); i < nsites; i++ {
-		sh, err := r.varint("site shipped")
-		if err != nil {
-			return s, err
-		}
-		pr, err := r.varint("site pruned")
-		if err != nil {
-			return s, err
-		}
-		s.PerSiteShipped = append(s.PerSiteShipped, sh)
-		s.PerSitePruned = append(s.PerSitePruned, pr)
-	}
-	return s, r.done("summary")
+	return s, r.Finish()
 }

@@ -255,8 +255,7 @@ func NewLocalClusterLatency(parts []uncertain.DB, dims, capacity int, latency ti
 }
 
 // NewRemoteCluster connects to already-running TCP site daemons. dims must
-// match the dimensionality the daemons were loaded with. Connections
-// negotiate wire v2 (multiplexed) and fall back to v1 per site.
+// match the dimensionality the daemons were loaded with.
 //
 // Deprecated-style wrapper: Open(ClusterConfig{Addrs: ...}) is the
 // consolidated constructor; this remains for existing callers.

@@ -18,8 +18,8 @@ import (
 
 // ClusterConfig is the one place to describe a cluster: where the sites
 // are (in-process partitions or remote TCP daemons), the data
-// dimensionality, transport behaviour (retry budget, wire protocol),
-// and the observability attachments that previously required separate
+// dimensionality, transport behaviour (retry budget), and the
+// observability attachments that previously required separate
 // post-construction calls. Open validates it and builds the Cluster.
 type ClusterConfig struct {
 	// Partitions runs one in-process site engine per partition. Exactly
@@ -45,13 +45,6 @@ type ClusterConfig struct {
 	// re-sent up to RetryAttempts times. Zero disables the wrapper and
 	// dials eagerly.
 	RetryAttempts int
-	// DisableMux forces the legacy v1 wire protocol (one in-flight
-	// request per site connection) instead of negotiating the v2
-	// multiplexed protocol. Queries still work concurrently, but
-	// serialise head-of-line at each site and lose exact per-query byte
-	// attribution. For benchmarking v1 and talking to very old daemons
-	// whose negotiation behaviour is suspect.
-	DisableMux bool
 
 	// Logger, when set, becomes the default query logger: every query
 	// run without an Options.Logger of its own logs through it.
@@ -86,9 +79,9 @@ var ErrConfig = errors.New("core: invalid cluster config")
 
 // Open builds a Cluster from cfg — the consolidated constructor behind
 // NewLocalCluster, NewRemoteCluster and NewRemoteClusterRetry. Remote
-// connections negotiate the v2 multiplexed wire protocol (falling back
-// per site to v1 when a daemon predates it), so one Cluster serves many
-// concurrent Query calls without head-of-line blocking.
+// connections pipeline requests over one framed connection per site, so
+// one Cluster serves many concurrent Query calls without head-of-line
+// blocking.
 func Open(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Dims <= 0 {
 		return nil, fmt.Errorf("%w: Dims must be positive, got %d", ErrConfig, cfg.Dims)
@@ -112,21 +105,17 @@ func Open(cfg ClusterConfig) (*Cluster, error) {
 			clients[i] = transport.Metered(transport.Delayed(transport.Local(eng), cfg.Latency), meter)
 		}
 	} else {
-		dial := transport.Dial
-		if !cfg.DisableMux {
-			dial = transport.DialAuto
-		}
 		clients = make([]transport.Client, 0, len(cfg.Addrs))
 		for _, addr := range cfg.Addrs {
 			if cfg.RetryAttempts >= 1 {
 				addr := addr
 				rc := transport.Retry(func() (transport.Client, error) {
-					return dial(addr, meter)
+					return transport.DialAuto(addr, meter)
 				}, cfg.RetryAttempts)
 				clients = append(clients, transport.Metered(rc, meter))
 				continue
 			}
-			c, err := dial(addr, meter)
+			c, err := transport.DialAuto(addr, meter)
 			if err != nil {
 				for _, open := range clients {
 					open.Close()
@@ -156,8 +145,8 @@ func Open(cfg ClusterConfig) (*Cluster, error) {
 // Query executes one distributed skyline query against the cluster; it
 // is the method form of Run and the primary entry point. Clusters are
 // safe for many concurrent Query calls: each gets its own site
-// sessions, its own bandwidth accounting, and — over the v2 wire
-// protocol — its requests pipeline over the shared site connections.
+// sessions, its own bandwidth accounting, and its requests pipeline
+// over the shared site connections.
 func (c *Cluster) Query(ctx context.Context, opts Options) (*Report, error) {
 	return Run(ctx, c, opts)
 }

@@ -24,7 +24,7 @@ type SiteHealth struct {
 	// longer than the plane's staleness cutoff (> StaleAfter push
 	// intervals) — degraded, even when the direct probe above still
 	// answers. Always false when the cluster runs no telemetry plane or
-	// the site is outside it (wire v1). TelemetryAgeSeconds is the time
+	// the site is outside it. TelemetryAgeSeconds is the time
 	// since the site's last push (0 when it never pushed).
 	TelemetryStale      bool
 	TelemetryAgeSeconds float64
@@ -115,9 +115,8 @@ func WriteClusterStatus(w io.Writer, healths []SiteHealth, now time.Time) int {
 		if st.LastUpdateUnixNano != 0 {
 			lastUpdate = now.Sub(time.Unix(0, st.LastUpdateUnixNano)).Round(time.Second).String() + " ago"
 		}
-		// Workers reads busy/limit; a site that predates the saturation
-		// fields (or serves only v1 connections) shows "-" rather than a
-		// misleading 0/0.
+		// Workers reads busy/limit; an in-process site has no worker pool
+		// and shows "-" rather than a misleading 0/0.
 		workers := "-"
 		if st.MuxWorkerLimit > 0 {
 			workers = fmt.Sprintf("%d/%d", st.MuxWorkersBusy, st.MuxWorkerLimit)

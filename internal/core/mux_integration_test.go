@@ -166,26 +166,3 @@ func TestOpenConfigValidation(t *testing.T) {
 		t.Fatalf("QueryWithStats: stats=%+v err=%v", stats, err)
 	}
 }
-
-// TestOpenDisableMux: the v1 escape hatch still answers queries (and
-// reports bytes via the socket-delta fallback).
-func TestOpenDisableMux(t *testing.T) {
-	parts, union := makeWorkload(t, 400, 2, 3, gen.Independent, 174)
-	addrs := startTCPSites(t, parts, 2)
-	cluster, err := Open(ClusterConfig{Addrs: addrs, Dims: 2, DisableMux: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	rep, err := cluster.Query(context.Background(), Options{Threshold: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := union.Skyline(0.3, nil)
-	if !uncertain.MembersEqual(rep.Skyline, want, 1e-9) {
-		t.Fatalf("v1 cluster mismatch: %d vs %d", len(rep.Skyline), len(want))
-	}
-	if rep.Bandwidth.Bytes == 0 {
-		t.Fatal("v1 byte fallback must still report wire bytes")
-	}
-}

@@ -47,7 +47,6 @@ func Run(ctx context.Context, c *Cluster, opts Options) (*Report, error) {
 	opts.Trace.begin(start)
 	defer opts.Trace.finish()
 	v := c.newView(opts.Trace)
-	bytesBefore := c.meter.Snapshot().Bytes
 
 	// Black-box recording: when the transcript sink samples this query
 	// (or Options.Record forces it), stack the capture tap over the view
@@ -93,16 +92,10 @@ func Run(ctx context.Context, c *Cluster, opts Options) (*Report, error) {
 	if opts.TopK > 0 && len(rep.Skyline) > opts.TopK {
 		rep.Skyline = rep.Skyline[:opts.TopK]
 	}
+	// The TCP transport attributes wire bytes per request, so the
+	// per-query meter is exact even under overlapping queries; in-process
+	// sites put nothing on a wire.
 	rep.Bandwidth = v.meter.Snapshot()
-	if rep.Bandwidth.Bytes == 0 {
-		// The v2 mux transport attributes wire bytes per request, so the
-		// per-query meter above is exact even under overlapping queries.
-		// Legacy v1 connections and the in-process transport can't do
-		// that; fall back to the cluster-wide socket delta, which is
-		// exact for sequential queries and an upper bound when they
-		// overlap.
-		rep.Bandwidth.Bytes = c.meter.Snapshot().Bytes - bytesBefore
-	}
 	rep.Elapsed = time.Since(start)
 	rep.Source = SourceProtocol
 	d := &progress.Digest{

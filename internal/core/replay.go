@@ -69,18 +69,18 @@ func (c *replayClient) CallBytes(ctx context.Context, req *transport.Request) (*
 			c.site, c.next, req.Kind, transport.Kind(ex.Kind))
 	}
 	if req.Kind == transport.KindEvaluate {
-		rec, err := transcript.DecodeRequest(ex.Request.Payload)
-		if err != nil {
-			return nil, 0, err
+		var rec transport.Request
+		if err := transport.DecodeRequest(ex.Request.Payload, &rec); err != nil {
+			return nil, 0, fmt.Errorf("core: replay site %d ordinal %d: recorded request: %w", c.site, c.next, err)
 		}
 		if rec.Feed.Tuple.ID != req.Feed.Tuple.ID {
 			return nil, 0, fmt.Errorf("core: replay site %d ordinal %d: engine broadcast tuple %d, recording holds %d",
 				c.site, c.next, req.Feed.Tuple.ID, rec.Feed.Tuple.ID)
 		}
 	}
-	resp, err := transcript.DecodeResponse(ex.Response.Payload)
-	if err != nil {
-		return nil, 0, err
+	resp := new(transport.Response)
+	if err := transport.DecodeResponse(ex.Response.Payload, resp); err != nil {
+		return nil, 0, fmt.Errorf("core: replay site %d ordinal %d: recorded response: %w", c.site, c.next, err)
 	}
 	c.next++
 	return resp, ex.Response.WireBytes, nil
@@ -212,8 +212,8 @@ func compareReplay(res *ReplayResult, t *transcript.Transcript, rep *Report, mis
 		}
 	}
 	// Byte totals reproduce only when the live transport attributed
-	// bytes per request (v2 mux); v1/local recordings metered at the
-	// socket, which replay cannot see — skip the check there.
+	// bytes per request (TCP); in-process recordings carry none — skip
+	// the check there.
 	var recordedWire int64
 	for _, m := range t.Messages {
 		recordedWire += m.WireBytes

@@ -224,16 +224,12 @@ func TestReplayDetectsTampering(t *testing.T) {
 		if m.Dir != codec.TranscriptDirRequest || m.Kind != int64(transport.KindEvaluate) {
 			continue
 		}
-		req, err := transcript.DecodeRequest(m.Payload)
-		if err != nil {
+		var req transport.Request
+		if err := transport.DecodeRequest(m.Payload, &req); err != nil {
 			t.Fatal(err)
 		}
 		req.Feed.Tuple.ID += 1 << 40
-		blob, err := transcript.EncodeRequest(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Payload = blob
+		m.Payload = transport.AppendRequest(nil, &req)
 		tampered = true
 		break
 	}

@@ -6,9 +6,9 @@ package core
 // redials, and the read surfaces — /clusterz (JSON and text), the
 // Prometheus federation view, and the degraded marks in Cluster.Health.
 //
-// The plane is strictly additive: a v1 site (or one predating
-// telemetry) reports ErrTelemetryUnsupported once and is left alone —
-// queries and health probes against it are untouched.
+// The plane is strictly additive: a site reached over a transport that
+// cannot push (in-process) reports ErrTelemetryUnsupported once and is
+// left alone — queries and health probes against it are untouched.
 
 import (
 	"context"
@@ -73,8 +73,8 @@ type ClusterTelemetry struct {
 // (a subscription is bound to one connection and dies with it).
 //
 // Subscription failures are not fatal: a site that is down comes under
-// management when it returns, and a v1 site is simply not part of the
-// plane (it stays healthy, not degraded). The plane assumes the
+// management when it returns, and an in-process site is simply not part
+// of the plane (it stays healthy, not degraded). The plane assumes the
 // convention used everywhere else in this package: site i's engine was
 // created with ID i.
 //
@@ -132,7 +132,8 @@ func (t *ClusterTelemetry) Stop() {
 
 // SiteErrors returns the last subscription error per site (nil entries
 // for healthy subscriptions). A transport.ErrTelemetryUnsupported entry
-// means the site speaks wire v1 and is permanently outside the plane.
+// means the site's transport cannot push and it is permanently outside
+// the plane.
 func (t *ClusterTelemetry) SiteErrors() []error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -170,7 +171,7 @@ func (t *ClusterTelemetry) run(ctx context.Context) {
 				unsupported := errors.Is(t.errs[i], transport.ErrTelemetryUnsupported)
 				t.mu.Unlock()
 				if unsupported {
-					continue // v1 site: retrying cannot help
+					continue // retrying cannot help
 				}
 				t.resubscribe(ctx, i)
 			}
@@ -218,7 +219,7 @@ func (t *ClusterTelemetry) resubscribe(ctx context.Context, i int) {
 
 // siteStale classifies client index i for health and federation: stale
 // reports the degraded mark, ok=false means the site is outside the
-// plane (wire v1) and must not be marked degraded.
+// plane (its transport cannot push) and must not be marked degraded.
 func (t *ClusterTelemetry) siteStale(i int) (stale bool, age float64, ok bool) {
 	if st, found := t.store.Site(int64(i)); found {
 		return st.Stale, st.AgeSeconds, true

@@ -170,8 +170,8 @@ func BenchSummary(ctx context.Context, scale Scale, opts BenchOptions, w io.Writ
 		}
 		artifact.Throughput = tr
 		for _, r := range tr {
-			opts.Logf("bench-json: throughput @%d client(s): mux %.1f q/s, serial %.1f q/s (%.2fx)\n",
-				r.Concurrency, r.MuxQPS, r.SerialQPS, r.Speedup)
+			opts.Logf("bench-json: throughput @%d client(s): mux %.1f q/s, materialized %.1f q/s (%.1fx)\n",
+				r.Concurrency, r.MuxQPS, r.MaterializedQPS, r.ServeSpeedup)
 		}
 	}
 	return artifact.Write(w)

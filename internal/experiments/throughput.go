@@ -16,13 +16,13 @@ import (
 )
 
 // Concurrent-query throughput: the same query batch pushed through one
-// shared cluster at increasing client concurrency, once over the
-// multiplexed v2 wire protocol, once over the serial v1 protocol, and
-// once from a warm coordinator-side materialized serving tier.
-// Loopback TCP has no meaningful round-trip or service time, so each
-// site handler is wrapped in transport.DelayedHandler — the delay is
-// what the v1 connection head-of-line blocks on, the mux overlaps, and
-// the serving tier avoids altogether after its single warmup round.
+// shared cluster at increasing client concurrency, once as protocol
+// queries over the TCP transport and once from a warm coordinator-side
+// materialized serving tier. Loopback TCP has no meaningful round-trip
+// or service time, so each site handler is wrapped in
+// transport.DelayedHandler — the delay is what the transport overlaps
+// across pipelined requests and the serving tier avoids altogether after
+// its single warmup round.
 
 // ThroughputOptions tunes the throughput measurement.
 type ThroughputOptions struct {
@@ -68,9 +68,9 @@ func (o ThroughputOptions) withDefaults() ThroughputOptions {
 	return o
 }
 
-// Throughput measures end-to-end queries/sec per concurrency level, mux
-// versus serial, and returns one ThroughputResult per level in input
-// order.
+// Throughput measures end-to-end queries/sec per concurrency level,
+// protocol versus materialized, and returns one ThroughputResult per
+// level in input order.
 func Throughput(ctx context.Context, opts ThroughputOptions) ([]perf.ThroughputResult, error) {
 	opts = opts.withDefaults()
 	db, err := gen.Generate(gen.Config{
@@ -113,13 +113,9 @@ func Throughput(ctx context.Context, opts ThroughputOptions) ([]perf.ThroughputR
 		if min := 2 * clients; batch < min {
 			batch = min
 		}
-		muxQPS, err := throughputBatch(ctx, addrs, clients, batch, false)
+		muxQPS, err := throughputBatch(ctx, addrs, clients, batch)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: throughput mux @%d: %w", clients, err)
-		}
-		serialQPS, err := throughputBatch(ctx, addrs, clients, batch, true)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: throughput serial @%d: %w", clients, err)
 		}
 		matQPS, err := materializedBatch(ctx, addrs, clients, batch)
 		if err != nil {
@@ -130,8 +126,6 @@ func Throughput(ctx context.Context, opts ThroughputOptions) ([]perf.ThroughputR
 			Queries:         batch,
 			SiteDelayMicros: opts.SiteDelay.Microseconds(),
 			MuxQPS:          muxQPS,
-			SerialQPS:       serialQPS,
-			Speedup:         muxQPS / serialQPS,
 			MaterializedQPS: matQPS,
 			ServeSpeedup:    matQPS / muxQPS,
 		})
@@ -188,10 +182,9 @@ func materializedBatch(ctx context.Context, addrs []string, clients, batch int) 
 // throughputBatch drains a batch of identical queries through one shared
 // cluster with the given number of client goroutines and returns the
 // completed-query rate. One unmeasured warmup query establishes the
-// connections (and, over the mux, the per-connection gob type
-// descriptors) before the clock starts.
-func throughputBatch(ctx context.Context, addrs []string, clients, batch int, disableMux bool) (float64, error) {
-	cluster, err := core.Open(core.ClusterConfig{Addrs: addrs, Dims: DefaultDims, DisableMux: disableMux})
+// connections before the clock starts.
+func throughputBatch(ctx context.Context, addrs []string, clients, batch int) (float64, error) {
+	cluster, err := core.Open(core.ClusterConfig{Addrs: addrs, Dims: DefaultDims})
 	if err != nil {
 		return 0, err
 	}

@@ -6,12 +6,12 @@ import (
 	"time"
 )
 
-// TestThroughputMuxAdvantage pins the point of the multiplexed transport:
-// at real client concurrency it must clear more queries per second than
-// the serial v1 wire on the same delayed sites. The threshold is loose
-// (CI machines are noisy); the committed bench baseline records the real
-// margin (>2x at 8 clients) and benchdiff gates on it.
-func TestThroughputMuxAdvantage(t *testing.T) {
+// TestThroughputServeAdvantage pins the point of the serving tier: the
+// same batch served from the warm materialized index must clear more
+// queries per second than protocol rounds against the same delayed
+// sites. The threshold is loose (CI machines are noisy); the committed
+// bench baseline records the real margin and benchdiff gates on it.
+func TestThroughputServeAdvantage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing benchmark")
 	}
@@ -29,13 +29,9 @@ func TestThroughputMuxAdvantage(t *testing.T) {
 		t.Fatalf("got %d results, want 2", len(res))
 	}
 	for _, r := range res {
-		if r.MuxQPS <= 0 || r.SerialQPS <= 0 || r.Queries < 2*r.Concurrency {
+		if r.MuxQPS <= 0 || r.Queries < 2*r.Concurrency {
 			t.Fatalf("malformed result: %+v", r)
 		}
-	}
-	if s := res[1].Speedup; s < 1.2 {
-		t.Fatalf("mux speedup at %d clients = %.2fx; the multiplexed transport should beat the serial wire",
-			res[1].Concurrency, s)
 	}
 	// The materialized tier answers from memory — no per-query site
 	// round-trips at all — so even a loose floor sits far above the mux.

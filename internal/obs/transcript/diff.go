@@ -73,9 +73,9 @@ func feedbackSeq(exs []Exchange) ([]uint64, error) {
 		if transport.Kind(ex.Kind) != transport.KindEvaluate {
 			continue
 		}
-		req, err := DecodeRequest(ex.Request.Payload)
-		if err != nil {
-			return nil, err
+		var req transport.Request
+		if err := transport.DecodeRequest(ex.Request.Payload, &req); err != nil {
+			return nil, fmt.Errorf("transcript: request payload: %w", err)
 		}
 		out = append(out, uint64(req.Feed.Tuple.ID))
 	}

@@ -13,8 +13,6 @@
 package transcript
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -88,44 +86,6 @@ func PhaseName(p uint8) string {
 	}
 }
 
-// EncodeRequest gob-encodes req as a standalone blob (fresh encoder:
-// unlike the live connection's stateful gob stream, every transcript
-// payload is decodable on its own).
-func EncodeRequest(req *transport.Request) ([]byte, error) {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(req); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
-}
-
-// EncodeResponse gob-encodes resp as a standalone blob.
-func EncodeResponse(resp *transport.Response) ([]byte, error) {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(resp); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
-}
-
-// DecodeRequest decodes a standalone request blob.
-func DecodeRequest(data []byte) (*transport.Request, error) {
-	var req transport.Request
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&req); err != nil {
-		return nil, fmt.Errorf("transcript: request payload: %w", err)
-	}
-	return &req, nil
-}
-
-// DecodeResponse decodes a standalone response blob.
-func DecodeResponse(data []byte) (*transport.Response, error) {
-	var resp transport.Response
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&resp); err != nil {
-		return nil, fmt.Errorf("transcript: response payload: %w", err)
-	}
-	return &resp, nil
-}
-
 // Recorder captures one query's exchange. It implements
 // transport.CallTap: stack it over a per-query view with
 // transport.Recorded and every successful RPC lands in the transcript
@@ -137,10 +97,10 @@ type Recorder struct {
 
 	mu       sync.Mutex
 	buf      []byte // preamble + header + message frames, encoded
+	payload  []byte // reused protocol-message encode buffer
 	scratch  []byte // reused message-body encode buffer
 	ordinals []int64
 	messages int64
-	err      error // first capture failure; poisons the transcript
 }
 
 // NewRecorder starts a transcript for the query described by h. start
@@ -155,51 +115,35 @@ func NewRecorder(h *codec.TranscriptHeader, start time.Time) *Recorder {
 	}
 }
 
-// RecordCall captures one completed RPC. Nil-safe.
+// RecordCall captures one completed RPC as a request/response message
+// pair whose payloads are the transport's own message encoding. Nil-safe.
 func (r *Recorder) RecordCall(site int, req *transport.Request, resp *transport.Response, wireBytes int64) {
 	if r == nil {
 		return
 	}
 	tnano := time.Since(r.start).Nanoseconds()
-	reqBlob, err := EncodeRequest(req)
-	if err == nil {
-		var respBlob []byte
-		respBlob, err = EncodeResponse(resp)
-		if err == nil {
-			r.record(site, req.Kind, tnano, wireBytes, reqBlob, respBlob)
-			return
-		}
-	}
-	r.mu.Lock()
-	if r.err == nil {
-		r.err = fmt.Errorf("transcript: capture site %d %v: %w", site, req.Kind, err)
-	}
-	r.mu.Unlock()
-}
-
-func (r *Recorder) record(site int, kind transport.Kind, tnano, wireBytes int64, reqBlob, respBlob []byte) {
-	phase := PhaseOf(kind)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for site >= len(r.ordinals) {
 		r.ordinals = append(r.ordinals, 0)
 	}
-	ordinal := r.ordinals[site]
-	r.ordinals[site]++
 	m := codec.TranscriptMessage{
 		Dir:     codec.TranscriptDirRequest,
-		Phase:   phase,
-		Kind:    int64(kind),
+		Phase:   PhaseOf(req.Kind),
+		Kind:    int64(req.Kind),
 		Site:    int64(site),
-		Ordinal: ordinal,
+		Ordinal: r.ordinals[site],
 		TNano:   tnano,
-		Payload: reqBlob,
 	}
+	r.ordinals[site]++
+	r.payload = transport.AppendRequest(r.payload[:0], req)
+	m.Payload = r.payload
 	r.scratch = codec.AppendTranscriptMessage(r.scratch[:0], &m)
 	r.buf = codec.AppendTranscriptFrame(r.buf, codec.TranscriptMessageFrame, r.scratch)
 	m.Dir = codec.TranscriptDirResponse
 	m.WireBytes = wireBytes
-	m.Payload = respBlob
+	r.payload = transport.AppendResponse(r.payload[:0], resp, nil)
+	m.Payload = r.payload
 	r.scratch = codec.AppendTranscriptMessage(r.scratch[:0], &m)
 	r.buf = codec.AppendTranscriptFrame(r.buf, codec.TranscriptMessageFrame, r.scratch)
 	r.messages += 2
@@ -213,16 +157,6 @@ func (r *Recorder) Messages() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.messages
-}
-
-// Err returns the first capture failure, if any.
-func (r *Recorder) Err() error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
 }
 
 // Bytes seals the transcript — appending the summary frame when sum is
@@ -332,9 +266,6 @@ func (s *Sink) Finish(rec *Recorder, h *codec.TranscriptHeader, sum *codec.Trans
 	if qerr != nil {
 		entry.Error = qerr.Error()
 	}
-	if cerr := rec.Err(); cerr != nil && entry.Error == "" {
-		entry.Error = cerr.Error()
-	}
 	var path string
 	var werr error
 	if s.dir != "" {
@@ -350,7 +281,7 @@ func (s *Sink) Finish(rec *Recorder, h *codec.TranscriptHeader, sum *codec.Trans
 		}
 	}
 	entry.Path = path
-	if werr != nil || rec.Err() != nil {
+	if werr != nil {
 		s.failed.Add(1)
 	} else {
 		s.recorded.Add(1)

@@ -70,7 +70,7 @@ type MetricDelta struct {
 	// metric appeared from a zero baseline.
 	Rel float64
 	// Limit is the significance threshold this comparison was held to.
-	Limit float64
+	Limit   float64
 	Verdict Verdict
 }
 
@@ -344,9 +344,9 @@ func writeThroughputMarkdown(w io.Writer, oldA, newA *Artifact) {
 			}
 		}
 	}
-	fmt.Fprintf(w, "\n### Concurrent-query throughput (mux vs serial transport, materialized serving)\n\n")
-	fmt.Fprintf(w, "| clients | old mux q/s | new mux q/s | old speedup | new speedup | old serve q/s | new serve q/s | old serve× | new serve× |\n")
-	fmt.Fprintf(w, "|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n")
+	fmt.Fprintf(w, "\n### Concurrent-query throughput (protocol over TCP, materialized serving)\n\n")
+	fmt.Fprintf(w, "| clients | old mux q/s | new mux q/s | old serve q/s | new serve q/s | old serve× | new serve× |\n")
+	fmt.Fprintf(w, "|---:|---:|---:|---:|---:|---:|---:|\n")
 	for _, c := range levels {
 		o, n := at(oldA, c), at(newA, c)
 		cell := func(t *ThroughputResult, f func(*ThroughputResult) string) string {
@@ -356,7 +356,6 @@ func writeThroughputMarkdown(w io.Writer, oldA, newA *Artifact) {
 			return f(t)
 		}
 		mux := func(t *ThroughputResult) string { return fmt.Sprintf("%.1f", t.MuxQPS) }
-		spd := func(t *ThroughputResult) string { return fmt.Sprintf("%.2fx", t.Speedup) }
 		// Serve columns render "—" for artifacts predating the serving tier.
 		srv := func(t *ThroughputResult) string {
 			if t.MaterializedQPS == 0 {
@@ -370,8 +369,8 @@ func writeThroughputMarkdown(w io.Writer, oldA, newA *Artifact) {
 			}
 			return fmt.Sprintf("%.1fx", t.ServeSpeedup)
 		}
-		fmt.Fprintf(w, "| %d | %s | %s | %s | %s | %s | %s | %s | %s |\n",
-			c, cell(o, mux), cell(n, mux), cell(o, spd), cell(n, spd),
+		fmt.Fprintf(w, "| %d | %s | %s | %s | %s | %s | %s |\n",
+			c, cell(o, mux), cell(n, mux),
 			cell(o, srv), cell(n, srv), cell(o, srvX), cell(n, srvX))
 	}
 }

@@ -71,13 +71,11 @@ type AlgoResult struct {
 // Metric returns the named distribution (zero Dist when absent).
 func (a AlgoResult) Metric(name string) Dist { return a.Metrics[name] }
 
-// ThroughputResult is one concurrency level of the transport throughput
-// benchmark: end-to-end queries/sec through the multiplexed v2 wire
-// protocol versus the serial v1 protocol on the same workload and
-// artificially delayed sites (the delay stands in for network/service
-// time, which loopback lacks). Speedup = MuxQPS / SerialQPS; at
-// concurrency 1 it should sit near 1.0, and it grows with concurrency as
-// the mux pipelines requests the serial connection head-of-line blocks.
+// ThroughputResult is one concurrency level of the throughput benchmark:
+// end-to-end queries/sec as protocol rounds over the TCP transport
+// against artificially delayed sites (the delay stands in for
+// network/service time, which loopback lacks), and the same batch served
+// from the materialized tier.
 type ThroughputResult struct {
 	Concurrency int `json:"concurrency"`
 	// Queries is the batch size behind the rates.
@@ -85,8 +83,6 @@ type ThroughputResult struct {
 	// SiteDelayMicros is the injected per-request site service delay.
 	SiteDelayMicros int64   `json:"site_delay_us"`
 	MuxQPS          float64 `json:"mux_qps"`
-	SerialQPS       float64 `json:"serial_qps"`
-	Speedup         float64 `json:"speedup"`
 	// MaterializedQPS is the same batch served from a warm coordinator-side
 	// materialized tier (Cluster.Serve) instead of a protocol round per
 	// query; ServeSpeedup = MaterializedQPS / MuxQPS. Both are additive

@@ -49,10 +49,8 @@ func (c *delayedClient) Unwrap() Client { return c.inner }
 // DelayedHandler wraps h so every request waits d before being handled
 // — the site-service-time analogue of Delayed, used by throughput
 // experiments to model real network/processing latency on loopback.
-// Because the v2 server runs handlers on concurrent workers, pipelined
-// requests overlap their delays, while the v1 one-at-a-time connection
-// loop serialises them: exactly the contrast the mux throughput
-// benchmark measures. The wait honours context cancellation.
+// Because the server runs handlers on concurrent workers, pipelined
+// requests overlap their delays. The wait honours context cancellation.
 func DelayedHandler(h Handler, d time.Duration) Handler {
 	if d <= 0 {
 		return h

@@ -48,7 +48,7 @@ func (c *instrumentedClient) Call(ctx context.Context, req *Request) (*Response,
 }
 
 // CallBytes forwards per-request byte attribution (ByteReporter) so
-// instrumentation composes transparently with the v2 mux transport.
+// instrumentation composes transparently with the TCP transport.
 func (c *instrumentedClient) CallBytes(ctx context.Context, req *Request) (*Response, int64, error) {
 	k := int(req.Kind)
 	if k < 1 || k > maxKind {

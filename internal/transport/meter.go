@@ -112,7 +112,7 @@ func (m *Meter) Account(req *Request, resp *Response) {
 
 // Metered wraps a Client so every successful call is accounted against
 // m. When the inner client attributes wire bytes per request
-// (ByteReporter, i.e. the v2 mux transport), those bytes are credited
+// (ByteReporter, i.e. the TCP transport), those bytes are credited
 // to m as well, and the wrapper itself implements ByteReporter so
 // stacked meters (cluster-wide under per-query) each see exact bytes.
 func Metered(c Client, m *Meter) Client {
@@ -134,9 +134,7 @@ func (c *meteredClient) CallBytes(ctx context.Context, req *Request) (*Response,
 	if err == nil {
 		c.meter.Account(req, resp)
 		if n > 0 {
-			// v1 clients report zero here; their bytes are counted at
-			// the socket instead (countingReader/Writer), so there is
-			// exactly one byte path per transport generation.
+			// In-process clients report zero: they put nothing on a wire.
 			c.meter.AddBytes(n)
 		}
 	}

@@ -1,10 +1,7 @@
 package transport
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -17,12 +14,11 @@ import (
 )
 
 // ByteReporter is the optional Client extension for transports that can
-// attribute wire bytes to individual requests. The v2 framed protocol
+// attribute wire bytes to individual requests. The framed protocol
 // knows each request's and response's exact frame size, so overlapping
-// queries sharing one connection get exact per-query byte accounting —
-// the thing the v1 gob stream (bytes observed only at the shared
-// socket) fundamentally cannot do. Wrappers (Metered, Instrumented,
-// Retry) forward the interface when their inner client provides it.
+// queries sharing one connection get exact per-query byte accounting.
+// Wrappers (Metered, Instrumented, Retry) forward the interface when
+// their inner client provides it.
 type ByteReporter interface {
 	Client
 	// CallBytes is Call, additionally returning the wire bytes this
@@ -41,43 +37,42 @@ func callBytes(cl Client, ctx context.Context, req *Request) (*Response, int64, 
 	return resp, 0, err
 }
 
-// muxHandshakeTimeout bounds the v2 hello round trip at dial time. A
-// true v1 peer does not answer the hello (its gob decoder blocks
-// waiting for bytes that never come), so this deadline is what sends
-// the client to the fallback. A variable so negotiation tests can
-// shorten the wait.
-var muxHandshakeTimeout = 5 * time.Second
+// muxHandshakeTimeout bounds the hello round trip at dial time, so a
+// peer that accepts the connection and then says nothing cannot hang
+// the dial.
+const muxHandshakeTimeout = 5 * time.Second
 
 // errMuxBroken wraps the terminal error of a mux connection when it is
 // surfaced to calls that were in flight as it died.
 var errMuxBroken = errors.New("transport: mux connection broken")
 
-// DialAuto connects to a site negotiating the newest wire protocol both
-// ends speak: it sends the v2 hello and returns a pipelining MuxClient
-// when the server echoes it, or falls back to a fresh v1 gob connection
-// when the peer rejects or ignores the hello (an old site daemon). meter
-// may be nil; when set it observes handshake bytes and — on the v1
-// fallback — all socket bytes, exactly as Dial does. (v2 call bytes are
-// attributed per request through ByteReporter instead, so they are
-// charged by the Metered wrapper, not here.)
+// ErrWireVersion reports a peer that did not echo this build's hello: it
+// speaks another wire generation (or is not a site daemon at all).
+var ErrWireVersion = errors.New("transport: peer does not speak this wire version")
+
+// DialAuto connects to a site: it sends the hello and returns a
+// pipelining MuxClient once the server echoes it. A peer that answers
+// anything else is an ErrWireVersion. meter may be nil; when set it
+// observes the handshake bytes (call bytes are attributed per request
+// through ByteReporter instead, so they are charged by the Metered
+// wrapper, not here).
 func DialAuto(addr string, meter *Meter) (Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
 	hello := codec.MuxHandshake()
-	deadline := time.Now().Add(muxHandshakeTimeout)
-	conn.SetDeadline(deadline)
-	if _, err := conn.Write(hello[:]); err != nil {
-		conn.Close()
-		return Dial(addr, meter)
-	}
+	conn.SetDeadline(time.Now().Add(muxHandshakeTimeout))
 	var ack [5]byte
-	if _, err := io.ReadFull(conn, ack[:]); err != nil || ack != hello {
-		// No echo: the peer is a v1-only build (it choked on the magic
-		// and closed, or answered something else). Redial plain gob.
+	if _, err = conn.Write(hello[:]); err == nil {
+		_, err = io.ReadFull(conn, ack[:])
+	}
+	if err == nil && ack != hello {
+		err = fmt.Errorf("sent hello %x, peer answered %x", hello, ack)
+	}
+	if err != nil {
 		conn.Close()
-		return Dial(addr, meter)
+		return nil, fmt.Errorf("transport: dial %s: %w: %v", addr, ErrWireVersion, err)
 	}
 	conn.SetDeadline(time.Time{})
 	if meter != nil {
@@ -86,22 +81,19 @@ func DialAuto(addr string, meter *Meter) (Client, error) {
 	return NewMuxClient(conn), nil
 }
 
-// MuxClient is the wire-v2 client: many concurrent Calls pipeline over
-// one TCP connection as ID-tagged frames, a demux goroutine routes
-// responses (which may arrive out of order) back to their callers, and
-// cancelling one call abandons only that call's slot — the connection
-// stays usable, unlike the v1 client, whose only cancellation lever is
-// closing the socket. MuxClient is safe for concurrent use.
+// MuxClient is the TCP client: many concurrent Calls pipeline over one
+// connection as ID-tagged frames, a demux goroutine routes responses
+// (which may arrive out of order) back to their callers, and cancelling
+// one call abandons only that call's slot — the connection stays
+// usable. MuxClient is safe for concurrent use.
 type MuxClient struct {
 	conn net.Conn
 
-	// wmu serialises the encode→frame→write path. The gob stream is
-	// per-connection (type descriptors sent once, not once per frame),
-	// so encoding order must match write order.
-	wmu    sync.Mutex
-	encBuf bytes.Buffer
-	enc    *gob.Encoder
-	wbuf   []byte
+	// wmu serialises frame writes and guards the two buffers they reuse:
+	// the encoded message and the frame around it.
+	wmu  sync.Mutex
+	pbuf []byte
+	wbuf []byte
 
 	nextID atomic.Uint64
 
@@ -144,39 +136,25 @@ type muxResult struct {
 	bytes int64 // response frame wire size
 }
 
-// NewMuxClient speaks wire v2 over an already-handshaken connection.
-// Most callers want DialAuto; this exists for tests and custom dialers.
+// NewMuxClient speaks the framed protocol over an already-handshaken
+// connection. Most callers want DialAuto; this exists for tests and
+// custom dialers.
 func NewMuxClient(conn net.Conn) *MuxClient {
 	c := &MuxClient{conn: conn, pending: make(map[uint64]chan muxResult)}
-	c.enc = gob.NewEncoder(&c.encBuf)
 	go c.readLoop()
 	return c
-}
-
-// payloadReader feeds successive frame payloads to the persistent gob
-// decoder. Each Decode consumes exactly the bytes the peer's Encode
-// produced (they share one logical stream), so running dry mid-message
-// means the stream is corrupt.
-type payloadReader struct{ buf []byte }
-
-func (p *payloadReader) Read(b []byte) (int, error) {
-	if len(p.buf) == 0 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	n := copy(b, p.buf)
-	p.buf = p.buf[n:]
-	return n, nil
 }
 
 // readLoop is the demux goroutine: it decodes response frames and
 // delivers each to its caller's channel. Any read error is terminal —
 // every in-flight call fails with it, and subsequent calls are refused
-// until the owner (usually a Retry client) discards and redials.
+// until the owner (usually a Retry client) discards and redials. A
+// response whose frame is intact but whose payload does not decode fails
+// only the call it answers.
 func (c *MuxClient) readLoop() {
-	pr := &payloadReader{}
-	dec := gob.NewDecoder(pr)
+	frames := codec.NewFrameReader(c.conn)
 	for {
-		fr, n, err := codec.ReadFrame(c.conn)
+		fr, n, err := frames.ReadFrame()
 		if err != nil {
 			c.fail(fmt.Errorf("%w: %v", errMuxBroken, err))
 			return
@@ -193,19 +171,8 @@ func (c *MuxClient) readLoop() {
 		if fr.Type != codec.FrameResponse {
 			continue // unknown frame types are ignorable padding
 		}
-		pr.buf = fr.Payload
-		var wresp wireResponse
-		if err := dec.Decode(&wresp); err != nil {
-			c.fail(fmt.Errorf("%w: decode: %v", errMuxBroken, err))
-			return
-		}
-		res := muxResult{bytes: int64(n)}
-		if wresp.Err != "" {
-			res.err = errors.New(wresp.Err)
-		} else {
-			resp := wresp.Resp
-			res.resp = &resp
-		}
+		res := muxResult{resp: new(Response), bytes: int64(n)}
+		res.err = DecodeResponse(fr.Payload, res.resp)
 		c.mu.Lock()
 		ch := c.pending[fr.ID]
 		delete(c.pending, fr.ID)
@@ -328,19 +295,15 @@ func (c *MuxClient) CallBytes(ctx context.Context, req *Request) (*Response, int
 	c.mu.Unlock()
 
 	c.wmu.Lock()
-	c.encBuf.Reset()
-	err := c.enc.Encode(&wireRequest{Req: *req})
-	var reqBytes int64
-	if err == nil {
-		c.wbuf = codec.AppendFrame(c.wbuf[:0], codec.FrameRequest, id, c.encBuf.Bytes())
-		reqBytes = int64(len(c.wbuf))
-		_, err = c.conn.Write(c.wbuf)
-	}
+	c.pbuf = AppendRequest(c.pbuf[:0], req)
+	c.wbuf = codec.AppendFrame(c.wbuf[:0], codec.FrameRequest, id, c.pbuf)
+	reqBytes := int64(len(c.wbuf))
+	_, err := c.conn.Write(c.wbuf)
 	c.wmu.Unlock()
 	if err != nil {
 		c.forget(id)
-		// A failed send leaves the shared gob stream in an unknown
-		// state; the connection is unusable for everyone.
+		// A failed write may have put part of a frame on the wire; the
+		// connection is unusable for everyone.
 		c.fail(fmt.Errorf("%w: send: %v", errMuxBroken, err))
 		return nil, 0, fmt.Errorf("transport: send: %w", err)
 	}
@@ -358,23 +321,19 @@ func (c *MuxClient) CallBytes(ctx context.Context, req *Request) (*Response, int
 	}
 }
 
-// serveMux is the server half of wire v2: after echoing the handshake
-// it reads frames, dispatches each request to a worker goroutine
-// (bounded by the worker limit — past it the server stops reading, so
-// backpressure is ordinary TCP flow control), and serialises response
-// frames back over the shared connection in completion order. A
-// FrameCancel cancels the matching in-flight handler's context; the
-// connection itself is untouched, which is the whole point of v2
-// cancellation.
-func (s *Server) serveMux(conn net.Conn, br *bufio.Reader, w io.Writer) {
+// serveMux serves one connection: after echoing the hello it reads
+// frames, dispatches each request to a worker goroutine (bounded by the
+// worker limit — past it the server stops reading, so backpressure is
+// ordinary TCP flow control), and serialises response frames back over
+// the shared connection in completion order. A FrameCancel cancels the
+// matching in-flight handler's context and leaves the connection alone.
+// A request frame whose payload does not decode is answered with an
+// error response for its id; every frame is self-contained, so the
+// requests pipelined around it are unaffected.
+func (s *Server) serveMux(r io.Reader, w io.Writer) {
 	var hello [5]byte
-	if _, err := io.ReadFull(br, hello[:]); err != nil {
-		return
-	}
-	if hello != codec.MuxHandshake() {
-		// Same magic, unknown version: stay silent and let the client's
-		// handshake deadline route it to the v1 fallback.
-		return
+	if _, err := io.ReadFull(r, hello[:]); err != nil || hello != codec.MuxHandshake() {
+		return // another wire generation, or not a coordinator: refuse by closing
 	}
 	s.mu.Lock()
 	limit := s.workerLimit
@@ -390,10 +349,9 @@ func (s *Server) serveMux(conn net.Conn, br *bufio.Reader, w io.Writer) {
 	defer s.muxConns.Add(-1)
 
 	var (
-		// mw serialises the shared response gob stream + frame writes,
-		// shared with this connection's telemetry publishers.
-		mw     = &muxWriter{w: w}
-		encBuf bytes.Buffer
+		// mw serialises frame writes, shared with this connection's
+		// telemetry publishers.
+		mw = &muxWriter{w: w, tap: tap}
 
 		// imu guards the in-flight table consulted by FrameCancel and the
 		// telemetry-subscription table it also serves.
@@ -404,9 +362,7 @@ func (s *Server) serveMux(conn net.Conn, br *bufio.Reader, w io.Writer) {
 		wg  sync.WaitGroup
 		sem = make(chan struct{}, limit)
 	)
-	enc := gob.NewEncoder(&encBuf)
-	pr := &payloadReader{}
-	dec := gob.NewDecoder(pr)
+	frames := codec.NewFrameReader(r)
 	connCtx, connCancel := context.WithCancel(context.Background())
 	defer connCancel()
 	// Drain contract (see Shutdown): when the read loop exits, requests
@@ -423,7 +379,7 @@ func (s *Server) serveMux(conn net.Conn, br *bufio.Reader, w io.Writer) {
 	defer pubCancel()
 
 	for {
-		fr, n, err := codec.ReadFrame(br)
+		fr, n, err := frames.ReadFrame()
 		if err != nil {
 			return // EOF, broken peer, corruption, or a drain deadline
 		}
@@ -470,10 +426,10 @@ func (s *Server) serveMux(conn net.Conn, br *bufio.Reader, w io.Writer) {
 		default:
 			continue // unknown frame types are ignorable padding
 		}
-		pr.buf = fr.Payload
-		var wreq wireRequest
-		if err := dec.Decode(&wreq); err != nil {
-			return // the shared gob stream is corrupt; the connection is done
+		var req Request
+		if err := DecodeRequest(fr.Payload, &req); err != nil {
+			mw.writeResponse(fr.ID, nil, err)
+			continue
 		}
 		// A full pool parks this read loop on sem; the queued gauge is
 		// what makes that saturation visible to /statusz before clients
@@ -497,26 +453,11 @@ func (s *Server) serveMux(conn net.Conn, br *bufio.Reader, w io.Writer) {
 				cancel()
 			}()
 			resp, err := s.handler.Handle(ctx, &req)
-			var wresp wireResponse
-			if err != nil {
-				wresp.Err = err.Error()
-			} else if resp != nil {
-				wresp.Resp = *resp
-			}
 			if ctx.Err() != nil {
 				return // cancelled: the client has already abandoned the slot
 			}
-			mw.mu.Lock()
-			encBuf.Reset()
-			if enc.Encode(&wresp) == nil {
-				mw.buf = codec.AppendFrame(mw.buf[:0], codec.FrameResponse, id, encBuf.Bytes())
-				mw.w.Write(mw.buf)
-				if tap != nil {
-					tap(TapOutbound, codec.FrameResponse, len(mw.buf))
-				}
-			}
-			mw.mu.Unlock()
-		}(fr.ID, wreq.Req, reqCtx, cancel)
+			mw.writeResponse(id, resp, err)
+		}(fr.ID, req, reqCtx, cancel)
 		if s.draining.Load() {
 			return // stop reading; the deferred wg.Wait answers in-flight work
 		}

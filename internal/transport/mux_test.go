@@ -4,11 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/codec"
 )
 
 // sessionEcho answers every request with Size = int(req.Session), so a
@@ -37,7 +41,7 @@ func dialMux(t *testing.T, addr string) *MuxClient {
 	}
 	mc, ok := cl.(*MuxClient)
 	if !ok {
-		t.Fatalf("DialAuto returned %T against a v2 server, want *MuxClient", cl)
+		t.Fatalf("DialAuto returned %T, want *MuxClient", cl)
 	}
 	t.Cleanup(func() { mc.Close() })
 	return mc
@@ -83,10 +87,9 @@ func TestMuxConcurrentCalls(t *testing.T) {
 	}
 }
 
-// TestMuxCancelKeepsConnectionUsable pins the headline v2 property:
+// TestMuxCancelKeepsConnectionUsable pins the headline mux property:
 // cancelling one in-flight call must neither kill the shared connection
-// nor disturb other callers — the exact opposite of the v1 client,
-// where cancellation closes the socket.
+// nor disturb other callers.
 func TestMuxCancelKeepsConnectionUsable(t *testing.T) {
 	entered := make(chan struct{}, 1)
 	cancelled := make(chan struct{}, 1)
@@ -146,52 +149,102 @@ func TestMuxCancelKeepsConnectionUsable(t *testing.T) {
 	}
 }
 
-// TestDialAutoFallsBackToLegacy pins version negotiation: a v1-only
-// server never answers the v2 hello, and DialAuto must come back with a
-// working legacy client instead of an error.
-func TestDialAutoFallsBackToLegacy(t *testing.T) {
-	old := muxHandshakeTimeout
-	muxHandshakeTimeout = 200 * time.Millisecond
-	defer func() { muxHandshakeTimeout = old }()
-
-	addr, s := startMuxServer(t, handlerFunc(sessionEcho))
-	s.SetLegacyOnly(true)
-
-	cl, err := DialAuto(addr, nil)
-	if err != nil {
-		t.Fatalf("DialAuto against v1-only server: %v", err)
-	}
-	defer cl.Close()
-	if _, ok := cl.(*MuxClient); ok {
-		t.Fatal("DialAuto returned a MuxClient against a v1-only server")
-	}
-	resp, err := cl.Call(context.Background(), &Request{Kind: KindStatus, Session: 5})
-	if err != nil {
-		t.Fatalf("legacy fallback call: %v", err)
-	}
-	if resp.Size != 5 {
-		t.Fatalf("legacy fallback call: got %d want 5", resp.Size)
+// TestDialAutoRefusesOtherWireVersion: a peer that does not echo the
+// hello — here one that answers the previous generation's, and one that
+// just hangs up — is a typed ErrWireVersion, not a fallback.
+func TestDialAutoRefusesOtherWireVersion(t *testing.T) {
+	for name, answer := range map[string][]byte{
+		"older generation": {0xD5, 'S', 'Q', '2', 2},
+		"hangs up":         nil,
+	} {
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		go func() {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			io.ReadFull(conn, make([]byte, 5))
+			conn.Write(answer)
+			conn.Close()
+		}()
+		cl, err := DialAuto(lis.Addr().String(), nil)
+		if !errors.Is(err, ErrWireVersion) {
+			if cl != nil {
+				cl.Close()
+			}
+			t.Errorf("%s: DialAuto = %v, want ErrWireVersion", name, err)
+		}
+		lis.Close()
 	}
 }
 
-// TestMuxServesLegacyClientsToo: one v2 server, one shared address, a
-// v1 gob client and a v2 mux client working side by side.
-func TestMuxServesLegacyClientsToo(t *testing.T) {
+// TestServerRefusesOtherWireVersion: the server closes a connection that
+// opens with anything but this build's hello, without answering.
+func TestServerRefusesOtherWireVersion(t *testing.T) {
 	addr, _ := startMuxServer(t, handlerFunc(sessionEcho))
-	mc := dialMux(t, addr)
-	legacy, err := Dial(addr, nil)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
-		t.Fatalf("legacy dial: %v", err)
+		t.Fatal(err)
 	}
-	defer legacy.Close()
+	defer conn.Close()
+	conn.Write([]byte{0xD5, 'S', 'Q', '2', 2})
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read after a foreign hello = (%d, %v), want EOF", n, err)
+	}
+}
 
-	for i := 1; i <= 5; i++ {
-		if resp, err := legacy.Call(context.Background(), &Request{Kind: KindStatus, Session: uint64(i)}); err != nil || resp.Size != i {
-			t.Fatalf("legacy call %d: resp=%v err=%v", i, resp, err)
+// TestMuxMalformedRequestKeepsConnection: a frame whose CRC passes but
+// whose payload is not a request is answered with an error for that id,
+// and the calls pipelined before and after it on the same connection
+// succeed.
+func TestMuxMalformedRequestKeepsConnection(t *testing.T) {
+	addr, _ := startMuxServer(t, handlerFunc(sessionEcho))
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello := codec.MuxHandshake()
+	conn.Write(hello[:])
+	if _, err := io.ReadFull(conn, hello[:]); err != nil {
+		t.Fatalf("handshake: %v", err)
+	}
+
+	good := func(session uint64) []byte {
+		return AppendRequest(nil, &Request{Kind: KindStatus, Session: session})
+	}
+	var out []byte
+	out = codec.AppendFrame(out, codec.FrameRequest, 1, good(11))
+	out = codec.AppendFrame(out, codec.FrameRequest, 2, []byte{0xFF, 0xFF, 0xFF}) // unknown mask bits, unterminated kind
+	out = codec.AppendFrame(out, codec.FrameRequest, 3, good(33))
+	if _, err := conn.Write(out); err != nil {
+		t.Fatal(err)
+	}
+
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	frames := codec.NewFrameReader(conn)
+	sizes, errs := map[uint64]int{}, map[uint64]error{}
+	for len(sizes)+len(errs) < 3 {
+		fr, _, err := frames.ReadFrame()
+		if err != nil {
+			t.Fatalf("connection dropped after %d good, %d failed answers: %v", len(sizes), len(errs), err)
 		}
-		if resp, err := mc.Call(context.Background(), &Request{Kind: KindStatus, Session: uint64(i * 100)}); err != nil || resp.Size != i*100 {
-			t.Fatalf("mux call %d: resp=%v err=%v", i, resp, err)
+		var resp Response
+		if err := DecodeResponse(fr.Payload, &resp); err != nil {
+			errs[fr.ID] = err
+		} else {
+			sizes[fr.ID] = resp.Size
 		}
+	}
+	if sizes[1] != 11 || sizes[3] != 33 {
+		t.Fatalf("good calls around the malformed frame: sizes %v, errors %v", sizes, errs)
+	}
+	if err := errs[2]; err == nil || !strings.Contains(err.Error(), ErrWire.Error()) {
+		t.Fatalf("malformed frame answered with %v, want the decode error", err)
 	}
 }
 

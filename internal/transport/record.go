@@ -6,14 +6,13 @@ import (
 	"repro/internal/codec"
 )
 
-// FrameTap observes raw v2 frames crossing a server's mux loops:
+// FrameTap observes raw frames crossing a server's mux loops:
 // inbound frames as the read loop decodes them, outbound response
 // frames as they are written. wireBytes is the framed size including
 // the length prefix. Taps run on the connection's read loop and worker
 // goroutines, so they must be safe for concurrent use and cheap —
-// counter bumps, not payload inspection (per-connection gob streams are
-// stateful, so a frame payload is not decodable standalone anyway;
-// payload capture happens at the Call layer via Recorded).
+// counter bumps, not payload inspection (payload capture happens at the
+// Call layer via Recorded).
 type FrameTap func(dir uint8, t codec.FrameType, wireBytes int)
 
 // Frame tap directions.

@@ -2,38 +2,19 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/codec"
 )
 
-// wireRequest frames a Request for the TCP transport.
-type wireRequest struct {
-	Req Request
-}
-
-// wireResponse frames a Response; Err carries handler failures back to the
-// caller as text (errors are not gob-encodable in general).
-type wireResponse struct {
-	Resp Response
-	Err  string
-}
-
 // Server exposes a Handler on a TCP listener, one goroutine per accepted
-// connection. Each connection speaks whichever protocol its client
-// opens with: the legacy v1 gob stream (strictly one request/response
-// at a time) or, after the v2 handshake, the framed mux protocol where
-// requests are dispatched to a bounded pool of worker goroutines and
-// responses return as they complete, possibly out of order.
+// connection. After the handshake a connection carries frames: requests
+// are dispatched to a bounded pool of worker goroutines and responses
+// return as they complete, possibly out of order (see serveMux).
 type Server struct {
 	handler Handler
 	meter   *Meter
@@ -44,13 +25,12 @@ type Server struct {
 	wg          sync.WaitGroup
 	closed      bool
 	workerLimit int
-	legacyOnly  bool
 	// draining makes per-connection loops exit after the in-flight
 	// request (if any) completes, instead of waiting for the next one —
 	// the graceful half of Shutdown.
 	draining atomic.Bool
 
-	// Saturation telemetry across every v2 connection: how many worker
+	// Saturation telemetry across every connection: how many worker
 	// goroutines are inside the handler right now, and how many read
 	// loops are parked waiting for a worker slot (the moment queued goes
 	// nonzero, TCP backpressure has reached that connection's client).
@@ -65,17 +45,17 @@ type Server struct {
 	telemetryPushes   atomic.Uint64
 	telemetryLastPush atomic.Int64
 
-	// frameTap, when set, observes every v2 frame the mux loops read or
+	// frameTap, when set, observes every frame the mux loops read or
 	// write (see FrameTap). mu-guarded; loaded once per connection.
 	frameTap FrameTap
 }
 
-// WorkerStats is a point-in-time view of the server's v2 worker-pool
+// WorkerStats is a point-in-time view of the server's worker-pool
 // saturation, aggregated across connections. Busy at Limit×Conns with
 // Queued > 0 is the backpressure regime: the server has stopped reading
 // some connections and clients are throttled by TCP flow control.
 type WorkerStats struct {
-	// Conns is the number of live v2 (mux) connections.
+	// Conns is the number of live connections.
 	Conns int `json:"conns"`
 	// Busy is how many requests are inside handlers right now; Limit is
 	// the per-connection worker cap they are admitted under.
@@ -86,7 +66,7 @@ type WorkerStats struct {
 	Queued int `json:"queued"`
 }
 
-// WorkerStats reports current v2 worker-pool saturation. Cheap enough
+// WorkerStats reports current worker-pool saturation. Cheap enough
 // for status handlers; safe for concurrent use.
 func (s *Server) WorkerStats() WorkerStats {
 	s.mu.Lock()
@@ -103,14 +83,14 @@ func (s *Server) WorkerStats() WorkerStats {
 	}
 }
 
-// DefaultWorkerLimit bounds concurrent v2 request handlers per
+// DefaultWorkerLimit bounds concurrent request handlers per
 // connection when SetWorkerLimit was not called. One coordinator
 // multiplexes all of its concurrent queries over a single connection,
 // so the limit is per-peer fairness and memory protection, not a
 // per-query cap.
 const DefaultWorkerLimit = 32
 
-// SetWorkerLimit bounds how many v2 requests one connection may have in
+// SetWorkerLimit bounds how many requests one connection may have in
 // flight in handlers simultaneously (n < 1 restores the default).
 // Beyond the limit the server stops reading the connection, so TCP
 // backpressure reaches the client. Call before Serve.
@@ -120,17 +100,7 @@ func (s *Server) SetWorkerLimit(n int) {
 	s.workerLimit = n
 }
 
-// SetLegacyOnly makes the server behave like a pre-v2 build: every
-// connection is treated as a bare gob stream, and a v2 hello is fed to
-// the gob decoder (which chokes on it) exactly as an old binary would.
-// For negotiation tests and staged rollouts.
-func (s *Server) SetLegacyOnly(v bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.legacyOnly = v
-}
-
-// SetFrameTap installs (or, with nil, removes) a tap observing every v2
+// SetFrameTap installs (or, with nil, removes) a tap observing every
 // frame the server's mux loops read or write — the wire-level counter
 // feed for per-direction frame metrics. Call before Serve; connections
 // accepted earlier keep the tap they started with.
@@ -197,43 +167,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		reader = &countingReader{r: conn, meter: s.meter}
 		writer = &countingWriter{w: conn, meter: s.meter}
 	}
-	br := bufio.NewReader(reader)
-	s.mu.Lock()
-	legacyOnly := s.legacyOnly
-	s.mu.Unlock()
-	if !legacyOnly {
-		// Protocol sniff: a v2 client leads with MuxMagic, whose first
-		// byte can never begin a gob stream, so four peeked bytes decide
-		// the protocol without consuming anything.
-		if peek, err := br.Peek(len(codec.MuxMagic)); err == nil && bytes.Equal(peek, codec.MuxMagic[:]) {
-			s.serveMux(conn, br, writer)
-			return
-		}
-	}
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(writer)
-	for {
-		var wreq wireRequest
-		if err := dec.Decode(&wreq); err != nil {
-			return // EOF, broken peer, or a drain deadline; the connection is done
-		}
-		resp, err := s.handler.Handle(context.Background(), &wreq.Req)
-		var wresp wireResponse
-		if err != nil {
-			wresp.Err = err.Error()
-		} else if resp != nil {
-			wresp.Resp = *resp
-		}
-		if err := enc.Encode(&wresp); err != nil {
-			return
-		}
-		if s.draining.Load() {
-			// Shutdown in progress: the request that was in flight has
-			// been answered; stop reading and let the peer redial
-			// elsewhere.
-			return
-		}
-	}
+	s.serveMux(bufio.NewReader(reader), writer)
 }
 
 // Shutdown stops the server gracefully: the listener closes (no new
@@ -252,7 +186,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.closed = true
 	s.draining.Store(true)
 	lis := s.listener
-	// Wake connections blocked in Decode waiting for a request that will
+	// Wake connections blocked reading a frame for a request that will
 	// never be served: an immediate read deadline errors the pending read
 	// while leaving in-flight handlers free to write their response.
 	for conn := range s.conns {
@@ -309,109 +243,6 @@ func (s *Server) Close() error {
 	}
 	s.wg.Wait()
 	return err
-}
-
-// Dial connects a Client to a TCP site at addr. meter may be nil; when
-// set, wire bytes are recorded on it (tuple accounting still happens via
-// Metered, which composes with this client).
-func Dial(addr string, meter *Meter) (Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
-	}
-	return newTCPClient(conn, meter), nil
-}
-
-func newTCPClient(conn net.Conn, meter *Meter) Client {
-	var reader io.Reader = conn
-	var writer io.Writer = conn
-	if meter != nil {
-		reader = &countingReader{r: conn, meter: meter}
-		writer = &countingWriter{w: conn, meter: meter}
-	}
-	return &tcpClient{
-		conn: conn,
-		dec:  gob.NewDecoder(reader),
-		enc:  gob.NewEncoder(writer),
-	}
-}
-
-type tcpClient struct {
-	mu     sync.Mutex
-	conn   net.Conn
-	dec    *gob.Decoder
-	enc    *gob.Encoder
-	closed bool
-}
-
-// Call sends one request and waits for its response. Cancellation closes
-// the connection (the protocol has no other way to abandon an in-flight
-// read), so a cancelled client is dead afterwards.
-func (c *tcpClient) Call(ctx context.Context, req *Request) (*Response, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClosed
-	}
-
-	// The watcher aborts a blocked send/receive by closing the socket when
-	// ctx is cancelled. It re-checks done after waking so that a
-	// cancellation racing with a completed call (e.g. a broadcast helper
-	// cancelling its child context on return) cannot kill the connection,
-	// and Call joins it before returning so it never outlives the call.
-	done := make(chan struct{})
-	watcherExit := make(chan struct{})
-	var cancelled atomic.Bool
-	go func() {
-		defer close(watcherExit)
-		select {
-		case <-ctx.Done():
-			select {
-			case <-done:
-				// The call finished first; leave the connection alone.
-			default:
-				cancelled.Store(true)
-				c.conn.Close()
-			}
-		case <-done:
-		}
-	}()
-	defer func() {
-		close(done)
-		<-watcherExit
-	}()
-
-	if err := c.enc.Encode(&wireRequest{Req: *req}); err != nil {
-		if cancelled.Load() {
-			return nil, ctx.Err()
-		}
-		return nil, fmt.Errorf("transport: send: %w", err)
-	}
-	var wresp wireResponse
-	if err := c.dec.Decode(&wresp); err != nil {
-		if cancelled.Load() {
-			return nil, ctx.Err()
-		}
-		return nil, fmt.Errorf("transport: receive: %w", err)
-	}
-	if wresp.Err != "" {
-		return nil, errors.New(wresp.Err)
-	}
-	resp := wresp.Resp
-	return &resp, nil
-}
-
-func (c *tcpClient) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	return c.conn.Close()
 }
 
 type countingReader struct {

@@ -1,6 +1,6 @@
 package transport
 
-// Server→client telemetry push over wire v2. A coordinator subscribes on
+// Server→client telemetry push. A coordinator subscribes on
 // its existing mux connection (FrameSubscribe) and the site then pushes
 // one delta-encoded codec.Telemetry snapshot per interval
 // (FrameTelemetry) until the subscription is cancelled (FrameCancel on
@@ -42,8 +42,8 @@ const MinTelemetryInterval = 100 * time.Millisecond
 const telemetryFullEvery = 16
 
 // ErrTelemetryUnsupported reports that a client (or the peer behind it)
-// cannot deliver telemetry pushes — a v1 gob connection, an in-process
-// client, or a wrapper hiding one.
+// cannot deliver telemetry pushes — an in-process client, or a wrapper
+// hiding one.
 var ErrTelemetryUnsupported = errors.New("transport: telemetry not supported by this client")
 
 // TelemetrySource fills one telemetry snapshot with the site's current
@@ -78,7 +78,7 @@ type Unwrapper interface {
 // SubscribeTelemetry subscribes through an arbitrary client stack: it
 // walks Unwrap chains and live RetryClient connections until it finds a
 // TelemetrySubscriber, and fails with ErrTelemetryUnsupported when the
-// stack bottoms out in a transport that cannot push (v1 gob, Local).
+// stack bottoms out in a transport that cannot push (Local).
 // The subscription is bound to the connection that was live at call
 // time; after a redial the caller must subscribe again (staleness-driven
 // resubscription is the aggregator's job, see core.ClusterTelemetry).
@@ -134,13 +134,28 @@ func (s *Server) TelemetryStats() TelemetryStats {
 	}
 }
 
-// muxWriter serialises every frame write on one v2 connection: response
-// frames (whose gob encoding must happen in write order under the same
-// lock) and telemetry pushes. The frame buffer is reused across writes.
+// muxWriter serialises every frame write on one connection: response
+// frames and telemetry pushes. The message and frame buffers are reused
+// across writes.
 type muxWriter struct {
-	mu  sync.Mutex
-	w   io.Writer
-	buf []byte
+	mu   sync.Mutex
+	w    io.Writer
+	tap  FrameTap // observes response frames; may be nil
+	pbuf []byte
+	buf  []byte
+}
+
+// writeResponse encodes a handler's outcome and writes its frame. A write
+// error is dropped: the connection is dying and its read loop will notice.
+func (mw *muxWriter) writeResponse(id uint64, resp *Response, herr error) {
+	mw.mu.Lock()
+	mw.pbuf = AppendResponse(mw.pbuf[:0], resp, herr)
+	mw.buf = codec.AppendFrame(mw.buf[:0], codec.FrameResponse, id, mw.pbuf)
+	mw.w.Write(mw.buf)
+	if mw.tap != nil {
+		mw.tap(TapOutbound, codec.FrameResponse, len(mw.buf))
+	}
+	mw.mu.Unlock()
 }
 
 // writeFrame frames payload and writes it. The payload is built by the

@@ -2,7 +2,8 @@
 // H and the local sites. Two interchangeable implementations are provided:
 // an in-process transport (goroutine sites, used by the experiment harness
 // so tuple accounting is exact and runs are fast) and a real TCP transport
-// with gob framing (used by the cmd/dsud-site daemon). A Meter counts the
+// (framed, pipelined, hand-rolled message encoding — see wire.go; used by
+// the cmd/dsud-site daemon). A Meter counts the
 // paper's bandwidth measure — tuples shipped — plus message and byte
 // totals.
 package transport
@@ -22,8 +23,8 @@ import (
 type Kind int
 
 // Protocol request kinds. One request type with optional payload fields
-// keeps gob encoding trivial (no interface registration) while staying
-// explicit about the protocol surface.
+// keeps the encoding one presence mask while staying explicit about the
+// protocol surface.
 const (
 	// KindInit asks a site to run its local skyline phase for the given
 	// query and return its first representative.
@@ -62,10 +63,6 @@ const (
 	// KindStatus asks the site for its operational snapshot (uptime,
 	// partition and index shape, replica version, in-flight requests) —
 	// the protocol-level health probe behind dsud-query -cluster-status.
-	// Appended after the PR-1..3 kinds so existing wire values are
-	// unchanged; an old site answers it with an unknown-kind error, which
-	// the coordinator's health aggregation reports as unreachable-status
-	// rather than failing.
 	KindStatus
 )
 
@@ -161,9 +158,7 @@ type Request struct {
 
 	// Trace is the distributed-tracing context (zero value = untraced).
 	// When Trace.Sampled is set the site times its phases and piggybacks
-	// the completed spans on Response.TraceBlob. Gob encodes by field
-	// name, so peers that predate this field interoperate: they simply
-	// see (or send) the untraced zero value.
+	// the completed spans on Response.TraceBlob.
 	Trace obs.TraceContext
 
 	Kind  Kind
@@ -196,7 +191,7 @@ type Response struct {
 	// count after this evaluation — the authoritative per-site figure
 	// behind each delivered result's provenance (a retried request
 	// replays its Pruned delta; the cumulative count cannot
-	// double-count). Zero from peers that predate it.
+	// double-count).
 	SessionPruned int
 
 	// Tuples carries the partition for KindShipAll and promotion
@@ -214,20 +209,18 @@ type Response struct {
 	// Synopsis answers KindSynopsis.
 	Synopsis *synopsis.Histogram
 
-	// Status answers KindStatus. Nil from peers that predate the health
-	// probe (gob simply omits the field).
+	// Status answers KindStatus.
 	Status *SiteStatus
 
 	// TraceBlob carries the site's completed spans and per-phase
 	// bandwidth ledger for this request, encoded with
-	// codec.AppendSpanBatch. Nil unless the request's Trace was sampled;
-	// nil from peers that predate distributed tracing.
+	// codec.AppendSpanBatch. Nil unless the request's Trace was sampled.
 	TraceBlob []byte
 }
 
 // SiteStatus is one site's operational snapshot, answered to KindStatus
-// and served as JSON at /statusz. Field names are wire-stable: the
-// struct crosses both gob (protocol) and JSON (ops endpoints).
+// and served as JSON at /statusz. The JSON field names are wire-stable:
+// the same document is the protocol's encoding of the struct.
 type SiteStatus struct {
 	// ID is the site index the daemon was started with.
 	ID int `json:"id"`
@@ -260,20 +253,17 @@ type SiteStatus struct {
 	// Windowed request-latency percentiles in milliseconds, estimated by
 	// bucket interpolation over the engine's rotating window (obs.Window);
 	// WindowRate is the windowed request rate in requests/second and
-	// WindowSeconds the window span the figures cover. All zero on sites
-	// that predate windowed latency (gob encodes by field name, so the
-	// fields simply arrive absent).
+	// WindowSeconds the window span the figures cover.
 	LatencyP50Ms  float64 `json:"latency_p50_ms,omitempty"`
 	LatencyP95Ms  float64 `json:"latency_p95_ms,omitempty"`
 	LatencyP99Ms  float64 `json:"latency_p99_ms,omitempty"`
 	WindowRate    float64 `json:"window_rate,omitempty"`
 	WindowSeconds float64 `json:"window_seconds,omitempty"`
 
-	// v2 worker-pool saturation (satellite of the soak-observability
-	// work): MuxWorkersBusy of MuxWorkerLimit per-connection slots are in
-	// handlers across MuxConns live mux connections, and MuxQueued read
-	// loops are parked waiting for a slot — the backpressure signal
-	// in-flight counts alone cannot show. Zero on legacy-only sites.
+	// Worker-pool saturation: MuxWorkersBusy of MuxWorkerLimit
+	// per-connection slots are in handlers across MuxConns live
+	// connections, and MuxQueued read loops are parked waiting for a slot
+	// — the backpressure signal in-flight counts alone cannot show.
 	MuxConns       int `json:"mux_conns,omitempty"`
 	MuxWorkersBusy int `json:"mux_workers_busy,omitempty"`
 	MuxWorkerLimit int `json:"mux_worker_limit,omitempty"`
@@ -282,8 +272,7 @@ type SiteStatus struct {
 	// Telemetry push plane (the cluster-telemetry work): how many
 	// coordinators hold live subscriptions, how many snapshots have been
 	// pushed since start, and when the last one went out — so the pull
-	// plane can report last-push age per site. Zero from sites that
-	// predate telemetry (gob encodes by field name).
+	// plane can report last-push age per site.
 	TelemetrySubscribers      int    `json:"telemetry_subscribers,omitempty"`
 	TelemetryPushes           uint64 `json:"telemetry_pushes,omitempty"`
 	TelemetryLastPushUnixNano int64  `json:"telemetry_last_push_unix_nano,omitempty"`

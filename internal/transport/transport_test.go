@@ -189,7 +189,7 @@ func TestTCPRoundTrip(t *testing.T) {
 	h := &echoHandler{resp: want}
 	var meter Meter
 	addr, _ := startServer(t, h, nil)
-	c, err := Dial(addr, &meter)
+	c, err := DialAuto(addr, &meter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,14 +246,14 @@ func TestServerShutdownDrainsInFlight(t *testing.T) {
 	h := &blockingHandler{entered: make(chan struct{}, 1), release: make(chan struct{})}
 	addr, srv := startServer(t, h, nil)
 
-	busy, err := Dial(addr, nil)
+	busy, err := DialAuto(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer busy.Close()
-	// A second connection stays idle — its server goroutine is parked in
-	// Decode and Shutdown must wake it without waiting.
-	idle, err := Dial(addr, nil)
+	// A second connection stays idle — its server goroutine is parked
+	// reading a frame and Shutdown must wake it without waiting.
+	idle, err := DialAuto(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestServerShutdownDrainsInFlight(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 	// The drained server accepts nothing new.
-	if _, err := Dial(addr, nil); err == nil {
+	if _, err := DialAuto(addr, nil); err == nil {
 		t.Fatal("dial after shutdown must fail")
 	}
 	if err := srv.Shutdown(context.Background()); err != nil {
@@ -306,7 +306,7 @@ func TestServerShutdownDrainsInFlight(t *testing.T) {
 func TestServerShutdownTimeout(t *testing.T) {
 	h := &blockingHandler{entered: make(chan struct{}, 1), release: make(chan struct{})}
 	addr, srv := startServer(t, h, nil)
-	c, err := Dial(addr, nil)
+	c, err := DialAuto(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestServerShutdownTimeout(t *testing.T) {
 func TestTCPHandlerError(t *testing.T) {
 	h := &echoHandler{err: errors.New("site exploded")}
 	addr, _ := startServer(t, h, nil)
-	c, err := Dial(addr, nil)
+	c, err := DialAuto(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestTCPConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c, err := Dial(addr, nil)
+			c, err := DialAuto(addr, nil)
 			if err != nil {
 				errs[i] = err
 				return
@@ -384,7 +384,7 @@ func TestTCPCancellation(t *testing.T) {
 		return &Response{}, nil
 	})
 	addr, _ := startServer(t, h, nil)
-	c, err := Dial(addr, nil)
+	c, err := DialAuto(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func (f handlerFunc) Handle(ctx context.Context, req *Request) (*Response, error
 func TestTCPClientClose(t *testing.T) {
 	h := &echoHandler{resp: Response{}}
 	addr, _ := startServer(t, h, nil)
-	c, err := Dial(addr, nil)
+	c, err := DialAuto(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +435,7 @@ func TestServerClose(t *testing.T) {
 	srv := NewServer(h, nil)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(lis) }()
-	c, err := Dial(lis.Addr().String(), nil)
+	c, err := DialAuto(lis.Addr().String(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +464,7 @@ func TestServerClose(t *testing.T) {
 }
 
 func TestDialFailure(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1", nil); err == nil {
+	if _, err := DialAuto("127.0.0.1:1", nil); err == nil {
 		t.Skip("port 1 unexpectedly open")
 	}
 }
