@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race bench benchmark bench-json bench-baseline benchdiff soak record replay verify examples figures clean
+.PHONY: all check build vet test race bench benchmark soak record replay verify examples figures clean
 
 all: check
 
@@ -22,7 +22,7 @@ test:
 # ./internal/obs/... covers the black-box recorder (internal/obs/transcript)
 # alongside the rest of the observability tree.
 race:
-	$(GO) test -race ./internal/codec ./internal/obs/... ./internal/obs/transcript ./internal/transport ./internal/core ./internal/serve ./internal/stream ./internal/site ./internal/audit ./internal/experiments
+	$(GO) test -race ./internal/codec ./internal/obs/... ./internal/transport ./internal/core ./internal/serve ./internal/stream ./internal/site ./internal/audit ./internal/experiments
 
 # Full benchmark sweep (several minutes). Writes bench_output.txt.
 bench:
@@ -35,31 +35,13 @@ ARGS ?=
 benchmark:
 	bash benchmark/run.sh $(ARGS)
 
-# Small statistical cost artifact (schema v1, 5 iterations/algorithm)
-# at the smoke scale CI compares against. See docs/BENCHMARKING.md.
-BENCH_SMOKE = -exp eq6 -n 2000 -sites 4 -queries 1
-bench-json:
-	$(GO) run ./cmd/dsud-bench $(BENCH_SMOKE) -bench-json BENCH_dsud.json
-
-# Regenerate the committed smoke baseline (do this when a deliberate
-# cost change lands; commit the result).
-bench-baseline:
-	$(GO) run ./cmd/dsud-bench $(BENCH_SMOKE) -bench-json testdata/bench-baseline.json
-
-# Compare the latest artifact against the committed baseline with the
-# CI thresholds (tight on counts, loose on cross-machine wall time, the
-# materialized-serving-over-protocol floor, and the progressiveness gate
-# on the deterministic bandwidth AUC).
-benchdiff: bench-json
-	$(GO) run ./cmd/dsud-benchdiff -time-threshold 10 -min-serve-speedup 5 -max-auc-regress 0.05 testdata/bench-baseline.json BENCH_dsud.json
-
 # Short open-loop soak against self-hosted loopback sites with the
-# online auditor sampling; merges the latency{p50,p95,p99} section into
-# BENCH_dsud.json (see docs/OBSERVABILITY.md "Load, latency & SLOs").
+# online auditor sampling; prints throughput and latency p50/p95/p99
+# (see docs/OBSERVABILITY.md "Load, latency & SLOs").
 soak:
 	$(GO) run ./cmd/dsud-loadgen -self-host -n 2000 -sites 3 -rps 100 \
 	  -duration 3s -iterations 3 -update-fraction 0.05 \
-	  -audit-fraction 0.05 -max-error-rate 0.01 -artifact BENCH_dsud.json
+	  -audit-fraction 0.05 -max-error-rate 0.01
 
 # Record one query's complete coordinator<->site exchange into a
 # black-box transcript under $(RECORD_DIR). By default this self-hosts
@@ -111,5 +93,5 @@ figures:
 
 clean:
 	rm -f bench_output.txt test_output.txt experiments_output.txt
-	rm -f BENCH_dsud.json *.trace.json *.log
+	rm -f *.trace.json *.log
 	rm -rf bin profiles transcripts

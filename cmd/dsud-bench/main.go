@@ -14,12 +14,6 @@
 // workload with a query trace attached and write per-phase timing tables
 // (To-Server, Feedback-Select, Server-Delivery, Local-Pruning) to the file.
 //
-// Every run also writes the schema-v1 BENCH_dsud.json artifact (see
-// docs/BENCHMARKING.md): per-algorithm wall time, tuples, messages and
-// real wire bytes over loopback TCP, as distributions over
-// -bench-warmup + -bench-iters repeated runs. Compare two artifacts with
-// dsud-benchdiff.
-//
 // With -profile-dir the process records cpu.pprof, heap.pprof and
 // mutex.pprof into the directory, and query execution is wrapped in
 // runtime/pprof labels so samples attribute to (algorithm, phase,
@@ -58,13 +52,8 @@ func run() int {
 		paper   = flag.Bool("paper", false, "use the paper's full Table 3 scale (N=2,000,000, 10 queries)")
 		format  = flag.String("format", "table", "output format: table|csv")
 
-		traceOut    = flag.String("trace-out", "", "write per-phase timing tables for fig12/fig13 runs to this file")
-		benchJSON   = flag.String("bench-json", "BENCH_dsud.json", "write the machine-readable per-algorithm cost artifact incl. the DSUD/e-DSUD progressiveness section (schema v1, see docs/BENCHMARKING.md) to this file (empty = off)")
-		benchIters  = flag.Int("bench-iters", 5, "measured runs per algorithm behind each bench-json distribution")
-		benchWarmup = flag.Int("bench-warmup", 1, "unmeasured warmup runs per algorithm before measuring (-1 = none)")
-		benchCap    = flag.Int("bench-cap", experiments.DefaultBenchCap, "cardinality cap for the bench-json artifact (-n above this is clamped)")
-		concurrency = flag.String("concurrency", "1,4,8", "comma-separated client counts for the bench-json transport throughput section (empty = skip the section)")
-		profileDir  = flag.String("profile-dir", "", "write cpu.pprof/heap.pprof/mutex.pprof here; enables per-phase pprof labels")
+		traceOut   = flag.String("trace-out", "", "write per-phase timing tables for fig12/fig13 runs to this file")
+		profileDir = flag.String("profile-dir", "", "write cpu.pprof/heap.pprof/mutex.pprof here; enables per-phase pprof labels")
 	)
 	flag.Parse()
 	if *exp == "" {
@@ -143,58 +132,7 @@ func run() int {
 			fmt.Printf("(%s phase-timing tables appended to %s)\n\n", id, *traceOut)
 		}
 	}
-
-	if *benchJSON != "" {
-		opts := experiments.BenchOptions{
-			CapN:       *benchCap,
-			Warmup:     *benchWarmup,
-			Iterations: *benchIters,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "dsud-bench: "+format, args...)
-			},
-			SkipThroughput: *concurrency == "",
-		}
-		if *concurrency != "" {
-			levels, err := parseConcurrency(*concurrency)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dsud-bench: -concurrency: %v\n", err)
-				return 2
-			}
-			opts.Concurrency = levels
-		}
-		f, err := os.Create(*benchJSON)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dsud-bench: bench-json: %v\n", err)
-			return 1
-		}
-		if err := experiments.BenchSummary(ctx, scale, opts, f); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "dsud-bench: bench-json: %v\n", err)
-			return 1
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "dsud-bench: bench-json: %v\n", err)
-			return 1
-		}
-		if *format != "csv" {
-			fmt.Printf("(per-algorithm cost artifact written to %s)\n", *benchJSON)
-		}
-	}
 	return 0
-}
-
-// parseConcurrency parses a comma-separated list of positive client
-// counts for the throughput section.
-func parseConcurrency(s string) ([]int, error) {
-	var levels []int
-	for _, part := range strings.Split(s, ",") {
-		var c int
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &c); err != nil || c <= 0 {
-			return nil, fmt.Errorf("bad client count %q (want positive integers, e.g. 1,4,8)", part)
-		}
-		levels = append(levels, c)
-	}
-	return levels, nil
 }
 
 // startProfiling begins CPU profiling into dir and flips on the

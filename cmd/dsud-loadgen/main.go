@@ -11,7 +11,6 @@
 //
 //	dsud-loadgen -addrs 127.0.0.1:7101,127.0.0.1:7102 -rps 100 -duration 30s
 //	dsud-loadgen -self-host -sites 3 -rps 200 -profile burst
-//	dsud-loadgen -addrs ... -artifact BENCH_dsud.json   # merge a soak section
 //
 // With -self-host the generator spins up loopback site daemons itself
 // (no external cluster needed — the CI smoke mode). With -debug-addr it
@@ -40,7 +39,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/obs/slo"
-	"repro/internal/perf"
 )
 
 func main() {
@@ -58,7 +56,7 @@ func run() int {
 
 		rps       = flag.Float64("rps", 50, "offered request rate (requests/second)")
 		duration  = flag.Duration("duration", 5*time.Second, "length of one soak iteration")
-		iters     = flag.Int("iterations", 3, "soak iterations (the artifact wants distributions, not points)")
+		iters     = flag.Int("iterations", 3, "soak iterations (percentiles are reported as a distribution over them)")
 		workers   = flag.Int("workers", 8, "concurrent in-flight query cap (arrivals beyond it queue, and the wait counts as latency)")
 		deadline  = flag.Duration("deadline", 2*time.Second, "per-request budget; slower requests classify as deadline")
 		profile   = flag.String("profile", experiments.ProfileSteady, "arrival shape: steady|burst|ramp")
@@ -79,7 +77,6 @@ func run() int {
 		sloEvery   = flag.Duration("slo-interval", 2*time.Second, "SLO evaluation cadence during the run")
 		sloStrict  = flag.Bool("slo-strict", false, "exit 1 when any SLO is breached at the final evaluation")
 
-		artifact     = flag.String("artifact", "", "merge the soak section into this BENCH_dsud.json (created fresh when absent)")
 		debugAddr    = flag.String("debug-addr", "", "serve /metrics, /vars, /slostatusz, /queryz and /debug/pprof/ here during the run")
 		queryzRetain = flag.Int("queryz-retain", 0, "delivery-curve digests retained for /queryz (0 = default of 64)")
 		flightDir    = flag.String("flight-dir", "", "directory for flight-recorder dumps on sustained SLO breach")
@@ -115,7 +112,7 @@ func run() int {
 	if *selfHost {
 		var stop func()
 		var err error
-		siteAddrs, stop, err = experiments.StartLocalSites(*n, *sites, *genSeed, 0)
+		siteAddrs, stop, err = experiments.StartLocalSites(*n, *sites, *genSeed)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dsud-loadgen: self-host: %v\n", err)
 			return 1
@@ -307,60 +304,20 @@ func run() int {
 			return 3
 		}
 	}
-
-	if *artifact != "" {
-		if err := mergeArtifact(*artifact, res, *n, *dims, *sites, *threshold, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "dsud-loadgen: artifact: %v\n", err)
-			return 1
-		}
-		fmt.Printf("soak section merged into %s\n", *artifact)
-	}
 	return status
 }
 
 // writeSummary renders the human-readable result block.
-func writeSummary(w *os.File, res *perf.SoakResult) {
+func writeSummary(w *os.File, res *experiments.SoakResult) {
 	ok := res.Requests - res.Errors - res.Deadline
 	fmt.Fprintf(w, "soak: %s profile, %.0f rps target, %d iteration(s) x %.1fs, %d workers\n",
 		res.Profile, res.TargetRPS, res.Iterations, res.DurationSeconds, res.Workers)
 	fmt.Fprintf(w, "outcomes: %d ok, %d error, %d deadline (%.3f%% error rate)\n",
 		ok, res.Errors, res.Deadline, res.ErrorRate()*100)
 	fmt.Fprintf(w, "throughput: %.1f q/s median (CV %.2f)\n", res.ThroughputQPS.Median, res.ThroughputQPS.CV)
-	for _, key := range perf.SoakPercentiles() {
+	for _, key := range experiments.SoakPercentiles() {
 		d := res.Percentile(key)
 		fmt.Fprintf(w, "latency %s: %.2fms median over %d iteration(s) (min %.2f, max %.2f)\n",
 			key, d.Median, d.N, d.Min, d.Max)
 	}
-}
-
-// mergeArtifact folds the soak section into an existing schema-v1
-// BENCH_dsud.json (preserving its algorithm and throughput sections), or
-// writes a fresh soak-only artifact when the file does not exist.
-func mergeArtifact(path string, res *perf.SoakResult, n, dims, sites int, threshold float64, seed int64) error {
-	var a *perf.Artifact
-	if _, err := os.Stat(path); err == nil {
-		a, err = perf.ReadArtifactFile(path)
-		if err != nil {
-			return err
-		}
-	} else {
-		a = &perf.Artifact{
-			Schema: perf.SchemaVersion,
-			Env:    perf.Fingerprint(),
-			Config: perf.RunConfig{
-				N: n, Dims: dims, Sites: sites, Threshold: threshold,
-				Seed: seed, Transport: "tcp-mux", Iterations: res.Iterations,
-			},
-		}
-	}
-	a.Soak = res
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := a.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -42,9 +42,9 @@ func collectDeliveries(t *testing.T, algo Algorithm, seed int64) ([]delivery, *R
 }
 
 // Same seed ⇒ identical (ordinal, k, site) delivery sequence, and an
-// identical count-based curve digest — the determinism the benchdiff
-// AUC gate rests on. (Wall-clock coordinates vary; every count
-// coordinate must not.)
+// identical count-based curve digest — the determinism the AUC pins in
+// TestProtocolCostsGolden rest on. (Wall-clock coordinates vary; every
+// count coordinate must not.)
 func TestDeliveryDeterministic(t *testing.T) {
 	for _, algo := range []Algorithm{DSUD, EDSUD} {
 		seq1, rep1 := collectDeliveries(t, algo, 11)

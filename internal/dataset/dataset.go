@@ -1,30 +1,16 @@
 // Package dataset persists uncertain databases to disk so the CLI tools
-// can hand partitions between dsud-gen, dsud-site and dsud-query. New
-// files use the compact checksummed binary format of internal/codec;
-// loading also accepts the legacy gob format (v1) transparently.
+// can hand partitions between dsud-gen, dsud-site and dsud-query, in the
+// compact checksummed binary format of internal/codec.
 package dataset
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"os"
 
 	"repro/internal/codec"
 	"repro/internal/uncertain"
 )
-
-// fileFormat is the on-disk representation.
-type fileFormat struct {
-	// Magic guards against loading unrelated gob files.
-	Magic string
-	// Dims is the data dimensionality.
-	Dims int
-	// Tuples is the partition body.
-	Tuples uncertain.DB
-}
-
-const magic = "dsud-dataset-v1"
 
 // Save writes db (dimensionality dims) to path, creating or truncating
 // it, in the binary codec format.
@@ -43,50 +29,19 @@ func Save(path string, dims int, db uncertain.DB) error {
 	return nil
 }
 
-// SaveGob writes the legacy gob format (v1), kept for compatibility
-// tests and older tooling.
-func SaveGob(path string, dims int, db uncertain.DB) error {
-	if err := db.Validate(dims); err != nil {
-		return fmt.Errorf("dataset: %w", err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("dataset: %w", err)
-	}
-	enc := gob.NewEncoder(f)
-	if err := enc.Encode(fileFormat{Magic: magic, Dims: dims, Tuples: db}); err != nil {
-		f.Close()
-		return fmt.Errorf("dataset: encode %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("dataset: close %s: %w", path, err)
-	}
-	return nil
-}
-
-// Load reads a partition saved by Save (binary) or SaveGob (legacy),
-// sniffing the format from the file header.
+// Load reads a partition saved by Save. Anything without the codec's
+// file magic is refused before decoding.
 func Load(path string) (uncertain.DB, int, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, fmt.Errorf("dataset: %w", err)
 	}
-	if bytes.HasPrefix(raw, []byte("DSQB")) {
-		db, dims, err := codec.DecodeDB(bytes.NewReader(raw))
-		if err != nil {
-			return nil, 0, fmt.Errorf("dataset: %s: %w", path, err)
-		}
-		return db, dims, nil
-	}
-	var ff fileFormat
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&ff); err != nil {
-		return nil, 0, fmt.Errorf("dataset: decode %s: %w", path, err)
-	}
-	if ff.Magic != magic {
+	if !bytes.HasPrefix(raw, []byte("DSQB")) {
 		return nil, 0, fmt.Errorf("dataset: %s is not a dsud dataset", path)
 	}
-	if err := ff.Tuples.Validate(ff.Dims); err != nil {
+	db, dims, err := codec.DecodeDB(bytes.NewReader(raw))
+	if err != nil {
 		return nil, 0, fmt.Errorf("dataset: %s: %w", path, err)
 	}
-	return ff.Tuples, ff.Dims, nil
+	return db, dims, nil
 }

@@ -3,6 +3,7 @@ package dataset
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -46,11 +47,11 @@ func TestLoadErrors(t *testing.T) {
 		t.Fatal("missing file must fail")
 	}
 	junk := filepath.Join(t.TempDir(), "junk")
-	if err := os.WriteFile(junk, []byte("not a gob"), 0o644); err != nil {
+	if err := os.WriteFile(junk, []byte("not a dataset"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Load(junk); err == nil {
-		t.Fatal("junk file must fail")
+	if _, _, err := Load(junk); err == nil || !strings.Contains(err.Error(), "is not a dsud dataset") {
+		t.Fatalf("a file without the DSQB magic must be refused as not a dsud dataset, got %v", err)
 	}
 }
 
@@ -65,31 +66,5 @@ func TestEmptyDB(t *testing.T) {
 	}
 	if len(got) != 0 || dims != 3 {
 		t.Fatalf("got %d tuples dims %d", len(got), dims)
-	}
-}
-
-func TestLegacyGobFormatStillLoads(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "legacy.dsud")
-	db := uncertain.DB{
-		{ID: 1, Point: geom.Point{1, 2}, Prob: 0.5},
-		{ID: 2, Point: geom.Point{3, 4}, Prob: 0.9},
-	}
-	if err := SaveGob(path, 2, db); err != nil {
-		t.Fatal(err)
-	}
-	got, dims, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dims != 2 || len(got) != 2 || got[0].ID != 1 {
-		t.Fatalf("legacy load mangled: dims=%d %v", dims, got)
-	}
-}
-
-func TestSaveGobRejectsInvalid(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.dsud")
-	bad := uncertain.DB{{ID: 1, Point: geom.Point{1}, Prob: 2}}
-	if err := SaveGob(path, 1, bad); err == nil {
-		t.Fatal("invalid db must be rejected")
 	}
 }

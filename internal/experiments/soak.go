@@ -17,7 +17,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/perf"
 	"repro/internal/site"
 	"repro/internal/transport"
 	"repro/internal/uncertain"
@@ -50,8 +49,7 @@ type SoakOptions struct {
 	// RPS is the offered request rate (default 50).
 	RPS float64
 	// Duration is one iteration's length (default 5s); Iterations is how
-	// many iterations run (default 3 — the artifact wants distributions,
-	// not points).
+	// many iterations run (default 3 — distributions, not points).
 	Duration   time.Duration
 	Iterations int
 	// Workers bounds concurrent in-flight queries (default 8). In an
@@ -232,10 +230,10 @@ func (t *soakTally) recordOutcome(err error) {
 }
 
 // Soak drives the cluster with opts and aggregates the per-iteration
-// percentiles into the artifact's soak section. The cluster must already
-// be open; Soak does not own it. ValidateProfile rejects unknown profile
-// names before any traffic is offered.
-func Soak(ctx context.Context, cluster *core.Cluster, opts SoakOptions) (*perf.SoakResult, error) {
+// percentiles into a SoakResult. The cluster must already be open; Soak
+// does not own it. ValidateProfile rejects unknown profile names before
+// any traffic is offered.
+func Soak(ctx context.Context, cluster *core.Cluster, opts SoakOptions) (*SoakResult, error) {
 	opts = opts.withDefaults()
 	if err := ValidateProfile(opts.Profile); err != nil {
 		return nil, err
@@ -277,14 +275,14 @@ func Soak(ctx context.Context, cluster *core.Cluster, opts SoakOptions) (*perf.S
 		sites: cluster.Sites(),
 	}
 
-	res := &perf.SoakResult{
+	res := &SoakResult{
 		TargetRPS:       opts.RPS,
 		DurationSeconds: opts.Duration.Seconds(),
 		Iterations:      opts.Iterations,
 		Workers:         opts.Workers,
 		Profile:         opts.Profile,
 		UpdateFraction:  opts.UpdateFraction,
-		Latency:         make(map[string]perf.Dist),
+		Latency:         make(map[string]Dist),
 	}
 	var p50s, p95s, p99s, qpss []float64
 	for it := 0; it < opts.Iterations; it++ {
@@ -301,16 +299,16 @@ func Soak(ctx context.Context, cluster *core.Cluster, opts SoakOptions) (*perf.S
 		res.Deadline += dl
 		sort.Float64s(tally.latsMS)
 		if len(tally.latsMS) > 0 {
-			p50s = append(p50s, perf.Percentile(tally.latsMS, 0.50))
-			p95s = append(p95s, perf.Percentile(tally.latsMS, 0.95))
-			p99s = append(p99s, perf.Percentile(tally.latsMS, 0.99))
+			p50s = append(p50s, Percentile(tally.latsMS, 0.50))
+			p95s = append(p95s, Percentile(tally.latsMS, 0.95))
+			p99s = append(p99s, Percentile(tally.latsMS, 0.99))
 		}
 		qpss = append(qpss, float64(len(tally.latsMS))/opts.Duration.Seconds())
 		if opts.Logf != nil {
 			line := fmt.Sprintf("iteration %d/%d: ok=%d err=%d deadline=%d", it+1, opts.Iterations, ok, errs, dl)
 			if n := len(tally.latsMS); n > 0 {
 				line += fmt.Sprintf(" p50=%.2fms p99=%.2fms",
-					perf.Percentile(tally.latsMS, 0.50), perf.Percentile(tally.latsMS, 0.99))
+					Percentile(tally.latsMS, 0.50), Percentile(tally.latsMS, 0.99))
 			}
 			opts.Logf("%s", line)
 		}
@@ -319,19 +317,17 @@ func Soak(ctx context.Context, cluster *core.Cluster, opts SoakOptions) (*perf.S
 		return nil, fmt.Errorf("experiments: soak completed no successful requests (%d offered, %d errors, %d deadline)",
 			res.Requests, res.Errors, res.Deadline)
 	}
-	res.ThroughputQPS = perf.Summarize(qpss)
-	res.Latency[perf.SoakP50] = perf.Summarize(p50s)
-	res.Latency[perf.SoakP95] = perf.Summarize(p95s)
-	res.Latency[perf.SoakP99] = perf.Summarize(p99s)
+	res.ThroughputQPS = Summarize(qpss)
+	res.Latency[SoakP50] = Summarize(p50s)
+	res.Latency[SoakP95] = Summarize(p95s)
+	res.Latency[SoakP99] = Summarize(p99s)
 	return res, nil
 }
 
 // StartLocalSites generates an nTuples-point workload, partitions it
 // across sites loopback site daemons, and returns their addresses plus a
-// closer. It backs dsud-loadgen's self-hosted mode and the soak tests;
-// delay, when positive, injects per-request service time (loopback has
-// none of its own).
-func StartLocalSites(nTuples, sites int, seed int64, delay time.Duration) ([]string, func(), error) {
+// closer. It backs dsud-loadgen's self-hosted mode and the soak tests.
+func StartLocalSites(nTuples, sites int, seed int64) ([]string, func(), error) {
 	db, err := gen.Generate(gen.Config{
 		N: nTuples, Dims: DefaultDims, Values: gen.Independent,
 		Probs: gen.UniformProb, Seed: seed,
@@ -356,11 +352,7 @@ func StartLocalSites(nTuples, sites int, seed int64, delay time.Duration) ([]str
 			closer()
 			return nil, nil, err
 		}
-		var handler transport.Handler = site.New(i, part, DefaultDims, 0)
-		if delay > 0 {
-			handler = transport.DelayedHandler(handler, delay)
-		}
-		srv := transport.NewServer(handler, nil)
+		srv := transport.NewServer(site.New(i, part, DefaultDims, 0), nil)
 		go srv.Serve(lis)
 		addrs[i] = lis.Addr().String()
 		servers = append(servers, srv)

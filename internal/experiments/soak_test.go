@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/perf"
 )
 
 func TestValidateProfile(t *testing.T) {
@@ -124,14 +123,14 @@ func TestSoakRejectsBadOptions(t *testing.T) {
 }
 
 // TestSoakEndToEnd runs a short mixed query+update soak against live
-// loopback sites and checks the artifact section is coherent: outcomes
+// loopback sites and checks the result is coherent: outcomes
 // partition the offered load, every percentile key carries one sample per
 // iteration, and the scheduled-arrival window saw the traffic.
 func TestSoakEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives live sites on the clock")
 	}
-	addrs, stop, err := StartLocalSites(400, 3, 7, 0)
+	addrs, stop, err := StartLocalSites(400, 3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +168,7 @@ func TestSoakEndToEnd(t *testing.T) {
 	if res.Profile != ProfileBurst || res.Iterations != 2 || res.UpdateFraction != 0.2 {
 		t.Fatalf("options not echoed into result: %+v", res)
 	}
-	for _, key := range perf.SoakPercentiles() {
+	for _, key := range SoakPercentiles() {
 		d := res.Percentile(key)
 		if d.N != 2 {
 			t.Errorf("latency[%s].N = %d, want one sample per iteration", key, d.N)
@@ -179,7 +178,7 @@ func TestSoakEndToEnd(t *testing.T) {
 		}
 	}
 	// Percentiles must be ordered within each iteration's estimate.
-	if p50, p99 := res.Percentile(perf.SoakP50).Median, res.Percentile(perf.SoakP99).Median; p50 > p99 {
+	if p50, p99 := res.Percentile(SoakP50).Median, res.Percentile(SoakP99).Median; p50 > p99 {
 		t.Errorf("p50 median %.3f > p99 median %.3f", p50, p99)
 	}
 	if res.ThroughputQPS.N != 2 || res.ThroughputQPS.Median <= 0 {

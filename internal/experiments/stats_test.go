@@ -1,4 +1,4 @@
-package perf
+package experiments
 
 import (
 	"math"
@@ -49,9 +49,6 @@ func TestSummarizeSingle(t *testing.T) {
 	want := Dist{N: 1, Min: 7.5, Max: 7.5, Mean: 7.5, Median: 7.5, P95: 7.5}
 	if d != want {
 		t.Fatalf("got %+v, want %+v", d, want)
-	}
-	if p := Point(7.5); p != want {
-		t.Fatalf("Point: got %+v, want %+v", p, want)
 	}
 }
 

@@ -95,8 +95,8 @@ func TestPerSiteOverflow(t *testing.T) {
 }
 
 // Identical observation sequences must produce identical digests — the
-// determinism the same-seed delivery tests and the benchdiff AUC gate
-// rest on.
+// determinism the same-seed delivery tests and the golden AUC pins
+// (core.TestProtocolCostsGolden) rest on.
 func TestBuilderDeterministic(t *testing.T) {
 	feed := func(b *Builder) {
 		for i := 0; i < 500; i++ {

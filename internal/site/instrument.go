@@ -5,10 +5,6 @@ import (
 	"repro/internal/transport"
 )
 
-// maxKind mirrors the transport Kind enum bound for array-indexed per-kind
-// instruments (index 0 unused; kinds start at 1).
-const maxKind = int(transport.KindStatus)
-
 // Instrument registers the engine's operational metrics with reg and
 // starts measuring request handling. Gauges read live engine state at
 // scrape time; the per-kind counters and handle-latency histograms are
@@ -48,7 +44,7 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for k := 1; k <= maxKind; k++ {
+	for k := 1; k <= transport.MaxKind; k++ {
 		kind := transport.Kind(k).String()
 		e.obsReqs[k] = reg.Counter("dsud_site_requests_total", "kind", kind)
 		e.obsLat[k] = reg.Histogram("dsud_site_handle_seconds", nil, "kind", kind)
@@ -57,4 +53,3 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 	e.obsPruned = reg.Counter("dsud_site_pruned_total")
 	e.obsOn = true
 }
-

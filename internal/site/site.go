@@ -72,8 +72,8 @@ type Engine struct {
 	// Observability hooks, populated by Instrument; zero-valued (and paid
 	// for by a single flag check) when the engine is uninstrumented.
 	obsOn      bool
-	obsReqs    [maxKind + 1]*obs.Counter
-	obsLat     [maxKind + 1]*obs.Histogram
+	obsReqs    [transport.MaxKind + 1]*obs.Counter
+	obsLat     [transport.MaxKind + 1]*obs.Histogram
 	obsReplays *obs.Counter
 	obsPruned  *obs.Counter
 

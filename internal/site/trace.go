@@ -72,7 +72,7 @@ func (s siteSpan) end(tuples, bytes int64) {
 // e.mu held.
 func (e *Engine) serve(req *transport.Request) (*transport.Response, error) {
 	k := int(req.Kind)
-	instrumented := e.obsOn && k >= 1 && k <= maxKind
+	instrumented := e.obsOn && k >= 1 && k <= transport.MaxKind
 	traced := req.Trace.Traced()
 	if !instrumented && !traced && e.logger == nil {
 		return e.dispatch(req)

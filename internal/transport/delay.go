@@ -45,31 +45,3 @@ func (c *delayedClient) Close() error { return c.inner.Close() }
 // Unwrap exposes the inner client so optional interfaces (telemetry
 // subscription) are discoverable through the wrapper.
 func (c *delayedClient) Unwrap() Client { return c.inner }
-
-// DelayedHandler wraps h so every request waits d before being handled
-// — the site-service-time analogue of Delayed, used by throughput
-// experiments to model real network/processing latency on loopback.
-// Because the server runs handlers on concurrent workers, pipelined
-// requests overlap their delays. The wait honours context cancellation.
-func DelayedHandler(h Handler, d time.Duration) Handler {
-	if d <= 0 {
-		return h
-	}
-	return &delayedHandler{inner: h, latency: d}
-}
-
-type delayedHandler struct {
-	inner   Handler
-	latency time.Duration
-}
-
-func (h *delayedHandler) Handle(ctx context.Context, req *Request) (*Response, error) {
-	timer := time.NewTimer(h.latency)
-	defer timer.Stop()
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-timer.C:
-	}
-	return h.inner.Handle(ctx, req)
-}

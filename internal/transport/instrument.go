@@ -7,10 +7,6 @@ import (
 	"repro/internal/obs"
 )
 
-// maxKind bounds the Kind enum for array-indexed per-kind instruments
-// (index 0 is unused; kinds start at 1).
-const maxKind = int(KindReplicate)
-
 // Instrumented wraps a Client so every call is measured against reg: a
 // per-kind latency histogram (dsud_rpc_duration_seconds) and a per-kind,
 // per-outcome counter (dsud_rpc_requests_total). site labels the peer.
@@ -26,7 +22,7 @@ func Instrumented(c Client, reg *obs.Registry, site string) Client {
 		"dsud_rpc_duration_seconds", "Round-trip latency of protocol requests by site and kind.",
 	)
 	ic := &instrumentedClient{inner: c}
-	for k := 1; k <= maxKind; k++ {
+	for k := 1; k <= MaxKind; k++ {
 		kind := Kind(k).String()
 		ic.latency[k] = reg.Histogram("dsud_rpc_duration_seconds", nil, "site", site, "kind", kind)
 		ic.ok[k] = reg.Counter("dsud_rpc_requests_total", "site", site, "kind", kind, "outcome", "ok")
@@ -37,9 +33,9 @@ func Instrumented(c Client, reg *obs.Registry, site string) Client {
 
 type instrumentedClient struct {
 	inner   Client
-	latency [maxKind + 1]*obs.Histogram
-	ok      [maxKind + 1]*obs.Counter
-	err     [maxKind + 1]*obs.Counter
+	latency [MaxKind + 1]*obs.Histogram
+	ok      [MaxKind + 1]*obs.Counter
+	err     [MaxKind + 1]*obs.Counter
 }
 
 func (c *instrumentedClient) Call(ctx context.Context, req *Request) (*Response, error) {
@@ -51,7 +47,7 @@ func (c *instrumentedClient) Call(ctx context.Context, req *Request) (*Response,
 // instrumentation composes transparently with the TCP transport.
 func (c *instrumentedClient) CallBytes(ctx context.Context, req *Request) (*Response, int64, error) {
 	k := int(req.Kind)
-	if k < 1 || k > maxKind {
+	if k < 1 || k > MaxKind {
 		return callBytes(c.inner, ctx, req) // unknown kind: pass through unmeasured
 	}
 	start := time.Now()

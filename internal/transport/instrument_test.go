@@ -58,6 +58,33 @@ func TestInstrumentedNilRegistryPassesThrough(t *testing.T) {
 	}
 }
 
+// Every Kind that has a name must be measured: a kind added to the enum
+// without MaxKind following it would pass through Instrumented uncounted
+// (KindStatus did, so dsud_rpc_requests_total{kind="status"} never existed).
+func TestInstrumentedCoversEveryKind(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := Instrumented(Local(okHandler{}), reg, "0")
+	defer c.Close()
+	named := 0
+	// Walk past MaxKind so a named kind beyond the bound fails here.
+	for k := Kind(1); int(k) <= MaxKind+8; k++ {
+		name := k.String()
+		if strings.HasPrefix(name, "Kind(") {
+			continue
+		}
+		named++
+		if _, err := c.Call(context.Background(), &Request{Kind: k}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := reg.Counter("dsud_rpc_requests_total", "site", "0", "kind", name, "outcome", "ok").Value(); got != 1 {
+			t.Errorf("kind %s: ok counter = %d after one call, want 1", name, got)
+		}
+	}
+	if named != MaxKind {
+		t.Errorf("%d named kinds, MaxKind = %d", named, MaxKind)
+	}
+}
+
 func TestRetryStats(t *testing.T) {
 	h := &seqCounter{}
 	var mu sync.Mutex

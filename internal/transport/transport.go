@@ -64,7 +64,14 @@ const (
 	// partition and index shape, replica version, in-flight requests) —
 	// the protocol-level health probe behind dsud-query -cluster-status.
 	KindStatus
+
+	kindEnd // new kinds go above this line, so MaxKind follows them
 )
+
+// MaxKind is the largest Kind. Per-kind instruments in this package and
+// in internal/site are arrays indexed by Kind (index 0 unused; kinds
+// start at 1) and sized by this one bound.
+const MaxKind = int(kindEnd) - 1
 
 func (k Kind) String() string {
 	switch k {
