@@ -47,12 +47,13 @@ func (t *Tree) dominated(p geom.Point, dims []int, self uncertain.TupleID, fn fu
 // sound bound as LocalSkyline — the subtree's maximum existential
 // probability times the survival product of its best corner — so the cost
 // tracks the (small) number of qualified candidates rather than the (huge)
-// number of dominated tuples.
+// number of dominated tuples. Members alias the tree's storage, as in
+// LocalSkylineFunc.
 func (t *Tree) DominatedCandidates(p geom.Point, dims []int, self uncertain.TupleID, q float64, fn func(uncertain.SkylineMember) bool) {
 	if q <= 0 {
 		// Degenerate threshold: fall back to the unpruned walk.
 		t.dominated(p, dims, self, func(tu uncertain.Tuple) bool {
-			return fn(uncertain.SkylineMember{Tuple: tu.Clone(), Prob: t.SkyProb(tu, dims)})
+			return fn(uncertain.SkylineMember{Tuple: tu, Prob: t.SkyProb(tu, dims)})
 		})
 		return
 	}
@@ -68,7 +69,7 @@ func (t *Tree) DominatedCandidates(p geom.Point, dims []int, self uncertain.Tupl
 					continue // cheap upper bound: P_sky <= P(t)
 				}
 				if prob := t.SkyProb(e.tuple, dims); prob >= q {
-					if !fn(uncertain.SkylineMember{Tuple: e.tuple.Clone(), Prob: prob}) {
+					if !fn(uncertain.SkylineMember{Tuple: e.tuple, Prob: prob}) {
 						return false
 					}
 				}

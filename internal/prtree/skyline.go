@@ -21,6 +21,7 @@ import (
 func (t *Tree) LocalSkyline(q float64, dims []int) []uncertain.SkylineMember {
 	var out []uncertain.SkylineMember
 	t.LocalSkylineFunc(q, dims, func(m uncertain.SkylineMember) bool {
+		m.Tuple = m.Tuple.Clone()
 		out = append(out, m)
 		return true
 	})
@@ -32,13 +33,16 @@ func (t *Tree) LocalSkyline(q float64, dims []int) []uncertain.SkylineMember {
 // order, which delivers near-origin members first; fn returning false stops
 // the search. Members are NOT probability-sorted — callers wanting the
 // paper's descending-probability order should collect and sort (as
-// LocalSkyline does).
+// LocalSkyline does). Like every visitor of the tree, fn sees the stored
+// tuples themselves: a member's Point aliases the tree's storage, which
+// is never written in place, so it stays valid after the tuple is
+// deleted; callers handing a member to code they do not own clone it.
 func (t *Tree) LocalSkylineFunc(q float64, dims []int, fn func(uncertain.SkylineMember) bool) {
 	if t.size == 0 || q <= 0 {
 		if q <= 0 && t.size > 0 {
 			// q <= 0 qualifies everything; still report exact probabilities.
 			t.All(func(tu uncertain.Tuple) bool {
-				return fn(uncertain.SkylineMember{Tuple: tu.Clone(), Prob: t.SkyProb(tu, dims)})
+				return fn(uncertain.SkylineMember{Tuple: tu, Prob: t.SkyProb(tu, dims)})
 			})
 		}
 		return
@@ -47,7 +51,13 @@ func (t *Tree) LocalSkylineFunc(q float64, dims []int, fn func(uncertain.Skyline
 	h := &entryHeap{}
 	heap.Init(h)
 	push := func(e *entry) {
-		// Subtree-level threshold prune (leaf entries get the exact test).
+		// No tuple below e can beat its own existential probability
+		// (P_sky <= P(t)), so pmax < q settles a leaf tuple and a subtree
+		// alike without a window query. Surviving subtrees get the
+		// sharper threshold prune, surviving leaf tuples the exact test.
+		if e.pmax < q {
+			return
+		}
 		if e.child != nil {
 			probe := uncertain.Tuple{ID: uncertain.NoTuple, Point: e.rect.Lo, Prob: 1}
 			if e.pmax*t.CrossSkyProb(probe, dims) < q {
@@ -69,7 +79,7 @@ func (t *Tree) LocalSkylineFunc(q float64, dims []int, fn func(uncertain.Skyline
 			continue
 		}
 		if p := t.SkyProb(e.tuple, dims); p >= q {
-			if !fn(uncertain.SkylineMember{Tuple: e.tuple.Clone(), Prob: p}) {
+			if !fn(uncertain.SkylineMember{Tuple: e.tuple, Prob: p}) {
 				return
 			}
 		}

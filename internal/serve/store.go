@@ -13,7 +13,7 @@
 package serve
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -28,22 +28,15 @@ type Entry struct {
 	Site   int
 }
 
-// less orders entries like uncertain.SortMembers: descending
-// probability, ties broken by ascending tuple ID — the protocol's
-// deterministic report order.
-func less(a, b Entry) bool {
-	if a.Member.Prob != b.Member.Prob {
-		return a.Member.Prob > b.Member.Prob
-	}
-	return a.Member.Tuple.ID < b.Member.Tuple.ID
-}
+// compare is the protocol's report order (uncertain.CompareMembers).
+func compare(a, b Entry) int { return uncertain.CompareMembers(a.Member, b.Member) }
 
 // Store is the materialized skyline index. Safe for concurrent use:
 // many Prefix readers proceed in parallel; Apply/Replace writers are
 // serialised.
 type Store struct {
 	mu        sync.RWMutex
-	entries   []Entry // sorted by less
+	entries   []Entry // sorted by compare
 	version   uint64
 	floor     float64 // materialization threshold q0
 	refreshed time.Time
@@ -122,7 +115,7 @@ func (s *Store) Fresh(now time.Time, maxStale time.Duration) bool {
 func (s *Store) Replace(entries []Entry, now time.Time) {
 	sorted := make([]Entry, len(entries))
 	copy(sorted, entries)
-	sort.Slice(sorted, func(i, j int) bool { return less(sorted[i], sorted[j]) })
+	slices.SortFunc(sorted, compare)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.entries = sorted
@@ -154,10 +147,8 @@ func (s *Store) Apply(upserts []Entry, removed []uncertain.TupleID) {
 		}
 	}
 	for _, e := range upserts {
-		at := sort.Search(len(next), func(i int) bool { return less(e, next[i]) })
-		next = append(next, Entry{})
-		copy(next[at+1:], next[at:])
-		next[at] = e
+		at, _ := slices.BinarySearchFunc(next, e, compare)
+		next = slices.Insert(next, at, e)
 	}
 	s.entries = next
 	s.version++
@@ -170,7 +161,7 @@ func (s *Store) Apply(upserts []Entry, removed []uncertain.TupleID) {
 func (s *Store) Prefix(q float64) ([]Entry, uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	cut := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].Member.Prob < q })
+	cut := uncertain.PrefixCut(len(s.entries), q, func(i int) float64 { return s.entries[i].Member.Prob })
 	out := make([]Entry, cut)
 	copy(out, s.entries[:cut])
 	return out, s.version

@@ -24,6 +24,8 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 		"dsud_site_replays_total", "Retried requests answered from the dedup cache without re-execution.",
 		"dsud_site_handle_seconds", "Request execution time at the site, by kind.",
 		"dsud_site_pruned_total", "Local skyline tuples discarded by Observation-2 feedback pruning.",
+		"dsud_site_sky_index_builds_total", "Cold local-skyline searches: a subspace's first Init or Candidates, or one below its index's floor.",
+		"dsud_site_sky_index_members", "Tuples held by the maintained local-skyline indexes, summed over subspaces.",
 	)
 	reg.GaugeFunc("dsud_site_tuples", func() float64 { return float64(e.Len()) })
 	reg.GaugeFunc("dsud_site_sessions", func() float64 { return float64(e.Sessions()) })
@@ -41,6 +43,15 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 		}
 		return float64(sum)
 	})
+	reg.GaugeFunc("dsud_site_sky_index_members", func() float64 {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		sum := 0
+		for _, ix := range e.sky {
+			sum += len(ix.members)
+		}
+		return float64(sum)
+	})
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -51,5 +62,6 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 	}
 	e.obsReplays = reg.Counter("dsud_site_replays_total")
 	e.obsPruned = reg.Counter("dsud_site_pruned_total")
+	e.obsSkyBuilds = reg.Counter("dsud_site_sky_index_builds_total")
 	e.obsOn = true
 }

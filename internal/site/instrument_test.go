@@ -101,6 +101,35 @@ func TestEngineInstrument(t *testing.T) {
 	}
 }
 
+// The index series tell a cold search (a first or lower-than-ever
+// threshold) from a warm prefix read.
+func TestSkyIndexSeries(t *testing.T) {
+	eng := New(0, instrTestDB(), 2, 0)
+	reg := obs.NewRegistry()
+	eng.Instrument(reg)
+	for _, step := range []struct {
+		q      float64
+		builds int64
+	}{{0.5, 1}, {0.6, 1}, {0.1, 2}, {0.3, 2}} {
+		if _, err := eng.Handle(context.Background(), &transport.Request{
+			Kind: transport.KindInit, Query: transport.Query{Threshold: step.q},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Counter("dsud_site_sky_index_builds_total").Value(); got != step.builds {
+			t.Fatalf("after Init at %v: %d builds, want %d", step.q, got, step.builds)
+		}
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	// Tuple 4 is dominated by the other three: 0.6 × 0.1 × 0.2 × 0.3 < 0.1.
+	if want := "dsud_site_sky_index_members 3"; !strings.Contains(sb.String(), want) {
+		t.Errorf("exposition missing %q", want)
+	}
+}
+
 // TestUninstrumentedEngineUnaffected checks the zero-cost path: no
 // registry, no instruments, identical behaviour.
 func TestUninstrumentedEngineUnaffected(t *testing.T) {

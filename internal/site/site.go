@@ -1,9 +1,10 @@
 // Package site implements the local-site engine of the DSUD protocol: each
-// site indexes its uncertain partition in a PR-tree, computes its local
+// site indexes its uncertain partition in a PR-tree, keeps its local
 // skyline set SKY(D_i) sorted by descending local skyline probability
-// (§5.1), streams representatives to the coordinator, evaluates feedback
-// tuples (Observation 1, eq. 9), applies the Observation-2 local pruning
-// rule, and services the §5.4 update operations.
+// (§5.1; skyIndex) across queries and updates, streams representatives to
+// the coordinator, evaluates feedback tuples (Observation 1, eq. 9),
+// applies the Observation-2 local pruning rule, and services the §5.4
+// update operations.
 //
 // Query state is kept per session (transport.Request.Session), so several
 // coordinators — or several concurrent queries from one coordinator — can
@@ -14,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,8 +36,9 @@ const MaxSessions = 128
 // session is the per-query state created by KindInit.
 type session struct {
 	query transport.Query
-	// sky is the not-yet-shipped suffix of SKY(D_i), kept sorted by
-	// descending local skyline probability (ties: ascending ID).
+	// sky is the not-yet-shipped suffix of SKY(D_i) as it stood at Init,
+	// in report order: a private copy of the maintained index's prefix,
+	// pruned in place, that later updates never touch.
 	sky []uncertain.SkylineMember
 	// pruned counts local skyline tuples discarded by feedback.
 	pruned int
@@ -58,6 +61,9 @@ type Engine struct {
 	mu       sync.Mutex
 	index    *prtree.Tree
 	sessions map[uint64]*session
+	// sky holds the maintained local skylines, one per queried subspace,
+	// most recently read first (see skyIndex).
+	sky []skyIndex
 
 	// replica mirrors the coordinator's global skyline SKY(H) (§5.4);
 	// nil when replication is off.
@@ -76,6 +82,8 @@ type Engine struct {
 	obsLat     [transport.MaxKind + 1]*obs.Histogram
 	obsReplays *obs.Counter
 	obsPruned  *obs.Counter
+	// obsSkyBuilds counts cold local-skyline searches (skyIndex.build).
+	obsSkyBuilds *obs.Counter
 
 	// cur collects the spans of the in-flight sampled request (nil for
 	// untraced requests; e.mu serialises dispatch, so one slot suffices).
@@ -332,18 +340,28 @@ func (e *Engine) dispatch(req *transport.Request) (*transport.Response, error) {
 	}
 }
 
-// handleInit runs the local computing phase: compute SKY(D_i) with the
-// PR-tree's threshold-aware BBS search, sort by descending local skyline
-// probability, and hand out the first representative.
+// validQuery is Query.Validate against this site's dimensionality, so a
+// malformed threshold or subspace never reaches the tree or an index.
+func (e *Engine) validQuery(q transport.Query) error {
+	if err := q.Validate(e.index.Dims()); err != nil {
+		return fmt.Errorf("site %d: %w", e.id, err)
+	}
+	return nil
+}
+
+// handleInit runs the local computing phase: snapshot SKY(D_i) at the
+// query's threshold — a prefix of the subspace's maintained index, which
+// a first or lower-than-ever threshold builds with the PR-tree's
+// threshold-aware BBS search — and hand out the first representative.
 func (e *Engine) handleInit(req *transport.Request) (*transport.Response, error) {
-	if err := req.Query.Validate(e.index.Dims()); err != nil {
-		return nil, fmt.Errorf("site %d: %w", e.id, err)
+	if err := e.validQuery(req.Query); err != nil {
+		return nil, err
 	}
 	if _, exists := e.sessions[req.Session]; !exists && len(e.sessions) >= MaxSessions {
 		return nil, fmt.Errorf("site %d: session limit (%d) reached", e.id, MaxSessions)
 	}
 	sp := e.startSpan("prtree-search")
-	sky := e.index.LocalSkyline(req.Query.Threshold, req.Query.Dims)
+	sky := slices.Clone(e.localSkyline(req.Query.Threshold, req.Query.Dims))
 	sp.end(int64(len(sky)), 0)
 	e.sessions[req.Session] = &session{
 		query:   req.Query,
@@ -354,7 +372,8 @@ func (e *Engine) handleInit(req *transport.Request) (*transport.Response, error)
 	return e.handleNext(req)
 }
 
-// handleNext pops the most promising remaining local skyline tuple.
+// handleNext pops the most promising remaining local skyline tuple. The
+// session's members alias the tree's points; the response gets its own.
 func (e *Engine) handleNext(req *transport.Request) (*transport.Response, error) {
 	s := e.sessions[req.Session]
 	if s == nil {
@@ -367,7 +386,7 @@ func (e *Engine) handleNext(req *transport.Request) (*transport.Response, error)
 	s.sky = s.sky[1:]
 	s.shipped++
 	return &transport.Response{
-		Rep: transport.Representative{Tuple: head.Tuple, LocalProb: head.Prob},
+		Rep: transport.Representative{Tuple: head.Tuple.Clone(), LocalProb: head.Prob},
 	}, nil
 }
 
@@ -460,9 +479,25 @@ func (e *Engine) handleInsert(req *transport.Request) (*transport.Response, erro
 	if err := req.Tuple.Validate(e.index.Dims()); err != nil {
 		return nil, fmt.Errorf("site %d: bad insert: %w", e.id, err)
 	}
+	// An insert may leave the threshold zero (no replica filter); anything
+	// else must be a valid query.
+	q := req.Query
+	if q.Threshold == 0 {
+		q.Threshold = 1
+	}
+	if err := e.validQuery(q); err != nil {
+		return nil, err
+	}
 	e.index.Insert(req.Tuple)
 	e.lastUpdate.Store(time.Now().UnixNano())
 	local := e.index.SkyProb(req.Tuple, req.Query.Dims)
+	if ix := e.hotSkyIndex(); ix != nil {
+		inSub := local
+		if !slices.Equal(ix.dims, req.Query.Dims) {
+			inSub = e.index.SkyProb(req.Tuple, ix.dims)
+		}
+		ix.inserted(req.Tuple, inSub)
+	}
 	resp := &transport.Response{
 		Rep: transport.Representative{Tuple: req.Tuple, LocalProb: local},
 	}
@@ -511,24 +546,34 @@ func (e *Engine) handleDelete(req *transport.Request) (*transport.Response, erro
 		return nil, fmt.Errorf("site %d: delete %d: %w", e.id, req.ID, err)
 	}
 	e.lastUpdate.Store(time.Now().UnixNano())
+	if ix := e.hotSkyIndex(); ix != nil {
+		ix.deleted(e.index, req.ID, req.Point)
+	}
 	return &transport.Response{}, nil
 }
 
 // handleCandidates finds, after the deletion of req.Feed.Tuple anywhere in
 // the system, the local tuples it used to dominate whose fresh local
-// skyline probability now reaches the threshold — the promotion candidates
-// of incremental maintenance. The threshold and subspace ride in the
-// request's Query (maintenance is independent of query sessions).
+// skyline probability reaches the threshold — the promotion candidates
+// of incremental maintenance. They are the dominated members of SKY(D_i)
+// at that threshold: the deleted tuple's home site folded the deletion
+// into its index when it applied it, and at every other site D_i did not
+// change. The threshold and subspace ride in the request's Query
+// (maintenance is independent of query sessions).
 func (e *Engine) handleCandidates(req *transport.Request) (*transport.Response, error) {
-	if !(req.Query.Threshold > 0 && req.Query.Threshold <= 1) {
-		return nil, fmt.Errorf("site %d: candidates need a threshold, got %v", e.id, req.Query.Threshold)
+	if err := e.validQuery(req.Query); err != nil {
+		return nil, err
+	}
+	gone := req.Feed.Tuple
+	if err := gone.Validate(e.index.Dims()); err != nil {
+		return nil, fmt.Errorf("site %d: bad feedback: %w", e.id, err)
 	}
 	var out []transport.Representative
-	e.index.DominatedCandidates(req.Feed.Tuple.Point, req.Query.Dims, req.Feed.Tuple.ID,
-		req.Query.Threshold, func(m uncertain.SkylineMember) bool {
-			out = append(out, transport.Representative{Tuple: m.Tuple, LocalProb: m.Prob})
-			return true
-		})
+	for _, m := range e.localSkyline(req.Query.Threshold, req.Query.Dims) {
+		if m.Tuple.ID != gone.ID && gone.Dominates(m.Tuple, req.Query.Dims) {
+			out = append(out, transport.Representative{Tuple: m.Tuple.Clone(), LocalProb: m.Prob})
+		}
+	}
 	return &transport.Response{Tuples: out}, nil
 }
 

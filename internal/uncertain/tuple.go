@@ -9,9 +9,11 @@
 package uncertain
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -195,15 +197,28 @@ func Union(parts []DB) DB {
 	return out
 }
 
-// SortMembers orders skyline members by descending probability, breaking
-// ties by ascending tuple ID so answers are deterministic.
+// CompareMembers is the protocol's report order as a cmp-style function:
+// descending probability, ties broken by ascending tuple ID so answers
+// are deterministic. Every sorted skyline list in the system — local
+// skylines at the sites, the coordinator's materialized answer — uses it.
+func CompareMembers(a, b SkylineMember) int {
+	if a.Prob != b.Prob {
+		return cmp.Compare(b.Prob, a.Prob)
+	}
+	return cmp.Compare(a.Tuple.ID, b.Tuple.ID)
+}
+
+// SortMembers puts members in report order (CompareMembers).
 func SortMembers(members []SkylineMember) {
-	sort.Slice(members, func(i, j int) bool {
-		if members[i].Prob != members[j].Prob {
-			return members[i].Prob > members[j].Prob
-		}
-		return members[i].Tuple.ID < members[j].Tuple.ID
-	})
+	slices.SortFunc(members, CompareMembers)
+}
+
+// PrefixCut returns how many leading elements of an n-element list in
+// report order have probability >= q, where prob(i) reads the i-th
+// element's probability: a threshold query over such a list is its
+// first PrefixCut elements.
+func PrefixCut(n int, q float64, prob func(i int) float64) int {
+	return sort.Search(n, func(i int) bool { return prob(i) < q })
 }
 
 // MembersEqual reports whether two skyline answers contain the same tuples
