@@ -69,7 +69,7 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	for _, algo := range []core.Algorithm{core.Baseline, core.DSUD, core.EDSUD, core.SDSUD} {
+	for _, algo := range []core.Algorithm{core.Baseline, core.DSUD, core.EDSUD} {
 		cluster, err := core.NewLocalCluster(parts, dims, 0)
 		if err != nil {
 			fatalf("%v", err)

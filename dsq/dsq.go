@@ -99,10 +99,6 @@ const (
 	// EDSUD adds the approximate-bound feedback mechanism (§5.2); it is
 	// the default and the recommended algorithm.
 	EDSUD = core.EDSUD
-	// SDSUD is the data-synopsis alternative the paper rejects,
-	// implemented so the claim is measurable (see EXPERIMENTS.md). Exact,
-	// but strictly more expensive than EDSUD in every measurement.
-	SDSUD = core.SDSUD
 )
 
 // SkylineProbability computes the exact skyline probability of tuple t

@@ -167,20 +167,6 @@ func TestAngularPartitionThroughFacade(t *testing.T) {
 	}
 }
 
-func TestSDSUDThroughFacade(t *testing.T) {
-	parts, union := workload(t, 300, 3, 4)
-	report, err := dsq.QueryPartitions(context.Background(), parts, 3, dsq.Options{
-		Threshold: 0.3, Algorithm: dsq.SDSUD,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := dsq.CentralSkyline(union, 0.3, nil)
-	if len(report.Skyline) != len(want) {
-		t.Fatalf("SDSUD answer %d, central %d", len(report.Skyline), len(want))
-	}
-}
-
 func TestTopKThroughFacade(t *testing.T) {
 	parts, union := workload(t, 500, 3, 4)
 	report, err := dsq.QueryPartitions(context.Background(), parts, 3, dsq.Options{

@@ -305,15 +305,12 @@ func (a *Auditor) auditSoundness(out *Outcome, union uncertain.DB, opts core.Opt
 }
 
 // auditMonotone checks the feedback-broadcast order. Only plain DSUD
-// under its own selection rule (or the equivalent max-local override)
-// guarantees a non-increasing local-probability sequence; e-DSUD
-// reorders by Corollary-2 bounds and the ablation policies break the
-// order on purpose, so those queries are exempt.
+// under its own selection rule guarantees a non-increasing
+// local-probability sequence; e-DSUD reorders by Corollary-2 bounds and
+// the round-robin ablation breaks the order on purpose, so those
+// queries are exempt.
 func (a *Auditor) auditMonotone(out *Outcome, opts core.Options, rep *core.Report) {
-	if opts.Algorithm != core.DSUD {
-		return
-	}
-	if opts.Policy != core.PolicyAlgorithm && opts.Policy != core.PolicyMaxLocal {
+	if opts.Algorithm != core.DSUD || opts.Policy != core.PolicyAlgorithm {
 		return
 	}
 	if len(rep.FeedbackLocal) < 2 {

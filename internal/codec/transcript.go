@@ -25,7 +25,6 @@ package codec
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -37,8 +36,10 @@ import (
 var TranscriptMagic = [4]byte{'D', 'S', 'T', 'R'}
 
 // TranscriptVersion is the transcript format generation. Version 1
-// carried gob payload blobs; version 2 carries the flat message encoding.
-const TranscriptVersion = 2
+// carried gob payload blobs; version 2 the flat message encoding;
+// version 3 dropped a header field with the algorithm that owned it and
+// renumbered kinds, mask bits and policies densely.
+const TranscriptVersion = 3
 
 // TranscriptFrameType discriminates transcript frames.
 type TranscriptFrameType uint8
@@ -101,7 +102,6 @@ type TranscriptHeader struct {
 	Dimensionality int64
 	TopK           int64
 	MaxResults     int64
-	SynopsisGrid   int64
 	Flags          uint8 // bit0 DisableExpunge, bit1 DisableSitePruning, bit2 NoPrune subspace semantics unused
 	Dims           []int64
 }
@@ -164,12 +164,12 @@ func CheckTranscriptPreamble(data []byte) (int, error) {
 	if [4]byte(data[:4]) != TranscriptMagic {
 		return 0, fmt.Errorf("%w: transcript magic", ErrCorrupt)
 	}
-	switch data[4] {
-	case TranscriptVersion:
-	case 1:
-		return 0, errors.New("transcript version 1 (gob payloads) is no longer readable, re-record")
+	switch v := data[4]; {
+	case v == TranscriptVersion:
+	case v < TranscriptVersion:
+		return 0, fmt.Errorf("transcript version %d is no longer readable (this build speaks %d), re-record", v, TranscriptVersion)
 	default:
-		return 0, fmt.Errorf("codec: unsupported transcript version %d (this build speaks %d)", data[4], TranscriptVersion)
+		return 0, fmt.Errorf("codec: unsupported transcript version %d (this build speaks %d)", v, TranscriptVersion)
 	}
 	return 5, nil
 }
@@ -234,7 +234,6 @@ func AppendTranscriptHeader(dst []byte, h *TranscriptHeader) []byte {
 	dst = binary.AppendVarint(dst, h.Dimensionality)
 	dst = binary.AppendVarint(dst, h.TopK)
 	dst = binary.AppendVarint(dst, h.MaxResults)
-	dst = binary.AppendVarint(dst, h.SynopsisGrid)
 	dst = binary.AppendUvarint(dst, uint64(len(h.Dims)))
 	for _, d := range h.Dims {
 		dst = binary.AppendVarint(dst, d)
@@ -255,7 +254,7 @@ func DecodeTranscriptHeader(data []byte) (TranscriptHeader, error) {
 		Threshold: r.Float("threshold"),
 	}
 	for _, f := range []*int64{
-		&h.StartUnixNano, &h.Sites, &h.Dimensionality, &h.TopK, &h.MaxResults, &h.SynopsisGrid,
+		&h.StartUnixNano, &h.Sites, &h.Dimensionality, &h.TopK, &h.MaxResults,
 	} {
 		*f = r.Varint("option")
 	}

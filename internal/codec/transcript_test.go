@@ -22,7 +22,6 @@ func testTranscriptHeader() TranscriptHeader {
 		Dimensionality: 3,
 		TopK:           8,
 		MaxResults:     -1,
-		SynopsisGrid:   16,
 		Flags:          TranscriptFlagDisableExpunge,
 		Dims:           []int64{0, 2, 3},
 	}

@@ -20,9 +20,7 @@ func TestAblationsPreserveCorrectness(t *testing.T) {
 			{Threshold: 0.3, Algorithm: EDSUD, DisableExpunge: true},
 			{Threshold: 0.3, Algorithm: EDSUD, DisableSitePruning: true},
 			{Threshold: 0.3, Algorithm: EDSUD, DisableExpunge: true, DisableSitePruning: true},
-			{Threshold: 0.3, Algorithm: EDSUD, Policy: PolicyMaxLocal},
 			{Threshold: 0.3, Algorithm: EDSUD, Policy: PolicyRoundRobin},
-			{Threshold: 0.3, Algorithm: DSUD, Policy: PolicyMaxBound},
 			{Threshold: 0.3, Algorithm: DSUD, Policy: PolicyRoundRobin},
 			{Threshold: 0.3, Algorithm: DSUD, DisableSitePruning: true},
 		}
@@ -121,7 +119,7 @@ func TestPolicyValidation(t *testing.T) {
 }
 
 func TestPolicyStrings(t *testing.T) {
-	for _, p := range []FeedbackPolicy{PolicyAlgorithm, PolicyMaxBound, PolicyMaxLocal, PolicyRoundRobin} {
+	for _, p := range []FeedbackPolicy{PolicyAlgorithm, PolicyRoundRobin} {
 		if p.String() == "" {
 			t.Errorf("policy %d has empty string", int(p))
 		}

@@ -37,7 +37,7 @@ type Cluster struct {
 
 	// obsQueries counts completed queries per algorithm, populated by
 	// Instrument (nil entries no-op when uninstrumented).
-	obsQueries [int(SDSUD) + 1]*obs.Counter
+	obsQueries [algorithmEnd]*obs.Counter
 
 	// flight, when set (SetFlightRecorder), receives one record per
 	// completed query — success or failure. Nil-safe at the record site.
@@ -183,7 +183,7 @@ func (c *Cluster) Instrument(reg *obs.Registry) {
 	}
 	transport.ExposeMeter(reg, c.meter)
 	reg.Describe("dsud_queries_total", "Completed queries by algorithm.")
-	for _, a := range []Algorithm{Baseline, DSUD, EDSUD, SDSUD} {
+	for a := Baseline; a < algorithmEnd; a++ {
 		c.obsQueries[a] = reg.Counter("dsud_queries_total", "algorithm", a.String())
 	}
 }

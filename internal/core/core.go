@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/obs/progress"
-	"repro/internal/synopsis"
 	"repro/internal/transport"
 	"repro/internal/uncertain"
 )
@@ -33,13 +32,10 @@ const (
 	// bounds choose the most dominant feedback and expunge hopeless
 	// candidates without broadcasting them (§5.2).
 	EDSUD
-	// SDSUD is the data-synopsis alternative the paper's §5.2 discusses
-	// and rejects: every site ships a grid histogram up front, and the
-	// coordinator combines the histogram dominance bounds with the
-	// Corollary-2 bounds for selection and expunging. Exact like the
-	// others; exists to measure the paper's claim that synopses cost more
-	// than they save. Full-space queries only.
-	SDSUD
+
+	// algorithmEnd is one past the last algorithm; per-algorithm tables
+	// are sized by it.
+	algorithmEnd
 )
 
 func (a Algorithm) String() string {
@@ -50,8 +46,6 @@ func (a Algorithm) String() string {
 		return "dsud"
 	case EDSUD:
 		return "e-dsud"
-	case SDSUD:
-		return "s-dsud"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
@@ -102,7 +96,10 @@ type Options struct {
 	// current K-th best confirmed probability, which expunges and
 	// terminates far earlier than the full enumeration; the answer is
 	// exact. DSUD-family algorithms only (the Baseline simply truncates
-	// its sorted answer).
+	// its sorted answer). Both early exits assume the feedback is the
+	// queue maximum under the algorithm's own rule and, for e-DSUD, that
+	// expunge has run, so Validate rejects TopK combined with Policy or
+	// DisableExpunge.
 	TopK int
 
 	// Ablation switches. These exist to measure where e-DSUD's advantage
@@ -120,9 +117,6 @@ type Options struct {
 	// DisableSitePruning turns off the Observation-2 local pruning at the
 	// sites, so feedback tuples only contribute their eq. 9 factors.
 	DisableSitePruning bool
-	// SynopsisGrid is the histogram resolution per dimension for SDSUD
-	// (default 8). Ignored by the other algorithms.
-	SynopsisGrid int
 
 	// Record forces black-box recording of this query regardless of the
 	// transcript sink's sampling fraction (dsud-query -record). It needs
@@ -212,12 +206,6 @@ type FeedbackPolicy int
 const (
 	// PolicyAlgorithm uses the algorithm's own rule (the default).
 	PolicyAlgorithm FeedbackPolicy = iota
-	// PolicyMaxBound always picks the largest Corollary-2 bound (e-DSUD's
-	// rule, applied even under DSUD).
-	PolicyMaxBound
-	// PolicyMaxLocal always picks the largest local skyline probability
-	// (DSUD's rule, applied even under e-DSUD).
-	PolicyMaxLocal
 	// PolicyRoundRobin cycles through the sites regardless of bounds — a
 	// deliberately weak control for the ablation study.
 	PolicyRoundRobin
@@ -227,10 +215,6 @@ func (p FeedbackPolicy) String() string {
 	switch p {
 	case PolicyAlgorithm:
 		return "algorithm"
-	case PolicyMaxBound:
-		return "max-bound"
-	case PolicyMaxLocal:
-		return "max-local"
 	case PolicyRoundRobin:
 		return "round-robin"
 	default:
@@ -251,7 +235,9 @@ var (
 	ErrAlgorithm = errors.New("core: invalid algorithm")
 	// ErrPolicy reports an unknown FeedbackPolicy value.
 	ErrPolicy = errors.New("core: invalid feedback policy")
-	// ErrResultLimit reports a negative MaxResults/TopK, or both set.
+	// ErrResultLimit reports a negative MaxResults/TopK, both set, or TopK
+	// combined with an ablation switch its early termination is unsound
+	// under (Policy, DisableExpunge).
 	ErrResultLimit = errors.New("core: invalid result limit")
 	// ErrMode reports an unknown Options.Mode value.
 	ErrMode = errors.New("core: invalid mode")
@@ -278,18 +264,11 @@ func (o Options) Validate(dims int) error {
 	}
 	switch o.Algorithm {
 	case 0, Baseline, DSUD, EDSUD:
-	case SDSUD:
-		if o.Dims != nil {
-			return fmt.Errorf("%w: SDSUD supports full-space queries only (grid synopses have no subspace marginals)", ErrAlgorithm)
-		}
-		if o.SynopsisGrid < 0 || o.SynopsisGrid > synopsis.MaxGrid {
-			return fmt.Errorf("%w: synopsis grid %d outside [0, %d]", ErrAlgorithm, o.SynopsisGrid, synopsis.MaxGrid)
-		}
 	default:
 		return fmt.Errorf("%w: unknown algorithm %d", ErrAlgorithm, int(o.Algorithm))
 	}
 	switch o.Policy {
-	case PolicyAlgorithm, PolicyMaxBound, PolicyMaxLocal, PolicyRoundRobin:
+	case PolicyAlgorithm, PolicyRoundRobin:
 	default:
 		return fmt.Errorf("%w: unknown feedback policy %d", ErrPolicy, int(o.Policy))
 	}
@@ -301,6 +280,10 @@ func (o Options) Validate(dims int) error {
 	}
 	if o.TopK > 0 && o.MaxResults > 0 {
 		return fmt.Errorf("%w: TopK and MaxResults are mutually exclusive", ErrResultLimit)
+	}
+	if o.TopK > 0 && (o.Policy != PolicyAlgorithm || o.DisableExpunge) {
+		return fmt.Errorf("%w: TopK terminates on the algorithm's own selection and expunge rules; policy %v, DisableExpunge %v",
+			ErrResultLimit, o.Policy, o.DisableExpunge)
 	}
 	switch o.Mode {
 	case ModeProtocol, ModeMaterialized, ModeAuto:

@@ -16,7 +16,7 @@ import (
 // Every number is deterministic for a fixed seed, so the comparison is
 // equality, not a threshold. A deliberate protocol change (fewer rounds,
 // a different encoding) edits this table in the same diff; an edit nobody
-// intended is a regression. All four must also return the same skyline.
+// intended is a regression. All three must also return the same skyline.
 // docs/BENCHMARKING.md says how to update the table.
 func TestProtocolCostsGolden(t *testing.T) {
 	golden := []struct {
@@ -28,7 +28,6 @@ func TestProtocolCostsGolden(t *testing.T) {
 		{Baseline, 16, 0, 4, 2000, 0, 86049, 0},
 		{DSUD, 16, 26, 112, 26, 78, 10791, 0.48858173},
 		{EDSUD, 16, 19, 101, 36, 57, 9581, 0.43077957},
-		{SDSUD, 16, 19, 105, 1300, 57, 28429, 0},
 	}
 
 	parts, _ := makeWorkload(t, 2000, 3, 4, gen.Independent, 1)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/obs/progress"
 	"repro/internal/obs/transcript"
 	"repro/internal/prtree"
-	"repro/internal/synopsis"
 	"repro/internal/transport"
 	"repro/internal/uncertain"
 )
@@ -73,7 +72,7 @@ func Run(ctx context.Context, c *Cluster, opts Options) (*Report, error) {
 		rep, err = runBaseline(ctx, v, opts, start, labels, &curve)
 	case DSUD:
 		rep, err = runDSUD(ctx, v, opts, false, start, sid, labels, &curve)
-	default: // EDSUD, SDSUD
+	case EDSUD:
 		rep, err = runDSUD(ctx, v, opts, true, start, sid, labels, &curve)
 	}
 	if err != nil {
@@ -243,26 +242,6 @@ func runDSUD(ctx context.Context, c *view, opts Options, enhanced bool, start ti
 		c.broadcast(cleanup, -1, &transport.Request{Kind: transport.KindEndQuery, Session: sid})
 	}()
 
-	// SDSUD phase 0: collect per-site synopses; their dominance bounds
-	// sharpen the queue bounds below. The histogram traffic is charged to
-	// the meter (one tuple-equivalent per occupied bucket).
-	var synopses []*synopsis.Histogram
-	if opts.Algorithm == SDSUD {
-		labels.enter(PhaseToServer)
-		grid := opts.SynopsisGrid
-		if grid == 0 {
-			grid = 8
-		}
-		resps, err := c.broadcast(ctx, -1, &transport.Request{Kind: transport.KindSynopsis, Grid: grid, Session: sid})
-		if err != nil {
-			return nil, err
-		}
-		synopses = make([]*synopsis.Histogram, len(resps))
-		for i, resp := range resps {
-			synopses[i] = resp.Synopsis
-		}
-	}
-
 	// To-Server phase, first iteration: every site initialises and ships
 	// its first representative (§4 step 1).
 	labels.enter(PhaseToServer)
@@ -335,9 +314,7 @@ func runDSUD(ctx context.Context, c *view, opts Options, enhanced bool, start ti
 		rep.Iterations++
 		labels.enter(PhaseFeedbackSelect)
 		sel := opts.Trace.StartSpan(PhaseFeedbackSelect)
-		useBounds := enhanced || opts.Policy == PolicyMaxBound
-		recomputeBounds(queue, useBounds, opts.Dims)
-		applySynopsisBounds(queue, synopses)
+		recomputeBounds(queue, enhanced, opts.Dims)
 		working = kthBest()
 
 		if enhanced && !opts.DisableExpunge {
@@ -372,8 +349,7 @@ func runDSUD(ctx context.Context, c *view, opts Options, enhanced bool, start ti
 				if !dropped {
 					break
 				}
-				recomputeBounds(queue, useBounds, opts.Dims)
-				applySynopsisBounds(queue, synopses)
+				recomputeBounds(queue, enhanced, opts.Dims)
 			}
 			if len(queue) == 0 {
 				sel.End()
@@ -522,14 +498,6 @@ func recomputeBounds(queue []queued, enhanced bool, dims []int) {
 // round-robin control).
 func selectFeedback(queue []queued, policy FeedbackPolicy, lastSite int) int {
 	switch policy {
-	case PolicyMaxLocal:
-		best := 0
-		for k := 1; k < len(queue); k++ {
-			if queue[k].rep.LocalProb > queue[best].rep.LocalProb {
-				best = k
-			}
-		}
-		return best
 	case PolicyRoundRobin:
 		// The smallest site index strictly greater than lastSite, cycling.
 		best := -1
@@ -548,7 +516,7 @@ func selectFeedback(queue []queued, policy FeedbackPolicy, lastSite int) int {
 			}
 		}
 		return best
-	default: // PolicyAlgorithm, PolicyMaxBound: the largest bound wins
+	default: // PolicyAlgorithm: the largest bound wins
 		best := 0
 		for k := 1; k < len(queue); k++ {
 			if queue[k].bound > queue[best].bound {
@@ -556,28 +524,5 @@ func selectFeedback(queue []queued, policy FeedbackPolicy, lastSite int) int {
 			}
 		}
 		return best
-	}
-}
-
-// applySynopsisBounds tightens each queued candidate's bound with the
-// per-site histogram dominance bounds (SDSUD). The Corollary-2 bound and
-// the synopsis bound both cap the same product of remote factors, so the
-// smaller of the two is kept per candidate.
-func applySynopsisBounds(queue []queued, synopses []*synopsis.Histogram) {
-	if synopses == nil {
-		return
-	}
-	for k := range queue {
-		s := &queue[k]
-		bound := s.rep.LocalProb
-		for x, h := range synopses {
-			if x == s.site || h == nil {
-				continue
-			}
-			bound *= h.CrossBound(s.rep.Tuple.Point)
-		}
-		if bound < s.bound {
-			s.bound = bound
-		}
 	}
 }

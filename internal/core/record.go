@@ -44,7 +44,6 @@ func transcriptHeader(opts *Options, sid uint64, start time.Time, sites, dims in
 		Dimensionality: int64(dims),
 		TopK:           int64(opts.TopK),
 		MaxResults:     int64(opts.MaxResults),
-		SynopsisGrid:   int64(opts.SynopsisGrid),
 	}
 	if opts.DisableExpunge {
 		h.Flags |= codec.TranscriptFlagDisableExpunge

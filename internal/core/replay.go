@@ -107,7 +107,6 @@ func replayOptions(t *transcript.Transcript) Options {
 		Policy:             FeedbackPolicy(h.Policy),
 		TopK:               int(h.TopK),
 		MaxResults:         int(h.MaxResults),
-		SynopsisGrid:       int(h.SynopsisGrid),
 		DisableExpunge:     h.Flags&codec.TranscriptFlagDisableExpunge != 0,
 		DisableSitePruning: h.Flags&codec.TranscriptFlagDisableSitePruning != 0,
 	}

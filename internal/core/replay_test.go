@@ -1,9 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/codec"
@@ -31,13 +35,14 @@ func TestTranscriptMirrorsCoreConstants(t *testing.T) {
 			t.Errorf("transcript phase %d != core %v (%d)", p.mirror, p.phase, p.phase)
 		}
 	}
-	for _, a := range []Algorithm{Baseline, DSUD, EDSUD, SDSUD} {
+	// Up to and including algorithmEnd: a retired number renders as the
+	// same Algorithm(n) fallback on both sides.
+	for a := Baseline; a <= algorithmEnd; a++ {
 		if got := transcript.AlgorithmName(uint8(a)); got != a.String() {
 			t.Errorf("AlgorithmName(%d) = %q, core says %q", uint8(a), got, a.String())
 		}
 	}
-	for _, k := range []transport.Kind{transport.KindInit, transport.KindNext, transport.KindShipAll,
-		transport.KindSynopsis, transport.KindLocalSkylineSize} {
+	for _, k := range []transport.Kind{transport.KindInit, transport.KindNext, transport.KindShipAll} {
 		if transcript.PhaseOf(k) != transcript.PhaseToServer {
 			t.Errorf("PhaseOf(%v) = %d, want to-server", k, transcript.PhaseOf(k))
 		}
@@ -95,7 +100,6 @@ func TestRecordReplayLocal(t *testing.T) {
 	for _, opts := range []Options{
 		{Threshold: 0.3, Algorithm: DSUD},
 		{Threshold: 0.3, Algorithm: EDSUD},
-		{Threshold: 0.3, Algorithm: SDSUD, SynopsisGrid: 8},
 		{Threshold: 0.3, Algorithm: EDSUD, Dims: []int{0, 2}},
 		{Threshold: 0.3, Algorithm: EDSUD, MaxResults: 3},
 		{Threshold: 0.5, Algorithm: Baseline},
@@ -238,6 +242,67 @@ func TestReplayDetectsTampering(t *testing.T) {
 	}
 	if _, err := Replay(context.Background(), tr2, nil); err == nil {
 		t.Fatal("replay accepted a transcript with tampered feedback")
+	}
+}
+
+// A header naming a retired algorithm or feedback-policy number fails the
+// replay with the same typed error Validate gives a live query — a
+// retired number is never reinterpreted or defaulted.
+func TestReplayRejectsRetiredNumbers(t *testing.T) {
+	parts, _ := makeWorkload(t, 200, 2, 2, gen.Independent, 89)
+	log := transcript.NewLog(4)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 2, TranscriptDir: t.TempDir(), TranscriptLog: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	_, tr, _ := recordQuery(t, cluster, log, Options{Threshold: 0.3, Algorithm: DSUD})
+
+	for _, p := range []uint8{2, 3} { // max-local and the old round-robin slot
+		tr.Header.Policy = p
+		if _, err := Replay(context.Background(), tr, nil); !errors.Is(err, ErrPolicy) {
+			t.Errorf("retired policy %d: %v, want ErrPolicy", p, err)
+		}
+	}
+	tr.Header.Policy = uint8(PolicyAlgorithm)
+	tr.Header.Algorithm = uint8(algorithmEnd) // 4 was an algorithm once
+	if _, err := Replay(context.Background(), tr, nil); !errors.Is(err, ErrAlgorithm) {
+		t.Errorf("retired algorithm %d: %v, want ErrAlgorithm", tr.Header.Algorithm, err)
+	}
+}
+
+// A transcript of the previous generation is refused at the preamble,
+// and dsud-replay turns that into exit status 2 with the re-record
+// message rather than replaying renumbered kinds.
+func TestReplayBinaryRefusesOldGeneration(t *testing.T) {
+	dir := t.TempDir()
+	old := filepath.Join(dir, "old.dstr")
+	preamble := codec.AppendTranscriptPreamble(nil)
+	preamble[4] = codec.TranscriptVersion - 1
+	if err := os.WriteFile(old, preamble, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := transcript.ReadFile(old); err == nil || !strings.Contains(err.Error(), "re-record") {
+		t.Fatalf("ReadFile on a version-%d transcript: %v", preamble[4], err)
+	}
+
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go tool to build dsud-replay with")
+	}
+	bin := filepath.Join(dir, "dsud-replay")
+	if out, err := exec.Command(goTool, "build", "-o", bin, "repro/cmd/dsud-replay").CombinedOutput(); err != nil {
+		t.Fatalf("building dsud-replay: %v\n%s", err, out)
+	}
+	var stderr bytes.Buffer
+	cmd := exec.Command(bin, "-quiet", old)
+	cmd.Stderr = &stderr
+	var exit *exec.ExitError
+	if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("dsud-replay on a version-%d transcript: %v, want exit status 2", preamble[4], err)
+	}
+	if !strings.Contains(stderr.String(), "re-record") {
+		t.Fatalf("stderr %q lacks the re-record message", stderr.String())
 	}
 }
 

@@ -392,6 +392,17 @@ func TestOptionsValidate(t *testing.T) {
 		{"subspace out of range", Options{Threshold: 0.3, Dims: []int{5}}, ErrSubspace},
 		{"unknown algorithm", Options{Threshold: 0.3, Algorithm: Algorithm(99)}, ErrAlgorithm},
 		{"unknown policy", Options{Threshold: 0.3, Policy: FeedbackPolicy(99)}, ErrPolicy},
+		// Retired numbers fail like ones that never existed: 4 was an
+		// algorithm, policies 2 and 3 were max-local and the old
+		// round-robin slot before the values were renumbered densely.
+		{"retired algorithm", Options{Threshold: 0.3, Algorithm: algorithmEnd}, ErrAlgorithm},
+		{"retired policy 2", Options{Threshold: 0.3, Policy: FeedbackPolicy(2)}, ErrPolicy},
+		{"retired policy 3", Options{Threshold: 0.3, Policy: FeedbackPolicy(3)}, ErrPolicy},
+		// TopK's early exits assume the algorithm's own selection rule and
+		// a completed expunge pass; the ablations that break either used
+		// to return a wrong top-k silently.
+		{"topk with round-robin", Options{Threshold: 0.3, Algorithm: DSUD, TopK: 3, Policy: PolicyRoundRobin}, ErrResultLimit},
+		{"topk without expunge", Options{Threshold: 0.3, Algorithm: EDSUD, TopK: 3, DisableExpunge: true}, ErrResultLimit},
 		{"negative topk", Options{Threshold: 0.3, TopK: -1}, ErrResultLimit},
 		{"exclusive limits", Options{Threshold: 0.3, TopK: 1, MaxResults: 1}, ErrResultLimit},
 		{"unknown mode", Options{Threshold: 0.3, Mode: Mode(99)}, ErrMode},
@@ -401,8 +412,14 @@ func TestOptionsValidate(t *testing.T) {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
 	}
-	if err := (Options{Threshold: 0.3}).Validate(2); err != nil {
-		t.Errorf("valid options rejected: %v", err)
+	for _, ok := range []Options{
+		{Threshold: 0.3},
+		{Threshold: 0.3, TopK: 3, DisableSitePruning: true},
+		{Threshold: 0.3, Policy: PolicyRoundRobin, DisableExpunge: true, MaxResults: 3},
+	} {
+		if err := ok.Validate(2); err != nil {
+			t.Errorf("valid options %+v rejected: %v", ok, err)
+		}
 	}
 
 	// The same validation runs at every entry point, and nil contexts

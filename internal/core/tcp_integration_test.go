@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"net"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -42,7 +43,7 @@ func TestTCPClusterMatchesLocal(t *testing.T) {
 	}
 	defer cluster.Close()
 
-	for _, algo := range []Algorithm{Baseline, DSUD, EDSUD, SDSUD} {
+	for _, algo := range []Algorithm{Baseline, DSUD, EDSUD} {
 		rep, err := Run(context.Background(), cluster, Options{Threshold: 0.3, Algorithm: algo})
 		if err != nil {
 			t.Fatalf("%v over TCP: %v", algo, err)
@@ -138,5 +139,27 @@ func TestRetryRemoteClusterEndToEnd(t *testing.T) {
 	}
 	if _, err := NewRemoteClusterRetry(nil, 3, 3); err == nil {
 		t.Fatal("empty address list must be rejected")
+	}
+}
+
+// A kind number past MaxKind — a retired kind from an older build, or
+// garbage — is answered with the site's error like any failed request;
+// the mux connection carries on.
+func TestUnknownKindOverMuxKeepsConnection(t *testing.T) {
+	parts, _ := makeWorkload(t, 50, 2, 1, gen.Independent, 67)
+	addrs := startTCPSites(t, parts, 2)
+	c, err := transport.DialAuto(addrs[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	_, err = c.Call(ctx, &transport.Request{Kind: transport.Kind(transport.MaxKind + 1)})
+	if err == nil || !strings.Contains(err.Error(), "unknown request kind") {
+		t.Fatalf("kind MaxKind+1: %v, want the site's unknown-request-kind error", err)
+	}
+	resp, err := c.Call(ctx, &transport.Request{Kind: transport.KindStatus})
+	if err != nil || resp.Status == nil || resp.Status.Tuples != 50 {
+		t.Fatalf("status call on the same connection after the bad kind: %+v, %v", resp, err)
 	}
 }

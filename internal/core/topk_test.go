@@ -38,6 +38,42 @@ func TestTopKExactness(t *testing.T) {
 	}
 }
 
+// topKCombos are the option combinations TopK stays legal with. Its two
+// early exits need the feedback to be the queue maximum under the
+// algorithm's own rule and, for e-DSUD, expunge to have run; Validate
+// rejects the ablations that break either (Policy, DisableExpunge), and
+// pointing this list at them is how to see why: they return a wrong
+// top-k without an error.
+var topKCombos = []Options{
+	{Algorithm: DSUD},
+	{Algorithm: EDSUD},
+	{Algorithm: EDSUD, DisableSitePruning: true},
+}
+
+// Every legal TopK combination returns the first K of the sorted
+// brute-force skyline, over a seeded sweep.
+func TestTopKMatchesOracleUnderAblations(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		parts, union := makeWorkload(t, 400, 3, 6, gen.Independent, seed)
+		full := union.Skyline(0.1, nil)
+		for _, k := range []int{1, 3, 5} {
+			want := full[:min(k, len(full))]
+			for _, opts := range topKCombos {
+				opts.Threshold, opts.TopK = 0.1, k
+				got := runAlgo(t, parts, 3, opts).Skyline
+				if len(got) != len(want) {
+					t.Fatalf("seed %d K=%d %+v: %d answers, want %d", seed, k, opts, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].Tuple.ID != want[i].Tuple.ID || math.Abs(got[i].Prob-want[i].Prob) > 1e-9 {
+						t.Fatalf("seed %d K=%d %+v: rank %d is %v, want %v", seed, k, opts, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 // Top-k must terminate early: fewer broadcasts than the full enumeration.
 func TestTopKSavesBandwidth(t *testing.T) {
 	parts, union := makeWorkload(t, 4000, 3, 10, gen.Anticorrelated, 192)

@@ -22,7 +22,7 @@ const (
 	// and every Next refill.
 	PhaseToServer Phase = iota
 	// PhaseFeedbackSelect covers the coordinator's candidate bookkeeping:
-	// Corollary-2 bound recomputation, synopsis tightening, the expunge
+	// Corollary-2 bound recomputation, the expunge
 	// sweep (minus its nested refills) and the feedback selection itself.
 	PhaseFeedbackSelect
 	// PhaseServerDelivery covers the Evaluate broadcast round trips.

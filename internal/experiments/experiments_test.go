@@ -30,7 +30,7 @@ func TestRunUnknownID(t *testing.T) {
 
 func TestIDsStable(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 13 {
+	if len(ids) != 12 {
 		t.Fatalf("IDs = %v", ids)
 	}
 	for i := 1; i < len(ids); i++ {
@@ -317,23 +317,6 @@ func TestVerticalRunner(t *testing.T) {
 	if vdsud.Points[0].Y >= download.Points[0].Y {
 		t.Errorf("correlated: VDSUD (%v) should beat download (%v)",
 			vdsud.Points[0].Y, download.Points[0].Y)
-	}
-}
-
-func TestSynopsisRunner(t *testing.T) {
-	figs, err := Synopsis(context.Background(), tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(figs) != 2 {
-		t.Fatalf("got %d figures", len(figs))
-	}
-	for _, fig := range figs {
-		edsud := findSeries(t, fig, "e-DSUD")
-		sdsud := findSeries(t, fig, "s-DSUD")
-		if len(edsud.Points) != 4 || len(sdsud.Points) != 4 {
-			t.Fatalf("%s: expected 4 grid samples", fig.ID)
-		}
 	}
 }
 

@@ -121,42 +121,6 @@ func Vertical(ctx context.Context, scale Scale) ([]Figure, error) {
 	return []Figure{fig}, nil
 }
 
-// Synopsis measures the paper's §5.2 claim that shipping data synopses
-// costs more than the selective feedback it enables: e-DSUD (Corollary-2
-// bounds, zero extra traffic) against SDSUD at several grid resolutions
-// (histogram traffic charged up front).
-func Synopsis(ctx context.Context, scale Scale) ([]Figure, error) {
-	var out []Figure
-	for _, vd := range []gen.ValueDist{gen.Independent, gen.Anticorrelated} {
-		fig := Figure{
-			ID:     "synopsis-" + vd.String(),
-			Title:  fmt.Sprintf("Synopsis feedback (§5.2 alternative): bandwidth (%s)", vd),
-			XLabel: "grid", YLabel: "tuples transmitted",
-			Series: []Series{{Name: "e-DSUD"}, {Name: "s-DSUD"}},
-		}
-		cfg := config{
-			n: scale.N, d: DefaultDims, m: scale.sites(), q: DefaultThreshold,
-			values: vd, probs: gen.UniformProb, seed: scale.Seed,
-		}
-		base, err := runOnceOpts(ctx, cfg, core.Options{Threshold: cfg.q, Algorithm: core.EDSUD})
-		if err != nil {
-			return nil, err
-		}
-		for _, grid := range []int{2, 4, 8, 16} {
-			rep, err := runOnceOpts(ctx, cfg, core.Options{
-				Threshold: cfg.q, Algorithm: core.SDSUD, SynopsisGrid: grid,
-			})
-			if err != nil {
-				return nil, err
-			}
-			fig.Series[0].Points = append(fig.Series[0].Points, Point{float64(grid), float64(base.Bandwidth.Tuples())})
-			fig.Series[1].Points = append(fig.Series[1].Points, Point{float64(grid), float64(rep.Bandwidth.Tuples())})
-		}
-		out = append(out, fig)
-	}
-	return out, nil
-}
-
 // Partitioning compares the uniform random horizontal split (the paper's
 // setup) against angle-based partitioning (reference [21]): same data,
 // same algorithm, different site assignment.

@@ -23,7 +23,6 @@ var registry = map[string]func(context.Context, Scale) ([]Figure, error){
 	// Extensions beyond the paper's own figures.
 	"ablation":     Ablation,
 	"vertical":     Vertical,
-	"synopsis":     Synopsis,
 	"partitioning": Partitioning,
 	"latency":      Latency,
 }

@@ -40,8 +40,7 @@ const (
 // belongs to, in the paper's vocabulary.
 func PhaseOf(k transport.Kind) uint8 {
 	switch k {
-	case transport.KindInit, transport.KindNext, transport.KindShipAll,
-		transport.KindSynopsis, transport.KindLocalSkylineSize:
+	case transport.KindInit, transport.KindNext, transport.KindShipAll:
 		return PhaseToServer
 	case transport.KindEvaluate:
 		return PhaseServerDelivery
@@ -61,8 +60,6 @@ func AlgorithmName(a uint8) string {
 		return "dsud"
 	case 3:
 		return "e-dsud"
-	case 4:
-		return "s-dsud"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", a)
 	}

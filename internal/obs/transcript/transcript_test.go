@@ -40,7 +40,7 @@ func recordFakes(t *testing.T, rec *Recorder, calls []fakeCall) {
 		if c.kind == transport.KindEvaluate {
 			req.Feed.Tuple.ID = uncertain.TupleID(c.feed)
 		}
-		resp := &transport.Response{Size: 1}
+		resp := &transport.Response{Pruned: 1}
 		rec.RecordCall(c.site, req, resp, 100)
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"repro/internal/obs/flight"
 	"repro/internal/obs/slo"
 	"repro/internal/prtree"
-	"repro/internal/synopsis"
 	"repro/internal/transport"
 	"repro/internal/uncertain"
 )
@@ -323,14 +322,6 @@ func (e *Engine) dispatch(req *transport.Request) (*transport.Response, error) {
 		return e.handleDelete(req)
 	case transport.KindCandidates:
 		return e.handleCandidates(req)
-	case transport.KindLocalSkylineSize:
-		size := 0
-		if s := e.sessions[req.Session]; s != nil {
-			size = len(s.sky)
-		}
-		return &transport.Response{Size: size}, nil
-	case transport.KindSynopsis:
-		return e.handleSynopsis(req)
 	case transport.KindReplicate:
 		return e.handleReplicate(req)
 	case transport.KindStatus:
@@ -537,7 +528,7 @@ func (e *Engine) handleReplicate(req *transport.Request) (*transport.Response, e
 	e.replicaVersion++
 	e.lastUpdate.Store(time.Now().UnixNano())
 	sp.end(int64(len(req.Tuples)), 0)
-	return &transport.Response{Size: len(e.replica)}, nil
+	return &transport.Response{}, nil
 }
 
 // handleDelete applies one deletion (§5.4).
@@ -575,21 +566,6 @@ func (e *Engine) handleCandidates(req *transport.Request) (*transport.Response, 
 		}
 	}
 	return &transport.Response{Tuples: out}, nil
-}
-
-// handleSynopsis summarises the partition into a grid histogram (§5.2
-// data-synopsis alternative).
-func (e *Engine) handleSynopsis(req *transport.Request) (*transport.Response, error) {
-	var db uncertain.DB
-	e.index.All(func(tu uncertain.Tuple) bool {
-		db = append(db, tu)
-		return true
-	})
-	h, err := synopsis.Build(db, req.Grid)
-	if err != nil {
-		return nil, fmt.Errorf("site %d: %w", e.id, err)
-	}
-	return &transport.Response{Synopsis: h}, nil
 }
 
 // LocalSkylineSize reports how many local skyline tuples remain unshipped

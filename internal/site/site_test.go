@@ -263,20 +263,6 @@ func TestCandidatesFindsPromotions(t *testing.T) {
 	}
 }
 
-func TestLocalSkylineSizeRequest(t *testing.T) {
-	r := rand.New(rand.NewSource(56))
-	part := randomPart(r, 100, 2)
-	eng := New(0, part, 2, 0)
-	initSite(t, eng, 0.3, nil)
-	resp, err := eng.Handle(context.Background(), &transport.Request{Kind: transport.KindLocalSkylineSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Size != eng.LocalSkylineSize() {
-		t.Fatalf("Size = %d, want %d", resp.Size, eng.LocalSkylineSize())
-	}
-}
-
 func TestUnknownKind(t *testing.T) {
 	eng := New(0, nil, 2, 0)
 	if _, err := eng.Handle(context.Background(), &transport.Request{Kind: transport.Kind(77)}); err == nil {

@@ -155,11 +155,6 @@ func respLedger(req *transport.Request, resp *transport.Response, dims int) (tup
 	case transport.KindReplicate:
 		n := int64(len(req.Tuples))
 		return n, n * size
-	case transport.KindSynopsis:
-		if resp.Synopsis != nil {
-			n := int64(resp.Synopsis.NonEmptyCells())
-			return n, n * size
-		}
 	}
 	return 0, 0
 }

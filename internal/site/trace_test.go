@@ -114,7 +114,7 @@ func TestUnsampledHandleZeroTracingAllocations(t *testing.T) {
 	initSite(t, eng, 0.3, nil)
 
 	ctx := context.Background()
-	req := &transport.Request{Kind: transport.KindLocalSkylineSize}
+	req := &transport.Request{Kind: transport.KindEndQuery, Session: 1} // no such session: a no-op
 	base := testing.AllocsPerRun(200, func() {
 		if _, err := eng.dispatch(req); err != nil {
 			t.Fatal(err)

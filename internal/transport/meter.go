@@ -102,11 +102,6 @@ func (m *Meter) Account(req *Request, resp *Response) {
 		// Replica adds travel downstream as whole tuples; removals are
 		// IDs and ride free like headers.
 		m.tuplesDown.Add(int64(len(req.Tuples)))
-	case KindSynopsis:
-		// Each occupied histogram bucket is one tuple-equivalent record.
-		if resp != nil && resp.Synopsis != nil {
-			m.tuplesUp.Add(int64(resp.Synopsis.NonEmptyCells()))
-		}
 	}
 }
 

@@ -15,10 +15,10 @@ import (
 	"repro/internal/codec"
 )
 
-// sessionEcho answers every request with Size = int(req.Session), so a
+// sessionEcho answers every request with Pruned = int(req.Session), so a
 // test can verify responses are demultiplexed to the right caller.
 func sessionEcho(ctx context.Context, req *Request) (*Response, error) {
-	return &Response{Size: int(req.Session)}, nil
+	return &Response{Pruned: int(req.Session)}, nil
 }
 
 func startMuxServer(t *testing.T, h Handler) (string, *Server) {
@@ -66,8 +66,8 @@ func TestMuxConcurrentCalls(t *testing.T) {
 					errCh <- fmt.Errorf("caller %d call %d: %v", g, i, err)
 					return
 				}
-				if resp.Size != int(want) {
-					errCh <- fmt.Errorf("caller %d call %d: demux mixed responses: got %d want %d", g, i, resp.Size, want)
+				if resp.Pruned != int(want) {
+					errCh <- fmt.Errorf("caller %d call %d: demux mixed responses: got %d want %d", g, i, resp.Pruned, want)
 					return
 				}
 				if n <= 0 {
@@ -109,8 +109,8 @@ func TestMuxCancelKeepsConnectionUsable(t *testing.T) {
 	bystander := make(chan error, 1)
 	go func() {
 		resp, err := mc.Call(context.Background(), &Request{Kind: KindStatus, Session: 7})
-		if err == nil && resp.Size != 7 {
-			err = fmt.Errorf("bystander got %d want 7", resp.Size)
+		if err == nil && resp.Pruned != 7 {
+			err = fmt.Errorf("bystander got %d want 7", resp.Pruned)
 		}
 		bystander <- err
 	}()
@@ -143,8 +143,8 @@ func TestMuxCancelKeepsConnectionUsable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("call %d after cancellation: connection unusable: %v", i, err)
 		}
-		if resp.Size != i {
-			t.Fatalf("call %d after cancellation: got %d", i, resp.Size)
+		if resp.Pruned != i {
+			t.Fatalf("call %d after cancellation: got %d", i, resp.Pruned)
 		}
 	}
 }
@@ -237,7 +237,7 @@ func TestMuxMalformedRequestKeepsConnection(t *testing.T) {
 		if err := DecodeResponse(fr.Payload, &resp); err != nil {
 			errs[fr.ID] = err
 		} else {
-			sizes[fr.ID] = resp.Size
+			sizes[fr.ID] = resp.Pruned
 		}
 	}
 	if sizes[1] != 11 || sizes[3] != 33 {
@@ -384,8 +384,8 @@ func TestRetryOverMuxRedials(t *testing.T) {
 				errCh <- fmt.Errorf("call %d: %v", i, err)
 				return
 			}
-			if resp.Size != int(want) {
-				errCh <- fmt.Errorf("call %d: got %d want %d", i, resp.Size, want)
+			if resp.Pruned != int(want) {
+				errCh <- fmt.Errorf("call %d: got %d want %d", i, resp.Pruned, want)
 				return
 			}
 			errCh <- nil

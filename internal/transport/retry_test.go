@@ -57,7 +57,7 @@ func (h *seqCounter) Handle(_ context.Context, req *Request) (*Response, error) 
 		return h.lastResp, nil
 	}
 	h.executed++
-	resp := &Response{Size: h.executed}
+	resp := &Response{Pruned: h.executed}
 	if req.Seq != 0 {
 		h.lastSeq, h.lastResp = req.Seq, resp
 	}
@@ -82,8 +82,8 @@ func TestRetryRedialsAndDedups(t *testing.T) {
 		}
 		// Exactly-once: despite every third transport call losing its
 		// response, the handler must have executed each request once.
-		if resp.Size != i {
-			t.Fatalf("call %d executed %d times total (dedup broken)", i, resp.Size)
+		if resp.Pruned != i {
+			t.Fatalf("call %d executed %d times total (dedup broken)", i, resp.Pruned)
 		}
 	}
 	if h.executed != n {

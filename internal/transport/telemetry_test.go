@@ -90,7 +90,7 @@ func TestMuxTelemetrySubscription(t *testing.T) {
 
 	// Ordinary RPCs keep working alongside the stream.
 	resp, err := mc.Call(context.Background(), &Request{Kind: KindStatus, Session: 5})
-	if err != nil || resp.Size != 5 {
+	if err != nil || resp.Pruned != 5 {
 		t.Fatalf("Call alongside stream: %v %+v", err, resp)
 	}
 
@@ -131,7 +131,7 @@ func TestMuxTelemetryNoSource(t *testing.T) {
 	}
 	defer cancel()
 	resp, err := mc.Call(context.Background(), &Request{Kind: KindStatus, Session: 9})
-	if err != nil || resp.Size != 9 {
+	if err != nil || resp.Pruned != 9 {
 		t.Fatalf("Call: %v %+v", err, resp)
 	}
 	time.Sleep(3 * MinTelemetryInterval)

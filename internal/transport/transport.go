@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/synopsis"
 	"repro/internal/uncertain"
 )
 
@@ -45,12 +44,6 @@ const (
 	// dominated by the deleted tuple and now locally qualify (§5.4
 	// incremental maintenance).
 	KindCandidates
-	// KindLocalSkylineSize reports the size of the site's current local
-	// skyline set (diagnostics and tests).
-	KindLocalSkylineSize
-	// KindSynopsis asks the site for a grid histogram of its partition
-	// (the §5.2 data-synopsis alternative, SDSUD).
-	KindSynopsis
 	// KindEndQuery releases the per-query session state created by
 	// KindInit. Idempotent; best-effort (a lost end-query only costs
 	// memory until the session cap evicts it).
@@ -89,10 +82,6 @@ func (k Kind) String() string {
 		return "delete"
 	case KindCandidates:
 		return "candidates"
-	case KindLocalSkylineSize:
-		return "local-skyline-size"
-	case KindSynopsis:
-		return "synopsis"
 	case KindEndQuery:
 		return "end-query"
 	case KindReplicate:
@@ -175,7 +164,6 @@ type Request struct {
 	Tuple uncertain.Tuple   // KindInsert
 	ID    uncertain.TupleID // KindDelete
 	Point geom.Point        // KindDelete
-	Grid  int               // KindSynopsis: buckets per dimension
 
 	// Tuples carries replica additions for KindReplicate; RemoveIDs the
 	// replica evictions.
@@ -205,16 +193,10 @@ type Response struct {
 	// candidates for KindCandidates.
 	Tuples []Representative
 
-	// Size answers KindLocalSkylineSize.
-	Size int
-
 	// Hopeless reports (for KindInsert against a replica-holding site)
 	// that the inserted tuple provably cannot reach the threshold
 	// globally, so the coordinator can skip its evaluation broadcast.
 	Hopeless bool
-
-	// Synopsis answers KindSynopsis.
-	Synopsis *synopsis.Histogram
 
 	// Status answers KindStatus.
 	Status *SiteStatus

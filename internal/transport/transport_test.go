@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -66,29 +67,32 @@ func TestQueryValidate(t *testing.T) {
 }
 
 func TestKindString(t *testing.T) {
-	kinds := []Kind{KindInit, KindNext, KindEvaluate, KindShipAll, KindInsert, KindDelete, KindCandidates, KindLocalSkylineSize}
+	// Every kind up to MaxKind has its own name: the numbering is dense,
+	// with no retired hole rendering as the Kind(n) fallback.
 	seen := map[string]bool{}
-	for _, k := range kinds {
+	for k := Kind(1); int(k) <= MaxKind; k++ {
 		s := k.String()
-		if s == "" || seen[s] {
-			t.Errorf("kind %d has empty/duplicate string %q", int(k), s)
+		if s == "" || seen[s] || strings.HasPrefix(s, "Kind(") {
+			t.Errorf("kind %d has empty/duplicate/fallback string %q", int(k), s)
 		}
 		seen[s] = true
 	}
-	if Kind(99).String() == "" {
-		t.Error("unknown kind must still render")
+	for _, k := range []Kind{0, Kind(MaxKind + 1), 99} {
+		if want := fmt.Sprintf("Kind(%d)", int(k)); k.String() != want {
+			t.Errorf("unknown kind renders %q, want %q", k.String(), want)
+		}
 	}
 }
 
 func TestLocalClient(t *testing.T) {
-	h := &echoHandler{resp: Response{Size: 7}}
+	h := &echoHandler{resp: Response{Pruned: 7}}
 	c := Local(h)
-	resp, err := c.Call(context.Background(), &Request{Kind: KindLocalSkylineSize})
+	resp, err := c.Call(context.Background(), &Request{Kind: KindStatus})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Size != 7 {
-		t.Fatalf("Size = %d, want 7", resp.Size)
+	if resp.Pruned != 7 {
+		t.Fatalf("Pruned = %d, want 7", resp.Pruned)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
@@ -115,7 +119,7 @@ func TestMeterAccounting(t *testing.T) {
 	m.Account(&Request{Kind: KindCandidates}, &Response{Tuples: []Representative{rep}})
 	m.Account(&Request{Kind: KindInsert}, &Response{})
 	m.Account(&Request{Kind: KindDelete}, &Response{})
-	m.Account(&Request{Kind: KindLocalSkylineSize}, &Response{Size: 3})
+	m.Account(&Request{Kind: KindStatus}, &Response{Pruned: 3})
 
 	s := m.Snapshot()
 	if s.Messages != 9 {
@@ -180,11 +184,11 @@ func startServer(t *testing.T, h Handler, meter *Meter) (addr string, srv *Serve
 
 func TestTCPRoundTrip(t *testing.T) {
 	want := Response{
-		Rep:       Representative{Tuple: sampleTuple(42), LocalProb: 0.625},
-		CrossProb: 0.5,
-		Pruned:    3,
-		Tuples:    []Representative{{Tuple: sampleTuple(7), LocalProb: 0.9}},
-		Size:      11,
+		Rep:           Representative{Tuple: sampleTuple(42), LocalProb: 0.625},
+		CrossProb:     0.5,
+		Pruned:        3,
+		Tuples:        []Representative{{Tuple: sampleTuple(7), LocalProb: 0.9}},
+		SessionPruned: 11,
 	}
 	h := &echoHandler{resp: want}
 	var meter Meter
@@ -208,7 +212,7 @@ func TestTCPRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Rep.Tuple.ID != 42 || got.Rep.LocalProb != 0.625 || got.CrossProb != 0.5 ||
-		got.Pruned != 3 || len(got.Tuples) != 1 || got.Tuples[0].Tuple.ID != 7 || got.Size != 11 {
+		got.Pruned != 3 || len(got.Tuples) != 1 || got.Tuples[0].Tuple.ID != 7 || got.SessionPruned != 11 {
 		t.Fatalf("round trip mangled response: %+v", got)
 	}
 	if !got.Rep.Tuple.Point.Equal(geom.Point{1.5, 2.5}) {
@@ -237,7 +241,7 @@ type blockingHandler struct {
 func (h *blockingHandler) Handle(_ context.Context, _ *Request) (*Response, error) {
 	h.entered <- struct{}{}
 	<-h.release
-	return &Response{Size: 99}, nil
+	return &Response{Pruned: 99}, nil
 }
 
 // Shutdown must let an in-flight request finish and answer, then close
@@ -286,7 +290,7 @@ func TestServerShutdownDrainsInFlight(t *testing.T) {
 	if r.err != nil {
 		t.Fatalf("in-flight call failed during drain: %v", r.err)
 	}
-	if r.resp.Size != 99 {
+	if r.resp.Pruned != 99 {
 		t.Fatalf("in-flight response = %+v", r.resp)
 	}
 	if err := <-shutdownDone; err != nil {
@@ -343,7 +347,7 @@ func TestTCPHandlerError(t *testing.T) {
 }
 
 func TestTCPConcurrentClients(t *testing.T) {
-	h := &echoHandler{resp: Response{Size: 1}}
+	h := &echoHandler{resp: Response{Pruned: 1}}
 	addr, _ := startServer(t, h, nil)
 	const clients = 8
 	var wg sync.WaitGroup
@@ -470,7 +474,7 @@ func TestDialFailure(t *testing.T) {
 }
 
 func TestDelayedClient(t *testing.T) {
-	h := &echoHandler{resp: Response{Size: 1}}
+	h := &echoHandler{resp: Response{Pruned: 1}}
 	c := Delayed(Local(h), 30*time.Millisecond)
 	start := time.Now()
 	if _, err := c.Call(context.Background(), &Request{Kind: KindNext}); err != nil {

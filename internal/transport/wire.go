@@ -20,12 +20,11 @@ package transport
 //	              (NoPrune) | n × dim varint 5  Tuples         n × rep
 //	5  Trace      traceID uvarint | parent   6  TraceBlob      n bytes
 //	              uvarint | flags u8         7  Hopeless       (the bit is the value)
-//	6  Tuple      tuple                      8  Size           varint
-//	7  ID         uvarint                    9  Synopsis       lo point | hi point | grid varint
-//	8  Point      point                                        | n × (count varint | minProb f64)
-//	9  Grid       varint                     10 Status         n bytes: the /statusz JSON document
-//	10 Tuples     n × rep
-//	11 RemoveIDs  n × id uvarint
+//	6  Tuple      tuple                      8  Status         n bytes: the /statusz JSON document
+//	7  ID         uvarint
+//	8  Point      point
+//	9  Tuples     n × rep
+//	10 RemoveIDs  n × id uvarint
 //
 //	tuple = id uvarint | point | prob f64       point = n × f64
 //	rep   = tuple | localProb f64               n × x = n uvarint, then n of x
@@ -47,7 +46,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/synopsis"
 	"repro/internal/uncertain"
 )
 
@@ -61,11 +59,9 @@ const (
 	statusErr = 1
 )
 
-// Smallest encodings, which bound a claimed count by the bytes left.
-const (
-	minRepBytes  = 1 + 1 + 8 + 8 // id, empty point, prob, localProb
-	minCellBytes = 1 + 8
-)
+// minRepBytes is the smallest encoding of a rep (id, empty point, prob,
+// localProb), which bounds a claimed count by the bytes left.
+const minRepBytes = 1 + 1 + 8 + 8
 
 // wire walks one message's fields in wire order, in either direction: it
 // appends to dst when encoding and reads from the embedded Reader when
@@ -230,27 +226,6 @@ func (w *wire) query(q *Query) {
 	}
 }
 
-func (w *wire) histogram(p **synopsis.Histogram) {
-	if w.decoding {
-		*p = new(synopsis.Histogram)
-	}
-	h := *p
-	w.point(&h.Lo, "synopsis lo")
-	w.point(&h.Hi, "synopsis hi")
-	w.varint(&h.Grid, "synopsis grid")
-	if n := w.count(len(h.Cells), "synopsis cells", minCellBytes); w.decoding && n > 0 {
-		h.Cells = make([]synopsis.Cell, n)
-	}
-	for i := range h.Cells {
-		count := int(h.Cells[i].Count)
-		w.varint(&count, "synopsis cells")
-		if w.decoding {
-			h.Cells[i].Count = int32(count)
-		}
-		w.float(&h.Cells[i].MinProb, "synopsis cells")
-	}
-}
-
 func (w *wire) status(p **SiteStatus) {
 	if !w.decoding {
 		w.blob(&w.doc, "status")
@@ -299,13 +274,10 @@ func (w *wire) request(q *Request) {
 	if w.has(8, len(q.Point) > 0) {
 		w.point(&q.Point, "point")
 	}
-	if w.has(9, q.Grid != 0) {
-		w.varint(&q.Grid, "grid")
-	}
-	if w.has(10, len(q.Tuples) > 0) {
+	if w.has(9, len(q.Tuples) > 0) {
 		w.reps(&q.Tuples, "tuples")
 	}
-	if w.has(11, len(q.RemoveIDs) > 0) {
+	if w.has(10, len(q.RemoveIDs) > 0) {
 		if n := w.count(len(q.RemoveIDs), "remove ids", 1); w.decoding && n > 0 {
 			q.RemoveIDs = make([]uncertain.TupleID, n)
 		}
@@ -337,13 +309,7 @@ func (w *wire) response(p *Response) {
 		w.blob(&p.TraceBlob, "trace blob")
 	}
 	w.bit(7, &p.Hopeless)
-	if w.has(8, p.Size != 0) {
-		w.varint(&p.Size, "size")
-	}
-	if w.has(9, p.Synopsis != nil) {
-		w.histogram(&p.Synopsis)
-	}
-	if w.has(10, p.Status != nil) {
+	if w.has(8, p.Status != nil) {
 		w.status(&p.Status)
 	}
 }

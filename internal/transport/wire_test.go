@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/synopsis"
 	"repro/internal/uncertain"
 )
 
@@ -49,9 +48,9 @@ func fillNonZero(t *testing.T, v reflect.Value, next *int) {
 }
 
 // TestWireRoundTripEveryField fills every exported field of Request and
-// Response — and, through Response's pointers, of SiteStatus and
-// synopsis.Histogram — and requires the decoded value to equal the
-// original. A field added to any of them without codec support fails here.
+// Response — and, through Response's pointer, of SiteStatus — and
+// requires the decoded value to equal the original. A field added to any
+// of them without codec support fails here.
 func TestWireRoundTripEveryField(t *testing.T) {
 	next := 0
 	var req Request
@@ -71,8 +70,8 @@ func TestWireRoundTripEveryField(t *testing.T) {
 		t.Fatalf("DecodeResponse: %v", err)
 	}
 	if !reflect.DeepEqual(&resp, &gotResp) {
-		t.Fatalf("response mangled:\n sent %+v (status %+v, synopsis %+v)\n  got %+v (status %+v, synopsis %+v)",
-			resp, resp.Status, resp.Synopsis, gotResp, gotResp.Status, gotResp.Synopsis)
+		t.Fatalf("response mangled:\n sent %+v (status %+v)\n  got %+v (status %+v)",
+			resp, resp.Status, gotResp, gotResp.Status)
 	}
 }
 
@@ -91,7 +90,7 @@ func TestWireZeroValues(t *testing.T) {
 		if len(enc) != 3 {
 			t.Fatalf("zero response is %d bytes (%x), want status + mask", len(enc), enc)
 		}
-		resp := Response{Size: 9, Status: &SiteStatus{ID: 1}}
+		resp := Response{Pruned: 9, Status: &SiteStatus{ID: 1}}
 		if err := DecodeResponse(enc, &resp); err != nil || !reflect.DeepEqual(resp, Response{}) {
 			t.Fatalf("zero response decoded to %+v, %v", resp, err)
 		}
@@ -99,7 +98,7 @@ func TestWireZeroValues(t *testing.T) {
 }
 
 func TestWireErrorResponse(t *testing.T) {
-	enc := AppendResponse(nil, &Response{Size: 3}, errors.New("site exploded"))
+	enc := AppendResponse(nil, &Response{Pruned: 3}, errors.New("site exploded"))
 	var resp Response
 	err := DecodeResponse(enc, &resp)
 	if err == nil || err.Error() != "site exploded" || errors.Is(err, ErrWire) {
@@ -135,7 +134,7 @@ func sampleMessages() (reqs []Request, resps []Response) {
 		}),
 		with(func(r *Request) { r.Kind = KindInsert; r.Tuple = tu(99) }),
 		with(func(r *Request) { r.Kind = KindDelete; r.ID = 99; r.Point = geom.Point{0.125, 0.75, 0.4375} }),
-		with(func(r *Request) { r.Kind = KindSynopsis; r.Grid = 8 }),
+		with(func(r *Request) { r.Kind = KindEndQuery }),
 		{Kind: KindStatus},
 	}
 	resps = []Response{
@@ -146,9 +145,8 @@ func sampleMessages() (reqs []Request, resps []Response) {
 		{Tuples: []Representative{rep(3), rep(4), rep(5)}},
 		{},
 		{Hopeless: true},
-		{Size: 41},
-		{Synopsis: &synopsis.Histogram{Lo: geom.Point{0, 0}, Hi: geom.Point{1, 1}, Grid: 2,
-			Cells: []synopsis.Cell{{Count: 3, MinProb: 0.2}, {}, {}, {Count: 1, MinProb: 0.9}}}},
+		{Rep: rep(6), Hopeless: true}, // an insert the replica vetoes
+		{Tuples: []Representative{{Tuple: tu(7)}, {Tuple: tu(8)}}}, // ship-all: no local probabilities
 		{Status: &SiteStatus{ID: 2, Tuples: 1000, TreeHeight: 3, RequestsTotal: 12345, LatencyP99Ms: 1.5, MuxWorkerLimit: 32}},
 	}
 	return reqs, resps
@@ -224,8 +222,9 @@ func TestWireHostileCounts(t *testing.T) {
 		"point":        request(8, huge...),
 		"feed point":   request(3, append(tuplePrefix, huge...)...),
 		"query dims":   request(4, append(make([]byte, 9), huge...)...),
-		"tuples":       request(10, huge...),
-		"remove ids":   request(11, huge...),
+		"tuples":       request(9, huge...),
+		"remove ids":   request(10, huge...),
+		"retired mask": request(11), // RemoveIDs before the renumbering
 		"unknown mask": request(12),
 	} {
 		var req Request
@@ -234,14 +233,15 @@ func TestWireHostileCounts(t *testing.T) {
 		}
 	}
 	for name, data := range map[string][]byte{
-		"rep point":      response(0, append(tuplePrefix, huge...)...),
-		"tuples":         response(5, huge...),
-		"trace blob":     response(6, huge...),
-		"synopsis cells": response(9, append([]byte{0, 0, 2}, huge...)...),
-		"status":         response(10, huge...),
-		"status json":    response(10, 3, '{', '"', 'x'),
-		"unknown mask":   response(11),
-		"unknown status": {7},
+		"rep point":       response(0, append(tuplePrefix, huge...)...),
+		"tuples":          response(5, huge...),
+		"trace blob":      response(6, huge...),
+		"status":          response(8, huge...),
+		"status json":     response(8, 3, '{', '"', 'x'),
+		"retired mask 9":  response(9, 0, 0, 2, 0),   // a histogram before the renumbering
+		"retired mask 10": response(10, 2, '{', '}'), // Status before the renumbering
+		"unknown mask":    response(11),
+		"unknown status":  {7},
 	} {
 		var resp Response
 		if err := DecodeResponse(data, &resp); !errors.Is(err, ErrWire) {
