@@ -2,13 +2,13 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race bench benchmark soak record replay verify examples figures clean
+.PHONY: all check build vet boundary test race bench benchmark soak record replay verify examples figures clean
 
 all: check
 
-# The default gate: compile, vet, full test suite, then the race detector
-# over the concurrency-heavy packages.
-check: build vet test race
+# The default gate: compile, vet, the round engine's import boundary, full
+# test suite, then the race detector over the concurrency-heavy packages.
+check: build vet boundary test race
 
 build:
 	$(GO) build ./...
@@ -16,13 +16,20 @@ build:
 vet:
 	$(GO) vet ./...
 
+# internal/round is the paper's algorithm and nothing else: it must not
+# come to depend, even transitively, on the observability tree, the codec,
+# slog, pprof or net/http (so it cannot import internal/transport either).
+boundary:
+	@if $(GO) list -deps ./internal/round | grep -E 'repro/internal/obs|repro/internal/codec|log/slog|runtime/pprof|net/http'; then \
+	  echo "internal/round depends on the packages above; observers belong in internal/core" >&2; exit 1; fi
+
 test:
 	$(GO) test ./...
 
 # ./internal/obs/... covers the black-box recorder (internal/obs/transcript)
 # alongside the rest of the observability tree.
 race:
-	$(GO) test -race ./internal/codec ./internal/obs/... ./internal/transport ./internal/core ./internal/serve ./internal/stream ./internal/site ./internal/audit ./internal/experiments
+	$(GO) test -race ./internal/codec ./internal/obs/... ./internal/transport ./internal/round ./internal/core ./internal/serve ./internal/stream ./internal/site ./internal/audit ./internal/experiments
 
 # Full benchmark sweep (several minutes). Writes bench_output.txt.
 bench:

@@ -255,9 +255,6 @@ func run() int {
 		opts.Server = server
 		opts.Mode = dsq.ModeMaterialized
 	}
-	if *sloTTFR > 0 {
-		opts.FirstWindow = first
-	}
 	if !*quiet {
 		opts.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "dsud-loadgen: "+format+"\n", args...)

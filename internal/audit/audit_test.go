@@ -170,7 +170,8 @@ func TestAuditDetectsInjectedPruneBug(t *testing.T) {
 // stay quiet for algorithms that do not guarantee the order.
 func TestMonotoneCheck(t *testing.T) {
 	a := New(Config{Fraction: 1}, nil)
-	rep := &core.Report{FeedbackLocal: []float64{0.9, 0.5, 0.7}}
+	rep := &core.Report{}
+	rep.FeedbackLocal = []float64{0.9, 0.5, 0.7}
 	out := &Outcome{}
 	a.auditMonotone(out, core.Options{Algorithm: core.DSUD}, rep)
 	if len(out.Violations) != 1 || out.Violations[0].Check != CheckMonotone {

@@ -16,6 +16,7 @@ import (
 	"repro/internal/obs/flight"
 	"repro/internal/obs/progress"
 	"repro/internal/obs/transcript"
+	"repro/internal/round"
 	"repro/internal/transport"
 	"repro/internal/uncertain"
 )
@@ -40,12 +41,13 @@ type Cluster struct {
 	obsQueries [algorithmEnd]*obs.Counter
 
 	// flight, when set (SetFlightRecorder), receives one record per
-	// completed query — success or failure. Nil-safe at the record site.
+	// completed query — success or failure, served reads included.
+	// Nil-safe at the record site.
 	flight *flight.Recorder
 
 	// progress, when set (SetProgressLog), retains each successful
-	// query's delivery-curve digest for /queryz. Nil-safe at the record
-	// site.
+	// query's delivery-curve digest for /queryz, served reads included.
+	// Nil-safe at the record site.
 	progress *progress.Log
 
 	// logger, when set (ClusterConfig.Logger), is the default query
@@ -55,7 +57,7 @@ type Cluster struct {
 	// winQuery and winFirst, when set (SetLatencyWindows), observe each
 	// successful query's end-to-end latency and time-to-first-result into
 	// rotating windows — the coordinator-side feed for live percentiles
-	// and SLO evaluation. Nil-safe at the observe sites.
+	// and SLO evaluation. Nil-safe at the observe site.
 	winQuery *obs.Window
 	winFirst *obs.Window
 
@@ -72,9 +74,10 @@ type Cluster struct {
 
 // SetLatencyWindows attaches rotating latency windows to the query path:
 // query observes every successful Run's end-to-end latency, firstResult
-// the time-to-first-result of traced runs (untraced runs cannot measure
-// it). Either may be nil. Call before serving queries; not synchronised
-// with in-flight Runs.
+// every successful query's time-to-first-result, traced or not and
+// served reads included (it comes from the always-on delivery curve).
+// Either may be nil. Call before serving queries; not synchronised with
+// in-flight Runs.
 func (c *Cluster) SetLatencyWindows(query, firstResult *obs.Window) {
 	c.winQuery = query
 	c.winFirst = firstResult
@@ -110,19 +113,21 @@ func (c *Cluster) SetProgressLog(l *progress.Log) { c.progress = l }
 // none), so daemons can mount its /queryz handler.
 func (c *Cluster) ProgressLog() *progress.Log { return c.progress }
 
-// recordFlight writes one query's flight record. rep is nil on failure.
-func (c *Cluster) recordFlight(opts Options, sid uint64, rep *Report, err error, start time.Time, elapsed time.Duration) {
+// recordFlight writes one query's flight record under name, its algorithm
+// or, for a served read, its source. rep is nil on failure.
+func (c *Cluster) recordFlight(o *observer, name string, rep *Report, err error, elapsed time.Duration) {
 	if c.flight == nil {
 		return
 	}
+	opts := o.opts
 	rec := flight.Record{
 		QueryID:    opts.Trace.ID(),
-		Session:    sid,
-		Algorithm:  opts.Algorithm.String(),
+		Session:    o.sid,
+		Algorithm:  name,
 		Threshold:  opts.Threshold,
 		TopK:       opts.TopK,
 		MaxResults: opts.MaxResults,
-		Start:      start.UnixNano(),
+		Start:      o.start.UnixNano(),
 		ElapsedNS:  int64(elapsed),
 		Slow:       opts.SlowQuery > 0 && elapsed >= opts.SlowQuery,
 		Outcome:    flight.OutcomeOK,
@@ -198,22 +203,27 @@ func (c *Cluster) countQuery(a Algorithm) {
 // view is one query's (or one maintainer's) handle on the cluster: the
 // same connections, wrapped with a private meter so per-query bandwidth
 // stays exact even when queries overlap, plus the query's trace (nil
-// when untraced) whose context is stamped on every outgoing RPC.
+// when untraced) whose context is stamped on every outgoing RPC. It is
+// the round engine's Sites: session and query are what it binds to the
+// engine's requests (a maintainer has no session and evaluates under its
+// query instead).
 type view struct {
 	clients []transport.Client
 	meter   *transport.Meter
-	dims    int
 	tr      *Trace
+	session uint64
+	query   transport.Query
+	replies []round.Response // Broadcast's result, reused by the next one
 }
 
 // newView stacks a fresh meter over the shared clients. tr may be nil.
-func (c *Cluster) newView(tr *Trace) *view {
+func (c *Cluster) newView(tr *Trace, session uint64, query transport.Query) *view {
 	qm := &transport.Meter{}
 	clients := make([]transport.Client, len(c.clients))
 	for i, cl := range c.clients {
 		clients[i] = transport.Metered(cl, qm)
 	}
-	return &view{clients: clients, meter: qm, dims: c.dims, tr: tr}
+	return &view{clients: clients, meter: qm, tr: tr, session: session, query: query}
 }
 
 // nextSession allocates a globally unique session ID (never zero): a
@@ -377,4 +387,82 @@ func (c *view) broadcast(ctx context.Context, skip int, req *transport.Request) 
 		return nil, firstErr
 	}
 	return resps, nil
+}
+
+// Len, Call and Broadcast make the view the round engine's Sites: each
+// engine request becomes the wire request the sites speak, bound to this
+// view's session and query, and each reply is cut down to what the
+// algorithm reads. Replies are converted on the caller's goroutine, into
+// one buffer per view: the per-site goroutines of a broadcast start on
+// small stacks that the sites' tree recursion already has to grow, and
+// anything that deepens their frames costs a stack copy per call.
+func (c *view) Len() int { return len(c.clients) }
+
+func (c *view) Call(ctx context.Context, i int, r round.Request) (round.Response, error) {
+	resp, err := c.call(ctx, i, c.wire(r))
+	if err != nil {
+		return round.Response{}, err
+	}
+	return reply(resp), nil
+}
+
+func (c *view) Broadcast(ctx context.Context, skip int, r round.Request) ([]round.Response, error) {
+	resps, err := c.broadcast(ctx, skip, c.wire(r))
+	if err != nil {
+		return nil, err
+	}
+	if c.replies == nil {
+		c.replies = make([]round.Response, len(resps))
+	}
+	for i, resp := range resps {
+		c.replies[i] = round.Response{}
+		if resp != nil {
+			c.replies[i] = reply(resp)
+		}
+	}
+	return c.replies, nil
+}
+
+func (c *view) wire(r round.Request) *transport.Request {
+	switch r.Op {
+	case round.OpInit:
+		return &transport.Request{Kind: transport.KindInit, Query: c.query, Session: c.session}
+	case round.OpNext:
+		return &transport.Request{Kind: transport.KindNext, Session: c.session}
+	case round.OpEvaluate:
+		req := &transport.Request{Kind: transport.KindEvaluate, Session: c.session}
+		req.Feed = transport.Feedback{Tuple: r.Feed.Tuple, HomeLocalProb: r.Feed.LocalProb}
+		if c.session == 0 {
+			req.Query = c.query
+		}
+		return req
+	default:
+		return &transport.Request{Kind: transport.KindShipAll}
+	}
+}
+
+func reply(resp *transport.Response) round.Response {
+	r := round.Response{
+		Rep:           round.Representative(resp.Rep),
+		Exhausted:     resp.Exhausted,
+		CrossProb:     resp.CrossProb,
+		Pruned:        resp.Pruned,
+		SessionPruned: resp.SessionPruned,
+	}
+	if len(resp.Tuples) > 0 {
+		r.Tuples = make(uncertain.DB, len(resp.Tuples))
+		for k, rep := range resp.Tuples {
+			r.Tuples[k] = rep.Tuple
+		}
+	}
+	return r
+}
+
+// endSession releases the per-site session state when the query ends,
+// whatever the path out; a lost end-query only costs site memory until
+// the session cap evicts it, so failures are ignored.
+func (c *view) endSession() {
+	cleanup, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	c.broadcast(cleanup, -1, &transport.Request{Kind: transport.KindEndQuery, Session: c.session})
 }

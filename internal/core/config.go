@@ -163,8 +163,7 @@ type QueryStats struct {
 	// Bandwidth is the tuple/message/byte cost of this query.
 	Bandwidth transport.Snapshot
 	// Curve is the delivery-curve digest ((t, k) checkpoints, progress
-	// AUCs, per-site delivered counts). Nil when the stats crossed the
-	// wire from a peer that predates it — gob omits nil pointers.
+	// AUCs, per-site delivered counts).
 	Curve *progress.Digest `json:"curve,omitempty"`
 	// Source records how the answer was produced (protocol round,
 	// materialized read, or materialized read behind a refresh).
@@ -175,11 +174,16 @@ type QueryStats struct {
 // nil a private trace is attached for the duration of the call;
 // otherwise the caller's trace is used (and remains readable live).
 func (c *Cluster) QueryWithStats(ctx context.Context, opts Options) (*Report, *QueryStats, error) {
+	return withStats(opts, func(opts Options) (*Report, error) { return Run(ctx, c, opts) })
+}
+
+// withStats is the body of both QueryWithStats methods.
+func withStats(opts Options, query func(Options) (*Report, error)) (*Report, *QueryStats, error) {
 	opts = opts.withDefaults()
 	if opts.Trace == nil {
 		opts.Trace = NewTrace()
 	}
-	rep, err := Run(ctx, c, opts)
+	rep, err := query(opts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/obs/progress"
+	"repro/internal/round"
 	"repro/internal/transport"
 	"repro/internal/uncertain"
 )
@@ -346,56 +347,21 @@ type ProgressPoint struct {
 	Elapsed time.Duration
 }
 
-// SiteTally is one site's slice of a query's cost.
-type SiteTally struct {
-	// Shipped counts representatives the site sent up (Init plus
-	// refills; for the Baseline, its whole partition).
-	Shipped int64
-	// Pruned counts local skyline tuples the site discarded under
-	// Observation-2 feedback pruning.
-	Pruned int64
-}
-
-// Report summarises one completed query.
+// Report summarises one completed query: what the round engine computed
+// (the answer, home sites, protocol tallies, per-site tallies and the
+// feedback sequence — see round.Outcome) plus what the coordinator
+// measured around it.
 type Report struct {
-	// Skyline holds the qualified tuples with their exact global skyline
-	// probabilities, sorted by descending probability.
-	Skyline []uncertain.SkylineMember
-	// Sites maps each skyline tuple ID to its home site index.
-	Sites map[uncertain.TupleID]int
+	round.Outcome
 	// Bandwidth is the transport meter delta for this query.
 	Bandwidth transport.Snapshot
-	// Iterations counts coordinator loop iterations (feedback rounds).
-	Iterations int
-	// Broadcasts counts feedback tuples broadcast (each costs m−1 tuples).
-	Broadcasts int
-	// Expunged counts candidates e-DSUD discarded by the Corollary-2
-	// bound without broadcasting (always 0 for DSUD/Baseline).
-	Expunged int
-	// Refills counts Next requests issued to top a site's slot back up
-	// after its representative was popped (broadcast or expunged).
-	Refills int
-	// PrunedLocal sums local skyline tuples discarded by feedback pruning
-	// across all sites.
-	PrunedLocal int
 	// Elapsed is the total query duration.
 	Elapsed time.Duration
 	// Progress traces cumulative cost per reported tuple.
 	Progress []ProgressPoint
-	// PerSite breaks Shipped/Pruned down by site index.
-	PerSite []SiteTally
-	// FeedbackLocal records, in broadcast order, the home-site local
-	// skyline probability of every feedback tuple. Under plain DSUD with
-	// the algorithm's own selection rule this sequence is non-increasing
-	// (sites ship in descending order and refills only add values no
-	// larger than the popped head) — the invariant the online auditor
-	// spot-checks.
-	FeedbackLocal []float64
 	// Curve is the delivery-curve digest (checkpointed (t, k) pairs,
 	// normalized progress AUCs, per-site delivered counts); Run always
-	// populates it. Nil when the report came from a peer that predates
-	// it — gob omits nil pointers, so old and new coordinators
-	// interoperate.
+	// populates it.
 	Curve *progress.Digest `json:"curve,omitempty"`
 	// Source records how the answer was produced: a protocol round (the
 	// zero value), a materialized prefix read, or a materialized read

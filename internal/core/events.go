@@ -1,107 +1,39 @@
 package core
 
-import (
-	"fmt"
+import "repro/internal/round"
 
-	"repro/internal/uncertain"
+// The protocol vocabulary — phases, events, per-site tallies — belongs to
+// the round engine, which emits it; core and dsq re-export it so callers
+// name one package.
+type (
+	// Phase names one coordinator-side phase of the §5.2 protocol loop.
+	Phase = round.Phase
+	// EventKind labels one step of the DSUD/e-DSUD protocol.
+	EventKind = round.EventKind
+	// Event is one protocol step, delivered synchronously to
+	// Options.OnEvent.
+	Event = round.Event
+	// SiteTally is one site's slice of a query's cost.
+	SiteTally = round.SiteTally
 )
 
-// EventKind labels one step of the DSUD/e-DSUD protocol.
-type EventKind int
-
-// Protocol events, in the vocabulary of the paper's §4 phase names.
+// Protocol phases and events; internal/round documents each.
 const (
-	// EventToServer: a site shipped a representative to the coordinator.
-	EventToServer EventKind = iota + 1
-	// EventExpunge: e-DSUD discarded a queued tuple whose Corollary-2
-	// bound fell below the threshold, without broadcasting it.
-	EventExpunge
-	// EventBroadcast: the coordinator broadcast a feedback tuple to the
-	// other sites (Server-Delivery phase).
-	EventBroadcast
-	// EventPrune: sites discarded local skyline tuples in response to a
-	// feedback broadcast (Local-Pruning phase); Count carries the total.
-	EventPrune
-	// EventReport: a tuple's exact global probability qualified and it
-	// joined SKY(H).
-	EventReport
-	// EventReject: a broadcast tuple's exact global probability fell
-	// short of the threshold.
-	EventReject
-	// EventRefill: the home site of a popped (broadcast or expunged)
-	// tuple was asked for its next representative. Count is 1 when a
-	// representative arrived (followed by its own EventToServer) and 0
-	// when the site's local skyline is exhausted.
-	EventRefill
-	// EventFeedbackSelect: the coordinator picked the next feedback tuple
-	// from its queue (for e-DSUD, the maximum Corollary-2 bound in G).
-	// Prob carries the winning bound; exactly one per broadcast.
-	EventFeedbackSelect
+	PhaseToServer       = round.PhaseToServer
+	PhaseFeedbackSelect = round.PhaseFeedbackSelect
+	PhaseServerDelivery = round.PhaseServerDelivery
+	PhaseLocalPruning   = round.PhaseLocalPruning
+	numPhases           = round.NumPhases
+
+	EventToServer       = round.EventToServer
+	EventExpunge        = round.EventExpunge
+	EventBroadcast      = round.EventBroadcast
+	EventPrune          = round.EventPrune
+	EventReport         = round.EventReport
+	EventReject         = round.EventReject
+	EventRefill         = round.EventRefill
+	EventFeedbackSelect = round.EventFeedbackSelect
 )
 
-func (k EventKind) String() string {
-	switch k {
-	case EventToServer:
-		return "to-server"
-	case EventExpunge:
-		return "expunge"
-	case EventBroadcast:
-		return "broadcast"
-	case EventPrune:
-		return "prune"
-	case EventReport:
-		return "report"
-	case EventReject:
-		return "reject"
-	case EventRefill:
-		return "refill"
-	case EventFeedbackSelect:
-		return "feedback-select"
-	default:
-		return fmt.Sprintf("EventKind(%d)", int(k))
-	}
-}
-
-// Event is one protocol step, delivered synchronously to Options.OnEvent.
-// Events exist for observability — logging, tracing, teaching — and have
-// no effect on the computation.
-type Event struct {
-	Kind EventKind
-	// Iteration is the coordinator loop iteration (1-based; 0 for the
-	// initial To-Server phase).
-	Iteration int
-	// Site is the home site of the tuple involved (-1 when not
-	// applicable).
-	Site int
-	// Tuple is the tuple involved, when the event concerns one.
-	Tuple uncertain.Tuple
-	// Prob is the probability attached to the event: the local skyline
-	// probability for to-server, the Corollary-2 bound for expunge, and
-	// the exact global probability for report/reject.
-	Prob float64
-	// Count carries the pruned-tuple total for EventPrune.
-	Count int
-}
-
-// String renders the event as one trace line.
-func (e Event) String() string {
-	switch e.Kind {
-	case EventPrune:
-		return fmt.Sprintf("[%03d] prune: %d local skyline tuples dropped", e.Iteration, e.Count)
-	case EventRefill:
-		if e.Count == 0 {
-			return fmt.Sprintf("[%03d] refill site=%d exhausted", e.Iteration, e.Site)
-		}
-		return fmt.Sprintf("[%03d] refill site=%d", e.Iteration, e.Site)
-	default:
-		return fmt.Sprintf("[%03d] %s site=%d %s p=%.4g", e.Iteration, e.Kind, e.Site, e.Tuple, e.Prob)
-	}
-}
-
-// emit delivers an event to the trace and listener, if attached.
-func (o *Options) emit(e Event) {
-	o.Trace.observe(e)
-	if o.OnEvent != nil {
-		o.OnEvent(e)
-	}
-}
+// Phases lists every phase in protocol order, for iteration.
+func Phases() []Phase { return round.Phases() }

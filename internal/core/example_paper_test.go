@@ -20,6 +20,7 @@ type fakeSite struct {
 	threshold float64
 	sky       []transport.Representative
 	cross     func(id uncertain.TupleID) float64
+	pruned    int // session-cumulative, as the engine reports it
 }
 
 func (f *fakeSite) Handle(_ context.Context, req *transport.Request) (*transport.Response, error) {
@@ -44,7 +45,8 @@ func (f *fakeSite) Handle(_ context.Context, req *transport.Request) (*transport
 			kept = append(kept, s)
 		}
 		f.sky = kept
-		return &transport.Response{CrossProb: f.cross(feed.Tuple.ID), Pruned: pruned}, nil
+		f.pruned += pruned
+		return &transport.Response{CrossProb: f.cross(feed.Tuple.ID), Pruned: pruned, SessionPruned: f.pruned}, nil
 	default:
 		return nil, fmt.Errorf("fakeSite: unexpected kind %v", req.Kind)
 	}

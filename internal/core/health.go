@@ -75,7 +75,7 @@ func (c *Cluster) Health(ctx context.Context) []SiteHealth {
 // auditor's oracle input; it costs one baseline-query's worth of
 // bandwidth, which is why audits are sampled.
 func (c *Cluster) Partitions(ctx context.Context) (uncertain.DB, map[uncertain.TupleID]int, error) {
-	v := c.newView(nil)
+	v := c.newView(nil, 0, transport.Query{})
 	resps, err := v.broadcast(ctx, -1, &transport.Request{Kind: transport.KindShipAll})
 	if err != nil {
 		return nil, nil, err

@@ -6,21 +6,23 @@ import (
 	"strconv"
 
 	"repro/internal/obs"
+	"repro/internal/round"
 )
 
 // profLabels attributes CPU/heap/mutex profile samples to the query's
 // algorithm, protocol phase and query_id via runtime/pprof goroutine
-// labels. The labelled contexts are pre-built once per query, so phase
-// transitions inside the hot loop are a single SetGoroutineLabels call
-// — and goroutines spawned by broadcast inherit the current labels, so
-// the fan-out work is attributed to the phase that issued it.
+// labels. It subscribes to the step stream: the labelled contexts are
+// pre-built once per query, so a phase boundary inside the hot loop is a
+// single SetGoroutineLabels call — and goroutines spawned by a broadcast
+// inherit the current labels, so the fan-out work is attributed to the
+// phase that issued it.
 //
 // A nil *profLabels (profiling disabled, the production default) makes
-// every method a no-op: the query loop pays one pointer test and zero
-// allocations, guarded by TestProfLabelsZeroAllocWhenDisabled.
+// every method a no-op, guarded by TestProfLabelsZeroAllocWhenDisabled.
 type profLabels struct {
 	phase [numPhases]context.Context
 	base  context.Context
+	open  []Phase // phases begun and not yet ended, innermost last
 }
 
 // newProfLabels returns nil unless obs.SetProfiling(true) was called.
@@ -41,12 +43,23 @@ func newProfLabels(ctx context.Context, algo Algorithm, qid uint64) *profLabels 
 	return p
 }
 
-// enter tags the calling goroutine with phase ph's labels.
-func (p *profLabels) enter(ph Phase) {
+// step tags the calling goroutine with the innermost open phase's labels.
+// Between phases the last one's labels stay on.
+func (p *profLabels) step(s round.Step) {
 	if p == nil {
 		return
 	}
-	pprof.SetGoroutineLabels(p.phase[ph])
+	switch s.Kind {
+	case round.StepBegin:
+		p.open = append(p.open, s.Phase)
+	case round.StepEnd:
+		p.open = p.open[:len(p.open)-1]
+	default:
+		return
+	}
+	if n := len(p.open); n > 0 {
+		pprof.SetGoroutineLabels(p.phase[p.open[n-1]])
+	}
 }
 
 // exit restores the goroutine's pre-query labels.

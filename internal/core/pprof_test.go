@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/obs"
+	"repro/internal/round"
 )
 
 // With profiling off (the production default) the label path must be
@@ -21,10 +22,10 @@ func TestProfLabelsZeroAllocWhenDisabled(t *testing.T) {
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(1000, func() {
 		p := newProfLabels(ctx, EDSUD, 7)
-		p.enter(PhaseToServer)
-		p.enter(PhaseFeedbackSelect)
-		p.enter(PhaseServerDelivery)
-		p.enter(PhaseLocalPruning)
+		for _, ph := range [...]Phase{PhaseToServer, PhaseFeedbackSelect, PhaseServerDelivery, PhaseLocalPruning} {
+			p.step(round.Step{Kind: round.StepBegin, Phase: ph})
+			p.step(round.Step{Kind: round.StepEnd, Phase: ph})
+		}
 		p.exit()
 	})
 	if allocs != 0 {

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/obs/progress"
 )
 
@@ -176,6 +178,35 @@ func TestReportCurveAndLog(t *testing.T) {
 	}
 	if cluster.ProgressLog() != plog {
 		t.Error("ProgressLog accessor lost the attachment")
+	}
+}
+
+// The time-to-first-result window is fed from the always-on delivery
+// curve, so an untraced query lands one observation (it used to take a
+// trace to be counted).
+func TestUntracedQueryFeedsTTFRWindow(t *testing.T) {
+	parts, _ := makeWorkload(t, 500, 3, 3, gen.Independent, 3)
+	cluster, err := NewLocalCluster(parts, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	query, first := obs.NewWindow(time.Minute), obs.NewWindow(time.Minute)
+	cluster.SetLatencyWindows(query, first)
+	rep, err := Run(context.Background(), cluster, Options{Threshold: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Skyline) == 0 || rep.Curve.TTFirstNS <= 0 {
+		t.Fatalf("no first result to time: %d results, ttfr %d", len(rep.Skyline), rep.Curve.TTFirstNS)
+	}
+	snap := first.Snapshot()
+	if snap.Count != 1 || snap.Sum != time.Duration(rep.Curve.TTFirstNS) {
+		t.Errorf("ttfr window holds %d observations summing %v, want the curve's one (%v)",
+			snap.Count, snap.Sum, time.Duration(rep.Curve.TTFirstNS))
+	}
+	if n := query.Snapshot().Count; n != 1 {
+		t.Errorf("query window holds %d observations, want 1", n)
 	}
 }
 

@@ -61,8 +61,12 @@ func transcriptHeader(opts *Options, sid uint64, start time.Time, sites, dims in
 // transcript: the exact skyline (IDs and probabilities in the report's
 // sorted order), protocol tallies, bandwidth, and the deterministic
 // (tuple-count-based) delivery-curve AUC. AUCTime is wall-clock and
-// deliberately excluded — it cannot reproduce offline.
+// deliberately excluded — it cannot reproduce offline. A failed query
+// (nil rep) has no summary.
 func transcriptSummary(rep *Report) *codec.TranscriptSummary {
+	if rep == nil {
+		return nil
+	}
 	s := &codec.TranscriptSummary{
 		Results:      int64(len(rep.Skyline)),
 		Iterations:   int64(rep.Iterations),

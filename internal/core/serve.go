@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/progress"
+	"repro/internal/round"
 	"repro/internal/serve"
 	"repro/internal/uncertain"
 )
@@ -234,6 +234,7 @@ func (s *Server) Query(ctx context.Context, opts Options) (*Report, error) {
 	start := time.Now()
 	opts.Trace.begin(start)
 	defer opts.Trace.finish()
+	o := observer{c: s.cluster, opts: &opts, start: start}
 
 	source := SourceMaterialized
 	if s.store.Fresh(start, s.maxStale) {
@@ -243,42 +244,21 @@ func (s *Server) Query(ctx context.Context, opts Options) (*Report, error) {
 		// round. The executor's context drives the round; joiners wait
 		// for it and then read the same replaced store.
 		s.miss()
-		err, shared := s.group.Do(s.key, func() error { return s.refreshRound(ctx) })
-		if shared {
-			s.coalesced.Add(1)
-			s.cCoalesced.Inc()
-		}
-		if err != nil {
-			opts.logQuery(nil, err, time.Since(start))
-			return nil, err
+		if err := s.Refresh(ctx); err != nil {
+			return o.finish(nil, err)
 		}
 		source = SourceRefreshed
 	}
-	rep := s.servePrefix(&opts, source, start)
+	rep, err := o.finish(s.servePrefix(&o, source), nil)
 	s.window.Observe(rep.Elapsed)
-	opts.logQuery(rep, nil, rep.Elapsed)
-	return rep, nil
+	return rep, err
 }
 
 // QueryWithStats is Query plus a populated QueryStats (attaching a
 // private trace when opts.Trace is nil, exactly like the cluster
 // method).
 func (s *Server) QueryWithStats(ctx context.Context, opts Options) (*Report, *QueryStats, error) {
-	opts = opts.withDefaults()
-	if opts.Trace == nil {
-		opts.Trace = NewTrace()
-	}
-	rep, err := s.Query(ctx, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rep, &QueryStats{
-		Algorithm: opts.Algorithm,
-		Trace:     opts.Trace.Summary(),
-		Bandwidth: rep.Bandwidth,
-		Curve:     rep.Curve,
-		Source:    rep.Source,
-	}, nil
+	return withStats(opts, func(opts Options) (*Report, error) { return s.Query(ctx, opts) })
 }
 
 // protocol runs a full round on the underlying cluster.
@@ -299,11 +279,14 @@ func (s *Server) refreshRound(ctx context.Context) error {
 }
 
 // servePrefix is the materialized read: one sorted-prefix scan of the
-// store, delivered progressively in report order with synthetic
-// provenance (delivery ordinals, home sites, PhaseServerDelivery). The
-// report carries zero Bandwidth — no protocol traffic ran for this
-// query — and Source records how the answer was produced.
-func (s *Server) servePrefix(opts *Options, source Source, start time.Time) *Report {
+// store, delivered progressively in report order through the same
+// observer a protocol round reports to, as one synthetic server-delivery
+// phase (so results carry delivery ordinals, home sites and
+// PhaseServerDelivery). The report carries zero Bandwidth — no protocol
+// traffic ran for this query — and Source records how the answer was
+// produced.
+func (s *Server) servePrefix(o *observer, source Source) *Report {
+	opts := o.opts
 	entries, _ := s.store.Prefix(opts.Threshold)
 	limit := len(entries)
 	// The store is sorted by descending probability, so both result
@@ -314,45 +297,19 @@ func (s *Server) servePrefix(opts *Options, source Source, start time.Time) *Rep
 	if opts.MaxResults > 0 && opts.MaxResults < limit {
 		limit = opts.MaxResults
 	}
-	entries = entries[:limit]
-
-	rep := &Report{
-		Skyline:  make([]uncertain.SkylineMember, 0, limit),
-		Sites:    make(map[uncertain.TupleID]int, limit),
-		Progress: make([]ProgressPoint, 0, limit),
-		Source:   source,
-	}
-	var curve progress.Builder
-	sp := opts.Trace.StartSpan(PhaseServerDelivery)
-	for i, e := range entries {
+	rep := &Report{Source: source}
+	rep.Skyline = make([]uncertain.SkylineMember, 0, limit)
+	rep.Sites = make(map[uncertain.TupleID]int, limit)
+	o.points = make([]ProgressPoint, 0, limit)
+	o.step(round.Step{Kind: round.StepBegin, Phase: PhaseServerDelivery})
+	for _, e := range entries[:limit] {
 		rep.Skyline = append(rep.Skyline, e.Member)
 		rep.Sites[e.Member.Tuple.ID] = e.Site
-		elapsed := time.Since(start)
-		rep.Progress = append(rep.Progress, ProgressPoint{Reported: i + 1, Elapsed: elapsed})
-		curve.Observe(e.Site, elapsed, 0)
-		opts.emit(Event{Kind: EventReport, Site: e.Site, Tuple: e.Member.Tuple, Prob: e.Member.Prob})
-		if opts.OnResult != nil {
-			opts.OnResult(Result{
-				Tuple:      e.Member.Tuple,
-				GlobalProb: e.Member.Prob,
-				Site:       e.Site,
-				Index:      i + 1,
-				Phase:      PhaseServerDelivery,
-			})
-		}
+		o.step(round.Step{Phase: PhaseServerDelivery, Event: Event{
+			Kind: EventReport, Site: e.Site, Tuple: e.Member.Tuple, Prob: e.Member.Prob,
+		}})
 	}
-	sp.End()
-	rep.Elapsed = time.Since(start)
-	d := &progress.Digest{
-		QueryID:   opts.Trace.ID(),
-		Algorithm: source.String(),
-		Threshold: opts.Threshold,
-		Start:     start.UnixNano(),
-		Slow:      opts.SlowQuery > 0 && rep.Elapsed >= opts.SlowQuery,
-		Sites:     int32(s.cluster.Sites()),
-	}
-	curve.Finish(d, rep.Elapsed, 0)
-	rep.Curve = d
+	o.step(round.Step{Kind: round.StepEnd, Phase: PhaseServerDelivery})
 	return rep
 }
 

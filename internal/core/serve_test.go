@@ -12,6 +12,9 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/geom"
+	"repro/internal/obs"
+	"repro/internal/obs/flight"
+	"repro/internal/obs/progress"
 	"repro/internal/transport"
 	"repro/internal/uncertain"
 )
@@ -115,6 +118,47 @@ func TestServedReportBandwidthZero(t *testing.T) {
 	}
 	if fstats.Source != SourceProtocol {
 		t.Fatalf("protocol stats source: got %v", fstats.Source)
+	}
+}
+
+// A materialized read completes through the same path as a protocol
+// round, so the per-query sinks see it: one digest in the progress log
+// and one flight record, both named by the read's source, and a
+// time-to-first-result observation — while the query-latency window
+// stays the protocol path's (Server.window owns served latency).
+func TestServedReadReachesQuerySinks(t *testing.T) {
+	ctx := context.Background()
+	cluster, server := newTestServer(t, 300, 2, 3, 5, ServeConfig{Floor: 0.3})
+	plog, fr := progress.NewLog(8), flight.New(8)
+	cluster.SetProgressLog(plog)
+	cluster.SetFlightRecorder(fr)
+	query, first := obs.NewWindow(time.Minute), obs.NewWindow(time.Minute)
+	cluster.SetLatencyWindows(query, first)
+
+	rep, err := server.Query(ctx, Options{Threshold: 0.4, Mode: ModeMaterialized})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Skyline) == 0 {
+		t.Fatal("served read returned nothing; pick a different seed")
+	}
+	if plog.Total() != 1 {
+		t.Fatalf("progress log holds %d digests after a served read, want 1", plog.Total())
+	}
+	if d := plog.Snapshot()[0]; d.Algorithm != "materialized" || int(d.Results) != len(rep.Skyline) || d.TuplesTotal != 0 {
+		t.Errorf("served digest %+v", d)
+	}
+	if fr.Total() != 1 {
+		t.Fatalf("flight recorder holds %d records after a served read, want 1", fr.Total())
+	}
+	if r := fr.Snapshot()[0]; r.Algorithm != "materialized" || r.Results != len(rep.Skyline) || r.Session != 0 || r.Messages != 0 {
+		t.Errorf("served flight record %+v", r)
+	}
+	if n := first.Snapshot().Count; n != 1 {
+		t.Errorf("time-to-first-result window holds %d observations, want 1", n)
+	}
+	if n := query.Snapshot().Count; n != 0 {
+		t.Errorf("query-latency window holds %d observations of a served read, want 0", n)
 	}
 }
 

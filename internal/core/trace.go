@@ -10,48 +10,8 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/obs"
+	"repro/internal/round"
 )
-
-// Phase names the coordinator-side phases of the §5.2 protocol loop, for
-// per-query span timing.
-type Phase int
-
-// Protocol phases, in the paper's vocabulary.
-const (
-	// PhaseToServer covers shipping representatives up: the Init broadcast
-	// and every Next refill.
-	PhaseToServer Phase = iota
-	// PhaseFeedbackSelect covers the coordinator's candidate bookkeeping:
-	// Corollary-2 bound recomputation, the expunge
-	// sweep (minus its nested refills) and the feedback selection itself.
-	PhaseFeedbackSelect
-	// PhaseServerDelivery covers the Evaluate broadcast round trips.
-	PhaseServerDelivery
-	// PhaseLocalPruning covers aggregating the sites' eq. 9 factors and
-	// prune counts and settling the verdict (report or reject).
-	PhaseLocalPruning
-	numPhases
-)
-
-func (p Phase) String() string {
-	switch p {
-	case PhaseToServer:
-		return "to-server"
-	case PhaseFeedbackSelect:
-		return "feedback-select"
-	case PhaseServerDelivery:
-		return "server-delivery"
-	case PhaseLocalPruning:
-		return "local-pruning"
-	default:
-		return fmt.Sprintf("Phase(%d)", int(p))
-	}
-}
-
-// Phases lists every phase in protocol order, for iteration.
-func Phases() []Phase {
-	return []Phase{PhaseToServer, PhaseFeedbackSelect, PhaseServerDelivery, PhaseLocalPruning}
-}
 
 // PhaseStat accumulates the spans attributed to one phase.
 type PhaseStat struct {
@@ -62,8 +22,9 @@ type PhaseStat struct {
 }
 
 // Trace collects one query's timing and protocol tallies. Attach a fresh
-// (or reused) Trace via Options.Trace; Run resets it at query start,
-// feeds it every Event, and the phase spans accrue as the loop executes.
+// (or reused) Trace via Options.Trace; Run resets it at query start and
+// subscribes it to the round engine's step stream: events feed the
+// tallies, phase begins and ends open and close the spans.
 // All methods are safe for concurrent use, so Summary can be read from
 // another goroutine while the query is still running (live
 // introspection). A nil *Trace is inert: every method no-ops, and the
@@ -75,9 +36,11 @@ type Trace struct {
 	end     time.Time // zero until the query finishes
 	phases  [numPhases]PhaseStat
 	tallies map[EventKind]int
-	// iterations mirrors the highest Iteration stamp seen on any event.
-	iterations  int
-	prunedLocal int
+	tally   round.Tally
+	// open is the stack of phases begun and not yet ended, innermost
+	// last. Only the innermost clock runs, so a refill triggered
+	// mid-expunge is charged to to-server and not to the selection phase.
+	open []openSpan
 	// reports holds the offset from query start of every EventReport, in
 	// arrival order — the raw series behind time-to-first / time-to-k-th.
 	reports []time.Duration
@@ -97,6 +60,14 @@ type Trace struct {
 	offsets  map[int]time.Duration
 	dropped  int
 	badBlobs int
+}
+
+// openSpan is one phase interval in flight: wall0 is when it opened, t0
+// when its clock last started, acc what the clock had accrued by then.
+type openSpan struct {
+	phase     Phase
+	wall0, t0 time.Time
+	acc       time.Duration
 }
 
 // spanKey identifies one site span for deduplication.
@@ -125,8 +96,8 @@ func (t *Trace) begin(start time.Time) {
 	t.end = time.Time{}
 	t.phases = [numPhases]PhaseStat{}
 	t.tallies = make(map[EventKind]int)
-	t.iterations = 0
-	t.prunedLocal = 0
+	t.tally = round.Tally{}
+	t.open = t.open[:0]
 	t.reports = t.reports[:0]
 	t.traceID = obs.NewSpanID()
 	t.rootID = obs.NewSpanID()
@@ -147,45 +118,54 @@ func (t *Trace) finish() {
 	t.end = time.Now()
 }
 
-// observe ingests one protocol event (called from Options.emit).
-func (t *Trace) observe(e Event) {
+// step ingests one step of the query (the subscriber side of the round
+// engine's stream). A phase's Total is the time it was the innermost open
+// phase: a nested begin stops the outer clock and its end restarts it,
+// while the timeline span keeps the whole wall interval (the timeline
+// shows when the phase was open; the totals show attributable work).
+func (t *Trace) step(s round.Step) {
 	if t == nil {
 		return
 	}
+	var now time.Time
+	if s.Kind != round.StepEvent || s.Event.Kind == EventReport {
+		now = time.Now()
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.tallies == nil {
-		t.tallies = make(map[EventKind]int)
+	t.tally.Observe(s)
+	last := len(t.open) - 1
+	switch s.Kind {
+	case round.StepBegin:
+		if last >= 0 {
+			t.open[last].acc += now.Sub(t.open[last].t0)
+		}
+		t.open = append(t.open, openSpan{phase: s.Phase, wall0: now, t0: now})
+	case round.StepEnd:
+		sp := t.open[last]
+		t.open = t.open[:last]
+		t.phases[sp.phase].Spans++
+		t.phases[sp.phase].Total += sp.acc + now.Sub(sp.t0)
+		t.record(obs.SpanRecord{
+			ID:     obs.NewSpanID(),
+			Parent: t.rootID,
+			Name:   sp.phase.String(),
+			Site:   obs.CoordinatorSite,
+			Start:  sp.wall0.UnixNano(),
+			End:    now.UnixNano(),
+		})
+		if last > 0 {
+			t.open[last-1].t0 = now
+		}
+	default:
+		if t.tallies == nil {
+			t.tallies = make(map[EventKind]int)
+		}
+		t.tallies[s.Event.Kind]++
+		if s.Event.Kind == EventReport {
+			t.reports = append(t.reports, now.Sub(t.start))
+		}
 	}
-	t.tallies[e.Kind]++
-	if e.Iteration > t.iterations {
-		t.iterations = e.Iteration
-	}
-	switch e.Kind {
-	case EventPrune:
-		t.prunedLocal += e.Count
-	case EventReport:
-		t.reports = append(t.reports, time.Since(t.start))
-	}
-}
-
-// endSpan credits the span's accumulated time to its phase and records
-// its wall interval on the timeline. The wall interval includes paused
-// stretches (the timeline shows when the phase was open; the PhaseStat
-// totals show attributable work).
-func (t *Trace) endSpan(s *Span) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.phases[s.phase].Spans++
-	t.phases[s.phase].Total += s.acc
-	t.record(obs.SpanRecord{
-		ID:     s.id,
-		Parent: t.rootID,
-		Name:   s.phase.String(),
-		Site:   obs.CoordinatorSite,
-		Start:  s.wall0.UnixNano(),
-		End:    time.Now().UnixNano(),
-	})
 }
 
 // record appends one completed span to the timeline. Called with t.mu
@@ -281,60 +261,6 @@ func (t *Trace) MergeSiteSpans(site int, batch *obs.SpanBatch, sent, recv time.T
 	}
 }
 
-// Span is one in-flight phase interval. The zero/nil Span is inert, so
-// callers never branch: tr.StartSpan(...).End() is correct whether or not
-// tr is nil. Pause/Resume exclude nested foreign-phase work (e.g. the
-// refills triggered mid-expunge) from the measurement.
-type Span struct {
-	tr      *Trace
-	phase   Phase
-	id      uint64
-	wall0   time.Time
-	t0      time.Time
-	acc     time.Duration
-	running bool
-}
-
-// StartSpan opens a span against phase p; nil traces return a nil span.
-func (t *Trace) StartSpan(p Phase) *Span {
-	if t == nil {
-		return nil
-	}
-	now := time.Now()
-	return &Span{tr: t, phase: p, id: obs.NewSpanID(), wall0: now, t0: now, running: true}
-}
-
-// Pause suspends the clock (no-op when nil or already paused).
-func (s *Span) Pause() {
-	if s == nil || !s.running {
-		return
-	}
-	s.acc += time.Since(s.t0)
-	s.running = false
-}
-
-// Resume restarts the clock (no-op when nil or already running).
-func (s *Span) Resume() {
-	if s == nil || s.running {
-		return
-	}
-	s.t0 = time.Now()
-	s.running = true
-}
-
-// End closes the span and credits the accumulated time to its phase.
-// Idempotent: a second End adds nothing.
-func (s *Span) End() {
-	if s == nil {
-		return
-	}
-	s.Pause()
-	if s.tr != nil {
-		s.tr.endSpan(s)
-		s.tr = nil
-	}
-}
-
 // TraceSummary is a point-in-time copy of a Trace. Phase totals need not
 // sum to Elapsed: spans measure the coordinator's attributable work, and
 // untimed glue (sorting the final answer, context plumbing) falls outside
@@ -395,8 +321,8 @@ func (t *Trace) Summary() TraceSummary {
 	defer t.mu.Unlock()
 	s := TraceSummary{
 		Done:         !t.end.IsZero(),
-		Iterations:   t.iterations,
-		PrunedLocal:  t.prunedLocal,
+		Iterations:   t.tally.Iterations,
+		PrunedLocal:  t.tally.PrunedLocal,
 		Events:       make(map[EventKind]int, len(t.tallies)),
 		ReportTimes:  append([]time.Duration(nil), t.reports...),
 		TraceID:      t.traceID,

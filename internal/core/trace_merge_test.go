@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/obs"
+	"repro/internal/round"
 )
 
 // startedTrace returns a trace armed as Run would arm it.
@@ -153,17 +154,15 @@ func TestMergeSiteSpansTimelineCap(t *testing.T) {
 }
 
 // An unsampled query must not pay for tracing: the context fast path and
-// the inert span path allocate nothing.
+// the inert step path allocate nothing.
 func TestUnsampledZeroAllocations(t *testing.T) {
 	var tr *Trace // nil trace = sampling off
 	if allocs := testing.AllocsPerRun(100, func() {
 		if tc := tr.context(); tc.Traced() {
 			t.Fatal("nil trace sampled")
 		}
-		sp := tr.StartSpan(PhaseToServer)
-		sp.Pause()
-		sp.Resume()
-		sp.End()
+		tr.step(round.Step{Kind: round.StepBegin, Phase: PhaseToServer})
+		tr.step(round.Step{Kind: round.StepEnd, Phase: PhaseToServer})
 	}); allocs != 0 {
 		t.Fatalf("unsampled span path allocates %v per run", allocs)
 	}

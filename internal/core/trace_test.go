@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/gen"
+	"repro/internal/round"
 	"repro/internal/transport"
 )
 
@@ -256,20 +257,15 @@ func TestConcurrentTracesNeverInterleave(t *testing.T) {
 	}
 }
 
-// TestNilTraceIsInert exercises the disabled path: nil traces and spans
-// must no-op everywhere.
+// TestNilTraceIsInert exercises the disabled path: a nil trace must
+// no-op everywhere.
 func TestNilTraceIsInert(t *testing.T) {
 	var tr *Trace
 	tr.begin(time.Now())
-	tr.observe(Event{Kind: EventReport})
+	tr.step(round.Step{Kind: round.StepBegin, Phase: PhaseToServer})
+	tr.step(round.Step{Event: Event{Kind: EventReport}})
+	tr.step(round.Step{Kind: round.StepEnd, Phase: PhaseToServer})
 	tr.finish()
-	sp := tr.StartSpan(PhaseToServer)
-	if sp != nil {
-		t.Fatal("nil trace must hand out nil spans")
-	}
-	sp.Pause()
-	sp.Resume()
-	sp.End()
 	sum := tr.Summary()
 	if sum.Elapsed != 0 || len(sum.Events) != 0 {
 		t.Fatalf("nil trace summary not empty: %+v", sum)
@@ -277,22 +273,25 @@ func TestNilTraceIsInert(t *testing.T) {
 }
 
 // TestSpanPauseExcludesForeignWork checks the accounting primitive the
-// expunge loop relies on.
+// expunge loop relies on: a phase nested inside another stops the outer
+// phase's clock.
 func TestSpanPauseExcludesForeignWork(t *testing.T) {
 	tr := NewTrace()
 	tr.begin(time.Now())
-	sp := tr.StartSpan(PhaseFeedbackSelect)
-	sp.Pause()
+	tr.step(round.Step{Kind: round.StepBegin, Phase: PhaseFeedbackSelect})
+	tr.step(round.Step{Kind: round.StepBegin, Phase: PhaseToServer})
 	time.Sleep(20 * time.Millisecond) // foreign work, must not be charged
-	sp.Resume()
-	sp.End()
-	sp.End() // idempotent
+	tr.step(round.Step{Kind: round.StepEnd, Phase: PhaseToServer})
+	tr.step(round.Step{Kind: round.StepEnd, Phase: PhaseFeedbackSelect})
 	sum := tr.Summary()
 	st := sum.Phases[PhaseFeedbackSelect]
 	if st.Spans != 1 {
-		t.Fatalf("spans = %d, want 1 (End must be idempotent)", st.Spans)
+		t.Fatalf("spans = %d, want 1", st.Spans)
 	}
 	if st.Total > 10*time.Millisecond {
-		t.Fatalf("span charged %v; the paused sleep leaked into the phase", st.Total)
+		t.Fatalf("span charged %v; the nested sleep leaked into the phase", st.Total)
+	}
+	if got := sum.Phases[PhaseToServer].Total; got < 20*time.Millisecond {
+		t.Fatalf("nested phase charged %v, want the whole sleep", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/round"
 	"repro/internal/transport"
 	"repro/internal/uncertain"
 )
@@ -84,9 +85,7 @@ func (m *Maintainer) Answer() ([]uncertain.SkylineMember, []int) {
 
 // maintQuery carries the maintainer's threshold and subspace on update
 // requests (maintenance is independent of query sessions).
-func (m *Maintainer) maintQuery() transport.Query {
-	return transport.Query{Threshold: m.opts.Threshold, Dims: m.opts.Dims}
-}
+func (m *Maintainer) maintQuery() transport.Query { return m.view.query }
 
 // NewMaintainer runs the initial query (with opts.Algorithm, defaulting to
 // e-DSUD) and returns a maintainer holding the live answer. The Baseline
@@ -103,7 +102,7 @@ func NewMaintainer(ctx context.Context, c *Cluster, opts Options) (*Maintainer, 
 	}
 	m := &Maintainer{
 		cluster: c,
-		view:    c.newView(nil),
+		view:    c.newView(nil, 0, transport.Query{Threshold: opts.Threshold, Dims: opts.Dims}),
 		opts:    opts,
 		sky:     make(map[uncertain.TupleID]uncertain.SkylineMember, len(rep.Skyline)),
 		sites:   make(map[uncertain.TupleID]int, len(rep.Skyline)),
@@ -353,23 +352,16 @@ func (m *Maintainer) Refresh(ctx context.Context) error {
 }
 
 // globalProb evaluates Lemma 1 for one tuple whose home-site local
-// probability is already known.
+// probability is already known: the round engine's Evaluate broadcast and
+// fold, outside any query session.
 func (m *Maintainer) globalProb(ctx context.Context, home int, tu uncertain.Tuple, local float64) (float64, error) {
-	resps, err := m.view.broadcast(ctx, home, &transport.Request{
-		Kind:  transport.KindEvaluate,
-		Feed:  transport.Feedback{Tuple: tu, HomeLocalProb: local},
-		Query: m.maintQuery(),
+	evals, err := m.view.Broadcast(ctx, home, round.Request{
+		Op: round.OpEvaluate, Feed: round.Representative{Tuple: tu, LocalProb: local},
 	})
 	if err != nil {
 		return 0, err
 	}
-	global := local
-	for i, resp := range resps {
-		if i == home || resp == nil {
-			continue
-		}
-		global *= resp.CrossProb
-	}
+	global, _ := round.Fold(local, home, evals, nil)
 	return global, nil
 }
 

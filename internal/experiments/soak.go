@@ -78,10 +78,9 @@ type SoakOptions struct {
 	Seed int64
 	// Window, when set, observes every request's scheduled-arrival
 	// latency — the feed for live quantile exposition and SLO objectives
-	// in dsud-loadgen. FirstWindow, when set, additionally traces every
-	// query and observes its time-to-first-result.
-	Window      *obs.Window
-	FirstWindow *obs.Window
+	// in dsud-loadgen. (Time-to-first-result needs no option here: the
+	// cluster's own window, Cluster.SetLatencyWindows, sees every query.)
+	Window *obs.Window
 	// UpdateWindow, when set, observes every incremental update's
 	// (insert/delete maintenance) end-to-end latency. UpdateMetrics,
 	// when set, registers the dsud_update_* counters on it. Both only
@@ -407,9 +406,6 @@ func soakIteration(ctx context.Context, cluster *core.Cluster, opts SoakOptions,
 				if opts.Server != nil {
 					qopts.Mode = opts.Mode
 				}
-				if opts.FirstWindow != nil {
-					qopts.Trace = core.NewTrace()
-				}
 				doAudit := opts.Auditor.ShouldAudit()
 				if doAudit {
 					quiesce.RLock()
@@ -427,11 +423,6 @@ func soakIteration(ctx context.Context, cluster *core.Cluster, opts SoakOptions,
 				tally.record(lat, err)
 				if err == nil {
 					opts.Window.Observe(lat)
-					if opts.FirstWindow != nil {
-						if ttf := qopts.Trace.Summary().TimeToFirst(); ttf > 0 {
-							opts.FirstWindow.Observe(ttf)
-						}
-					}
 					if doAudit {
 						// Audit failures are operational errors; invariant
 						// violations are counted by the auditor itself and

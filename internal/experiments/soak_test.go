@@ -143,6 +143,7 @@ func TestSoakEndToEnd(t *testing.T) {
 
 	win := obs.NewWindow(obs.DefWindowWidth)
 	first := obs.NewWindow(obs.DefWindowWidth)
+	cluster.SetLatencyWindows(nil, first)
 	var logged int
 	res, err := Soak(context.Background(), cluster, SoakOptions{
 		RPS:            60,
@@ -152,7 +153,6 @@ func TestSoakEndToEnd(t *testing.T) {
 		Profile:        ProfileBurst,
 		UpdateFraction: 0.2,
 		Window:         win,
-		FirstWindow:    first,
 		Logf:           func(string, ...any) { logged++ },
 	})
 	if err != nil {

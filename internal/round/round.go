@@ -1,0 +1,455 @@
+// Package round is the paper's §5 in code: the coordinator side of the
+// shipping Baseline (§3.2), DSUD (§5.1) and e-DSUD (§5.2) as one
+// deterministic engine. Sites go in behind a three-method interface, the
+// options that change the algorithm go in beside them, every step the
+// algorithm takes comes out through one synchronous callback, and the
+// Outcome is a pure function of the sites' replies. The engine keeps no
+// clock, no log and no metric: whatever watches a query — timing,
+// profiling labels, delivery curves, the progressive result stream —
+// subscribes to the step stream from internal/core, and make check fails
+// if this package comes to depend on the observability tree.
+package round
+
+import (
+	"context"
+
+	"repro/internal/prtree"
+	"repro/internal/uncertain"
+)
+
+// Op names the requests the algorithms send to sites.
+type Op int
+
+// Site operations.
+const (
+	OpInit     Op = iota + 1 // open the query, ship the first representative (§4 step 1)
+	OpNext                   // ship the next representative
+	OpEvaluate               // return the eq. 9 factor of Request.Feed and prune against it
+	OpShipAll                // ship the whole partition (the Baseline)
+)
+
+// Representative is the paper's quaternion <t, P(t), P_sky(t, D_i)>: a
+// tuple and its skyline probability at its home site.
+type Representative struct {
+	Tuple     uncertain.Tuple
+	LocalProb float64
+}
+
+// Request is one message to a site; Feed is OpEvaluate's feedback tuple.
+type Request struct {
+	Op   Op
+	Feed Representative
+}
+
+// Response is a site's reply.
+type Response struct {
+	// Rep is the site's next representative, unless its local skyline is
+	// Exhausted (OpInit, OpNext).
+	Rep       Representative
+	Exhausted bool
+	// CrossProb is the eq. 9 factor of the feedback tuple at this site,
+	// Pruned what the feedback pruned there, SessionPruned the site's
+	// running total for the query, exact under retries (OpEvaluate).
+	CrossProb     float64
+	Pruned        int
+	SessionPruned int
+	// Tuples is the site's partition (OpShipAll).
+	Tuples uncertain.DB
+}
+
+// Sites is the engine's whole view of the cluster. Implementations bind
+// the query's session, threshold and subspace to the messages.
+type Sites interface {
+	// Len is the number of sites; they are indexed from 0.
+	Len() int
+	// Call sends req to one site.
+	Call(ctx context.Context, site int, req Request) (Response, error)
+	// Broadcast sends req to every site except skip (to all when skip is
+	// negative) and returns the replies indexed by site, the zero
+	// Response at skip. The slice is the implementation's to reuse: it is
+	// valid until the next Broadcast.
+	Broadcast(ctx context.Context, skip int, req Request) ([]Response, error)
+}
+
+// Options are the settings that change what the algorithm does.
+type Options struct {
+	// Threshold is the paper's q; Dims restricts dominance to a subspace
+	// (nil = full space).
+	Threshold float64
+	Dims      []int
+	// Enhanced selects e-DSUD: the Corollary-2 bounds drive the feedback
+	// selection and the expunge-without-broadcast rule. False is DSUD,
+	// whose feedback is the queue head by local skyline probability.
+	Enhanced bool
+	// RoundRobin cycles the feedback through the sites regardless of
+	// bounds, and DisableExpunge keeps e-DSUD from dropping candidates
+	// below q; both are ablation controls.
+	RoundRobin     bool
+	DisableExpunge bool
+	// MaxResults stops the run after that many reports. TopK keeps the K
+	// most probable answers, raising the working threshold to the K-th
+	// best confirmed probability.
+	MaxResults int
+	TopK       int
+}
+
+// SiteTally is one site's slice of a run's cost.
+type SiteTally struct {
+	// Shipped counts representatives the site sent up (Init plus
+	// refills; for the Baseline, its whole partition).
+	Shipped int64
+	// Pruned counts local skyline tuples the site discarded under
+	// Observation-2 feedback pruning.
+	Pruned int64
+}
+
+// Outcome is what a run computed.
+type Outcome struct {
+	// Skyline holds the qualified tuples with their exact global skyline
+	// probabilities, sorted by descending probability and cut to TopK.
+	Skyline []uncertain.SkylineMember
+	// Sites maps each reported tuple ID to its home site index.
+	Sites map[uncertain.TupleID]int
+	Tally
+	// PerSite breaks Shipped/Pruned down by site index.
+	PerSite []SiteTally
+	// FeedbackLocal records, in broadcast order, the home-site local
+	// skyline probability of every feedback tuple. Under plain DSUD with
+	// the algorithm's own selection rule this sequence is non-increasing
+	// (sites ship in descending order and refills only add values no
+	// larger than the popped head) — the invariant the online auditor
+	// spot-checks.
+	FeedbackLocal []float64
+}
+
+// Fold is Lemma 1: the global skyline probability of a tuple is its
+// home-site local probability times every other site's eq. 9 factor. It
+// also sums what the feedback pruned and, when perSite is non-nil, copies
+// each site's running prune total into it.
+func Fold(local float64, home int, evals []Response, perSite []SiteTally) (global float64, pruned int) {
+	global = local
+	for i, r := range evals {
+		if i == home {
+			continue
+		}
+		global *= r.CrossProb
+		pruned += r.Pruned
+		if perSite != nil {
+			perSite[i].Pruned = int64(r.SessionPruned)
+		}
+	}
+	return global, pruned
+}
+
+// engine is the state of one run.
+type engine struct {
+	sites Sites
+	opts  Options
+	on    func(Step)
+	out   *Outcome
+	open  []Phase  // phases begun and not yet ended, innermost last
+	queue []queued // each site's current representative
+}
+
+func newEngine(sites Sites, opts Options, on func(Step)) *engine {
+	return &engine{sites: sites, opts: opts, on: on, out: &Outcome{
+		Sites:   make(map[uncertain.TupleID]int),
+		PerSite: make([]SiteTally, sites.Len()),
+	}}
+}
+
+func (e *engine) step(s Step) {
+	e.out.Observe(s)
+	if e.on != nil {
+		e.on(s)
+	}
+}
+
+func (e *engine) begin(p Phase) {
+	e.open = append(e.open, p)
+	e.step(Step{Kind: StepBegin, Phase: p})
+}
+
+func (e *engine) end() {
+	last := len(e.open) - 1
+	e.step(Step{Kind: StepEnd, Phase: e.open[last]})
+	e.open = e.open[:last]
+}
+
+// event stamps ev with the current iteration and phase and emits it.
+func (e *engine) event(ev Event) {
+	ev.Iteration = e.out.Iterations
+	e.step(Step{Phase: e.open[len(e.open)-1], Event: ev})
+}
+
+// report admits one qualified tuple and says whether MaxResults is met.
+func (e *engine) report(site int, m uncertain.SkylineMember) (full bool) {
+	e.out.Skyline = append(e.out.Skyline, m)
+	e.out.Sites[m.Tuple.ID] = site
+	e.event(Event{Kind: EventReport, Site: site, Tuple: m.Tuple, Prob: m.Prob})
+	return e.opts.MaxResults > 0 && len(e.out.Skyline) >= e.opts.MaxResults
+}
+
+// finish puts the answer in report order and applies the TopK cut.
+func (e *engine) finish() *Outcome {
+	uncertain.SortMembers(e.out.Skyline)
+	if e.opts.TopK > 0 && len(e.out.Skyline) > e.opts.TopK {
+		e.out.Skyline = e.out.Skyline[:e.opts.TopK]
+	}
+	return e.out
+}
+
+// Baseline ships every partition to the coordinator and solves eq. 5
+// centrally over a bulk-loaded PR-tree. The central solve is its analogue
+// of local pruning.
+func Baseline(ctx context.Context, sites Sites, opts Options, on func(Step)) (*Outcome, error) {
+	e := newEngine(sites, opts, on)
+	e.begin(PhaseToServer)
+	resps, err := sites.Broadcast(ctx, -1, Request{Op: OpShipAll})
+	e.end()
+	if err != nil {
+		return nil, err
+	}
+	e.begin(PhaseLocalPruning)
+	var union uncertain.DB
+	home := make(map[uncertain.TupleID]int)
+	for i, resp := range resps {
+		e.out.PerSite[i].Shipped = int64(len(resp.Tuples))
+		union = append(union, resp.Tuples...)
+		for _, tu := range resp.Tuples {
+			home[tu.ID] = i
+		}
+	}
+	if len(union) > 0 {
+		index := prtree.Bulk(union, len(union[0].Point), 0)
+		index.LocalSkylineFunc(opts.Threshold, opts.Dims, func(m uncertain.SkylineMember) bool {
+			return !e.report(home[m.Tuple.ID], m) && ctx.Err() == nil
+		})
+	}
+	e.end()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return e.finish(), nil
+}
+
+// queued is one coordinator-side candidate: a site's current
+// representative, annotated with the Corollary-2 upper bound on its global
+// skyline probability (for DSUD the bound simply mirrors the local
+// probability, so both algorithms share one selection loop).
+type queued struct {
+	site  int
+	rep   Representative
+	bound float64
+}
+
+// Run executes the iterative protocol of §5: DSUD, or e-DSUD with
+// opts.Enhanced.
+func Run(ctx context.Context, sites Sites, opts Options, on func(Step)) (*Outcome, error) {
+	e := newEngine(sites, opts, on)
+	// To-Server phase, first iteration: every site initialises and ships
+	// its first representative (§4 step 1).
+	e.begin(PhaseToServer)
+	resps, err := sites.Broadcast(ctx, -1, Request{Op: OpInit})
+	for i, resp := range resps {
+		if !resp.Exhausted {
+			e.enqueue(i, resp.Rep)
+		}
+	}
+	e.end()
+	if err != nil {
+		return nil, err
+	}
+
+	lastSite := -1
+	for len(e.queue) > 0 {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		e.begin(PhaseFeedbackSelect)
+		head, ok, err := e.selectFeedback(ctx, lastSite)
+		e.end()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		lastSite = head.site
+
+		// Server-Delivery phase: broadcast the feedback to the other
+		// sites, collect eq. 9 factors (Lemma 1) and prune remotely.
+		e.begin(PhaseServerDelivery)
+		evals, err := sites.Broadcast(ctx, head.site, Request{Op: OpEvaluate, Feed: head.rep})
+		e.end()
+		if err != nil {
+			return nil, err
+		}
+
+		// Local-Pruning phase, coordinator side: fold the sites' eq. 9
+		// factors and prune counts into the verdict.
+		e.begin(PhaseLocalPruning)
+		e.out.FeedbackLocal = append(e.out.FeedbackLocal, head.rep.LocalProb)
+		e.event(Event{Kind: EventBroadcast, Site: head.site, Tuple: head.rep.Tuple, Prob: head.rep.LocalProb})
+		global, pruned := Fold(head.rep.LocalProb, head.site, evals, e.out.PerSite)
+		if pruned > 0 {
+			e.event(Event{Kind: EventPrune, Site: -1, Count: pruned})
+		}
+		full := false
+		if global >= opts.Threshold {
+			full = e.report(head.site, uncertain.SkylineMember{Tuple: head.rep.Tuple, Prob: global})
+		} else {
+			e.event(Event{Kind: EventReject, Site: head.site, Tuple: head.rep.Tuple, Prob: global})
+		}
+		e.end()
+		if full {
+			break
+		}
+		// The home site ships its next representative (To-Server phase of
+		// the following iteration).
+		if err := e.refill(ctx, head.site); err != nil {
+			return nil, err
+		}
+	}
+	return e.finish(), nil
+}
+
+// enqueue admits site's representative to the queue. Its bound starts at
+// the Corollary-1 value (the local skyline probability); recomputeBounds
+// tightens it for e-DSUD.
+func (e *engine) enqueue(site int, rep Representative) {
+	e.queue = append(e.queue, queued{site: site, rep: rep, bound: rep.LocalProb})
+	e.out.PerSite[site].Shipped++
+	e.event(Event{Kind: EventToServer, Site: site, Tuple: rep.Tuple, Prob: rep.LocalProb})
+}
+
+// refill asks site for its next representative and enqueues it (the
+// To-Server phase of later iterations).
+func (e *engine) refill(ctx context.Context, site int) error {
+	e.begin(PhaseToServer)
+	defer e.end()
+	resp, err := e.sites.Call(ctx, site, Request{Op: OpNext})
+	if err != nil {
+		return err
+	}
+	if resp.Exhausted {
+		e.event(Event{Kind: EventRefill, Site: site})
+		return nil
+	}
+	e.event(Event{Kind: EventRefill, Site: site, Tuple: resp.Rep.Tuple, Prob: resp.Rep.LocalProb, Count: 1})
+	e.enqueue(site, resp.Rep)
+	return nil
+}
+
+// selectFeedback is one Feedback-Select phase: refresh the bounds, sweep
+// out the candidates that cannot qualify, and pop the next feedback. ok
+// is false when the run is over: the queue drained, or a termination
+// rule fired.
+func (e *engine) selectFeedback(ctx context.Context, lastSite int) (head queued, ok bool, err error) {
+	e.recomputeBounds()
+	// Top-k mode keeps the K best confirmed answers; the working
+	// threshold rises to the K-th best probability, which both tightens
+	// the expunge rule and triggers early termination.
+	working, sky := e.opts.Threshold, e.out.Skyline
+	if k := e.opts.TopK; k > 0 && len(sky) >= k {
+		uncertain.SortMembers(sky)
+		working = max(working, sky[k-1].Prob)
+	}
+
+	if e.opts.Enhanced && !e.opts.DisableExpunge {
+		// Expunge phase: candidates whose global upper bound cannot reach
+		// q are dropped without any broadcast; their home sites
+		// immediately refill (§5.2).
+		for dropped := true; dropped; {
+			dropped = false
+			for k := 0; k < len(e.queue); {
+				victim := e.queue[k]
+				if !(victim.bound < working) {
+					k++
+					continue
+				}
+				e.queue = append(e.queue[:k], e.queue[k+1:]...)
+				e.event(Event{Kind: EventExpunge, Site: victim.site, Tuple: victim.rep.Tuple, Prob: victim.bound})
+				if err := e.refill(ctx, victim.site); err != nil {
+					return head, false, err
+				}
+				dropped = true
+			}
+			if dropped {
+				e.recomputeBounds()
+			}
+		}
+		if len(e.queue) == 0 {
+			return head, false, nil
+		}
+	}
+
+	// By default the feedback is the queue maximum by bound (for DSUD the
+	// bound is the local skyline probability, exactly §5.1's rule).
+	best := e.pick(lastSite)
+	head = e.queue[best]
+	e.queue = append(e.queue[:best], e.queue[best+1:]...)
+	// Corollary 1 termination for DSUD: every unseen tuple's global
+	// probability is bounded by the head's local probability.
+	if !e.opts.Enhanced && head.rep.LocalProb < working {
+		return head, false, nil
+	}
+	// Top-k early termination: when even the best remaining bound cannot
+	// displace the current K-th answer, the top-k is final.
+	if e.opts.TopK > 0 && len(sky) >= e.opts.TopK && head.bound < working {
+		return head, false, nil
+	}
+	e.event(Event{Kind: EventFeedbackSelect, Site: head.site, Tuple: head.rep.Tuple, Prob: head.bound})
+	return head, true, nil
+}
+
+// recomputeBounds refreshes each queued candidate's upper bound. For DSUD
+// the bound is Corollary 1 (the local skyline probability). For e-DSUD it
+// is Corollary 2: the local probability multiplied, for every *other* site
+// whose queued representative dominates the candidate, by that
+// representative's Observation-2 factor P_sky(t, D_x)/P(t) × (1 − P(t)).
+func (e *engine) recomputeBounds() {
+	queue := e.queue
+	for k := range queue {
+		queue[k].bound = queue[k].rep.LocalProb
+	}
+	if !e.opts.Enhanced {
+		return
+	}
+	for k := range queue {
+		s := &queue[k]
+		for j := range queue {
+			t := &queue[j]
+			if t.site == s.site {
+				continue
+			}
+			if t.rep.Tuple.Dominates(s.rep.Tuple, e.opts.Dims) {
+				s.bound *= t.rep.LocalProb / t.rep.Tuple.Prob * (1 - t.rep.Tuple.Prob)
+			}
+		}
+	}
+}
+
+// pick returns the queue index to broadcast next: the largest bound, or
+// under RoundRobin the smallest site index strictly greater than
+// lastSite, cycling back to the smallest of all.
+func (e *engine) pick(lastSite int) int {
+	queue := e.queue
+	best, next := 0, -1
+	for k := range queue {
+		switch {
+		case !e.opts.RoundRobin:
+			if queue[k].bound > queue[best].bound {
+				best = k
+			}
+		case queue[k].site > lastSite && (next == -1 || queue[k].site < queue[next].site):
+			next = k
+		case queue[k].site < queue[best].site:
+			best = k
+		}
+	}
+	if next >= 0 {
+		return next
+	}
+	return best
+}
