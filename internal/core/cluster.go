@@ -83,23 +83,12 @@ func (c *Cluster) SetLatencyWindows(query, firstResult *obs.Window) {
 	c.winFirst = firstResult
 }
 
-// LatencyWindows returns the windows attached with SetLatencyWindows
-// (nil, nil when none), so callers can snapshot or expose them.
-func (c *Cluster) LatencyWindows() (query, firstResult *obs.Window) {
-	return c.winQuery, c.winFirst
-}
-
 // SetFlightRecorder attaches a flight recorder: every query Run executes
 // leaves one record (algorithm, threshold, per-phase timing, per-site
 // shipped/pruned, outcome). A nil recorder (the default) disables
 // recording. Call before serving queries; not synchronised with
 // in-flight Runs.
 func (c *Cluster) SetFlightRecorder(r *flight.Recorder) { c.flight = r }
-
-// FlightRecorder returns the recorder attached with SetFlightRecorder
-// (nil when none), so daemons can dump it on shutdown or mount its
-// /debug/flightz handler.
-func (c *Cluster) FlightRecorder() *flight.Recorder { return c.flight }
 
 // SetProgressLog attaches a delivery-curve log: every successful Run
 // leaves one digest (checkpointed (t, k) curve, progress AUCs, per-site
@@ -213,7 +202,13 @@ type view struct {
 	tr      *Trace
 	session uint64
 	query   transport.Query
-	replies []round.Response // Broadcast's result, reused by the next one
+	// One fan-out's buffers, indexed by site and reused by the next: the
+	// requests (Kind 0: nothing for that site), what came back, and the
+	// engine's cut of it.
+	wire    []transport.Request
+	resps   []*transport.Response
+	errs    []error
+	replies []round.Response
 }
 
 // newView stacks a fresh meter over the shared clients. tr may be nil.
@@ -223,7 +218,10 @@ func (c *Cluster) newView(tr *Trace, session uint64, query transport.Query) *vie
 	for i, cl := range c.clients {
 		clients[i] = transport.Metered(cl, qm)
 	}
-	return &view{clients: clients, meter: qm, tr: tr, session: session, query: query}
+	n := len(clients)
+	return &view{clients: clients, meter: qm, tr: tr, session: session, query: query,
+		wire: make([]transport.Request, n), resps: make([]*transport.Response, n),
+		errs: make([]error, n), replies: make([]round.Response, n)}
 }
 
 // nextSession allocates a globally unique session ID (never zero): a
@@ -318,101 +316,106 @@ func (c *Cluster) Close() error {
 	return first
 }
 
-// call performs one request against site i. When the view carries a
-// sampled trace, the request is stamped with the trace context — on a
-// private copy, because broadcast shares one *Request across goroutines
-// (the retry transport copies again for its own Seq stamp, so the two
-// compose) — and the send/receive wall clocks bracket the RPC for the
+// call sends site i the request in its slot. When the view carries a
+// sampled trace the request is stamped with the trace context — the slot
+// is this call's alone, and the retry transport copies it for its own Seq
+// stamp — and the send/receive wall clocks bracket the RPC for the
 // clock-offset estimate used when merging the piggybacked site spans.
-func (c *view) call(ctx context.Context, i int, req *transport.Request) (*transport.Response, error) {
-	if tc := c.tr.context(); tc.Traced() {
-		r2 := *req
-		r2.Trace = tc
-		sent := time.Now()
-		resp, err := c.clients[i].Call(ctx, &r2)
-		if err != nil {
-			return nil, fmt.Errorf("core: site %d %v: %w", i, req.Kind, err)
-		}
-		c.tr.mergeSiteBlob(i, resp.TraceBlob, sent, time.Now())
-		return resp, nil
+func (c *view) call(ctx context.Context, i int) {
+	req, sent := &c.wire[i], time.Time{}
+	if req.Trace = c.tr.context(); req.Trace.Traced() {
+		sent = time.Now()
 	}
 	resp, err := c.clients[i].Call(ctx, req)
 	if err != nil {
-		return nil, fmt.Errorf("core: site %d %v: %w", i, req.Kind, err)
+		c.errs[i] = fmt.Errorf("core: site %d %v: %w", i, req.Kind, err)
+		return
 	}
-	return resp, nil
+	if req.Trace.Traced() {
+		c.tr.mergeSiteBlob(i, resp.TraceBlob, sent, time.Now())
+	}
+	c.resps[i] = resp
 }
 
-// broadcast sends req to every site except skip (skip < 0 sends to all) in
-// parallel and returns the responses indexed by site (nil at skip). The
-// first error cancels the rest.
-func (c *view) broadcast(ctx context.Context, skip int, req *transport.Request) ([]*transport.Response, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	resps := make([]*transport.Response, len(c.clients))
-	errs := make([]error, len(c.clients))
-	var wg sync.WaitGroup
-	for i := range c.clients {
-		if i == skip {
-			continue
+// issue is the view's one way to reach the sites: every filled slot of
+// c.wire goes to its site, and the responses come back indexed the same
+// way in a buffer the next fan-out reuses. The requests run in parallel,
+// the last of them on the caller's goroutine — a fan-out of one starts
+// none — and the first failure cancels the rest. What has already executed
+// stays executed, so the caller must fail, not resend; the error it gets
+// is a root cause in preference to a cancellation that cause triggered.
+func (c *view) issue(ctx context.Context) ([]*transport.Response, error) {
+	n, last := 0, 0
+	for i := range c.wire {
+		if c.wire[i].Kind != 0 {
+			n, last = n+1, i
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := c.call(ctx, i, req)
-			if err != nil {
-				errs[i] = err
-				cancel()
-				return
+	}
+	clear(c.resps)
+	clear(c.errs)
+	switch n {
+	case 0:
+	case 1:
+		c.call(ctx, last)
+	default:
+		ctx, cancel := context.WithCancel(ctx)
+		var wg sync.WaitGroup
+		for i := range c.wire[:last+1] {
+			if c.wire[i].Kind == 0 {
+				continue
 			}
-			resps[i] = resp
-		}(i)
-	}
-	wg.Wait()
-	var firstErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
+			wg.Add(1)
+			run := func() {
+				defer wg.Done()
+				if c.call(ctx, i); c.errs[i] != nil {
+					cancel()
+				}
+			}
+			if i < last {
+				go run()
+			} else {
+				run()
+			}
 		}
-		if firstErr == nil {
-			firstErr = err
-		}
-		// Prefer a root-cause failure over cancellations it triggered.
-		if !errors.Is(err, context.Canceled) {
-			return nil, err
+		wg.Wait()
+		cancel()
+	}
+	var cause error
+	for _, err := range c.errs {
+		if err != nil && (cause == nil || errors.Is(cause, context.Canceled)) {
+			cause = err
 		}
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return resps, nil
+	return c.resps, cause
 }
 
-// Len, Call and Broadcast make the view the round engine's Sites: each
-// engine request becomes the wire request the sites speak, bound to this
-// view's session and query, and each reply is cut down to what the
-// algorithm reads. Replies are converted on the caller's goroutine, into
-// one buffer per view: the per-site goroutines of a broadcast start on
-// small stacks that the sites' tree recursion already has to grow, and
-// anything that deepens their frames costs a stack copy per call.
+// send issues req to one site alone, or to every site when site is negative.
+func (c *view) send(ctx context.Context, site int, req transport.Request) ([]*transport.Response, error) {
+	for i := range c.wire {
+		c.wire[i] = transport.Request{}
+		if site < 0 || site == i {
+			c.wire[i] = req
+		}
+	}
+	return c.issue(ctx)
+}
+
+// Len and Fanout make the view the round engine's Sites: each engine
+// request becomes the wire request the sites speak, bound to this view's
+// session and query, and each reply is cut down to what the algorithm
+// reads. Replies are converted on the caller's goroutine: a fan-out's
+// goroutines start on small stacks that the sites' tree recursion already
+// has to grow, and anything that deepens their frames costs a stack copy
+// per call.
 func (c *view) Len() int { return len(c.clients) }
 
-func (c *view) Call(ctx context.Context, i int, r round.Request) (round.Response, error) {
-	resp, err := c.call(ctx, i, c.wire(r))
-	if err != nil {
-		return round.Response{}, err
+func (c *view) Fanout(ctx context.Context, reqs []round.Request) ([]round.Response, error) {
+	for i, r := range reqs {
+		c.wire[i] = c.wireRequest(r)
 	}
-	return reply(resp), nil
-}
-
-func (c *view) Broadcast(ctx context.Context, skip int, r round.Request) ([]round.Response, error) {
-	resps, err := c.broadcast(ctx, skip, c.wire(r))
+	resps, err := c.issue(ctx)
 	if err != nil {
 		return nil, err
-	}
-	if c.replies == nil {
-		c.replies = make([]round.Response, len(resps))
 	}
 	for i, resp := range resps {
 		c.replies[i] = round.Response{}
@@ -423,22 +426,23 @@ func (c *view) Broadcast(ctx context.Context, skip int, r round.Request) ([]roun
 	return c.replies, nil
 }
 
-func (c *view) wire(r round.Request) *transport.Request {
+func (c *view) wireRequest(r round.Request) transport.Request {
 	switch r.Op {
 	case round.OpInit:
-		return &transport.Request{Kind: transport.KindInit, Query: c.query, Session: c.session}
+		return transport.Request{Kind: transport.KindInit, Query: c.query, Session: c.session}
 	case round.OpNext:
-		return &transport.Request{Kind: transport.KindNext, Session: c.session}
+		return transport.Request{Kind: transport.KindNext, Session: c.session}
 	case round.OpEvaluate:
-		req := &transport.Request{Kind: transport.KindEvaluate, Session: c.session}
+		req := transport.Request{Kind: transport.KindEvaluate, Session: c.session}
 		req.Feed = transport.Feedback{Tuple: r.Feed.Tuple, HomeLocalProb: r.Feed.LocalProb}
 		if c.session == 0 {
 			req.Query = c.query
 		}
 		return req
-	default:
-		return &transport.Request{Kind: transport.KindShipAll}
+	case round.OpShipAll:
+		return transport.Request{Kind: transport.KindShipAll}
 	}
+	return transport.Request{}
 }
 
 func reply(resp *transport.Response) round.Response {
@@ -464,5 +468,5 @@ func reply(resp *transport.Response) round.Response {
 func (c *view) endSession() {
 	cleanup, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	c.broadcast(cleanup, -1, &transport.Request{Kind: transport.KindEndQuery, Session: c.session})
+	c.send(cleanup, -1, transport.Request{Kind: transport.KindEndQuery, Session: c.session})
 }

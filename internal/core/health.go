@@ -76,7 +76,7 @@ func (c *Cluster) Health(ctx context.Context) []SiteHealth {
 // bandwidth, which is why audits are sampled.
 func (c *Cluster) Partitions(ctx context.Context) (uncertain.DB, map[uncertain.TupleID]int, error) {
 	v := c.newView(nil, 0, transport.Query{})
-	resps, err := v.broadcast(ctx, -1, &transport.Request{Kind: transport.KindShipAll})
+	resps, err := v.send(ctx, -1, transport.Request{Kind: transport.KindShipAll})
 	if err != nil {
 		return nil, nil, err
 	}

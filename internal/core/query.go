@@ -108,6 +108,7 @@ type observer struct {
 	meter  *transport.Meter // nil for served reads: no traffic to count
 	labels *profLabels
 	tally  round.Tally      // recomputed from the stream, for Result provenance
+	tuples int64            // shipped so far, as the stream has announced them
 	curve  progress.Builder // per-delivery observations are alloc-free
 	points []ProgressPoint
 
@@ -132,11 +133,21 @@ func (o *observer) step(s round.Step) {
 	if o.opts.OnEvent != nil {
 		o.opts.OnEvent(e)
 	}
+	// A result is charged what the algorithm had taken in when it reported,
+	// not the meter's reading: the home site's next representative may
+	// have arrived beside the factors, and it belongs to the next result.
+	switch e.Kind {
+	case EventToServer:
+		o.tuples++
+	case EventBroadcast:
+		o.tuples += int64(len(o.c.clients) - 1)
+	}
 	if e.Kind != EventReport {
 		return
 	}
-	pp := ProgressPoint{Reported: len(o.points) + 1, Elapsed: time.Since(o.start)}
-	if o.meter != nil {
+	pp := ProgressPoint{Reported: len(o.points) + 1, Elapsed: time.Since(o.start), Tuples: o.tuples}
+	if o.opts.Algorithm == Baseline && o.meter != nil {
+		// The Baseline announces no representative: all shipped up front.
 		pp.Tuples = o.meter.Snapshot().Tuples()
 	}
 	o.points = append(o.points, pp)

@@ -17,10 +17,6 @@ import (
 // synchronised with in-flight Runs.
 func (c *Cluster) SetTranscriptSink(s *transcript.Sink) { c.transcripts = s }
 
-// TranscriptSink returns the sink attached with SetTranscriptSink (nil
-// when none), so daemons can mount its log's /transcriptz handler.
-func (c *Cluster) TranscriptSink() *transcript.Sink { return c.transcripts }
-
 // recordWith stacks the transcript tap over every client in the view,
 // so each RPC the query issues from here on is captured. Only recorded
 // queries call this; the unsampled path never stacks the wrapper.

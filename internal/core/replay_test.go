@@ -121,6 +121,32 @@ func TestRecordReplayLocal(t *testing.T) {
 	}
 }
 
+// Transcripts recorded over TCP by the build whose loop waited once per
+// refill (PR 22, dsud-query -record against four dsud-site daemons:
+// e-DSUD and DSUD at q = 0.3, e-DSUD top-3 at q = 0.1) replay exactly:
+// each site is still sent the same kinds in the same order, so neither
+// the wire nor the transcript format needed a new generation.
+func TestParentTranscriptsReplayExactly(t *testing.T) {
+	for name, want := range map[string]struct{ results, refills int64 }{
+		"pr22-edsud.dstr": {15, 24}, "pr22-dsud.dstr": {15, 22}, "pr22-topk.dstr": {3, 31},
+	} {
+		tr, err := transcript.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Summary == nil || tr.Summary.Results != want.results || tr.Summary.Refills != want.refills {
+			t.Fatalf("%s: recorded summary %+v, want %d results and %d refills", name, tr.Summary, want.results, want.refills)
+		}
+		res, err := Replay(context.Background(), tr, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, m := range res.Mismatches {
+			t.Errorf("%s: %s", name, m)
+		}
+	}
+}
+
 // The acceptance pin: a query recorded over real TCP (v2 mux, exact
 // per-request byte attribution) replays offline byte-for-byte —
 // identical skyline set and order, delivery ordinals, per-site

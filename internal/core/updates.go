@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/round"
 	"repro/internal/transport"
@@ -83,10 +84,6 @@ func (m *Maintainer) Answer() ([]uncertain.SkylineMember, []int) {
 	return members, sites
 }
 
-// maintQuery carries the maintainer's threshold and subspace on update
-// requests (maintenance is independent of query sessions).
-func (m *Maintainer) maintQuery() transport.Query { return m.view.query }
-
 // NewMaintainer runs the initial query (with opts.Algorithm, defaulting to
 // e-DSUD) and returns a maintainer holding the live answer. The Baseline
 // algorithm is rejected: maintenance relies on the per-site query state
@@ -126,7 +123,7 @@ func (m *Maintainer) EnableReplicas(ctx context.Context) error {
 	for _, member := range m.sky {
 		adds = append(adds, transport.Representative{Tuple: member.Tuple, LocalProb: member.Prob})
 	}
-	if _, err := m.view.broadcast(ctx, -1, &transport.Request{
+	if _, err := m.view.send(ctx, -1, transport.Request{
 		Kind: transport.KindReplicate, Tuples: adds,
 	}); err != nil {
 		return err
@@ -144,7 +141,7 @@ func (m *Maintainer) syncReplicas(ctx context.Context, added []uncertain.Tuple, 
 	for _, tu := range added {
 		adds = append(adds, transport.Representative{Tuple: tu})
 	}
-	_, err := m.view.broadcast(ctx, -1, &transport.Request{
+	_, err := m.view.send(ctx, -1, transport.Request{
 		Kind: transport.KindReplicate, Tuples: adds, RemoveIDs: removed,
 	})
 	return err
@@ -180,12 +177,13 @@ func (m *Maintainer) insert(ctx context.Context, home int, tu uncertain.Tuple) e
 	if home < 0 || home >= m.cluster.Sites() {
 		return fmt.Errorf("core: site %d out of range", home)
 	}
-	resp, err := m.view.call(ctx, home, &transport.Request{
-		Kind: transport.KindInsert, Tuple: tu, Query: m.maintQuery(),
+	resps, err := m.view.send(ctx, home, transport.Request{
+		Kind: transport.KindInsert, Tuple: tu, Query: m.view.query,
 	})
 	if err != nil {
 		return err
 	}
+	resp := resps[home]
 	local := resp.Rep.LocalProb
 
 	var delta AnswerDelta
@@ -254,7 +252,7 @@ func (m *Maintainer) delete(ctx context.Context, home int, tu uncertain.Tuple) e
 	if home < 0 || home >= m.cluster.Sites() {
 		return fmt.Errorf("core: site %d out of range", home)
 	}
-	if _, err := m.view.call(ctx, home, &transport.Request{
+	if _, err := m.view.send(ctx, home, transport.Request{
 		Kind: transport.KindDelete, ID: tu.ID, Point: tu.Point,
 	}); err != nil {
 		return err
@@ -287,15 +285,16 @@ func (m *Maintainer) delete(ctx context.Context, home int, tu uncertain.Tuple) e
 	}
 
 	// Promotion round: collect per-site candidates dominated by tu.
-	resps, err := m.view.broadcast(ctx, -1, &transport.Request{
+	resps, err := m.view.send(ctx, -1, transport.Request{
 		Kind:  transport.KindCandidates,
 		Feed:  transport.Feedback{Tuple: tu},
-		Query: m.maintQuery(),
+		Query: m.view.query,
 	})
 	if err != nil {
 		return err
 	}
-	for siteIdx, resp := range resps {
+	// The evaluations below reuse the buffer the candidates came back in.
+	for siteIdx, resp := range slices.Clone(resps) {
 		for _, cand := range resp.Tuples {
 			if _, ok := m.sky[cand.Tuple.ID]; ok {
 				continue // already a member (rescaled above)
@@ -355,9 +354,9 @@ func (m *Maintainer) Refresh(ctx context.Context) error {
 // probability is already known: the round engine's Evaluate broadcast and
 // fold, outside any query session.
 func (m *Maintainer) globalProb(ctx context.Context, home int, tu uncertain.Tuple, local float64) (float64, error) {
-	evals, err := m.view.Broadcast(ctx, home, round.Request{
-		Op: round.OpEvaluate, Feed: round.Representative{Tuple: tu, LocalProb: local},
-	})
+	reqs := make([]round.Request, m.view.Len())
+	round.Ask(reqs, home, round.Request{Op: round.OpEvaluate, Feed: round.Representative{Tuple: tu, LocalProb: local}})
+	evals, err := m.view.Fanout(ctx, reqs)
 	if err != nil {
 		return 0, err
 	}
@@ -375,12 +374,10 @@ func (m *Maintainer) ApplyNaive(ctx context.Context, home int, insert bool, tu u
 	if home < 0 || home >= m.cluster.Sites() {
 		return fmt.Errorf("core: site %d out of range", home)
 	}
-	var req *transport.Request
+	req := transport.Request{Kind: transport.KindDelete, ID: tu.ID, Point: tu.Point}
 	if insert {
-		req = &transport.Request{Kind: transport.KindInsert, Tuple: tu, Query: m.maintQuery()}
-	} else {
-		req = &transport.Request{Kind: transport.KindDelete, ID: tu.ID, Point: tu.Point}
+		req = transport.Request{Kind: transport.KindInsert, Tuple: tu, Query: m.view.query}
 	}
-	_, err := m.view.call(ctx, home, req)
+	_, err := m.view.send(ctx, home, req)
 	return err
 }

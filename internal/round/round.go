@@ -1,6 +1,6 @@
 // Package round is the paper's §5 in code: the coordinator side of the
 // shipping Baseline (§3.2), DSUD (§5.1) and e-DSUD (§5.2) as one
-// deterministic engine. Sites go in behind a three-method interface, the
+// deterministic engine. Sites go in behind a two-method interface, the
 // options that change the algorithm go in beside them, every step the
 // algorithm takes comes out through one synchronous callback, and the
 // Outcome is a pure function of the sites' replies. The engine keeps no
@@ -62,13 +62,14 @@ type Response struct {
 type Sites interface {
 	// Len is the number of sites; they are indexed from 0.
 	Len() int
-	// Call sends req to one site.
-	Call(ctx context.Context, site int, req Request) (Response, error)
-	// Broadcast sends req to every site except skip (to all when skip is
-	// negative) and returns the replies indexed by site, the zero
-	// Response at skip. The slice is the implementation's to reuse: it is
-	// valid until the next Broadcast.
-	Broadcast(ctx context.Context, skip int, req Request) ([]Response, error)
+	// Fanout sends reqs[i] to site i for every slot that holds a request
+	// (the zero Request sends nothing), all at once, and returns the
+	// replies indexed the same way once the last has arrived. One slot per
+	// site means no fan-out addresses a site twice: each site sees its
+	// requests in the order the engine issued them, whatever the network
+	// does across sites. The reply slice is the implementation's to
+	// reuse: it is valid until the next Fanout.
+	Fanout(ctx context.Context, reqs []Request) ([]Response, error)
 }
 
 // Options are the settings that change what the algorithm does.
@@ -149,13 +150,33 @@ type engine struct {
 	out   *Outcome
 	open  []Phase  // phases begun and not yet ended, innermost last
 	queue []queued // each site's current representative
+
+	reqs    []Request // the next fan-out's slots, empty between waits
+	victims []queued  // one expunge wave: out of the queue, not yet announced
 }
 
 func newEngine(sites Sites, opts Options, on func(Step)) *engine {
-	return &engine{sites: sites, opts: opts, on: on, out: &Outcome{
+	return &engine{sites: sites, opts: opts, on: on, reqs: make([]Request, sites.Len()), out: &Outcome{
 		Sites:   make(map[uncertain.TupleID]int),
 		PerSite: make([]SiteTally, sites.Len()),
 	}}
+}
+
+// Ask puts req in every slot of a fan-out but skip's (negative: all).
+func Ask(reqs []Request, skip int, req Request) {
+	for i := range reqs {
+		if i != skip {
+			reqs[i] = req
+		}
+	}
+}
+
+// fanout is the one way the engine waits: it sends the filled slots and
+// empties them for the next wait.
+func (e *engine) fanout(ctx context.Context) ([]Response, error) {
+	resps, err := e.sites.Fanout(ctx, e.reqs)
+	clear(e.reqs)
+	return resps, err
 }
 
 func (e *engine) step(s Step) {
@@ -205,7 +226,8 @@ func (e *engine) finish() *Outcome {
 func Baseline(ctx context.Context, sites Sites, opts Options, on func(Step)) (*Outcome, error) {
 	e := newEngine(sites, opts, on)
 	e.begin(PhaseToServer)
-	resps, err := sites.Broadcast(ctx, -1, Request{Op: OpShipAll})
+	Ask(e.reqs, -1, Request{Op: OpShipAll})
+	resps, err := e.fanout(ctx)
 	e.end()
 	if err != nil {
 		return nil, err
@@ -250,7 +272,8 @@ func Run(ctx context.Context, sites Sites, opts Options, on func(Step)) (*Outcom
 	// To-Server phase, first iteration: every site initialises and ships
 	// its first representative (§4 step 1).
 	e.begin(PhaseToServer)
-	resps, err := sites.Broadcast(ctx, -1, Request{Op: OpInit})
+	Ask(e.reqs, -1, Request{Op: OpInit})
+	resps, err := e.fanout(ctx)
 	for i, resp := range resps {
 		if !resp.Exhausted {
 			e.enqueue(i, resp.Rep)
@@ -278,9 +301,17 @@ func Run(ctx context.Context, sites Sites, opts Options, on func(Step)) (*Outcom
 		lastSite = head.site
 
 		// Server-Delivery phase: broadcast the feedback to the other
-		// sites, collect eq. 9 factors (Lemma 1) and prune remotely.
+		// sites, collect eq. 9 factors (Lemma 1) and prune remotely. The
+		// home site's Next rides the same fan-out — nothing in it depends
+		// on the verdict — unless this round's report could be the last
+		// one asked for: no tuple ships that the answer never needed.
 		e.begin(PhaseServerDelivery)
-		evals, err := sites.Broadcast(ctx, head.site, Request{Op: OpEvaluate, Feed: head.rep})
+		Ask(e.reqs, head.site, Request{Op: OpEvaluate, Feed: head.rep})
+		ahead := opts.MaxResults <= 0 || len(e.out.Skyline)+1 < opts.MaxResults
+		if ahead {
+			e.reqs[head.site] = Request{Op: OpNext}
+		}
+		evals, err := e.fanout(ctx)
 		e.end()
 		if err != nil {
 			return nil, err
@@ -305,11 +336,17 @@ func Run(ctx context.Context, sites Sites, opts Options, on func(Step)) (*Outcom
 		if full {
 			break
 		}
-		// The home site ships its next representative (To-Server phase of
-		// the following iteration).
-		if err := e.refill(ctx, head.site); err != nil {
-			return nil, err
+		// The home site's next representative joins the queue (To-Server
+		// phase of the following iteration), fetched now if it was held back.
+		e.begin(PhaseToServer)
+		if !ahead {
+			e.reqs[head.site] = Request{Op: OpNext}
+			if evals, err = e.fanout(ctx); err != nil {
+				return nil, err
+			}
 		}
+		e.admit(head.site, evals[head.site])
+		e.end()
 	}
 	return e.finish(), nil
 }
@@ -323,22 +360,15 @@ func (e *engine) enqueue(site int, rep Representative) {
 	e.event(Event{Kind: EventToServer, Site: site, Tuple: rep.Tuple, Prob: rep.LocalProb})
 }
 
-// refill asks site for its next representative and enqueues it (the
-// To-Server phase of later iterations).
-func (e *engine) refill(ctx context.Context, site int) error {
-	e.begin(PhaseToServer)
-	defer e.end()
-	resp, err := e.sites.Call(ctx, site, Request{Op: OpNext})
-	if err != nil {
-		return err
-	}
+// admit takes site's reply to an OpNext: its next representative joins the
+// queue, unless its local skyline is exhausted.
+func (e *engine) admit(site int, resp Response) {
 	if resp.Exhausted {
 		e.event(Event{Kind: EventRefill, Site: site})
-		return nil
+		return
 	}
 	e.event(Event{Kind: EventRefill, Site: site, Tuple: resp.Rep.Tuple, Prob: resp.Rep.LocalProb, Count: 1})
 	e.enqueue(site, resp.Rep)
-	return nil
 }
 
 // selectFeedback is one Feedback-Select phase: refresh the bounds, sweep
@@ -358,25 +388,40 @@ func (e *engine) selectFeedback(ctx context.Context, lastSite int) (head queued,
 
 	if e.opts.Enhanced && !e.opts.DisableExpunge {
 		// Expunge phase: candidates whose global upper bound cannot reach
-		// q are dropped without any broadcast; their home sites
-		// immediately refill (§5.2).
-		for dropped := true; dropped; {
-			dropped = false
-			for k := 0; k < len(e.queue); {
-				victim := e.queue[k]
-				if !(victim.bound < working) {
-					k++
-					continue
+		// q are dropped without any broadcast and their home sites refill
+		// (§5.2), all the victims of one scan in one fan-out. The scan then
+		// runs on into what that wave appended — a top-k refill can arrive
+		// already below the working threshold — and starts over, on
+		// recomputed bounds, once it finds nothing more.
+		for from, dropped := 0, false; ; {
+			kept, victims := e.queue[:from], e.victims[:0]
+			for _, c := range e.queue[from:] {
+				if c.bound < working {
+					victims = append(victims, c)
+					e.reqs[c.site] = Request{Op: OpNext}
+				} else {
+					kept = append(kept, c)
 				}
-				e.queue = append(e.queue[:k], e.queue[k+1:]...)
-				e.event(Event{Kind: EventExpunge, Site: victim.site, Tuple: victim.rep.Tuple, Prob: victim.bound})
-				if err := e.refill(ctx, victim.site); err != nil {
-					return head, false, err
-				}
-				dropped = true
 			}
-			if dropped {
+			e.queue, e.victims, from = kept, victims, len(kept)
+			if len(victims) == 0 {
+				if !dropped {
+					break
+				}
 				e.recomputeBounds()
+				from, dropped = 0, false
+				continue
+			}
+			resps, err := e.fanout(ctx)
+			if err != nil {
+				return head, false, err
+			}
+			dropped = true
+			for _, victim := range victims {
+				e.event(Event{Kind: EventExpunge, Site: victim.site, Tuple: victim.rep.Tuple, Prob: victim.bound})
+				e.begin(PhaseToServer)
+				e.admit(victim.site, resps[victim.site])
+				e.end()
 			}
 		}
 		if len(e.queue) == 0 {

@@ -24,15 +24,43 @@ type fakeSite struct {
 }
 
 // fakeSites implements Sites with no transport, no goroutine and no
-// clock: a broadcast visits the sites in index order.
+// clock: a fan-out visits its filled slots in index order. It keeps every
+// fan-out's slots and the home of every tuple it shipped, for checkFanouts,
+// and hands out one reply slice it overwrites each time, as the contract
+// allows.
 type fakeSites struct {
-	q     float64
-	sites []*fakeSite
+	q       float64
+	sites   []*fakeSite
+	fanouts [][]Request
+	home    map[uncertain.TupleID]int
+	replies []Response
 }
 
 func (f *fakeSites) Len() int { return len(f.sites) }
 
-func (f *fakeSites) Call(_ context.Context, i int, req Request) (Response, error) {
+func (f *fakeSites) Fanout(_ context.Context, reqs []Request) ([]Response, error) {
+	if len(reqs) != len(f.sites) {
+		return nil, fmt.Errorf("fan-out of %d slots over %d sites", len(reqs), len(f.sites))
+	}
+	f.fanouts = append(f.fanouts, slices.Clone(reqs))
+	if f.replies == nil {
+		f.replies, f.home = make([]Response, len(f.sites)), make(map[uncertain.TupleID]int)
+	}
+	clear(f.replies)
+	for i, req := range reqs {
+		if req.Op == 0 {
+			continue
+		}
+		r, err := f.call(i, req)
+		if err != nil {
+			return nil, err
+		}
+		f.replies[i] = r
+	}
+	return f.replies, nil
+}
+
+func (f *fakeSites) call(i int, req Request) (Response, error) {
 	s := f.sites[i]
 	switch req.Op {
 	case OpInit, OpNext:
@@ -41,6 +69,7 @@ func (f *fakeSites) Call(_ context.Context, i int, req Request) (Response, error
 		}
 		head := s.sky[0]
 		s.sky = s.sky[1:]
+		f.home[head.Tuple.ID] = i
 		return Response{Rep: head}, nil
 	case OpEvaluate:
 		feed := req.Feed
@@ -61,21 +90,6 @@ func (f *fakeSites) Call(_ context.Context, i int, req Request) (Response, error
 		return Response{Tuples: s.db}, nil
 	}
 	return Response{}, fmt.Errorf("fake site %d: unexpected op %d", i, req.Op)
-}
-
-func (f *fakeSites) Broadcast(ctx context.Context, skip int, req Request) ([]Response, error) {
-	out := make([]Response, len(f.sites))
-	for i := range f.sites {
-		if i == skip {
-			continue
-		}
-		r, err := f.Call(ctx, i, req)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r
-	}
-	return out, nil
 }
 
 func rep(id uncertain.TupleID, x, y, prob, local float64) Representative {
@@ -426,6 +440,247 @@ func TestSeededEDSUDPinned(t *testing.T) {
 	}
 	if want := []SiteTally{{5, 0}, {2, 0}, {6, 2}, {6, 1}}; !slices.Equal(out.PerSite, want) {
 		t.Errorf("per-site tallies %+v, want %+v", out.PerSite, want)
+	}
+}
+
+// checkFanouts walks a run's step stream beside the fan-outs its fake
+// saw and fails unless they tell one story: Init to every site; per
+// Server-Delivery phase one fan-out carrying the feedback to every site
+// but the tuple's home, whose slot holds the Next for its refill or — when
+// MaxResults held that back — nothing, the Next then following the verdict
+// alone; and per wave of expunged candidates one fan-out of Nexts to
+// exactly their sites. It returns the number of waves.
+func checkFanouts(t *testing.T, f *fakeSites, steps []Step) (waves int) {
+	t.Helper()
+	sent := 0
+	pop := func() []Request {
+		if sent == len(f.fanouts) {
+			t.Fatalf("the stream implies more than the %d fan-outs sent", sent)
+		}
+		sent++
+		return f.fanouts[sent-1]
+	}
+	for i, r := range pop() {
+		if r.Op != OpInit {
+			t.Fatalf("first fan-out, site %d: op %d, want Init", i, r.Op)
+		}
+	}
+	owed := map[int]bool{} // sites sent a Next whose refill is not announced yet
+	for n, s := range steps {
+		switch {
+		case s.Kind == StepBegin && s.Phase == PhaseServerDelivery:
+			reqs, home := pop(), -1
+			for _, r := range reqs {
+				if r.Op == OpEvaluate {
+					home = f.home[r.Feed.Tuple.ID]
+				}
+			}
+			if home < 0 || len(owed) != 0 {
+				t.Fatalf("step %d: broadcast %+v with refills %v outstanding", n, reqs, owed)
+			}
+			for i, r := range reqs {
+				switch {
+				case i != home && r.Op == OpEvaluate && f.home[r.Feed.Tuple.ID] == home:
+				case i == home && r.Op == OpNext:
+					owed[i] = true
+				case i == home && r.Op == 0:
+				default:
+					t.Fatalf("step %d: broadcast of site %d's tuple sends site %d op %d", n, home, i, r.Op)
+				}
+			}
+		case s.Kind == StepEvent && s.Event.Kind == EventExpunge && !owed[s.Event.Site]:
+			if len(owed) != 0 {
+				t.Fatalf("step %d: a new wave with refills %v outstanding", n, owed)
+			}
+			waves++
+			for i, r := range pop() {
+				if r.Op == OpNext {
+					owed[i] = true
+				} else if r.Op != 0 {
+					t.Fatalf("step %d: expunge wave sends site %d op %d", n, i, r.Op)
+				}
+			}
+			if !owed[s.Event.Site] {
+				t.Fatalf("step %d: site %d expunged, its wave asked %v", n, s.Event.Site, owed)
+			}
+		case s.Kind == StepEvent && s.Event.Kind == EventRefill && !owed[s.Event.Site]:
+			for i, r := range pop() {
+				if (i == s.Event.Site) != (r.Op == OpNext) || (r.Op != OpNext && r.Op != 0) {
+					t.Fatalf("step %d: held-back refill of site %d sends site %d op %d", n, s.Event.Site, i, r.Op)
+				}
+			}
+		case s.Kind == StepEvent && s.Event.Kind == EventRefill:
+			delete(owed, s.Event.Site)
+		}
+	}
+	if sent != len(f.fanouts) || len(owed) != 0 {
+		t.Fatalf("%d of %d fan-outs accounted for, refills %v never announced", sent, len(f.fanouts), owed)
+	}
+	return waves
+}
+
+// Every wait of the loop is one fan-out: Init, one per broadcast (the home
+// site's Next riding it) and one per wave of expunged candidates, where
+// the loop used to wait once more per refill.
+func TestOneFanoutPerWait(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		sites        *fakeSites
+		enhanced     bool
+		waits, waves int
+	}{
+		{"hotel e-DSUD", hotelSites(), true, 9, 2},
+		{"seeded DSUD", dbSites(seededParts(42, 4, 60), 0.3), false, 12, 0},
+		{"seeded e-DSUD", dbSites(seededParts(42, 4, 60), 0.3), true, 20, 14},
+	} {
+		var steps []Step
+		out, err := Run(context.Background(), tc.sites, Options{Threshold: 0.3, Enhanced: tc.enhanced}, collect(&steps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waves, waits := checkFanouts(t, tc.sites, steps), len(tc.sites.fanouts)
+		if waits != tc.waits || waves != tc.waves || waits != 1+out.Broadcasts+waves {
+			t.Errorf("%s: %d waits over %d broadcasts and %d waves, want %d waits, %d waves", tc.name, waits, out.Broadcasts, waves, tc.waits, tc.waves)
+		}
+		if serial := 1 + out.Broadcasts + out.Refills; waits >= serial {
+			t.Errorf("%s: %d waits, no fewer than the %d of one wait per refill", tc.name, waits, serial)
+		}
+	}
+}
+
+// topKSteps is an e-DSUD top-2 run (seed 293, four sites, q = 0.1) recorded
+// from the loop that refilled one candidate per wait. In round 3 the wave
+// {t112, t135} brings back t99, which stays, and t139, already below the
+// working threshold 0.5381: it and then its own refill t138 are expunged
+// as further waves before the bounds are recomputed, and t99 keeps its
+// place in the queue ahead of them.
+const topKSteps = `begin to-server
+0 to-server s0 t29 p=0.797
+0 to-server s1 t67 p=0.8943
+0 to-server s2 t112 p=0.8562
+0 to-server s3 t141 p=0.9376
+end to-server
+begin feedback-select
+1 feedback-select s3 t141 p=0.9376
+end feedback-select
+begin server-delivery
+end server-delivery
+begin local-pruning
+1 broadcast s3 t141 p=0.9376
+1 prune 14
+1 report s3 t141 p=0.9376
+end local-pruning
+begin to-server
+1 refill s3 n=1
+1 to-server s3 t135 p=0.8585
+end to-server
+begin feedback-select
+2 feedback-select s1 t67 p=0.8943
+end feedback-select
+begin server-delivery
+end server-delivery
+begin local-pruning
+2 broadcast s1 t67 p=0.8943
+2 report s1 t67 p=0.5381
+end local-pruning
+begin to-server
+2 refill s1 n=1
+2 to-server s1 t65 p=0.7974
+end to-server
+begin feedback-select
+3 expunge s2 t112 p=0.1734
+begin to-server
+3 refill s2 n=1
+3 to-server s2 t99 p=0.7727
+end to-server
+3 expunge s3 t135 p=0.1739
+begin to-server
+3 refill s3 n=1
+3 to-server s3 t139 p=0.3983
+end to-server
+3 expunge s3 t139 p=0.3983
+begin to-server
+3 refill s3 n=1
+3 to-server s3 t138 p=0.3002
+end to-server
+3 expunge s3 t138 p=0.3002
+begin to-server
+3 refill s3 n=0
+end to-server
+3 feedback-select s1 t65 p=0.7974
+end feedback-select
+begin server-delivery
+end server-delivery
+begin local-pruning
+3 broadcast s1 t65 p=0.7974
+3 prune 1
+3 report s1 t65 p=0.7974
+end local-pruning
+begin to-server
+3 refill s1 n=0
+end to-server
+begin feedback-select
+4 expunge s0 t29 p=0.797
+begin to-server
+4 refill s0 n=1
+4 to-server s0 t34 p=0.4854
+end to-server
+4 expunge s2 t99 p=0.7727
+begin to-server
+4 refill s2 n=0
+end to-server
+4 expunge s0 t34 p=0.4854
+begin to-server
+4 refill s0 n=0
+end to-server
+end feedback-select`
+
+// Waves reproduce the one-at-a-time expunge scan step for step, including
+// a refill that is expunged by the scan that fetched it.
+func TestTopKReExpungeSteps(t *testing.T) {
+	sites := dbSites(seededParts(293, 4, 40), 0.1)
+	var steps []Step
+	out, err := Run(context.Background(), sites, Options{Threshold: 0.1, Enhanced: true, TopK: 2}, collect(&steps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]string, len(steps))
+	for i, s := range steps {
+		got[i] = line(s)
+	}
+	if want := strings.Split(topKSteps, "\n"); !slices.Equal(got, want) {
+		t.Fatalf("steps:\n%s\nwant:\n%s", strings.Join(got, "\n"), topKSteps)
+	}
+	if waves := checkFanouts(t, sites, steps); waves != 5 || len(sites.fanouts) != 9 || out.Refills != 10 {
+		t.Errorf("%d waves in %d waits for %d refills, want 5 in 9 for 10", waves, len(sites.fanouts), out.Refills)
+	}
+}
+
+// When this round's report could be the last one asked for, the home
+// site's Next waits for the verdict: no site ships a tuple that the loop
+// it replaced would not have shipped. The tallies are that loop's.
+func TestMaxResultsShipsNoSpeculativeTuple(t *testing.T) {
+	for _, tc := range []struct {
+		enhanced bool
+		max      int
+		tally    Tally
+		perSite  []SiteTally
+	}{
+		{false, 1, Tally{Iterations: 1, Broadcasts: 1, PrunedLocal: 2}, []SiteTally{{1, 0}, {1, 0}, {1, 1}, {1, 1}}},
+		{false, 2, Tally{Iterations: 3, Broadcasts: 3, Refills: 2, PrunedLocal: 10}, []SiteTally{{3, 0}, {1, 0}, {1, 6}, {1, 4}}},
+		{true, 1, Tally{Iterations: 1, Broadcasts: 1, Expunged: 5, Refills: 5, PrunedLocal: 1}, []SiteTally{{1, 0}, {1, 0}, {6, 0}, {1, 1}}},
+		{true, 3, Tally{Iterations: 3, Broadcasts: 3, Expunged: 14, Refills: 16, PrunedLocal: 3}, []SiteTally{{5, 0}, {1, 0}, {6, 2}, {6, 1}}},
+	} {
+		sites := dbSites(seededParts(42, 4, 60), 0.3)
+		var steps []Step
+		out, err := Run(context.Background(), sites, Options{Threshold: 0.3, Enhanced: tc.enhanced, MaxResults: tc.max}, collect(&steps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFanouts(t, sites, steps)
+		if len(out.Skyline) != tc.max || out.Tally != tc.tally || !slices.Equal(out.PerSite, tc.perSite) {
+			t.Errorf("enhanced=%v max=%d: %d answers, %+v, %+v; want %+v, %+v", tc.enhanced, tc.max, len(out.Skyline), out.Tally, out.PerSite, tc.tally, tc.perSite)
+		}
 	}
 }
 

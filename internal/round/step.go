@@ -11,12 +11,12 @@ type Phase int
 
 // Protocol phases, in the paper's vocabulary.
 const (
-	// PhaseToServer covers shipping representatives up: the Init broadcast
-	// and every Next refill.
+	// PhaseToServer covers the Init fan-out and every refill's admission;
+	// a refill's wait is in the phase whose fan-out carried its Next.
 	PhaseToServer Phase = iota
 	// PhaseFeedbackSelect covers the coordinator's candidate bookkeeping:
-	// Corollary-2 bound recomputation, the expunge sweep (its refills nest
-	// inside as PhaseToServer) and the feedback selection itself.
+	// Corollary-2 bounds, the expunge sweep with its one fan-out per wave
+	// (admissions nest inside as PhaseToServer) and the feedback selection.
 	PhaseFeedbackSelect
 	// PhaseServerDelivery covers the Evaluate broadcast round trips.
 	PhaseServerDelivery
