@@ -30,9 +30,11 @@ import (
 // FrameVersion is the wire protocol generation carried in every frame
 // and in the handshake. Generation 3 replaced the gob message payloads
 // of generation 2 with the flat encoding; generation 4 renumbered the
-// request kinds and field-mask bits after two kinds were retired. The
-// frame layout is unchanged.
-const FrameVersion = 4
+// request kinds and field-mask bits after two kinds were retired;
+// generation 5 batches maintenance evaluations (a sessionless Evaluate
+// carries candidates, its reply their factors), which a generation-4 site
+// would answer as one empty feedback tuple. The frame layout is unchanged.
+const FrameVersion = 5
 
 // MuxMagic opens the handshake.
 var MuxMagic = [4]byte{0xD5, 'S', 'Q', '2'}

@@ -194,8 +194,8 @@ func (c *Cluster) countQuery(a Algorithm) {
 // stays exact even when queries overlap, plus the query's trace (nil
 // when untraced) whose context is stamped on every outgoing RPC. It is
 // the round engine's Sites: session and query are what it binds to the
-// engine's requests (a maintainer has no session and evaluates under its
-// query instead).
+// engine's requests (a maintainer's view has no session and fills its
+// fan-outs itself, under its query).
 type view struct {
 	clients []transport.Client
 	meter   *transport.Meter
@@ -433,12 +433,8 @@ func (c *view) wireRequest(r round.Request) transport.Request {
 	case round.OpNext:
 		return transport.Request{Kind: transport.KindNext, Session: c.session}
 	case round.OpEvaluate:
-		req := transport.Request{Kind: transport.KindEvaluate, Session: c.session}
-		req.Feed = transport.Feedback{Tuple: r.Feed.Tuple, HomeLocalProb: r.Feed.LocalProb}
-		if c.session == 0 {
-			req.Query = c.query
-		}
-		return req
+		return transport.Request{Kind: transport.KindEvaluate, Session: c.session,
+			Feed: transport.Feedback{Tuple: r.Feed.Tuple, HomeLocalProb: r.Feed.LocalProb}}
 	case round.OpShipAll:
 		return transport.Request{Kind: transport.KindShipAll}
 	}

@@ -326,25 +326,30 @@ func (s *Server) miss() {
 // Insert routes one insert through the serving tier's maintainer: the
 // answer updates incrementally (§5.4) and the materialized index
 // repositions the affected tuples. Updates serialise; reads proceed
-// concurrently against the previous version until the delta lands.
+// concurrently against the previous version until the delta lands. An
+// update that fails after a site may have applied it invalidates the
+// store, so covered reads refresh rather than serve the answer it changed.
 func (s *Server) Insert(ctx context.Context, home int, tu uncertain.Tuple) error {
-	if ctx == nil {
-		return ErrNilContext
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.maint.Insert(ctx, home, tu)
+	return s.update(ctx, s.maint.Insert, home, tu)
 }
 
 // Delete routes one delete through the serving tier's maintainer; see
 // Insert.
 func (s *Server) Delete(ctx context.Context, home int, tu uncertain.Tuple) error {
+	return s.update(ctx, s.maint.Delete, home, tu)
+}
+
+func (s *Server) update(ctx context.Context, apply func(context.Context, int, uncertain.Tuple) error, home int, tu uncertain.Tuple) error {
 	if ctx == nil {
 		return ErrNilContext
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.maint.Delete(ctx, home, tu)
+	err := apply(ctx, home, tu)
+	if err != nil && s.maint.stale {
+		s.store.Invalidate()
+	}
+	return err
 }
 
 // Refresh forces a full protocol round and replaces the

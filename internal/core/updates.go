@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 
-	"repro/internal/round"
 	"repro/internal/transport"
 	"repro/internal/uncertain"
 )
@@ -17,8 +15,8 @@ import (
 //   - Incremental (the Insert/Delete methods): exploit the algebraic
 //     structure of eq. 5 — an update to tuple u only rescales the global
 //     probabilities of tuples u dominates — so each update touches the
-//     answer set directly and triggers at most one candidate-promotion
-//     round. This follows the paper's replica-of-SKY(H) design, with one
+//     answer set directly and costs at most two fan-outs (plus a replica
+//     sync). This follows the paper's replica-of-SKY(H) design, with one
 //     soundness fix: the paper skips re-qualification when a deleted tuple
 //     was not itself in SKY(H), but deleting any high-probability
 //     dominator can promote tuples into the skyline, so we always run the
@@ -34,6 +32,7 @@ type Maintainer struct {
 	view       *view
 	opts       Options
 	replicated bool
+	stale      bool // an update failed after a site may have applied it
 	sky        map[uncertain.TupleID]uncertain.SkylineMember
 	sites      map[uncertain.TupleID]int
 	instr      *maintInstr // optional; see Instrument / SetLatencyWindow
@@ -93,20 +92,15 @@ func NewMaintainer(ctx context.Context, c *Cluster, opts Options) (*Maintainer, 
 		return nil, fmt.Errorf("%w: maintainer requires DSUD or EDSUD, not %v", ErrAlgorithm, opts.Algorithm)
 	}
 	opts = opts.withDefaults()
-	rep, err := Run(ctx, c, opts)
-	if err != nil {
-		return nil, err
-	}
 	m := &Maintainer{
 		cluster: c,
 		view:    c.newView(nil, 0, transport.Query{Threshold: opts.Threshold, Dims: opts.Dims}),
 		opts:    opts,
-		sky:     make(map[uncertain.TupleID]uncertain.SkylineMember, len(rep.Skyline)),
-		sites:   make(map[uncertain.TupleID]int, len(rep.Skyline)),
+		sky:     make(map[uncertain.TupleID]uncertain.SkylineMember),
+		sites:   make(map[uncertain.TupleID]int),
 	}
-	for _, member := range rep.Skyline {
-		m.sky[member.Tuple.ID] = member
-		m.sites[member.Tuple.ID] = rep.Sites[member.Tuple.ID]
+	if err := m.Refresh(ctx); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -132,21 +126,6 @@ func (m *Maintainer) EnableReplicas(ctx context.Context) error {
 	return nil
 }
 
-// syncReplicas pushes one answer delta to every site.
-func (m *Maintainer) syncReplicas(ctx context.Context, added []uncertain.Tuple, removed []uncertain.TupleID) error {
-	if !m.replicated || (len(added) == 0 && len(removed) == 0) {
-		return nil
-	}
-	adds := make([]transport.Representative, 0, len(added))
-	for _, tu := range added {
-		adds = append(adds, transport.Representative{Tuple: tu})
-	}
-	_, err := m.view.send(ctx, -1, transport.Request{
-		Kind: transport.KindReplicate, Tuples: adds, RemoveIDs: removed,
-	})
-	return err
-}
-
 // Skyline returns the current answer, sorted by descending probability.
 func (m *Maintainer) Skyline() []uncertain.SkylineMember {
 	out := make([]uncertain.SkylineMember, 0, len(m.sky))
@@ -166,16 +145,10 @@ func (m *Maintainer) Skyline() []uncertain.SkylineMember {
 //     evicted if it falls below q. Non-members dominated by tu only lose
 //     probability, so no other tuple's membership can change — the update
 //     is exact.
-func (m *Maintainer) Insert(ctx context.Context, home int, tu uncertain.Tuple) error {
-	fin := m.instr.begin(opInsert)
-	err := m.insert(ctx, home, tu)
-	fin(err)
-	return err
-}
-
-func (m *Maintainer) insert(ctx context.Context, home int, tu uncertain.Tuple) error {
-	if home < 0 || home >= m.cluster.Sites() {
-		return fmt.Errorf("core: site %d out of range", home)
+func (m *Maintainer) Insert(ctx context.Context, home int, tu uncertain.Tuple) (err error) {
+	defer m.instr.begin(opInsert)(&err)
+	if err := m.prepare(ctx, home); err != nil {
+		return err
 	}
 	resps, err := m.view.send(ctx, home, transport.Request{
 		Kind: transport.KindInsert, Tuple: tu, Query: m.view.query,
@@ -183,52 +156,28 @@ func (m *Maintainer) insert(ctx context.Context, home int, tu uncertain.Tuple) e
 	if err != nil {
 		return err
 	}
-	resp := resps[home]
-	local := resp.Rep.LocalProb
-
 	var delta AnswerDelta
-	var added []uncertain.Tuple
-	if local >= m.opts.Threshold && !resp.Hopeless {
-		global, err := m.globalProb(ctx, home, tu, local)
+	if local := resps[home].Rep.LocalProb; local >= m.opts.Threshold && !resps[home].Hopeless {
+		global, err := m.evaluate(ctx, []candidate{{home, transport.Representative{Tuple: tu, LocalProb: local}}})
 		if err != nil {
 			return err
 		}
-		if global >= m.opts.Threshold {
-			member := uncertain.SkylineMember{Tuple: tu.Clone(), Prob: global}
-			m.sky[tu.ID] = member
-			m.sites[tu.ID] = home
-			added = append(added, tu.Clone())
-			delta.Upserts = append(delta.Upserts, member)
-			delta.UpsertSites = append(delta.UpsertSites, home)
+		if global[0] >= m.opts.Threshold {
+			delta.upsert(uncertain.SkylineMember{Tuple: tu.Clone(), Prob: global[0]}, home)
 		}
 	}
-
 	rescored := 0
 	for id, member := range m.sky {
-		if id == tu.ID {
-			continue
-		}
-		if tu.Dominates(member.Tuple, m.opts.Dims) {
+		if id != tu.ID && tu.Dominates(member.Tuple, m.opts.Dims) {
 			rescored++
-			member.Prob *= 1 - tu.Prob
-			if member.Prob < m.opts.Threshold {
-				delete(m.sky, id)
-				delete(m.sites, id)
+			if member.Prob *= 1 - tu.Prob; member.Prob < m.opts.Threshold {
 				delta.Removed = append(delta.Removed, id)
 			} else {
-				m.sky[id] = member
-				delta.Upserts = append(delta.Upserts, member)
-				delta.UpsertSites = append(delta.UpsertSites, m.sites[id])
+				delta.upsert(member, m.sites[id])
 			}
 		}
 	}
-	m.instr.addRescored(rescored)
-	m.instr.addAffected(len(added) + len(delta.Removed))
-	if err := m.syncReplicas(ctx, added, delta.Removed); err != nil {
-		return err
-	}
-	m.notify(delta)
-	return nil
+	return m.commit(ctx, delta, rescored)
 }
 
 // Delete removes tu (which must currently live at site home) and updates
@@ -239,128 +188,174 @@ func (m *Maintainer) insert(ctx context.Context, home int, tu uncertain.Tuple) e
 //  3. every member tu dominated is rescaled by 1/(1 − P(tu)) — their
 //     probability only grew, so they all stay qualified;
 //  4. non-members tu dominated may now qualify: each site reports the
-//     formerly dominated tuples whose fresh local probability reaches q,
-//     and the coordinator evaluates those candidates exactly.
-func (m *Maintainer) Delete(ctx context.Context, home int, tu uncertain.Tuple) error {
-	fin := m.instr.begin(opDelete)
-	err := m.delete(ctx, home, tu)
-	fin(err)
-	return err
-}
-
-func (m *Maintainer) delete(ctx context.Context, home int, tu uncertain.Tuple) error {
-	if home < 0 || home >= m.cluster.Sites() {
-		return fmt.Errorf("core: site %d out of range", home)
-	}
-	if _, err := m.view.send(ctx, home, transport.Request{
-		Kind: transport.KindDelete, ID: tu.ID, Point: tu.Point,
-	}); err != nil {
+//     formerly dominated tuples whose fresh local probability reaches q —
+//     in the fan-out of step 1, the home site after applying it — and the
+//     coordinator evaluates all of those candidates exactly in a second.
+func (m *Maintainer) Delete(ctx context.Context, home int, tu uncertain.Tuple) (err error) {
+	defer m.instr.begin(opDelete)(&err)
+	if err := m.prepare(ctx, home); err != nil {
 		return err
 	}
-	var delta AnswerDelta
-	var added []uncertain.Tuple
-	if _, was := m.sky[tu.ID]; was {
-		delta.Removed = append(delta.Removed, tu.ID)
+	v := m.view
+	for j := range v.wire {
+		v.wire[j] = transport.Request{Kind: transport.KindCandidates, Feed: transport.Feedback{Tuple: tu}, Query: v.query}
 	}
-	delete(m.sky, tu.ID)
-	delete(m.sites, tu.ID)
-
-	if tu.Prob < 1 {
-		rescored := 0
-		for id, member := range m.sky {
-			if tu.Dominates(member.Tuple, m.opts.Dims) {
-				rescored++
-				member.Prob /= 1 - tu.Prob
-				if member.Prob > member.Tuple.Prob {
-					// Numerical guard: a probability can never exceed the
-					// tuple's own existential probability.
-					member.Prob = member.Tuple.Prob
-				}
-				m.sky[id] = member
-				delta.Upserts = append(delta.Upserts, member)
-				delta.UpsertSites = append(delta.UpsertSites, m.sites[id])
-			}
-		}
-		m.instr.addRescored(rescored)
-	}
-
-	// Promotion round: collect per-site candidates dominated by tu.
-	resps, err := m.view.send(ctx, -1, transport.Request{
-		Kind:  transport.KindCandidates,
-		Feed:  transport.Feedback{Tuple: tu},
-		Query: m.view.query,
-	})
+	v.wire[home] = transport.Request{Kind: transport.KindDelete, ID: tu.ID, Point: tu.Point, Query: v.query}
+	resps, err := v.issue(ctx)
 	if err != nil {
 		return err
 	}
-	// The evaluations below reuse the buffer the candidates came back in.
-	for siteIdx, resp := range slices.Clone(resps) {
-		for _, cand := range resp.Tuples {
-			if _, ok := m.sky[cand.Tuple.ID]; ok {
-				continue // already a member (rescaled above)
-			}
-			global, err := m.globalProb(ctx, siteIdx, cand.Tuple, cand.LocalProb)
-			if err != nil {
-				return err
-			}
-			if global >= m.opts.Threshold {
-				member := uncertain.SkylineMember{Tuple: cand.Tuple.Clone(), Prob: global}
-				m.sky[cand.Tuple.ID] = member
-				m.sites[cand.Tuple.ID] = siteIdx
-				added = append(added, cand.Tuple.Clone())
-				delta.Upserts = append(delta.Upserts, member)
-				delta.UpsertSites = append(delta.UpsertSites, siteIdx)
+	var cands []candidate
+	for j, resp := range resps {
+		for _, rep := range resp.Tuples {
+			if _, member := m.sky[rep.Tuple.ID]; !member {
+				cands = append(cands, candidate{j, rep})
 			}
 		}
 	}
-	m.instr.addAffected(len(added) + len(delta.Removed))
-	if err := m.syncReplicas(ctx, added, delta.Removed); err != nil {
+	var delta AnswerDelta
+	if _, was := m.sky[tu.ID]; was {
+		delta.Removed = append(delta.Removed, tu.ID)
+	}
+	rescored := 0
+	for id, member := range m.sky {
+		if tu.Prob < 1 && tu.Dominates(member.Tuple, m.opts.Dims) {
+			rescored++
+			// Numerical guard: a probability can never exceed the tuple's
+			// own existential probability.
+			member.Prob = min(member.Prob/(1-tu.Prob), member.Tuple.Prob)
+			delta.upsert(member, m.sites[id])
+		}
+	}
+	global, err := m.evaluate(ctx, cands)
+	if err != nil {
 		return err
 	}
-	m.notify(delta)
+	for k, c := range cands {
+		if global[k] >= m.opts.Threshold {
+			delta.upsert(uncertain.SkylineMember{Tuple: c.rep.Tuple.Clone(), Prob: global[k]}, c.site)
+		}
+	}
+	return m.commit(ctx, delta, rescored)
+}
+
+// prepare opens an incremental update at site home: from here until
+// commit, a failure may leave a site ahead of the answer, so the next
+// update Refreshes before it starts.
+func (m *Maintainer) prepare(ctx context.Context, home int) error {
+	if home < 0 || home >= m.cluster.Sites() {
+		return fmt.Errorf("core: site %d out of range", home)
+	}
+	if m.stale {
+		if err := m.Refresh(ctx); err != nil {
+			return err
+		}
+	}
+	m.stale = true
+	return nil
+}
+
+// upsert adds one added or re-scored member to the delta.
+func (d *AnswerDelta) upsert(member uncertain.SkylineMember, site int) {
+	d.Upserts = append(d.Upserts, member)
+	d.UpsertSites = append(d.UpsertSites, site)
+}
+
+// commit installs a delta once every wave of its update has succeeded:
+// the replicas first (one small broadcast of what it adds and removes),
+// then the answer, then the observer.
+func (m *Maintainer) commit(ctx context.Context, d AnswerDelta, rescored int) error {
+	var adds []transport.Representative
+	for _, u := range d.Upserts {
+		if _, member := m.sky[u.Tuple.ID]; d.Full || !member {
+			adds = append(adds, transport.Representative{Tuple: u.Tuple})
+		}
+	}
+	if m.replicated && len(adds)+len(d.Removed) > 0 {
+		if _, err := m.view.send(ctx, -1, transport.Request{
+			Kind: transport.KindReplicate, Tuples: adds, RemoveIDs: d.Removed,
+		}); err != nil {
+			return err
+		}
+	}
+	for _, id := range d.Removed {
+		delete(m.sky, id)
+		delete(m.sites, id)
+	}
+	for i, u := range d.Upserts {
+		m.sky[u.Tuple.ID], m.sites[u.Tuple.ID] = u, d.UpsertSites[i]
+	}
+	m.stale = false
+	if !d.Full {
+		m.instr.addRescored(rescored)
+		m.instr.addAffected(len(adds) + len(d.Removed))
+	}
+	m.notify(d)
 	return nil
 }
 
 // Refresh is the naive maintenance strategy: re-run the entire distributed
-// query from scratch and replace the answer.
+// query from scratch and replace the answer — replicas included, so it is
+// also the recovery path after ApplyNaive or a failed update.
 func (m *Maintainer) Refresh(ctx context.Context) error {
 	rep, err := Run(ctx, m.cluster, m.opts)
 	if err != nil {
 		return err
 	}
-	oldIDs := make([]uncertain.TupleID, 0, len(m.sky))
+	d := AnswerDelta{Full: true}
 	for id := range m.sky {
-		oldIDs = append(oldIDs, id)
+		d.Removed = append(d.Removed, id)
 	}
-	m.sky = make(map[uncertain.TupleID]uncertain.SkylineMember, len(rep.Skyline))
-	m.sites = make(map[uncertain.TupleID]int, len(rep.Skyline))
-	added := make([]uncertain.Tuple, 0, len(rep.Skyline))
 	for _, member := range rep.Skyline {
-		m.sky[member.Tuple.ID] = member
-		m.sites[member.Tuple.ID] = rep.Sites[member.Tuple.ID]
-		added = append(added, member.Tuple)
+		d.upsert(member, rep.Sites[member.Tuple.ID])
 	}
-	// Resynchronise replicas wholesale: Refresh is also the recovery path
-	// after ApplyNaive updates bypassed the incremental bookkeeping.
-	if err := m.syncReplicas(ctx, added, oldIDs); err != nil {
-		return err
-	}
-	members, siteIdx := m.Answer()
-	m.notify(AnswerDelta{Upserts: members, UpsertSites: siteIdx, Removed: oldIDs, Full: true})
-	return nil
+	return m.commit(ctx, d, 0)
 }
 
-// globalProb evaluates Lemma 1 for one tuple whose home-site local
-// probability is already known: the round engine's Evaluate broadcast and
-// fold, outside any query session.
-func (m *Maintainer) globalProb(ctx context.Context, home int, tu uncertain.Tuple, local float64) (float64, error) {
-	reqs := make([]round.Request, m.view.Len())
-	round.Ask(reqs, home, round.Request{Op: round.OpEvaluate, Feed: round.Representative{Tuple: tu, LocalProb: local}})
-	evals, err := m.view.Fanout(ctx, reqs)
-	if err != nil {
-		return 0, err
+// candidate is a tuple an update may admit: its home site and its local
+// skyline probability there.
+type candidate struct {
+	site int
+	rep  transport.Representative
+}
+
+// evaluate is Lemma 1 for every candidate at once, in one fan-out: site j
+// is sent one batched Evaluate of the candidates whose home is not j (none:
+// nothing is sent), and each global probability folds local × Π_{j≠home}
+// of the factors in ascending site order, exactly as the round engine
+// folds one broadcast — the same numbers, bit for bit.
+func (m *Maintainer) evaluate(ctx context.Context, cands []candidate) ([]float64, error) {
+	v := m.view
+	for j := range v.wire {
+		v.wire[j] = transport.Request{}
+		for _, c := range cands {
+			if c.site != j {
+				v.wire[j].Tuples = append(v.wire[j].Tuples, c.rep)
+			}
+		}
+		if len(v.wire[j].Tuples) > 0 {
+			v.wire[j].Kind, v.wire[j].Query = transport.KindEvaluate, v.query
+		}
 	}
-	global, _ := round.Fold(local, home, evals, nil)
+	resps, err := v.issue(ctx)
+	if err != nil {
+		return nil, err
+	}
+	for j, resp := range resps {
+		if resp != nil && len(resp.CrossProbs) != len(v.wire[j].Tuples) {
+			return nil, fmt.Errorf("core: site %d evaluate: %d factors for %d candidates", j, len(resp.CrossProbs), len(v.wire[j].Tuples))
+		}
+	}
+	global, next := make([]float64, len(cands)), make([]int, len(resps))
+	for k, c := range cands {
+		global[k] = c.rep.LocalProb
+		for j, resp := range resps {
+			if j != c.site {
+				global[k] *= resp.CrossProbs[next[j]]
+				next[j]++
+			}
+		}
+	}
 	return global, nil
 }
 

@@ -88,12 +88,12 @@ func (m *Maintainer) LatencyWindow() *obs.Window {
 	return m.instr.window
 }
 
-func noopFin(error) {}
+func noopFin(*error) {}
 
 // begin opens one update span: pprof op labels while profiling, and a
 // closure that settles the applied/errors counters and the latency
-// window when the update finishes.
-func (in *maintInstr) begin(op int) func(error) {
+// window from the update's result once it finishes (defer it).
+func (in *maintInstr) begin(op int) func(*error) {
 	if in == nil {
 		return noopFin
 	}
@@ -101,11 +101,11 @@ func (in *maintInstr) begin(op int) func(error) {
 		pprof.SetGoroutineLabels(in.labels[op])
 	}
 	start := time.Now()
-	return func(err error) {
+	return func(err *error) {
 		if in.window != nil {
 			in.window.Observe(time.Since(start))
 		}
-		if err != nil {
+		if *err != nil {
 			in.errors[op].Add(1)
 		} else {
 			in.applied[op].Add(1)

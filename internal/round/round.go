@@ -123,11 +123,11 @@ type Outcome struct {
 	FeedbackLocal []float64
 }
 
-// Fold is Lemma 1: the global skyline probability of a tuple is its
-// home-site local probability times every other site's eq. 9 factor. It
-// also sums what the feedback pruned and, when perSite is non-nil, copies
-// each site's running prune total into it.
-func Fold(local float64, home int, evals []Response, perSite []SiteTally) (global float64, pruned int) {
+// fold is Lemma 1: the global skyline probability of a tuple is its
+// home-site local probability times every other site's eq. 9 factor, in
+// ascending site order. It also sums what the feedback pruned and copies
+// each site's running prune total into perSite.
+func fold(local float64, home int, evals []Response, perSite []SiteTally) (global float64, pruned int) {
 	global = local
 	for i, r := range evals {
 		if i == home {
@@ -135,9 +135,7 @@ func Fold(local float64, home int, evals []Response, perSite []SiteTally) (globa
 		}
 		global *= r.CrossProb
 		pruned += r.Pruned
-		if perSite != nil {
-			perSite[i].Pruned = int64(r.SessionPruned)
-		}
+		perSite[i].Pruned = int64(r.SessionPruned)
 	}
 	return global, pruned
 }
@@ -162,8 +160,8 @@ func newEngine(sites Sites, opts Options, on func(Step)) *engine {
 	}}
 }
 
-// Ask puts req in every slot of a fan-out but skip's (negative: all).
-func Ask(reqs []Request, skip int, req Request) {
+// ask puts req in every slot of a fan-out but skip's (negative: all).
+func ask(reqs []Request, skip int, req Request) {
 	for i := range reqs {
 		if i != skip {
 			reqs[i] = req
@@ -226,7 +224,7 @@ func (e *engine) finish() *Outcome {
 func Baseline(ctx context.Context, sites Sites, opts Options, on func(Step)) (*Outcome, error) {
 	e := newEngine(sites, opts, on)
 	e.begin(PhaseToServer)
-	Ask(e.reqs, -1, Request{Op: OpShipAll})
+	ask(e.reqs, -1, Request{Op: OpShipAll})
 	resps, err := e.fanout(ctx)
 	e.end()
 	if err != nil {
@@ -272,7 +270,7 @@ func Run(ctx context.Context, sites Sites, opts Options, on func(Step)) (*Outcom
 	// To-Server phase, first iteration: every site initialises and ships
 	// its first representative (§4 step 1).
 	e.begin(PhaseToServer)
-	Ask(e.reqs, -1, Request{Op: OpInit})
+	ask(e.reqs, -1, Request{Op: OpInit})
 	resps, err := e.fanout(ctx)
 	for i, resp := range resps {
 		if !resp.Exhausted {
@@ -306,7 +304,7 @@ func Run(ctx context.Context, sites Sites, opts Options, on func(Step)) (*Outcom
 		// on the verdict — unless this round's report could be the last
 		// one asked for: no tuple ships that the answer never needed.
 		e.begin(PhaseServerDelivery)
-		Ask(e.reqs, head.site, Request{Op: OpEvaluate, Feed: head.rep})
+		ask(e.reqs, head.site, Request{Op: OpEvaluate, Feed: head.rep})
 		ahead := opts.MaxResults <= 0 || len(e.out.Skyline)+1 < opts.MaxResults
 		if ahead {
 			e.reqs[head.site] = Request{Op: OpNext}
@@ -322,7 +320,7 @@ func Run(ctx context.Context, sites Sites, opts Options, on func(Step)) (*Outcom
 		e.begin(PhaseLocalPruning)
 		e.out.FeedbackLocal = append(e.out.FeedbackLocal, head.rep.LocalProb)
 		e.event(Event{Kind: EventBroadcast, Site: head.site, Tuple: head.rep.Tuple, Prob: head.rep.LocalProb})
-		global, pruned := Fold(head.rep.LocalProb, head.site, evals, e.out.PerSite)
+		global, pruned := fold(head.rep.LocalProb, head.site, evals, e.out.PerSite)
 		if pruned > 0 {
 			e.event(Event{Kind: EventPrune, Site: -1, Count: pruned})
 		}

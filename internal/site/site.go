@@ -13,6 +13,7 @@ package site
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"slices"
@@ -413,8 +414,12 @@ func (e *Engine) recordSession(id uint64, s *session) {
 //
 // falls below the query threshold — a sound prune because every dominator
 // of t at t's home site also dominates s. Without a session (maintenance
-// traffic), the request's own Query supplies the dominance subspace.
+// traffic), the request's own Query supplies the dominance subspace, and
+// the request may batch: see evaluateBatch.
 func (e *Engine) handleEvaluate(req *transport.Request) (*transport.Response, error) {
+	if len(req.Tuples) > 0 {
+		return e.evaluateBatch(req)
+	}
 	feed := req.Feed
 	if err := feed.Tuple.Validate(e.index.Dims()); err != nil {
 		return nil, fmt.Errorf("site %d: bad feedback: %w", e.id, err)
@@ -450,6 +455,34 @@ func (e *Engine) handleEvaluate(req *transport.Request) (*transport.Response, er
 		resp.SessionPruned = s.pruned
 	}
 	return resp, nil
+}
+
+// ErrBatchedSession refuses an Evaluate that carries a batch of tuples
+// inside a query session: what a batch may prune is not defined yet, so a
+// batch is maintenance traffic only.
+var ErrBatchedSession = errors.New("batched evaluate is sessionless")
+
+// evaluateBatch answers a sessionless Evaluate carrying candidates: the
+// eq. 9 factor of each at this site, aligned with them, and nothing pruned.
+func (e *Engine) evaluateBatch(req *transport.Request) (*transport.Response, error) {
+	if req.Session != 0 {
+		return nil, fmt.Errorf("site %d: session %d: %w", e.id, req.Session, ErrBatchedSession)
+	}
+	if err := e.validQuery(req.Query); err != nil {
+		return nil, err
+	}
+	for _, cand := range req.Tuples {
+		if err := cand.Tuple.Validate(e.index.Dims()); err != nil {
+			return nil, fmt.Errorf("site %d: bad candidate: %w", e.id, err)
+		}
+	}
+	cp := e.startSpan("cross-prob")
+	cross := make([]float64, len(req.Tuples))
+	for k, cand := range req.Tuples {
+		cross[k] = e.index.CrossSkyProb(cand.Tuple, req.Query.Dims)
+	}
+	cp.end(int64(len(cross)), 0)
+	return &transport.Response{CrossProbs: cross}, nil
 }
 
 // handleShipAll returns the whole partition (baseline algorithm).
@@ -531,8 +564,18 @@ func (e *Engine) handleReplicate(req *transport.Request) (*transport.Response, e
 	return &transport.Response{}, nil
 }
 
-// handleDelete applies one deletion (§5.4).
+// handleDelete applies one deletion (§5.4). A delete that names a Query
+// (incremental maintenance) then answers the promotion candidates, as
+// handleCandidates would right after it; the query is validated before
+// the tree is touched. A query-less delete (ApplyNaive) answers nothing.
 func (e *Engine) handleDelete(req *transport.Request) (*transport.Response, error) {
+	q := req.Query
+	named := q.Threshold != 0 || q.Dims != nil || q.NoPrune
+	if named {
+		if err := e.validQuery(q); err != nil {
+			return nil, err
+		}
+	}
 	if err := e.index.Delete(req.ID, req.Point); err != nil {
 		return nil, fmt.Errorf("site %d: delete %d: %w", e.id, req.ID, err)
 	}
@@ -540,17 +583,16 @@ func (e *Engine) handleDelete(req *transport.Request) (*transport.Response, erro
 	if ix := e.hotSkyIndex(); ix != nil {
 		ix.deleted(e.index, req.ID, req.Point)
 	}
-	return &transport.Response{}, nil
+	if !named {
+		return &transport.Response{}, nil
+	}
+	return &transport.Response{Tuples: e.candidates(uncertain.Tuple{ID: req.ID, Point: req.Point}, q)}, nil
 }
 
-// handleCandidates finds, after the deletion of req.Feed.Tuple anywhere in
-// the system, the local tuples it used to dominate whose fresh local
-// skyline probability reaches the threshold — the promotion candidates
-// of incremental maintenance. They are the dominated members of SKY(D_i)
-// at that threshold: the deleted tuple's home site folded the deletion
-// into its index when it applied it, and at every other site D_i did not
-// change. The threshold and subspace ride in the request's Query
-// (maintenance is independent of query sessions).
+// handleCandidates finds, after the deletion of req.Feed.Tuple at another
+// site, the promotion candidates of incremental maintenance (candidates).
+// The threshold and subspace ride in the request's Query (maintenance is
+// independent of query sessions).
 func (e *Engine) handleCandidates(req *transport.Request) (*transport.Response, error) {
 	if err := e.validQuery(req.Query); err != nil {
 		return nil, err
@@ -559,13 +601,22 @@ func (e *Engine) handleCandidates(req *transport.Request) (*transport.Response, 
 	if err := gone.Validate(e.index.Dims()); err != nil {
 		return nil, fmt.Errorf("site %d: bad feedback: %w", e.id, err)
 	}
+	return &transport.Response{Tuples: e.candidates(gone, req.Query)}, nil
+}
+
+// candidates are the local tuples the deleted tuple gone used to dominate
+// whose fresh local skyline probability reaches q's threshold: the
+// dominated members of SKY(D_i) at that threshold. The deleted tuple's home
+// site folded the deletion into its index when it applied it, and at every
+// other site D_i did not change.
+func (e *Engine) candidates(gone uncertain.Tuple, q transport.Query) []transport.Representative {
 	var out []transport.Representative
-	for _, m := range e.localSkyline(req.Query.Threshold, req.Query.Dims) {
-		if m.Tuple.ID != gone.ID && gone.Dominates(m.Tuple, req.Query.Dims) {
+	for _, m := range e.localSkyline(q.Threshold, q.Dims) {
+		if m.Tuple.ID != gone.ID && gone.Dominates(m.Tuple, q.Dims) {
 			out = append(out, transport.Representative{Tuple: m.Tuple.Clone(), LocalProb: m.Prob})
 		}
 	}
-	return &transport.Response{Tuples: out}, nil
+	return out
 }
 
 // LocalSkylineSize reports how many local skyline tuples remain unshipped

@@ -3,10 +3,13 @@ package site
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -260,6 +263,76 @@ func TestCandidatesFindsPromotions(t *testing.T) {
 	}
 	if math.Abs(got[2]-0.8) > 1e-12 || math.Abs(got[3]-0.7) > 1e-12 {
 		t.Fatalf("candidate probabilities wrong: %v", got)
+	}
+}
+
+// A delete that names a query answers, after applying itself, what
+// Candidates answers right after a query-less delete; a query-less delete
+// answers nothing.
+func TestDeleteWithQueryAnswersCandidates(t *testing.T) {
+	part := uncertain.DB{
+		{ID: 1, Point: geom.Point{0.1, 0.1}, Prob: 0.95},
+		{ID: 2, Point: geom.Point{0.5, 0.5}, Prob: 0.8},
+		{ID: 3, Point: geom.Point{0.6, 0.4}, Prob: 0.7},
+		{ID: 4, Point: geom.Point{0.9, 0.9}, Prob: 0.9},
+	}
+	q, gone := transport.Query{Threshold: 0.3}, part[0]
+	named, bare := New(0, part, 2, 0), New(0, part, 2, 0)
+	handle := func(eng *Engine, req *transport.Request) *transport.Response {
+		t.Helper()
+		resp, err := eng.Handle(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	got := handle(named, &transport.Request{Kind: transport.KindDelete, ID: gone.ID, Point: gone.Point, Query: q})
+	if resp := handle(bare, &transport.Request{Kind: transport.KindDelete, ID: gone.ID, Point: gone.Point}); resp.Tuples != nil {
+		t.Fatalf("a query-less delete answered %v", resp.Tuples)
+	}
+	want := handle(bare, &transport.Request{Kind: transport.KindCandidates, Feed: transport.Feedback{Tuple: gone}, Query: q})
+	if len(got.Tuples) != 2 || !reflect.DeepEqual(got.Tuples, want.Tuples) || named.Len() != 3 {
+		t.Fatalf("delete answered %v (%d left), Candidates %v", got.Tuples, named.Len(), want.Tuples)
+	}
+}
+
+// A sessionless Evaluate may carry a batch: it answers each tuple's eq. 9
+// factor, aligned and bit for bit what a one-tuple Evaluate answers, and
+// prunes nothing. Inside a session, or with a bad query or tuple, it fails.
+func TestBatchedEvaluate(t *testing.T) {
+	r := rand.New(rand.NewSource(57))
+	eng := New(0, randomPart(r, 200, 2), 2, 0)
+	q := transport.Query{Threshold: 0.3, Dims: []int{1}}
+	var batch []transport.Representative
+	for k := 0; k < 5; k++ {
+		tu := uncertain.Tuple{ID: uncertain.TupleID(5000 + k), Point: geom.Point{r.Float64(), r.Float64()}, Prob: 0.5}
+		batch = append(batch, transport.Representative{Tuple: tu, LocalProb: 0.4})
+	}
+	resp, err := eng.Handle(context.Background(), &transport.Request{Kind: transport.KindEvaluate, Tuples: batch, Query: q})
+	if err != nil || len(resp.CrossProbs) != len(batch) || resp.Pruned != 0 {
+		t.Fatalf("batched evaluate: %+v, %v", resp, err)
+	}
+	for k, cand := range batch {
+		one, err := eng.Handle(context.Background(), &transport.Request{Kind: transport.KindEvaluate, Query: q,
+			Feed: transport.Feedback{Tuple: cand.Tuple, HomeLocalProb: cand.LocalProb}})
+		if err != nil || math.Float64bits(one.CrossProb) != math.Float64bits(resp.CrossProbs[k]) {
+			t.Fatalf("candidate %d: batch factor %v, alone %v (%v)", k, resp.CrossProbs[k], one.CrossProb, err)
+		}
+	}
+	initSite(t, eng, 0.3, nil)
+	for name, req := range map[string]transport.Request{
+		"batched evaluate is sessionless": {Kind: transport.KindEvaluate, Session: 7, Tuples: batch, Query: q},
+		"outside (0,1]":                   {Kind: transport.KindEvaluate, Tuples: batch},
+		"bad candidate": {Kind: transport.KindEvaluate, Query: q,
+			Tuples: []transport.Representative{{Tuple: uncertain.Tuple{ID: 1, Point: geom.Point{1}, Prob: 0.5}}}},
+	} {
+		_, err := eng.Handle(context.Background(), &req)
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: got %v", name, err)
+		}
+		if name == "batched evaluate is sessionless" && !errors.Is(err, ErrBatchedSession) {
+			t.Errorf("a session batch failed with %v, want ErrBatchedSession", err)
+		}
 	}
 }
 

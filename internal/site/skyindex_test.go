@@ -216,8 +216,9 @@ func TestSessionsSnapshotTheIndex(t *testing.T) {
 	c.check()
 }
 
-// Candidates and Insert must reject a malformed query before it can key
-// an index or reach the tree, with the errors Init gives.
+// Candidates, Insert and a Delete that names a query must reject a
+// malformed query before it can key an index or reach the tree, with the
+// errors Init gives.
 func TestUpdateHandlersValidateTheQuery(t *testing.T) {
 	tu := uncertain.Tuple{ID: 9000, Point: geom.Point{0.5, 0.5}, Prob: 0.5}
 	cases := []struct {
@@ -240,7 +241,8 @@ func TestUpdateHandlersValidateTheQuery(t *testing.T) {
 			feed: uncertain.Tuple{ID: 1, Point: geom.Point{0.5, 0.5}}, want: "bad feedback", insertOK: true},
 	}
 	r := rand.New(rand.NewSource(22))
-	eng := New(0, randomPart(r, 50, 2), 2, 0)
+	part := randomPart(r, 50, 2)
+	eng := New(0, part, 2, 0)
 	handle := func(req *transport.Request) string {
 		if _, err := eng.Handle(context.Background(), req); err != nil {
 			return err.Error()
@@ -254,8 +256,16 @@ func TestUpdateHandlersValidateTheQuery(t *testing.T) {
 		}
 		invalid := tc.query.Validate(2) != nil
 		if invalid {
-			if says := handle(&transport.Request{Kind: transport.KindInit, Query: tc.query}); got != says {
+			says := handle(&transport.Request{Kind: transport.KindInit, Query: tc.query})
+			if got != says {
 				t.Errorf("Candidates, %s: error %q, Init says %q", tc.name, got, says)
+			}
+			// A query-less delete is ApplyNaive's and applies.
+			if tc.query.Threshold != 0 {
+				del := &transport.Request{Kind: transport.KindDelete, ID: part[0].ID, Point: part[0].Point, Query: tc.query}
+				if got := handle(del); got != says {
+					t.Errorf("Delete, %s: error %q, Init says %q", tc.name, got, says)
+				}
 			}
 		}
 		got = handle(&transport.Request{Kind: transport.KindInsert, Tuple: tu, Query: tc.query})

@@ -147,8 +147,14 @@ func respLedger(req *transport.Request, resp *transport.Response, dims int) (tup
 		if !resp.Exhausted {
 			return 1, size
 		}
-	case transport.KindEvaluate, transport.KindInsert, transport.KindDelete:
+	case transport.KindEvaluate:
+		n := int64(max(1, len(req.Tuples))) // a maintenance batch: one per candidate
+		return n, n * size
+	case transport.KindInsert:
 		return 1, size
+	case transport.KindDelete:
+		n := 1 + int64(len(resp.Tuples)) // the notice, then the candidates it answers
+		return n, n * size
 	case transport.KindShipAll, transport.KindCandidates:
 		n := int64(len(resp.Tuples))
 		return n, n * size

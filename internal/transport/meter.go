@@ -72,11 +72,13 @@ func (m *Meter) AddBytes(n int64) { m.bytes.Add(n) }
 //
 //   - every Representative returned by Init/Next costs one up-tuple;
 //   - every Evaluate request ships the feedback tuple down (one per site
-//     contacted, so a broadcast to m−1 sites costs m−1);
-//   - ShipAll and Candidates responses cost one up-tuple each;
+//     contacted, so a broadcast to m−1 sites costs m−1), or a batch of
+//     maintenance candidates, one down-tuple each;
+//   - ShipAll, Candidates and Delete responses cost one up-tuple per tuple
+//     they carry (the partition, the promotion candidates);
 //   - Insert/Delete requests ship one tuple of update traffic down only
 //     when they originate remotely (the caller decides by using a metered
-//     client or not);
+//     client or not), and so does the deletion notice of Candidates;
 //   - probability scalars, prune counts and sizes ride for free, like the
 //     paper's headers.
 func (m *Meter) Account(req *Request, resp *Response) {
@@ -87,16 +89,15 @@ func (m *Meter) Account(req *Request, resp *Response) {
 			m.tuplesUp.Add(1)
 		}
 	case KindEvaluate:
-		m.tuplesDown.Add(1)
-	case KindShipAll, KindCandidates:
+		m.tuplesDown.Add(int64(max(1, len(req.Tuples))))
+	case KindShipAll, KindCandidates, KindDelete:
 		if resp != nil {
 			m.tuplesUp.Add(int64(len(resp.Tuples)))
 		}
-		if req.Kind == KindCandidates {
-			// The deletion notice itself carries one tuple downstream.
+		if req.Kind != KindShipAll {
 			m.tuplesDown.Add(1)
 		}
-	case KindInsert, KindDelete:
+	case KindInsert:
 		m.tuplesDown.Add(1)
 	case KindReplicate:
 		// Replica adds travel downstream as whole tuples; removals are

@@ -32,13 +32,17 @@ const (
 	KindNext
 	// KindEvaluate ships a feedback tuple (§5: Server-Delivery phase); the
 	// site answers with its eq. 9 factor and prunes its local skyline.
+	// Without a session it may instead carry a batch of maintenance
+	// candidates in Tuples, answered with one factor each in CrossProbs.
 	KindEvaluate
 	// KindShipAll asks for the site's entire partition (baseline
 	// algorithm).
 	KindShipAll
 	// KindInsert applies one tuple insertion at the site (§5.4).
 	KindInsert
-	// KindDelete applies one tuple deletion at the site (§5.4).
+	// KindDelete applies one tuple deletion at the site (§5.4); one that
+	// names a Query also answers the promotion candidates KindCandidates
+	// would, on the post-delete index.
 	KindDelete
 	// KindCandidates asks, after a deletion, for local tuples that were
 	// dominated by the deleted tuple and now locally qualify (§5.4
@@ -165,7 +169,8 @@ type Request struct {
 	ID    uncertain.TupleID // KindDelete
 	Point geom.Point        // KindDelete
 
-	// Tuples carries replica additions for KindReplicate; RemoveIDs the
+	// Tuples carries replica additions for KindReplicate and the
+	// candidates of a sessionless KindEvaluate batch; RemoveIDs the
 	// replica evictions.
 	Tuples    []Representative
 	RemoveIDs []uncertain.TupleID
@@ -188,9 +193,12 @@ type Response struct {
 	// replays its Pruned delta; the cumulative count cannot
 	// double-count).
 	SessionPruned int
+	// CrossProbs answers a batched KindEvaluate: the eq. 9 factor of each
+	// of Request.Tuples, aligned with them.
+	CrossProbs []float64
 
 	// Tuples carries the partition for KindShipAll and promotion
-	// candidates for KindCandidates.
+	// candidates for KindCandidates and a KindDelete that names a Query.
 	Tuples []Representative
 
 	// Hopeless reports (for KindInsert against a replica-holding site)

@@ -107,6 +107,18 @@ func TestLocalClient(t *testing.T) {
 	}
 }
 
+// Maintenance batches: an Evaluate carrying candidates ships each of them
+// down, and a delete that answers candidates ships each of them up.
+func TestMeterAccountsMaintenanceBatches(t *testing.T) {
+	var m Meter
+	rep := Representative{Tuple: sampleTuple(1), LocalProb: 0.5}
+	m.Account(&Request{Kind: KindEvaluate, Tuples: []Representative{rep, rep, rep}}, &Response{CrossProbs: []float64{1, 1, 1}})
+	m.Account(&Request{Kind: KindDelete, Query: Query{Threshold: 0.3}}, &Response{Tuples: []Representative{rep, rep}})
+	if s := m.Snapshot(); s.Messages != 2 || s.TuplesDown != 3+1 || s.TuplesUp != 2 {
+		t.Fatalf("got %+v, want 2 messages, 4 tuples down (3 candidates, 1 notice), 2 up", s)
+	}
+}
+
 func TestMeterAccounting(t *testing.T) {
 	var m Meter
 	rep := Representative{Tuple: sampleTuple(1), LocalProb: 0.5}

@@ -21,7 +21,7 @@ package transport
 //	5  Trace      traceID uvarint | parent   6  TraceBlob      n bytes
 //	              uvarint | flags u8         7  Hopeless       (the bit is the value)
 //	6  Tuple      tuple                      8  Status         n bytes: the /statusz JSON document
-//	7  ID         uvarint
+//	7  ID         uvarint                    9  CrossProbs     n × f64
 //	8  Point      point
 //	9  Tuples     n × rep
 //	10 RemoveIDs  n × id uvarint
@@ -311,6 +311,9 @@ func (w *wire) response(p *Response) {
 	w.bit(7, &p.Hopeless)
 	if w.has(8, p.Status != nil) {
 		w.status(&p.Status)
+	}
+	if w.has(9, len(p.CrossProbs) > 0) {
+		w.point((*geom.Point)(&p.CrossProbs), "cross probs") // the same n × f64
 	}
 }
 

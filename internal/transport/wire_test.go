@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
+	"net"
 	"reflect"
 	"testing"
+	"time"
 
+	"repro/internal/codec"
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/uncertain"
@@ -136,6 +140,10 @@ func sampleMessages() (reqs []Request, resps []Response) {
 		with(func(r *Request) { r.Kind = KindDelete; r.ID = 99; r.Point = geom.Point{0.125, 0.75, 0.4375} }),
 		with(func(r *Request) { r.Kind = KindEndQuery }),
 		{Kind: KindStatus},
+		// Maintenance traffic: a batched, sessionless Evaluate and a
+		// delete that answers its own promotion candidates.
+		{Kind: KindEvaluate, Seq: 18, Query: Query{Threshold: 0.3}, Tuples: []Representative{rep(40), rep(41)}},
+		{Kind: KindDelete, Seq: 19, ID: 99, Point: geom.Point{0.125, 0.75, 0.4375}, Query: Query{Threshold: 0.3}},
 	}
 	resps = []Response{
 		{Rep: rep(1), TraceBlob: []byte("DSQT\x01spans")},
@@ -148,6 +156,7 @@ func sampleMessages() (reqs []Request, resps []Response) {
 		{Rep: rep(6), Hopeless: true}, // an insert the replica vetoes
 		{Tuples: []Representative{{Tuple: tu(7)}, {Tuple: tu(8)}}}, // ship-all: no local probabilities
 		{Status: &SiteStatus{ID: 2, Tuples: 1000, TreeHeight: 3, RequestsTotal: 12345, LatencyP99Ms: 1.5, MuxWorkerLimit: 32}},
+		{CrossProbs: []float64{0.731, 1, 0.0625}}, // a batched evaluate's factors
 	}
 	return reqs, resps
 }
@@ -238,8 +247,9 @@ func TestWireHostileCounts(t *testing.T) {
 		"trace blob":      response(6, huge...),
 		"status":          response(8, huge...),
 		"status json":     response(8, 3, '{', '"', 'x'),
-		"retired mask 9":  response(9, 0, 0, 2, 0),   // a histogram before the renumbering
-		"retired mask 10": response(10, 2, '{', '}'), // Status before the renumbering
+		"cross probs":     response(9, huge...),
+		"cross prob bits": response(9, append([]byte{2}, make([]byte, 15)...)...), // 8 bytes a factor
+		"retired mask 10": response(10, 2, '{', '}'),                              // Status before the renumbering
 		"unknown mask":    response(11),
 		"unknown status":  {7},
 	} {
@@ -247,6 +257,43 @@ func TestWireHostileCounts(t *testing.T) {
 		if err := DecodeResponse(data, &resp); !errors.Is(err, ErrWire) {
 			t.Errorf("response with hostile %s: %v", name, err)
 		}
+	}
+}
+
+// A generation-4 peer would read a batched Evaluate as one empty feedback
+// tuple and answer a factor of 1.0 — every candidate promoted. Neither side
+// of a connection accepts its hello.
+func TestWireRefusesGenerationFour(t *testing.T) {
+	v4 := []byte{codec.MuxMagic[0], codec.MuxMagic[1], codec.MuxMagic[2], codec.MuxMagic[3], 4}
+	addr, _ := startMuxServer(t, handlerFunc(sessionEcho))
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.Write(v4)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("server read after a v4 hello = (%d, %v), want EOF", n, err)
+	}
+
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	go func() {
+		if site, err := lis.Accept(); err == nil {
+			io.ReadFull(site, make([]byte, 5))
+			site.Write(v4)
+			site.Close()
+		}
+	}()
+	if cl, err := DialAuto(lis.Addr().String(), nil); !errors.Is(err, ErrWireVersion) {
+		if cl != nil {
+			cl.Close()
+		}
+		t.Fatalf("dialing a v4 site: %v, want ErrWireVersion", err)
 	}
 }
 
