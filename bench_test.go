@@ -55,7 +55,7 @@ func benchWorkload(b *testing.B, n, d, m int, values gen.ValueDist, probs gen.Pr
 // bandwidth and answer size.
 func benchQuery(b *testing.B, parts []uncertain.DB, dims int, opts core.Options) {
 	b.Helper()
-	cluster, err := core.NewLocalCluster(parts, dims, 0)
+	cluster, err := core.Open(core.ClusterConfig{Partitions: parts, Dims: dims})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func BenchmarkFig13(b *testing.B) {
 // benchProgress measures cost-to-k-th-result: the progressiveness metric.
 func benchProgress(b *testing.B, parts []uncertain.DB, dims int, algo core.Algorithm, k int) {
 	b.Helper()
-	cluster, err := core.NewLocalCluster(parts, dims, 0)
+	cluster, err := core.Open(core.ClusterConfig{Partitions: parts, Dims: dims})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func BenchmarkFig14(b *testing.B) {
 func benchUpdates(b *testing.B, parts []uncertain.DB, incremental bool) {
 	b.Helper()
 	ctx := context.Background()
-	cluster, err := core.NewLocalCluster(parts, 3, 0)
+	cluster, err := core.Open(core.ClusterConfig{Partitions: parts, Dims: 3})
 	if err != nil {
 		b.Fatal(err)
 	}

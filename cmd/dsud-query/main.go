@@ -7,12 +7,12 @@
 //
 //	dsud-query -addrs 127.0.0.1:7101,127.0.0.1:7102 -dims 3 -q 0.3 -algo edsud
 //
-// With -cluster-status it instead probes every site's health and prints
-// one row per site (including each site's telemetry last-push age). With
-// -watch it runs as a long-lived telemetry coordinator: every site's
-// pushed telemetry stream feeds a time-series store served at /clusterz
-// (and as a Prometheus federation view) on -debug-addr — the endpoint
-// dsud-top -cluster reads. With -audit-fraction the completed query is
+// With -cluster-status it instead probes every site's health once and
+// prints one row per site. With -watch it runs as a long-lived watching
+// coordinator: it polls every site's status once per -poll-interval, keeps
+// a short per-site history and serves it at /clusterz (and as a Prometheus
+// federation view) on -debug-addr — the endpoint dsud-top -cluster reads.
+// With -audit-fraction the completed query is
 // re-checked against exact oracles at that sampling rate, and with
 // -flight-dir the coordinator's flight recorder is dumped on exit (and
 // automatically on slow queries or audit violations). With -explain the
@@ -55,8 +55,8 @@ func main() {
 		explain = flag.Bool("explain", false, "render the per-query explain report after the query: per-site contribution, phase breakdown and the ASCII delivery timeline")
 
 		clusterStatus = flag.Bool("cluster-status", false, "probe every site's health over the wire, print a status table and exit")
-		watch         = flag.Bool("watch", false, "run as a telemetry coordinator: subscribe to every site's pushed telemetry and serve /clusterz plus the cluster federation view on -debug-addr until interrupted (no query runs)")
-		telemetryInt  = flag.Duration("telemetry-interval", 0, "push cadence requested from the sites in -watch mode (0 = 1s default)")
+		watch         = flag.Bool("watch", false, "run as a watching coordinator: poll every site's status and serve /clusterz plus the cluster federation view on -debug-addr until interrupted (no query runs)")
+		pollInterval  = flag.Duration("poll-interval", time.Second, "status poll cadence in -watch mode; a site that misses one poll is stale")
 		auditFraction = flag.Float64("audit-fraction", 0, "fraction of completed queries re-checked against exact oracles (0 = off, 1 = every query)")
 		auditMC       = flag.Int("audit-mc-samples", 0, "Monte-Carlo possible worlds per audited query (0 = exact checks only)")
 		flightDir     = flag.String("flight-dir", "", "directory for flight-recorder dumps (slow queries, audit violations, exit)")
@@ -83,7 +83,7 @@ func main() {
 		if *debugAddr == "" {
 			fatalf("-watch needs -debug-addr to serve /clusterz")
 		}
-		if err := watchCluster(ctx, *addrs, *dims, *debugAddr, *telemetryInt, *logLevel, *logFormat); err != nil {
+		if err := watchCluster(ctx, *addrs, *dims, *debugAddr, *pollInterval, *logLevel, *logFormat); err != nil {
 			fatalf("%v", err)
 		}
 		return
@@ -101,7 +101,11 @@ func main() {
 			fatalf("%v", err)
 		}
 		defer cluster.Close()
-		healths := cluster.Health(ctx)
+		// Bounded, so a site that echoes the hello but never answers the
+		// probe is reported DOWN instead of hanging the command.
+		hctx, cancel := context.WithTimeout(ctx, statusTimeout)
+		healths := cluster.Health(hctx)
+		cancel()
 		healthy := dsq.WriteClusterStatus(os.Stdout, healths, time.Now())
 		if healthy < len(healths) {
 			os.Exit(1)
@@ -364,57 +368,52 @@ func finalSnapshot(fr *dsq.FlightRecorder, reg *dsq.Metrics, dir string) {
 	fmt.Printf("metrics snapshot -> %s\n", path)
 }
 
-// watchCluster is the -watch serve mode: the coordinator as the cluster's
-// telemetry aggregation point. It subscribes to every site's pushed
-// telemetry stream (wire v2), retains recent history in the time-series
-// store, and serves /clusterz (JSON and ?format=text), the federation
-// /metrics view and the usual debug endpoints until ctx is cancelled.
+// statusTimeout bounds the -cluster-status sweep.
+const statusTimeout = 5 * time.Second
+
+// watchCluster is the -watch serve mode: the coordinator polls every
+// site's status once per interval and serves /clusterz (JSON and
+// ?format=text), the federation /metrics view and the usual debug
+// endpoints until ctx is cancelled.
 func watchCluster(ctx context.Context, addrs string, dims int, debugAddr string, interval time.Duration, logLevel, logFormat string) error {
 	d := dims
 	if d <= 0 {
-		d = 1 // telemetry never ships tuples; any positive dims satisfies the constructor
+		d = 1 // status polls never ship tuples; any positive dims satisfies the constructor
 	}
 	reg := dsq.NewMetrics()
-	cluster, err := dsq.Connect(dsq.ClusterConfig{
+	cfg := dsq.ClusterConfig{
 		Addrs:   strings.Split(addrs, ","),
 		Dims:    d,
 		Metrics: reg,
-		// Redialling transport: a site restart only costs the staleness
-		// window, not the subscription.
+		// Redialling transport: a restarted site answers the next poll.
 		RetryAttempts: 3,
-	})
-	if err != nil {
-		return err
 	}
-	defer cluster.Close()
-
-	cfg := dsq.TelemetryConfig{Interval: interval}
 	if logLevel != "" {
 		level, err := dsq.ParseLogLevel(logLevel)
 		if err != nil {
 			return err
 		}
-		logger, err := dsq.NewLogger(os.Stderr, logFormat, level)
-		if err != nil {
+		if cfg.Logger, err = dsq.NewLogger(os.Stderr, logFormat, level); err != nil {
 			return err
 		}
-		cfg.Logger = logger
 	}
-	ct, err := cluster.StartTelemetry(ctx, cfg)
+	cluster, err := dsq.Connect(cfg)
 	if err != nil {
 		return err
 	}
-	defer ct.Stop()
-	ct.Expose(reg)
+	defer cluster.Close()
+	w := cluster.Watch(ctx, interval)
+	defer w.Stop()
+	w.Expose(reg)
 
 	lis, err := net.Listen("tcp", debugAddr)
 	if err != nil {
 		return fmt.Errorf("debug listen: %w", err)
 	}
-	fmt.Printf("cluster telemetry on http://%s/clusterz (%d sites, push interval %v)\n",
-		lis.Addr(), cluster.Sites(), ct.Interval())
+	fmt.Printf("cluster watch on http://%s/clusterz (%d sites, poll interval %v)\n",
+		lis.Addr(), cluster.Sites(), interval)
 	srv := &http.Server{Handler: obs.DebugMux(reg, map[string]http.Handler{
-		"/clusterz": ct.Handler(),
+		"/clusterz": w.Handler(),
 	})}
 	go func() {
 		<-ctx.Done()

@@ -105,11 +105,11 @@ func main() {
 	// payloads are not captured here — the gob streams are stateful per
 	// connection; transcript capture happens at the coordinator.)
 	type frameCtr struct{ frames, bytes *obs.Counter }
-	frameCtrs := func(dir string) [8]frameCtr {
-		var c [8]frameCtr
+	frameCtrs := func(dir string) [4]frameCtr {
+		var c [4]frameCtr
 		for t := 0; t < len(c); t++ {
 			name := codec.FrameType(t).String()
-			if t == 0 || t > 5 {
+			if t == 0 {
 				name = "other"
 			}
 			c[t] = frameCtr{
@@ -126,7 +126,7 @@ func main() {
 			ctrs = &outCtrs
 		}
 		i := int(t)
-		if i <= 0 || i > 5 {
+		if i >= len(*ctrs) {
 			i = 0
 		}
 		ctrs[i].frames.Inc()
@@ -137,11 +137,6 @@ func main() {
 	// /metrics — the live feed dsud-top renders.
 	eng.SetWorkerStats(srv.WorkerStats)
 	obs.ExposeWindow(reg, "dsud_site_request_window_seconds", eng.Window(), "site", fmt.Sprint(*id))
-	// Telemetry push plane: coordinators subscribe and receive one
-	// snapshot per interval; /statusz reports the publisher's own counters
-	// so operators can see who is listening and when the last push went out.
-	srv.SetTelemetrySource(eng)
-	eng.SetTelemetryStats(srv.TelemetryStats)
 	fmt.Printf("dsud-site %d serving %d tuples (%d dims) on %s\n", *id, len(part), dims, lis.Addr())
 
 	// Declarative site-level SLO over the windowed request latency:
@@ -151,7 +146,7 @@ func main() {
 	if *sloP99 > 0 {
 		mon = slo.New(slo.Latency("request_p99", eng.Window(), 0.99, *sloP99))
 		mon.Instrument(reg)
-		eng.SetSLOMonitor(mon) // pushed telemetry carries the cached SLO state
+		eng.SetSLOMonitor(mon) // status polls carry the cached SLO state
 		mon.OnSustainedBreach(func(name string) {
 			fmt.Fprintf(os.Stderr, "dsud-site %d: SLO %q in sustained breach\n", *id, name)
 			if *flightDir != "" {

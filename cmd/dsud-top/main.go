@@ -11,15 +11,16 @@
 //	dsud-top -sites ... -once        # single frame, no clearing (CI)
 //	dsud-top -cluster http://127.0.0.1:9100
 //
-// With -cluster it reads a telemetry coordinator's single /clusterz
+// With -cluster it reads a watching coordinator's single /clusterz
 // endpoint (dsud-query -watch) instead of scraping sites directly: every
-// row comes from the sites' pushed telemetry, annotated with push age,
-// staleness marks, and a sparkline of recent p99 history from the
-// coordinator's time-series ring. When the same coordinator also serves
-// /queryz (delivery-curve digests), the frame gains a per-site DLVRD
-// (skyline tuples delivered) column and a progressiveness summary line
-// (median TTFR, median bandwidth AUC); a coordinator that predates
-// /queryz renders "-" there and still passes -once.
+// row comes from the coordinator's latest status poll of that site,
+// annotated with poll age, staleness marks, and a sparkline of recent p99
+// history from the coordinator's per-site ring. When the same
+// coordinator also serves /queryz (delivery-curve digests), the frame
+// gains a per-site DLVRD (skyline tuples delivered) column and a
+// progressiveness summary line (median TTFR, median bandwidth AUC); a
+// coordinator that predates /queryz renders "-" there and still passes
+// -once.
 //
 // Site addresses may omit the scheme (host:port implies http://). The
 // request rate prefers the site's own rotating-window rate (exact over
@@ -44,7 +45,6 @@ import (
 
 	"repro/dsq"
 	"repro/internal/obs/slo"
-	"repro/internal/obs/tsdb"
 	"repro/internal/transport"
 )
 
@@ -55,7 +55,7 @@ func main() {
 func run() int {
 	var (
 		sitesFlag   = flag.String("sites", "", "comma-separated site /statusz base URLs (this or -cluster is required)")
-		clusterFlag = flag.String("cluster", "", "telemetry coordinator /clusterz base URL (a dsud-query -watch -debug-addr); replaces per-site scraping")
+		clusterFlag = flag.String("cluster", "", "watching coordinator /clusterz base URL (a dsud-query -watch -debug-addr); replaces per-site scraping")
 		sloFlag     = flag.String("slo", "", "optional /slostatusz base URL (e.g. a dsud-loadgen -debug-addr)")
 		interval    = flag.Duration("interval", 2*time.Second, "poll and redraw cadence")
 		once        = flag.Bool("once", false, "render a single frame without clearing and exit (scripting/CI)")
@@ -181,7 +181,7 @@ func (t *top) render(w *os.File) int {
 
 // renderCluster draws one frame from the coordinator's aggregated
 // /clusterz document — no direct site scrapes. Returns how many entries
-// are bad (coordinator unreachable, or sites stale/unsubscribed). A
+// are bad (coordinator unreachable, or sites stale). A
 // coordinator without /queryz (predates delivery-curve digests) is a
 // soft miss: the DLVRD column degrades to "-" and -once still passes.
 func (t *top) renderCluster(w *os.File) int {
@@ -193,13 +193,13 @@ func (t *top) renderCluster(w *os.File) int {
 	qz := t.fetchQueryz()
 	fmt.Fprintf(w, "dsud-top  %s  cluster %s  %d site(s): %d fresh, %d stale\n",
 		time.Now().Format("15:04:05"), trimURL(t.cluster), doc.Sites, doc.Fresh, doc.Stale)
-	fmt.Fprintf(w, "cluster rate %.1f/s  p50 %s  p95 %s  p99 %s  (merged over fresh sites, push interval %v)\n\n",
+	fmt.Fprintf(w, "cluster rate %.1f/s  p50 %s  p95 %s  p99 %s  (merged over fresh sites, poll interval %v)\n\n",
 		doc.Rate, ms(doc.P50Ms), ms(doc.P95Ms), ms(doc.P99Ms), time.Duration(doc.IntervalNS))
 	fmt.Fprintf(w, "%-5s %-6s %7s %8s %8s %8s %8s %8s %8s %6s %6s %6s  %s\n",
-		"SITE", "STATE", "AGE", "PUSHES", "TUPLES", "INFLIGHT", "RPS", "P50MS", "P99MS", "BUSY", "QUEUED", "DLVRD", "P99 HISTORY")
+		"SITE", "STATE", "AGE", "POLLS", "TUPLES", "INFLIGHT", "RPS", "P50MS", "P99MS", "BUSY", "QUEUED", "DLVRD", "P99 HISTORY")
 	bad := 0
 	for _, s := range doc.PerSite {
-		if s.Err != "" && s.Pushes == 0 {
+		if s.Latest == nil {
 			fmt.Fprintf(w, "%-5d %-6s %s\n", s.Site, "DOWN", s.Err)
 			bad++
 			continue
@@ -209,18 +209,15 @@ func (t *top) renderCluster(w *os.File) int {
 			state = "STALE"
 			bad++
 		}
-		rps := 0.0
-		if s.Latest.WindowSpanNS > 0 {
-			rps = float64(s.Latest.WindowCount) / (float64(s.Latest.WindowSpanNS) / float64(time.Second))
-		}
+		st := s.Latest
 		fmt.Fprintf(w, "%-5d %-6s %6.1fs %8d %8d %8d %8.1f %8s %8s %6d %6d %6s  %s\n",
-			s.Site, state, s.AgeSeconds, s.Pushes, s.Latest.Tuples, s.Latest.InFlight, rps,
-			ms(lastValue(s.History[tsdb.SeriesP50])), ms(lastValue(s.History[tsdb.SeriesP99])),
-			s.Latest.MuxBusy, s.Latest.MuxQueued, qz.delivered(s.Site), spark(s.History[tsdb.SeriesP99], 32))
-		for _, o := range s.Latest.SLO {
+			s.Site, state, s.AgeSeconds, s.Polls, st.Tuples, st.InFlight, st.WindowRate,
+			ms(st.LatencyP50Ms), ms(st.LatencyP99Ms),
+			st.MuxWorkersBusy, st.MuxQueued, qz.delivered(s.Site), spark(s.History, 32))
+		for _, o := range st.SLO {
 			if o.Breached {
 				fmt.Fprintf(w, "      slo %s BREACHED: current %.4g target %.4g burn %.2f\n",
-					o.Name, o.Current, o.Target, o.Burn)
+					string(o.Name), o.Current, o.Target, o.Burn)
 			}
 		}
 	}
@@ -247,13 +244,13 @@ type queryzDump struct {
 // delivered sums a site's skyline contributions over the retained
 // digests; "-" when /queryz is absent or the site is beyond the digest's
 // per-site capacity.
-func (qz *queryzDump) delivered(site int64) string {
+func (qz *queryzDump) delivered(site int) string {
 	if qz == nil {
 		return "-"
 	}
 	total, tracked := int64(0), false
 	for _, q := range qz.Queries {
-		if site < int64(len(q.PerSite)) {
+		if site < len(q.PerSite) {
 			tracked = true
 			total += int64(q.PerSite[site])
 		}
@@ -332,19 +329,12 @@ func (t *top) fetchClusterz() (*dsq.Clusterz, error) {
 	return &doc, nil
 }
 
-// lastValue is the newest sample of a series history ("" -> "-" via ms).
-func lastValue(pts []tsdb.Point) float64 {
-	if len(pts) == 0 {
-		return 0
-	}
-	return pts[len(pts)-1].Value
-}
-
 var sparkLevels = []rune("▁▂▃▄▅▆▇█")
 
-// spark renders up to width samples as a unicode sparkline, scaled to
-// the window's own maximum (flat zero history renders as a floor line).
-func spark(pts []tsdb.Point, width int) string {
+// spark renders the p99 of up to width polls as a unicode sparkline,
+// scaled to the window's own maximum (flat zero history renders as a
+// floor line).
+func spark(pts []dsq.WatchPoint, width int) string {
 	if len(pts) == 0 {
 		return ""
 	}
@@ -353,15 +343,15 @@ func spark(pts []tsdb.Point, width int) string {
 	}
 	max := 0.0
 	for _, p := range pts {
-		if p.Value > max {
-			max = p.Value
+		if p.P99Ms > max {
+			max = p.P99Ms
 		}
 	}
 	var b strings.Builder
 	for _, p := range pts {
 		i := 0
 		if max > 0 {
-			i = int(p.Value / max * float64(len(sparkLevels)-1))
+			i = int(p.P99Ms / max * float64(len(sparkLevels)-1))
 			if i < 0 {
 				i = 0
 			}

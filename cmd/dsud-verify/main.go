@@ -70,7 +70,7 @@ func main() {
 		fatalf("%v", err)
 	}
 	for _, algo := range []core.Algorithm{core.Baseline, core.DSUD, core.EDSUD} {
-		cluster, err := core.NewLocalCluster(parts, dims, 0)
+		cluster, err := core.Open(core.ClusterConfig{Partitions: parts, Dims: dims})
 		if err != nil {
 			fatalf("%v", err)
 		}

@@ -12,8 +12,7 @@ import (
 // and serves reads from it (docs/SERVING.md); NewMaintainer keeps an
 // answer current under updates.
 //
-// The deprecated pre-Connect constructors (NewLocalCluster,
-// NewRemoteCluster, NewRemoteClusterRetry) and the free Query /
+// The constructors that predate Connect and the free Query /
 // QueryWithStats functions have been removed; see docs/SERVING.md
 // "Migrating from the deprecated API" for the one-line replacements.
 

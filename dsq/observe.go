@@ -254,20 +254,17 @@ func Replay(ctx context.Context, t *Transcript, onResult func(Result)) (*ReplayR
 // localizing any disagreement to the first divergent protocol round.
 func CompareTranscripts(a, b *Transcript) (*TranscriptDiff, error) { return transcript.Compare(a, b) }
 
-// The cluster telemetry plane: pushed per-site snapshots over wire v2
-// aggregated into a coordinator time-series store (start it with
-// Cluster.StartTelemetry, serve ClusterTelemetry.Handler at /clusterz).
+// The cluster watch: a periodic status poll of every site (start it with
+// Cluster.Watch, serve ClusterWatch.Handler at /clusterz).
 type (
-	// ClusterTelemetry is a running telemetry plane: per-site push
-	// subscriptions, the backing store, and the /clusterz + federation
-	// read surfaces.
-	ClusterTelemetry = core.ClusterTelemetry
-	// TelemetryConfig sizes a telemetry plane (push interval, retention,
-	// staleness cutoff); the zero value works.
-	TelemetryConfig = core.TelemetryConfig
+	// ClusterWatch is a running watch: each site's retained polls and the
+	// /clusterz + federation read surfaces.
+	ClusterWatch = core.ClusterWatch
 	// Clusterz is the one-endpoint cluster introspection document served
 	// at /clusterz.
 	Clusterz = core.Clusterz
 	// ClusterzSite is one site's entry in the Clusterz document.
 	ClusterzSite = core.ClusterzSite
+	// WatchPoint is one answered poll in a site's /clusterz history.
+	WatchPoint = core.WatchPoint
 )

@@ -55,7 +55,7 @@ func startTCPSites(t *testing.T, parts []uncertain.DB, dims int) ([]string, []*s
 func TestAuditCleanTwoSiteTCP(t *testing.T) {
 	parts := makeWorkload(t, 400, 3, 2, 71)
 	addrs, _ := startTCPSites(t, parts, 3)
-	cluster, err := core.NewRemoteCluster(addrs, 3)
+	cluster, err := core.Open(core.ClusterConfig{Addrs: addrs, Dims: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestAuditDetectsInjectedPruneBug(t *testing.T) {
 	for _, eng := range engines {
 		eng.TestingForceBadPrune(true)
 	}
-	cluster, err := core.NewRemoteCluster(addrs, 3)
+	cluster, err := core.Open(core.ClusterConfig{Addrs: addrs, Dims: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestShouldAuditFraction(t *testing.T) {
 // tuples; the dismissal check must not flag them.
 func TestDismissalExemptForTruncatedQueries(t *testing.T) {
 	parts := makeWorkload(t, 200, 2, 2, 73)
-	cluster, err := core.NewLocalCluster(parts, 2, 0)
+	cluster, err := core.Open(core.ClusterConfig{Partitions: parts, Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ package codec
 //
 //	length  u32 LE   — byte count of everything after this field
 //	version u8       — FrameVersion
-//	type    u8       — FrameRequest | FrameResponse | FrameCancel | ...
+//	type    u8       — FrameRequest | FrameResponse | FrameCancel
 //	id      u64 LE   — request identifier, echoed on the response
 //	payload bytes    — opaque body (for requests and responses, the
 //	                   transport's message encoding, internal/transport/wire.go)
@@ -33,8 +33,10 @@ import (
 // request kinds and field-mask bits after two kinds were retired;
 // generation 5 batches maintenance evaluations (a sessionless Evaluate
 // carries candidates, its reply their factors), which a generation-4 site
-// would answer as one empty feedback tuple. The frame layout is unchanged.
-const FrameVersion = 5
+// would answer as one empty feedback tuple; generation 6 retired the
+// server-push frame types, which a generation-5 coordinator would send and
+// wait on forever. The frame layout is unchanged.
+const FrameVersion = 6
 
 // MuxMagic opens the handshake.
 var MuxMagic = [4]byte{0xD5, 'S', 'Q', '2'}
@@ -59,21 +61,8 @@ const (
 	// FrameCancel tells the peer the identified request was abandoned;
 	// it has no payload and receives no reply. Best-effort: the
 	// response may already be in flight, in which case it is dropped at
-	// the receiver. It also cancels a telemetry subscription when its ID
-	// names one (the two ID spaces are caller-assigned and disjoint).
+	// the receiver.
 	FrameCancel FrameType = 3
-	// FrameSubscribe opens a server→client telemetry stream: the payload
-	// is an AppendSubscribe body carrying the requested push interval,
-	// and the ID names the subscription in every subsequent
-	// FrameTelemetry push and in the FrameCancel that ends it. A server
-	// that predates telemetry ignores the frame (unknown types are
-	// padding), so the client simply never sees a push.
-	FrameSubscribe FrameType = 4
-	// FrameTelemetry is one pushed site-telemetry snapshot: the ID
-	// echoes the subscription and the payload is an AppendTelemetry
-	// body (full or delta-encoded against the previous push). Clients
-	// that predate telemetry ignore it.
-	FrameTelemetry FrameType = 5
 )
 
 func (t FrameType) String() string {
@@ -84,10 +73,6 @@ func (t FrameType) String() string {
 		return "response"
 	case FrameCancel:
 		return "cancel"
-	case FrameSubscribe:
-		return "subscribe"
-	case FrameTelemetry:
-		return "telemetry"
 	default:
 		return fmt.Sprintf("FrameType(%d)", uint8(t))
 	}

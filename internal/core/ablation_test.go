@@ -105,7 +105,7 @@ func TestMaxResultsLargerThanAnswer(t *testing.T) {
 
 func TestPolicyValidation(t *testing.T) {
 	parts, _ := makeWorkload(t, 30, 2, 2, gen.Independent, 85)
-	cluster, err := NewLocalCluster(parts, 2, 0)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

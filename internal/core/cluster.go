@@ -61,11 +61,6 @@ type Cluster struct {
 	winQuery *obs.Window
 	winFirst *obs.Window
 
-	// telemetry, when set (StartTelemetry), is the running cluster
-	// telemetry plane; Health consults it for degraded marks. Like the
-	// other observability attachments, start it before serving queries.
-	telemetry *ClusterTelemetry
-
 	// transcripts, when set (SetTranscriptSink), samples queries for
 	// black-box recording: the full coordinator↔site exchange captured
 	// as a replayable transcript. Nil-safe at the sampling site.
@@ -241,45 +236,6 @@ func newSessionBase() uint64 {
 		return 0 // degraded: single-coordinator deployments still work
 	}
 	return binary.LittleEndian.Uint64(buf[:])
-}
-
-// NewLocalCluster builds an in-process cluster: one site.Engine per
-// partition served over the local transport. dims is the data
-// dimensionality; capacity tunes the PR-tree fan-out (<4 = default).
-//
-// Deprecated-style wrapper: Open(ClusterConfig{Partitions: ...}) is the
-// consolidated constructor; this remains for existing callers.
-func NewLocalCluster(parts []uncertain.DB, dims, capacity int) (*Cluster, error) {
-	return Open(ClusterConfig{Partitions: parts, Dims: dims, Capacity: capacity})
-}
-
-// NewLocalClusterLatency is NewLocalCluster with a simulated per-message
-// network round-trip latency, for studying progressiveness in the time
-// domain on one machine.
-//
-// Deprecated-style wrapper: see Open (ClusterConfig.Latency).
-func NewLocalClusterLatency(parts []uncertain.DB, dims, capacity int, latency time.Duration) (*Cluster, error) {
-	return Open(ClusterConfig{Partitions: parts, Dims: dims, Capacity: capacity, Latency: latency})
-}
-
-// NewRemoteCluster connects to already-running TCP site daemons. dims must
-// match the dimensionality the daemons were loaded with.
-//
-// Deprecated-style wrapper: Open(ClusterConfig{Addrs: ...}) is the
-// consolidated constructor; this remains for existing callers.
-func NewRemoteCluster(addrs []string, dims int) (*Cluster, error) {
-	return Open(ClusterConfig{Addrs: addrs, Dims: dims})
-}
-
-// NewRemoteClusterRetry is NewRemoteCluster with fault tolerance: each
-// site connection redials and retries up to attempts times per request,
-// and requests carry sequence numbers so sites execute them exactly once
-// even when a connection dies after processing (lost response). Use it
-// when sites live across a real, unreliable network.
-//
-// Deprecated-style wrapper: see Open (ClusterConfig.RetryAttempts).
-func NewRemoteClusterRetry(addrs []string, dims, attempts int) (*Cluster, error) {
-	return Open(ClusterConfig{Addrs: addrs, Dims: dims, RetryAttempts: attempts})
 }
 
 // NewClusterFromClients wires arbitrary pre-built clients (tests, custom

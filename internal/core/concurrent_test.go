@@ -14,7 +14,7 @@ import (
 // per-query tuple accounting — the point of per-query site sessions.
 func TestConcurrentQueriesOnSharedCluster(t *testing.T) {
 	parts, union := makeWorkload(t, 800, 3, 6, gen.Anticorrelated, 211)
-	cluster, err := NewLocalCluster(parts, 3, 0)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestConcurrentQueriesOnSharedCluster(t *testing.T) {
 // Sessions must be released when queries finish.
 func TestSessionsReleasedAfterQuery(t *testing.T) {
 	parts, _ := makeWorkload(t, 200, 2, 3, gen.Independent, 212)
-	cluster, err := NewLocalCluster(parts, 2, 0)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,8 @@ type ClusterConfig struct {
 	RetryAttempts int
 
 	// Logger, when set, becomes the default query logger: every query
-	// run without an Options.Logger of its own logs through it.
+	// run without an Options.Logger of its own logs through it. A
+	// Cluster.Watch logs its sites' poll failures and recoveries there.
 	Logger *slog.Logger
 	// Metrics, when set, instruments the cluster against the registry
 	// exactly like Cluster.Instrument.
@@ -77,9 +78,8 @@ type ClusterConfig struct {
 // ErrConfig reports an invalid ClusterConfig.
 var ErrConfig = errors.New("core: invalid cluster config")
 
-// Open builds a Cluster from cfg — the consolidated constructor behind
-// NewLocalCluster, NewRemoteCluster and NewRemoteClusterRetry. Remote
-// connections pipeline requests over one framed connection per site, so
+// Open builds a Cluster from cfg; NewClusterFromClients is the only other
+// constructor, for pre-built clients. Remote connections pipeline requests over one framed connection per site, so
 // one Cluster serves many concurrent Query calls without head-of-line
 // blocking.
 func Open(cfg ClusterConfig) (*Cluster, error) {

@@ -34,7 +34,7 @@ func TestProtocolCostsGolden(t *testing.T) {
 	addrs := startTCPSites(t, parts, 3)
 	var first []uncertain.SkylineMember
 	for _, g := range golden {
-		cluster, err := NewRemoteCluster(addrs, 3)
+		cluster, err := Open(ClusterConfig{Addrs: addrs, Dims: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,7 @@ import (
 func TestClusterHealthTwoSitesTCP(t *testing.T) {
 	parts, _ := makeWorkload(t, 200, 2, 2, gen.Independent, 71)
 	addrs := startTCPSites(t, parts, 2)
-	cluster, err := NewRemoteCluster(addrs, 2)
+	cluster, err := Open(ClusterConfig{Addrs: addrs, Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestClusterHealthTwoSitesTCP(t *testing.T) {
 func TestClusterHealthDeadSite(t *testing.T) {
 	parts, _ := makeWorkload(t, 100, 2, 2, gen.Independent, 72)
 	addrs := startTCPSites(t, parts, 2)
-	cluster, err := NewRemoteCluster(addrs, 2)
+	cluster, err := Open(ClusterConfig{Addrs: addrs, Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func TestCPUProfileContainsPhaseLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := NewLocalCluster(parts, 3, 0)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

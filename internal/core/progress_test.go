@@ -24,7 +24,7 @@ type delivery struct {
 func collectDeliveries(t *testing.T, algo Algorithm, seed int64) ([]delivery, *Report) {
 	t.Helper()
 	parts, _ := makeWorkload(t, 600, 3, 4, gen.Independent, seed)
-	cluster, err := NewLocalCluster(parts, 3, 0)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestDeliveryDeterministic(t *testing.T) {
 // final report, and protocol counters that never decrease.
 func TestResultProvenance(t *testing.T) {
 	parts, _ := makeWorkload(t, 500, 3, 3, gen.Independent, 7)
-	cluster, err := NewLocalCluster(parts, 3, 0)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestReportCurveAndLog(t *testing.T) {
 // trace to be counted).
 func TestUntracedQueryFeedsTTFRWindow(t *testing.T) {
 	parts, _ := makeWorkload(t, 500, 3, 3, gen.Independent, 3)
-	cluster, err := NewLocalCluster(parts, 3, 0)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestUntracedQueryFeedsTTFRWindow(t *testing.T) {
 // phase breakdown, with monotone checkpoint ordinals.
 func TestWriteExplain(t *testing.T) {
 	parts, _ := makeWorkload(t, 500, 3, 3, gen.Independent, 5)
-	cluster, err := NewLocalCluster(parts, 3, 0)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func makeWorkload(t testing.TB, n, d, m int, values gen.ValueDist, seed int64) (
 
 func runAlgo(t testing.TB, parts []uncertain.DB, d int, opts Options) *Report {
 	t.Helper()
-	cluster, err := NewLocalCluster(parts, d, 0)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestHighThresholdMayYieldEmptySkyline(t *testing.T) {
 
 func TestOptionsValidation(t *testing.T) {
 	parts, _ := makeWorkload(t, 20, 2, 2, gen.Independent, 8)
-	cluster, err := NewLocalCluster(parts, 2, 0)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,18 +134,18 @@ func TestOptionsValidation(t *testing.T) {
 }
 
 func TestClusterValidation(t *testing.T) {
-	if _, err := NewLocalCluster(nil, 2, 0); err == nil {
+	if _, err := Open(ClusterConfig{Dims: 2}); err == nil {
 		t.Error("empty cluster must be rejected")
 	}
 	badPart := []uncertain.DB{{{ID: 1, Point: geom.Point{1}, Prob: 0.5}}}
-	if _, err := NewLocalCluster(badPart, 2, 0); err == nil {
+	if _, err := Open(ClusterConfig{Partitions: badPart, Dims: 2}); err == nil {
 		t.Error("dimensionality mismatch must be rejected")
 	}
 	dup := []uncertain.DB{{
 		{ID: 1, Point: geom.Point{1, 1}, Prob: 0.5},
 		{ID: 1, Point: geom.Point{2, 2}, Prob: 0.5},
 	}}
-	if _, err := NewLocalCluster(dup, 2, 0); err == nil {
+	if _, err := Open(ClusterConfig{Partitions: dup, Dims: 2}); err == nil {
 		t.Error("duplicate IDs must be rejected")
 	}
 }
@@ -215,7 +215,7 @@ func TestBandwidthOrdering(t *testing.T) {
 
 func TestContextCancellation(t *testing.T) {
 	parts, _ := makeWorkload(t, 2000, 3, 8, gen.Anticorrelated, 11)
-	cluster, err := NewLocalCluster(parts, 3, 0)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestDistributedThresholdMonotonicity(t *testing.T) {
 // time domain: the first answer arrives long before the query completes.
 func TestProgressivenessUnderLatency(t *testing.T) {
 	parts, _ := makeWorkload(t, 400, 3, 6, gen.Anticorrelated, 15)
-	cluster, err := NewLocalClusterLatency(parts, 3, 0, 2*time.Millisecond)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 3, Latency: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestProgressivenessUnderLatency(t *testing.T) {
 // rebuilds all per-site state.
 func TestClusterSequentialQueries(t *testing.T) {
 	parts, union := makeWorkload(t, 500, 3, 5, gen.Anticorrelated, 16)
-	cluster, err := NewLocalCluster(parts, 3, 0)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

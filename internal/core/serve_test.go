@@ -22,7 +22,7 @@ import (
 func newTestServer(t *testing.T, n, d, m int, seed int64, cfg ServeConfig) (*Cluster, *Server) {
 	t.Helper()
 	parts, _ := makeWorkload(t, n, d, m, gen.Independent, seed)
-	cluster, err := NewLocalCluster(parts, d, 0)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestServeEquivalenceUnderChurn(t *testing.T) {
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(17))
 	parts, union := makeWorkload(t, 200, 2, 3, gen.Independent, 17)
-	cluster, err := NewLocalCluster(parts, 2, 0)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestServeFreshness(t *testing.T) {
 func TestServeCoalescing(t *testing.T) {
 	ctx := context.Background()
 	parts, _ := makeWorkload(t, 200, 2, 3, gen.Independent, 41)
-	cluster, err := NewLocalClusterLatency(parts, 2, 0, 2*time.Millisecond)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 2, Latency: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +469,7 @@ func TestOptionsValidate(t *testing.T) {
 	// The same validation runs at every entry point, and nil contexts
 	// are rejected uniformly.
 	parts, _ := makeWorkload(t, 50, 2, 2, gen.Independent, 43)
-	cluster, err := NewLocalCluster(parts, 2, 0)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func TestOptionsValidate(t *testing.T) {
 // TestServeConfigValidation pins Serve's own input checks.
 func TestServeConfigValidation(t *testing.T) {
 	parts, _ := makeWorkload(t, 50, 2, 2, gen.Independent, 47)
-	cluster, err := NewLocalCluster(parts, 2, 0)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func TestTCPClusterMatchesLocal(t *testing.T) {
 	want := union.Skyline(0.3, nil)
 
 	addrs := startTCPSites(t, parts, 3)
-	cluster, err := NewRemoteCluster(addrs, 3)
+	cluster, err := Open(ClusterConfig{Addrs: addrs, Dims: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestTCPClusterMatchesLocal(t *testing.T) {
 
 	// Tuple accounting must be transport-independent: compare against a
 	// local cluster run of the same query.
-	local, err := NewLocalCluster(parts, 3, 0)
+	local, err := Open(ClusterConfig{Partitions: parts, Dims: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestTCPClusterMatchesLocal(t *testing.T) {
 func TestTCPMaintainer(t *testing.T) {
 	parts, union := makeWorkload(t, 200, 2, 3, gen.Independent, 62)
 	addrs := startTCPSites(t, parts, 2)
-	cluster, err := NewRemoteCluster(addrs, 2)
+	cluster, err := Open(ClusterConfig{Addrs: addrs, Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,10 +113,10 @@ func TestTCPMaintainer(t *testing.T) {
 }
 
 func TestNewRemoteClusterDialFailure(t *testing.T) {
-	if _, err := NewRemoteCluster([]string{"127.0.0.1:1"}, 2); err == nil {
+	if _, err := Open(ClusterConfig{Addrs: []string{"127.0.0.1:1"}, Dims: 2}); err == nil {
 		t.Skip("port 1 unexpectedly open")
 	}
-	if _, err := NewRemoteCluster(nil, 2); err == nil {
+	if _, err := Open(ClusterConfig{Dims: 2}); err == nil {
 		t.Fatal("empty address list must be rejected")
 	}
 }
@@ -124,7 +124,7 @@ func TestNewRemoteClusterDialFailure(t *testing.T) {
 func TestRetryRemoteClusterEndToEnd(t *testing.T) {
 	parts, union := makeWorkload(t, 300, 3, 4, gen.Independent, 63)
 	addrs := startTCPSites(t, parts, 3)
-	cluster, err := NewRemoteClusterRetry(addrs, 3, 3)
+	cluster, err := Open(ClusterConfig{Addrs: addrs, Dims: 3, RetryAttempts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestRetryRemoteClusterEndToEnd(t *testing.T) {
 	if !uncertain.MembersEqual(rep.Skyline, want, 1e-9) {
 		t.Fatalf("retry cluster mismatch: %d vs %d", len(rep.Skyline), len(want))
 	}
-	if _, err := NewRemoteClusterRetry(nil, 3, 3); err == nil {
+	if _, err := Open(ClusterConfig{Dims: 3, RetryAttempts: 3}); err == nil {
 		t.Fatal("empty address list must be rejected")
 	}
 }

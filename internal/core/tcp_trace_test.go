@@ -18,7 +18,7 @@ import (
 func TestTCPTwoSiteMergedTimeline(t *testing.T) {
 	parts, _ := makeWorkload(t, 400, 3, 2, gen.Anticorrelated, 71)
 	addrs := startTCPSites(t, parts, 3)
-	cluster, err := NewRemoteCluster(addrs, 3)
+	cluster, err := Open(ClusterConfig{Addrs: addrs, Dims: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestTCPTwoSiteMergedTimeline(t *testing.T) {
 func TestTCPUntracedQueryShipsNoSpans(t *testing.T) {
 	parts, _ := makeWorkload(t, 200, 2, 2, gen.Independent, 72)
 	addrs := startTCPSites(t, parts, 2)
-	cluster, err := NewRemoteCluster(addrs, 2)
+	cluster, err := Open(ClusterConfig{Addrs: addrs, Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,7 @@ func TestTopKLargerThanAnswer(t *testing.T) {
 
 func TestTopKValidation(t *testing.T) {
 	parts, _ := makeWorkload(t, 30, 2, 2, gen.Independent, 194)
-	cluster, err := NewLocalCluster(parts, 2, 0)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

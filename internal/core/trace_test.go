@@ -142,7 +142,7 @@ func TestTracePaperExampleSequence(t *testing.T) {
 // enough that every phase accrues measurable wall time.
 func TestTraceSummaryOnRealWorkload(t *testing.T) {
 	parts, _ := makeWorkload(t, 800, 3, 6, gen.Anticorrelated, 171)
-	cluster, err := NewLocalCluster(parts, 3, 0)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestTraceSummaryOnRealWorkload(t *testing.T) {
 // its own query's report exactly — nothing bleeds across sessions.
 func TestConcurrentTracesNeverInterleave(t *testing.T) {
 	parts, _ := makeWorkload(t, 600, 3, 5, gen.Anticorrelated, 172)
-	cluster, err := NewLocalCluster(parts, 3, 0)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ type trackedCluster struct {
 func newTrackedCluster(t *testing.T, n, d, m int, seed int64) *trackedCluster {
 	t.Helper()
 	parts, union := makeWorkload(t, n, d, m, gen.Independent, seed)
-	cluster, err := NewLocalCluster(parts, d, 0)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestReplicaVetoesHopelessInsert(t *testing.T) {
 		{{ID: 1, Point: geom.Point{0.1, 0.1}, Prob: 0.95}},
 		{},
 	}
-	cluster, err := NewLocalCluster(parts, 2, 0)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

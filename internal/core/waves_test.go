@@ -308,7 +308,7 @@ func TestUpdateWavesMatchSerialReference(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	const m, d, q = 4, 2, 0.3
 	parts, union := makeWorkload(t, 300, d, m, gen.Independent, 61)
-	cluster, err := NewLocalCluster(parts, d, 0)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: d})
 	if err != nil {
 		t.Fatal(err)
 	}

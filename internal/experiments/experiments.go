@@ -464,7 +464,7 @@ func updateRun(ctx context.Context, scale Scale, vd gen.ValueDist, rate int, fra
 	if err != nil {
 		return 0, 0, err
 	}
-	cluster, err := core.NewLocalCluster(parts, DefaultDims, 0)
+	cluster, err := core.Open(core.ClusterConfig{Partitions: parts, Dims: DefaultDims})
 	if err != nil {
 		return 0, 0, err
 	}

@@ -80,7 +80,7 @@ func runOnceOpts(ctx context.Context, cfg config, opts core.Options) (*core.Repo
 	if err != nil {
 		return nil, err
 	}
-	cluster, err := core.NewLocalCluster(parts, dims, 0)
+	cluster, err := core.Open(core.ClusterConfig{Partitions: parts, Dims: dims})
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +149,7 @@ func Partitioning(ctx context.Context, scale Scale) ([]Figure, error) {
 				return nil, err
 			}
 			for si, parts := range [][]uncertain.DB{random, angular} {
-				cluster, err := core.NewLocalCluster(parts, DefaultDims, 0)
+				cluster, err := core.Open(core.ClusterConfig{Partitions: parts, Dims: DefaultDims})
 				if err != nil {
 					return nil, err
 				}
@@ -191,7 +191,7 @@ func Latency(ctx context.Context, scale Scale) ([]Figure, error) {
 		return nil, err
 	}
 	for si, algo := range []core.Algorithm{core.DSUD, core.EDSUD} {
-		cluster, err := core.NewLocalClusterLatency(parts, DefaultDims, 0, rtt)
+		cluster, err := core.Open(core.ClusterConfig{Partitions: parts, Dims: DefaultDims, Latency: rtt})
 		if err != nil {
 			return nil, err
 		}

@@ -82,7 +82,7 @@ func runOnceTraced(ctx context.Context, cfg config, algo core.Algorithm, tr *cor
 	if err != nil {
 		return nil, err
 	}
-	cluster, err := core.NewLocalCluster(parts, dims, 0)
+	cluster, err := core.Open(core.ClusterConfig{Partitions: parts, Dims: dims})
 	if err != nil {
 		return nil, err
 	}

@@ -275,9 +275,9 @@ func (m *Monitor) status(name string) Status {
 
 // LastInto appends the most recent cached evaluation (what the cadenced
 // Run produced) to dst and returns the extended slice — allocation-free
-// given capacity, so the telemetry publisher can ship SLO state every
-// push without re-evaluating objectives (which would move delta windows
-// and breach streaks). Empty result until the first evaluation. Nil-safe.
+// given capacity, so a site's status can report SLO state on every poll
+// without re-evaluating objectives (which would move delta windows and
+// breach streaks). Empty result until the first evaluation. Nil-safe.
 func (m *Monitor) LastInto(dst []Status) []Status {
 	if m == nil {
 		return dst

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -212,9 +213,9 @@ func (w *Window) Snapshot() WindowSnapshot {
 }
 
 // SnapshotInto is Snapshot writing into s, reusing s's slices when they
-// have capacity — allocation-free once s has been filled once, which is
-// what the telemetry publisher's steady-state path needs. Nil w resets s
-// to the zero snapshot.
+// have capacity — allocation-free once s has been filled once, for
+// callers that snapshot on a steady cadence. Nil w resets s to the zero
+// snapshot.
 func (w *Window) SnapshotInto(s *WindowSnapshot) {
 	if w == nil {
 		*s = WindowSnapshot{Bounds: s.Bounds[:0], Counts: s.Counts[:0]}
@@ -315,6 +316,34 @@ func (s WindowSnapshot) Mean() time.Duration {
 		return 0
 	}
 	return s.Sum / time.Duration(s.Count)
+}
+
+// Merge adds src's observations into s, so Quantile over s estimates the
+// quantile of both windows' streams together — how a coordinator derives
+// a cluster-wide p99 from its sites' windows. The first window merged into
+// an empty s fixes the bucket bounds. A window whose bounds differ is
+// re-bucketed by upper bound: exact when every window uses the default
+// bounds, a conservative approximation otherwise. Span is the longer of
+// the two.
+func (s *WindowSnapshot) Merge(src WindowSnapshot) {
+	if len(src.Bounds) == 0 {
+		return
+	}
+	if len(s.Bounds) == 0 {
+		s.Bounds = append([]time.Duration(nil), src.Bounds...)
+		s.Counts = make([]uint64, len(s.Bounds)+1)
+	}
+	s.Count += src.Count
+	s.Sum += src.Sum
+	s.Span = max(s.Span, src.Span)
+	for i, c := range src.Counts {
+		j := len(s.Bounds) // +Inf stays +Inf
+		if i < len(src.Bounds) {
+			ub := src.Bounds[i]
+			j = sort.Search(len(s.Bounds), func(k int) bool { return s.Bounds[k] >= ub })
+		}
+		s.Counts[j] += c
+	}
 }
 
 // ExposeWindow registers w's live quantiles and rate as gauges on reg:

@@ -55,8 +55,7 @@ func TestWindowObserveZeroAlloc(t *testing.T) {
 }
 
 // TestWindowSnapshotInto: reused-slice snapshots must match fresh ones
-// and, once warm, allocate nothing — the telemetry publisher's per-push
-// path.
+// and, once warm, allocate nothing.
 func TestWindowSnapshotInto(t *testing.T) {
 	w := NewWindow(time.Hour)
 	for i := 0; i < 50; i++ {
@@ -276,4 +275,54 @@ func TestExposeWindow(t *testing.T) {
 	// Nil-safe both ways.
 	ExposeWindow(nil, "x", w)
 	ExposeWindow(reg, "x", nil)
+}
+
+// Two sites' windows merged bucket by bucket give the cluster quantiles of
+// one window that observed both streams.
+func TestMergeWindowQuantile(t *testing.T) {
+	site0, site1, both := NewWindow(time.Hour), NewWindow(time.Hour), NewWindow(time.Hour)
+	observe := func(w *Window, fast, slow int) {
+		for i := 0; i < fast; i++ {
+			w.Observe(time.Duration(200+i) * time.Microsecond)
+			both.Observe(time.Duration(200+i) * time.Microsecond)
+		}
+		for i := 0; i < slow; i++ {
+			w.Observe(time.Duration(40+i) * time.Millisecond)
+			both.Observe(time.Duration(40+i) * time.Millisecond)
+		}
+	}
+	observe(site0, 99, 1)
+	observe(site1, 50, 50)
+
+	var merged WindowSnapshot
+	merged.Merge(site0.Snapshot())
+	merged.Merge(WindowSnapshot{}) // an idle site adds nothing
+	merged.Merge(site1.Snapshot())
+	want := both.Snapshot()
+	if merged.Count != 200 || merged.Sum != want.Sum {
+		t.Fatalf("merged count/sum = %d/%v, want 200/%v", merged.Count, merged.Sum, want.Sum)
+	}
+	for _, q := range []float64{0.5, 0.95, 0.99} {
+		if got, want := merged.Quantile(q), want.Quantile(q); got != want {
+			t.Fatalf("merged p%v = %v, one window over both streams says %v", q*100, got, want)
+		}
+	}
+	if p50, p99 := merged.Quantile(0.5), merged.Quantile(0.99); p50 > time.Millisecond || p99 < 40*time.Millisecond {
+		t.Fatalf("merged p50/p99 = %v/%v, want the fast and the slow mode", p50, p99)
+	}
+}
+
+// A window with other bucket bounds re-buckets by upper bound into the
+// bounds the first merged window fixed; its +Inf tail stays in the tail.
+func TestMergeWindowRebucket(t *testing.T) {
+	ms := time.Millisecond
+	var merged WindowSnapshot
+	merged.Merge(WindowSnapshot{Bounds: []time.Duration{ms, 100 * ms}, Counts: []uint64{10, 0, 0}, Count: 10})
+	merged.Merge(WindowSnapshot{Bounds: []time.Duration{50 * ms}, Counts: []uint64{7, 3}, Count: 10})
+	if merged.Count != 20 {
+		t.Fatalf("merged count = %d", merged.Count)
+	}
+	if merged.Counts[0] != 10 || merged.Counts[1] != 7 || merged.Counts[2] != 3 {
+		t.Fatalf("rebucketed counts = %v", merged.Counts)
+	}
 }

@@ -119,14 +119,9 @@ type Engine struct {
 	win         *obs.Window
 	workerStats func() transport.WorkerStats
 
-	// Telemetry push-plane wiring (see telemetry.go): telemetryStats lets
-	// Status report the serving transport's publisher counters, sloMon is
-	// the monitor whose cached statuses ride in pushed snapshots, and the
-	// scratch fields keep FillTelemetry allocation-free (guarded by e.mu).
-	telemetryStats func() transport.TelemetryStats
-	sloMon         *slo.Monitor
-	telWin         obs.WindowSnapshot
-	telSLO         []slo.Status
+	// sloMon, when set (SetSLOMonitor), is the daemon's SLO monitor whose
+	// cached statuses Status reports.
+	sloMon *slo.Monitor
 
 	// forceBadPrune is a test-only fault injection: when set,
 	// handleEvaluate prunes every dominated candidate regardless of the
@@ -266,7 +261,13 @@ func (e *Engine) Handle(ctx context.Context, req *transport.Request) (*transport
 	defer e.inFlight.Add(-1)
 	e.requestsTotal.Add(1)
 	reqStart := time.Now()
-	defer func() { e.win.Observe(time.Since(reqStart)) }()
+	defer func() {
+		// Status probes stay out of the window: a coordinator's watch polls
+		// every interval and would otherwise measure itself.
+		if req.Kind != transport.KindStatus {
+			e.win.Observe(time.Since(reqStart))
+		}
+	}()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if req.Seq != 0 {

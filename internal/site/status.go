@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/obs/slo"
 	"repro/internal/transport"
 )
 
@@ -41,6 +42,10 @@ func (e *Engine) statusLocked() *transport.SiteStatus {
 		st.LatencyP99Ms = float64(s.Quantile(0.99)) / float64(time.Millisecond)
 		st.WindowRate = s.Rate()
 		st.WindowSeconds = s.Span.Seconds()
+		for _, b := range s.Bounds {
+			st.WindowBoundsNS = append(st.WindowBoundsNS, int64(b))
+		}
+		st.WindowCounts = s.Counts
 	}
 	if e.workerStats != nil {
 		w := e.workerStats()
@@ -49,13 +54,21 @@ func (e *Engine) statusLocked() *transport.SiteStatus {
 		st.MuxWorkerLimit = w.Limit
 		st.MuxQueued = w.Queued
 	}
-	if e.telemetryStats != nil {
-		ts := e.telemetryStats()
-		st.TelemetrySubscribers = ts.Subscribers
-		st.TelemetryPushes = ts.Pushes
-		st.TelemetryLastPushUnixNano = ts.LastPushUnixNano
+	for _, o := range e.sloMon.LastInto(nil) {
+		st.SLO = append(st.SLO, transport.SiteSLO{Name: transport.SLOName(o.Name),
+			Current: o.Current, Target: o.Target, Burn: o.Burn, Breached: o.Breached})
 	}
 	return st
+}
+
+// SetSLOMonitor attaches the daemon's SLO monitor so Status carries each
+// objective's cached state. Status reads the monitor's last evaluation and
+// never evaluates it: that would advance its windows and breach streaks.
+// nil detaches.
+func (e *Engine) SetSLOMonitor(m *slo.Monitor) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.sloMon = m
 }
 
 // StatusHandler serves the snapshot as JSON — mount it at /statusz on

@@ -5,9 +5,11 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/obs/flight"
+	"repro/internal/obs/slo"
 	"repro/internal/transport"
 	"repro/internal/uncertain"
 )
@@ -105,5 +107,56 @@ func TestStatusUnderConcurrentUpdates(t *testing.T) {
 	// Every ended session left one flight record.
 	if got := eng.FlightRecorder().Total(); got != uint64(writers*opsPerWriter) {
 		t.Fatalf("flight records = %d, want %d", got, writers*opsPerWriter)
+	}
+}
+
+// The status a coordinator polls carries the latency window's buckets, so
+// windows merge across sites, and the SLO monitor's cached state. Status
+// must read that state, not evaluate the monitor: an evaluation advances
+// breach streaks.
+func TestStatusTelemetryFields(t *testing.T) {
+	r := rand.New(rand.NewSource(61))
+	eng := New(3, randomPart(r, 50, 2), 2, 0)
+	if st := eng.Status(); len(st.WindowCounts) != 0 || len(st.SLO) != 0 {
+		t.Fatalf("idle engine without a monitor reports %+v", st)
+	}
+	mon := slo.New(slo.Latency("query-p99", eng.Window(), 0.99, time.Second))
+	cached := mon.Evaluate() // before any traffic: abstains on no samples
+	eng.SetSLOMonitor(mon)
+
+	initSite(t, eng, 0.3, nil)
+	for i := 0; i < 5; i++ {
+		if _, err := eng.Handle(context.Background(), &transport.Request{Kind: transport.KindNext}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	resp, err := eng.Handle(context.Background(), &transport.Request{Kind: transport.KindStatus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back transport.Response
+	if err := transport.DecodeResponse(transport.AppendResponse(nil, resp, nil), &back); err != nil {
+		t.Fatal(err)
+	}
+	st := back.Status
+	if len(st.WindowBoundsNS) == 0 || len(st.WindowCounts) != len(st.WindowBoundsNS)+1 {
+		t.Fatalf("window: %d bounds, %d counts", len(st.WindowBoundsNS), len(st.WindowCounts))
+	}
+	var n uint64
+	for _, c := range st.WindowCounts {
+		n += c
+	}
+	if n < 6 {
+		t.Fatalf("window counts %d requests, want >= 6", n)
+	}
+	if len(st.SLO) != 1 || string(st.SLO[0].Name) != "query-p99" {
+		t.Fatalf("slo = %+v", st.SLO)
+	}
+	if got := st.SLO[0]; got.Current != cached[0].Current || got.Target != cached[0].Target || got.Burn != cached[0].Burn {
+		t.Fatalf("status slo %+v is not the cached evaluation %+v", got, cached[0])
+	}
+	if again := mon.LastInto(nil); again[0].Samples != cached[0].Samples {
+		t.Fatalf("Status re-evaluated the monitor: %+v", again[0])
 	}
 }

@@ -41,7 +41,3 @@ func (c *delayedClient) CallBytes(ctx context.Context, req *Request) (*Response,
 }
 
 func (c *delayedClient) Close() error { return c.inner.Close() }
-
-// Unwrap exposes the inner client so optional interfaces (telemetry
-// subscription) are discoverable through the wrapper.
-func (c *delayedClient) Unwrap() Client { return c.inner }

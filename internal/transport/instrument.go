@@ -63,10 +63,6 @@ func (c *instrumentedClient) CallBytes(ctx context.Context, req *Request) (*Resp
 
 func (c *instrumentedClient) Close() error { return c.inner.Close() }
 
-// Unwrap exposes the inner client so optional interfaces (telemetry
-// subscription) are discoverable through the wrapper.
-func (c *instrumentedClient) Unwrap() Client { return c.inner }
-
 // ExposeMeter registers the meter's counters with reg under the paper's
 // bandwidth vocabulary. Values are read live at scrape time, so one
 // registration covers the meter's whole lifetime (including Reset).

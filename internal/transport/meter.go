@@ -138,7 +138,3 @@ func (c *meteredClient) CallBytes(ctx context.Context, req *Request) (*Response,
 }
 
 func (c *meteredClient) Close() error { return c.inner.Close() }
-
-// Unwrap exposes the inner client so optional interfaces (telemetry
-// subscription) are discoverable through the wrapper.
-func (c *meteredClient) Unwrap() Client { return c.inner }

@@ -99,35 +99,8 @@ type MuxClient struct {
 
 	mu      sync.Mutex
 	pending map[uint64]chan muxResult
-	subs    map[uint64]*muxSub // live telemetry subscriptions by ID
-	broken  error              // terminal connection error; nil while healthy
+	broken  error // terminal connection error; nil while healthy
 	closed  bool
-}
-
-// muxSub is one live telemetry subscription. Its decode state (the
-// reused snapshot that doubles as the delta base) is only touched from
-// the demux goroutine, so it needs no lock of its own.
-type muxSub struct {
-	fn     func(*codec.Telemetry)
-	t      codec.Telemetry
-	primed bool // t holds a decoded snapshot usable as a delta base
-}
-
-// deliver decodes one pushed frame and hands it to the callback. A frame
-// that fails to decode (corrupt, or a delta whose base we lost) drops
-// the prime: the stream re-synchronises on the publisher's next full
-// re-anchor instead of erroring the whole connection.
-func (sub *muxSub) deliver(payload []byte) {
-	var prev *codec.Telemetry
-	if sub.primed {
-		prev = &sub.t
-	}
-	if err := codec.DecodeTelemetry(payload, &sub.t, prev); err != nil {
-		sub.primed = false
-		return
-	}
-	sub.primed = true
-	sub.fn(&sub.t)
 }
 
 type muxResult struct {
@@ -159,15 +132,6 @@ func (c *MuxClient) readLoop() {
 			c.fail(fmt.Errorf("%w: %v", errMuxBroken, err))
 			return
 		}
-		if fr.Type == codec.FrameTelemetry {
-			c.mu.Lock()
-			sub := c.subs[fr.ID]
-			c.mu.Unlock()
-			if sub != nil {
-				sub.deliver(fr.Payload)
-			}
-			continue
-		}
 		if fr.Type != codec.FrameResponse {
 			continue // unknown frame types are ignorable padding
 		}
@@ -191,7 +155,6 @@ func (c *MuxClient) fail(err error) {
 	}
 	pend := c.pending
 	c.pending = make(map[uint64]chan muxResult)
-	c.subs = nil // subscriptions die with the connection; resubscribe after redial
 	c.mu.Unlock()
 	c.conn.Close()
 	for _, ch := range pend {
@@ -215,55 +178,6 @@ func (c *MuxClient) sendCancel(id uint64) {
 	c.wmu.Lock()
 	c.conn.Write(frame)
 	c.wmu.Unlock()
-}
-
-// SubscribeTelemetry implements TelemetrySubscriber: it asks the server
-// to push one telemetry snapshot per interval (0 selects the server
-// default) and invokes fn from the demux goroutine for each one. The
-// snapshot passed to fn is reused between pushes — copy what you keep.
-// A server that predates telemetry silently ignores the subscription
-// (the subscriber just never sees a push), and the subscription dies
-// with the connection. cancel is idempotent and best-effort, like
-// request cancellation.
-func (c *MuxClient) SubscribeTelemetry(interval time.Duration, fn func(*codec.Telemetry)) (func(), error) {
-	id := c.nextID.Add(1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if c.broken != nil {
-		err := c.broken
-		c.mu.Unlock()
-		return nil, err
-	}
-	if c.subs == nil {
-		c.subs = make(map[uint64]*muxSub)
-	}
-	c.subs[id] = &muxSub{fn: fn}
-	c.mu.Unlock()
-
-	frame := codec.AppendFrame(nil, codec.FrameSubscribe, id,
-		codec.AppendSubscribe(nil, int64(interval)))
-	c.wmu.Lock()
-	_, err := c.conn.Write(frame)
-	c.wmu.Unlock()
-	if err != nil {
-		c.mu.Lock()
-		delete(c.subs, id)
-		c.mu.Unlock()
-		c.fail(fmt.Errorf("%w: subscribe: %v", errMuxBroken, err))
-		return nil, fmt.Errorf("transport: subscribe: %w", err)
-	}
-	return func() {
-		c.mu.Lock()
-		_, live := c.subs[id]
-		delete(c.subs, id)
-		c.mu.Unlock()
-		if live {
-			c.sendCancel(id)
-		}
-	}, nil
 }
 
 // Call implements Client.
@@ -321,6 +235,29 @@ func (c *MuxClient) CallBytes(ctx context.Context, req *Request) (*Response, int
 	}
 }
 
+// muxWriter serialises the response frames of one server connection,
+// reusing the message and frame buffers across writes.
+type muxWriter struct {
+	mu   sync.Mutex
+	w    io.Writer
+	tap  FrameTap // observes response frames; may be nil
+	pbuf []byte
+	buf  []byte
+}
+
+// writeResponse encodes a handler's outcome and writes its frame. A write
+// error is dropped: the connection is dying and its read loop will notice.
+func (mw *muxWriter) writeResponse(id uint64, resp *Response, herr error) {
+	mw.mu.Lock()
+	mw.pbuf = AppendResponse(mw.pbuf[:0], resp, herr)
+	mw.buf = codec.AppendFrame(mw.buf[:0], codec.FrameResponse, id, mw.pbuf)
+	mw.w.Write(mw.buf)
+	if mw.tap != nil {
+		mw.tap(TapOutbound, codec.FrameResponse, len(mw.buf))
+	}
+	mw.mu.Unlock()
+}
+
 // serveMux serves one connection: after echoing the hello it reads
 // frames, dispatches each request to a worker goroutine (bounded by the
 // worker limit — past it the server stops reading, so backpressure is
@@ -349,15 +286,12 @@ func (s *Server) serveMux(r io.Reader, w io.Writer) {
 	defer s.muxConns.Add(-1)
 
 	var (
-		// mw serialises frame writes, shared with this connection's
-		// telemetry publishers.
+		// mw serialises the workers' response writes.
 		mw = &muxWriter{w: w, tap: tap}
 
-		// imu guards the in-flight table consulted by FrameCancel and the
-		// telemetry-subscription table it also serves.
+		// imu guards the in-flight table consulted by FrameCancel.
 		imu      sync.Mutex
 		inflight = make(map[uint64]context.CancelFunc)
-		subs     = make(map[uint64]context.CancelFunc)
 
 		wg  sync.WaitGroup
 		sem = make(chan struct{}, limit)
@@ -369,14 +303,6 @@ func (s *Server) serveMux(r io.Reader, w io.Writer) {
 	// already dispatched still finish handling and answering before the
 	// connection closes.
 	defer wg.Wait()
-	// Telemetry publishers, unlike request handlers, run until told to
-	// stop — so they get their own cancel+wait pair, run (LIFO) before
-	// the handler drain above: cancel the streams, wait them out, then
-	// let in-flight requests finish answering.
-	pubCtx, pubCancel := context.WithCancel(connCtx)
-	var pubWG sync.WaitGroup
-	defer pubWG.Wait()
-	defer pubCancel()
 
 	for {
 		fr, n, err := frames.ReadFrame()
@@ -392,35 +318,7 @@ func (s *Server) serveMux(r io.Reader, w io.Writer) {
 			if cancel := inflight[fr.ID]; cancel != nil {
 				cancel()
 			}
-			if cancel := subs[fr.ID]; cancel != nil {
-				cancel()
-				delete(subs, fr.ID)
-			}
 			imu.Unlock()
-			continue
-		case codec.FrameSubscribe:
-			interval, derr := codec.DecodeSubscribe(fr.Payload)
-			if derr != nil {
-				continue // malformed body: drop, like an unknown frame
-			}
-			s.mu.Lock()
-			src := s.telemetrySource
-			s.mu.Unlock()
-			if src == nil {
-				continue // telemetry not wired: subscriber sees no pushes
-			}
-			subCtx, subCancel := context.WithCancel(pubCtx)
-			imu.Lock()
-			if old := subs[fr.ID]; old != nil {
-				old() // duplicate ID: the newer subscription wins
-			}
-			subs[fr.ID] = subCancel
-			imu.Unlock()
-			pubWG.Add(1)
-			go func(id uint64, interval time.Duration) {
-				defer pubWG.Done()
-				s.runTelemetryPublisher(subCtx, mw, id, interval, src)
-			}(fr.ID, time.Duration(interval))
 			continue
 		case codec.FrameRequest:
 		default:

@@ -36,9 +36,8 @@ type CallTap interface {
 // Recorded wraps a Client so every successful call is offered to tap,
 // stamped with the given site index. It rides the same wrapper chain as
 // Metered/Instrumented: the wrapper forwards ByteReporter so stacked
-// meters keep exact per-request bytes, and Unwrap keeps optional
-// interfaces discoverable. Queries that are not being recorded never
-// stack this wrapper, so the unsampled path pays nothing.
+// meters keep exact per-request bytes. Queries that are not being
+// recorded never stack this wrapper, so the unsampled path pays nothing.
 func Recorded(c Client, site int, tap CallTap) Client {
 	return &recordedClient{inner: c, site: site, tap: tap}
 }
@@ -63,7 +62,3 @@ func (c *recordedClient) CallBytes(ctx context.Context, req *Request) (*Response
 }
 
 func (c *recordedClient) Close() error { return c.inner.Close() }
-
-// Unwrap exposes the inner client so optional interfaces (telemetry
-// subscription) are discoverable through the wrapper.
-func (c *recordedClient) Unwrap() Client { return c.inner }

@@ -226,16 +226,6 @@ func (c *RetryClient) current() (Client, error) {
 	return cl, nil
 }
 
-// Current returns the live underlying connection, dialling one if
-// needed — the hook telemetry subscription uses to reach the mux client
-// beneath the retry layer. The connection is the same one concurrent
-// Calls share; it may be discarded and redialled at any time, so
-// anything bound to it (a subscription) must be re-established by its
-// owner when it goes stale.
-func (c *RetryClient) Current() (Client, error) {
-	return c.current()
-}
-
 // discard retires a failed connection. Pointer identity guards against
 // a stale caller discarding a successor connection it never used.
 func (c *RetryClient) discard(cl Client) {

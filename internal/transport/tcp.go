@@ -38,13 +38,6 @@ type Server struct {
 	busyWorkers atomic.Int64
 	queuedReqs  atomic.Int64
 
-	// Telemetry push plane (see telemetry.go): the snapshot source the
-	// publishers read (mu-guarded) and their aggregate counters.
-	telemetrySource   TelemetrySource
-	telemetrySubs     atomic.Int64
-	telemetryPushes   atomic.Uint64
-	telemetryLastPush atomic.Int64
-
 	// frameTap, when set, observes every frame the mux loops read or
 	// write (see FrameTap). mu-guarded; loaded once per connection.
 	frameTap FrameTap

@@ -266,13 +266,39 @@ type SiteStatus struct {
 	MuxWorkerLimit int `json:"mux_worker_limit,omitempty"`
 	MuxQueued      int `json:"mux_queued,omitempty"`
 
-	// Telemetry push plane (the cluster-telemetry work): how many
-	// coordinators hold live subscriptions, how many snapshots have been
-	// pushed since start, and when the last one went out — so the pull
-	// plane can report last-push age per site.
-	TelemetrySubscribers      int    `json:"telemetry_subscribers,omitempty"`
-	TelemetryPushes           uint64 `json:"telemetry_pushes,omitempty"`
-	TelemetryLastPushUnixNano int64  `json:"telemetry_last_push_unix_nano,omitempty"`
+	// The window the percentiles above were estimated from, so a
+	// coordinator can merge it with other sites' windows: the bucket upper
+	// bounds in nanoseconds and the per-bucket (non-cumulative) counts,
+	// the last count being the +Inf tail. Empty until the window sees
+	// traffic.
+	WindowBoundsNS []int64  `json:"window_bounds_ns,omitempty"`
+	WindowCounts   []uint64 `json:"window_counts,omitempty"`
+
+	// SLO is the site monitor's latest evaluation, one entry per
+	// objective; empty when the daemon runs no monitor.
+	SLO []SiteSLO `json:"slo,omitempty"`
+}
+
+// SiteSLO is one objective's state as the site's SLO monitor last
+// evaluated it: its /slostatusz entry without the breach bookkeeping.
+type SiteSLO struct {
+	Name     SLOName `json:"name"`
+	Current  float64 `json:"current"`
+	Target   float64 `json:"target"`
+	Burn     float64 `json:"burn"`
+	Breached bool    `json:"breached"`
+}
+
+// SLOName is an objective's name. It is held as runes so that every
+// SiteStatus field keeps to the kinds the message round-trip test fills;
+// in the JSON document it is a plain string.
+type SLOName []rune
+
+func (n SLOName) MarshalText() ([]byte, error) { return []byte(string(n)), nil }
+
+func (n *SLOName) UnmarshalText(b []byte) error {
+	*n = SLOName(string(b))
+	return nil
 }
 
 // Client is the coordinator's handle to one site.

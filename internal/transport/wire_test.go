@@ -263,18 +263,26 @@ func TestWireHostileCounts(t *testing.T) {
 // A generation-4 peer would read a batched Evaluate as one empty feedback
 // tuple and answer a factor of 1.0 — every candidate promoted. Neither side
 // of a connection accepts its hello.
-func TestWireRefusesGenerationFour(t *testing.T) {
-	v4 := []byte{codec.MuxMagic[0], codec.MuxMagic[1], codec.MuxMagic[2], codec.MuxMagic[3], 4}
+func TestWireRefusesGenerationFour(t *testing.T) { refusesGeneration(t, 4) }
+
+// A generation-5 coordinator would open a telemetry subscription that this
+// build's sites ignore, and wait on pushes that never come. Neither side of
+// a connection accepts its hello.
+func TestWireRefusesGenerationFive(t *testing.T) { refusesGeneration(t, 5) }
+
+func refusesGeneration(t *testing.T, gen byte) {
+	t.Helper()
+	old := []byte{codec.MuxMagic[0], codec.MuxMagic[1], codec.MuxMagic[2], codec.MuxMagic[3], gen}
 	addr, _ := startMuxServer(t, handlerFunc(sessionEcho))
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	conn.Write(v4)
+	conn.Write(old)
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("server read after a v4 hello = (%d, %v), want EOF", n, err)
+		t.Fatalf("server read after a generation-%d hello = (%d, %v), want EOF", gen, n, err)
 	}
 
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -285,7 +293,7 @@ func TestWireRefusesGenerationFour(t *testing.T) {
 	go func() {
 		if site, err := lis.Accept(); err == nil {
 			io.ReadFull(site, make([]byte, 5))
-			site.Write(v4)
+			site.Write(old)
 			site.Close()
 		}
 	}()
@@ -293,7 +301,7 @@ func TestWireRefusesGenerationFour(t *testing.T) {
 		if cl != nil {
 			cl.Close()
 		}
-		t.Fatalf("dialing a v4 site: %v, want ErrWireVersion", err)
+		t.Fatalf("dialing a generation-%d site: %v, want ErrWireVersion", gen, err)
 	}
 }
 
