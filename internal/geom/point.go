@@ -1,7 +1,8 @@
 // Package geom provides the geometric kernel shared by the skyline engine:
 // multidimensional points, Pareto dominance tests (over the full space and
 // over user-selected subspaces), and axis-aligned rectangles with the
-// operations needed by R-tree construction and dominance-window queries.
+// operations needed by R-tree construction. The PR-tree's dominance-window
+// queries run on its own flat corner arrays instead.
 //
 // Throughout this module, smaller coordinate values are preferred, matching
 // the paper's convention: point a dominates point b when a is no larger than

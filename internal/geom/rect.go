@@ -57,19 +57,6 @@ func (r Rect) ContainsPoint(p Point) bool {
 	return true
 }
 
-// ContainsRect reports whether other lies entirely inside r.
-func (r Rect) ContainsRect(other Rect) bool {
-	if r.IsEmpty() || other.IsEmpty() || len(r.Lo) != len(other.Lo) {
-		return false
-	}
-	for i := range r.Lo {
-		if other.Lo[i] < r.Lo[i] || other.Hi[i] > r.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Area returns the d-dimensional volume of r. Degenerate rectangles have
 // zero area.
 func (r Rect) Area() float64 {
@@ -83,50 +70,9 @@ func (r Rect) Area() float64 {
 	return area
 }
 
-// Margin returns the sum of r's edge lengths, the classic R*-tree tiebreak
-// metric for node splits.
-func (r Rect) Margin() float64 {
-	if r.IsEmpty() {
-		return 0
-	}
-	var m float64
-	for i := range r.Lo {
-		m += r.Hi[i] - r.Lo[i]
-	}
-	return m
-}
-
 // Enlargement returns how much r's area would grow to absorb other.
 func (r Rect) Enlargement(other Rect) float64 {
 	return r.ExpandRect(other).Area() - r.Area()
-}
-
-// MayContainDominatorOf reports whether some point inside r could dominate p
-// on the compared dimensions (nil dims = full space). Because every point of
-// r is componentwise >= r.Lo, a dominator of p exists in r only if r.Lo
-// itself dominates-or-equals p; the test is exact for pruning purposes: when
-// it returns false, r provably holds no dominator of p.
-func (r Rect) MayContainDominatorOf(p Point, dims []int) bool {
-	if r.IsEmpty() {
-		return false
-	}
-	// r.Lo == p exactly is the corner case: a point equal to p does not
-	// dominate p, but r may extend below p on no dimension then, so only a
-	// strictly-smaller corner on some compared dimension can yield a
-	// dominator. DominatesOrEqual alone would over-approximate only when
-	// r.Lo equals p on every compared dimension; that is still a correct
-	// (conservative) filter, and the per-point check downstream is exact.
-	return r.Lo.DominatesOrEqual(p, dims)
-}
-
-// IsDominatedBy reports whether p dominates every point inside r on the
-// compared dimensions, i.e. whether the whole subtree under r can be
-// discarded once p is known to be a skyline member in precise-data settings.
-func (r Rect) IsDominatedBy(p Point, dims []int) bool {
-	if r.IsEmpty() {
-		return false
-	}
-	return p.DominatesIn(r.Lo, dims)
 }
 
 // MinDist returns the L1 distance from the origin to the nearest corner of r

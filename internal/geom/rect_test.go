@@ -1,10 +1,15 @@
 package geom
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// encloses reports whether inner lies inside outer: a box contains another
+// exactly when it contains both of its corners.
+func encloses(outer, inner Rect) bool {
+	return outer.ContainsPoint(inner.Lo) && outer.ContainsPoint(inner.Hi)
+}
 
 func TestRectExpandContains(t *testing.T) {
 	var r Rect
@@ -47,21 +52,18 @@ func TestRectExpandRect(t *testing.T) {
 	if got := a.ExpandRect(Rect{}); !got.Lo.Equal(a.Lo) || !got.Hi.Equal(a.Hi) {
 		t.Error("a ∪ empty must equal a")
 	}
-	if !u.ContainsRect(a) || !u.ContainsRect(b) {
+	if !encloses(u, a) || !encloses(u, b) {
 		t.Error("union must contain both inputs")
 	}
-	if a.ContainsRect(u) {
+	if encloses(a, u) {
 		t.Error("a must not contain its strict superset")
 	}
 }
 
-func TestRectAreaMarginEnlargement(t *testing.T) {
+func TestRectAreaEnlargement(t *testing.T) {
 	r := Rect{Lo: Point{0, 0}, Hi: Point{2, 3}}
 	if got := r.Area(); got != 6 {
 		t.Errorf("Area = %v, want 6", got)
-	}
-	if got := r.Margin(); got != 5 {
-		t.Errorf("Margin = %v, want 5", got)
 	}
 	if got := (Rect{}).Area(); got != 0 {
 		t.Errorf("empty Area = %v", got)
@@ -72,75 +74,6 @@ func TestRectAreaMarginEnlargement(t *testing.T) {
 	}
 	if got := r.Enlargement(Rect{Lo: Point{1, 1}, Hi: Point{2, 2}}); got != 0 {
 		t.Errorf("contained Enlargement = %v, want 0", got)
-	}
-}
-
-func TestMayContainDominatorOf(t *testing.T) {
-	r := Rect{Lo: Point{2, 2}, Hi: Point{5, 5}}
-	tests := []struct {
-		name string
-		p    Point
-		dims []int
-		want bool
-	}{
-		{"target above lo corner", Point{3, 3}, nil, true},
-		{"target below lo corner", Point{1, 1}, nil, false},
-		{"target equals lo corner", Point{2, 2}, nil, true}, // conservative
-		{"incomparable to lo corner", Point{1, 9}, nil, false},
-		{"subspace hit", Point{1, 9}, []int{1}, true},
-		{"subspace miss", Point{1, 9}, []int{0}, false},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := r.MayContainDominatorOf(tc.p, tc.dims); got != tc.want {
-				t.Errorf("MayContainDominatorOf(%v, %v) = %v, want %v", tc.p, tc.dims, got, tc.want)
-			}
-		})
-	}
-	if (Rect{}).MayContainDominatorOf(Point{1, 1}, nil) {
-		t.Error("empty rect contains no dominators")
-	}
-}
-
-// MayContainDominatorOf must never report false when the rectangle truly
-// holds a dominator (no false negatives — false positives are fine).
-func TestMayContainDominatorOfIsSound(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 3000; trial++ {
-		d := 1 + r.Intn(3)
-		var rect Rect
-		pts := make([]Point, 1+r.Intn(6))
-		for i := range pts {
-			pts[i] = randomPoint(r, d)
-			rect = rect.ExpandPoint(pts[i])
-		}
-		q := randomPoint(r, d)
-		holds := false
-		for _, p := range pts {
-			if p.Dominates(q) {
-				holds = true
-				break
-			}
-		}
-		if holds && !rect.MayContainDominatorOf(q, nil) {
-			t.Fatalf("false negative: rect %v holds a dominator of %v", rect, q)
-		}
-	}
-}
-
-func TestIsDominatedBy(t *testing.T) {
-	r := Rect{Lo: Point{2, 2}, Hi: Point{5, 5}}
-	if !r.IsDominatedBy(Point{1, 1}, nil) {
-		t.Error("point below lo corner dominates whole rect")
-	}
-	if r.IsDominatedBy(Point{2, 2}, nil) {
-		t.Error("lo corner itself does not strictly dominate the rect")
-	}
-	if r.IsDominatedBy(Point{3, 1}, nil) {
-		t.Error("point inside x-range cannot dominate whole rect")
-	}
-	if (Rect{}).IsDominatedBy(Point{0, 0}, nil) {
-		t.Error("empty rect is never dominated")
 	}
 }
 
@@ -188,7 +121,7 @@ func TestQuickRectUnionContains(t *testing.T) {
 		b := mk(cx, cy, dx, dy)
 		u := a.ExpandRect(b)
 		// The union contains both inputs and its area is at least each.
-		return u.ContainsRect(a) && u.ContainsRect(b) &&
+		return encloses(u, a) && encloses(u, b) &&
 			u.Area() >= a.Area() && u.Area() >= b.Area() &&
 			a.Enlargement(b) >= 0
 	}
@@ -203,7 +136,7 @@ func TestQuickExpandPointContains(t *testing.T) {
 		r = r.ExpandPoint(Point{float64(bx % 16), float64(by % 16)})
 		p := Point{float64(px % 16), float64(py % 16)}
 		grown := r.ExpandPoint(p)
-		return grown.ContainsPoint(p) && grown.ContainsRect(r)
+		return grown.ContainsPoint(p) && encloses(grown, r)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Fatal(err)

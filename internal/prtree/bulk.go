@@ -24,32 +24,28 @@ func Bulk(db uncertain.DB, dims, capacity int) *Tree {
 
 	// Pack leaf nodes, then repeatedly pack the level above until one node
 	// remains.
-	nodes := packLevel(leaves, t.max, true)
+	nodes := t.packLevel(len(leaves), true, func(nd *node, i int) {
+		nd.add(leaves[i], leaves[i].tuple.Point, nil)
+	})
 	for len(nodes) > 1 {
-		upper := make([]entry, 0, len(nodes))
-		for _, n := range nodes {
-			upper = append(upper, wrap(n))
-		}
-		nodes = packLevel(upper, t.max, false)
+		level := nodes
+		nodes = t.packLevel(len(level), false, func(nd *node, i int) { nd.adopt(level[i], dims) })
 	}
 	t.root = nodes[0]
 	t.size = len(db)
 	return t
 }
 
-// strSort orders entries with the STR tiling recursion: sort by dimension
-// dim, slice into vertical slabs sized so each slab fills whole nodes, then
-// recurse on the next dimension within each slab.
+// strSort orders leaf entries with the STR tiling recursion: sort by
+// dimension dim, slice into vertical slabs sized so each slab fills whole
+// nodes, then recurse on the next dimension within each slab.
 func strSort(entries []entry, dim, dims, capacity int) {
+	sort.Slice(entries, func(i, j int) bool {
+		return coord(entries[i], dim) < coord(entries[j], dim)
+	})
 	if dim >= dims-1 || len(entries) <= capacity {
-		sort.Slice(entries, func(i, j int) bool {
-			return center(entries[i], dim) < center(entries[j], dim)
-		})
 		return
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		return center(entries[i], dim) < center(entries[j], dim)
-	})
 	nLeaves := int(math.Ceil(float64(len(entries)) / float64(capacity)))
 	remDims := float64(dims - dim)
 	slabCount := int(math.Ceil(math.Pow(float64(nLeaves), 1/remDims)))
@@ -69,34 +65,34 @@ func strSort(entries []entry, dim, dims, capacity int) {
 	}
 }
 
-func center(e entry, dim int) float64 {
-	if dim >= len(e.rect.Lo) {
+// coord is a leaf entry's coordinate on dim, its STR sort key.
+func coord(e entry, dim int) float64 {
+	if dim >= len(e.tuple.Point) {
 		return 0
 	}
-	return (e.rect.Lo[dim] + e.rect.Hi[dim]) / 2
+	return e.tuple.Point[dim]
 }
 
-// packLevel groups consecutive entries into nodes of up to capacity
-// entries, spreading the counts evenly so no node violates the minimum
-// fill (except a lone root, which is exempt).
-func packLevel(entries []entry, capacity int, leaf bool) []*node {
-	n := len(entries)
-	count := (n + capacity - 1) / capacity
-	if count == 0 {
-		count = 1
-	}
-	nodes := make([]*node, 0, count)
-	base := n / count
-	extra := n % count
-	idx := 0
-	for i := 0; i < count; i++ {
+// packLevel groups count consecutive items into nodes of up to t.max
+// entries, spreading the counts evenly so no node violates the minimum fill
+// (except a lone root, which is exempt); fill adds item i to its node.
+func (t *Tree) packLevel(count int, leaf bool, fill func(nd *node, i int)) []*node {
+	nodes := make([]*node, (count+t.max-1)/t.max)
+	base, extra := count/len(nodes), count%len(nodes)
+	i := 0
+	for k := range nodes {
 		size := base
-		if i < extra {
+		if k < extra {
 			size++
 		}
-		nd := &node{leaf: leaf, entries: append([]entry(nil), entries[idx:idx+size]...)}
-		nodes = append(nodes, nd)
-		idx += size
+		nd := &node{leaf: leaf, entries: make([]entry, 0, size), lo: make([]float64, 0, size*t.dims)}
+		if !leaf {
+			nd.hi = make([]float64, 0, size*t.dims)
+		}
+		for end := i + size; i < end; i++ {
+			fill(nd, i)
+		}
+		nodes[k] = nd
 	}
 	return nodes
 }

@@ -35,16 +35,11 @@ func (t *Tree) Delete(id uncertain.TupleID, p geom.Point) error {
 
 func (t *Tree) reinsert(e entry) {
 	if e.child == nil {
-		split := t.insert(t.root, e)
-		if split != nil {
-			old := t.root
-			t.root = &node{leaf: false, entries: []entry{wrap(old), wrap(split)}}
-		}
+		t.place(e)
 		return
 	}
-	n := e.child
-	for i := range n.entries {
-		t.reinsert(n.entries[i])
+	for _, c := range e.child.entries {
+		t.reinsert(c)
 	}
 }
 
@@ -52,42 +47,27 @@ func (t *Tree) reinsert(e entry) {
 // nodes' remaining entries into orphans. It reports whether a tuple was
 // removed.
 func (t *Tree) remove(n *node, id uncertain.TupleID, p geom.Point, orphans *[]entry) bool {
-	if n.leaf {
-		for i := range n.entries {
-			e := &n.entries[i]
-			if e.tuple.ID == id && e.tuple.Point.Equal(p) {
-				n.entries = append(n.entries[:i], n.entries[i+1:]...)
-				return true
-			}
-		}
-		return false
-	}
+	d := t.dims
 	for i := range n.entries {
 		e := &n.entries[i]
-		if !e.rect.ContainsPoint(p) {
+		if n.leaf {
+			if e.tuple.ID == id && e.tuple.Point.Equal(p) {
+				n.drop(i, d)
+				return true
+			}
 			continue
 		}
-		if !t.remove(e.child, id, p, orphans) {
+		if !n.rect(i, d).ContainsPoint(p) || !t.remove(e.child, id, p, orphans) {
 			continue
 		}
 		if len(e.child.entries) < t.min {
 			// Condense: orphan the whole child and drop it from n.
 			*orphans = append(*orphans, e.child.entries...)
-			n.entries = append(n.entries[:i], n.entries[i+1:]...)
+			n.drop(i, d)
 		} else {
-			e.recompute()
+			n.refresh(i, d)
 		}
 		return true
 	}
 	return false
-}
-
-// Update replaces the tuple identified by id/oldPoint with the new tuple, a
-// delete followed by an insert.
-func (t *Tree) Update(id uncertain.TupleID, oldPoint geom.Point, tu uncertain.Tuple) error {
-	if err := t.Delete(id, oldPoint); err != nil {
-		return err
-	}
-	t.Insert(tu)
-	return nil
 }

@@ -5,40 +5,6 @@ import (
 	"repro/internal/uncertain"
 )
 
-// Dominated visits every stored tuple that p dominates in the subspace
-// dims (nil = full space), skipping the tuple with ID self. It is the
-// mirror image of Dominators and powers the §5.4 incremental update
-// maintenance, which must find the tuples whose skyline probability a
-// deleted or inserted tuple affects.
-func (t *Tree) Dominated(p geom.Point, dims []int, self uncertain.TupleID, fn func(uncertain.Tuple) bool) {
-	t.dominated(p, dims, self, fn)
-}
-
-func (t *Tree) dominated(p geom.Point, dims []int, self uncertain.TupleID, fn func(uncertain.Tuple) bool) {
-	var walk func(n *node) bool
-	walk = func(n *node) bool {
-		for i := range n.entries {
-			e := &n.entries[i]
-			if n.leaf {
-				if e.tuple.ID != self && p.DominatesIn(e.tuple.Point, dims) && !fn(e.tuple) {
-					return false
-				}
-				continue
-			}
-			// A subtree can contain a tuple dominated by p only if p
-			// dominates-or-equals the subtree's far (upper) corner
-			// projection: every stored point is <= rect.Hi componentwise,
-			// so if p exceeds rect.Hi on a compared dimension, p cannot
-			// dominate anything inside.
-			if p.DominatesOrEqual(e.rect.Hi, dims) && !walk(e.child) {
-				return false
-			}
-		}
-		return true
-	}
-	walk(t.root)
-}
-
 // DominatedCandidates visits every stored tuple s that p dominates AND
 // whose own skyline probability (eq. 3 against this partition) reaches q,
 // reporting each with that probability. It is the workhorse of §5.4
@@ -47,46 +13,41 @@ func (t *Tree) dominated(p geom.Point, dims []int, self uncertain.TupleID, fn fu
 // sound bound as LocalSkyline — the subtree's maximum existential
 // probability times the survival product of its best corner — so the cost
 // tracks the (small) number of qualified candidates rather than the (huge)
-// number of dominated tuples. Members alias the tree's storage, as in
-// LocalSkylineFunc.
+// number of dominated tuples; at q <= 0 it reports every dominated tuple.
+// Members alias the tree's storage, as in LocalSkylineFunc.
 func (t *Tree) DominatedCandidates(p geom.Point, dims []int, self uncertain.TupleID, q float64, fn func(uncertain.SkylineMember) bool) {
-	if q <= 0 {
-		// Degenerate threshold: fall back to the unpruned walk.
-		t.dominated(p, dims, self, func(tu uncertain.Tuple) bool {
-			return fn(uncertain.SkylineMember{Tuple: tu, Prob: t.SkyProb(tu, dims)})
-		})
-		return
+	if len(p) == t.dims {
+		t.candidates(t.root, p, t.space(dims), self, q, fn)
 	}
-	var walk func(n *node) bool
-	walk = func(n *node) bool {
-		for i := range n.entries {
-			e := &n.entries[i]
-			if n.leaf {
-				if e.tuple.ID == self || !p.DominatesIn(e.tuple.Point, dims) {
-					continue
-				}
-				if e.tuple.Prob < q {
-					continue // cheap upper bound: P_sky <= P(t)
-				}
-				if prob := t.SkyProb(e.tuple, dims); prob >= q {
-					if !fn(uncertain.SkylineMember{Tuple: e.tuple, Prob: prob}) {
-						return false
-					}
-				}
+}
+
+// candidates walks n for DominatedCandidates and reports false once fn has
+// stopped the walk.
+func (t *Tree) candidates(n *node, p []float64, dims []int, self uncertain.TupleID, q float64, fn func(uncertain.SkylineMember) bool) bool {
+	d := t.dims
+	for i := range n.entries {
+		lo, e := n.lo[i*d:(i+1)*d], &n.entries[i]
+		if n.leaf {
+			// P(t) bounds P_sky(t): the cheap test before the window query.
+			if !dominates(p, lo, dims) || e.tuple.ID == self || e.tuple.Prob < q {
 				continue
 			}
-			if !p.DominatesOrEqual(e.rect.Hi, dims) {
-				continue // nothing inside can be dominated by p
+			if prob := e.tuple.Prob * t.cross(t.root, lo, e.tuple.ID, dims, 1); prob >= q {
+				if !fn(uncertain.SkylineMember{Tuple: e.tuple, Prob: prob}) {
+					return false
+				}
 			}
-			probe := uncertain.Tuple{ID: uncertain.NoTuple, Point: e.rect.Lo, Prob: 1}
-			if e.pmax*t.CrossSkyProb(probe, dims) < q {
-				continue // no tuple inside can reach the threshold
-			}
-			if !walk(e.child) {
-				return false
-			}
+			continue
 		}
-		return true
+		// p dominates nothing in a box whose upper corner it exceeds on a
+		// compared dimension, and no tuple inside can reach q when even
+		// the box's best corner, at the subtree's best P, cannot.
+		if !covers(p, n.hi[i*d:(i+1)*d], dims) || e.pmax*t.cross(t.root, lo, uncertain.NoTuple, dims, 1) < q {
+			continue
+		}
+		if !t.candidates(e.child, p, dims, self, q, fn) {
+			return false
+		}
 	}
-	walk(t.root)
+	return true
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/uncertain"
 )
 
+// At q = 0 DominatedCandidates reports every tuple p dominates.
 func TestDominatedMatchesScan(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 40; trial++ {
@@ -27,8 +28,8 @@ func TestDominatedMatchesScan(t *testing.T) {
 			}
 		}
 		got := map[uncertain.TupleID]bool{}
-		tr.Dominated(probe.Point, dims, probe.ID, func(tu uncertain.Tuple) bool {
-			got[tu.ID] = true
+		tr.DominatedCandidates(probe.Point, dims, probe.ID, 0, func(m uncertain.SkylineMember) bool {
+			got[m.Tuple.ID] = true
 			return true
 		})
 		if len(got) != len(want) {
@@ -47,7 +48,7 @@ func TestDominatedEarlyStop(t *testing.T) {
 	db := randomDB(r, 200, 2)
 	tr := Bulk(db, 2, 8)
 	n := 0
-	tr.Dominated(geom.Point{0, 0}, nil, uncertain.NoTuple, func(uncertain.Tuple) bool {
+	tr.DominatedCandidates(geom.Point{0, 0}, nil, uncertain.NoTuple, 0, func(uncertain.SkylineMember) bool {
 		n++
 		return n < 4
 	})

@@ -1,67 +1,52 @@
 package prtree
 
-import (
-	"repro/internal/geom"
-	"repro/internal/uncertain"
-)
+import "repro/internal/uncertain"
 
-// Search visits every tuple inside the query window rect (boundaries
-// included); fn returning false stops the search.
-func (t *Tree) Search(rect geom.Rect, fn func(uncertain.Tuple) bool) {
-	var walk func(n *node) bool
-	walk = func(n *node) bool {
-		for i := range n.entries {
-			e := &n.entries[i]
-			if n.leaf {
-				if rect.ContainsPoint(e.tuple.Point) && !fn(e.tuple) {
-					return false
-				}
-				continue
-			}
-			// Descend only into overlapping subtrees.
-			if overlaps(e.rect, rect) && !walk(e.child) {
-				return false
-			}
-		}
-		return true
+// noDims compares no dimension, so under it nothing dominates anything.
+var noDims = []int{}
+
+// space resolves a public call's subspace mask once, so every walk runs one
+// loop for the full space and subspaces alike: nil is the tree's full
+// space, and a mask naming a dimension the tree lacks compares nothing —
+// the fail-closed rule of geom.Point.DominatesIn.
+func (t *Tree) space(dims []int) []int {
+	if dims == nil {
+		return t.ident
 	}
-	walk(t.root)
+	for _, j := range dims {
+		if j < 0 || j >= t.dims {
+			return noDims
+		}
+	}
+	return dims
 }
 
-func overlaps(a, b geom.Rect) bool {
-	if a.IsEmpty() || b.IsEmpty() || len(a.Lo) != len(b.Lo) {
-		return false
+// dominates reports whether a dominates b on dims: no larger on any, and
+// smaller on one. Both hold at least every coordinate dims names, because
+// space resolved dims at the public entry; that is why the kernel uses
+// these two instead of geom.Point.DominatesIn and DominatesOrEqual, which
+// re-check every index and cost the walks about a quarter more time.
+func dominates(a, b []float64, dims []int) bool {
+	strict := false
+	for _, j := range dims {
+		if a[j] > b[j] {
+			return false
+		}
+		if a[j] < b[j] {
+			strict = true
+		}
 	}
-	for i := range a.Lo {
-		if a.Hi[i] < b.Lo[i] || b.Hi[i] < a.Lo[i] {
+	return strict
+}
+
+// covers reports whether a dominates or equals b on dims.
+func covers(a, b []float64, dims []int) bool {
+	for _, j := range dims {
+		if a[j] > b[j] {
 			return false
 		}
 	}
 	return true
-}
-
-// Dominators visits every stored tuple that dominates p in the subspace
-// dims (nil = full space), skipping the tuple with ID self (so a stored
-// tuple can query its own dominators). This is the paper's §6.3 window
-// query: the window spans from the space origin to p.
-func (t *Tree) Dominators(p geom.Point, dims []int, self uncertain.TupleID, fn func(uncertain.Tuple) bool) {
-	var walk func(n *node) bool
-	walk = func(n *node) bool {
-		for i := range n.entries {
-			e := &n.entries[i]
-			if n.leaf {
-				if e.tuple.ID != self && e.tuple.Point.DominatesIn(p, dims) && !fn(e.tuple) {
-					return false
-				}
-				continue
-			}
-			if e.rect.MayContainDominatorOf(p, dims) && !walk(e.child) {
-				return false
-			}
-		}
-		return true
-	}
-	walk(t.root)
 }
 
 // CrossSkyProb computes eq. 9 for an arbitrary probe tuple against the
@@ -69,34 +54,43 @@ func (t *Tree) Dominators(p geom.Point, dims []int, self uncertain.TupleID, fn f
 // tuple sharing probe's ID) of (1 − P). Subtrees that lie entirely inside
 // the dominance region contribute their pre-aggregated product without
 // being expanded, which is what makes the feedback evaluation at local
-// sites (§6.3) sublinear in practice.
+// sites (§6.3) sublinear in practice. A probe of another dimensionality
+// has no dominators here.
 func (t *Tree) CrossSkyProb(probe uncertain.Tuple, dims []int) float64 {
-	prob := 1.0
-	var walk func(n *node)
-	walk = func(n *node) {
+	if len(probe.Point) != t.dims {
+		return 1
+	}
+	return t.cross(t.root, probe.Point, probe.ID, t.space(dims), 1)
+}
+
+// cross is the dominance-window kernel under every search of the tree: it
+// multiplies into prob the (1 − P) of each tuple under n, other than id,
+// that dominates p on the resolved mask dims, and returns the product. It
+// decides from n's corner arrays alone and multiplies in depth-first entry
+// order. A box whose lower corner does not dominate-or-equal p holds no
+// dominator; one whose upper corner dominates p holds nothing else, so its
+// cached product applies (p itself cannot be inside: nothing dominates
+// itself).
+func (t *Tree) cross(n *node, p []float64, id uncertain.TupleID, dims []int, prob float64) float64 {
+	d := t.dims
+	if n.leaf {
 		for i := range n.entries {
-			e := &n.entries[i]
-			if n.leaf {
-				if e.tuple.ID != probe.ID && e.tuple.Point.DominatesIn(probe.Point, dims) {
-					prob *= 1 - e.tuple.Prob
-				}
-				continue
+			if dominates(n.lo[i*d:(i+1)*d], p, dims) && n.entries[i].tuple.ID != id {
+				prob *= n.entries[i].prodInv
 			}
-			if !e.rect.MayContainDominatorOf(probe.Point, dims) {
-				continue
-			}
-			// Whole-subtree shortcut: when even the far corner of the
-			// subtree dominates the probe, every contained tuple does,
-			// so the cached product applies (the probe itself can never
-			// be inside such a subtree — nothing dominates itself).
-			if e.rect.Hi.DominatesIn(probe.Point, dims) {
-				prob *= e.prodInv
-				continue
-			}
-			walk(e.child)
+		}
+		return prob
+	}
+	for i := range n.entries {
+		if !covers(n.lo[i*d:(i+1)*d], p, dims) {
+			continue
+		}
+		if e := &n.entries[i]; dominates(n.hi[i*d:(i+1)*d], p, dims) {
+			prob *= e.prodInv
+		} else {
+			prob = t.cross(e.child, p, id, dims, prob)
 		}
 	}
-	walk(t.root)
 	return prob
 }
 

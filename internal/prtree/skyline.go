@@ -38,47 +38,39 @@ func (t *Tree) LocalSkyline(q float64, dims []int) []uncertain.SkylineMember {
 // is never written in place, so it stays valid after the tuple is
 // deleted; callers handing a member to code they do not own clone it.
 func (t *Tree) LocalSkylineFunc(q float64, dims []int, fn func(uncertain.SkylineMember) bool) {
-	if t.size == 0 || q <= 0 {
-		if q <= 0 && t.size > 0 {
-			// q <= 0 qualifies everything; still report exact probabilities.
-			t.All(func(tu uncertain.Tuple) bool {
-				return fn(uncertain.SkylineMember{Tuple: tu, Prob: t.SkyProb(tu, dims)})
-			})
-		}
+	if q <= 0 {
+		// q <= 0 qualifies everything; still report exact probabilities.
+		t.All(func(tu uncertain.Tuple) bool {
+			return fn(uncertain.SkylineMember{Tuple: tu, Prob: t.SkyProb(tu, dims)})
+		})
 		return
 	}
 
+	dims = t.space(dims)
 	h := &entryHeap{}
-	heap.Init(h)
-	push := func(e *entry) {
+	push := func(n *node, i int) {
 		// No tuple below e can beat its own existential probability
 		// (P_sky <= P(t)), so pmax < q settles a leaf tuple and a subtree
 		// alike without a window query. Surviving subtrees get the
 		// sharper threshold prune, surviving leaf tuples the exact test.
-		if e.pmax < q {
+		e, r := &n.entries[i], n.rect(i, t.dims)
+		if e.pmax < q || e.child != nil && e.pmax*t.cross(t.root, r.Lo, uncertain.NoTuple, dims, 1) < q {
 			return
 		}
-		if e.child != nil {
-			probe := uncertain.Tuple{ID: uncertain.NoTuple, Point: e.rect.Lo, Prob: 1}
-			if e.pmax*t.CrossSkyProb(probe, dims) < q {
-				return
-			}
-		}
-		heap.Push(h, heapItem{dist: e.rect.MinDist(dims), e: e})
+		heap.Push(h, heapItem{dist: r.MinDist(dims), e: e})
 	}
 	for i := range t.root.entries {
-		push(&t.root.entries[i])
+		push(t.root, i)
 	}
 	for h.Len() > 0 {
-		item := heap.Pop(h).(heapItem)
-		e := item.e
+		e := heap.Pop(h).(heapItem).e
 		if e.child != nil {
 			for i := range e.child.entries {
-				push(&e.child.entries[i])
+				push(e.child, i)
 			}
 			continue
 		}
-		if p := t.SkyProb(e.tuple, dims); p >= q {
+		if p := e.tuple.Prob * t.cross(t.root, e.tuple.Point, e.tuple.ID, dims, 1); p >= q {
 			if !fn(uncertain.SkylineMember{Tuple: e.tuple, Prob: p}) {
 				return
 			}

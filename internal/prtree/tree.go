@@ -23,26 +23,32 @@ var ErrNotFound = errors.New("prtree: tuple not found")
 
 // Tree is a probabilistic R-tree. The zero value is not usable; construct
 // with New or Bulk. Tree is not safe for concurrent mutation; concurrent
-// read-only queries are safe.
+// read-only queries are safe. Every stored point has Dims coordinates.
 type Tree struct {
-	dims int
-	max  int // node capacity M
-	min  int // minimum fill m
-	root *node
-	size int
+	dims  int
+	ident []int // 0, 1, …, dims−1: the full space as a subspace mask
+	max   int   // node capacity M
+	min   int   // minimum fill m
+	root  *node
+	size  int
 }
 
 // node is one R-tree node. Leaf nodes carry tuple entries; interior nodes
-// carry child entries.
+// carry child entries. Entry i's geometry lives in the node's flat corner
+// arrays at [i·d, (i+1)·d): lo holds the lower corners, which in a leaf are
+// the points themselves, packed contiguously, and hi the upper corners of
+// an interior node's children (a leaf has none: a point is its own upper
+// corner). Every window query reads these arrays and nothing else to decide
+// dominance.
 type node struct {
 	leaf    bool
 	entries []entry
+	lo, hi  []float64
 }
 
 // entry is one slot of a node: either a child pointer with aggregates
 // (interior) or a tuple (leaf).
 type entry struct {
-	rect  geom.Rect
 	child *node           // interior entries only
 	tuple uncertain.Tuple // leaf entries only
 
@@ -60,11 +66,16 @@ func New(dims, capacity int) *Tree {
 	if capacity < 4 {
 		capacity = DefaultCapacity
 	}
+	ident := make([]int, dims)
+	for j := range ident {
+		ident[j] = j
+	}
 	return &Tree{
-		dims: dims,
-		max:  capacity,
-		min:  capacity * 2 / 5, // 40% minimum fill, the R*-tree default
-		root: &node{leaf: true},
+		dims:  dims,
+		ident: ident,
+		max:   capacity,
+		min:   capacity * 2 / 5, // 40% minimum fill, the R*-tree default
+		root:  &node{leaf: true},
 	}
 }
 
@@ -91,49 +102,79 @@ func (t *Tree) Height() int {
 
 // leafEntry builds the entry wrapping one tuple.
 func leafEntry(tu uncertain.Tuple) entry {
-	return entry{
-		rect:    geom.RectFromPoint(tu.Point),
-		tuple:   tu,
-		pmin:    tu.Prob,
-		pmax:    tu.Prob,
-		prodInv: 1 - tu.Prob,
-		count:   1,
+	return entry{tuple: tu, pmin: tu.Prob, pmax: tu.Prob, prodInv: 1 - tu.Prob, count: 1}
+}
+
+// upper is n's upper-corner array: a leaf's points are their own.
+func (n *node) upper() []float64 {
+	if n.leaf {
+		return n.lo
+	}
+	return n.hi
+}
+
+// rect is entry i's bounding box, a view into n's corner arrays.
+func (n *node) rect(i, d int) geom.Rect {
+	return geom.Rect{Lo: n.lo[i*d : (i+1)*d], Hi: n.upper()[i*d : (i+1)*d]}
+}
+
+// add appends e with its corners (a leaf ignores hi).
+func (n *node) add(e entry, lo, hi []float64) {
+	n.entries = append(n.entries, e)
+	n.lo = append(n.lo, lo...)
+	if !n.leaf {
+		n.hi = append(n.hi, hi...)
 	}
 }
 
-// recompute refreshes an interior entry's rect and aggregates from its
-// child's entries.
-func (e *entry) recompute() {
-	n := e.child
-	e.rect = geom.Rect{}
-	e.pmin = 1
-	e.pmax = 0
-	e.prodInv = 1
-	e.count = 0
-	for i := range n.entries {
-		c := &n.entries[i]
-		e.rect = e.rect.ExpandRect(c.rect)
-		if c.pmin < e.pmin {
-			e.pmin = c.pmin
-		}
-		if c.pmax > e.pmax {
-			e.pmax = c.pmax
-		}
-		e.prodInv *= c.prodInv
-		e.count += c.count
+// drop removes entry i in place, keeping the order of the rest.
+func (n *node) drop(i, d int) {
+	n.entries = append(n.entries[:i], n.entries[i+1:]...)
+	n.lo = append(n.lo[:i*d], n.lo[(i+1)*d:]...)
+	if !n.leaf {
+		n.hi = append(n.hi[:i*d], n.hi[(i+1)*d:]...)
 	}
 }
 
-// wrap builds a fresh interior entry around n.
-func wrap(n *node) entry {
-	e := entry{child: n}
-	e.recompute()
+// adopt appends the non-empty node c as a child of interior node n.
+func (n *node) adopt(c *node, d int) {
+	n.add(entry{child: c}, c.lo[:d], c.upper()[:d])
+	n.refresh(len(n.entries)-1, d)
+}
+
+// refresh recomputes interior entry i's corners and aggregates from its
+// child, in place.
+func (n *node) refresh(i, d int) {
+	n.entries[i] = summarize(n.entries[i].child, d, n.lo[i*d:(i+1)*d], n.hi[i*d:(i+1)*d])
+}
+
+// summarize returns the interior entry wrapping the non-empty node c and
+// writes c's bounding box into lo and hi. The product multiplies in entry
+// order, so the same entries always give the same bits.
+func summarize(c *node, d int, lo, hi []float64) entry {
+	e := entry{child: c, pmin: 1, prodInv: 1}
+	up := c.upper()
+	copy(lo, c.lo[:d])
+	copy(hi, up[:d])
+	for i := range c.entries {
+		for j := 0; j < d; j++ {
+			lo[j] = min(lo[j], c.lo[i*d+j])
+			hi[j] = max(hi[j], up[i*d+j])
+		}
+		ce := &c.entries[i]
+		e.pmin = min(e.pmin, ce.pmin)
+		e.pmax = max(e.pmax, ce.pmax)
+		e.prodInv *= ce.prodInv
+		e.count += ce.count
+	}
 	return e
 }
 
-// CheckInvariants validates structural invariants: bounding rectangles
-// contain children, aggregates match recomputation, leaf depth is uniform,
-// and node occupancy respects capacity. It exists for tests.
+// CheckInvariants validates structural invariants: every node's corner
+// arrays hold its entries' corners (a leaf's points; each child's bounding
+// box), aggregates — the Π(1−P) product included — match recomputation
+// exactly, leaf depth is uniform, and node occupancy respects capacity. It
+// exists for tests.
 func (t *Tree) CheckInvariants() error {
 	if t.root == nil {
 		return errors.New("prtree: nil root")
@@ -161,11 +202,15 @@ func wrapCount(n *node) int {
 }
 
 func (t *Tree) check(n *node, isRoot bool) (depth int, err error) {
+	d := t.dims
 	if len(n.entries) > t.max {
 		return 0, fmt.Errorf("prtree: node with %d entries exceeds capacity %d", len(n.entries), t.max)
 	}
 	if !isRoot && len(n.entries) < t.min {
 		return 0, fmt.Errorf("prtree: underfull non-root node (%d < %d)", len(n.entries), t.min)
+	}
+	if want := len(n.entries) * d; len(n.lo) != want || len(n.upper()) != want {
+		return 0, fmt.Errorf("prtree: %d entries but %d lower and %d upper coordinates", len(n.entries), len(n.lo), len(n.upper()))
 	}
 	if n.leaf {
 		for i := range n.entries {
@@ -173,8 +218,8 @@ func (t *Tree) check(n *node, isRoot bool) (depth int, err error) {
 			if e.child != nil {
 				return 0, errors.New("prtree: leaf entry with child pointer")
 			}
-			if !e.rect.Lo.Equal(e.tuple.Point) || !e.rect.Hi.Equal(e.tuple.Point) {
-				return 0, fmt.Errorf("prtree: leaf rect %v mismatches tuple %v", e.rect, e.tuple)
+			if lo := n.rect(i, d).Lo; !lo.Equal(e.tuple.Point) {
+				return 0, fmt.Errorf("prtree: leaf corner %v mismatches tuple %v", lo, e.tuple)
 			}
 		}
 		return 1, nil
@@ -183,28 +228,27 @@ func (t *Tree) check(n *node, isRoot bool) (depth int, err error) {
 		return 0, errors.New("prtree: empty interior node")
 	}
 	childDepth := -1
+	lo, hi := make(geom.Point, d), make(geom.Point, d)
 	for i := range n.entries {
 		e := &n.entries[i]
 		if e.child == nil {
 			return 0, errors.New("prtree: interior entry without child")
 		}
-		var fresh entry
-		fresh.child = e.child
-		fresh.recompute()
-		if !fresh.rect.Lo.Equal(e.rect.Lo) || !fresh.rect.Hi.Equal(e.rect.Hi) {
-			return 0, fmt.Errorf("prtree: stale rect: have %v want %v", e.rect, fresh.rect)
-		}
-		if fresh.count != e.count || fresh.pmin != e.pmin || fresh.pmax != e.pmax {
-			return 0, fmt.Errorf("prtree: stale aggregates (count %d/%d pmin %v/%v pmax %v/%v)",
-				e.count, fresh.count, e.pmin, fresh.pmin, e.pmax, fresh.pmax)
-		}
-		d, err := t.check(e.child, false)
+		cd, err := t.check(e.child, false)
 		if err != nil {
 			return 0, err
 		}
+		fresh := summarize(e.child, d, lo, hi)
+		if r := n.rect(i, d); !r.Lo.Equal(lo) || !r.Hi.Equal(hi) {
+			return 0, fmt.Errorf("prtree: stale corners: have %v want %v", r, geom.Rect{Lo: lo, Hi: hi})
+		}
+		if fresh.count != e.count || fresh.pmin != e.pmin || fresh.pmax != e.pmax || fresh.prodInv != e.prodInv {
+			return 0, fmt.Errorf("prtree: stale aggregates (count %d/%d pmin %v/%v pmax %v/%v prodInv %v/%v)",
+				e.count, fresh.count, e.pmin, fresh.pmin, e.pmax, fresh.pmax, e.prodInv, fresh.prodInv)
+		}
 		if childDepth == -1 {
-			childDepth = d
-		} else if childDepth != d {
+			childDepth = cd
+		} else if childDepth != cd {
 			return 0, errors.New("prtree: leaves at different depths")
 		}
 	}

@@ -62,73 +62,6 @@ func TestEmptyTree(t *testing.T) {
 	}
 }
 
-func TestSearchMatchesScan(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 60; trial++ {
-		d := 1 + r.Intn(3)
-		db := randomDB(r, 1+r.Intn(300), d)
-		bulk, incr := buildBoth(t, db, d, 4+r.Intn(12))
-		lo := make(geom.Point, d)
-		hi := make(geom.Point, d)
-		for j := 0; j < d; j++ {
-			a, b := r.Float64()*10, r.Float64()*10
-			lo[j], hi[j] = math.Min(a, b), math.Max(a, b)
-		}
-		window := geom.Rect{Lo: lo, Hi: hi}
-		want := map[uncertain.TupleID]bool{}
-		for _, tu := range db {
-			if window.ContainsPoint(tu.Point) {
-				want[tu.ID] = true
-			}
-		}
-		for name, tr := range map[string]*Tree{"bulk": bulk, "incr": incr} {
-			got := map[uncertain.TupleID]bool{}
-			tr.Search(window, func(tu uncertain.Tuple) bool {
-				got[tu.ID] = true
-				return true
-			})
-			if len(got) != len(want) {
-				t.Fatalf("%s trial %d: search found %d, want %d", name, trial, len(got), len(want))
-			}
-			for id := range want {
-				if !got[id] {
-					t.Fatalf("%s trial %d: missing id %d", name, trial, id)
-				}
-			}
-		}
-	}
-}
-
-func TestDominatorsMatchesScan(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 60; trial++ {
-		d := 1 + r.Intn(3)
-		db := randomDB(r, 1+r.Intn(300), d)
-		bulk, incr := buildBoth(t, db, d, 4+r.Intn(12))
-		probe := db[r.Intn(len(db))]
-		var dims []int
-		if d > 1 && r.Intn(2) == 0 {
-			dims = []int{r.Intn(d)}
-		}
-		want := map[uncertain.TupleID]bool{}
-		for _, tu := range db {
-			if tu.ID != probe.ID && tu.Point.DominatesIn(probe.Point, dims) {
-				want[tu.ID] = true
-			}
-		}
-		for name, tr := range map[string]*Tree{"bulk": bulk, "incr": incr} {
-			got := map[uncertain.TupleID]bool{}
-			tr.Dominators(probe.Point, dims, probe.ID, func(tu uncertain.Tuple) bool {
-				got[tu.ID] = true
-				return true
-			})
-			if len(got) != len(want) {
-				t.Fatalf("%s trial %d dims %v: %d dominators, want %d", name, trial, dims, len(got), len(want))
-			}
-		}
-	}
-}
-
 func TestCrossSkyProbMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 40; trial++ {
@@ -274,30 +207,6 @@ func TestDeleteMissingTuple(t *testing.T) {
 	}
 }
 
-func TestUpdateMovesTuple(t *testing.T) {
-	tr := New(2, 8)
-	old := uncertain.Tuple{ID: 1, Point: geom.Point{5, 5}, Prob: 0.5}
-	tr.Insert(old)
-	moved := uncertain.Tuple{ID: 1, Point: geom.Point{1, 1}, Prob: 0.9}
-	if err := tr.Update(1, old.Point, moved); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", tr.Len())
-	}
-	found := false
-	tr.All(func(tu uncertain.Tuple) bool {
-		found = tu.Point.Equal(moved.Point) && tu.Prob == moved.Prob
-		return true
-	})
-	if !found {
-		t.Fatal("updated tuple not found at new location")
-	}
-	if err := tr.Update(42, geom.Point{0, 0}, moved); err == nil {
-		t.Fatal("updating a missing tuple must fail")
-	}
-}
-
 func TestInterleavedInsertDeleteInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	tr := New(3, 6)
@@ -363,6 +272,90 @@ func TestBulkMatchesIncrementalSkyline(t *testing.T) {
 	if !uncertain.MembersEqual(a, b, 1e-9) {
 		t.Fatal("bulk and incremental trees disagree")
 	}
+}
+
+// The whole-subtree shortcut multiplies in an interior entry's cached
+// Π(1−P), so a stale one would skew every eq. 9 factor: CheckInvariants
+// compares it exactly.
+func TestCheckInvariantsCatchesStaleProduct(t *testing.T) {
+	tr := Bulk(randomDB(rand.New(rand.NewSource(12)), 500, 3), 3, 8)
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	e := &tr.root.entries[0].child.entries[1]
+	e.prodInv = math.Nextafter(e.prodInv, 2)
+	if err := tr.CheckInvariants(); err == nil {
+		t.Fatal("an interior prodInv one ulp off passed CheckInvariants")
+	}
+}
+
+// Every window query decides from the flat corner arrays alone, so each
+// must equal what its entries say: a leaf's points, a child's bounding box.
+func TestCheckInvariantsCatchesStaleCorner(t *testing.T) {
+	for name, corrupt := range map[string]func(tr *Tree){
+		"leaf point": func(tr *Tree) {
+			n := tr.root
+			for !n.leaf {
+				n = n.entries[0].child
+			}
+			n.lo[4] += 0.5
+		},
+		"interior upper corner": func(tr *Tree) { tr.root.hi[2] += 0.5 },
+	} {
+		tr := Bulk(randomDB(rand.New(rand.NewSource(13)), 500, 3), 3, 8)
+		corrupt(tr)
+		if err := tr.CheckInvariants(); err == nil {
+			t.Errorf("%s: a corrupted corner passed CheckInvariants", name)
+		}
+	}
+}
+
+// The window queries under every Evaluate and every delete allocate
+// nothing.
+func TestWindowQueriesDoNotAllocate(t *testing.T) {
+	db := randomDB(rand.New(rand.NewSource(14)), 2000, 3)
+	tr := Bulk(db, 3, 0)
+	visit := func(uncertain.SkylineMember) bool { return true }
+	for _, dims := range [][]int{nil, {0, 2}} {
+		i := 0
+		if a := testing.AllocsPerRun(200, func() {
+			tr.CrossSkyProb(db[i%len(db)], dims)
+			i++
+		}); a != 0 {
+			t.Errorf("dims %v: CrossSkyProb allocates %v per call", dims, a)
+		}
+		if a := testing.AllocsPerRun(50, func() {
+			p := db[i%len(db)]
+			tr.DominatedCandidates(p.Point, dims, p.ID, 0.3, visit)
+			i++
+		}); a != 0 {
+			t.Errorf("dims %v: DominatedCandidates allocates %v per call", dims, a)
+		}
+	}
+}
+
+// A mask naming a dimension the tree lacks, or a probe of another
+// dimensionality, compares nothing: no dominators, no candidates, no panic.
+func TestMalformedMaskComparesNothing(t *testing.T) {
+	db := randomDB(rand.New(rand.NewSource(15)), 300, 2)
+	tr := Bulk(db, 2, 8)
+	origin := uncertain.Tuple{ID: uncertain.NoTuple, Point: geom.Point{0, 0}}
+	for _, dims := range [][]int{{2}, {-1}, {0, 5}, {}} {
+		if got := tr.CrossSkyProb(db[0], dims); got != 1 {
+			t.Errorf("dims %v: CrossSkyProb = %v, want 1", dims, got)
+		}
+		tr.DominatedCandidates(origin.Point, dims, origin.ID, 0.1, func(m uncertain.SkylineMember) bool {
+			t.Errorf("dims %v: candidate %v", dims, m.Tuple)
+			return false
+		})
+	}
+	if got := tr.CrossSkyProb(uncertain.Tuple{Point: geom.Point{9, 9, 9}, Prob: 1}, nil); got != 1 {
+		t.Errorf("3-d probe of a 2-d tree: CrossSkyProb = %v, want 1", got)
+	}
+	tr.DominatedCandidates(geom.Point{0}, nil, uncertain.NoTuple, 0.1, func(m uncertain.SkylineMember) bool {
+		t.Errorf("1-d probe of a 2-d tree: candidate %v", m.Tuple)
+		return false
+	})
 }
 
 func TestCapacityFallback(t *testing.T) {
