@@ -31,10 +31,11 @@ test:
 # request, response and error buffers from one fan-out's goroutines to the
 # next's; the detector is the check, so the seam tests that mix kinds, fail
 # mid-fan-out and replay recordings run ten times over, and so do the
-# maintainer's two-wave updates and its failed-update path.
+# maintainer's two-wave updates, its failed-update path, and the one call
+# path metering, timing and recording a fan-out's concurrent calls.
 race:
 	$(GO) test -race ./internal/codec ./internal/obs/... ./internal/transport ./internal/round ./internal/core ./internal/serve ./internal/stream ./internal/site ./internal/audit ./internal/experiments
-	$(GO) test -race -count=10 -run 'Fanout|MaxResultsShips|ParentTranscripts|TopKReExpunge|UpdateWaves|FailedUpdate' ./internal/round ./internal/core
+	$(GO) test -race -count=10 -run 'Fanout|MaxResultsShips|ParentTranscripts|TopKReExpunge|UpdateWaves|FailedUpdate|OneCallPath' ./internal/round ./internal/core
 
 # Full benchmark sweep (several minutes). Writes bench_output.txt.
 bench:

@@ -21,15 +21,21 @@ import (
 	"repro/internal/uncertain"
 )
 
-// Cluster is the coordinator's view of the distributed system: one metered
-// client per site plus the shared bandwidth meter. Queries may run
-// concurrently against one Cluster: each Run gets its own site sessions
-// and its own bandwidth meter (the Cluster meter keeps the combined
-// totals).
+// Cluster is the coordinator's view of the distributed system: one client
+// per site plus the shared bandwidth meter. Queries may run concurrently
+// against one Cluster: each Run gets its own site sessions and its own
+// bandwidth meter (the Cluster meter keeps the combined totals). Every
+// call to a site goes through view.rpc.
 type Cluster struct {
 	clients []transport.Client
 	meter   *transport.Meter
 	dims    int
+	// latency is the simulated round trip every call sleeps before it is
+	// made (ClusterConfig.Latency; in-process sites only).
+	latency time.Duration
+	// rpcs holds each site's per-kind RPC instruments, resolved by
+	// Instrument; nil when uninstrumented, and then no call is timed.
+	rpcs []*transport.RPCMetrics
 	// sessionBase is a random 64-bit nonce so session IDs from different
 	// coordinator processes sharing the same site daemons never collide;
 	// sessions counts queries within this cluster.
@@ -157,18 +163,20 @@ func (c *Cluster) recordFlight(o *observer, name string, rep *Report, err error,
 	c.flight.Record(&rec)
 }
 
-// Instrument wires the cluster into reg: every site client gains per-RPC
-// latency histograms and outcome counters (dsud_rpc_*), the shared
-// bandwidth meter is exposed (dsud_transport_*), and completed queries
-// are counted per algorithm (dsud_queries_total). Call once, before the
-// first query; a nil registry is a no-op. Concurrent queries may share
+// Instrument wires the cluster into reg: every call to a site is timed
+// and counted by outcome (dsud_rpc_*), the shared bandwidth meter is
+// exposed (dsud_transport_*), and completed queries are counted per
+// algorithm (dsud_queries_total). Call before the first query; a nil
+// registry is a no-op, and a second call resolves the same series again
+// rather than counting every call twice. Concurrent queries may share
 // the instrumented cluster as usual.
 func (c *Cluster) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	for i, cl := range c.clients {
-		c.clients[i] = transport.Instrumented(cl, reg, strconv.Itoa(i))
+	c.rpcs = make([]*transport.RPCMetrics, len(c.clients))
+	for i := range c.rpcs {
+		c.rpcs[i] = transport.NewRPCMetrics(reg, strconv.Itoa(i))
 	}
 	transport.ExposeMeter(reg, c.meter)
 	reg.Describe("dsud_queries_total", "Completed queries by algorithm.")
@@ -185,16 +193,18 @@ func (c *Cluster) countQuery(a Algorithm) {
 }
 
 // view is one query's (or one maintainer's) handle on the cluster: the
-// same connections, wrapped with a private meter so per-query bandwidth
-// stays exact even when queries overlap, plus the query's trace (nil
-// when untraced) whose context is stamped on every outgoing RPC. It is
-// the round engine's Sites: session and query are what it binds to the
-// engine's requests (a maintainer's view has no session and fills its
-// fan-outs itself, under its query).
+// shared connections plus what watches this caller's calls — its own
+// meter, so per-query bandwidth stays exact even when queries overlap,
+// its trace, whose context is stamped on every outgoing RPC, and its
+// transcript recorder. Each is nil when nobody reads it. It is the round
+// engine's Sites: session and query are what it binds to the engine's
+// requests (a maintainer's view has no session and fills its fan-outs
+// itself, under its query).
 type view struct {
-	clients []transport.Client
+	cluster *Cluster
 	meter   *transport.Meter
 	tr      *Trace
+	rec     *transcript.Recorder
 	session uint64
 	query   transport.Query
 	// One fan-out's buffers, indexed by site and reused by the next: the
@@ -206,15 +216,10 @@ type view struct {
 	replies []round.Response
 }
 
-// newView stacks a fresh meter over the shared clients. tr may be nil.
+// newView opens a view with no meter or recorder of its own. tr may be nil.
 func (c *Cluster) newView(tr *Trace, session uint64, query transport.Query) *view {
-	qm := &transport.Meter{}
-	clients := make([]transport.Client, len(c.clients))
-	for i, cl := range c.clients {
-		clients[i] = transport.Metered(cl, qm)
-	}
-	n := len(clients)
-	return &view{clients: clients, meter: qm, tr: tr, session: session, query: query,
+	n := len(c.clients)
+	return &view{cluster: c, tr: tr, session: session, query: query,
 		wire: make([]transport.Request, n), resps: make([]*transport.Response, n),
 		errs: make([]error, n), replies: make([]round.Response, n)}
 }
@@ -239,17 +244,12 @@ func newSessionBase() uint64 {
 }
 
 // NewClusterFromClients wires arbitrary pre-built clients (tests, custom
-// transports). The clients are metered against a fresh meter.
+// transports). Their calls are metered against a fresh meter.
 func NewClusterFromClients(clients []transport.Client, dims int) (*Cluster, error) {
 	if len(clients) == 0 {
 		return nil, ErrNoSites
 	}
-	meter := &transport.Meter{}
-	metered := make([]transport.Client, len(clients))
-	for i, c := range clients {
-		metered[i] = transport.Metered(c, meter)
-	}
-	return &Cluster{clients: metered, meter: meter, dims: dims, sessionBase: newSessionBase()}, nil
+	return &Cluster{clients: clients, meter: &transport.Meter{}, dims: dims, sessionBase: newSessionBase()}, nil
 }
 
 // Sites returns the number of sites.
@@ -272,58 +272,113 @@ func (c *Cluster) Close() error {
 	return first
 }
 
-// call sends site i the request in its slot. When the view carries a
-// sampled trace the request is stamped with the trace context — the slot
-// is this call's alone, and the retry transport copies it for its own Seq
-// stamp — and the send/receive wall clocks bracket the RPC for the
-// clock-offset estimate used when merging the piggybacked site spans.
-func (c *view) call(ctx context.Context, i int) {
-	req, sent := &c.wire[i], time.Time{}
-	if req.Trace = c.tr.context(); req.Trace.Traced() {
+// rpc is the coordinator's one call path to a site: every view's fan-outs
+// (queries, maintainers, Cluster.Partitions) and every health probe send
+// through it. On the calling goroutine, once each, it stamps v's
+// trace context on req, sleeps the cluster's simulated latency, makes the
+// call, times it and counts its outcome when the cluster is instrumented,
+// charges it to the cluster's meter and to v's own, records it into v's
+// transcript, and merges the site spans its response carries. A failed
+// call is timed and counted, never charged or recorded.
+//
+// A sampled trace's send/receive wall clocks bracket the whole call for
+// the clock-offset estimate used when merging the site spans. req is the
+// caller's alone (the retry transport copies it for its own Seq stamp).
+func (v *view) rpc(ctx context.Context, i int, req *transport.Request) (*transport.Response, error) {
+	c := v.cluster
+	var sent, start time.Time
+	if req.Trace = v.tr.context(); req.Trace.Traced() {
 		sent = time.Now()
 	}
-	resp, err := c.clients[i].Call(ctx, req)
+	if c.rpcs != nil {
+		start = time.Now()
+	}
+	err := sleep(ctx, c.latency)
+	var resp *transport.Response
+	var n int64
+	if err == nil {
+		resp, n, err = transport.CallBytes(c.clients[i], ctx, req)
+	}
+	if c.rpcs != nil {
+		c.rpcs[i].Observe(req.Kind, time.Since(start), err)
+	}
 	if err != nil {
-		c.errs[i] = fmt.Errorf("core: site %d %v: %w", i, req.Kind, err)
+		return nil, err
+	}
+	c.meter.Account(req, resp)
+	if v.meter != nil {
+		v.meter.Account(req, resp)
+	}
+	if n > 0 { // in-process clients put nothing on a wire
+		c.meter.AddBytes(n)
+		if v.meter != nil {
+			v.meter.AddBytes(n)
+		}
+	}
+	v.rec.RecordCall(i, req, resp, n)
+	if req.Trace.Traced() {
+		v.tr.mergeSiteBlob(i, resp.TraceBlob, sent, time.Now())
+	}
+	return resp, nil
+}
+
+// sleep waits d, or until ctx is done and then returns its error. A
+// non-positive d returns at once.
+func sleep(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return nil
+	}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-timer.C:
+		return nil
+	}
+}
+
+// call sends site i the request in its slot.
+func (v *view) call(ctx context.Context, i int) {
+	resp, err := v.rpc(ctx, i, &v.wire[i])
+	if err != nil {
+		v.errs[i] = fmt.Errorf("core: site %d %v: %w", i, v.wire[i].Kind, err)
 		return
 	}
-	if req.Trace.Traced() {
-		c.tr.mergeSiteBlob(i, resp.TraceBlob, sent, time.Now())
-	}
-	c.resps[i] = resp
+	v.resps[i] = resp
 }
 
 // issue is the view's one way to reach the sites: every filled slot of
-// c.wire goes to its site, and the responses come back indexed the same
+// v.wire goes to its site, and the responses come back indexed the same
 // way in a buffer the next fan-out reuses. The requests run in parallel,
 // the last of them on the caller's goroutine — a fan-out of one starts
 // none — and the first failure cancels the rest. What has already executed
 // stays executed, so the caller must fail, not resend; the error it gets
 // is a root cause in preference to a cancellation that cause triggered.
-func (c *view) issue(ctx context.Context) ([]*transport.Response, error) {
+func (v *view) issue(ctx context.Context) ([]*transport.Response, error) {
 	n, last := 0, 0
-	for i := range c.wire {
-		if c.wire[i].Kind != 0 {
+	for i := range v.wire {
+		if v.wire[i].Kind != 0 {
 			n, last = n+1, i
 		}
 	}
-	clear(c.resps)
-	clear(c.errs)
+	clear(v.resps)
+	clear(v.errs)
 	switch n {
 	case 0:
 	case 1:
-		c.call(ctx, last)
+		v.call(ctx, last)
 	default:
 		ctx, cancel := context.WithCancel(ctx)
 		var wg sync.WaitGroup
-		for i := range c.wire[:last+1] {
-			if c.wire[i].Kind == 0 {
+		for i := range v.wire[:last+1] {
+			if v.wire[i].Kind == 0 {
 				continue
 			}
 			wg.Add(1)
 			run := func() {
 				defer wg.Done()
-				if c.call(ctx, i); c.errs[i] != nil {
+				if v.call(ctx, i); v.errs[i] != nil {
 					cancel()
 				}
 			}
@@ -337,23 +392,23 @@ func (c *view) issue(ctx context.Context) ([]*transport.Response, error) {
 		cancel()
 	}
 	var cause error
-	for _, err := range c.errs {
+	for _, err := range v.errs {
 		if err != nil && (cause == nil || errors.Is(cause, context.Canceled)) {
 			cause = err
 		}
 	}
-	return c.resps, cause
+	return v.resps, cause
 }
 
 // send issues req to one site alone, or to every site when site is negative.
-func (c *view) send(ctx context.Context, site int, req transport.Request) ([]*transport.Response, error) {
-	for i := range c.wire {
-		c.wire[i] = transport.Request{}
+func (v *view) send(ctx context.Context, site int, req transport.Request) ([]*transport.Response, error) {
+	for i := range v.wire {
+		v.wire[i] = transport.Request{}
 		if site < 0 || site == i {
-			c.wire[i] = req
+			v.wire[i] = req
 		}
 	}
-	return c.issue(ctx)
+	return v.issue(ctx)
 }
 
 // Len and Fanout make the view the round engine's Sites: each engine
@@ -363,33 +418,33 @@ func (c *view) send(ctx context.Context, site int, req transport.Request) ([]*tr
 // goroutines start on small stacks that the sites' tree recursion already
 // has to grow, and anything that deepens their frames costs a stack copy
 // per call.
-func (c *view) Len() int { return len(c.clients) }
+func (v *view) Len() int { return len(v.cluster.clients) }
 
-func (c *view) Fanout(ctx context.Context, reqs []round.Request) ([]round.Response, error) {
+func (v *view) Fanout(ctx context.Context, reqs []round.Request) ([]round.Response, error) {
 	for i, r := range reqs {
-		c.wire[i] = c.wireRequest(r)
+		v.wire[i] = v.wireRequest(r)
 	}
-	resps, err := c.issue(ctx)
+	resps, err := v.issue(ctx)
 	if err != nil {
 		return nil, err
 	}
 	for i, resp := range resps {
-		c.replies[i] = round.Response{}
+		v.replies[i] = round.Response{}
 		if resp != nil {
-			c.replies[i] = reply(resp)
+			v.replies[i] = reply(resp)
 		}
 	}
-	return c.replies, nil
+	return v.replies, nil
 }
 
-func (c *view) wireRequest(r round.Request) transport.Request {
+func (v *view) wireRequest(r round.Request) transport.Request {
 	switch r.Op {
 	case round.OpInit:
-		return transport.Request{Kind: transport.KindInit, Query: c.query, Session: c.session}
+		return transport.Request{Kind: transport.KindInit, Query: v.query, Session: v.session}
 	case round.OpNext:
-		return transport.Request{Kind: transport.KindNext, Session: c.session}
+		return transport.Request{Kind: transport.KindNext, Session: v.session}
 	case round.OpEvaluate:
-		return transport.Request{Kind: transport.KindEvaluate, Session: c.session,
+		return transport.Request{Kind: transport.KindEvaluate, Session: v.session,
 			Feed: transport.Feedback{Tuple: r.Feed.Tuple, HomeLocalProb: r.Feed.LocalProb}}
 	case round.OpShipAll:
 		return transport.Request{Kind: transport.KindShipAll}
@@ -417,8 +472,8 @@ func reply(resp *transport.Response) round.Response {
 // endSession releases the per-site session state when the query ends,
 // whatever the path out; a lost end-query only costs site memory until
 // the session cap evicts it, so failures are ignored.
-func (c *view) endSession() {
+func (v *view) endSession() {
 	cleanup, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	c.send(cleanup, -1, transport.Request{Kind: transport.KindEndQuery, Session: c.session})
+	v.send(cleanup, -1, transport.Request{Kind: transport.KindEndQuery, Session: v.session})
 }

@@ -101,18 +101,16 @@ func Open(cfg ClusterConfig) (*Cluster, error) {
 			if err := part.Validate(cfg.Dims); err != nil {
 				return nil, fmt.Errorf("core: partition %d: %w", i, err)
 			}
-			eng := site.New(i, part, cfg.Dims, cfg.Capacity)
-			clients[i] = transport.Metered(transport.Delayed(transport.Local(eng), cfg.Latency), meter)
+			clients[i] = transport.Local(site.New(i, part, cfg.Dims, cfg.Capacity))
 		}
 	} else {
 		clients = make([]transport.Client, 0, len(cfg.Addrs))
 		for _, addr := range cfg.Addrs {
 			if cfg.RetryAttempts >= 1 {
 				addr := addr
-				rc := transport.Retry(func() (transport.Client, error) {
+				clients = append(clients, transport.Retry(func() (transport.Client, error) {
 					return transport.DialAuto(addr, meter)
-				}, cfg.RetryAttempts)
-				clients = append(clients, transport.Metered(rc, meter))
+				}, cfg.RetryAttempts))
 				continue
 			}
 			c, err := transport.DialAuto(addr, meter)
@@ -122,7 +120,7 @@ func Open(cfg ClusterConfig) (*Cluster, error) {
 				}
 				return nil, err
 			}
-			clients = append(clients, transport.Metered(c, meter))
+			clients = append(clients, c)
 		}
 	}
 
@@ -130,6 +128,7 @@ func Open(cfg ClusterConfig) (*Cluster, error) {
 		clients:     clients,
 		meter:       meter,
 		dims:        cfg.Dims,
+		latency:     cfg.Latency,
 		sessionBase: newSessionBase(),
 		logger:      cfg.Logger,
 	}

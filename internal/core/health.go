@@ -31,13 +31,14 @@ func (h SiteHealth) Healthy() bool { return h.Err == nil && h.Status != nil }
 // that must not hang on a site that never answers bounds ctx.
 func (c *Cluster) Health(ctx context.Context) []SiteHealth {
 	out := make([]SiteHealth, len(c.clients))
+	probe := view{cluster: c} // no meter, trace or transcript of its own
 	var wg sync.WaitGroup
 	for i := range c.clients {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			out[i].Site = i
-			resp, err := c.clients[i].Call(ctx, &transport.Request{Kind: transport.KindStatus})
+			resp, err := probe.rpc(ctx, i, &transport.Request{Kind: transport.KindStatus})
 			if err != nil {
 				out[i].Err = err
 				return

@@ -46,6 +46,7 @@ func Run(ctx context.Context, c *Cluster, opts Options) (*Report, error) {
 		Dims:      opts.Dims,
 		NoPrune:   opts.DisableSitePruning,
 	})
+	v.meter = &transport.Meter{}
 	// When profiling (obs.SetProfiling), attribute samples on the
 	// coordinator goroutine — and everything a broadcast spawns — to
 	// (algorithm, phase, query_id). Nil and free otherwise.
@@ -54,14 +55,14 @@ func Run(ctx context.Context, c *Cluster, opts Options) (*Report, error) {
 	defer o.labels.exit()
 
 	// Black-box recording: when the transcript sink samples this query
-	// (or Options.Record forces it), stack the capture tap over the view
-	// so every RPC from here on lands in the transcript. Unrecorded
-	// queries never take this branch — the sampling decision is the
-	// whole cost of the feature on the unsampled path.
+	// (or Options.Record forces it), the view records every RPC from here
+	// on into the transcript. Unrecorded queries never take this branch —
+	// the sampling decision is the whole cost of the feature on the
+	// unsampled path.
 	if c.transcripts.ShouldRecord(opts.Record) {
 		o.header = transcriptHeader(&opts, sid, start, len(c.clients), c.dims)
 		o.recorder = transcript.NewRecorder(o.header, start)
-		v.recordWith(o.recorder)
+		v.rec = o.recorder
 	}
 
 	ropts := round.Options{

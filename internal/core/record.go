@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/obs/transcript"
-	"repro/internal/transport"
 )
 
 // SetTranscriptSink attaches the black-box recorder: queries the sink
@@ -16,15 +15,6 @@ import (
 // sampling decision and nothing else. Call before serving queries; not
 // synchronised with in-flight Runs.
 func (c *Cluster) SetTranscriptSink(s *transcript.Sink) { c.transcripts = s }
-
-// recordWith stacks the transcript tap over every client in the view,
-// so each RPC the query issues from here on is captured. Only recorded
-// queries call this; the unsampled path never stacks the wrapper.
-func (v *view) recordWith(tap transport.CallTap) {
-	for i, cl := range v.clients {
-		v.clients[i] = transport.Recorded(cl, i, tap)
-	}
-}
 
 // transcriptHeader builds the transcript's query-identity frame from
 // resolved options (algorithm defaulted, trace begun).

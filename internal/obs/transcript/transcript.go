@@ -6,10 +6,11 @@
 // ring served at /transcriptz, and can replay or diff recorded
 // exchanges offline (cmd/dsud-replay drives both).
 //
-// Recording hooks in at the transport layer: a recorded query stacks a
-// transport.Recorded wrapper over its per-query view, so the unsampled
-// path never touches this package and stays zero-alloc (the sampling
-// decision itself is allocation-free, pinned by TestShouldRecordZeroAlloc).
+// Recording hooks in at the coordinator's one call path: a recorded
+// query's view hands every successful RPC to its Recorder, and an
+// unrecorded query's Recorder is nil, so the unsampled path never touches
+// this package and stays zero-alloc (the sampling decision itself is
+// allocation-free, pinned by TestShouldRecordZeroAlloc).
 package transcript
 
 import (
@@ -83,9 +84,8 @@ func PhaseName(p uint8) string {
 	}
 }
 
-// Recorder captures one query's exchange. It implements
-// transport.CallTap: stack it over a per-query view with
-// transport.Recorded and every successful RPC lands in the transcript
+// Recorder captures one query's exchange: the coordinator calls
+// RecordCall once per successful RPC, and each lands in the transcript
 // as a request/response message pair sharing a per-site ordinal.
 // Methods are safe for concurrent use (broadcasts fan out in parallel);
 // a nil *Recorder is inert.

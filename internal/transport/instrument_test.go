@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -19,22 +20,34 @@ func (okHandler) Handle(_ context.Context, req *Request) (*Response, error) {
 	return &Response{}, nil
 }
 
+// A caller that times each call and hands its outcome to RPCMetrics gets
+// per-kind ok/error counts and one latency observation per call, failed
+// calls included; kinds without a name are ignored.
 func TestInstrumentedClientCounts(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := Instrumented(Local(okHandler{}), reg, "0")
+	m := NewRPCMetrics(reg, "0")
+	c := Local(okHandler{})
 	ctx := context.Background()
+	call := func(k Kind) error {
+		start := time.Now()
+		_, err := c.Call(ctx, &Request{Kind: k})
+		m.Observe(k, time.Since(start), err)
+		return err
+	}
 	for i := 0; i < 3; i++ {
-		if _, err := c.Call(ctx, &Request{Kind: KindNext}); err != nil {
+		if err := call(KindNext); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Call(ctx, &Request{Kind: KindEvaluate}); err != nil {
+	if err := call(KindEvaluate); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
-	if _, err := c.Call(ctx, &Request{Kind: KindNext}); err == nil {
+	if err := call(KindNext); err == nil {
 		t.Fatal("closed client must fail")
 	}
+	m.Observe(0, time.Millisecond, nil)
+	m.Observe(Kind(MaxKind+1), time.Millisecond, nil)
 
 	if got := reg.Counter("dsud_rpc_requests_total", "site", "0", "kind", "next", "outcome", "ok").Value(); got != 3 {
 		t.Fatalf("next ok = %d, want 3", got)
@@ -49,39 +62,9 @@ func TestInstrumentedClientCounts(t *testing.T) {
 	if got := reg.Histogram("dsud_rpc_duration_seconds", nil, "site", "0", "kind", "next").Snapshot().Count; got != 4 {
 		t.Fatalf("next latency observations = %d, want 4", got)
 	}
-}
-
-func TestInstrumentedNilRegistryPassesThrough(t *testing.T) {
-	inner := Local(okHandler{})
-	if c := Instrumented(inner, nil, "0"); c != inner {
-		t.Fatal("nil registry must return the inner client unchanged")
-	}
-}
-
-// Every Kind that has a name must be measured: a kind added to the enum
-// without MaxKind following it would pass through Instrumented uncounted
-// (KindStatus did, so dsud_rpc_requests_total{kind="status"} never existed).
-func TestInstrumentedCoversEveryKind(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := Instrumented(Local(okHandler{}), reg, "0")
-	defer c.Close()
-	named := 0
-	// Walk past MaxKind so a named kind beyond the bound fails here.
-	for k := Kind(1); int(k) <= MaxKind+8; k++ {
-		name := k.String()
-		if strings.HasPrefix(name, "Kind(") {
-			continue
-		}
-		named++
-		if _, err := c.Call(context.Background(), &Request{Kind: k}); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got := reg.Counter("dsud_rpc_requests_total", "site", "0", "kind", name, "outcome", "ok").Value(); got != 1 {
-			t.Errorf("kind %s: ok counter = %d after one call, want 1", name, got)
-		}
-	}
-	if named != MaxKind {
-		t.Errorf("%d named kinds, MaxKind = %d", named, MaxKind)
+	// Resolving the site again yields the same series, not a second count.
+	if got := NewRPCMetrics(reg, "0"); got.ok[KindNext] != m.ok[KindNext] {
+		t.Fatal("second NewRPCMetrics resolved a different next/ok series")
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 )
 
 // Local returns an in-process Client that dispatches directly to h. Calls
-// are serialised per client, mirroring the one-outstanding-request
-// discipline of the TCP transport, and honour context cancellation.
+// are serialised per client (unlike the TCP transport, which pipelines
+// them) and honour context cancellation.
 func Local(h Handler) Client {
 	return &localClient{handler: h}
 }

@@ -1,8 +1,10 @@
 package transport
 
 import (
-	"context"
 	"sync/atomic"
+	"time"
+
+	"repro/internal/obs"
 )
 
 // Meter accumulates the paper's communication metrics. Bandwidth is
@@ -77,8 +79,8 @@ func (m *Meter) AddBytes(n int64) { m.bytes.Add(n) }
 //   - ShipAll, Candidates and Delete responses cost one up-tuple per tuple
 //     they carry (the partition, the promotion candidates);
 //   - Insert/Delete requests ship one tuple of update traffic down only
-//     when they originate remotely (the caller decides by using a metered
-//     client or not), and so does the deletion notice of Candidates;
+//     when they originate remotely (the caller decides whether to meter
+//     the call), and so does the deletion notice of Candidates;
 //   - probability scalars, prune counts and sizes ride for free, like the
 //     paper's headers.
 func (m *Meter) Account(req *Request, resp *Response) {
@@ -106,35 +108,60 @@ func (m *Meter) Account(req *Request, resp *Response) {
 	}
 }
 
-// Metered wraps a Client so every successful call is accounted against
-// m. When the inner client attributes wire bytes per request
-// (ByteReporter, i.e. the TCP transport), those bytes are credited
-// to m as well, and the wrapper itself implements ByteReporter so
-// stacked meters (cluster-wide under per-query) each see exact bytes.
-func Metered(c Client, m *Meter) Client {
-	return &meteredClient{inner: c, meter: m}
-}
-
-type meteredClient struct {
-	inner Client
-	meter *Meter
-}
-
-func (c *meteredClient) Call(ctx context.Context, req *Request) (*Response, error) {
-	resp, _, err := c.CallBytes(ctx, req)
-	return resp, err
-}
-
-func (c *meteredClient) CallBytes(ctx context.Context, req *Request) (*Response, int64, error) {
-	resp, n, err := callBytes(c.inner, ctx, req)
-	if err == nil {
-		c.meter.Account(req, resp)
-		if n > 0 {
-			// In-process clients report zero: they put nothing on a wire.
-			c.meter.AddBytes(n)
-		}
+// ExposeMeter registers the meter's counters with reg under the paper's
+// bandwidth vocabulary. Values are read live at scrape time, so one
+// registration covers the meter's whole lifetime (including Reset).
+// Nil-safe in both arguments.
+func ExposeMeter(reg *obs.Registry, m *Meter) {
+	if reg == nil || m == nil {
+		return
 	}
-	return resp, n, err
+	reg.Describe(
+		"dsud_transport_tuples_up_total", "Tuples shipped from sites to the coordinator (the paper's up-bandwidth).",
+		"dsud_transport_tuples_down_total", "Tuples shipped from the coordinator to sites (feedback broadcasts, updates).",
+		"dsud_transport_messages_total", "Protocol round trips.",
+		"dsud_transport_bytes_total", "Wire bytes where the transport can observe them (TCP only).",
+	)
+	reg.CounterFunc("dsud_transport_tuples_up_total", func() float64 { return float64(m.Snapshot().TuplesUp) })
+	reg.CounterFunc("dsud_transport_tuples_down_total", func() float64 { return float64(m.Snapshot().TuplesDown) })
+	reg.CounterFunc("dsud_transport_messages_total", func() float64 { return float64(m.Snapshot().Messages) })
+	reg.CounterFunc("dsud_transport_bytes_total", func() float64 { return float64(m.Snapshot().Bytes) })
 }
 
-func (c *meteredClient) Close() error { return c.inner.Close() }
+// RPCMetrics are one site's dsud_rpc_* series, indexed by Kind: the
+// round-trip latency of each call and its count by outcome.
+type RPCMetrics struct {
+	latency [MaxKind + 1]*obs.Histogram
+	ok, err [MaxKind + 1]*obs.Counter
+}
+
+// NewRPCMetrics resolves site's series in reg for every Kind 1..MaxKind;
+// resolving them again yields the same series, so no call counts twice.
+func NewRPCMetrics(reg *obs.Registry, site string) *RPCMetrics {
+	reg.Describe(
+		"dsud_rpc_requests_total", "Protocol requests by site, kind and outcome.",
+		"dsud_rpc_duration_seconds", "Round-trip latency of protocol requests by site and kind.",
+	)
+	m := &RPCMetrics{}
+	for k := 1; k <= MaxKind; k++ {
+		kind := Kind(k).String()
+		m.latency[k] = reg.Histogram("dsud_rpc_duration_seconds", nil, "site", site, "kind", kind)
+		m.ok[k] = reg.Counter("dsud_rpc_requests_total", "site", site, "kind", kind, "outcome", "ok")
+		m.err[k] = reg.Counter("dsud_rpc_requests_total", "site", site, "kind", kind, "outcome", "error")
+	}
+	return m
+}
+
+// Observe records one call of kind k that took d and failed when err is
+// not nil. A kind outside 1..MaxKind has no series and is not recorded.
+func (m *RPCMetrics) Observe(k Kind, d time.Duration, err error) {
+	if k < 1 || int(k) > MaxKind {
+		return
+	}
+	m.latency[k].Observe(d.Seconds())
+	if err != nil {
+		m.err[k].Inc()
+	} else {
+		m.ok[k].Inc()
+	}
+}

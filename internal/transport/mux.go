@@ -17,8 +17,7 @@ import (
 // attribute wire bytes to individual requests. The framed protocol
 // knows each request's and response's exact frame size, so overlapping
 // queries sharing one connection get exact per-query byte accounting.
-// Wrappers (Metered, Instrumented, Retry) forward the interface when
-// their inner client provides it.
+// RetryClient forwards the interface from the connection it wraps.
 type ByteReporter interface {
 	Client
 	// CallBytes is Call, additionally returning the wire bytes this
@@ -27,9 +26,9 @@ type ByteReporter interface {
 	CallBytes(ctx context.Context, req *Request) (*Response, int64, error)
 }
 
-// callBytes invokes cl preferring per-request byte attribution; clients
-// without it report zero bytes (their bytes are socket-counted instead).
-func callBytes(cl Client, ctx context.Context, req *Request) (*Response, int64, error) {
+// CallBytes invokes cl preferring per-request byte attribution; clients
+// without it report zero bytes (an in-process client puts none on a wire).
+func CallBytes(cl Client, ctx context.Context, req *Request) (*Response, int64, error) {
 	if br, ok := cl.(ByteReporter); ok {
 		return br.CallBytes(ctx, req)
 	}
@@ -54,8 +53,7 @@ var ErrWireVersion = errors.New("transport: peer does not speak this wire versio
 // pipelining MuxClient once the server echoes it. A peer that answers
 // anything else is an ErrWireVersion. meter may be nil; when set it
 // observes the handshake bytes (call bytes are attributed per request
-// through ByteReporter instead, so they are charged by the Metered
-// wrapper, not here).
+// through ByteReporter instead, and charged by whoever makes the call).
 func DialAuto(addr string, meter *Meter) (Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {

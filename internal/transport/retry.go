@@ -178,7 +178,7 @@ func (c *RetryClient) CallBytes(ctx context.Context, req *Request) (*Response, i
 			lastErr = err
 			continue
 		}
-		resp, n, err := callBytes(cl, ctx, &stamped)
+		resp, n, err := CallBytes(cl, ctx, &stamped)
 		if err == nil {
 			return resp, n, nil
 		}

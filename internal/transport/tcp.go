@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/codec"
 )
 
 // Server exposes a Handler on a TCP listener, one goroutine per accepted
@@ -92,6 +94,23 @@ func (s *Server) SetWorkerLimit(n int) {
 	defer s.mu.Unlock()
 	s.workerLimit = n
 }
+
+// FrameTap observes raw frames crossing a server's mux loops:
+// inbound frames as the read loop decodes them, outbound response
+// frames as they are written. wireBytes is the framed size including
+// the length prefix. Taps run on the connection's read loop and worker
+// goroutines, so they must be safe for concurrent use and cheap —
+// counter bumps, not payload inspection (whole messages are captured by
+// the coordinator, which records each call it makes).
+type FrameTap func(dir uint8, t codec.FrameType, wireBytes int)
+
+// Frame tap directions.
+const (
+	// TapInbound is a frame read off the connection.
+	TapInbound = 0
+	// TapOutbound is a frame written to the connection.
+	TapOutbound = 1
+)
 
 // SetFrameTap installs (or, with nil, removes) a tap observing every
 // frame the server's mux loops read or write — the wire-level counter

@@ -159,25 +159,64 @@ func TestMeterAccounting(t *testing.T) {
 	}
 }
 
+// CallBytes gives a metering caller what it charges: the response to
+// Account and the wire bytes to AddBytes. An in-process client puts no
+// bytes on a wire, the TCP transport reports its frames' bytes (through a
+// RetryClient too), and a failed call returns no response to charge.
 func TestMeteredClient(t *testing.T) {
 	var m Meter
 	h := &echoHandler{resp: Response{Rep: Representative{Tuple: sampleTuple(1)}}}
-	c := Metered(Local(h), &m)
-	if _, err := c.Call(context.Background(), &Request{Kind: KindNext}); err != nil {
+	charge := func(c Client) (int64, error) {
+		req := &Request{Kind: KindNext}
+		resp, n, err := CallBytes(c, context.Background(), req)
+		if err != nil {
+			if resp != nil || n != 0 {
+				t.Fatalf("failed call returned response %v and %d bytes", resp, n)
+			}
+			return 0, err
+		}
+		m.Account(req, resp)
+		m.AddBytes(n)
+		return n, nil
+	}
+
+	local := Local(h)
+	if n, err := charge(local); err != nil || n != 0 {
+		t.Fatalf("in-process call: %d bytes, err %v; want 0 bytes", n, err)
+	}
+	if got := m.Snapshot(); got.TuplesUp != 1 || got.Messages != 1 {
+		t.Fatalf("metered call not accounted: %+v", got)
+	}
+
+	addr, _ := startServer(t, h, nil)
+	tcp := Retry(func() (Client, error) { return DialAuto(addr, nil) }, 2)
+	defer tcp.Close()
+	n, err := charge(tcp)
+	if err != nil || n <= 0 {
+		t.Fatalf("TCP call: %d bytes, err %v; want wire bytes", n, err)
+	}
+	if got := m.Snapshot(); got.TuplesUp != 2 || got.Messages != 2 || got.Bytes != n {
+		t.Fatalf("after TCP call: %+v, want 2 up, 2 messages, %d bytes", got, n)
+	}
+
+	// Errors must not be accounted.
+	bad := &echoHandler{err: errors.New("boom")}
+	badAddr, _ := startServer(t, bad, nil)
+	badTCP, err := DialAuto(badAddr, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Snapshot().TuplesUp != 1 {
-		t.Fatal("metered call not accounted")
+	defer badTCP.Close()
+	before := m.Snapshot()
+	for _, c := range []Client{Local(bad), badTCP} {
+		if _, err := charge(c); err == nil {
+			t.Fatal("handler error must propagate")
+		}
 	}
-	// Errors must not be accounted.
-	h.err = errors.New("boom")
-	if _, err := c.Call(context.Background(), &Request{Kind: KindNext}); err == nil {
-		t.Fatal("handler error must propagate")
+	if got := m.Snapshot(); got != before {
+		t.Fatalf("failed calls accounted: %+v, was %+v", got, before)
 	}
-	if got := m.Snapshot().Messages; got != 1 {
-		t.Fatalf("failed call accounted: messages = %d", got)
-	}
-	if err := c.Close(); err != nil {
+	if err := local.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -482,31 +521,5 @@ func TestServerClose(t *testing.T) {
 func TestDialFailure(t *testing.T) {
 	if _, err := DialAuto("127.0.0.1:1", nil); err == nil {
 		t.Skip("port 1 unexpectedly open")
-	}
-}
-
-func TestDelayedClient(t *testing.T) {
-	h := &echoHandler{resp: Response{Pruned: 1}}
-	c := Delayed(Local(h), 30*time.Millisecond)
-	start := time.Now()
-	if _, err := c.Call(context.Background(), &Request{Kind: KindNext}); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
-		t.Fatalf("latency not applied: %v", elapsed)
-	}
-	// Cancellation during the simulated flight time.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	if _, err := c.Call(ctx, &Request{Kind: KindNext}); err == nil {
-		t.Fatal("cancelled in-flight call must fail")
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Zero latency passes through unwrapped.
-	plain := Delayed(Local(h), 0)
-	if _, ok := plain.(*delayedClient); ok {
-		t.Fatal("zero latency should not wrap")
 	}
 }
