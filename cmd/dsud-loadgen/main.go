@@ -77,10 +77,9 @@ func run() int {
 		sloEvery   = flag.Duration("slo-interval", 2*time.Second, "SLO evaluation cadence during the run")
 		sloStrict  = flag.Bool("slo-strict", false, "exit 1 when any SLO is breached at the final evaluation")
 
-		debugAddr    = flag.String("debug-addr", "", "serve /metrics, /vars, /slostatusz, /queryz and /debug/pprof/ here during the run")
-		queryzRetain = flag.Int("queryz-retain", 0, "delivery-curve digests retained for /queryz (0 = default of 64)")
-		flightDir    = flag.String("flight-dir", "", "directory for flight-recorder dumps on sustained SLO breach")
-		quiet        = flag.Bool("quiet", false, "suppress per-iteration progress lines")
+		debugAddr = flag.String("debug-addr", "", "serve /metrics, /vars, /slostatusz, /debug/flightz and /debug/pprof/ here during the run")
+		flightDir = flag.String("flight-dir", "", "directory for flight-recorder dumps on sustained SLO breach")
+		quiet     = flag.Bool("quiet", false, "suppress per-iteration progress lines")
 	)
 	flag.Parse()
 
@@ -153,8 +152,6 @@ func run() int {
 		fr.SetDumpDir(*flightDir)
 	}
 	cluster.SetFlightRecorder(fr)
-	plog := dsq.NewProgressLog(*queryzRetain)
-	cluster.SetProgressLog(plog)
 
 	// With a maintenance mix, the §5.4 update path gets its own latency
 	// window and dsud_update_* counters alongside the query windows.
@@ -207,7 +204,6 @@ func run() int {
 		extras := map[string]http.Handler{
 			"/slostatusz":    mon.Handler(),
 			"/debug/flightz": fr.Handler(),
-			"/queryz":        plog.Handler(),
 		}
 		if server != nil {
 			extras["/servez"] = server.Handler()

@@ -17,8 +17,8 @@
 // -flight-dir the coordinator's flight recorder is dumped on exit (and
 // automatically on slow queries or audit violations). With -explain the
 // finished query is rendered as an explain report: per-site
-// contribution, per-phase timing and the ASCII delivery timeline backing
-// the /queryz digest.
+// contribution, per-phase timing and the ASCII delivery timeline of the
+// curve its /debug/flightz record carries.
 package main
 
 import (
@@ -62,7 +62,6 @@ func main() {
 		flightDir     = flag.String("flight-dir", "", "directory for flight-recorder dumps (slow queries, audit violations, exit)")
 		flightSize    = flag.Int("flight-size", 0, "flight-recorder ring capacity in query records (0 = default)")
 		record        = flag.String("record", "", "directory for a black-box transcript of this query: every coordinator<->site message is captured into a replayable .dstr file (consume with dsud-replay)")
-		queryzRetain  = flag.Int("queryz-retain", 0, "delivery-curve digests retained for /queryz (0 = default of 64)")
 
 		debugAddr   = flag.String("debug-addr", "", "optional debug address serving /metrics, /vars, /healthz, /debug/flightz and /debug/pprof/")
 		traceExport = flag.String("trace-export", "", "write the merged cross-site timeline as Chrome trace-event JSON to this file (load in Perfetto or chrome://tracing)")
@@ -136,27 +135,22 @@ func main() {
 		}
 	}
 
-	// The coordinator-side flight recorder is always on; -flight-dir
-	// additionally enables dumps (slow queries, audit violations, exit).
+	// The coordinator-side flight recorder is always on: it holds each
+	// query's one record (outcome, costs, delivery curve, transcript
+	// path). -flight-dir additionally enables dumps (slow queries, audit
+	// violations, exit).
 	fr := dsq.NewFlightRecorder(*flightSize)
 	if *flightDir != "" {
 		fr.SetDumpDir(*flightDir)
 	}
 	reg := dsq.NewMetrics()
-	plog := dsq.NewProgressLog(*queryzRetain)
-	var tlog *dsq.TranscriptLog
-	if *record != "" {
-		tlog = dsq.NewTranscriptLog(0)
-	}
 
 	cluster, err := dsq.Connect(dsq.ClusterConfig{
 		Addrs:          strings.Split(*addrs, ","),
 		Dims:           *dims,
 		Metrics:        reg,
 		FlightRecorder: fr,
-		ProgressLog:    plog,
 		TranscriptDir:  *record,
-		TranscriptLog:  tlog,
 	})
 	if err != nil {
 		fatalf("%v", err)
@@ -199,13 +193,7 @@ func main() {
 			fatalf("debug listen: %v", err)
 		}
 		fmt.Printf("debug endpoint on http://%s/metrics\n", lis.Addr())
-		extras := map[string]http.Handler{
-			"/debug/flightz": fr.Handler(),
-			"/queryz":        plog.Handler(),
-		}
-		if tlog != nil {
-			extras["/transcriptz"] = tlog.Handler()
-		}
+		extras := map[string]http.Handler{"/debug/flightz": fr.Handler()}
 		if server != nil {
 			extras["/servez"] = server.Handler()
 		}
@@ -231,7 +219,7 @@ func main() {
 		// The auditor also needs it, for the query_id on its log records,
 		// -explain for its phase breakdown and cross-links, and -record
 		// for the query_id in the transcript header (the key that joins
-		// a .dstr file to /queryz and /debug/flightz).
+		// a .dstr file to its /debug/flightz record).
 		opts.Trace = dsq.NewTrace()
 	}
 	if *record != "" {
@@ -270,15 +258,14 @@ func main() {
 		fmt.Printf("serving: %d materialized entries at floor %g, hits=%d misses=%d refreshes=%d coalesced=%d\n",
 			st.Entries, st.Floor, st.Hits, st.Misses, st.Refreshes, st.Coalesced)
 	}
-	if tlog != nil {
-		if entries := tlog.Snapshot(); len(entries) > 0 {
-			last := entries[len(entries)-1]
-			if last.Error != "" {
-				fmt.Fprintf(os.Stderr, "dsud-query: transcript not recorded: %s\n", last.Error)
-			} else {
-				fmt.Printf("transcript: %s (%d messages, %d bytes) — replay with: dsud-replay %s\n",
-					last.Path, last.Messages, last.Bytes, last.Path)
-			}
+	// The query's own flight record names its transcript.
+	if recs := fr.Snapshot(); *record != "" && len(recs) > 0 {
+		switch last := recs[len(recs)-1]; {
+		case last.TranscriptErr != "":
+			fmt.Fprintf(os.Stderr, "dsud-query: transcript not recorded: %s\n", last.TranscriptErr)
+		case last.Transcript != "":
+			fmt.Printf("transcript: %s (%d requests) — replay with: dsud-replay %s\n",
+				last.Transcript, last.Messages, last.Transcript)
 		}
 	}
 	if *stats {

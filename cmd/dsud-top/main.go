@@ -16,11 +16,11 @@
 // row comes from the coordinator's latest status poll of that site,
 // annotated with poll age, staleness marks, and a sparkline of recent p99
 // history from the coordinator's per-site ring. When the same
-// coordinator also serves /queryz (delivery-curve digests), the frame
-// gains a per-site DLVRD (skyline tuples delivered) column and a
-// progressiveness summary line (median TTFR, median bandwidth AUC); a
-// coordinator that predates /queryz renders "-" there and still passes
-// -once.
+// coordinator also serves /debug/flightz (its per-query records, each
+// with its delivery curve), the frame gains a per-site DLVRD (skyline
+// tuples delivered) column and a progressiveness summary line (median
+// TTFR, median bandwidth AUC); a coordinator without it renders "-"
+// there and still passes -once.
 //
 // Site addresses may omit the scheme (host:port implies http://). The
 // request rate prefers the site's own rotating-window rate (exact over
@@ -181,16 +181,16 @@ func (t *top) render(w *os.File) int {
 
 // renderCluster draws one frame from the coordinator's aggregated
 // /clusterz document — no direct site scrapes. Returns how many entries
-// are bad (coordinator unreachable, or sites stale). A
-// coordinator without /queryz (predates delivery-curve digests) is a
-// soft miss: the DLVRD column degrades to "-" and -once still passes.
+// are bad (coordinator unreachable, or sites stale). A coordinator
+// without /debug/flightz is a soft miss: the DLVRD column degrades to
+// "-" and -once still passes.
 func (t *top) renderCluster(w *os.File) int {
 	doc, err := t.fetchClusterz()
 	if err != nil {
 		fmt.Fprintf(w, "cluster %s: %v\n", trimURL(t.cluster), err)
 		return 1
 	}
-	qz := t.fetchQueryz()
+	qz := t.fetchFlightz()
 	fmt.Fprintf(w, "dsud-top  %s  cluster %s  %d site(s): %d fresh, %d stale\n",
 		time.Now().Format("15:04:05"), trimURL(t.cluster), doc.Sites, doc.Fresh, doc.Stale)
 	fmt.Fprintf(w, "cluster rate %.1f/s  p50 %s  p95 %s  p99 %s  (merged over fresh sites, poll interval %v)\n\n",
@@ -226,33 +226,34 @@ func (t *top) renderCluster(w *os.File) int {
 	return bad
 }
 
-// queryzDump is the slice of the coordinator's /queryz document dsud-top
-// renders: per-site delivered counts and the progressiveness summary of
-// the retained delivery-curve digests. nil means the coordinator has no
-// /queryz (older build) — every accessor degrades to "-".
-type queryzDump struct {
+// flightzDump is the slice of the coordinator's /debug/flightz document
+// dsud-top renders: per-site delivered counts and the progressiveness
+// summary of the retained query records. nil means the coordinator has no
+// /debug/flightz — every accessor degrades to "-".
+type flightzDump struct {
 	Total   uint64 `json:"total"`
-	Queries []struct {
-		Results      int32   `json:"results"`
-		AUCBandwidth float64 `json:"auc_bandwidth"`
-		TTFirstNS    int64   `json:"ttf_ns"`
-		Slow         bool    `json:"slow"`
-		PerSite      []int32 `json:"per_site"`
-	} `json:"queries"`
+	Records []struct {
+		Slow  bool `json:"slow"`
+		Curve *struct {
+			AUCBandwidth float64 `json:"auc_bandwidth"`
+			TTFirstNS    int64   `json:"ttf_ns"`
+			PerSite      []int32 `json:"per_site"`
+		} `json:"curve"`
+	} `json:"records"`
 }
 
 // delivered sums a site's skyline contributions over the retained
-// digests; "-" when /queryz is absent or the site is beyond the digest's
-// per-site capacity.
-func (qz *queryzDump) delivered(site int) string {
-	if qz == nil {
+// curves; "-" when /debug/flightz is absent or the site is beyond the
+// curve's per-site capacity.
+func (fz *flightzDump) delivered(site int) string {
+	if fz == nil {
 		return "-"
 	}
 	total, tracked := int64(0), false
-	for _, q := range qz.Queries {
-		if site < len(q.PerSite) {
+	for _, r := range fz.Records {
+		if r.Curve != nil && site < len(r.Curve.PerSite) {
 			tracked = true
-			total += int64(q.PerSite[site])
+			total += int64(r.Curve.PerSite[site])
 		}
 	}
 	if !tracked {
@@ -262,29 +263,31 @@ func (qz *queryzDump) delivered(site int) string {
 }
 
 // writeSummary prints the one-line progressiveness rollup of the
-// retained queries (median TTFR and bandwidth AUC), or the soft-miss
-// note for coordinators that predate /queryz.
-func (qz *queryzDump) writeSummary(w *os.File) {
-	if qz == nil {
-		fmt.Fprintf(w, "queries: /queryz unavailable (coordinator predates delivery-curve digests)\n")
+// retained answered queries (median TTFR and bandwidth AUC), or the
+// soft-miss note for coordinators without /debug/flightz.
+func (fz *flightzDump) writeSummary(w *os.File) {
+	if fz == nil {
+		fmt.Fprintf(w, "queries: /debug/flightz unavailable\n")
 		return
 	}
-	if len(qz.Queries) == 0 {
-		fmt.Fprintf(w, "queries: none retained yet\n")
-		return
-	}
-	ttfr := make([]float64, 0, len(qz.Queries))
-	auc := make([]float64, 0, len(qz.Queries))
+	var ttfr, auc []float64
 	slow := 0
-	for _, q := range qz.Queries {
-		ttfr = append(ttfr, float64(q.TTFirstNS)/1e6)
-		auc = append(auc, q.AUCBandwidth)
-		if q.Slow {
+	for _, r := range fz.Records {
+		if r.Curve == nil {
+			continue // failed: no curve
+		}
+		ttfr = append(ttfr, float64(r.Curve.TTFirstNS)/1e6)
+		auc = append(auc, r.Curve.AUCBandwidth)
+		if r.Slow {
 			slow++
 		}
 	}
+	if len(ttfr) == 0 {
+		fmt.Fprintf(w, "queries: none retained yet\n")
+		return
+	}
 	fmt.Fprintf(w, "queries: %d retained (%d recorded, %d slow)  ttfr p50 %s ms  auc(bw) p50 %.3f\n",
-		len(qz.Queries), qz.Total, slow, ms(median(ttfr)), median(auc))
+		len(ttfr), fz.Total, slow, ms(median(ttfr)), median(auc))
 }
 
 // median of a non-empty slice (sorts in place).
@@ -293,12 +296,12 @@ func median(xs []float64) float64 {
 	return xs[len(xs)/2]
 }
 
-// fetchQueryz reads the coordinator's /queryz delivery-curve ring. Any
-// failure — 404 from an older coordinator, transport error — is a soft
-// miss returning nil: coordinator reachability is already gated by the
-// /clusterz fetch, and a missing digest ring must not fail -once.
-func (t *top) fetchQueryz() *queryzDump {
-	resp, err := t.client.Get(t.cluster + "/queryz")
+// fetchFlightz reads the coordinator's /debug/flightz ring. Any failure —
+// 404, transport error — is a soft miss returning nil: coordinator
+// reachability is already gated by the /clusterz fetch, and a missing
+// flight ring must not fail -once.
+func (t *top) fetchFlightz() *flightzDump {
+	resp, err := t.client.Get(t.cluster + "/debug/flightz")
 	if err != nil {
 		return nil
 	}
@@ -306,11 +309,11 @@ func (t *top) fetchQueryz() *queryzDump {
 	if resp.StatusCode != http.StatusOK {
 		return nil
 	}
-	var qz queryzDump
-	if err := json.NewDecoder(resp.Body).Decode(&qz); err != nil {
+	var fz flightzDump
+	if err := json.NewDecoder(resp.Body).Decode(&fz); err != nil {
 		return nil
 	}
-	return &qz
+	return &fz
 }
 
 func (t *top) fetchClusterz() (*dsq.Clusterz, error) {

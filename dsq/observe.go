@@ -113,7 +113,9 @@ type (
 	// records, dumpable after the fact (attach via
 	// ClusterConfig.FlightRecorder, serve Handler() at /debug/flightz).
 	FlightRecorder = flight.Recorder
-	// FlightRecord is one entry of the flight recorder's ring.
+	// FlightRecord is one entry of the flight recorder's ring: a query's
+	// outcome and costs, its delivery curve and its transcript's path,
+	// keyed by query_id.
 	FlightRecord = flight.Record
 	// Auditor samples completed queries and re-checks the paper's
 	// invariants against exact and Monte-Carlo oracles.
@@ -131,24 +133,17 @@ type (
 func NewFlightRecorder(size int) *FlightRecorder { return flight.New(size) }
 
 // Progressive-delivery observability: per-query delivery curves and the
-// /queryz explain plane.
+// explain report.
 type (
-	// ProgressLog is the fixed-size ring of recent delivery-curve
-	// digests (attach via ClusterConfig.ProgressLog, serve Handler() at
-	// /queryz — JSON, or ?format=text for the table view).
-	ProgressLog = progress.Log
 	// DeliveryDigest is one query's delivery curve: checkpointed (t, k)
 	// pairs, the normalized progress AUCs (time and bandwidth axes),
 	// time-to-first/last result and per-site delivered counts. Every
-	// Report/QueryStats carries one (Report.Curve, QueryStats.Curve).
+	// Report/QueryStats carries one (Report.Curve, QueryStats.Curve), and
+	// so does the query's FlightRecord.
 	DeliveryDigest = progress.Digest
 	// DeliveryPoint is one checkpoint on a delivery curve.
 	DeliveryPoint = progress.Point
 )
-
-// NewProgressLog returns a delivery-curve log retaining the most recent
-// size query digests (size <= 0 selects the default of 64).
-func NewProgressLog(size int) *ProgressLog { return progress.NewLog(size) }
 
 // WriteExplain renders a completed query as a per-query explain report:
 // delivery timeline, per-site contribution table, phase breakdown and
@@ -218,12 +213,9 @@ func ExposeWindow(reg *Metrics, name string, w *Window, labels ...string) {
 // offline deterministic replay and transcript diffing.
 type (
 	// Transcript is one recorded query's complete coordinator↔site
-	// exchange plus its pinned outcome, read back from a .dstr file.
+	// exchange plus its pinned outcome, read back from a .dstr file (the
+	// query's FlightRecord names it).
 	Transcript = transcript.Transcript
-	// TranscriptLog is the fixed-size ring of recent recording summaries
-	// (attach via ClusterConfig.TranscriptLog, serve Handler() at
-	// /transcriptz — JSON, or ?format=text for the table view).
-	TranscriptLog = transcript.Log
 	// TranscriptDiff is the outcome of comparing two transcripts: the
 	// human-readable differences and, when the recorded feedback
 	// sequences disagree, the first (site, round) of divergence.
@@ -232,10 +224,6 @@ type (
 	// and every disagreement with the recording.
 	ReplayResult = core.ReplayResult
 )
-
-// NewTranscriptLog returns a recording-summary ring retaining the most
-// recent size entries (size <= 0 selects the default of 32).
-func NewTranscriptLog(size int) *TranscriptLog { return transcript.NewLog(size) }
 
 // ReadTranscript loads a recorded transcript (.dstr) from disk.
 func ReadTranscript(path string) (*Transcript, error) { return transcript.ReadFile(path) }

@@ -73,8 +73,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Every report carries the query's delivery-curve digest — the same
-	// record /queryz retains and dsud-query -explain renders. Its
+	// Every report carries the query's delivery-curve digest — the curve
+	// its flight record holds and dsud-query -explain renders. Its
 	// checkpoints are the paper's Fig. 13 progressiveness measure: how
 	// much network cost each confirmed deal required.
 	curve := report.Curve

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
-	"repro/internal/obs/progress"
 	"repro/internal/obs/transcript"
 	"repro/internal/round"
 	"repro/internal/transport"
@@ -51,11 +50,6 @@ type Cluster struct {
 	// Nil-safe at the record site.
 	flight *flight.Recorder
 
-	// progress, when set (SetProgressLog), retains each successful
-	// query's delivery-curve digest for /queryz, served reads included.
-	// Nil-safe at the record site.
-	progress *progress.Log
-
 	// logger, when set (ClusterConfig.Logger), is the default query
 	// logger for runs whose Options carry none of their own.
 	logger *slog.Logger
@@ -85,27 +79,18 @@ func (c *Cluster) SetLatencyWindows(query, firstResult *obs.Window) {
 }
 
 // SetFlightRecorder attaches a flight recorder: every query Run executes
-// leaves one record (algorithm, threshold, per-phase timing, per-site
-// shipped/pruned, outcome). A nil recorder (the default) disables
-// recording. Call before serving queries; not synchronised with
-// in-flight Runs.
+// leaves one record (algorithm, threshold, outcome, protocol tallies,
+// bandwidth, per-phase timing, per-site shipped/pruned, the delivery
+// curve and the transcript's path), keyed by query_id. A nil recorder
+// (the default) disables recording — the Report still carries its own
+// curve. Call before serving queries; not synchronised with in-flight
+// Runs.
 func (c *Cluster) SetFlightRecorder(r *flight.Recorder) { c.flight = r }
 
-// SetProgressLog attaches a delivery-curve log: every successful Run
-// leaves one digest (checkpointed (t, k) curve, progress AUCs, per-site
-// delivered counts), cross-linked to the flight recorder by query_id. A
-// nil log (the default) disables retention — the Report still carries
-// its own digest. Call before serving queries; not synchronised with
-// in-flight Runs.
-func (c *Cluster) SetProgressLog(l *progress.Log) { c.progress = l }
-
-// ProgressLog returns the log attached with SetProgressLog (nil when
-// none), so daemons can mount its /queryz handler.
-func (c *Cluster) ProgressLog() *progress.Log { return c.progress }
-
 // recordFlight writes one query's flight record under name, its algorithm
-// or, for a served read, its source. rep is nil on failure.
-func (c *Cluster) recordFlight(o *observer, name string, rep *Report, err error, elapsed time.Duration) {
+// or, for a served read, its source. rep is nil on failure; transcript
+// and werr are what writing its transcript gave, if it was recorded.
+func (c *Cluster) recordFlight(o *observer, name string, rep *Report, err error, elapsed time.Duration, transcript string, werr error) {
 	if c.flight == nil {
 		return
 	}
@@ -122,6 +107,7 @@ func (c *Cluster) recordFlight(o *observer, name string, rep *Report, err error,
 		Slow:       opts.SlowQuery > 0 && elapsed >= opts.SlowQuery,
 		Outcome:    flight.OutcomeOK,
 		Sites:      len(c.clients),
+		Transcript: transcript,
 	}
 	if err != nil {
 		rec.Outcome = flight.OutcomeError
@@ -130,7 +116,11 @@ func (c *Cluster) recordFlight(o *observer, name string, rep *Report, err error,
 		}
 		rec.Err = err.Error()
 	}
+	if werr != nil {
+		rec.TranscriptErr = werr.Error()
+	}
 	if rep != nil {
+		rec.Curve = rep.Curve
 		rec.Results = len(rep.Skyline)
 		rec.Iterations = rep.Iterations
 		rec.Broadcasts = rep.Broadcasts

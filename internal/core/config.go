@@ -54,12 +54,10 @@ type ClusterConfig struct {
 	// exactly like Cluster.Instrument.
 	Metrics *obs.Registry
 	// FlightRecorder, when set, receives one record per completed query
-	// exactly like Cluster.SetFlightRecorder.
+	// exactly like Cluster.SetFlightRecorder: its outcome and costs, its
+	// delivery curve and its transcript's path (mount its Handler at
+	// /debug/flightz).
 	FlightRecorder *flight.Recorder
-	// ProgressLog, when set, retains each successful query's
-	// delivery-curve digest exactly like Cluster.SetProgressLog (mount
-	// its Handler at /queryz).
-	ProgressLog *progress.Log
 
 	// TranscriptDir, when set, enables the black-box recorder: sampled
 	// queries (TranscriptSample) and forced ones (Options.Record) have
@@ -67,12 +65,9 @@ type ClusterConfig struct {
 	// replayable .dstr files (cmd/dsud-replay consumes them).
 	TranscriptDir string
 	// TranscriptSample is the fraction of queries recorded without being
-	// forced (0 = on-demand only, 1 = every query).
+	// forced (0 = on-demand only, 1 = every query). It needs a
+	// TranscriptDir.
 	TranscriptSample float64
-	// TranscriptLog, when set, retains a summary of each recording
-	// (mount its Handler at /transcriptz). A log with no TranscriptDir
-	// keeps summaries only and writes no files.
-	TranscriptLog *transcript.Log
 }
 
 // ErrConfig reports an invalid ClusterConfig.
@@ -91,6 +86,8 @@ func Open(cfg ClusterConfig) (*Cluster, error) {
 		return nil, fmt.Errorf("%w: set Partitions or Addrs, not both", ErrConfig)
 	case len(cfg.Partitions) == 0 && len(cfg.Addrs) == 0:
 		return nil, ErrNoSites
+	case cfg.TranscriptSample != 0 && cfg.TranscriptDir == "":
+		return nil, fmt.Errorf("%w: TranscriptSample needs a TranscriptDir", ErrConfig)
 	}
 
 	meter := &transport.Meter{}
@@ -134,9 +131,8 @@ func Open(cfg ClusterConfig) (*Cluster, error) {
 	}
 	cluster.Instrument(cfg.Metrics)
 	cluster.SetFlightRecorder(cfg.FlightRecorder)
-	cluster.SetProgressLog(cfg.ProgressLog)
-	if cfg.TranscriptDir != "" || cfg.TranscriptSample > 0 || cfg.TranscriptLog != nil {
-		cluster.SetTranscriptSink(transcript.NewSink(cfg.TranscriptDir, cfg.TranscriptSample, cfg.TranscriptLog))
+	if cfg.TranscriptDir != "" {
+		cluster.SetTranscriptSink(transcript.NewSink(cfg.TranscriptDir, cfg.TranscriptSample))
 	}
 	return cluster, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -14,32 +15,24 @@ import (
 // ASCII delivery timeline from the curve digest, per-site contribution
 // table (delivered / shipped / pruned), the per-phase timing breakdown,
 // and the query_id cross-link into the flight recorder and exported
-// trace timelines. stats may be nil (the phase breakdown is skipped);
-// rep must come from a completed query.
+// trace timelines. stats may be nil (the query_id, the algorithm of a
+// protocol round and the phase breakdown are then unknown); rep must come
+// from a completed query.
 func WriteExplain(w io.Writer, rep *Report, stats *QueryStats) error {
-	if rep == nil {
-		_, err := fmt.Fprintln(w, "explain: no report")
-		return err
+	if rep == nil || rep.Curve == nil {
+		return errors.New("explain: no completed report")
 	}
 	d := rep.Curve
-	if d == nil {
-		// A report relayed by a pre-progress peer: the curve never
-		// crossed the wire. Explain what is known rather than failing.
-		d = &progress.Digest{Results: int32(len(rep.Skyline))}
-	}
-
-	qid := d.QueryID
-	algo := d.Algorithm
+	var qid uint64
+	algo := rep.Source.String()
 	if stats != nil {
-		if qid == 0 {
-			qid = stats.Trace.TraceID
-		}
-		if algo == "" {
+		qid = stats.Trace.TraceID
+		if rep.Source == SourceProtocol {
 			algo = stats.Algorithm.String()
 		}
 	}
-	fmt.Fprintf(w, "query %s  algorithm %s  q=%.2f: %d result(s) in %s\n",
-		obs.QueryID(qid), algo, d.Threshold, d.Results, time.Duration(d.ElapsedNS))
+	fmt.Fprintf(w, "query %s  algorithm %s: %d result(s) in %s\n",
+		obs.QueryID(qid), algo, d.Results, rep.Elapsed)
 	fmt.Fprintf(w, "progress: ttfr %s  ttlast %s  auc(time) %.3f  auc(bandwidth) %.3f  tuples %d\n",
 		fmtNano(d.TTFirstNS), fmtNano(d.TTLastNS), d.AUCTime, d.AUCBandwidth, d.TuplesTotal)
 
@@ -48,8 +41,8 @@ func WriteExplain(w io.Writer, rep *Report, stats *QueryStats) error {
 		const width = 40
 		for _, p := range pts {
 			bar := 1
-			if d.ElapsedNS > 0 {
-				bar = int(p.NS * width / d.ElapsedNS)
+			if rep.Elapsed > 0 {
+				bar = int(p.NS * width / int64(rep.Elapsed))
 				if bar < 1 {
 					bar = 1
 				}
@@ -94,7 +87,7 @@ func WriteExplain(w io.Writer, rep *Report, stats *QueryStats) error {
 		}
 	}
 
-	_, err := fmt.Fprintf(w, "\ncross-link: query_id %s indexes /debug/flightz records, /queryz digests and -trace-export timelines\n",
+	_, err := fmt.Fprintf(w, "\ncross-link: query_id %s indexes /debug/flightz records and -trace-export timelines\n",
 		obs.QueryID(qid))
 	return err
 }

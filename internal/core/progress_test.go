@@ -10,7 +10,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/obs"
-	"repro/internal/obs/progress"
+	"repro/internal/obs/flight"
 )
 
 // delivery is one observed result's curve coordinates: the ordinal k,
@@ -127,12 +127,12 @@ func TestResultProvenance(t *testing.T) {
 }
 
 // Run always attaches a curve digest whose totals reconcile with the
-// report, and records it into the attached /queryz log with the trace's
-// query_id.
+// report, and the query's one flight record carries it beside the
+// trace's query_id, its identity and its costs.
 func TestReportCurveAndLog(t *testing.T) {
 	parts, _ := makeWorkload(t, 500, 3, 3, gen.Independent, 3)
-	plog := progress.NewLog(8)
-	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 3, ProgressLog: plog})
+	fr := flight.New(8)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 3, FlightRecorder: fr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,14 +151,8 @@ func TestReportCurveAndLog(t *testing.T) {
 	if stats.Curve != d {
 		t.Error("QueryWithStats does not expose the report's curve")
 	}
-	if int(d.Results) != len(rep.Skyline) {
-		t.Errorf("curve counted %d deliveries, skyline has %d", d.Results, len(rep.Skyline))
-	}
-	if d.Algorithm != "e-dsud" || d.Threshold != 0.3 || d.Sites != 3 {
-		t.Errorf("identity fields wrong: %+v", d)
-	}
-	if d.QueryID == 0 || d.QueryID != tr.ID() {
-		t.Errorf("query_id %x does not cross-link the trace %x", d.QueryID, tr.ID())
+	if int(d.Results) != len(rep.Skyline) || d.Sites != 3 {
+		t.Errorf("curve counted %d deliveries over %d sites, skyline has %d over 3", d.Results, d.Sites, len(rep.Skyline))
 	}
 	if d.AUCTime <= 0 || d.AUCTime > 1 || d.AUCBandwidth <= 0 || d.AUCBandwidth > 1 {
 		t.Errorf("AUCs outside (0,1]: time=%v bw=%v", d.AUCTime, d.AUCBandwidth)
@@ -170,14 +164,19 @@ func TestReportCurveAndLog(t *testing.T) {
 	if perSite != d.Results {
 		t.Errorf("per-site delivered counts sum to %d, want %d", perSite, d.Results)
 	}
-	if plog.Total() != 1 {
-		t.Fatalf("progress log holds %d digests, want 1", plog.Total())
+	if fr.Total() != 1 {
+		t.Fatalf("flight recorder holds %d records, want 1", fr.Total())
 	}
-	if got := plog.Snapshot()[0]; got.QueryID != d.QueryID {
-		t.Errorf("retained digest query_id %x, want %x", got.QueryID, d.QueryID)
+	r := fr.Snapshot()[0]
+	if r.Curve != d {
+		t.Error("flight record does not carry the report's curve")
 	}
-	if cluster.ProgressLog() != plog {
-		t.Error("ProgressLog accessor lost the attachment")
+	if r.QueryID == 0 || r.QueryID != tr.ID() {
+		t.Errorf("query_id %x does not cross-link the trace %x", r.QueryID, tr.ID())
+	}
+	if r.Algorithm != "e-dsud" || r.Threshold != 0.3 || r.Results != len(rep.Skyline) ||
+		r.Messages != rep.Bandwidth.Messages || r.ElapsedNS != int64(rep.Elapsed) || r.Transcript != "" {
+		t.Errorf("flight record disagrees with the report: %+v", r)
 	}
 }
 
@@ -256,14 +255,18 @@ func TestWriteExplain(t *testing.T) {
 		t.Error("no curve rows rendered")
 	}
 
-	// A curve-less report (from a pre-progress peer) must still render.
-	rep.Curve = nil
+	// Without stats the table still renders; a report with no curve
+	// never came out of a completed query.
 	buf.Reset()
 	if err := WriteExplain(&buf, rep, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "per-site contribution") {
-		t.Errorf("degraded explain lost the contribution table:\n%s", buf.String())
+	if !strings.Contains(buf.String(), "per-site contribution") || strings.Contains(buf.String(), "phase breakdown") {
+		t.Errorf("stats-less explain:\n%s", buf.String())
+	}
+	rep.Curve = nil
+	if err := WriteExplain(&buf, rep, nil); err == nil {
+		t.Error("explain rendered a report with no curve")
 	}
 }
 

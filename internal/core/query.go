@@ -99,8 +99,8 @@ func Run(ctx context.Context, c *Cluster, opts Options) (*Report, error) {
 // labels, the trace, Options.OnEvent, Report.Progress, the delivery curve
 // and the OnResult provenance; its finish method is the one completion
 // path — success or failure, protocol round or served read — behind the
-// query log, the flight recorder, the progress log, the latency windows,
-// the query counter and the transcript.
+// query log, the latency windows, the query counter, the transcript and
+// the flight record that joins them.
 type observer struct {
 	c      *Cluster
 	opts   *Options
@@ -180,27 +180,23 @@ func (o *observer) finish(rep *Report, err error) (*Report, error) {
 		}
 		rep.Elapsed = elapsed
 		rep.Progress = o.points
-		rep.Curve = &progress.Digest{
-			QueryID:   opts.Trace.ID(),
-			Algorithm: name,
-			Threshold: opts.Threshold,
-			Start:     o.start.UnixNano(),
-			Slow:      opts.SlowQuery > 0 && elapsed >= opts.SlowQuery,
-			Sites:     int32(len(c.clients)),
-		}
+		rep.Curve = &progress.Digest{Sites: int32(len(c.clients))}
 		o.curve.Finish(rep.Curve, elapsed, rep.Bandwidth.Tuples())
-		c.progress.Record(rep.Curve)
 		if ttf := rep.Curve.TTFirstNS; ttf > 0 {
 			c.winFirst.Observe(time.Duration(ttf))
 		}
 	}
 	opts.logQuery(rep, err, elapsed)
-	c.recordFlight(o, name, rep, err, elapsed)
+	var path string
+	var werr error
 	if o.recorder != nil {
 		// A failed query seals what was captured with no summary frame: a
 		// truncated transcript still shows how far the exchange got.
-		c.transcripts.Finish(o.recorder, o.header, transcriptSummary(rep), err)
+		if path, werr = c.transcripts.Finish(o.recorder, o.header, transcriptSummary(rep)); werr != nil && opts.Logger != nil {
+			opts.Logger.Warn("transcript not written", "query_id", obs.QueryID(opts.Trace.ID()), "err", werr)
+		}
 	}
+	c.recordFlight(o, name, rep, err, elapsed, path, werr)
 	return rep, err
 }
 

@@ -9,11 +9,11 @@ import (
 
 // SetTranscriptSink attaches the black-box recorder: queries the sink
 // samples (or that force recording via Options.Record) have their
-// complete coordinator↔site exchange captured into transcript files and
-// summarized in the sink's ring (/transcriptz). A nil sink (the
-// default) disables recording; unsampled queries pay one allocation-free
-// sampling decision and nothing else. Call before serving queries; not
-// synchronised with in-flight Runs.
+// complete coordinator↔site exchange captured into transcript files,
+// named in the query's flight record. A nil sink (the default) disables
+// recording; unsampled queries pay one allocation-free sampling decision
+// and nothing else. Call before serving queries; not synchronised with
+// in-flight Runs.
 func (c *Cluster) SetTranscriptSink(s *transcript.Sink) { c.transcripts = s }
 
 // transcriptHeader builds the transcript's query-identity frame from

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/gen"
+	"repro/internal/obs/flight"
 	"repro/internal/obs/transcript"
 	"repro/internal/transport"
 	"repro/internal/uncertain"
@@ -52,32 +53,35 @@ func TestTranscriptMirrorsCoreConstants(t *testing.T) {
 	}
 }
 
-// recordQuery runs one forced-record query and returns the transcript it
-// produced.
-func recordQuery(t *testing.T, cluster *Cluster, log *transcript.Log, opts Options) (*Report, *transcript.Transcript, string) {
+// recordQuery runs one forced-record query and returns the transcript its
+// flight record names.
+func recordQuery(t *testing.T, cluster *Cluster, fr *flight.Recorder, opts Options) (*Report, *transcript.Transcript, string) {
 	t.Helper()
-	before := log.Total()
+	before := fr.Total()
 	opts.Record = true
 	rep, err := Run(context.Background(), cluster, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := log.Snapshot()
-	if uint64(len(entries)) == before || len(entries) == 0 {
-		t.Fatal("forced recording left no transcript log entry")
+	recs := fr.Snapshot()
+	if fr.Total() == before || len(recs) == 0 {
+		t.Fatal("forced recording left no flight record")
 	}
-	e := entries[len(entries)-1]
-	if e.Error != "" {
-		t.Fatalf("recording failed: %s", e.Error)
+	r := recs[len(recs)-1]
+	if r.TranscriptErr != "" {
+		t.Fatalf("recording failed: %s", r.TranscriptErr)
 	}
-	if e.Path == "" {
+	if r.Transcript == "" {
 		t.Fatal("recording wrote no file despite a sink directory")
 	}
-	tr, err := transcript.ReadFile(e.Path)
+	tr, err := transcript.ReadFile(r.Transcript)
 	if err != nil {
-		t.Fatalf("reading %s: %v", e.Path, err)
+		t.Fatalf("reading %s: %v", r.Transcript, err)
 	}
-	return rep, tr, e.Path
+	if tr.Header.QueryID != r.QueryID || tr.Header.Session != r.Session {
+		t.Fatalf("transcript header %+v does not match its flight record %+v", tr.Header, r)
+	}
+	return rep, tr, r.Transcript
 }
 
 // A query recorded on the in-process transport must replay offline to
@@ -85,12 +89,12 @@ func recordQuery(t *testing.T, cluster *Cluster, log *transcript.Log, opts Optio
 // algorithm in the family.
 func TestRecordReplayLocal(t *testing.T) {
 	parts, _ := makeWorkload(t, 500, 3, 4, gen.Anticorrelated, 71)
-	log := transcript.NewLog(8)
+	fr := flight.New(8)
 	cluster, err := Open(ClusterConfig{
-		Partitions:    parts,
-		Dims:          3,
-		TranscriptDir: t.TempDir(),
-		TranscriptLog: log,
+		Partitions:     parts,
+		Dims:           3,
+		TranscriptDir:  t.TempDir(),
+		FlightRecorder: fr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +108,7 @@ func TestRecordReplayLocal(t *testing.T) {
 		{Threshold: 0.3, Algorithm: EDSUD, MaxResults: 3},
 		{Threshold: 0.5, Algorithm: Baseline},
 	} {
-		rep, tr, _ := recordQuery(t, cluster, log, opts)
+		rep, tr, _ := recordQuery(t, cluster, fr, opts)
 		if tr.Header.Algorithm != uint8(opts.Algorithm) {
 			t.Fatalf("%v: header algorithm %d", opts.Algorithm, tr.Header.Algorithm)
 		}
@@ -154,12 +158,12 @@ func TestParentTranscriptsReplayExactly(t *testing.T) {
 func TestRecordReplayTCP(t *testing.T) {
 	parts, union := makeWorkload(t, 600, 3, 2, gen.Anticorrelated, 73)
 	addrs := startTCPSites(t, parts, 3)
-	log := transcript.NewLog(4)
+	fr := flight.New(4)
 	cluster, err := Open(ClusterConfig{
-		Addrs:         addrs,
-		Dims:          3,
-		TranscriptDir: t.TempDir(),
-		TranscriptLog: log,
+		Addrs:          addrs,
+		Dims:           3,
+		TranscriptDir:  t.TempDir(),
+		FlightRecorder: fr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +171,7 @@ func TestRecordReplayTCP(t *testing.T) {
 	defer cluster.Close()
 
 	var live []Result
-	rep, tr, _ := recordQuery(t, cluster, log, Options{Threshold: 0.3, Algorithm: EDSUD,
+	rep, tr, _ := recordQuery(t, cluster, fr, Options{Threshold: 0.3, Algorithm: EDSUD,
 		OnResult: func(r Result) { live = append(live, r) }})
 	if !uncertain.MembersEqual(rep.Skyline, union.Skyline(0.3, nil), 1e-9) {
 		t.Fatal("live TCP query disagreed with oracle")
@@ -222,14 +226,13 @@ func TestRecordReplayTCP(t *testing.T) {
 // payload must fail the replay loudly at the divergent call.
 func TestReplayDetectsTampering(t *testing.T) {
 	parts, _ := makeWorkload(t, 400, 3, 3, gen.Independent, 79)
-	log := transcript.NewLog(4)
-	dir := t.TempDir()
-	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 3, TranscriptDir: dir, TranscriptLog: log})
+	fr := flight.New(4)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 3, TranscriptDir: t.TempDir(), FlightRecorder: fr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	_, tr, path := recordQuery(t, cluster, log, Options{Threshold: 0.3, Algorithm: EDSUD})
+	_, tr, path := recordQuery(t, cluster, fr, Options{Threshold: 0.3, Algorithm: EDSUD})
 
 	tr.Summary.Results++
 	tr.Summary.Iterations += 5
@@ -276,13 +279,13 @@ func TestReplayDetectsTampering(t *testing.T) {
 // retired number is never reinterpreted or defaulted.
 func TestReplayRejectsRetiredNumbers(t *testing.T) {
 	parts, _ := makeWorkload(t, 200, 2, 2, gen.Independent, 89)
-	log := transcript.NewLog(4)
-	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 2, TranscriptDir: t.TempDir(), TranscriptLog: log})
+	fr := flight.New(4)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 2, TranscriptDir: t.TempDir(), FlightRecorder: fr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	_, tr, _ := recordQuery(t, cluster, log, Options{Threshold: 0.3, Algorithm: DSUD})
+	_, tr, _ := recordQuery(t, cluster, fr, Options{Threshold: 0.3, Algorithm: DSUD})
 
 	for _, p := range []uint8{2, 3} { // max-local and the old round-robin slot
 		tr.Header.Policy = p
@@ -332,60 +335,92 @@ func TestReplayBinaryRefusesOldGeneration(t *testing.T) {
 	}
 }
 
-// Forced recording must work without a directory (summary-only sinks
-// keep /transcriptz alive with no files), and unsampled queries on a
-// recording cluster must not record.
+// Unsampled queries on a recording cluster do not record; with no
+// directory there is nothing to record into, even forced; sampling every
+// query needs no force; and a transcript that cannot be written leaves
+// the query's answer alone and says why in its flight record.
 func TestTranscriptSamplingModes(t *testing.T) {
 	parts, _ := makeWorkload(t, 200, 2, 2, gen.Independent, 83)
-	log := transcript.NewLog(4)
-	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 2, TranscriptLog: log})
+	ctx := context.Background()
+	last := func(fr *flight.Recorder) flight.Record {
+		t.Helper()
+		recs := fr.Snapshot()
+		if len(recs) == 0 {
+			t.Fatal("no flight record")
+		}
+		return recs[len(recs)-1]
+	}
+
+	// Unforced: sample is 0, nothing recorded.
+	dir := t.TempDir()
+	fr := flight.New(4)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 2, TranscriptDir: dir, FlightRecorder: fr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-
-	// Unforced: sample is 0, nothing recorded.
-	if _, err := Run(context.Background(), cluster, Options{Threshold: 0.3}); err != nil {
+	if _, err := Run(ctx, cluster, Options{Threshold: 0.3}); err != nil {
 		t.Fatal(err)
 	}
-	if log.Total() != 0 {
-		t.Fatal("unsampled query recorded a transcript")
+	if r := last(fr); r.Transcript != "" || r.TranscriptErr != "" {
+		t.Fatalf("unsampled query recorded a transcript: %+v", r)
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Fatalf("unsampled query wrote %d files", len(files))
 	}
 
-	// Forced without a directory: log entry, no file.
-	if _, err := Run(context.Background(), cluster, Options{Threshold: 0.3, Record: true}); err != nil {
+	// No directory: forcing records nothing, and sampling is a config error.
+	bare, err := Open(ClusterConfig{Partitions: parts, Dims: 2, FlightRecorder: fr})
+	if err != nil {
 		t.Fatal(err)
 	}
-	entries := log.Snapshot()
-	if len(entries) != 1 {
-		t.Fatalf("forced query produced %d log entries", len(entries))
+	defer bare.Close()
+	if _, err := Run(ctx, bare, Options{Threshold: 0.3, Record: true}); err != nil {
+		t.Fatal(err)
 	}
-	if entries[0].Path != "" {
-		t.Fatalf("directory-less sink wrote a file: %s", entries[0].Path)
+	if r := last(fr); r.Transcript != "" || r.TranscriptErr != "" {
+		t.Fatalf("directory-less cluster recorded a transcript: %+v", r)
 	}
-	if entries[0].Error != "" {
-		t.Fatalf("summary-only recording errored: %s", entries[0].Error)
+	if _, err := Open(ClusterConfig{Partitions: parts, Dims: 2, TranscriptSample: 1}); !errors.Is(err, ErrConfig) {
+		t.Fatalf("TranscriptSample without TranscriptDir: %v, want ErrConfig", err)
 	}
 
 	// Sample = 1: every query records, no force needed.
-	dir := t.TempDir()
-	log2 := transcript.NewLog(4)
-	c2, err := Open(ClusterConfig{Partitions: parts, Dims: 2, TranscriptDir: dir, TranscriptSample: 1, TranscriptLog: log2})
+	dir2 := t.TempDir()
+	c2, err := Open(ClusterConfig{Partitions: parts, Dims: 2, TranscriptDir: dir2, TranscriptSample: 1, FlightRecorder: fr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if _, err := Run(context.Background(), c2, Options{Threshold: 0.3}); err != nil {
+	if _, err := Run(ctx, c2, Options{Threshold: 0.3}); err != nil {
 		t.Fatal(err)
 	}
-	if log2.Total() != 1 {
-		t.Fatalf("sample=1 recorded %d transcripts", log2.Total())
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "query-*.dstr"))
+	files, err := filepath.Glob(filepath.Join(dir2, "query-*.dstr"))
 	if err != nil || len(files) != 1 {
 		t.Fatalf("sample=1 wrote %d files (%v)", len(files), err)
 	}
+	if r := last(fr); r.Transcript != files[0] {
+		t.Fatalf("flight record names %q, the file is %q", r.Transcript, files[0])
+	}
 	if fi, err := os.Stat(files[0]); err != nil || fi.Size() == 0 {
 		t.Fatalf("transcript file empty or unreadable: %v", err)
+	}
+
+	// An unwritable directory: the query answers, its record says why.
+	blocker := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c3, err := Open(ClusterConfig{Partitions: parts, Dims: 2, TranscriptDir: filepath.Join(blocker, "sub"), FlightRecorder: fr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c3.Close()
+	rep, err := Run(ctx, c3, Options{Threshold: 0.3, Record: true})
+	if err != nil || len(rep.Skyline) == 0 {
+		t.Fatalf("a failed transcript write failed the query: %v", err)
+	}
+	if r := last(fr); r.Transcript != "" || r.TranscriptErr == "" || r.Outcome != flight.OutcomeOK {
+		t.Fatalf("unwritable transcript directory: %+v", r)
 	}
 }

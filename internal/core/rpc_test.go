@@ -11,7 +11,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/gen"
 	"repro/internal/obs"
-	"repro/internal/obs/transcript"
+	"repro/internal/obs/flight"
 	"repro/internal/transport"
 	"repro/internal/uncertain"
 )
@@ -231,9 +231,9 @@ func TestOneCallPathAccountsEveryRPC(t *testing.T) {
 	parts, union := makeWorkload(t, 400, 2, 3, gen.Anticorrelated, 97)
 	addrs := startTCPSites(t, parts, 2)
 	reg := obs.NewRegistry()
-	log := transcript.NewLog(4)
+	fr := flight.New(4)
 	cluster, err := Open(ClusterConfig{Addrs: addrs, Dims: 2, Metrics: reg,
-		TranscriptDir: t.TempDir(), TranscriptLog: log})
+		TranscriptDir: t.TempDir(), FlightRecorder: fr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestOneCallPathAccountsEveryRPC(t *testing.T) {
 
 	trace := NewTrace()
 	before := cluster.Meter().Snapshot()
-	rep, tr, _ := recordQuery(t, cluster, log, Options{Threshold: 0.3, Algorithm: EDSUD, Trace: trace})
+	rep, tr, _ := recordQuery(t, cluster, fr, Options{Threshold: 0.3, Algorithm: EDSUD, Trace: trace})
 	if !uncertain.MembersEqual(rep.Skyline, union.Skyline(0.3, nil), 1e-9) {
 		t.Fatal("query disagreed with the oracle")
 	}

@@ -1,11 +1,14 @@
 // Package flight is the always-on flight recorder: a fixed-size ring
 // buffer of per-query Records kept by the coordinator (and, per session,
-// by the sites), cheap enough to leave enabled in production. When a
-// query misbehaves — it crossed the slow-query threshold, the online
-// auditor flagged an invariant violation, the daemon is shutting down —
-// the recent history is already in memory and can be dumped as JSON,
-// either on demand (the /debug/flightz endpoint) or automatically into a
-// dump directory.
+// by the sites), cheap enough to leave enabled in production. A
+// coordinator Record is the one per-query record: identity, outcome,
+// protocol tallies, bandwidth, per-phase and per-site cost, the delivery
+// curve and the path of the query's transcript, all keyed by query_id.
+// When a query misbehaves — it crossed the slow-query threshold, the
+// online auditor flagged an invariant violation, the daemon is shutting
+// down — the recent history is already in memory and can be dumped as
+// JSON, either on demand (the /debug/flightz endpoint) or automatically
+// into a dump directory.
 //
 // Design rules, mirroring internal/obs:
 //
@@ -13,11 +16,13 @@
 //     instrumented code never guards call sites.
 //   - Lock-cheap, allocation-free recording. Record claims a slot with
 //     one atomic add and copies the caller's Record under that slot's
-//     mutex; the Record struct is all fixed-size fields (bounded
-//     per-site and per-phase arrays), so the hot path allocates nothing
-//     (pinned by TestRecordZeroAlloc). Dumps copy slots out under the
-//     same per-slot mutexes and do their allocation outside them.
-//   - No dependencies beyond the standard library.
+//     mutex; the Record struct is fixed-size fields (bounded per-site and
+//     per-phase arrays) plus strings and a curve pointer the caller
+//     already built, so the hot path allocates nothing (pinned by
+//     TestRecordZeroAlloc). Dumps copy slots out under the same per-slot
+//     mutexes and do their allocation outside them.
+//   - No dependencies beyond the standard library and
+//     internal/obs/progress.
 package flight
 
 import (
@@ -30,6 +35,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs/progress"
 )
 
 // MaxSites bounds the per-site cost breakdown carried by one Record.
@@ -75,8 +82,9 @@ type PhaseSummary struct {
 }
 
 // Record is one completed query (coordinator) or query session (site).
-// All fields are fixed-size so recording never allocates; string fields
-// are expected to reference constants or pre-built values.
+// Recording copies it without allocating: string fields are expected to
+// reference constants or pre-built values, and Curve points at a digest
+// that is never written again.
 type Record struct {
 	// QueryID is the wire-level trace/query identifier (0 when the query
 	// ran untraced); Session is the per-site session ID.
@@ -126,6 +134,15 @@ type Record struct {
 	PerSite        [MaxSites]SiteCost `json:"per_site"`
 	Sites          int                `json:"sites,omitempty"`
 	SitesTruncated bool               `json:"sites_truncated,omitempty"`
+
+	// Curve is the query's delivery curve, shared with its Report (nil
+	// for failed queries and site records).
+	Curve *progress.Digest `json:"curve,omitempty"`
+	// Transcript is the path of the query's recorded transcript (empty
+	// when it was not recorded); TranscriptErr says why a recording
+	// could not be written.
+	Transcript    string `json:"transcript,omitempty"`
+	TranscriptErr string `json:"transcript_err,omitempty"`
 }
 
 // AddSiteCost accumulates a site's shipped/pruned delta into the bounded

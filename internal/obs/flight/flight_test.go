@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs/progress"
 )
 
 func rec(q uint64, results int) *Record {
@@ -64,12 +66,14 @@ func TestDefaultSize(t *testing.T) {
 }
 
 // The record path must not allocate: the recorder is always on, so every
-// query pays it.
+// query pays it — the curve and the transcript path included.
 func TestRecordZeroAlloc(t *testing.T) {
 	r := New(64)
 	rc := rec(42, 3)
 	rc.AddSiteCost(0, 5, 2)
 	rc.AddSiteCost(1, 4, 0)
+	rc.Curve = &progress.Digest{Results: 3, AUCBandwidth: 0.5}
+	rc.Transcript = "query-000000000000002a-1.dstr"
 	if allocs := testing.AllocsPerRun(1000, func() { r.Record(rc) }); allocs != 0 {
 		t.Fatalf("Record allocated %.1f times per call, want 0", allocs)
 	}
@@ -134,7 +138,12 @@ func TestDumpWritesWellFormedJSON(t *testing.T) {
 	dir := t.TempDir()
 	r := New(4)
 	r.SetDumpDir(dir)
-	r.Record(rec(7, 2))
+	r.Record(rec(6, 0)) // a site session's record: no curve, no transcript
+	answered := rec(7, 2)
+	answered.Curve = &progress.Digest{Results: 2, AUCBandwidth: 0.25, NumPoints: 1,
+		Points: [progress.MaxPoints]progress.Point{{K: 1, NS: 10, Tuples: 3}}}
+	answered.Transcript = "tr/query-7.dstr"
+	r.Record(answered)
 	path, err := r.Dump("audit-violation")
 	if err != nil {
 		t.Fatal(err)
@@ -155,11 +164,16 @@ func TestDumpWritesWellFormedJSON(t *testing.T) {
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatalf("dump is not JSON: %v\n%s", err, raw)
 	}
-	if doc.Reason != "audit-violation" || doc.Capacity != 4 || doc.Total != 1 || len(doc.Records) != 1 {
+	if doc.Reason != "audit-violation" || doc.Capacity != 4 || doc.Total != 2 || len(doc.Records) != 2 {
 		t.Fatalf("dump doc = %+v", doc)
 	}
-	if doc.Records[0].QueryID != 7 || doc.Records[0].Outcome != OutcomeOK {
-		t.Fatalf("dump record = %+v", doc.Records[0])
+	if n := strings.Count(string(raw), `"curve"`); doc.Records[0].Curve != nil || n != 1 {
+		t.Fatalf("%d curves dumped for one answered query:\n%s", n, raw)
+	}
+	got := doc.Records[1]
+	if got.QueryID != 7 || got.Outcome != OutcomeOK || got.Transcript != "tr/query-7.dstr" ||
+		got.Curve == nil || *got.Curve != *answered.Curve {
+		t.Fatalf("dump record = %+v (curve %+v)", got, got.Curve)
 	}
 }
 

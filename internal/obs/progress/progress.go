@@ -1,32 +1,24 @@
 // Package progress records each query's progressive delivery curve —
 // the monotone (time, k) series of skyline results reaching the client —
-// as a fixed-size Digest, and retains the last N digests in a ring the
-// coordinator serves at /queryz. The curve is the observable form of the
+// as a fixed-size Digest. The curve is the observable form of the
 // paper's headline claim: DSUD/e-DSUD deliver results early and
 // continuously rather than at round end (§6, Figs. 12–13), so the digest
 // carries the two normalized progress AUCs those figures compare, plus
 // time-to-k at log-spaced checkpoints for after-the-fact inspection.
+// Every Report carries its digest, and the coordinator's flight record
+// (internal/obs/flight) shares it, so /debug/flightz serves the curve
+// beside the rest of the query's record.
 //
 // Design rules, mirroring internal/obs and internal/obs/flight:
 //
-//   - Nil-safe. Every method of a nil *Log or nil *Builder is a no-op.
+//   - Nil-safe. Every method of a nil *Builder is a no-op.
 //   - Allocation-free observation. Builder.Observe touches only
-//     fixed-size fields (bounded checkpoint and per-site arrays), and
-//     Log.Record claims a slot with one atomic add and copies under that
-//     slot's mutex — both pinned by AllocsPerRun tests.
+//     fixed-size fields (bounded checkpoint and per-site arrays), pinned
+//     by TestObserveZeroAlloc.
 //   - No dependencies beyond the standard library.
 package progress
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
-	"sync"
-	"sync/atomic"
-	"text/tabwriter"
-	"time"
-)
+import "time"
 
 // MaxPoints bounds the log-spaced delivery checkpoints per digest. The
 // checkpoint ks grow geometrically (×1.25), so 48 slots cover result
@@ -39,9 +31,6 @@ const MaxPoints = 48
 // SitesTruncated is set; totals stay exact.
 const MaxSites = 16
 
-// DefaultSize is the ring capacity coordinators use unless configured.
-const DefaultSize = 64
-
 // Point is one checkpoint on the delivery curve: the K-th result arrived
 // NS nanoseconds into the query, after Tuples cumulative tuples had
 // crossed the wire.
@@ -51,22 +40,10 @@ type Point struct {
 	Tuples int64 `json:"tuples,omitempty"`
 }
 
-// Digest is one query's delivery curve, all fixed-size so recording it
-// never allocates. String fields are expected to reference constants.
+// Digest is one query's delivery curve, all fixed-size. The query's
+// identity (query_id, algorithm, threshold, start, duration) lives in the
+// flight record that carries the digest, not here.
 type Digest struct {
-	// QueryID is the wire-level trace/query identifier (0 when the query
-	// ran untraced) — the cross-link key into the flight recorder and
-	// exported trace timelines.
-	QueryID   uint64  `json:"query_id,omitempty"`
-	Algorithm string  `json:"algorithm,omitempty"`
-	Threshold float64 `json:"threshold,omitempty"`
-	// Start is the query's start UnixNano; ElapsedNS its total duration.
-	Start     int64 `json:"start_unix_nano,omitempty"`
-	ElapsedNS int64 `json:"elapsed_ns,omitempty"`
-	// Slow marks queries that crossed the slow-query threshold; pair the
-	// QueryID with /debug/flightz for the full record.
-	Slow bool `json:"slow,omitempty"`
-
 	// Results counts tuples delivered through the progressive stream
 	// (under TopK this may exceed the truncated answer size).
 	Results int32 `json:"results"`
@@ -180,16 +157,15 @@ func (b *Builder) Results() int {
 }
 
 // Finish computes the curve summary into d given the query's total
-// duration and total tuple bandwidth. Identity fields (QueryID,
-// Algorithm, ...) are the caller's to fill. The final delivery is always
-// kept as the last checkpoint. Nil-safe in both directions.
+// duration and total tuple bandwidth. Sites is the caller's to fill. The
+// final delivery is always kept as the last checkpoint. Nil-safe in both
+// directions.
 func (b *Builder) Finish(d *Digest, elapsed time.Duration, tuplesTotal int64) {
 	if b == nil || d == nil {
 		return
 	}
 	d.Results = b.n
 	d.TuplesTotal = tuplesTotal
-	d.ElapsedNS = int64(elapsed)
 	d.PerSite = b.perSite
 	d.SitesTruncated = b.trunc
 	d.Points = b.points
@@ -227,188 +203,4 @@ func normalizedAUC(n, sum, total float64) float64 {
 		return 1
 	}
 	return auc
-}
-
-// slot is one ring entry: a sequence-stamped Digest behind its own lock
-// so writers contend only when they collide on the same slot.
-type slot struct {
-	mu  sync.Mutex
-	seq uint64 // 1-based claim number; 0 = never written
-	d   Digest
-}
-
-// Log is the fixed-size ring of recent query digests the coordinator
-// serves at /queryz. Construct with NewLog; a nil *Log is a fully usable
-// disabled log.
-type Log struct {
-	slots []slot
-	next  atomic.Uint64
-}
-
-// NewLog returns a log retaining the most recent size digests (size < 1
-// selects DefaultSize).
-func NewLog(size int) *Log {
-	if size < 1 {
-		size = DefaultSize
-	}
-	return &Log{slots: make([]slot, size)}
-}
-
-// Size returns the ring capacity (0 for nil).
-func (l *Log) Size() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.slots)
-}
-
-// Total returns how many digests have ever been recorded (0 for nil);
-// min(Total, Size) are currently retained.
-func (l *Log) Total() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.next.Load()
-}
-
-// Record stores a copy of d, overwriting the oldest entry once the ring
-// is full. Nil-safe; safe for concurrent use; does not allocate (pinned
-// by TestRecordZeroAlloc).
-func (l *Log) Record(d *Digest) {
-	if l == nil || d == nil {
-		return
-	}
-	seq := l.next.Add(1)
-	s := &l.slots[(seq-1)%uint64(len(l.slots))]
-	s.mu.Lock()
-	// A slow writer may lap the ring: keep the newest claim only.
-	if seq > s.seq {
-		s.seq = seq
-		s.d = *d
-	}
-	s.mu.Unlock()
-}
-
-// Snapshot copies the retained digests out, oldest first. Each digest is
-// copied under its slot lock; the set is approximately ordered under
-// concurrent writers, exactly like the flight recorder's. Nil-safe.
-func (l *Log) Snapshot() []Digest {
-	if l == nil {
-		return nil
-	}
-	type stamped struct {
-		seq uint64
-		d   Digest
-	}
-	out := make([]stamped, 0, len(l.slots))
-	for i := range l.slots {
-		s := &l.slots[i]
-		s.mu.Lock()
-		if s.seq != 0 {
-			out = append(out, stamped{seq: s.seq, d: s.d})
-		}
-		s.mu.Unlock()
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].seq > out[j].seq; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	ds := make([]Digest, len(out))
-	for i := range out {
-		ds[i] = out[i].d
-	}
-	return ds
-}
-
-// Dump is the JSON envelope /queryz serves.
-type Dump struct {
-	TakenUnixNano int64 `json:"taken_unix_nano"`
-	// Capacity is the ring size; Total the digests ever recorded
-	// (Total − len(Queries) have been overwritten).
-	Capacity int      `json:"capacity"`
-	Total    uint64   `json:"total"`
-	Queries  []Digest `json:"queries"`
-}
-
-// WriteJSON writes the retained digests as one JSON document. Nil-safe
-// (writes an empty document).
-func (l *Log) WriteJSON(w io.Writer) error {
-	doc := Dump{
-		TakenUnixNano: time.Now().UnixNano(),
-		Capacity:      l.Size(),
-		Total:         l.Total(),
-		Queries:       l.Snapshot(),
-	}
-	if doc.Queries == nil {
-		doc.Queries = []Digest{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-// WriteText renders the retained digests as a fixed-width table, newest
-// last — the ?format=text view of /queryz. Nil-safe.
-func (l *Log) WriteText(w io.Writer) error {
-	ds := l.Snapshot()
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "QUERY\tALGO\tQ\tRESULTS\tTTFR\tELAPSED\tAUC(T)\tAUC(BW)\tFLAGS")
-	for i := range ds {
-		d := &ds[i]
-		flags := ""
-		if d.Slow {
-			flags = "slow"
-		}
-		// Untraced queries have no wire-level ID; "-" keeps them from
-		// looking cross-linkable to /debug/flightz.
-		qid := "-"
-		if d.QueryID != 0 {
-			qid = fmt.Sprintf("%016x", d.QueryID)
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%.2f\t%d\t%s\t%s\t%.3f\t%.3f\t%s\n",
-			qid, d.Algorithm, d.Threshold, d.Results,
-			fmtNS(d.TTFirstNS), fmtNS(d.ElapsedNS), d.AUCTime, d.AUCBandwidth, flags)
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "retained %d/%d queries (%d recorded); slow/low-AUC query_ids index /debug/flightz\n",
-		len(ds), l.Size(), l.Total())
-	return err
-}
-
-// fmtNS renders a nanosecond count as a rounded duration, "-" for zero.
-func fmtNS(ns int64) string {
-	if ns <= 0 {
-		return "-"
-	}
-	d := time.Duration(ns)
-	switch {
-	case d >= time.Second:
-		return d.Round(10 * time.Millisecond).String()
-	case d >= time.Millisecond:
-		return d.Round(10 * time.Microsecond).String()
-	default:
-		return d.Round(100 * time.Nanosecond).String()
-	}
-}
-
-// Handler serves the log — mount at /queryz. GET/HEAD only; JSON by
-// default, ?format=text for the table view.
-func (l *Log) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet && req.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET, HEAD")
-			http.Error(w, "GET only", http.StatusMethodNotAllowed)
-			return
-		}
-		if req.URL.Query().Get("format") == "text" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			l.WriteText(w)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		l.WriteJSON(w)
-	})
 }

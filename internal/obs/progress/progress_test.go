@@ -1,12 +1,7 @@
 package progress
 
 import (
-	"bytes"
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 )
@@ -127,50 +122,8 @@ func TestObserveZeroAlloc(t *testing.T) {
 	}
 }
 
-// Recording a digest into the ring must not allocate either.
-func TestRecordZeroAlloc(t *testing.T) {
-	l := NewLog(8)
-	d := Digest{QueryID: 42, Algorithm: "e-dsud", Results: 3}
-	if n := testing.AllocsPerRun(1000, func() { l.Record(&d) }); n != 0 {
-		t.Fatalf("Record allocates %v times per call", n)
-	}
-}
-
-// The ring keeps the newest Size digests, oldest first.
-func TestLogWrap(t *testing.T) {
-	l := NewLog(4)
-	for i := 1; i <= 10; i++ {
-		l.Record(&Digest{QueryID: uint64(i)})
-	}
-	ds := l.Snapshot()
-	if len(ds) != 4 {
-		t.Fatalf("%d digests retained, want 4", len(ds))
-	}
-	for i, d := range ds {
-		if want := uint64(7 + i); d.QueryID != want {
-			t.Errorf("slot %d: query %d, want %d", i, d.QueryID, want)
-		}
-	}
-	if l.Total() != 10 {
-		t.Errorf("Total = %d, want 10", l.Total())
-	}
-}
-
-// Every method of a nil log and nil builder must be a safe no-op.
+// Every method of a nil builder and nil digest must be a safe no-op.
 func TestNilSafe(t *testing.T) {
-	var l *Log
-	l.Record(&Digest{})
-	if l.Snapshot() != nil || l.Size() != 0 || l.Total() != 0 {
-		t.Error("nil log not inert")
-	}
-	var buf bytes.Buffer
-	if err := l.WriteJSON(&buf); err != nil {
-		t.Errorf("nil WriteJSON: %v", err)
-	}
-	if err := l.WriteText(&buf); err != nil {
-		t.Errorf("nil WriteText: %v", err)
-	}
-
 	var b *Builder
 	b.Observe(0, time.Second, 1)
 	b.Reset()
@@ -178,52 +131,8 @@ func TestNilSafe(t *testing.T) {
 	if b.Results() != 0 {
 		t.Error("nil builder not inert")
 	}
-}
-
-// /queryz serves the documented JSON envelope, the text table, and
-// rejects non-GET methods.
-func TestHandler(t *testing.T) {
-	l := NewLog(8)
-	l.Record(&Digest{QueryID: 0xabc, Algorithm: "e-dsud", Threshold: 0.3,
-		Results: 5, AUCTime: 0.8, AUCBandwidth: 0.9, TTFirstNS: 1e6, ElapsedNS: 5e6})
-	srv := httptest.NewServer(l.Handler())
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var doc Dump
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatalf("queryz JSON: %v", err)
-	}
-	if doc.Capacity != 8 || doc.Total != 1 || len(doc.Queries) != 1 {
-		t.Fatalf("envelope wrong: %+v", doc)
-	}
-	if q := doc.Queries[0]; q.QueryID != 0xabc || q.AUCBandwidth != 0.9 || q.Results != 5 {
-		t.Fatalf("digest fields lost: %+v", q)
-	}
-
-	text, err := http.Get(srv.URL + "?format=text")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer text.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(text.Body)
-	for _, want := range []string{"QUERY", "AUC(BW)", "e-dsud", "retained 1/8"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("text view missing %q:\n%s", want, buf.String())
-		}
-	}
-
-	post, err := http.Post(srv.URL, "text/plain", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	post.Body.Close()
-	if post.StatusCode != http.StatusMethodNotAllowed || post.Header.Get("Allow") != "GET, HEAD" {
-		t.Errorf("POST: status %d allow %q", post.StatusCode, post.Header.Get("Allow"))
+	var d *Digest
+	if d.Checkpoints() != nil {
+		t.Error("nil digest has checkpoints")
 	}
 }

@@ -2,9 +2,9 @@
 // query's complete coordinator↔site exchange — every request and
 // response with direction, site, phase, ordinal, byte size, and
 // monotonic timestamp — into the versioned, CRC-checked transcript
-// format (internal/codec), retains summaries of recent recordings in a
-// ring served at /transcriptz, and can replay or diff recorded
-// exchanges offline (cmd/dsud-replay drives both).
+// format (internal/codec), writes it to a .dstr file the query's flight
+// record names, and can replay or diff recorded exchanges offline
+// (cmd/dsud-replay drives both).
 //
 // Recording hooks in at the coordinator's one call path: a recorded
 // query's view hands every successful RPC to its Recorder, and an
@@ -97,7 +97,6 @@ type Recorder struct {
 	payload  []byte // reused protocol-message encode buffer
 	scratch  []byte // reused message-body encode buffer
 	ordinals []int64
-	messages int64
 }
 
 // NewRecorder starts a transcript for the query described by h. start
@@ -143,17 +142,6 @@ func (r *Recorder) RecordCall(site int, req *transport.Request, resp *transport.
 	m.Payload = r.payload
 	r.scratch = codec.AppendTranscriptMessage(r.scratch[:0], &m)
 	r.buf = codec.AppendTranscriptFrame(r.buf, codec.TranscriptMessageFrame, r.scratch)
-	r.messages += 2
-}
-
-// Messages returns how many messages have been captured so far.
-func (r *Recorder) Messages() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.messages
 }
 
 // Bytes seals the transcript — appending the summary frame when sum is
@@ -169,45 +157,22 @@ func (r *Recorder) Bytes(sum *codec.TranscriptSummary) []byte {
 	return r.buf
 }
 
-// Sink decides which queries get recorded and owns where transcripts
-// land: a directory of .dstr files plus the in-memory ring served at
-// /transcriptz. A nil *Sink records nothing.
+// Sink decides which queries get recorded and writes their transcripts
+// into a directory of .dstr files; the query's flight record names the
+// file. A nil *Sink records nothing.
 type Sink struct {
 	dir    string
 	sample float64
-	log    *Log
 	rng    atomic.Uint64
-	// recorded / dropped count sampling decisions, for /vars-style
-	// introspection via the log's Dump.
-	recorded atomic.Uint64
-	failed   atomic.Uint64
 }
 
-// NewSink returns a sink writing transcript files to dir (empty: keep
-// summaries in the ring only, discard the bytes unless forced to a
-// path), sampling the given fraction of queries (0 disables sampling;
-// on-demand recording via Arm(true) still works), and summarizing into
-// log (nil: no ring).
-func NewSink(dir string, sample float64, log *Log) *Sink {
-	s := &Sink{dir: dir, sample: sample, log: log}
+// NewSink returns a sink writing transcript files to dir, sampling the
+// given fraction of queries (0 disables sampling; forced recording via
+// ShouldRecord(true) still works).
+func NewSink(dir string, sample float64) *Sink {
+	s := &Sink{dir: dir, sample: sample}
 	s.rng.Store(uint64(time.Now().UnixNano()) | 1)
 	return s
-}
-
-// Log returns the sink's summary ring (nil-safe).
-func (s *Sink) Log() *Log {
-	if s == nil {
-		return nil
-	}
-	return s.log
-}
-
-// Dir returns the sink's transcript directory (nil-safe).
-func (s *Sink) Dir() string {
-	if s == nil {
-		return ""
-	}
-	return s.dir
 }
 
 // ShouldRecord makes the per-query sampling decision: true when forced
@@ -238,51 +203,19 @@ func (s *Sink) ShouldRecord(force bool) bool {
 	return float64(x>>11)/(1<<53) < s.sample
 }
 
-// Finish seals rec, writes the transcript file, and records a summary
-// in the ring. sum is nil when the query failed; qerr carries that
-// failure for the ring entry. Returns the file path ("" when the sink
-// has no directory). Nil-safe on both receiver and recorder.
-func (s *Sink) Finish(rec *Recorder, h *codec.TranscriptHeader, sum *codec.TranscriptSummary, qerr error) (string, error) {
+// Finish seals rec — with the summary frame when sum is non-nil (a
+// failed query has none) — and writes the transcript file, returning its
+// path. Nil-safe on both receiver and recorder.
+func (s *Sink) Finish(rec *Recorder, h *codec.TranscriptHeader, sum *codec.TranscriptSummary) (string, error) {
 	if s == nil || rec == nil {
 		return "", nil
 	}
-	data := rec.Bytes(sum)
-	entry := Summary{
-		QueryID:       h.QueryID,
-		Session:       h.Session,
-		Algorithm:     h.Algorithm,
-		Threshold:     h.Threshold,
-		StartUnixNano: h.StartUnixNano,
-		Messages:      rec.Messages(),
-		Bytes:         int64(len(data)),
+	if err := os.MkdirAll(s.dir, 0o755); err != nil {
+		return "", err
 	}
-	if sum != nil {
-		entry.Results = sum.Results
-		entry.ElapsedNS = sum.ElapsedNS
+	path := filepath.Join(s.dir, fmt.Sprintf("query-%016x-%d.dstr", h.QueryID, h.Session))
+	if err := os.WriteFile(path, rec.Bytes(sum), 0o644); err != nil {
+		return "", err
 	}
-	if qerr != nil {
-		entry.Error = qerr.Error()
-	}
-	var path string
-	var werr error
-	if s.dir != "" {
-		if werr = os.MkdirAll(s.dir, 0o755); werr == nil {
-			path = filepath.Join(s.dir, fmt.Sprintf("query-%016x-%d.dstr", h.QueryID, h.Session))
-			werr = os.WriteFile(path, data, 0o644)
-		}
-		if werr != nil {
-			path = ""
-			if entry.Error == "" {
-				entry.Error = werr.Error()
-			}
-		}
-	}
-	entry.Path = path
-	if werr != nil {
-		s.failed.Add(1)
-	} else {
-		s.recorded.Add(1)
-	}
-	s.log.Record(&entry)
-	return path, werr
+	return path, nil
 }
