@@ -52,7 +52,7 @@ func main() {
 		topk    = flag.Int("topk", 0, "return only the K most probable answers (0 = all)")
 		trace   = flag.Bool("trace", false, "print every protocol step")
 		stats   = flag.Bool("stats", false, "print the per-phase timing table after the query")
-		explain = flag.Bool("explain", false, "render the per-query explain report after the query: per-site contribution, phase breakdown and the ASCII delivery timeline")
+		explain = flag.Bool("explain", false, "render the per-query explain report after the query: per-site contribution and wait/service time, phase breakdown and the ASCII delivery timeline")
 
 		clusterStatus = flag.Bool("cluster-status", false, "probe every site's health over the wire, print a status table and exit")
 		watch         = flag.Bool("watch", false, "run as a watching coordinator: poll every site's status and serve /clusterz plus the cluster federation view on -debug-addr until interrupted (no query runs)")
@@ -63,11 +63,10 @@ func main() {
 		flightSize    = flag.Int("flight-size", 0, "flight-recorder ring capacity in query records (0 = default)")
 		record        = flag.String("record", "", "directory for a black-box transcript of this query: every coordinator<->site message is captured into a replayable .dstr file (consume with dsud-replay)")
 
-		debugAddr   = flag.String("debug-addr", "", "optional debug address serving /metrics, /vars, /healthz, /debug/flightz and /debug/pprof/")
-		traceExport = flag.String("trace-export", "", "write the merged cross-site timeline as Chrome trace-event JSON to this file (load in Perfetto or chrome://tracing)")
-		logLevel    = flag.String("log-level", "", "structured log level: debug|info|warn|error (empty = logging off)")
-		logFormat   = flag.String("log-format", "text", "structured log format: text|json")
-		slowQuery   = flag.Duration("slow-query", 0, "log queries at least this slow at Warn with a phase breakdown (0 = off; needs -log-level)")
+		debugAddr = flag.String("debug-addr", "", "optional debug address serving /metrics, /vars, /healthz, /debug/flightz and /debug/pprof/")
+		logLevel  = flag.String("log-level", "", "structured log level: debug|info|warn|error (empty = logging off)")
+		logFormat = flag.String("log-format", "text", "structured log format: text|json")
+		slowQuery = flag.Duration("slow-query", 0, "log queries at least this slow at Warn with a phase breakdown (0 = off; needs -log-level)")
 	)
 	flag.Parse()
 	if *addrs == "" || (!*clusterStatus && !*watch && *dims <= 0) {
@@ -213,13 +212,9 @@ func main() {
 		opts.Logger = logger
 		opts.SlowQuery = *slowQuery
 	}
-	if *traceExport != "" || *auditFraction > 0 || *explain || *record != "" {
-		// A caller-owned trace turns on sampling: every RPC carries the
-		// trace context and the sites' spans come back for the timeline.
-		// The auditor also needs it, for the query_id on its log records,
-		// -explain for its phase breakdown and cross-links, and -record
-		// for the query_id in the transcript header (the key that joins
-		// a .dstr file to its /debug/flightz record).
+	if *auditFraction > 0 {
+		// The auditor reads the query_id for its records from the
+		// caller's trace (QueryWithStats would attach a private one).
 		opts.Trace = dsq.NewTrace()
 	}
 	if *record != "" {
@@ -280,22 +275,6 @@ func main() {
 			fatalf("explain: %v", err)
 		}
 	}
-	if *traceExport != "" {
-		f, err := os.Create(*traceExport)
-		if err != nil {
-			fatalf("trace export: %v", err)
-		}
-		if err := qstats.Trace.WriteChromeTrace(f); err != nil {
-			f.Close()
-			fatalf("trace export: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("trace export: %v", err)
-		}
-		fmt.Printf("trace %s: %d spans (%d from sites) -> %s\n",
-			dsq.QueryID(qstats.Trace.TraceID), len(qstats.Trace.Timeline), qstats.Trace.SiteSpans(), *traceExport)
-	}
-
 	auditFailed := false
 	if *auditFraction > 0 {
 		auditor := dsq.NewAuditor(dsq.AuditConfig{

@@ -24,9 +24,10 @@ type (
 	Event = core.Event
 	// EventKind labels protocol steps.
 	EventKind = core.EventKind
-	// Trace collects one query's phase timings, event tallies and
-	// time-to-result latencies (attach via Options.Trace, or use
-	// Cluster.QueryWithStats). Safe to Summary() while the query runs.
+	// Trace collects one query's phase timings, event tallies,
+	// time-to-result latencies and per-site wait/service split (attach via
+	// Options.Trace, or use Cluster.QueryWithStats). Safe to Summary()
+	// while the query runs.
 	Trace = core.Trace
 	// TraceSummary is a point-in-time snapshot of a Trace.
 	TraceSummary = core.TraceSummary
@@ -40,12 +41,6 @@ type (
 	// histograms with Prometheus text and JSON exposition. Pass it to
 	// ClusterConfig.Metrics and serve Metrics.Handler() at /metrics.
 	Metrics = obs.Registry
-	// SpanRecord is one completed span on a cross-site timeline
-	// (TraceSummary.Timeline): coordinator phases and site-side work,
-	// clock-normalised into coordinator time, each carrying its slice of
-	// the bandwidth ledger. Export the whole timeline with
-	// TraceSummary.WriteChromeTrace (Perfetto-loadable JSON).
-	SpanRecord = obs.SpanRecord
 )
 
 // Protocol event kinds.
@@ -86,9 +81,10 @@ func NewTrace() *Trace { return core.NewTrace() }
 // NewMetrics returns an empty metrics registry.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
 
-// QueryID renders a trace identifier as the 16-hex-digit query_id used
-// to correlate coordinator logs, site logs and exported timelines.
-func QueryID(traceID uint64) string { return obs.QueryID(traceID) }
+// QueryID renders a query ID (a query's session ID) as the 16-hex-digit
+// query_id used to correlate coordinator logs, site logs and flight
+// records.
+func QueryID(id uint64) string { return obs.QueryID(id) }
 
 // NewLogger builds a structured logger writing to w in the given format
 // ("text" or "json") at the given minimum level. Attach it via

@@ -35,8 +35,12 @@ import (
 // carries candidates, its reply their factors), which a generation-4 site
 // would answer as one empty feedback tuple; generation 6 retired the
 // server-push frame types, which a generation-5 coordinator would send and
-// wait on forever. The frame layout is unchanged.
-const FrameVersion = 6
+// wait on forever; generation 7 retired the trace context (request mask
+// bit 5) and the span blob (response bit 6) for a payload-less Timed bit
+// and a fixed-width ServiceNS, and a generation-6 coordinator would have
+// every traced request refused as an unknown bit. The frame layout is
+// unchanged.
+const FrameVersion = 7
 
 // MuxMagic opens the handshake.
 var MuxMagic = [4]byte{0xD5, 'S', 'Q', '2'}

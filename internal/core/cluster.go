@@ -96,7 +96,7 @@ func (c *Cluster) recordFlight(o *observer, name string, rep *Report, err error,
 	}
 	opts := o.opts
 	rec := flight.Record{
-		QueryID:    opts.Trace.ID(),
+		QueryID:    o.qid,
 		Session:    o.sid,
 		Algorithm:  name,
 		Threshold:  opts.Threshold,
@@ -137,6 +137,9 @@ func (c *Cluster) recordFlight(o *observer, name string, rep *Report, err error,
 	}
 	if opts.Trace != nil {
 		sum := opts.Trace.Summary()
+		for i, st := range sum.Sites {
+			rec.AddSiteTime(i, st.CallNS-st.ServiceNS, st.ServiceNS)
+		}
 		for _, p := range Phases() {
 			if rec.NumPhases >= flight.MaxPhases {
 				break
@@ -264,23 +267,22 @@ func (c *Cluster) Close() error {
 
 // rpc is the coordinator's one call path to a site: every view's fan-outs
 // (queries, maintainers, Cluster.Partitions) and every health probe send
-// through it. On the calling goroutine, once each, it stamps v's
-// trace context on req, sleeps the cluster's simulated latency, makes the
+// through it. On the calling goroutine, once each, it marks req Timed when
+// v carries a trace, sleeps the cluster's simulated latency, makes the
 // call, times it and counts its outcome when the cluster is instrumented,
 // charges it to the cluster's meter and to v's own, records it into v's
-// transcript, and merges the site spans its response carries. A failed
-// call is timed and counted, never charged or recorded.
+// transcript, and adds the call's time and the site's ServiceNS into v's
+// trace. A failed call is timed and counted, never charged, recorded or
+// traced.
 //
-// A sampled trace's send/receive wall clocks bracket the whole call for
-// the clock-offset estimate used when merging the site spans. req is the
-// caller's alone (the retry transport copies it for its own Seq stamp).
+// An untraced, uninstrumented call reads no clock. req is the caller's
+// alone (the retry transport copies it for its own Seq stamp).
 func (v *view) rpc(ctx context.Context, i int, req *transport.Request) (*transport.Response, error) {
 	c := v.cluster
-	var sent, start time.Time
-	if req.Trace = v.tr.context(); req.Trace.Traced() {
-		sent = time.Now()
-	}
-	if c.rpcs != nil {
+	req.Timed = v.tr != nil
+	timed := req.Timed || c.rpcs != nil
+	var start time.Time
+	if timed {
 		start = time.Now()
 	}
 	err := sleep(ctx, c.latency)
@@ -289,8 +291,12 @@ func (v *view) rpc(ctx context.Context, i int, req *transport.Request) (*transpo
 	if err == nil {
 		resp, n, err = transport.CallBytes(c.clients[i], ctx, req)
 	}
+	var dur time.Duration
+	if timed {
+		dur = time.Since(start)
+	}
 	if c.rpcs != nil {
-		c.rpcs[i].Observe(req.Kind, time.Since(start), err)
+		c.rpcs[i].Observe(req.Kind, dur, err)
 	}
 	if err != nil {
 		return nil, err
@@ -306,8 +312,8 @@ func (v *view) rpc(ctx context.Context, i int, req *transport.Request) (*transpo
 		}
 	}
 	v.rec.RecordCall(i, req, resp, n)
-	if req.Trace.Traced() {
-		v.tr.mergeSiteBlob(i, resp.TraceBlob, sent, time.Now())
+	if req.Timed {
+		v.tr.addCall(i, dur, resp.ServiceNS)
 	}
 	return resp, nil
 }

@@ -152,8 +152,9 @@ func (c *Cluster) Query(ctx context.Context, opts Options) (*Report, error) {
 type QueryStats struct {
 	// Algorithm is the algorithm that executed (the default resolved).
 	Algorithm Algorithm
-	// Trace holds phase spans, event tallies, iteration count and the
-	// time-to-first/k-th-result series.
+	// Trace holds phase spans, event tallies, iteration count, the
+	// time-to-first/k-th-result series and the per-site wait/service
+	// split.
 	Trace TraceSummary
 	// Bandwidth is the tuple/message/byte cost of this query.
 	Bandwidth transport.Snapshot

@@ -73,9 +73,9 @@ type Options struct {
 	// and time-to-result latencies for this query. Run resets it at query
 	// start; read Trace.Summary during or after the run. Purely
 	// observational — a nil Trace costs one pointer test per span site.
-	// When set, every RPC the query issues carries the trace context and
-	// the sites' piggybacked spans are merged into one cross-site
-	// timeline (Summary().Timeline).
+	// When set, every RPC the query issues is Timed: the sites stamp
+	// their handling time on the replies, and Summary().Sites splits each
+	// site's calls into wait and service time.
 	Trace *Trace
 	// Logger, when non-nil, receives one structured record per query
 	// (Info on completion, Error on failure), correlated with site logs

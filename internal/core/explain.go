@@ -13,11 +13,12 @@ import (
 
 // WriteExplain renders a per-query explain report: identity header,
 // ASCII delivery timeline from the curve digest, per-site contribution
-// table (delivered / shipped / pruned), the per-phase timing breakdown,
-// and the query_id cross-link into the flight recorder and exported
-// trace timelines. stats may be nil (the query_id, the algorithm of a
-// protocol round and the phase breakdown are then unknown); rep must come
-// from a completed query.
+// table (delivered / shipped / pruned, and with stats each site's wait and
+// service time), the per-phase timing breakdown, and the query_id
+// cross-link into the flight recorder and the sites' request logs. stats
+// may be nil (the query_id, the algorithm of a protocol round, the time
+// split and the phase breakdown are then unknown); rep must come from a
+// completed query.
 func WriteExplain(w io.Writer, rep *Report, stats *QueryStats) error {
 	if rep == nil || rep.Curve == nil {
 		return errors.New("explain: no completed report")
@@ -26,7 +27,7 @@ func WriteExplain(w io.Writer, rep *Report, stats *QueryStats) error {
 	var qid uint64
 	algo := rep.Source.String()
 	if stats != nil {
-		qid = stats.Trace.TraceID
+		qid = stats.Trace.QueryID
 		if rep.Source == SourceProtocol {
 			algo = stats.Algorithm.String()
 		}
@@ -57,7 +58,7 @@ func WriteExplain(w io.Writer, rep *Report, stats *QueryStats) error {
 
 	fmt.Fprintf(w, "\nper-site contribution:\n")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "site\tdelivered\tshipped\tpruned")
+	fmt.Fprintln(tw, "site\tdelivered\tshipped\tpruned\twait\tservice")
 	sites := len(rep.PerSite)
 	if int(d.Sites) > sites {
 		sites = int(d.Sites)
@@ -71,10 +72,15 @@ func WriteExplain(w io.Writer, rep *Report, stats *QueryStats) error {
 		if i < progress.MaxSites {
 			delivered = fmt.Sprintf("%d", d.PerSite[i])
 		}
-		fmt.Fprintf(tw, "%d\t%s\t%d\t%d\n", i, delivered, shipped, pruned)
+		wait, service := "-", "-"
+		if stats != nil && i < len(stats.Trace.Sites) {
+			st := stats.Trace.Sites[i]
+			wait, service = fmtNano(st.CallNS-st.ServiceNS), fmtNano(st.ServiceNS)
+		}
+		fmt.Fprintf(tw, "%d\t%s\t%d\t%d\t%s\t%s\n", i, delivered, shipped, pruned, wait, service)
 	}
 	if d.SitesTruncated {
-		fmt.Fprintf(tw, "(delivered counts beyond site %d folded into the last row)\t\t\t\n", progress.MaxSites-1)
+		fmt.Fprintf(tw, "(delivered counts beyond site %d folded into the last row)\t\t\t\t\t\n", progress.MaxSites-1)
 	}
 	if err := tw.Flush(); err != nil {
 		return err
@@ -87,7 +93,7 @@ func WriteExplain(w io.Writer, rep *Report, stats *QueryStats) error {
 		}
 	}
 
-	_, err := fmt.Fprintf(w, "\ncross-link: query_id %s indexes /debug/flightz records and -trace-export timelines\n",
+	_, err := fmt.Fprintf(w, "\ncross-link: query_id %s indexes /debug/flightz records and the sites' request logs\n",
 		obs.QueryID(qid))
 	return err
 }

@@ -235,6 +235,18 @@ func TestWriteExplain(t *testing.T) {
 			t.Errorf("explain output missing %q:\n%s", want, out)
 		}
 	}
+	// QueryWithStats traces the query, so every site row ends in its wait
+	// and service time.
+	table := out[strings.Index(out, "per-site contribution:"):]
+	rows := strings.Split(table[:strings.Index(table, "\n\n")], "\n")[1:]
+	if len(rows) != 1+len(parts) || strings.Join(strings.Fields(rows[0]), " ") != "site delivered shipped pruned wait service" {
+		t.Fatalf("per-site table %q", rows)
+	}
+	for _, row := range rows[1:] {
+		if f := strings.Fields(row); len(f) != 6 || f[5] == "-" {
+			t.Errorf("site row without a service time: %q", row)
+		}
+	}
 	last := 0
 	seen := 0
 	for _, line := range strings.Split(out, "\n") {

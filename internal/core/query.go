@@ -39,7 +39,7 @@ func Run(ctx context.Context, c *Cluster, opts Options) (*Report, error) {
 	}
 	start := time.Now()
 	sid := c.nextSession()
-	opts.Trace.begin(start)
+	opts.Trace.begin(start, sid)
 	defer opts.Trace.finish()
 	v := c.newView(opts.Trace, sid, transport.Query{
 		Threshold: opts.Threshold,
@@ -50,7 +50,7 @@ func Run(ctx context.Context, c *Cluster, opts Options) (*Report, error) {
 	// When profiling (obs.SetProfiling), attribute samples on the
 	// coordinator goroutine — and everything a broadcast spawns — to
 	// (algorithm, phase, query_id). Nil and free otherwise.
-	o := &observer{c: c, opts: &opts, sid: sid, start: start, meter: v.meter,
+	o := &observer{c: c, opts: &opts, qid: sid, sid: sid, start: start, meter: v.meter,
 		labels: newProfLabels(ctx, opts.Algorithm, sid)}
 	defer o.labels.exit()
 
@@ -104,6 +104,7 @@ func Run(ctx context.Context, c *Cluster, opts Options) (*Report, error) {
 type observer struct {
 	c      *Cluster
 	opts   *Options
+	qid    uint64 // the query_id: the session ID, or for a served read one drawn beside them
 	sid    uint64 // 0 for served reads: no site session
 	start  time.Time
 	meter  *transport.Meter // nil for served reads: no traffic to count
@@ -186,14 +187,14 @@ func (o *observer) finish(rep *Report, err error) (*Report, error) {
 			c.winFirst.Observe(time.Duration(ttf))
 		}
 	}
-	opts.logQuery(rep, err, elapsed)
+	opts.logQuery(o.qid, rep, err, elapsed)
 	var path string
 	var werr error
 	if o.recorder != nil {
 		// A failed query seals what was captured with no summary frame: a
 		// truncated transcript still shows how far the exchange got.
 		if path, werr = c.transcripts.Finish(o.recorder, o.header, transcriptSummary(rep)); werr != nil && opts.Logger != nil {
-			opts.Logger.Warn("transcript not written", "query_id", obs.QueryID(opts.Trace.ID()), "err", werr)
+			opts.Logger.Warn("transcript not written", "query_id", obs.QueryID(o.qid), "err", werr)
 		}
 	}
 	c.recordFlight(o, name, rep, err, elapsed, path, werr)
@@ -202,14 +203,14 @@ func (o *observer) finish(rep *Report, err error) (*Report, error) {
 
 // logQuery emits the query's structured log record: Error on failure,
 // Warn with the per-phase breakdown when the query crossed the
-// SlowQuery threshold, Info otherwise. query_id matches the trace
-// context on every RPC and the sites' request logs. No-op without a
-// logger.
-func (o Options) logQuery(rep *Report, err error, elapsed time.Duration) {
+// SlowQuery threshold, Info otherwise. query_id is the session every RPC
+// of the query carries, so it matches the sites' request logs. No-op
+// without a logger.
+func (o Options) logQuery(id uint64, rep *Report, err error, elapsed time.Duration) {
 	if o.Logger == nil {
 		return
 	}
-	qid := obs.QueryID(o.Trace.ID())
+	qid := obs.QueryID(id)
 	if err != nil {
 		o.Logger.Error("query failed",
 			"query_id", qid, "algorithm", o.Algorithm.String(),

@@ -17,10 +17,11 @@ import (
 func (c *Cluster) SetTranscriptSink(s *transcript.Sink) { c.transcripts = s }
 
 // transcriptHeader builds the transcript's query-identity frame from
-// resolved options (algorithm defaulted, trace begun).
+// resolved options (algorithm defaulted). A protocol round's query ID is
+// its session ID.
 func transcriptHeader(opts *Options, sid uint64, start time.Time, sites, dims int) *codec.TranscriptHeader {
 	h := &codec.TranscriptHeader{
-		QueryID:        opts.Trace.ID(),
+		QueryID:        sid,
 		Session:        sid,
 		Algorithm:      uint8(opts.Algorithm),
 		Policy:         uint8(opts.Policy),

@@ -222,7 +222,7 @@ func TestClusterLatencyDelaysEachCall(t *testing.T) {
 }
 
 // Everything the call path does, checked at once over TCP with metrics,
-// a sampled trace and recording all on: the transcript holds exactly the
+// a trace and recording all on: the transcript holds exactly the
 // calls the query's meter charged and their wire bytes, the query's meter
 // equals the cluster meter's delta over it, and the rpc counters count
 // exactly the messages the cluster meter did — maintainer updates and
@@ -266,8 +266,14 @@ func TestOneCallPathAccountsEveryRPC(t *testing.T) {
 	if got := cluster.Meter().Snapshot().Sub(before); got != rep.Bandwidth {
 		t.Errorf("cluster meter moved %+v over the query, report says %+v", got, rep.Bandwidth)
 	}
-	if trace.Summary().SiteSpans() == 0 {
-		t.Error("the sampled trace merged no site spans")
+	if sites := trace.Summary().Sites; len(sites) != m {
+		t.Errorf("the trace timed calls to %d sites, want %d", len(sites), m)
+	} else {
+		for i, st := range sites {
+			if st.ServiceNS <= 0 {
+				t.Errorf("site %d: the trace holds ServiceNS %d, want > 0", i, st.ServiceNS)
+			}
+		}
 	}
 
 	maint, err := NewMaintainer(ctx, cluster, Options{Threshold: 0.3})

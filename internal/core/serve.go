@@ -232,9 +232,10 @@ func (s *Server) Query(ctx context.Context, opts Options) (*Report, error) {
 		opts.Logger = s.cluster.logger
 	}
 	start := time.Now()
-	opts.Trace.begin(start)
+	qid := s.cluster.nextSession()
+	opts.Trace.begin(start, qid)
 	defer opts.Trace.finish()
-	o := observer{c: s.cluster, opts: &opts, start: start}
+	o := observer{c: s.cluster, opts: &opts, qid: qid, start: start}
 
 	source := SourceMaterialized
 	if s.store.Fresh(start, s.maxStale) {

@@ -143,7 +143,7 @@ func TestServedReadReachesQuerySinks(t *testing.T) {
 	if fr.Total() != 1 {
 		t.Fatalf("flight recorder holds %d records after a served read, want 1", fr.Total())
 	}
-	if r := fr.Snapshot()[0]; r.Algorithm != "materialized" || r.Results != len(rep.Skyline) || r.Session != 0 || r.Messages != 0 {
+	if r := fr.Snapshot()[0]; r.Algorithm != "materialized" || r.Results != len(rep.Skyline) || r.Session != 0 || r.QueryID == 0 || r.Messages != 0 {
 		t.Errorf("served flight record %+v", r)
 	}
 	if d := fr.Snapshot()[0].Curve; d == nil || int(d.Results) != len(rep.Skyline) || d.TuplesTotal != 0 {

@@ -8,8 +8,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"repro/internal/codec"
-	"repro/internal/obs"
 	"repro/internal/round"
 )
 
@@ -45,47 +43,36 @@ type Trace struct {
 	// arrival order — the raw series behind time-to-first / time-to-k-th.
 	reports []time.Duration
 
-	// Distributed-tracing state. traceID identifies the query on the
-	// wire; rootID is the coordinator's root span, under which both
-	// coordinator phase spans and site spans hang. timeline accumulates
-	// completed spans — coordinator spans as they End, site spans as
-	// their batches are merged (already normalised into the
-	// coordinator's clock). seen dedups replayed batches (the retry
-	// transport can deliver one response twice); offsets keeps the last
-	// estimated clock offset per site.
-	traceID  uint64
-	rootID   uint64
-	timeline []obs.SpanRecord
-	seen     map[spanKey]struct{}
-	offsets  map[int]time.Duration
-	dropped  int
-	badBlobs int
+	// queryID is the query's session ID (see begin); sites holds, per
+	// site, the time its calls took at the coordinator and at the site.
+	queryID uint64
+	sites   []SiteTime
 }
 
-// openSpan is one phase interval in flight: wall0 is when it opened, t0
-// when its clock last started, acc what the clock had accrued by then.
+// openSpan is one phase interval in flight: t0 is when its clock last
+// started, acc what the clock had accrued by then.
 type openSpan struct {
-	phase     Phase
-	wall0, t0 time.Time
-	acc       time.Duration
+	phase Phase
+	t0    time.Time
+	acc   time.Duration
 }
 
-// spanKey identifies one site span for deduplication.
-type spanKey struct {
-	site int
-	id   uint64
+// SiteTime splits the time a query's calls to one site took. CallNS sums
+// each call as the coordinator timed it, simulated latency included;
+// ServiceNS sums the handling time the site stamped on the replies.
+// CallNS − ServiceNS is the time spent on the way there and back.
+type SiteTime struct {
+	CallNS    int64
+	ServiceNS int64
 }
-
-// maxTimelineSpans bounds per-query span memory; beyond it spans are
-// counted in DroppedSpans instead of stored.
-const maxTimelineSpans = 16384
 
 // NewTrace returns an empty trace ready to attach to Options.Trace.
 func NewTrace() *Trace { return &Trace{} }
 
 // begin (re)arms the trace at query start. Reuse across queries is safe:
-// each Run wipes the previous query's data.
-func (t *Trace) begin(start time.Time) {
+// each Run wipes the previous query's data. queryID is the query's session
+// ID, the query_id its log records, flight record and site requests carry.
+func (t *Trace) begin(start time.Time, queryID uint64) {
 	if t == nil {
 		return
 	}
@@ -99,13 +86,8 @@ func (t *Trace) begin(start time.Time) {
 	t.tally = round.Tally{}
 	t.open = t.open[:0]
 	t.reports = t.reports[:0]
-	t.traceID = obs.NewSpanID()
-	t.rootID = obs.NewSpanID()
-	t.timeline = t.timeline[:0]
-	t.seen = nil
-	t.offsets = nil
-	t.dropped = 0
-	t.badBlobs = 0
+	t.queryID = queryID
+	t.sites = t.sites[:0]
 }
 
 // finish stamps the query end time.
@@ -120,9 +102,7 @@ func (t *Trace) finish() {
 
 // step ingests one step of the query (the subscriber side of the round
 // engine's stream). A phase's Total is the time it was the innermost open
-// phase: a nested begin stops the outer clock and its end restarts it,
-// while the timeline span keeps the whole wall interval (the timeline
-// shows when the phase was open; the totals show attributable work).
+// phase: a nested begin stops the outer clock and its end restarts it.
 func (t *Trace) step(s round.Step) {
 	if t == nil {
 		return
@@ -140,20 +120,12 @@ func (t *Trace) step(s round.Step) {
 		if last >= 0 {
 			t.open[last].acc += now.Sub(t.open[last].t0)
 		}
-		t.open = append(t.open, openSpan{phase: s.Phase, wall0: now, t0: now})
+		t.open = append(t.open, openSpan{phase: s.Phase, t0: now})
 	case round.StepEnd:
 		sp := t.open[last]
 		t.open = t.open[:last]
 		t.phases[sp.phase].Spans++
 		t.phases[sp.phase].Total += sp.acc + now.Sub(sp.t0)
-		t.record(obs.SpanRecord{
-			ID:     obs.NewSpanID(),
-			Parent: t.rootID,
-			Name:   sp.phase.String(),
-			Site:   obs.CoordinatorSite,
-			Start:  sp.wall0.UnixNano(),
-			End:    now.UnixNano(),
-		})
 		if last > 0 {
 			t.open[last-1].t0 = now
 		}
@@ -168,97 +140,29 @@ func (t *Trace) step(s round.Step) {
 	}
 }
 
-// record appends one completed span to the timeline. Called with t.mu
-// held.
-func (t *Trace) record(r obs.SpanRecord) {
-	if len(t.timeline) >= maxTimelineSpans {
-		t.dropped++
-		return
-	}
-	t.timeline = append(t.timeline, r)
-}
-
-// context returns the trace context to stamp on outgoing RPCs. Nil-safe:
-// a nil (or unstarted) trace yields the unsampled zero value, so the
-// request path pays one pointer test and no allocation.
-func (t *Trace) context() obs.TraceContext {
+// addCall charges one timed call to site i: call as the coordinator
+// timed it, serviceNS as the site stamped it on the reply.
+func (t *Trace) addCall(i int, call time.Duration, serviceNS int64) {
 	if t == nil {
-		return obs.TraceContext{}
+		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.started {
-		return obs.TraceContext{}
+	for len(t.sites) <= i {
+		t.sites = append(t.sites, SiteTime{})
 	}
-	return obs.TraceContext{TraceID: t.traceID, Parent: t.rootID, Sampled: true}
+	t.sites[i].CallNS += int64(call)
+	t.sites[i].ServiceNS += serviceNS
 }
 
-// ID returns the query's trace identifier (0 for nil or unstarted).
+// ID returns the query's ID (0 for nil or unstarted).
 func (t *Trace) ID() uint64 {
 	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.traceID
-}
-
-// mergeSiteBlob decodes a piggybacked span batch and merges it. Corrupt
-// blobs are counted, never fatal: tracing must not fail a query.
-func (t *Trace) mergeSiteBlob(site int, blob []byte, sent, recv time.Time) {
-	if t == nil || len(blob) == 0 {
-		return
-	}
-	batch, err := codec.DecodeSpanBatch(blob)
-	if err != nil || batch == nil {
-		t.mu.Lock()
-		t.badBlobs++
-		t.mu.Unlock()
-		return
-	}
-	t.MergeSiteSpans(site, batch, sent, recv)
-}
-
-// MergeSiteSpans folds one site's completed spans into the trace,
-// normalising the site's clock into the coordinator's: the batch's
-// SiteClock (site time at encode) is paired with the coordinator's
-// send/receive timestamps around the carrying RPC, and the NTP-style
-// midpoint estimate offset = SiteClock − (sent+recv)/2 is subtracted
-// from every span. Offsets of either sign are handled, batches from a
-// different trace (stale retries) are dropped, replayed spans are
-// deduplicated by (site, span ID), and merging after the query has
-// finished still lands the spans — late batches must not be lost.
-// Nil-safe.
-func (t *Trace) MergeSiteSpans(site int, batch *obs.SpanBatch, sent, recv time.Time) {
-	if t == nil || batch == nil {
-		return
-	}
-	mid := sent.UnixNano() + recv.Sub(sent).Nanoseconds()/2
-	offset := batch.SiteClock - mid
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if batch.Ctx.TraceID != 0 && batch.Ctx.TraceID != t.traceID {
-		t.dropped += len(batch.Spans)
-		return
-	}
-	if t.offsets == nil {
-		t.offsets = make(map[int]time.Duration)
-	}
-	t.offsets[site] = time.Duration(offset)
-	if t.seen == nil {
-		t.seen = make(map[spanKey]struct{})
-	}
-	for _, s := range batch.Spans {
-		key := spanKey{site: site, id: s.ID}
-		if _, dup := t.seen[key]; dup {
-			continue
-		}
-		t.seen[key] = struct{}{}
-		s.Site = site // the coordinator's numbering is authoritative
-		s.Start -= offset
-		s.End -= offset
-		t.record(s)
-	}
+	return t.queryID
 }
 
 // TraceSummary is a point-in-time copy of a Trace. Phase totals need not
@@ -283,33 +187,12 @@ type TraceSummary struct {
 	// result, in arrival order.
 	ReportTimes []time.Duration
 
-	// TraceID is the query's wire-level trace identifier, as carried in
-	// every RPC's trace context and every correlated log record.
-	TraceID uint64
-	// Timeline holds every completed span — the root query span, the
-	// coordinator's phase spans (Site == obs.CoordinatorSite) and the
-	// merged site spans (Site >= 0, clock-normalised into coordinator
-	// time) — sorted by start time. Empty unless the trace was sampled.
-	Timeline []obs.SpanRecord
-	// ClockOffsets holds the last NTP-style clock-offset estimate per
-	// site (site clock minus coordinator clock; negative when the site's
-	// clock runs behind).
-	ClockOffsets map[int]time.Duration
-	// DroppedSpans counts spans discarded by the timeline cap or by
-	// stale-trace filtering; BadBlobs counts undecodable span batches.
-	DroppedSpans int
-	BadBlobs     int
-}
-
-// SiteSpans returns how many timeline spans originated at local sites.
-func (s TraceSummary) SiteSpans() int {
-	n := 0
-	for _, sp := range s.Timeline {
-		if sp.Site >= 0 {
-			n++
-		}
-	}
-	return n
+	// QueryID is the query's session ID, as carried by every request it
+	// sends and every log record it writes.
+	QueryID uint64
+	// Sites holds, per site index, the time the query's calls took at the
+	// coordinator and at the site.
+	Sites []SiteTime
 }
 
 // Summary snapshots the trace. Safe to call while the query runs.
@@ -320,14 +203,13 @@ func (t *Trace) Summary() TraceSummary {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := TraceSummary{
-		Done:         !t.end.IsZero(),
-		Iterations:   t.tally.Iterations,
-		PrunedLocal:  t.tally.PrunedLocal,
-		Events:       make(map[EventKind]int, len(t.tallies)),
-		ReportTimes:  append([]time.Duration(nil), t.reports...),
-		TraceID:      t.traceID,
-		DroppedSpans: t.dropped,
-		BadBlobs:     t.badBlobs,
+		Done:        !t.end.IsZero(),
+		Iterations:  t.tally.Iterations,
+		PrunedLocal: t.tally.PrunedLocal,
+		Events:      make(map[EventKind]int, len(t.tallies)),
+		ReportTimes: append([]time.Duration(nil), t.reports...),
+		QueryID:     t.queryID,
+		Sites:       append([]SiteTime(nil), t.sites...),
 	}
 	copy(s.Phases[:], t.phases[:])
 	for k, n := range t.tallies {
@@ -339,28 +221,6 @@ func (t *Trace) Summary() TraceSummary {
 		s.Elapsed = t.end.Sub(t.start)
 	default:
 		s.Elapsed = time.Since(t.start)
-	}
-	if t.started && (len(t.timeline) > 0 || s.Done) {
-		rootEnd := t.end
-		if rootEnd.IsZero() {
-			rootEnd = time.Now()
-		}
-		s.Timeline = make([]obs.SpanRecord, 0, len(t.timeline)+1)
-		s.Timeline = append(s.Timeline, obs.SpanRecord{
-			ID:    t.rootID,
-			Name:  "query",
-			Site:  obs.CoordinatorSite,
-			Start: t.start.UnixNano(),
-			End:   rootEnd.UnixNano(),
-		})
-		s.Timeline = append(s.Timeline, t.timeline...)
-		sort.SliceStable(s.Timeline, func(i, j int) bool { return s.Timeline[i].Start < s.Timeline[j].Start })
-	}
-	if len(t.offsets) > 0 {
-		s.ClockOffsets = make(map[int]time.Duration, len(t.offsets))
-		for site, off := range t.offsets {
-			s.ClockOffsets[site] = off
-		}
 	}
 	return s
 }

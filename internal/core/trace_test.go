@@ -261,13 +261,14 @@ func TestConcurrentTracesNeverInterleave(t *testing.T) {
 // no-op everywhere.
 func TestNilTraceIsInert(t *testing.T) {
 	var tr *Trace
-	tr.begin(time.Now())
+	tr.begin(time.Now(), 7)
 	tr.step(round.Step{Kind: round.StepBegin, Phase: PhaseToServer})
 	tr.step(round.Step{Event: Event{Kind: EventReport}})
 	tr.step(round.Step{Kind: round.StepEnd, Phase: PhaseToServer})
+	tr.addCall(0, time.Millisecond, 1)
 	tr.finish()
 	sum := tr.Summary()
-	if sum.Elapsed != 0 || len(sum.Events) != 0 {
+	if sum.Elapsed != 0 || len(sum.Events) != 0 || sum.QueryID != 0 || len(sum.Sites) != 0 {
 		t.Fatalf("nil trace summary not empty: %+v", sum)
 	}
 }
@@ -277,7 +278,7 @@ func TestNilTraceIsInert(t *testing.T) {
 // phase's clock.
 func TestSpanPauseExcludesForeignWork(t *testing.T) {
 	tr := NewTrace()
-	tr.begin(time.Now())
+	tr.begin(time.Now(), 1)
 	tr.step(round.Step{Kind: round.StepBegin, Phase: PhaseFeedbackSelect})
 	tr.step(round.Step{Kind: round.StepBegin, Phase: PhaseToServer})
 	time.Sleep(20 * time.Millisecond) // foreign work, must not be charged
@@ -293,5 +294,36 @@ func TestSpanPauseExcludesForeignWork(t *testing.T) {
 	}
 	if got := sum.Phases[PhaseToServer].Total; got < 20*time.Millisecond {
 		t.Fatalf("nested phase charged %v, want the whole sleep", got)
+	}
+}
+
+// An untraced query's per-step trace hooks are free: a nil trace takes
+// phase steps and call timings without allocating.
+func TestUnsampledZeroAllocations(t *testing.T) {
+	var tr *Trace // nil trace = no timing
+	if allocs := testing.AllocsPerRun(100, func() {
+		tr.step(round.Step{Kind: round.StepBegin, Phase: PhaseToServer})
+		tr.step(round.Step{Kind: round.StepEnd, Phase: PhaseToServer})
+		tr.addCall(1, time.Millisecond, 1)
+	}); allocs != 0 {
+		t.Fatalf("untraced span path allocates %v per run", allocs)
+	}
+}
+
+// Reusing one Trace across queries resets the query ID and the per-site
+// time split along with everything else.
+func TestTraceReuseResets(t *testing.T) {
+	tr := NewTrace()
+	tr.begin(time.Now(), 41)
+	tr.addCall(2, 3*time.Millisecond, 1_000_000)
+	tr.finish()
+	if sum := tr.Summary(); sum.QueryID != 41 || len(sum.Sites) != 3 ||
+		sum.Sites[2] != (SiteTime{CallNS: 3_000_000, ServiceNS: 1_000_000}) {
+		t.Fatalf("first query's summary: %+v", sum)
+	}
+
+	tr.begin(time.Now(), 42)
+	if sum := tr.Summary(); sum.QueryID != 42 || len(sum.Sites) != 0 {
+		t.Fatalf("stale state survived reuse: %+v", sum)
 	}
 }

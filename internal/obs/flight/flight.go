@@ -72,6 +72,12 @@ type SiteCost struct {
 	// Pruned counts local skyline tuples the site discarded under
 	// Observation-2 feedback pruning.
 	Pruned int64 `json:"pruned"`
+	// WaitNS and ServiceNS split a traced query's calls to the site: the
+	// time the site spent handling them, and the rest of what the
+	// coordinator waited (network, queueing, simulated latency). Zero
+	// when the query ran untraced.
+	WaitNS    int64 `json:"wait_ns,omitempty"`
+	ServiceNS int64 `json:"service_ns,omitempty"`
 }
 
 // PhaseSummary is one protocol phase's span tally for a query.
@@ -86,8 +92,10 @@ type PhaseSummary struct {
 // reference constants or pre-built values, and Curve points at a digest
 // that is never written again.
 type Record struct {
-	// QueryID is the wire-level trace/query identifier (0 when the query
-	// ran untraced); Session is the per-site session ID.
+	// QueryID is the query's ID, the query_id of its log records: its
+	// session ID, or for a served read (which opens no session, so
+	// Session is 0) one drawn from the same sequence. Session is the
+	// per-site session ID.
 	QueryID uint64 `json:"query_id,omitempty"`
 	Session uint64 `json:"session,omitempty"`
 	// Algorithm is the algorithm's wire name ("e-dsud", ...). Empty for
@@ -148,15 +156,31 @@ type Record struct {
 // AddSiteCost accumulates a site's shipped/pruned delta into the bounded
 // per-site array, folding overflow sites into the last slot.
 func (r *Record) AddSiteCost(site int, shipped, pruned int64) {
+	if c := r.siteCost(site); c != nil {
+		c.Shipped += shipped
+		c.Pruned += pruned
+	}
+}
+
+// AddSiteTime accumulates a site's wait/service split the same way.
+func (r *Record) AddSiteTime(site int, waitNS, serviceNS int64) {
+	if c := r.siteCost(site); c != nil {
+		c.WaitNS += waitNS
+		c.ServiceNS += serviceNS
+	}
+}
+
+// siteCost returns the slot site accumulates into (nil for a negative
+// site).
+func (r *Record) siteCost(site int) *SiteCost {
 	if site < 0 {
-		return
+		return nil
 	}
 	if site >= MaxSites {
 		site = MaxSites - 1
 		r.SitesTruncated = true
 	}
-	r.PerSite[site].Shipped += shipped
-	r.PerSite[site].Pruned += pruned
+	return &r.PerSite[site]
 }
 
 // slot is one ring entry: a sequence-stamped Record behind its own lock

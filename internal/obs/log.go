@@ -1,7 +1,7 @@
 // Structured logging. The repository standardises on log/slog; this file
 // only adds the small amount of glue the daemons share: level/format flag
 // parsing, a constructor, and the convention that per-request /
-// per-query records are keyed by query_id (the trace ID rendered as hex)
+// per-query records are keyed by query_id (the session ID rendered as hex)
 // so one grep stitches coordinator and site logs together.
 package obs
 
@@ -45,12 +45,13 @@ func NewLogger(w io.Writer, format string, level slog.Level) (*slog.Logger, erro
 	}
 }
 
-// QueryID renders a trace ID the way every log record spells it: 16 hex
+// QueryID renders a query ID (the query's session ID, which every request
+// of the query carries) the way every log record spells it: 16 hex
 // digits, zero-padded, so coordinator and site logs join on the exact
 // same string.
-func QueryID(traceID uint64) string {
+func QueryID(id uint64) string {
 	const digits = 16
-	s := strconv.FormatUint(traceID, 16)
+	s := strconv.FormatUint(id, 16)
 	if len(s) >= digits {
 		return s
 	}

@@ -4,66 +4,8 @@ import (
 	"bytes"
 	"log/slog"
 	"strings"
-	"sync"
 	"testing"
 )
-
-func TestNewSpanIDUniqueNonZero(t *testing.T) {
-	const n = 2000
-	var mu sync.Mutex
-	seen := make(map[uint64]bool, 4*n)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ids := make([]uint64, n)
-			for i := range ids {
-				ids[i] = NewSpanID()
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			for _, id := range ids {
-				if id == 0 {
-					t.Error("zero span ID")
-				}
-				if seen[id] {
-					t.Errorf("duplicate span ID %d", id)
-				}
-				seen[id] = true
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-func TestTraceContextTraced(t *testing.T) {
-	cases := []struct {
-		tc   TraceContext
-		want bool
-	}{
-		{TraceContext{}, false},
-		{TraceContext{TraceID: 1}, false},
-		{TraceContext{Sampled: true}, false},
-		{TraceContext{TraceID: 1, Sampled: true}, true},
-	}
-	for _, c := range cases {
-		if got := c.tc.Traced(); got != c.want {
-			t.Errorf("Traced(%+v) = %v", c.tc, got)
-		}
-	}
-}
-
-func TestSpanRecordDuration(t *testing.T) {
-	if d := (SpanRecord{Start: 100, End: 350}).Duration(); d != 250 {
-		t.Fatalf("duration %d", d)
-	}
-	// A span whose clock stepped backwards clamps to zero rather than
-	// reporting negative time.
-	if d := (SpanRecord{Start: 100, End: 50}).Duration(); d != 0 {
-		t.Fatalf("backwards span duration %d, want 0", d)
-	}
-}
 
 func TestQueryID(t *testing.T) {
 	if got := QueryID(0xabc); got != "0000000000000abc" {

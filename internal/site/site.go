@@ -47,9 +47,6 @@ type session struct {
 	// the session ends.
 	shipped int
 	start   int64 // UnixNano
-	// queryID is the trace-derived query identifier the session was
-	// initialised under (0 = untraced), for flight-record correlation.
-	queryID uint64
 }
 
 // Engine is one local site. It implements transport.Handler so it can be
@@ -85,9 +82,6 @@ type Engine struct {
 	// obsSkyBuilds counts cold local-skyline searches (skyIndex.build).
 	obsSkyBuilds *obs.Counter
 
-	// cur collects the spans of the in-flight sampled request (nil for
-	// untraced requests; e.mu serialises dispatch, so one slot suffices).
-	cur *reqTrace
 	// logger and slowReq drive per-request structured logging; see
 	// SetLogger. Nil logger = no logging.
 	logger  *slog.Logger
@@ -353,14 +347,10 @@ func (e *Engine) handleInit(req *transport.Request) (*transport.Response, error)
 	if _, exists := e.sessions[req.Session]; !exists && len(e.sessions) >= MaxSessions {
 		return nil, fmt.Errorf("site %d: session limit (%d) reached", e.id, MaxSessions)
 	}
-	sp := e.startSpan("prtree-search")
-	sky := slices.Clone(e.localSkyline(req.Query.Threshold, req.Query.Dims))
-	sp.end(int64(len(sky)), 0)
 	e.sessions[req.Session] = &session{
-		query:   req.Query,
-		sky:     sky,
-		start:   time.Now().UnixNano(),
-		queryID: req.Trace.TraceID,
+		query: req.Query,
+		sky:   slices.Clone(e.localSkyline(req.Query.Threshold, req.Query.Dims)),
+		start: time.Now().UnixNano(),
 	}
 	return e.handleNext(req)
 }
@@ -390,7 +380,7 @@ func (e *Engine) recordSession(id uint64, s *session) {
 		return
 	}
 	rec := flight.Record{
-		QueryID:     s.queryID,
+		QueryID:     id, // the coordinator's query ID is the session ID
 		Session:     id,
 		Threshold:   s.query.Threshold,
 		Start:       s.start,
@@ -430,12 +420,9 @@ func (e *Engine) handleEvaluate(req *transport.Request) (*transport.Response, er
 	if s != nil {
 		dims = s.query.Dims
 	}
-	cp := e.startSpan("cross-prob")
 	cross := e.index.CrossSkyProb(feed.Tuple, dims)
-	cp.end(0, 0)
 	pruned := 0
 	if s != nil && !s.query.NoPrune && len(s.sky) > 0 {
-		sp := e.startSpan("obs2-prune")
 		homeFactor := feed.HomeLocalProb / feed.Tuple.Prob * (1 - feed.Tuple.Prob)
 		kept := s.sky[:0]
 		for _, cand := range s.sky {
@@ -449,7 +436,6 @@ func (e *Engine) handleEvaluate(req *transport.Request) (*transport.Response, er
 		s.sky = kept
 		s.pruned += pruned
 		e.obsPruned.Add(int64(pruned))
-		sp.end(int64(pruned), 0)
 	}
 	resp := &transport.Response{CrossProb: cross, Pruned: pruned}
 	if s != nil {
@@ -477,12 +463,10 @@ func (e *Engine) evaluateBatch(req *transport.Request) (*transport.Response, err
 			return nil, fmt.Errorf("site %d: bad candidate: %w", e.id, err)
 		}
 	}
-	cp := e.startSpan("cross-prob")
 	cross := make([]float64, len(req.Tuples))
 	for k, cand := range req.Tuples {
 		cross[k] = e.index.CrossSkyProb(cand.Tuple, req.Query.Dims)
 	}
-	cp.end(int64(len(cross)), 0)
 	return &transport.Response{CrossProbs: cross}, nil
 }
 
@@ -546,7 +530,6 @@ func (e *Engine) handleInsert(req *transport.Request) (*transport.Response, erro
 
 // handleReplicate applies a delta to the site's SKY(H) replica.
 func (e *Engine) handleReplicate(req *transport.Request) (*transport.Response, error) {
-	sp := e.startSpan("replica-apply")
 	if e.replica == nil {
 		e.replica = make(map[uncertain.TupleID]uncertain.Tuple)
 	}
@@ -561,7 +544,6 @@ func (e *Engine) handleReplicate(req *transport.Request) (*transport.Response, e
 	}
 	e.replicaVersion++
 	e.lastUpdate.Store(time.Now().UnixNano())
-	sp.end(int64(len(req.Tuples)), 0)
 	return &transport.Response{}, nil
 }
 

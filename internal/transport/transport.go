@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"repro/internal/geom"
-	"repro/internal/obs"
 	"repro/internal/uncertain"
 )
 
@@ -156,10 +155,10 @@ type Request struct {
 	// single-query session.
 	Session uint64
 
-	// Trace is the distributed-tracing context (zero value = untraced).
-	// When Trace.Sampled is set the site times its phases and piggybacks
-	// the completed spans on Response.TraceBlob.
-	Trace obs.TraceContext
+	// Timed asks the site to stamp Response.ServiceNS. The coordinator
+	// sets it on every request of a query that carries a Trace; untimed
+	// requests read no clock at the site on its account.
+	Timed bool
 
 	Kind  Kind
 	Query Query    // KindInit
@@ -209,10 +208,9 @@ type Response struct {
 	// Status answers KindStatus.
 	Status *SiteStatus
 
-	// TraceBlob carries the site's completed spans and per-phase
-	// bandwidth ledger for this request, encoded with
-	// codec.AppendSpanBatch. Nil unless the request's Trace was sampled.
-	TraceBlob []byte
+	// ServiceNS is the site's handling time for a Timed request, in
+	// nanoseconds (at least 1); zero when the request was not timed.
+	ServiceNS int64
 }
 
 // SiteStatus is one site's operational snapshot, answered to KindStatus

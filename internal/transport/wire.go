@@ -18,23 +18,26 @@ package transport
 //	3  Feed       tuple | homeLocalProb f64  3  Pruned         varint
 //	4  Query      threshold f64 | flag u8    4  SessionPruned  varint
 //	              (NoPrune) | n × dim varint 5  Tuples         n × rep
-//	5  Trace      traceID uvarint | parent   6  TraceBlob      n bytes
-//	              uvarint | flags u8         7  Hopeless       (the bit is the value)
-//	6  Tuple      tuple                      8  Status         n bytes: the /statusz JSON document
-//	7  ID         uvarint                    9  CrossProbs     n × f64
-//	8  Point      point
-//	9  Tuples     n × rep
-//	10 RemoveIDs  n × id uvarint
+//	5  (retired)                             6  (retired)
+//	6  Tuple      tuple                      7  Hopeless       (the bit is the value)
+//	7  ID         uvarint                    8  Status         n bytes: the /statusz JSON document
+//	8  Point      point                      9  CrossProbs     n × f64
+//	9  Tuples     n × rep                    10 (retired)
+//	10 RemoveIDs  n × id uvarint             11 ServiceNS      u64
+//	11 (retired)
+//	12 Timed      (the bit is the value)
 //
 //	tuple = id uvarint | point | prob f64       point = n × f64
 //	rep   = tuple | localProb f64               n × x = n uvarint, then n of x
 //
 // Fixed-width words are little-endian; floats are their IEEE-754 bits.
 // Session and client ids are random 64-bit values, so they ride
-// fixed-width; every other integer is small and rides as a varint. An empty
+// fixed-width, and so does ServiceNS, whose varint length would follow the
+// clock; every other integer is small and rides as a varint. An empty
 // slice and a nil slice encode alike (absent) and decode to nil. New fields
-// take the next free bit; a bit this build does not know is an error,
-// because it cannot skip a field whose width it does not know.
+// take the next free bit, and a retired field's bit is never reused: a bit
+// this build does not know is an error, because it cannot skip a field
+// whose width it does not know.
 
 import (
 	"encoding/binary"
@@ -45,7 +48,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/geom"
-	"repro/internal/obs"
 	"repro/internal/uncertain"
 )
 
@@ -258,13 +260,6 @@ func (w *wire) request(q *Request) {
 	if w.has(4, q.Query.Threshold != 0 || len(q.Query.Dims) > 0 || q.Query.NoPrune) {
 		w.query(&q.Query)
 	}
-	if w.has(5, q.Trace != (obs.TraceContext{})) {
-		if w.decoding {
-			q.Trace = w.TraceContext()
-		} else {
-			w.dst = codec.AppendTraceContext(w.dst, q.Trace)
-		}
-	}
 	if w.has(6, tupleSet(&q.Tuple)) {
 		w.tuple(&q.Tuple, "tuple")
 	}
@@ -285,6 +280,7 @@ func (w *wire) request(q *Request) {
 			w.uvarint((*uint64)(&q.RemoveIDs[i]), "remove ids")
 		}
 	}
+	w.bit(12, &q.Timed)
 }
 
 func (w *wire) response(p *Response) {
@@ -305,15 +301,18 @@ func (w *wire) response(p *Response) {
 	if w.has(5, len(p.Tuples) > 0) {
 		w.reps(&p.Tuples, "tuples")
 	}
-	if w.has(6, len(p.TraceBlob) > 0) {
-		w.blob(&p.TraceBlob, "trace blob")
-	}
 	w.bit(7, &p.Hopeless)
 	if w.has(8, p.Status != nil) {
 		w.status(&p.Status)
 	}
 	if w.has(9, len(p.CrossProbs) > 0) {
 		w.point((*geom.Point)(&p.CrossProbs), "cross probs") // the same n × f64
+	}
+	if w.has(11, p.ServiceNS != 0) {
+		ns := uint64(p.ServiceNS)
+		if w.u64(&ns, "service ns"); w.decoding {
+			p.ServiceNS = int64(ns)
+		}
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/geom"
-	"repro/internal/obs"
 	"repro/internal/uncertain"
 )
 
@@ -126,7 +125,7 @@ func sampleMessages() (reqs []Request, resps []Response) {
 		with(func(r *Request) {
 			r.Kind = KindInit
 			r.Query = Query{Threshold: 0.3, Dims: []int{0, 2}}
-			r.Trace = obs.TraceContext{TraceID: 77, Parent: 3, Sampled: true}
+			r.Timed = true
 		}),
 		with(func(r *Request) { r.Kind = KindNext }),
 		with(func(r *Request) { r.Kind = KindEvaluate; r.Feed = Feedback{Tuple: tu(4711), HomeLocalProb: 0.412} }),
@@ -146,7 +145,7 @@ func sampleMessages() (reqs []Request, resps []Response) {
 		{Kind: KindDelete, Seq: 19, ID: 99, Point: geom.Point{0.125, 0.75, 0.4375}, Query: Query{Threshold: 0.3}},
 	}
 	resps = []Response{
-		{Rep: rep(1), TraceBlob: []byte("DSQT\x01spans")},
+		{Rep: rep(1), ServiceNS: 48_213},
 		{Rep: rep(2)},
 		{Exhausted: true},
 		{CrossProb: 0.731, Pruned: 1, SessionPruned: 17},
@@ -228,13 +227,14 @@ func TestWireHostileCounts(t *testing.T) {
 	}
 	tuplePrefix := []byte{1} // a tuple id, then the point count follows
 	for name, data := range map[string][]byte{
-		"point":        request(8, huge...),
-		"feed point":   request(3, append(tuplePrefix, huge...)...),
-		"query dims":   request(4, append(make([]byte, 9), huge...)...),
-		"tuples":       request(9, huge...),
-		"remove ids":   request(10, huge...),
-		"retired mask": request(11), // RemoveIDs before the renumbering
-		"unknown mask": request(12),
+		"point":          request(8, huge...),
+		"feed point":     request(3, append(tuplePrefix, huge...)...),
+		"query dims":     request(4, append(make([]byte, 9), huge...)...),
+		"tuples":         request(9, huge...),
+		"remove ids":     request(10, huge...),
+		"retired mask":   request(11),         // RemoveIDs before the renumbering
+		"retired mask 5": request(5, 1, 2, 1), // the trace context of generation 6
+		"unknown mask":   request(13),
 	} {
 		var req Request
 		if err := DecodeRequest(data, &req); !errors.Is(err, ErrWire) {
@@ -244,13 +244,13 @@ func TestWireHostileCounts(t *testing.T) {
 	for name, data := range map[string][]byte{
 		"rep point":       response(0, append(tuplePrefix, huge...)...),
 		"tuples":          response(5, huge...),
-		"trace blob":      response(6, huge...),
+		"retired mask 6":  response(6, 1, 0), // the span blob of generation 6
 		"status":          response(8, huge...),
 		"status json":     response(8, 3, '{', '"', 'x'),
 		"cross probs":     response(9, huge...),
 		"cross prob bits": response(9, append([]byte{2}, make([]byte, 15)...)...), // 8 bytes a factor
 		"retired mask 10": response(10, 2, '{', '}'),                              // Status before the renumbering
-		"unknown mask":    response(11),
+		"unknown mask":    response(12),
 		"unknown status":  {7},
 	} {
 		var resp Response
@@ -269,6 +269,11 @@ func TestWireRefusesGenerationFour(t *testing.T) { refusesGeneration(t, 4) }
 // build's sites ignore, and wait on pushes that never come. Neither side of
 // a connection accepts its hello.
 func TestWireRefusesGenerationFive(t *testing.T) { refusesGeneration(t, 5) }
+
+// A generation-6 coordinator stamps a trace context in request bit 5,
+// which this build's sites refuse as an unknown bit, and reads span blobs
+// that never come. Neither side of a connection accepts its hello.
+func TestWireRefusesGenerationSix(t *testing.T) { refusesGeneration(t, 6) }
 
 func refusesGeneration(t *testing.T, gen byte) {
 	t.Helper()
