@@ -16,11 +16,10 @@ import (
 	"repro/internal/uncertain"
 )
 
-// This file is the coordinator-side materialized serving tier: one
-// protocol round materializes the global skyline into a sorted index
-// (internal/serve), Maintainer deltas keep it positioned, and reads
-// become O(answer) sorted-prefix scans instead of protocol rounds. See
-// docs/SERVING.md.
+// This file is the coordinator-side materialized serving tier: the
+// Maintainer's answer is a sorted index (internal/serve) that its updates
+// edit in place, and reads of it are O(answer) sorted-prefix scans
+// instead of protocol rounds. See docs/SERVING.md.
 
 // ErrUncovered reports a ModeMaterialized query the materialization
 // cannot answer: its threshold lies below the Server's floor, or its
@@ -69,13 +68,12 @@ type ServeConfig struct {
 type Server struct {
 	cluster  *Cluster
 	opts     Options // materialization options (Threshold = floor)
-	store    *serve.Store
 	window   *obs.Window
 	maxStale time.Duration
 	key      string // coalescing key: one refresh per floor
 
-	mu    sync.Mutex // serialises maintainer operations
-	maint *Maintainer
+	mu    sync.Mutex  // serialises maintainer operations
+	maint *Maintainer // its store is the materialization every read serves
 
 	group     serve.Group
 	hits      atomic.Int64
@@ -119,40 +117,13 @@ func (c *Cluster) Serve(ctx context.Context, cfg ServeConfig) (*Server, error) {
 	s := &Server{
 		cluster:  c,
 		opts:     mopts,
-		store:    serve.New(cfg.Floor),
 		window:   win,
 		maxStale: cfg.MaxStaleness,
 		key:      fmt.Sprintf("refresh@%g", cfg.Floor),
 		maint:    maint,
 	}
-	members, sites := maint.Answer()
-	s.store.Replace(entriesOf(members, sites), time.Now())
-	maint.SetOnChange(s.applyDelta)
 	s.instrument(cfg.Metrics)
 	return s, nil
-}
-
-func entriesOf(members []uncertain.SkylineMember, sites []int) []serve.Entry {
-	entries := make([]serve.Entry, len(members))
-	for i, m := range members {
-		entries[i] = serve.Entry{Member: m, Site: sites[i]}
-	}
-	return entries
-}
-
-// applyDelta folds one maintainer answer delta into the store —
-// re-scored tuples reposition at their new sorted rank, evictions
-// leave, and the version bumps so concurrent readers can tell.
-func (s *Server) applyDelta(d AnswerDelta) {
-	entries := make([]serve.Entry, len(d.Upserts))
-	for i, m := range d.Upserts {
-		entries[i] = serve.Entry{Member: m, Site: d.UpsertSites[i]}
-	}
-	if d.Full {
-		s.store.Replace(entries, time.Now())
-		return
-	}
-	s.store.Apply(entries, d.Removed)
 }
 
 func (s *Server) instrument(reg *obs.Registry) {
@@ -171,15 +142,15 @@ func (s *Server) instrument(reg *obs.Registry) {
 	s.cMisses = reg.Counter("dsud_serve_misses_total")
 	s.cRefreshes = reg.Counter("dsud_serve_refreshes_total")
 	s.cCoalesced = reg.Counter("dsud_serve_coalesced_total")
-	reg.GaugeFunc("dsud_serve_entries", func() float64 { return float64(s.store.Len()) })
-	reg.GaugeFunc("dsud_serve_version", func() float64 { return float64(s.store.Version()) })
+	reg.GaugeFunc("dsud_serve_entries", func() float64 { return float64(s.maint.store.Len()) })
+	reg.GaugeFunc("dsud_serve_version", func() float64 { return float64(s.maint.store.Version()) })
 	obs.ExposeWindow(reg, "dsud_serve_latency", s.window)
 }
 
 // covers reports whether the materialization can answer opts exactly:
 // same subspace, threshold at or above the floor.
 func (s *Server) covers(opts Options) bool {
-	return s.store.Covers(opts.Threshold) && sameDims(opts.Dims, s.opts.Dims)
+	return s.maint.store.Covers(opts.Threshold) && sameDims(opts.Dims, s.opts.Dims)
 }
 
 // sameDims compares two subspaces as sets (dominance does not depend
@@ -226,7 +197,7 @@ func (s *Server) Query(ctx context.Context, opts Options) (*Report, error) {
 			return s.protocol(ctx, opts)
 		}
 		return nil, fmt.Errorf("%w: threshold %v / subspace %v against floor %v / subspace %v",
-			ErrUncovered, opts.Threshold, opts.Dims, s.store.Floor(), s.opts.Dims)
+			ErrUncovered, opts.Threshold, opts.Dims, s.maint.store.Floor(), s.opts.Dims)
 	}
 	if opts.Logger == nil {
 		opts.Logger = s.cluster.logger
@@ -238,7 +209,7 @@ func (s *Server) Query(ctx context.Context, opts Options) (*Report, error) {
 	o := observer{c: s.cluster, opts: &opts, qid: qid, start: start}
 
 	source := SourceMaterialized
-	if s.store.Fresh(start, s.maxStale) {
+	if s.maint.store.Fresh(start, s.maxStale) {
 		s.hit()
 	} else {
 		// Stale: every concurrent compatible query shares one refresh
@@ -269,8 +240,8 @@ func (s *Server) protocol(ctx context.Context, opts Options) (*Report, error) {
 }
 
 // refreshRound is the singleflight body: one full protocol round
-// through the maintainer, which replaces the store wholesale via the
-// Full answer delta (clearing any invalidation).
+// through the maintainer, which replaces the store wholesale (clearing
+// any invalidation).
 func (s *Server) refreshRound(ctx context.Context) error {
 	s.refreshes.Add(1)
 	s.cRefreshes.Inc()
@@ -288,7 +259,7 @@ func (s *Server) refreshRound(ctx context.Context) error {
 // produced.
 func (s *Server) servePrefix(o *observer, source Source) *Report {
 	opts := o.opts
-	entries, _ := s.store.Prefix(opts.Threshold)
+	entries, _ := s.maint.store.Prefix(opts.Threshold)
 	limit := len(entries)
 	// The store is sorted by descending probability, so both result
 	// limits are exact head truncations.
@@ -324,12 +295,12 @@ func (s *Server) miss() {
 	s.cMisses.Inc()
 }
 
-// Insert routes one insert through the serving tier's maintainer: the
-// answer updates incrementally (§5.4) and the materialized index
-// repositions the affected tuples. Updates serialise; reads proceed
-// concurrently against the previous version until the delta lands. An
-// update that fails after a site may have applied it invalidates the
-// store, so covered reads refresh rather than serve the answer it changed.
+// Insert routes one insert through the serving tier's maintainer, which
+// repositions the affected tuples in the store (§5.4). Updates serialise;
+// reads proceed concurrently against the previous version until the
+// update lands. An update that fails after a site may have applied it
+// invalidates the store, so covered reads — and the next update — refresh
+// rather than serve the answer it changed.
 func (s *Server) Insert(ctx context.Context, home int, tu uncertain.Tuple) error {
 	return s.update(ctx, s.maint.Insert, home, tu)
 }
@@ -346,11 +317,7 @@ func (s *Server) update(ctx context.Context, apply func(context.Context, int, un
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	err := apply(ctx, home, tu)
-	if err != nil && s.maint.stale {
-		s.store.Invalidate()
-	}
-	return err
+	return apply(ctx, home, tu)
 }
 
 // Refresh forces a full protocol round and replaces the
@@ -368,9 +335,9 @@ func (s *Server) Refresh(ctx context.Context) error {
 }
 
 // Invalidate marks the materialization stale: the next materialized
-// read triggers (or joins) a refresh round. Use it when sites changed
-// out-of-band.
-func (s *Server) Invalidate() { s.store.Invalidate() }
+// read triggers (or joins) a refresh round, and the next update refreshes
+// before it applies. Use it when sites changed out-of-band.
+func (s *Server) Invalidate() { s.maint.store.Invalidate() }
 
 // InstrumentUpdates registers the maintainer's dsud_update_* metrics
 // for the serving tier's update path (nil-safe).
@@ -382,14 +349,7 @@ func (s *Server) SetUpdateLatencyWindow(w *obs.Window) { s.maint.SetLatencyWindo
 
 // Skyline returns the current materialized answer at the floor
 // threshold, in report order.
-func (s *Server) Skyline() []uncertain.SkylineMember {
-	entries, _ := s.store.Prefix(s.store.Floor())
-	members := make([]uncertain.SkylineMember, len(entries))
-	for i, e := range entries {
-		members[i] = e.Member
-	}
-	return members
-}
+func (s *Server) Skyline() []uncertain.SkylineMember { return s.maint.Skyline() }
 
 // Cluster returns the underlying cluster.
 func (s *Server) Cluster() *Cluster { return s.cluster }
@@ -418,12 +378,12 @@ func (s *Server) Stats() ServeStats {
 		Misses:       s.misses.Load(),
 		Refreshes:    s.refreshes.Load(),
 		Coalesced:    s.coalesced.Load(),
-		Entries:      s.store.Len(),
-		Version:      s.store.Version(),
-		Floor:        s.store.Floor(),
+		Entries:      s.maint.store.Len(),
+		Version:      s.maint.store.Version(),
+		Floor:        s.maint.store.Floor(),
 		MaxStaleness: s.maxStale,
-		LastRefresh:  s.store.LastRefresh(),
-		Fresh:        s.store.Fresh(time.Now(), s.maxStale),
+		LastRefresh:  s.maint.store.LastRefresh(),
+		Fresh:        s.maint.store.Fresh(time.Now(), s.maxStale),
 	}
 }
 

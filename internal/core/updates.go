@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"time"
 
+	"repro/internal/serve"
 	"repro/internal/transport"
 	"repro/internal/uncertain"
 )
@@ -26,61 +28,15 @@ import (
 //     scratch, the paper's strawman.
 //
 // Maintainer is not safe for concurrent use; updates are a totally ordered
-// stream, as in the paper.
+// stream, as in the paper. Its answer is one serve.Store at its threshold,
+// read and edited in place: the Server built over it serves that same store.
 type Maintainer struct {
 	cluster    *Cluster
 	view       *view
 	opts       Options
 	replicated bool
-	stale      bool // an update failed after a site may have applied it
-	sky        map[uncertain.TupleID]uncertain.SkylineMember
-	sites      map[uncertain.TupleID]int
-	instr      *maintInstr // optional; see Instrument / SetLatencyWindow
-	onChange   func(AnswerDelta)
-}
-
-// AnswerDelta describes one mutation of the maintained answer set, in
-// the vocabulary a materialized index needs: which members were added
-// or re-scored (with their home sites), and which were evicted.
-type AnswerDelta struct {
-	// Upserts holds answer members that were added or whose global
-	// probability changed; UpsertSites[i] is the home site of
-	// Upserts[i].
-	Upserts     []uncertain.SkylineMember
-	UpsertSites []int
-	// Removed lists tuples evicted from the answer.
-	Removed []uncertain.TupleID
-	// Full marks a wholesale replacement (Refresh): Upserts is the
-	// complete new answer and Removed the complete old membership.
-	Full bool
-}
-
-// SetOnChange registers fn to observe every answer mutation the
-// maintainer applies (Insert, Delete, Refresh), synchronously, after
-// the maintainer's own bookkeeping and replica sync. The serving tier
-// uses it to keep the materialized skyline index positioned and
-// versioned; nil unregisters. Like the maintainer itself, the callback
-// runs on the updater's goroutine — it must not call back into the
-// maintainer.
-func (m *Maintainer) SetOnChange(fn func(AnswerDelta)) { m.onChange = fn }
-
-// notify delivers a non-empty delta to the registered observer.
-func (m *Maintainer) notify(d AnswerDelta) {
-	if m.onChange == nil || (!d.Full && len(d.Upserts) == 0 && len(d.Removed) == 0) {
-		return
-	}
-	m.onChange(d)
-}
-
-// Answer returns the current answer sorted by descending probability,
-// with the aligned home-site index of each member.
-func (m *Maintainer) Answer() ([]uncertain.SkylineMember, []int) {
-	members := m.Skyline()
-	sites := make([]int, len(members))
-	for i, member := range members {
-		sites[i] = m.sites[member.Tuple.ID]
-	}
-	return members, sites
+	store      *serve.Store // the answer; invalid after a failed update until a Refresh
+	instr      *maintInstr  // optional; see Instrument / SetLatencyWindow
 }
 
 // NewMaintainer runs the initial query (with opts.Algorithm, defaulting to
@@ -96,8 +52,7 @@ func NewMaintainer(ctx context.Context, c *Cluster, opts Options) (*Maintainer, 
 		cluster: c,
 		view:    c.newView(nil, 0, transport.Query{Threshold: opts.Threshold, Dims: opts.Dims}),
 		opts:    opts,
-		sky:     make(map[uncertain.TupleID]uncertain.SkylineMember),
-		sites:   make(map[uncertain.TupleID]int),
+		store:   serve.New(opts.Threshold),
 	}
 	if err := m.Refresh(ctx); err != nil {
 		return nil, err
@@ -113,9 +68,10 @@ func NewMaintainer(ctx context.Context, c *Cluster, opts Options) (*Maintainer, 
 // m × |SKY(H)| tuples and each answer change costs one small broadcast;
 // the saving is one m−1 broadcast per vetoed insert.
 func (m *Maintainer) EnableReplicas(ctx context.Context) error {
-	adds := make([]transport.Representative, 0, len(m.sky))
-	for _, member := range m.sky {
-		adds = append(adds, transport.Representative{Tuple: member.Tuple, LocalProb: member.Prob})
+	entries := m.store.Entries()
+	adds := make([]transport.Representative, len(entries))
+	for i, e := range entries {
+		adds[i] = transport.Representative{Tuple: e.Member.Tuple, LocalProb: e.Member.Prob}
 	}
 	if _, err := m.view.send(ctx, -1, transport.Request{
 		Kind: transport.KindReplicate, Tuples: adds,
@@ -128,12 +84,12 @@ func (m *Maintainer) EnableReplicas(ctx context.Context) error {
 
 // Skyline returns the current answer, sorted by descending probability.
 func (m *Maintainer) Skyline() []uncertain.SkylineMember {
-	out := make([]uncertain.SkylineMember, 0, len(m.sky))
-	for _, member := range m.sky {
-		out = append(out, member)
+	entries, _ := m.store.Prefix(m.store.Floor())
+	members := make([]uncertain.SkylineMember, len(entries))
+	for i, e := range entries {
+		members[i] = e.Member
 	}
-	uncertain.SortMembers(out)
-	return out
+	return members
 }
 
 // Insert adds tu at site home and updates the answer incrementally:
@@ -150,34 +106,36 @@ func (m *Maintainer) Insert(ctx context.Context, home int, tu uncertain.Tuple) (
 	if err := m.prepare(ctx, home); err != nil {
 		return err
 	}
+	defer m.invalidateOnError(&err)
 	resps, err := m.view.send(ctx, home, transport.Request{
 		Kind: transport.KindInsert, Tuple: tu, Query: m.view.query,
 	})
 	if err != nil {
 		return err
 	}
-	var delta AnswerDelta
+	var upserts []serve.Entry
+	var removed []uncertain.TupleID
 	if local := resps[home].Rep.LocalProb; local >= m.opts.Threshold && !resps[home].Hopeless {
 		global, err := m.evaluate(ctx, []candidate{{home, transport.Representative{Tuple: tu, LocalProb: local}}})
 		if err != nil {
 			return err
 		}
 		if global[0] >= m.opts.Threshold {
-			delta.upsert(uncertain.SkylineMember{Tuple: tu.Clone(), Prob: global[0]}, home)
+			upserts = append(upserts, serve.Entry{Member: uncertain.SkylineMember{Tuple: tu.Clone(), Prob: global[0]}, Site: home})
 		}
 	}
 	rescored := 0
-	for id, member := range m.sky {
-		if id != tu.ID && tu.Dominates(member.Tuple, m.opts.Dims) {
+	for _, e := range m.store.Entries() {
+		if e.Member.Tuple.ID != tu.ID && tu.Dominates(e.Member.Tuple, m.opts.Dims) {
 			rescored++
-			if member.Prob *= 1 - tu.Prob; member.Prob < m.opts.Threshold {
-				delta.Removed = append(delta.Removed, id)
+			if e.Member.Prob *= 1 - tu.Prob; e.Member.Prob < m.opts.Threshold {
+				removed = append(removed, e.Member.Tuple.ID)
 			} else {
-				delta.upsert(member, m.sites[id])
+				upserts = append(upserts, e)
 			}
 		}
 	}
-	return m.commit(ctx, delta, rescored)
+	return m.commit(ctx, upserts, removed, rescored)
 }
 
 // Delete removes tu (which must currently live at site home) and updates
@@ -196,6 +154,7 @@ func (m *Maintainer) Delete(ctx context.Context, home int, tu uncertain.Tuple) (
 	if err := m.prepare(ctx, home); err != nil {
 		return err
 	}
+	defer m.invalidateOnError(&err)
 	v := m.view
 	for j := range v.wire {
 		v.wire[j] = transport.Request{Kind: transport.KindCandidates, Feed: transport.Feedback{Tuple: tu}, Query: v.query}
@@ -208,23 +167,23 @@ func (m *Maintainer) Delete(ctx context.Context, home int, tu uncertain.Tuple) (
 	var cands []candidate
 	for j, resp := range resps {
 		for _, rep := range resp.Tuples {
-			if _, member := m.sky[rep.Tuple.ID]; !member {
+			if !m.store.Has(rep.Tuple.ID) {
 				cands = append(cands, candidate{j, rep})
 			}
 		}
 	}
-	var delta AnswerDelta
-	if _, was := m.sky[tu.ID]; was {
-		delta.Removed = append(delta.Removed, tu.ID)
-	}
+	var upserts []serve.Entry
+	var removed []uncertain.TupleID
 	rescored := 0
-	for id, member := range m.sky {
-		if tu.Prob < 1 && tu.Dominates(member.Tuple, m.opts.Dims) {
+	for _, e := range m.store.Entries() {
+		if e.Member.Tuple.ID == tu.ID {
+			removed = append(removed, tu.ID)
+		} else if tu.Prob < 1 && tu.Dominates(e.Member.Tuple, m.opts.Dims) {
 			rescored++
 			// Numerical guard: a probability can never exceed the tuple's
 			// own existential probability.
-			member.Prob = min(member.Prob/(1-tu.Prob), member.Tuple.Prob)
-			delta.upsert(member, m.sites[id])
+			e.Member.Prob = min(e.Member.Prob/(1-tu.Prob), e.Member.Tuple.Prob)
+			upserts = append(upserts, e)
 		}
 	}
 	global, err := m.evaluate(ctx, cands)
@@ -233,83 +192,88 @@ func (m *Maintainer) Delete(ctx context.Context, home int, tu uncertain.Tuple) (
 	}
 	for k, c := range cands {
 		if global[k] >= m.opts.Threshold {
-			delta.upsert(uncertain.SkylineMember{Tuple: c.rep.Tuple.Clone(), Prob: global[k]}, c.site)
+			upserts = append(upserts, serve.Entry{Member: uncertain.SkylineMember{Tuple: c.rep.Tuple.Clone(), Prob: global[k]}, Site: c.site})
 		}
 	}
-	return m.commit(ctx, delta, rescored)
+	return m.commit(ctx, upserts, removed, rescored)
 }
 
-// prepare opens an incremental update at site home: from here until
-// commit, a failure may leave a site ahead of the answer, so the next
-// update Refreshes before it starts.
+// prepare opens an incremental update at site home, Refreshing first if
+// the store is invalid: a failed update, or Server.Invalidate after an
+// out-of-band change, left it behind the sites.
 func (m *Maintainer) prepare(ctx context.Context, home int) error {
 	if home < 0 || home >= m.cluster.Sites() {
 		return fmt.Errorf("core: site %d out of range", home)
 	}
-	if m.stale {
-		if err := m.Refresh(ctx); err != nil {
-			return err
-		}
+	if !m.store.Valid() {
+		return m.Refresh(ctx)
 	}
-	m.stale = true
 	return nil
 }
 
-// upsert adds one added or re-scored member to the delta.
-func (d *AnswerDelta) upsert(member uncertain.SkylineMember, site int) {
-	d.Upserts = append(d.Upserts, member)
-	d.UpsertSites = append(d.UpsertSites, site)
+// invalidateOnError invalidates the store when an update that prepare
+// opened fails: a site may already have applied it, so the answer is not
+// to be trusted — by readers or by the next update — until a Refresh.
+func (m *Maintainer) invalidateOnError(err *error) {
+	if *err != nil {
+		m.store.Invalidate()
+	}
 }
 
-// commit installs a delta once every wave of its update has succeeded:
-// the replicas first (one small broadcast of what it adds and removes),
-// then the answer, then the observer.
-func (m *Maintainer) commit(ctx context.Context, d AnswerDelta, rescored int) error {
+// commit installs an update once every wave of it has succeeded: the
+// replicas first (one small broadcast of what it adds and removes), then
+// the store, in one Apply.
+func (m *Maintainer) commit(ctx context.Context, upserts []serve.Entry, removed []uncertain.TupleID, rescored int) error {
 	var adds []transport.Representative
-	for _, u := range d.Upserts {
-		if _, member := m.sky[u.Tuple.ID]; d.Full || !member {
-			adds = append(adds, transport.Representative{Tuple: u.Tuple})
+	for _, u := range upserts {
+		if !m.store.Has(u.Member.Tuple.ID) {
+			adds = append(adds, transport.Representative{Tuple: u.Member.Tuple})
 		}
 	}
-	if m.replicated && len(adds)+len(d.Removed) > 0 {
-		if _, err := m.view.send(ctx, -1, transport.Request{
-			Kind: transport.KindReplicate, Tuples: adds, RemoveIDs: d.Removed,
-		}); err != nil {
-			return err
-		}
+	if err := m.replicate(ctx, adds, removed); err != nil {
+		return err
 	}
-	for _, id := range d.Removed {
-		delete(m.sky, id)
-		delete(m.sites, id)
-	}
-	for i, u := range d.Upserts {
-		m.sky[u.Tuple.ID], m.sites[u.Tuple.ID] = u, d.UpsertSites[i]
-	}
-	m.stale = false
-	if !d.Full {
-		m.instr.addRescored(rescored)
-		m.instr.addAffected(len(adds) + len(d.Removed))
-	}
-	m.notify(d)
+	m.store.Apply(upserts, removed)
+	m.instr.addRescored(rescored)
+	m.instr.addAffected(len(adds) + len(removed))
 	return nil
+}
+
+// replicate sends the sites' replicas one change (nothing when replicas
+// are off or the change is empty).
+func (m *Maintainer) replicate(ctx context.Context, adds []transport.Representative, removed []uncertain.TupleID) error {
+	if !m.replicated || len(adds)+len(removed) == 0 {
+		return nil
+	}
+	_, err := m.view.send(ctx, -1, transport.Request{
+		Kind: transport.KindReplicate, Tuples: adds, RemoveIDs: removed,
+	})
+	return err
 }
 
 // Refresh is the naive maintenance strategy: re-run the entire distributed
-// query from scratch and replace the answer — replicas included, so it is
+// query from scratch and Replace the store — replicas included, so it is
 // also the recovery path after ApplyNaive or a failed update.
 func (m *Maintainer) Refresh(ctx context.Context) error {
 	rep, err := Run(ctx, m.cluster, m.opts)
 	if err != nil {
 		return err
 	}
-	d := AnswerDelta{Full: true}
-	for id := range m.sky {
-		d.Removed = append(d.Removed, id)
+	entries := make([]serve.Entry, len(rep.Skyline))
+	adds := make([]transport.Representative, len(rep.Skyline))
+	for i, member := range rep.Skyline {
+		entries[i] = serve.Entry{Member: member, Site: rep.Sites[member.Tuple.ID]}
+		adds[i] = transport.Representative{Tuple: member.Tuple}
 	}
-	for _, member := range rep.Skyline {
-		d.upsert(member, rep.Sites[member.Tuple.ID])
+	var removed []uncertain.TupleID
+	for _, e := range m.store.Entries() {
+		removed = append(removed, e.Member.Tuple.ID)
 	}
-	return m.commit(ctx, d, 0)
+	if err := m.replicate(ctx, adds, removed); err != nil {
+		return err
+	}
+	m.store.Replace(entries, time.Now())
+	return nil
 }
 
 // candidate is a tuple an update may admit: its home site and its local

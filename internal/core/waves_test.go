@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -15,6 +14,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/geom"
+	"repro/internal/serve"
 	"repro/internal/site"
 	"repro/internal/transport"
 	"repro/internal/uncertain"
@@ -224,16 +224,15 @@ func (r *serialRef) global(home int, tu uncertain.Tuple, local float64) float64 
 	return global
 }
 
-func (r *serialRef) admit(d *AnswerDelta, m uncertain.SkylineMember, home int) {
+func (r *serialRef) admit(m uncertain.SkylineMember, home int) {
 	r.sky[m.Tuple.ID], r.sites[m.Tuple.ID] = m, home
-	d.upsert(m, home)
 }
 
-func (r *serialRef) insert(home int, tu uncertain.Tuple) (d AnswerDelta) {
+func (r *serialRef) insert(home int, tu uncertain.Tuple) {
 	resp := r.call(home, transport.Request{Kind: transport.KindInsert, Tuple: tu, Query: r.q})
 	if local := resp.Rep.LocalProb; local >= r.q.Threshold && !resp.Hopeless {
 		if g := r.global(home, tu, local); g >= r.q.Threshold {
-			r.admit(&d, uncertain.SkylineMember{Tuple: tu, Prob: g}, home)
+			r.admit(uncertain.SkylineMember{Tuple: tu, Prob: g}, home)
 		}
 	}
 	for id, member := range r.sky {
@@ -241,20 +240,15 @@ func (r *serialRef) insert(home int, tu uncertain.Tuple) (d AnswerDelta) {
 			if member.Prob *= 1 - tu.Prob; member.Prob < r.q.Threshold {
 				delete(r.sky, id)
 				delete(r.sites, id)
-				d.Removed = append(d.Removed, id)
 			} else {
-				r.admit(&d, member, r.sites[id])
+				r.admit(member, r.sites[id])
 			}
 		}
 	}
-	return d
 }
 
-func (r *serialRef) delete(home int, tu uncertain.Tuple) (d AnswerDelta, homes map[int]bool) {
+func (r *serialRef) delete(home int, tu uncertain.Tuple) (homes map[int]bool) {
 	r.call(home, transport.Request{Kind: transport.KindDelete, ID: tu.ID, Point: tu.Point})
-	if _, was := r.sky[tu.ID]; was {
-		d.Removed = append(d.Removed, tu.ID)
-	}
 	delete(r.sky, tu.ID)
 	delete(r.sites, tu.ID)
 	for id, member := range r.sky {
@@ -262,7 +256,7 @@ func (r *serialRef) delete(home int, tu uncertain.Tuple) (d AnswerDelta, homes m
 			if member.Prob /= 1 - tu.Prob; member.Prob > member.Tuple.Prob {
 				member.Prob = member.Tuple.Prob
 			}
-			r.admit(&d, member, r.sites[id])
+			r.admit(member, r.sites[id])
 		}
 	}
 	resps := make([]*transport.Response, len(r.clients))
@@ -275,34 +269,39 @@ func (r *serialRef) delete(home int, tu uncertain.Tuple) (d AnswerDelta, homes m
 			if _, ok := r.sky[c.Tuple.ID]; !ok {
 				homes[j] = true
 				if g := r.global(j, c.Tuple, c.LocalProb); g >= r.q.Threshold {
-					r.admit(&d, uncertain.SkylineMember{Tuple: c.Tuple, Prob: g}, j)
+					r.admit(uncertain.SkylineMember{Tuple: c.Tuple, Prob: g}, j)
 				}
 			}
 		}
 	}
-	return d, homes
+	return homes
 }
 
-// canonical renders a delta for comparison: the upserts by tuple id with
-// their probability bits and home sites, then the removals, sorted. The
-// rescored members come out of a map walk, so only the set is defined.
-func canonical(d AnswerDelta) string {
-	var lines []string
-	for i, u := range d.Upserts {
-		lines = append(lines, fmt.Sprintf("+%d %x @%d", u.Tuple.ID, math.Float64bits(u.Prob), d.UpsertSites[i]))
+// render lists an answer one line per entry, in order: tuple id,
+// probability bits, home site.
+func render(entries []serve.Entry) string {
+	lines := make([]string, len(entries))
+	for i, e := range entries {
+		lines[i] = fmt.Sprintf("%d %x @%d", e.Member.Tuple.ID, math.Float64bits(e.Member.Prob), e.Site)
 	}
-	for _, id := range d.Removed {
-		lines = append(lines, fmt.Sprintf("-%d", id))
+	return strings.Join(lines, "\n")
+}
+
+// entries is the reference answer in report order.
+func (r *serialRef) entries() []serve.Entry {
+	var out []serve.Entry
+	for id, member := range r.sky {
+		out = append(out, serve.Entry{Member: member, Site: r.sites[id]})
 	}
-	slices.Sort(lines)
-	return strings.Join(lines, "; ")
+	slices.SortFunc(out, func(a, b serve.Entry) int { return uncertain.CompareMembers(a.Member, b.Member) })
+	return out
 }
 
 // TestUpdateWavesMatchSerialReference drives a seeded 300-op churn through
 // the two-wave maintainer and, over an identical second cluster, through
-// the serial reference: every delta must carry the same members with the
-// same probabilities bit for bit and the same home sites, and after every
-// op the two answers must agree in member order, bits and sites.
+// the serial reference: after every op the maintainer's store must hold
+// the reference's answer in the same order, with the same probabilities
+// bit for bit and the same home sites.
 func TestUpdateWavesMatchSerialReference(t *testing.T) {
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(61))
@@ -317,11 +316,12 @@ func TestUpdateWavesMatchSerialReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got AnswerDelta
-	maint.SetOnChange(func(delta AnswerDelta) { got = delta })
 
 	ref := &serialRef{t: t, q: transport.Query{Threshold: q},
-		sky: maps.Clone(maint.sky), sites: maps.Clone(maint.sites)}
+		sky: map[uncertain.TupleID]uncertain.SkylineMember{}, sites: map[uncertain.TupleID]int{}}
+	for _, e := range maint.store.Entries() {
+		ref.admit(e.Member, e.Site)
+	}
 	for i, part := range parts {
 		ref.clients = append(ref.clients, transport.Local(site.New(i, part, d, 0)))
 	}
@@ -333,8 +333,6 @@ func TestUpdateWavesMatchSerialReference(t *testing.T) {
 	multiSite := 0
 	for op := 0; op < 300; op++ {
 		home := r.Intn(m)
-		got = AnswerDelta{}
-		var want AnswerDelta
 		if len(mirror[home]) == 0 || r.Intn(2) == 0 {
 			scale, prob := 1.0, 0.05+0.95*r.Float64()
 			if r.Intn(4) == 0 {
@@ -349,13 +347,13 @@ func TestUpdateWavesMatchSerialReference(t *testing.T) {
 			if err := maint.Insert(ctx, home, tu); err != nil {
 				t.Fatalf("op %d insert: %v", op, err)
 			}
-			want = ref.insert(home, tu)
+			ref.insert(home, tu)
 		} else {
 			// Delete a member half the time: that is what promotes.
 			idx := r.Intn(len(mirror[home]))
-			if members, sites := maint.Answer(); r.Intn(2) == 0 && len(members) > 0 {
-				if k := r.Intn(len(members)); sites[k] == home {
-					idx = slices.IndexFunc(mirror[home], func(tu uncertain.Tuple) bool { return tu.ID == members[k].Tuple.ID })
+			if entries := maint.store.Entries(); r.Intn(2) == 0 && len(entries) > 0 {
+				if k := r.Intn(len(entries)); entries[k].Site == home {
+					idx = slices.IndexFunc(mirror[home], func(tu uncertain.Tuple) bool { return tu.ID == entries[k].Member.Tuple.ID })
 				}
 			}
 			victim := mirror[home][idx]
@@ -363,24 +361,15 @@ func TestUpdateWavesMatchSerialReference(t *testing.T) {
 			if err := maint.Delete(ctx, home, victim); err != nil {
 				t.Fatalf("op %d delete: %v", op, err)
 			}
-			var homes map[int]bool
-			want, homes = ref.delete(home, victim)
-			if len(homes) > 1 {
+			if homes := ref.delete(home, victim); len(homes) > 1 {
 				multiSite++
 			}
 		}
-		if g, w := canonical(got), canonical(want); g != w {
-			t.Fatalf("op %d: delta\n %s\nwant\n %s", op, g, w)
+		if g, w := render(maint.store.Entries()), render(ref.entries()); g != w {
+			t.Fatalf("op %d: store\n%s\nreference\n%s", op, g, w)
 		}
-		members, sites := maint.Answer()
-		for k, member := range members {
-			w, ok := ref.sky[member.Tuple.ID]
-			if !ok || math.Float64bits(w.Prob) != math.Float64bits(member.Prob) || ref.sites[member.Tuple.ID] != sites[k] {
-				t.Fatalf("op %d: member %d is %v at site %d, reference %v at site %d", op, k, member, sites[k], w, ref.sites[member.Tuple.ID])
-			}
-		}
-		if len(members) != len(ref.sky) {
-			t.Fatalf("op %d: %d members, reference %d", op, len(members), len(ref.sky))
+		if !maint.store.Valid() {
+			t.Fatalf("op %d: a successful update left the store invalid", op)
 		}
 	}
 	if multiSite == 0 {
@@ -393,9 +382,10 @@ func TestUpdateWavesMatchSerialReference(t *testing.T) {
 
 // TestFailedUpdateRefreshesServedReads: an update whose evaluation wave
 // fails at one site, after the home site applied it, reports that site's
-// error, notifies nothing, and invalidates the served answer — the next
-// covered read refreshes and is exact. A failed update followed straight by
-// another update refreshes inside that update instead.
+// error, leaves the store's members as they were and marks the store
+// invalid — one version bump, the invalidation — so the next covered read
+// refreshes and is exact. A failed update followed straight by another
+// update refreshes inside that update instead.
 func TestFailedUpdateRefreshesServedReads(t *testing.T) {
 	ctx := context.Background()
 	cluster, _, gated := gatedCluster(t, waveParts(), 2)
@@ -403,8 +393,7 @@ func TestFailedUpdateRefreshesServedReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	notified := 0
-	server.maint.SetOnChange(func(d AnswerDelta) { notified++; server.applyDelta(d) })
+	store := server.maint.store
 	fail := func(on bool) {
 		gated[0].g.mu.Lock()
 		gated[2].failEvaluate = on
@@ -421,29 +410,78 @@ func TestFailedUpdateRefreshesServedReads(t *testing.T) {
 			t.Fatalf("covered read %v, oracle %v", rep.Skyline, oracle)
 		}
 	}
-
-	fail(true)
-	err = server.Delete(ctx, 0, waveD) // promotes a, b, c: site 2 evaluates two of them
-	if !strings.HasPrefix(fmt.Sprint(err), "core: site 2 evaluate: ") || !errors.Is(err, errBoom) || notified != 0 {
-		t.Fatalf("failed delete: %v with %d notifications; want site 2's evaluate error and none", err, notified)
+	// failed runs one update that must fail at site 2's evaluate and
+	// leave the members untouched, the store invalid and the version one
+	// bump (the invalidation) ahead.
+	failed := func(update func() error) {
+		t.Helper()
+		members, version := render(store.Entries()), store.Version()
+		fail(true)
+		err := update()
+		fail(false)
+		if !strings.HasPrefix(fmt.Sprint(err), "core: site 2 evaluate: ") || !errors.Is(err, errBoom) {
+			t.Fatalf("failed update: %v; want site 2's evaluate error", err)
+		}
+		if got := render(store.Entries()); got != members {
+			t.Fatalf("failed update changed the members:\n%s\nwant\n%s", got, members)
+		}
+		if store.Valid() || store.Version() != version+1 {
+			t.Fatalf("after a failed update: valid %v, version %d; want invalid at %d", store.Valid(), store.Version(), version+1)
+		}
 	}
-	fail(false)
+
+	failed(func() error { return server.Delete(ctx, 0, waveD) }) // promotes a, b, c: site 2 evaluates two of them
 	covered(SourceRefreshed)
 	covered(SourceMaterialized)
 
-	fail(true)
-	err = server.Insert(ctx, 1, waveG) // qualifies locally: evaluated at sites 0 and 2
-	if !errors.Is(err, errBoom) || notified != 1 {
-		t.Fatalf("failed insert: %v with %d notifications (one is the refresh); want site 2's error", err, notified)
-	}
-	fail(false)
+	failed(func() error { return server.Insert(ctx, 1, waveG) }) // qualifies locally: evaluated at sites 0 and 2
 	live = append(live, waveG)
+	version := store.Version()
 	if err := server.Delete(ctx, 1, waveE); err != nil { // refreshes first, then applies
 		t.Fatal(err)
 	}
 	live = slices.DeleteFunc(live, func(tu uncertain.Tuple) bool { return tu.ID == waveE.ID })
-	if refreshes := server.Stats().Refreshes; refreshes != 1 || notified != 2 {
-		t.Fatalf("%d refresh rounds through the server and %d notifications, want the covered read's one and two", refreshes, notified)
+	// e is in no answer, so the delete itself changes nothing: the one
+	// bump is the refresh's Replace.
+	if refreshes := server.Stats().Refreshes; refreshes != 1 || !store.Valid() || store.Version() != version+1 {
+		t.Fatalf("%d refresh rounds through the server, valid %v, version %d; want the covered read's one, valid, %d",
+			refreshes, store.Valid(), store.Version(), version+1)
 	}
 	covered(SourceMaterialized) // the delete's own refresh replaced the invalidated store
+}
+
+// TestInvalidatedServerRefreshesOnUpdate: after Server.Invalidate (a site
+// changed out of band), the next update refreshes the store before it
+// applies — one Replace, then one Apply — so the store is valid and exact
+// afterwards and the next covered read needs no refresh round.
+func TestInvalidatedServerRefreshesOnUpdate(t *testing.T) {
+	ctx := context.Background()
+	cluster, _, gated := gatedCluster(t, waveParts(), 2)
+	server, err := cluster.Serve(ctx, ServeConfig{Floor: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := server.maint.store
+	// g lands at site 1 behind the server's back; h, inserted through it,
+	// dominates g, so the insert rescales a member only a refresh knows.
+	if _, err := gated[1].eng.Handle(ctx, &transport.Request{Kind: transport.KindInsert, Tuple: waveG, Query: transport.Query{Threshold: 0.3}}); err != nil {
+		t.Fatal(err)
+	}
+	server.Invalidate()
+	version := store.Version()
+	waveH := uncertain.Tuple{ID: 8, Point: geom.Point{0.04, 0.85}, Prob: 0.5}
+	if err := server.Insert(ctx, 2, waveH); err != nil {
+		t.Fatal(err)
+	}
+	if !store.Valid() || store.Version() != version+2 {
+		t.Fatalf("after the insert: valid %v, version %d; want valid at %d (a Replace, then an Apply)", store.Valid(), store.Version(), version+2)
+	}
+	live := uncertain.DB{waveD, waveC, waveA, waveE, waveB, waveG, waveH}
+	if oracle := live.Skyline(0.3, nil); !uncertain.MembersEqual(server.Skyline(), oracle, 1e-12) {
+		t.Fatalf("store %v, oracle %v", server.Skyline(), oracle)
+	}
+	rep, err := server.Query(ctx, Options{Threshold: 0.3, Mode: ModeMaterialized})
+	if err != nil || rep.Source != SourceMaterialized || server.Stats().Refreshes != 0 {
+		t.Fatalf("covered read: source %v, %v, %d refresh rounds; want materialized with none", rep.Source, err, server.Stats().Refreshes)
+	}
 }

@@ -64,9 +64,9 @@ type SoakOptions struct {
 	Threshold float64
 	Algorithm core.Algorithm
 	// UpdateFraction in [0,1) is the share of offered traffic that is
-	// insert/delete maintenance through a core.Maintainer (default 0).
-	// Updates are serialised on one goroutine (the Maintainer is not safe
-	// for concurrent use), so a high fraction self-limits.
+	// insert/delete maintenance through Server.Insert/Delete — Server's,
+	// or one the soak serves at Threshold (default 0). Updates are
+	// serialised on one goroutine, so a high fraction self-limits.
 	UpdateFraction float64
 	// Profile selects the arrival shape (default ProfileSteady);
 	// BurstFactor and BurstPeriod parameterise ProfileBurst (defaults 4
@@ -241,37 +241,30 @@ func Soak(ctx context.Context, cluster *core.Cluster, opts SoakOptions) (*SoakRe
 		return nil, fmt.Errorf("experiments: update fraction %v outside [0,1)", opts.UpdateFraction)
 	}
 
-	// The update stream needs a Maintainer, whose constructor runs the
-	// initial global query — do it once, outside the measured window.
-	// When a Server is the target its own maintainer takes the updates
-	// instead: a second maintainer would diverge from the materialized
-	// answer the served queries read.
-	var maint *core.Maintainer
-	if opts.UpdateFraction > 0 && opts.Server == nil {
-		var err error
-		maint, err = core.NewMaintainer(ctx, cluster, core.Options{
-			Threshold: opts.Threshold, Algorithm: opts.Algorithm,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: soak maintainer: %w", err)
-		}
-		maint.Instrument(opts.UpdateMetrics)
-		if opts.UpdateWindow != nil {
-			maint.SetLatencyWindow(opts.UpdateWindow)
-		}
-	}
-	if opts.UpdateFraction > 0 && opts.Server != nil {
-		opts.Server.InstrumentUpdates(opts.UpdateMetrics)
-		if opts.UpdateWindow != nil {
-			opts.Server.SetUpdateLatencyWindow(opts.UpdateWindow)
-		}
-	}
+	// The update stream goes through a Server's maintainer, whose
+	// construction runs the initial global query — do it once, outside the
+	// measured window. A Server target takes the updates itself (a second
+	// maintainer would diverge from the answer its served queries read);
+	// otherwise the soak serves one of its own at the threshold, which is
+	// the maintainer and nothing more until something reads it.
 	upd := &updateStream{
-		maint: maint,
-		srv:   opts.Server,
 		rng:   rand.New(rand.NewSource(opts.Seed)),
 		dims:  cluster.Dims(),
 		sites: cluster.Sites(),
+	}
+	if opts.UpdateFraction > 0 {
+		upd.srv = opts.Server
+		if upd.srv == nil {
+			var err error
+			upd.srv, err = cluster.Serve(ctx, core.ServeConfig{Floor: opts.Threshold, Algorithm: opts.Algorithm})
+			if err != nil {
+				return nil, fmt.Errorf("experiments: soak maintainer: %w", err)
+			}
+		}
+		upd.srv.InstrumentUpdates(opts.UpdateMetrics)
+		if opts.UpdateWindow != nil {
+			upd.srv.SetUpdateLatencyWindow(opts.UpdateWindow)
+		}
 	}
 
 	res := &SoakResult{
@@ -486,8 +479,7 @@ func soakIteration(ctx context.Context, cluster *core.Cluster, opts SoakOptions,
 // so the partitions stay near their original size over a long soak. All
 // methods run on the single updater goroutine.
 type updateStream struct {
-	maint   *core.Maintainer
-	srv     *core.Server // routes updates through the serving tier instead
+	srv     *core.Server // the update target; nil when the soak offers no updates
 	rng     *rand.Rand
 	dims    int
 	sites   int
@@ -497,23 +489,7 @@ type updateStream struct {
 }
 
 // active reports whether the stream has an update target at all.
-func (u *updateStream) active() bool { return u.maint != nil || u.srv != nil }
-
-// insert and remove route one update to whichever maintenance target
-// the soak drives.
-func (u *updateStream) insert(ctx context.Context, home int, tu uncertain.Tuple) error {
-	if u.srv != nil {
-		return u.srv.Insert(ctx, home, tu)
-	}
-	return u.maint.Insert(ctx, home, tu)
-}
-
-func (u *updateStream) remove(ctx context.Context, home int, tu uncertain.Tuple) error {
-	if u.srv != nil {
-		return u.srv.Delete(ctx, home, tu)
-	}
-	return u.maint.Delete(ctx, home, tu)
-}
+func (u *updateStream) active() bool { return u.srv != nil }
 
 type insertedTuple struct {
 	home int
@@ -533,7 +509,7 @@ func (u *updateStream) step(ctx context.Context) error {
 		victim := u.live[0]
 		u.live = u.live[1:]
 		u.deleted++
-		return u.remove(ctx, victim.home, victim.tu)
+		return u.srv.Delete(ctx, victim.home, victim.tu)
 	}
 	pt := make(geom.Point, u.dims)
 	for i := range pt {
@@ -546,7 +522,7 @@ func (u *updateStream) step(ctx context.Context) error {
 	}
 	u.nextID++
 	home := u.rng.Intn(u.sites)
-	if err := u.insert(ctx, home, tu); err != nil {
+	if err := u.srv.Insert(ctx, home, tu); err != nil {
 		return err
 	}
 	u.live = append(u.live, insertedTuple{home: home, tu: tu})

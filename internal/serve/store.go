@@ -3,13 +3,14 @@
 // (eq. 4/5), kept sorted by descending probability so a query with
 // threshold q is a sorted-prefix read — O(answer), no protocol round.
 //
-// The store is a passive index: core.Server populates it from one
-// initial protocol round, keeps it positioned through Maintainer answer
-// deltas (Apply), and replaces it wholesale after refresh rounds
-// (Replace). Every mutation bumps a version counter; readers take a
-// consistent snapshot under an RLock. Freshness is the Server's policy
-// call — the store only tracks the wall-clock of the last wholesale
-// refresh and an explicit invalidation mark.
+// The store is the maintained answer itself, not a copy of it:
+// core.Maintainer owns one, installs every protocol round's answer
+// wholesale (Replace) and edits it in place per incremental update
+// (Apply); core.Server reads that same instance. Every mutation bumps
+// one version counter; readers take a consistent snapshot under an
+// RLock. Freshness is the Server's policy call — the store only tracks
+// the wall-clock of the last wholesale refresh and an invalidation
+// mark, which the maintainer also sets when an update fails.
 package serve
 
 import (
@@ -34,9 +35,15 @@ func compare(a, b Entry) int { return uncertain.CompareMembers(a.Member, b.Membe
 // Store is the materialized skyline index. Safe for concurrent use:
 // many Prefix readers proceed in parallel; Apply/Replace writers are
 // serialised.
+//
+// Apply and Replace never write into a published entries slice: each
+// builds a new one and swaps it in (copy-on-write). That is what lets
+// Entries hand the writer the current slice without copying it, and it
+// must stay true.
 type Store struct {
 	mu        sync.RWMutex
-	entries   []Entry // sorted by compare
+	entries   []Entry                        // sorted by compare; never mutated once published
+	ids       map[uncertain.TupleID]struct{} // the IDs in entries, for Has
 	version   uint64
 	floor     float64 // materialization threshold q0
 	refreshed time.Time
@@ -46,7 +53,7 @@ type Store struct {
 // New returns an empty store materialized at threshold floor: the store
 // can answer any query whose threshold is >= floor (Covers).
 func New(floor float64) *Store {
-	return &Store{floor: floor}
+	return &Store{floor: floor, ids: map[uncertain.TupleID]struct{}{}}
 }
 
 // Floor returns the materialization threshold q0.
@@ -93,6 +100,14 @@ func (s *Store) Invalidate() {
 	s.version++
 }
 
+// Valid reports whether the store has not been invalidated since its
+// last Replace.
+func (s *Store) Valid() bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return !s.invalid
+}
+
 // Fresh reports whether the materialization may be served under the
 // given staleness bound: not explicitly invalidated, and — when
 // maxStale > 0 — refreshed within the last maxStale. maxStale == 0
@@ -116,17 +131,21 @@ func (s *Store) Replace(entries []Entry, now time.Time) {
 	sorted := make([]Entry, len(entries))
 	copy(sorted, entries)
 	slices.SortFunc(sorted, compare)
+	ids := make(map[uncertain.TupleID]struct{}, len(sorted))
+	for _, e := range sorted {
+		ids[e.Member.Tuple.ID] = struct{}{}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.entries = sorted
+	s.entries, s.ids = sorted, ids
 	s.refreshed = now
 	s.invalid = false
 	s.version++
 }
 
-// Apply folds one incremental answer delta into the index: removed
-// tuples leave, upserted tuples are re-scored and repositioned at their
-// sorted rank. The version bumps once per call with any effect.
+// Apply folds one incremental update into the index: removed tuples
+// leave, upserted tuples are re-scored and repositioned at their sorted
+// rank. The version bumps once per call with any effect.
 func (s *Store) Apply(upserts []Entry, removed []uncertain.TupleID) {
 	if len(upserts) == 0 && len(removed) == 0 {
 		return
@@ -140,18 +159,40 @@ func (s *Store) Apply(upserts []Entry, removed []uncertain.TupleID) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	next := s.entries[:0:0]
+	next := make([]Entry, 0, len(s.entries)+len(upserts))
 	for _, e := range s.entries {
 		if !drop[e.Member.Tuple.ID] {
 			next = append(next, e)
 		}
 	}
+	for _, id := range removed {
+		delete(s.ids, id)
+	}
 	for _, e := range upserts {
 		at, _ := slices.BinarySearchFunc(next, e, compare)
 		next = slices.Insert(next, at, e)
+		s.ids[e.Member.Tuple.ID] = struct{}{}
 	}
 	s.entries = next
 	s.version++
+}
+
+// Has reports whether tuple id is in the store.
+func (s *Store) Has(id uncertain.TupleID) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	_, ok := s.ids[id]
+	return ok
+}
+
+// Entries returns the current entries in report order, without copying:
+// the slice is shared and read-only. Because writers never modify a
+// published slice, it stays the snapshot of the version it was read at
+// while later mutations swap in new ones.
+func (s *Store) Entries() []Entry {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.entries
 }
 
 // Prefix returns a copy of every entry with probability >= q, in report

@@ -89,6 +89,30 @@ func TestStoreApply(t *testing.T) {
 	if got[0].Member.Prob != 0.7 {
 		t.Fatalf("rescored probability not applied: %v", got[0].Member.Prob)
 	}
+	if s.Has(1) || !s.Has(3) || !s.Has(4) {
+		t.Fatal("Has must follow the applied delta")
+	}
+}
+
+// TestStoreCopyOnWrite pins what lets the maintainer walk Entries without
+// copying: a slice Entries returned is never written by a later Apply or
+// Replace.
+func TestStoreCopyOnWrite(t *testing.T) {
+	s := New(0.1)
+	s.Replace([]Entry{entry(1, 0.9, 0), entry(2, 0.6, 1), entry(3, 0.3, 2)}, time.Now())
+	seen := s.Entries()
+	snapshot := append([]Entry(nil), seen...)
+	s.Apply([]Entry{entry(3, 0.8, 2), entry(4, 0.7, 0)}, []uncertain.TupleID{1})
+	s.Apply(nil, []uncertain.TupleID{2})
+	s.Replace([]Entry{entry(5, 0.5, 1)}, time.Now())
+	for i := range seen {
+		if seen[i].Member.Tuple.ID != snapshot[i].Member.Tuple.ID || seen[i].Member.Prob != snapshot[i].Member.Prob || seen[i].Site != snapshot[i].Site {
+			t.Fatalf("entry %d of a published slice changed: %v, was %v", i, seen[i], snapshot[i])
+		}
+	}
+	if !equalIDs(ids(s.Entries()), []uncertain.TupleID{5}) || s.Has(3) || !s.Has(5) {
+		t.Fatalf("after Replace: %v", ids(s.Entries()))
+	}
 }
 
 // TestStoreFreshness pins the policy inputs: only Replace resets the
@@ -118,14 +142,14 @@ func TestStoreFreshness(t *testing.T) {
 
 	v := s.Version()
 	s.Invalidate()
-	if s.Fresh(t0, 0) {
+	if s.Fresh(t0, 0) || s.Valid() {
 		t.Fatal("invalidated store must not be fresh at any bound")
 	}
 	if s.Version() == v {
 		t.Fatal("Invalidate must bump the version")
 	}
 	s.Replace(nil, t0.Add(time.Minute))
-	if !s.Fresh(t0.Add(time.Minute), time.Minute) {
+	if !s.Fresh(t0.Add(time.Minute), time.Minute) || !s.Valid() {
 		t.Fatal("Replace must clear the invalidation")
 	}
 }
