@@ -19,9 +19,14 @@ vet:
 # internal/round is the paper's algorithm and nothing else: it must not
 # come to depend, even transitively, on the observability tree, the codec,
 # slog, pprof or net/http (so it cannot import internal/transport either).
+# It speaks internal/msg, the protocol's messages, which is a leaf: of this
+# repository's packages it may depend on geom and uncertain alone, and on
+# none of the above.
 boundary:
 	@if $(GO) list -deps ./internal/round | grep -E 'repro/internal/obs|repro/internal/codec|log/slog|runtime/pprof|net/http'; then \
 	  echo "internal/round depends on the packages above; observers belong in internal/core" >&2; exit 1; fi
+	@if $(GO) list -deps ./internal/msg | grep -E '^repro/|log/slog|runtime/pprof|net/http' | grep -vxE 'repro/internal/(msg|geom|uncertain)'; then \
+	  echo "internal/msg depends on the packages above; the message types are a leaf over geom and uncertain" >&2; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -44,8 +44,8 @@ import (
 	"time"
 
 	"repro/dsq"
+	"repro/internal/msg"
 	"repro/internal/obs/slo"
-	"repro/internal/transport"
 )
 
 func main() {
@@ -217,7 +217,7 @@ func (t *top) renderCluster(w *os.File) int {
 		for _, o := range st.SLO {
 			if o.Breached {
 				fmt.Fprintf(w, "      slo %s BREACHED: current %.4g target %.4g burn %.2f\n",
-					string(o.Name), o.Current, o.Target, o.Burn)
+					o.Name, o.Current, o.Target, o.Burn)
 			}
 		}
 	}
@@ -367,7 +367,7 @@ func spark(pts []dsq.WatchPoint, width int) string {
 	return b.String()
 }
 
-func (t *top) fetchStatus(base string) (*transport.SiteStatus, error) {
+func (t *top) fetchStatus(base string) (*msg.SiteStatus, error) {
 	resp, err := t.client.Get(base + "/statusz")
 	if err != nil {
 		return nil, err
@@ -376,7 +376,7 @@ func (t *top) fetchStatus(base string) (*transport.SiteStatus, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("http %d", resp.StatusCode)
 	}
-	var st transport.SiteStatus
+	var st msg.SiteStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return nil, err
 	}

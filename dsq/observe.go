@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/core"
+	"repro/internal/msg"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/obs/progress"
@@ -104,7 +105,7 @@ type (
 	// or the error that prevented one (see Cluster.Health).
 	SiteHealth = core.SiteHealth
 	// SiteStatus is a site daemon's self-reported health snapshot.
-	SiteStatus = transport.SiteStatus
+	SiteStatus = msg.SiteStatus
 	// FlightRecorder is an always-on ring buffer of recent per-query
 	// records, dumpable after the fact (attach via
 	// ClusterConfig.FlightRecorder, serve Handler() at /debug/flightz).

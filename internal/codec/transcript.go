@@ -119,7 +119,7 @@ const (
 type TranscriptMessage struct {
 	Dir       uint8 // TranscriptDirRequest | TranscriptDirResponse
 	Phase     uint8 // core.Phase the message belongs to
-	Kind      int64 // transport.Kind
+	Kind      int64 // msg.Kind
 	Site      int64
 	Ordinal   int64 // per-site RPC ordinal, starting at 0
 	WireBytes int64 // framed bytes charged on the live wire (both directions, stamped on the response)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/msg"
 	"repro/internal/site"
 	"repro/internal/transport"
 	"repro/internal/uncertain"
@@ -27,7 +28,7 @@ type chaosClient struct {
 
 var errChaos = errors.New("chaos: connection dropped")
 
-func (c *chaosClient) Call(ctx context.Context, req *transport.Request) (*transport.Response, error) {
+func (c *chaosClient) Call(ctx context.Context, req *msg.Request) (*msg.Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.dead {
@@ -121,24 +122,24 @@ func TestSequenceDedupAtEngine(t *testing.T) {
 	parts, _ := makeWorkload(t, 100, 2, 1, gen.Independent, 140)
 	eng := site.New(0, parts[0], 2, 0)
 	ctx := context.Background()
-	if _, err := eng.Handle(ctx, &transport.Request{
-		Seq: 1, Kind: transport.KindInit,
-		Query: transport.Query{Threshold: 0.1},
+	if _, err := eng.Handle(ctx, &msg.Request{
+		Seq: 1, Kind: msg.KindInit,
+		Query: msg.Query{Threshold: 0.1},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	first, err := eng.Handle(ctx, &transport.Request{Seq: 2, Kind: transport.KindNext})
+	first, err := eng.Handle(ctx, &msg.Request{Seq: 2, Kind: msg.KindNext})
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := eng.Handle(ctx, &transport.Request{Seq: 2, Kind: transport.KindNext})
+	replay, err := eng.Handle(ctx, &msg.Request{Seq: 2, Kind: msg.KindNext})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if replay.Rep.Tuple.ID != first.Rep.Tuple.ID {
 		t.Fatalf("replayed Seq returned a different tuple: %v vs %v", replay.Rep, first.Rep)
 	}
-	fresh, err := eng.Handle(ctx, &transport.Request{Seq: 3, Kind: transport.KindNext})
+	fresh, err := eng.Handle(ctx, &msg.Request{Seq: 3, Kind: msg.KindNext})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,10 +149,10 @@ func TestSequenceDedupAtEngine(t *testing.T) {
 
 	// An old-but-cached sequence replays its original outcome — it must
 	// not re-execute and advance the stream.
-	if _, err := eng.Handle(ctx, &transport.Request{Seq: 1, Kind: transport.KindNext}); err != nil {
+	if _, err := eng.Handle(ctx, &msg.Request{Seq: 1, Kind: msg.KindNext}); err != nil {
 		t.Fatalf("in-window old sequence must replay its cached outcome, got error: %v", err)
 	}
-	after, err := eng.Handle(ctx, &transport.Request{Seq: 4, Kind: transport.KindNext})
+	after, err := eng.Handle(ctx, &msg.Request{Seq: 4, Kind: msg.KindNext})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,21 +162,21 @@ func TestSequenceDedupAtEngine(t *testing.T) {
 
 	// Sequences may arrive out of order (concurrent mux senders): an
 	// unseen sequence below the highest served one is a first delivery.
-	if _, err := eng.Handle(ctx, &transport.Request{Seq: 6, Kind: transport.KindNext}); err != nil {
+	if _, err := eng.Handle(ctx, &msg.Request{Seq: 6, Kind: msg.KindNext}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Handle(ctx, &transport.Request{Seq: 5, Kind: transport.KindNext}); err != nil {
+	if _, err := eng.Handle(ctx, &msg.Request{Seq: 5, Kind: msg.KindNext}); err != nil {
 		t.Fatalf("out-of-order first delivery must be served, got: %v", err)
 	}
 
 	// Push Seq 1 out of the dedup window; its retry must then be refused
 	// (never silently re-executed).
 	for s := uint64(7); s < uint64(site.DedupWindow)+10; s++ {
-		if _, err := eng.Handle(ctx, &transport.Request{Seq: s, Kind: transport.KindNext}); err != nil {
+		if _, err := eng.Handle(ctx, &msg.Request{Seq: s, Kind: msg.KindNext}); err != nil {
 			t.Fatalf("seq %d: %v", s, err)
 		}
 	}
-	if _, err := eng.Handle(ctx, &transport.Request{Seq: 1, Kind: transport.KindNext}); err == nil {
+	if _, err := eng.Handle(ctx, &msg.Request{Seq: 1, Kind: msg.KindNext}); err == nil {
 		t.Fatal("sequences evicted from the dedup window must be rejected")
 	}
 }

@@ -12,12 +12,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/msg"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/obs/transcript"
-	"repro/internal/round"
 	"repro/internal/transport"
-	"repro/internal/uncertain"
 )
 
 // Cluster is the coordinator's view of the distributed system: one client
@@ -199,22 +198,20 @@ type view struct {
 	tr      *Trace
 	rec     *transcript.Recorder
 	session uint64
-	query   transport.Query
+	query   msg.Query
 	// One fan-out's buffers, indexed by site and reused by the next: the
-	// requests (Kind 0: nothing for that site), what came back, and the
-	// engine's cut of it.
-	wire    []transport.Request
-	resps   []*transport.Response
-	errs    []error
-	replies []round.Response
+	// requests (Kind 0: nothing for that site) and what came back.
+	wire  []msg.Request
+	resps []*msg.Response
+	errs  []error
 }
 
 // newView opens a view with no meter or recorder of its own. tr may be nil.
-func (c *Cluster) newView(tr *Trace, session uint64, query transport.Query) *view {
+func (c *Cluster) newView(tr *Trace, session uint64, query msg.Query) *view {
 	n := len(c.clients)
 	return &view{cluster: c, tr: tr, session: session, query: query,
-		wire: make([]transport.Request, n), resps: make([]*transport.Response, n),
-		errs: make([]error, n), replies: make([]round.Response, n)}
+		wire: make([]msg.Request, n), resps: make([]*msg.Response, n),
+		errs: make([]error, n)}
 }
 
 // nextSession allocates a globally unique session ID (never zero): a
@@ -277,7 +274,7 @@ func (c *Cluster) Close() error {
 //
 // An untraced, uninstrumented call reads no clock. req is the caller's
 // alone (the retry transport copies it for its own Seq stamp).
-func (v *view) rpc(ctx context.Context, i int, req *transport.Request) (*transport.Response, error) {
+func (v *view) rpc(ctx context.Context, i int, req *msg.Request) (*msg.Response, error) {
 	c := v.cluster
 	req.Timed = v.tr != nil
 	timed := req.Timed || c.rpcs != nil
@@ -286,7 +283,7 @@ func (v *view) rpc(ctx context.Context, i int, req *transport.Request) (*transpo
 		start = time.Now()
 	}
 	err := sleep(ctx, c.latency)
-	var resp *transport.Response
+	var resp *msg.Response
 	var n int64
 	if err == nil {
 		resp, n, err = transport.CallBytes(c.clients[i], ctx, req)
@@ -351,7 +348,7 @@ func (v *view) call(ctx context.Context, i int) {
 // none — and the first failure cancels the rest. What has already executed
 // stays executed, so the caller must fail, not resend; the error it gets
 // is a root cause in preference to a cancellation that cause triggered.
-func (v *view) issue(ctx context.Context) ([]*transport.Response, error) {
+func (v *view) issue(ctx context.Context) ([]*msg.Response, error) {
 	n, last := 0, 0
 	for i := range v.wire {
 		if v.wire[i].Kind != 0 {
@@ -397,9 +394,9 @@ func (v *view) issue(ctx context.Context) ([]*transport.Response, error) {
 }
 
 // send issues req to one site alone, or to every site when site is negative.
-func (v *view) send(ctx context.Context, site int, req transport.Request) ([]*transport.Response, error) {
+func (v *view) send(ctx context.Context, site int, req msg.Request) ([]*msg.Response, error) {
 	for i := range v.wire {
-		v.wire[i] = transport.Request{}
+		v.wire[i] = msg.Request{}
 		if site < 0 || site == i {
 			v.wire[i] = req
 		}
@@ -407,62 +404,24 @@ func (v *view) send(ctx context.Context, site int, req transport.Request) ([]*tr
 	return v.issue(ctx)
 }
 
-// Len and Fanout make the view the round engine's Sites: each engine
-// request becomes the wire request the sites speak, bound to this view's
-// session and query, and each reply is cut down to what the algorithm
-// reads. Replies are converted on the caller's goroutine: a fan-out's
-// goroutines start on small stacks that the sites' tree recursion already
-// has to grow, and anything that deepens their frames costs a stack copy
-// per call.
+// Len and Fanout make the view the round engine's Sites. The engine fills
+// each slot's Kind and an evaluate's Feed; the view binds its session to
+// every filled slot but a ship-all, and its query to an init, and the
+// replies go back to the engine as they came.
 func (v *view) Len() int { return len(v.cluster.clients) }
 
-func (v *view) Fanout(ctx context.Context, reqs []round.Request) ([]round.Response, error) {
+func (v *view) Fanout(ctx context.Context, reqs []msg.Request) ([]*msg.Response, error) {
 	for i, r := range reqs {
-		v.wire[i] = v.wireRequest(r)
-	}
-	resps, err := v.issue(ctx)
-	if err != nil {
-		return nil, err
-	}
-	for i, resp := range resps {
-		v.replies[i] = round.Response{}
-		if resp != nil {
-			v.replies[i] = reply(resp)
+		switch r.Kind {
+		case msg.KindInit:
+			r.Query = v.query
+			fallthrough
+		case msg.KindNext, msg.KindEvaluate:
+			r.Session = v.session
 		}
+		v.wire[i] = r
 	}
-	return v.replies, nil
-}
-
-func (v *view) wireRequest(r round.Request) transport.Request {
-	switch r.Op {
-	case round.OpInit:
-		return transport.Request{Kind: transport.KindInit, Query: v.query, Session: v.session}
-	case round.OpNext:
-		return transport.Request{Kind: transport.KindNext, Session: v.session}
-	case round.OpEvaluate:
-		return transport.Request{Kind: transport.KindEvaluate, Session: v.session,
-			Feed: transport.Feedback{Tuple: r.Feed.Tuple, HomeLocalProb: r.Feed.LocalProb}}
-	case round.OpShipAll:
-		return transport.Request{Kind: transport.KindShipAll}
-	}
-	return transport.Request{}
-}
-
-func reply(resp *transport.Response) round.Response {
-	r := round.Response{
-		Rep:           round.Representative(resp.Rep),
-		Exhausted:     resp.Exhausted,
-		CrossProb:     resp.CrossProb,
-		Pruned:        resp.Pruned,
-		SessionPruned: resp.SessionPruned,
-	}
-	if len(resp.Tuples) > 0 {
-		r.Tuples = make(uncertain.DB, len(resp.Tuples))
-		for k, rep := range resp.Tuples {
-			r.Tuples[k] = rep.Tuple
-		}
-	}
-	return r
+	return v.issue(ctx)
 }
 
 // endSession releases the per-site session state when the query ends,
@@ -471,5 +430,5 @@ func reply(resp *transport.Response) round.Response {
 func (v *view) endSession() {
 	cleanup, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	v.send(cleanup, -1, transport.Request{Kind: transport.KindEndQuery, Session: v.session})
+	v.send(cleanup, -1, msg.Request{Kind: msg.KindEndQuery, Session: v.session})
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/msg"
 	"repro/internal/transport"
 	"repro/internal/uncertain"
 )
@@ -18,21 +19,21 @@ import (
 // logic mirrors site.Engine exactly.
 type fakeSite struct {
 	threshold float64
-	sky       []transport.Representative
+	sky       []msg.Representative
 	cross     func(id uncertain.TupleID) float64
 	pruned    int // session-cumulative, as the engine reports it
 }
 
-func (f *fakeSite) Handle(_ context.Context, req *transport.Request) (*transport.Response, error) {
+func (f *fakeSite) Handle(_ context.Context, req *msg.Request) (*msg.Response, error) {
 	switch req.Kind {
-	case transport.KindInit, transport.KindNext:
+	case msg.KindInit, msg.KindNext:
 		if len(f.sky) == 0 {
-			return &transport.Response{Exhausted: true}, nil
+			return &msg.Response{Exhausted: true}, nil
 		}
 		head := f.sky[0]
 		f.sky = f.sky[1:]
-		return &transport.Response{Rep: head}, nil
-	case transport.KindEvaluate:
+		return &msg.Response{Rep: head}, nil
+	case msg.KindEvaluate:
 		feed := req.Feed
 		homeFactor := feed.HomeLocalProb / feed.Tuple.Prob * (1 - feed.Tuple.Prob)
 		pruned := 0
@@ -46,7 +47,7 @@ func (f *fakeSite) Handle(_ context.Context, req *transport.Request) (*transport
 		}
 		f.sky = kept
 		f.pruned += pruned
-		return &transport.Response{CrossProb: f.cross(feed.Tuple.ID), Pruned: pruned, SessionPruned: f.pruned}, nil
+		return &msg.Response{CrossProb: f.cross(feed.Tuple.ID), Pruned: pruned, SessionPruned: f.pruned}, nil
 	default:
 		return nil, fmt.Errorf("fakeSite: unexpected kind %v", req.Kind)
 	}
@@ -55,8 +56,8 @@ func (f *fakeSite) Handle(_ context.Context, req *transport.Request) (*transport
 func (f *fakeSite) client() transport.Client { return transport.Local(f) }
 
 // rep builds one of the paper's quaternions <x, y, P(t), P_sky>.
-func rep(id uncertain.TupleID, x, y, prob, local float64) transport.Representative {
-	return transport.Representative{
+func rep(id uncertain.TupleID, x, y, prob, local float64) msg.Representative {
+	return msg.Representative{
 		Tuple:     uncertain.Tuple{ID: id, Point: geom.Point{x, y}, Prob: prob},
 		LocalProb: local,
 	}
@@ -78,17 +79,17 @@ func paperExampleSites() []*fakeSite {
 	}
 	const q = 0.3
 	return []*fakeSite{
-		{threshold: q, cross: cross, sky: []transport.Representative{
+		{threshold: q, cross: cross, sky: []msg.Representative{
 			rep(1, 6, 6, 0.7, 0.65),
 			rep(2, 8, 4, 0.8, 0.6),
 			rep(3, 3, 8, 0.8, 0.5),
 		}},
-		{threshold: q, cross: cross, sky: []transport.Representative{
+		{threshold: q, cross: cross, sky: []msg.Representative{
 			rep(4, 6.5, 7, 0.8, 0.65),
 			rep(5, 4, 9, 0.6, 0.6),
 			rep(6, 9, 5, 0.7, 0.6),
 		}},
-		{threshold: q, cross: cross, sky: []transport.Representative{
+		{threshold: q, cross: cross, sky: []msg.Representative{
 			rep(7, 6.4, 7.5, 0.9, 0.8),
 			rep(8, 3.5, 11, 0.7, 0.7),
 			rep(9, 10, 4.5, 0.7, 0.7),

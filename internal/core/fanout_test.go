@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/msg"
 	"repro/internal/site"
 	"repro/internal/transport"
 )
@@ -28,21 +29,21 @@ type faultClient struct {
 	once     *sync.Once
 
 	mu    sync.Mutex
-	calls map[transport.Kind]int
+	calls map[msg.Kind]int
 }
 
-func (c *faultClient) Call(ctx context.Context, req *transport.Request) (*transport.Response, error) {
+func (c *faultClient) Call(ctx context.Context, req *msg.Request) (*msg.Response, error) {
 	c.mu.Lock()
 	c.calls[req.Kind]++
 	first := c.calls[req.Kind] == 1
 	c.mu.Unlock()
 	switch {
-	case req.Kind == transport.KindNext && first:
+	case req.Kind == msg.KindNext && first:
 		defer c.once.Do(func() { close(c.nextDone) })
-	case req.Kind == transport.KindEvaluate && first && c.fail:
+	case req.Kind == msg.KindEvaluate && first && c.fail:
 		<-c.nextDone
 		return nil, errBoom
-	case req.Kind == transport.KindEvaluate && first:
+	case req.Kind == msg.KindEvaluate && first:
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
@@ -76,7 +77,7 @@ func TestFanoutFailureIsRootCauseAndFinal(t *testing.T) {
 		clients := make([]transport.Client, len(parts))
 		for i, part := range parts {
 			fakes[i] = &faultClient{eng: site.New(i, part, 3, 0), fail: i == failing,
-				nextDone: nextDone, once: once, calls: make(map[transport.Kind]int)}
+				nextDone: nextDone, once: once, calls: make(map[msg.Kind]int)}
 			clients[i] = fakes[i]
 		}
 		cluster, err := NewClusterFromClients(clients, 3)
@@ -93,7 +94,7 @@ func TestFanoutFailureIsRootCauseAndFinal(t *testing.T) {
 			if i == home {
 				wantNext = 1
 			}
-			if f.calls[transport.KindInit] != 1 || f.calls[transport.KindNext] != wantNext || f.calls[transport.KindEvaluate] > 1 {
+			if f.calls[msg.KindInit] != 1 || f.calls[msg.KindNext] != wantNext || f.calls[msg.KindEvaluate] > 1 {
 				t.Errorf("site %d failing: site %d saw %v, want one Init, %d Next, at most one Evaluate", failing, i, f.calls, wantNext)
 			}
 		}

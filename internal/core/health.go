@@ -7,7 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/transport"
+	"repro/internal/msg"
 	"repro/internal/uncertain"
 )
 
@@ -17,7 +17,7 @@ import (
 // here as Err — degraded visibility, not a cluster failure.
 type SiteHealth struct {
 	Site   int
-	Status *transport.SiteStatus
+	Status *msg.SiteStatus
 	Err    error
 }
 
@@ -38,7 +38,7 @@ func (c *Cluster) Health(ctx context.Context) []SiteHealth {
 		go func(i int) {
 			defer wg.Done()
 			out[i].Site = i
-			resp, err := probe.rpc(ctx, i, &transport.Request{Kind: transport.KindStatus})
+			resp, err := probe.rpc(ctx, i, &msg.Request{Kind: msg.KindStatus})
 			if err != nil {
 				out[i].Err = err
 				return
@@ -59,8 +59,8 @@ func (c *Cluster) Health(ctx context.Context) []SiteHealth {
 // auditor's oracle input; it costs one baseline-query's worth of
 // bandwidth, which is why audits are sampled.
 func (c *Cluster) Partitions(ctx context.Context) (uncertain.DB, map[uncertain.TupleID]int, error) {
-	v := c.newView(nil, 0, transport.Query{})
-	resps, err := v.send(ctx, -1, transport.Request{Kind: transport.KindShipAll})
+	v := c.newView(nil, 0, msg.Query{})
+	resps, err := v.send(ctx, -1, msg.Request{Kind: msg.KindShipAll})
 	if err != nil {
 		return nil, nil, err
 	}

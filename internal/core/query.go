@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/codec"
+	"repro/internal/msg"
 	"repro/internal/obs"
 	"repro/internal/obs/progress"
 	"repro/internal/obs/transcript"
@@ -41,7 +42,7 @@ func Run(ctx context.Context, c *Cluster, opts Options) (*Report, error) {
 	sid := c.nextSession()
 	opts.Trace.begin(start, sid)
 	defer opts.Trace.finish()
-	v := c.newView(opts.Trace, sid, transport.Query{
+	v := c.newView(opts.Trace, sid, msg.Query{
 		Threshold: opts.Threshold,
 		Dims:      opts.Dims,
 		NoPrune:   opts.DisableSitePruning,

@@ -16,6 +16,7 @@ import (
 	"sync"
 
 	"repro/internal/codec"
+	"repro/internal/msg"
 	"repro/internal/obs/transcript"
 	"repro/internal/transport"
 )
@@ -48,12 +49,12 @@ type replayClient struct {
 	next int
 }
 
-func (c *replayClient) Call(ctx context.Context, req *transport.Request) (*transport.Response, error) {
+func (c *replayClient) Call(ctx context.Context, req *msg.Request) (*msg.Response, error) {
 	resp, _, err := c.CallBytes(ctx, req)
 	return resp, err
 }
 
-func (c *replayClient) CallBytes(ctx context.Context, req *transport.Request) (*transport.Response, int64, error) {
+func (c *replayClient) CallBytes(ctx context.Context, req *msg.Request) (*msg.Response, int64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
@@ -66,10 +67,10 @@ func (c *replayClient) CallBytes(ctx context.Context, req *transport.Request) (*
 	ex := c.exs[c.next]
 	if int64(req.Kind) != ex.Kind {
 		return nil, 0, fmt.Errorf("core: replay site %d ordinal %d: engine sent %v, recording holds %v",
-			c.site, c.next, req.Kind, transport.Kind(ex.Kind))
+			c.site, c.next, req.Kind, msg.Kind(ex.Kind))
 	}
-	if req.Kind == transport.KindEvaluate {
-		var rec transport.Request
+	if req.Kind == msg.KindEvaluate {
+		var rec msg.Request
 		if err := transport.DecodeRequest(ex.Request.Payload, &rec); err != nil {
 			return nil, 0, fmt.Errorf("core: replay site %d ordinal %d: recorded request: %w", c.site, c.next, err)
 		}
@@ -78,7 +79,7 @@ func (c *replayClient) CallBytes(ctx context.Context, req *transport.Request) (*
 				c.site, c.next, req.Feed.Tuple.ID, rec.Feed.Tuple.ID)
 		}
 	}
-	resp := new(transport.Response)
+	resp := new(msg.Response)
 	if err := transport.DecodeResponse(ex.Response.Payload, resp); err != nil {
 		return nil, 0, fmt.Errorf("core: replay site %d ordinal %d: recorded response: %w", c.site, c.next, err)
 	}

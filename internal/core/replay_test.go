@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/gen"
+	"repro/internal/msg"
 	"repro/internal/obs/flight"
 	"repro/internal/obs/transcript"
 	"repro/internal/transport"
@@ -43,12 +44,12 @@ func TestTranscriptMirrorsCoreConstants(t *testing.T) {
 			t.Errorf("AlgorithmName(%d) = %q, core says %q", uint8(a), got, a.String())
 		}
 	}
-	for _, k := range []transport.Kind{transport.KindInit, transport.KindNext, transport.KindShipAll} {
+	for _, k := range []msg.Kind{msg.KindInit, msg.KindNext, msg.KindShipAll} {
 		if transcript.PhaseOf(k) != transcript.PhaseToServer {
 			t.Errorf("PhaseOf(%v) = %d, want to-server", k, transcript.PhaseOf(k))
 		}
 	}
-	if transcript.PhaseOf(transport.KindEvaluate) != transcript.PhaseServerDelivery {
+	if transcript.PhaseOf(msg.KindEvaluate) != transcript.PhaseServerDelivery {
 		t.Error("PhaseOf(Evaluate) must map to server-delivery")
 	}
 }
@@ -254,10 +255,10 @@ func TestReplayDetectsTampering(t *testing.T) {
 	tampered := false
 	for i := range tr2.Messages {
 		m := &tr2.Messages[i]
-		if m.Dir != codec.TranscriptDirRequest || m.Kind != int64(transport.KindEvaluate) {
+		if m.Dir != codec.TranscriptDirRequest || m.Kind != int64(msg.KindEvaluate) {
 			continue
 		}
-		var req transport.Request
+		var req msg.Request
 		if err := transport.DecodeRequest(m.Payload, &req); err != nil {
 			t.Fatal(err)
 		}

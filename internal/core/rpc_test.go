@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/gen"
+	"repro/internal/msg"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/transport"
@@ -17,7 +18,7 @@ import (
 )
 
 // rpcCount reads one dsud_rpc_requests_total series.
-func rpcCount(reg *obs.Registry, site int, k transport.Kind, outcome string) int64 {
+func rpcCount(reg *obs.Registry, site int, k msg.Kind, outcome string) int64 {
 	return reg.Counter("dsud_rpc_requests_total", "site", strconv.Itoa(site), "kind", k.String(), "outcome", outcome).Value()
 }
 
@@ -25,8 +26,8 @@ func rpcCount(reg *obs.Registry, site int, k transport.Kind, outcome string) int
 func rpcTotal(reg *obs.Registry, sites int, outcome string) int64 {
 	var n int64
 	for i := 0; i < sites; i++ {
-		for k := 1; k <= transport.MaxKind; k++ {
-			n += rpcCount(reg, i, transport.Kind(k), outcome)
+		for k := 1; k <= msg.MaxKind; k++ {
+			n += rpcCount(reg, i, msg.Kind(k), outcome)
 		}
 	}
 	return n
@@ -48,7 +49,7 @@ func TestInstrumentTwiceCountsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < len(parts); i++ {
-		if got := rpcCount(reg, i, transport.KindInit, "ok"); got != 1 {
+		if got := rpcCount(reg, i, msg.KindInit, "ok"); got != 1 {
 			t.Errorf("site %d: init ok = %d after one query, want 1", i, got)
 		}
 	}
@@ -61,14 +62,14 @@ func TestInstrumentTwiceCountsOnce(t *testing.T) {
 // err, when set, fails every request.
 type scriptedHandler struct{ err error }
 
-func (h *scriptedHandler) Handle(_ context.Context, req *transport.Request) (*transport.Response, error) {
+func (h *scriptedHandler) Handle(_ context.Context, req *msg.Request) (*msg.Response, error) {
 	if h.err != nil {
 		return nil, h.err
 	}
-	if req.Kind == transport.KindNext {
-		return &transport.Response{Rep: transport.Representative{Tuple: uncertain.Tuple{ID: 1, Point: []float64{1, 2}, Prob: 0.5}}}, nil
+	if req.Kind == msg.KindNext {
+		return &msg.Response{Rep: msg.Representative{Tuple: uncertain.Tuple{ID: 1, Point: []float64{1, 2}, Prob: 0.5}}}, nil
 	}
-	return &transport.Response{}, nil
+	return &msg.Response{}, nil
 }
 
 // scriptedCluster is one in-process site answered by h, instrumented
@@ -80,7 +81,7 @@ func scriptedCluster(t *testing.T, h transport.Handler, reg *obs.Registry) (*Clu
 		t.Fatal(err)
 	}
 	cluster.Instrument(reg)
-	v := cluster.newView(nil, 0, transport.Query{})
+	v := cluster.newView(nil, 0, msg.Query{})
 	v.meter = &transport.Meter{}
 	return cluster, v
 }
@@ -93,22 +94,22 @@ func TestRPCCountsTimesAndMeters(t *testing.T) {
 	cluster, v := scriptedCluster(t, h, reg)
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		if _, err := v.rpc(ctx, 0, &transport.Request{Kind: transport.KindNext}); err != nil {
+		if _, err := v.rpc(ctx, 0, &msg.Request{Kind: msg.KindNext}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := v.rpc(ctx, 0, &transport.Request{Kind: transport.KindEvaluate}); err != nil {
+	if _, err := v.rpc(ctx, 0, &msg.Request{Kind: msg.KindEvaluate}); err != nil {
 		t.Fatal(err)
 	}
 	h.err = errors.New("boom")
-	if _, err := v.rpc(ctx, 0, &transport.Request{Kind: transport.KindNext}); err == nil {
+	if _, err := v.rpc(ctx, 0, &msg.Request{Kind: msg.KindNext}); err == nil {
 		t.Fatal("handler error must propagate")
 	}
 
-	if got := rpcCount(reg, 0, transport.KindNext, "ok"); got != 3 {
+	if got := rpcCount(reg, 0, msg.KindNext, "ok"); got != 3 {
 		t.Fatalf("next ok = %d, want 3", got)
 	}
-	if got := rpcCount(reg, 0, transport.KindNext, "error"); got != 1 {
+	if got := rpcCount(reg, 0, msg.KindNext, "error"); got != 1 {
 		t.Fatalf("next error = %d, want 1", got)
 	}
 	if got := reg.Histogram("dsud_rpc_duration_seconds", nil, "site", "0", "kind", "evaluate").Snapshot().Count; got != 1 {
@@ -134,20 +135,20 @@ func TestRPCInstrumentsEveryKind(t *testing.T) {
 	_, v := scriptedCluster(t, &scriptedHandler{}, reg)
 	named := 0
 	// Walk past MaxKind so a named kind beyond the bound fails here.
-	for k := transport.Kind(1); int(k) <= transport.MaxKind+8; k++ {
+	for k := msg.Kind(1); int(k) <= msg.MaxKind+8; k++ {
 		if strings.HasPrefix(k.String(), "Kind(") {
 			continue
 		}
 		named++
-		if _, err := v.rpc(context.Background(), 0, &transport.Request{Kind: k}); err != nil {
+		if _, err := v.rpc(context.Background(), 0, &msg.Request{Kind: k}); err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
 		if got := rpcCount(reg, 0, k, "ok"); got != 1 {
 			t.Errorf("kind %v: ok counter = %d after one call, want 1", k, got)
 		}
 	}
-	if named != transport.MaxKind {
-		t.Errorf("%d named kinds, MaxKind = %d", named, transport.MaxKind)
+	if named != msg.MaxKind {
+		t.Errorf("%d named kinds, MaxKind = %d", named, msg.MaxKind)
 	}
 }
 
@@ -158,7 +159,7 @@ func TestRPCUninstrumentedTakesNoTiming(t *testing.T) {
 	if cluster.rpcs != nil {
 		t.Fatal("Instrument(nil) resolved instruments")
 	}
-	if _, err := v.rpc(context.Background(), 0, &transport.Request{Kind: transport.KindStatus}); err != nil {
+	if _, err := v.rpc(context.Background(), 0, &msg.Request{Kind: msg.KindStatus}); err != nil {
 		t.Fatal(err)
 	}
 	if got := cluster.Meter().Snapshot().Messages; got != 1 {
@@ -177,9 +178,9 @@ func TestClusterLatencyDelaysEachCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	v := cluster.newView(nil, 0, transport.Query{})
+	v := cluster.newView(nil, 0, msg.Query{})
 	start := time.Now()
-	if _, err := v.rpc(context.Background(), 0, &transport.Request{Kind: transport.KindStatus}); err != nil {
+	if _, err := v.rpc(context.Background(), 0, &msg.Request{Kind: msg.KindStatus}); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed < latency-5*time.Millisecond {
@@ -196,7 +197,7 @@ func TestClusterLatencyDelaysEachCall(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start = time.Now()
-	if _, err := v.rpc(ctx, 0, &transport.Request{Kind: transport.KindStatus}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := v.rpc(ctx, 0, &msg.Request{Kind: msg.KindStatus}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("call cut short by its context returned %v", err)
 	}
 	if elapsed := time.Since(start); elapsed >= latency {
@@ -250,11 +251,11 @@ func TestOneCallPathAccountsEveryRPC(t *testing.T) {
 		t.Fatal("query disagreed with the oracle")
 	}
 	var requests, wire int64
-	for _, msg := range tr.Messages {
-		if msg.Dir == codec.TranscriptDirRequest {
+	for _, m := range tr.Messages {
+		if m.Dir == codec.TranscriptDirRequest {
 			requests++
 		} else {
-			wire += msg.WireBytes
+			wire += m.WireBytes
 		}
 	}
 	if rep.Bandwidth.Messages != requests {
@@ -300,7 +301,7 @@ func TestOneCallPathAccountsEveryRPC(t *testing.T) {
 	}
 	var status int64
 	for i := 0; i < m; i++ {
-		status += rpcCount(reg, i, transport.KindStatus, "ok")
+		status += rpcCount(reg, i, msg.KindStatus, "ok")
 	}
 	if status != int64(m) {
 		t.Errorf("%d status probes counted, want %d", status, m)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/msg"
 	"repro/internal/site"
 	"repro/internal/transport"
 	"repro/internal/uncertain"
@@ -154,11 +155,11 @@ func TestUnknownKindOverMuxKeepsConnection(t *testing.T) {
 	}
 	defer c.Close()
 	ctx := context.Background()
-	_, err = c.Call(ctx, &transport.Request{Kind: transport.Kind(transport.MaxKind + 1)})
+	_, err = c.Call(ctx, &msg.Request{Kind: msg.Kind(msg.MaxKind + 1)})
 	if err == nil || !strings.Contains(err.Error(), "unknown request kind") {
 		t.Fatalf("kind MaxKind+1: %v, want the site's unknown-request-kind error", err)
 	}
-	resp, err := c.Call(ctx, &transport.Request{Kind: transport.KindStatus})
+	resp, err := c.Call(ctx, &msg.Request{Kind: msg.KindStatus})
 	if err != nil || resp.Status == nil || resp.Status.Tuples != 50 {
 		t.Fatalf("status call on the same connection after the bad kind: %+v, %v", resp, err)
 	}

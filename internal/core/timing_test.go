@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/gen"
+	"repro/internal/msg"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/obs/transcript"
@@ -77,13 +78,13 @@ func checkTimed(t *testing.T, name string, tr *transcript.Transcript, timed bool
 	t.Helper()
 	for _, m := range tr.Messages {
 		if m.Dir == codec.TranscriptDirRequest {
-			var req transport.Request
+			var req msg.Request
 			if err := transport.DecodeRequest(m.Payload, &req); err != nil || req.Timed != timed {
 				t.Fatalf("%s query: request %d to site %d decodes to Timed %v (%v)", name, m.Ordinal, m.Site, req.Timed, err)
 			}
 			continue
 		}
-		var resp transport.Response
+		var resp msg.Response
 		if err := transport.DecodeResponse(m.Payload, &resp); err != nil || (resp.ServiceNS > 0) != timed {
 			t.Fatalf("%s query: reply %d from site %d carries ServiceNS %d (%v)", name, m.Ordinal, m.Site, resp.ServiceNS, err)
 		}

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/msg"
 	"repro/internal/serve"
-	"repro/internal/transport"
 	"repro/internal/uncertain"
 )
 
@@ -50,7 +50,7 @@ func NewMaintainer(ctx context.Context, c *Cluster, opts Options) (*Maintainer, 
 	opts = opts.withDefaults()
 	m := &Maintainer{
 		cluster: c,
-		view:    c.newView(nil, 0, transport.Query{Threshold: opts.Threshold, Dims: opts.Dims}),
+		view:    c.newView(nil, 0, msg.Query{Threshold: opts.Threshold, Dims: opts.Dims}),
 		opts:    opts,
 		store:   serve.New(opts.Threshold),
 	}
@@ -69,12 +69,12 @@ func NewMaintainer(ctx context.Context, c *Cluster, opts Options) (*Maintainer, 
 // the saving is one m−1 broadcast per vetoed insert.
 func (m *Maintainer) EnableReplicas(ctx context.Context) error {
 	entries := m.store.Entries()
-	adds := make([]transport.Representative, len(entries))
+	adds := make([]msg.Representative, len(entries))
 	for i, e := range entries {
-		adds[i] = transport.Representative{Tuple: e.Member.Tuple, LocalProb: e.Member.Prob}
+		adds[i] = msg.Representative{Tuple: e.Member.Tuple, LocalProb: e.Member.Prob}
 	}
-	if _, err := m.view.send(ctx, -1, transport.Request{
-		Kind: transport.KindReplicate, Tuples: adds,
+	if _, err := m.view.send(ctx, -1, msg.Request{
+		Kind: msg.KindReplicate, Tuples: adds,
 	}); err != nil {
 		return err
 	}
@@ -107,8 +107,8 @@ func (m *Maintainer) Insert(ctx context.Context, home int, tu uncertain.Tuple) (
 		return err
 	}
 	defer m.invalidateOnError(&err)
-	resps, err := m.view.send(ctx, home, transport.Request{
-		Kind: transport.KindInsert, Tuple: tu, Query: m.view.query,
+	resps, err := m.view.send(ctx, home, msg.Request{
+		Kind: msg.KindInsert, Tuple: tu, Query: m.view.query,
 	})
 	if err != nil {
 		return err
@@ -116,7 +116,7 @@ func (m *Maintainer) Insert(ctx context.Context, home int, tu uncertain.Tuple) (
 	var upserts []serve.Entry
 	var removed []uncertain.TupleID
 	if local := resps[home].Rep.LocalProb; local >= m.opts.Threshold && !resps[home].Hopeless {
-		global, err := m.evaluate(ctx, []candidate{{home, transport.Representative{Tuple: tu, LocalProb: local}}})
+		global, err := m.evaluate(ctx, []candidate{{home, msg.Representative{Tuple: tu, LocalProb: local}}})
 		if err != nil {
 			return err
 		}
@@ -157,9 +157,9 @@ func (m *Maintainer) Delete(ctx context.Context, home int, tu uncertain.Tuple) (
 	defer m.invalidateOnError(&err)
 	v := m.view
 	for j := range v.wire {
-		v.wire[j] = transport.Request{Kind: transport.KindCandidates, Feed: transport.Feedback{Tuple: tu}, Query: v.query}
+		v.wire[j] = msg.Request{Kind: msg.KindCandidates, Feed: msg.Feedback{Tuple: tu}, Query: v.query}
 	}
-	v.wire[home] = transport.Request{Kind: transport.KindDelete, ID: tu.ID, Point: tu.Point, Query: v.query}
+	v.wire[home] = msg.Request{Kind: msg.KindDelete, ID: tu.ID, Point: tu.Point, Query: v.query}
 	resps, err := v.issue(ctx)
 	if err != nil {
 		return err
@@ -224,10 +224,10 @@ func (m *Maintainer) invalidateOnError(err *error) {
 // replicas first (one small broadcast of what it adds and removes), then
 // the store, in one Apply.
 func (m *Maintainer) commit(ctx context.Context, upserts []serve.Entry, removed []uncertain.TupleID, rescored int) error {
-	var adds []transport.Representative
+	var adds []msg.Representative
 	for _, u := range upserts {
 		if !m.store.Has(u.Member.Tuple.ID) {
-			adds = append(adds, transport.Representative{Tuple: u.Member.Tuple})
+			adds = append(adds, msg.Representative{Tuple: u.Member.Tuple})
 		}
 	}
 	if err := m.replicate(ctx, adds, removed); err != nil {
@@ -241,12 +241,12 @@ func (m *Maintainer) commit(ctx context.Context, upserts []serve.Entry, removed 
 
 // replicate sends the sites' replicas one change (nothing when replicas
 // are off or the change is empty).
-func (m *Maintainer) replicate(ctx context.Context, adds []transport.Representative, removed []uncertain.TupleID) error {
+func (m *Maintainer) replicate(ctx context.Context, adds []msg.Representative, removed []uncertain.TupleID) error {
 	if !m.replicated || len(adds)+len(removed) == 0 {
 		return nil
 	}
-	_, err := m.view.send(ctx, -1, transport.Request{
-		Kind: transport.KindReplicate, Tuples: adds, RemoveIDs: removed,
+	_, err := m.view.send(ctx, -1, msg.Request{
+		Kind: msg.KindReplicate, Tuples: adds, RemoveIDs: removed,
 	})
 	return err
 }
@@ -260,10 +260,10 @@ func (m *Maintainer) Refresh(ctx context.Context) error {
 		return err
 	}
 	entries := make([]serve.Entry, len(rep.Skyline))
-	adds := make([]transport.Representative, len(rep.Skyline))
+	adds := make([]msg.Representative, len(rep.Skyline))
 	for i, member := range rep.Skyline {
 		entries[i] = serve.Entry{Member: member, Site: rep.Sites[member.Tuple.ID]}
-		adds[i] = transport.Representative{Tuple: member.Tuple}
+		adds[i] = msg.Representative{Tuple: member.Tuple}
 	}
 	var removed []uncertain.TupleID
 	for _, e := range m.store.Entries() {
@@ -280,7 +280,7 @@ func (m *Maintainer) Refresh(ctx context.Context) error {
 // skyline probability there.
 type candidate struct {
 	site int
-	rep  transport.Representative
+	rep  msg.Representative
 }
 
 // evaluate is Lemma 1 for every candidate at once, in one fan-out: site j
@@ -291,14 +291,14 @@ type candidate struct {
 func (m *Maintainer) evaluate(ctx context.Context, cands []candidate) ([]float64, error) {
 	v := m.view
 	for j := range v.wire {
-		v.wire[j] = transport.Request{}
+		v.wire[j] = msg.Request{}
 		for _, c := range cands {
 			if c.site != j {
 				v.wire[j].Tuples = append(v.wire[j].Tuples, c.rep)
 			}
 		}
 		if len(v.wire[j].Tuples) > 0 {
-			v.wire[j].Kind, v.wire[j].Query = transport.KindEvaluate, v.query
+			v.wire[j].Kind, v.wire[j].Query = msg.KindEvaluate, v.query
 		}
 	}
 	resps, err := v.issue(ctx)
@@ -333,9 +333,9 @@ func (m *Maintainer) ApplyNaive(ctx context.Context, home int, insert bool, tu u
 	if home < 0 || home >= m.cluster.Sites() {
 		return fmt.Errorf("core: site %d out of range", home)
 	}
-	req := transport.Request{Kind: transport.KindDelete, ID: tu.ID, Point: tu.Point}
+	req := msg.Request{Kind: msg.KindDelete, ID: tu.ID, Point: tu.Point}
 	if insert {
-		req = transport.Request{Kind: transport.KindInsert, Tuple: tu, Query: m.view.query}
+		req = msg.Request{Kind: msg.KindInsert, Tuple: tu, Query: m.view.query}
 	}
 	_, err := m.view.send(ctx, home, req)
 	return err

@@ -16,8 +16,8 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/msg"
 	"repro/internal/obs"
-	"repro/internal/transport"
 )
 
 // watchRetention is how many answered polls each site's ring keeps: two
@@ -37,11 +37,11 @@ type ClusterWatch struct {
 
 // watchedSite is what the watch retains of one site.
 type watchedSite struct {
-	latest  *transport.SiteStatus // newest answer; nil until the first
-	lastOK  int64                 // UnixNano of that answer
-	err     error                 // the latest poll's error; nil when it answered
-	polls   uint64                // answered polls
-	history []WatchPoint          // the newest watchRetention answers, oldest first
+	latest  *msg.SiteStatus // newest answer; nil until the first
+	lastOK  int64           // UnixNano of that answer
+	err     error           // the latest poll's error; nil when it answered
+	polls   uint64          // answered polls
+	history []WatchPoint    // the newest watchRetention answers, oldest first
 }
 
 // stale reports a site whose latest poll failed (or that was never polled).
@@ -166,7 +166,7 @@ type ClusterzSite struct {
 	AgeSeconds       float64 `json:"age_seconds"`
 	Polls            uint64  `json:"polls"`
 	// Latest is the newest answered status, verbatim (nil = never).
-	Latest *transport.SiteStatus `json:"latest,omitempty"`
+	Latest *msg.SiteStatus `json:"latest,omitempty"`
 	// History holds the site's retained polls, oldest first; omitted
 	// when the reader asked for ?history=0.
 	History []WatchPoint `json:"history,omitempty"`
@@ -207,7 +207,7 @@ func (w *ClusterWatch) Snapshot(withHistory bool) Clusterz {
 }
 
 // siteWindow rebuilds a site's latency window from its status.
-func siteWindow(st *transport.SiteStatus) obs.WindowSnapshot {
+func siteWindow(st *msg.SiteStatus) obs.WindowSnapshot {
 	win := obs.WindowSnapshot{Counts: st.WindowCounts, Span: time.Duration(st.WindowSeconds * float64(time.Second))}
 	for _, b := range st.WindowBoundsNS {
 		win.Bounds = append(win.Bounds, time.Duration(b))
@@ -273,17 +273,17 @@ func (w *ClusterWatch) WriteText(out io.Writer) {
 // latest answered status.
 var watchGauges = []struct {
 	name, help string
-	value      func(*transport.SiteStatus) float64
+	value      func(*msg.SiteStatus) float64
 }{
-	{"rate", "windowed request rate", func(s *transport.SiteStatus) float64 { return s.WindowRate }},
-	{"p50_ms", "windowed latency p50 (ms)", func(s *transport.SiteStatus) float64 { return s.LatencyP50Ms }},
-	{"p95_ms", "windowed latency p95 (ms)", func(s *transport.SiteStatus) float64 { return s.LatencyP95Ms }},
-	{"p99_ms", "windowed latency p99 (ms)", func(s *transport.SiteStatus) float64 { return s.LatencyP99Ms }},
-	{"in_flight", "in-flight requests", func(s *transport.SiteStatus) float64 { return float64(s.InFlight) }},
-	{"mux_busy", "busy mux workers", func(s *transport.SiteStatus) float64 { return float64(s.MuxWorkersBusy) }},
-	{"mux_queued", "queued mux requests", func(s *transport.SiteStatus) float64 { return float64(s.MuxQueued) }},
-	{"tuples", "indexed tuples", func(s *transport.SiteStatus) float64 { return float64(s.Tuples) }},
-	{"sessions", "live sessions", func(s *transport.SiteStatus) float64 { return float64(s.Sessions) }},
+	{"rate", "windowed request rate", func(s *msg.SiteStatus) float64 { return s.WindowRate }},
+	{"p50_ms", "windowed latency p50 (ms)", func(s *msg.SiteStatus) float64 { return s.LatencyP50Ms }},
+	{"p95_ms", "windowed latency p95 (ms)", func(s *msg.SiteStatus) float64 { return s.LatencyP95Ms }},
+	{"p99_ms", "windowed latency p99 (ms)", func(s *msg.SiteStatus) float64 { return s.LatencyP99Ms }},
+	{"in_flight", "in-flight requests", func(s *msg.SiteStatus) float64 { return float64(s.InFlight) }},
+	{"mux_busy", "busy mux workers", func(s *msg.SiteStatus) float64 { return float64(s.MuxWorkersBusy) }},
+	{"mux_queued", "queued mux requests", func(s *msg.SiteStatus) float64 { return float64(s.MuxQueued) }},
+	{"tuples", "indexed tuples", func(s *msg.SiteStatus) float64 { return float64(s.Tuples) }},
+	{"sessions", "live sessions", func(s *msg.SiteStatus) float64 { return float64(s.Sessions) }},
 }
 
 // Expose registers the federation view on reg: per site, an up mark, the

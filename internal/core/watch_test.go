@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/gen"
+	"repro/internal/msg"
 	"repro/internal/obs"
 	"repro/internal/obs/slo"
 	"repro/internal/site"
@@ -119,7 +120,7 @@ func TestClusterWatchKillAndRecover(t *testing.T) {
 			t.Fatal(err)
 		}
 		slos := w.Snapshot(false).PerSite[0].Latest.SLO
-		return len(slos) == 1 && string(slos[0].Name) == "request_p99" && slos[0].Breached
+		return len(slos) == 1 && slos[0].Name == "request_p99" && slos[0].Breached
 	})
 	if withoutHist := clusterzDoc(t, w, "?history=0"); len(withoutHist.PerSite[0].History) != 0 {
 		t.Fatal("?history=0 still carries history")
@@ -194,12 +195,12 @@ type wedgedClient struct {
 	wedged bool
 }
 
-func (c wedgedClient) Call(ctx context.Context, req *transport.Request) (*transport.Response, error) {
+func (c wedgedClient) Call(ctx context.Context, req *msg.Request) (*msg.Response, error) {
 	if c.wedged {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	return &transport.Response{Status: &transport.SiteStatus{ID: c.id, Tuples: 10}}, nil
+	return &msg.Response{Status: &msg.SiteStatus{ID: c.id, Tuples: 10}}, nil
 }
 
 func (wedgedClient) Close() error { return nil }

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/geom"
+	"repro/internal/msg"
 	"repro/internal/serve"
 	"repro/internal/site"
 	"repro/internal/transport"
@@ -56,9 +57,9 @@ type gatedClient struct {
 	failEvaluate bool
 }
 
-func (c *gatedClient) Call(ctx context.Context, req *transport.Request) (*transport.Response, error) {
+func (c *gatedClient) Call(ctx context.Context, req *msg.Request) (*msg.Response, error) {
 	c.g.mu.Lock()
-	open, fail := c.g.open, c.failEvaluate && req.Kind == transport.KindEvaluate
+	open, fail := c.g.open, c.failEvaluate && req.Kind == msg.KindEvaluate
 	c.g.mu.Unlock()
 	if fail {
 		return nil, errBoom
@@ -199,12 +200,12 @@ func TestUpdateWavesPerOperation(t *testing.T) {
 type serialRef struct {
 	t       *testing.T
 	clients []transport.Client
-	q       transport.Query
+	q       msg.Query
 	sky     map[uncertain.TupleID]uncertain.SkylineMember
 	sites   map[uncertain.TupleID]int
 }
 
-func (r *serialRef) call(site int, req transport.Request) *transport.Response {
+func (r *serialRef) call(site int, req msg.Request) *msg.Response {
 	r.t.Helper()
 	resp, err := r.clients[site].Call(context.Background(), &req)
 	if err != nil {
@@ -217,8 +218,8 @@ func (r *serialRef) global(home int, tu uncertain.Tuple, local float64) float64 
 	global := local
 	for j := range r.clients {
 		if j != home {
-			global *= r.call(j, transport.Request{Kind: transport.KindEvaluate, Query: r.q,
-				Feed: transport.Feedback{Tuple: tu, HomeLocalProb: local}}).CrossProb
+			global *= r.call(j, msg.Request{Kind: msg.KindEvaluate, Query: r.q,
+				Feed: msg.Feedback{Tuple: tu, HomeLocalProb: local}}).CrossProb
 		}
 	}
 	return global
@@ -229,7 +230,7 @@ func (r *serialRef) admit(m uncertain.SkylineMember, home int) {
 }
 
 func (r *serialRef) insert(home int, tu uncertain.Tuple) {
-	resp := r.call(home, transport.Request{Kind: transport.KindInsert, Tuple: tu, Query: r.q})
+	resp := r.call(home, msg.Request{Kind: msg.KindInsert, Tuple: tu, Query: r.q})
 	if local := resp.Rep.LocalProb; local >= r.q.Threshold && !resp.Hopeless {
 		if g := r.global(home, tu, local); g >= r.q.Threshold {
 			r.admit(uncertain.SkylineMember{Tuple: tu, Prob: g}, home)
@@ -248,7 +249,7 @@ func (r *serialRef) insert(home int, tu uncertain.Tuple) {
 }
 
 func (r *serialRef) delete(home int, tu uncertain.Tuple) (homes map[int]bool) {
-	r.call(home, transport.Request{Kind: transport.KindDelete, ID: tu.ID, Point: tu.Point})
+	r.call(home, msg.Request{Kind: msg.KindDelete, ID: tu.ID, Point: tu.Point})
 	delete(r.sky, tu.ID)
 	delete(r.sites, tu.ID)
 	for id, member := range r.sky {
@@ -259,9 +260,9 @@ func (r *serialRef) delete(home int, tu uncertain.Tuple) (homes map[int]bool) {
 			r.admit(member, r.sites[id])
 		}
 	}
-	resps := make([]*transport.Response, len(r.clients))
+	resps := make([]*msg.Response, len(r.clients))
 	for j := range r.clients {
-		resps[j] = r.call(j, transport.Request{Kind: transport.KindCandidates, Feed: transport.Feedback{Tuple: tu}, Query: r.q})
+		resps[j] = r.call(j, msg.Request{Kind: msg.KindCandidates, Feed: msg.Feedback{Tuple: tu}, Query: r.q})
 	}
 	homes = make(map[int]bool)
 	for j, resp := range resps {
@@ -317,7 +318,7 @@ func TestUpdateWavesMatchSerialReference(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ref := &serialRef{t: t, q: transport.Query{Threshold: q},
+	ref := &serialRef{t: t, q: msg.Query{Threshold: q},
 		sky: map[uncertain.TupleID]uncertain.SkylineMember{}, sites: map[uncertain.TupleID]int{}}
 	for _, e := range maint.store.Entries() {
 		ref.admit(e.Member, e.Site)
@@ -464,7 +465,7 @@ func TestInvalidatedServerRefreshesOnUpdate(t *testing.T) {
 	store := server.maint.store
 	// g lands at site 1 behind the server's back; h, inserted through it,
 	// dominates g, so the insert rescales a member only a refresh knows.
-	if _, err := gated[1].eng.Handle(ctx, &transport.Request{Kind: transport.KindInsert, Tuple: waveG, Query: transport.Query{Threshold: 0.3}}); err != nil {
+	if _, err := gated[1].eng.Handle(ctx, &msg.Request{Kind: msg.KindInsert, Tuple: waveG, Query: msg.Query{Threshold: 0.3}}); err != nil {
 		t.Fatal(err)
 	}
 	server.Invalidate()

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/codec"
+	"repro/internal/msg"
 	"repro/internal/transport"
 )
 
@@ -70,10 +71,10 @@ func phaseAggregates(t *Transcript) map[uint8]phaseAgg {
 func feedbackSeq(exs []Exchange) ([]uint64, error) {
 	var out []uint64
 	for _, ex := range exs {
-		if transport.Kind(ex.Kind) != transport.KindEvaluate {
+		if msg.Kind(ex.Kind) != msg.KindEvaluate {
 			continue
 		}
-		var req transport.Request
+		var req msg.Request
 		if err := transport.DecodeRequest(ex.Request.Payload, &req); err != nil {
 			return nil, fmt.Errorf("transcript: request payload: %w", err)
 		}
@@ -144,7 +145,7 @@ func Compare(a, b *Transcript) (*DiffResult, error) {
 		for i := 0; i < n; i++ {
 			if ea[i].Kind != eb[i].Kind {
 				d.addf("site %d ordinal %d: request kind %v vs %v", site, i,
-					transport.Kind(ea[i].Kind), transport.Kind(eb[i].Kind))
+					msg.Kind(ea[i].Kind), msg.Kind(eb[i].Kind))
 				break // later kinds are downstream of the first skew
 			}
 		}

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/codec"
+	"repro/internal/msg"
 	"repro/internal/transport"
 )
 
@@ -39,11 +40,11 @@ const (
 
 // PhaseOf maps a request kind to the protocol phase its exchange
 // belongs to, in the paper's vocabulary.
-func PhaseOf(k transport.Kind) uint8 {
+func PhaseOf(k msg.Kind) uint8 {
 	switch k {
-	case transport.KindInit, transport.KindNext, transport.KindShipAll:
+	case msg.KindInit, msg.KindNext, msg.KindShipAll:
 		return PhaseToServer
-	case transport.KindEvaluate:
+	case msg.KindEvaluate:
 		return PhaseServerDelivery
 	default:
 		return PhaseControl
@@ -113,7 +114,7 @@ func NewRecorder(h *codec.TranscriptHeader, start time.Time) *Recorder {
 
 // RecordCall captures one completed RPC as a request/response message
 // pair whose payloads are the transport's own message encoding. Nil-safe.
-func (r *Recorder) RecordCall(site int, req *transport.Request, resp *transport.Response, wireBytes int64) {
+func (r *Recorder) RecordCall(site int, req *msg.Request, resp *msg.Response, wireBytes int64) {
 	if r == nil {
 		return
 	}

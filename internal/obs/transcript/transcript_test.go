@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/codec"
+	"repro/internal/msg"
 	"repro/internal/transport"
 	"repro/internal/uncertain"
 )
@@ -28,18 +29,18 @@ func testHeader(sites int) *codec.TranscriptHeader {
 // record one full fake exchange per entry: (site, kind, feedID).
 type fakeCall struct {
 	site int
-	kind transport.Kind
+	kind msg.Kind
 	feed uint64
 }
 
 func recordFakes(t *testing.T, rec *Recorder, calls []fakeCall) {
 	t.Helper()
 	for _, c := range calls {
-		req := &transport.Request{Kind: c.kind}
-		if c.kind == transport.KindEvaluate {
+		req := &msg.Request{Kind: c.kind}
+		if c.kind == msg.KindEvaluate {
 			req.Feed.Tuple.ID = uncertain.TupleID(c.feed)
 		}
-		resp := &transport.Response{Pruned: 1}
+		resp := &msg.Response{Pruned: 1}
 		rec.RecordCall(c.site, req, resp, 100)
 	}
 }
@@ -58,13 +59,13 @@ func buildTranscript(t *testing.T, calls []fakeCall, sites int) *Transcript {
 
 func TestRecorderRoundTrip(t *testing.T) {
 	calls := []fakeCall{
-		{0, transport.KindInit, 0},
-		{1, transport.KindInit, 0},
-		{0, transport.KindEvaluate, 42},
-		{1, transport.KindEvaluate, 42},
-		{0, transport.KindNext, 0},
-		{0, transport.KindEndQuery, 0},
-		{1, transport.KindEndQuery, 0},
+		{0, msg.KindInit, 0},
+		{1, msg.KindInit, 0},
+		{0, msg.KindEvaluate, 42},
+		{1, msg.KindEvaluate, 42},
+		{0, msg.KindNext, 0},
+		{0, msg.KindEndQuery, 0},
+		{1, msg.KindEndQuery, 0},
 	}
 	tr := buildTranscript(t, calls, 2)
 	if len(tr.Messages) != 2*len(calls) {
@@ -92,7 +93,7 @@ func TestRecorderRoundTrip(t *testing.T) {
 		}
 	}
 	// The Evaluate request decodes back to the recorded feedback tuple.
-	var req transport.Request
+	var req msg.Request
 	if err := transport.DecodeRequest(exs[0][1].Request.Payload, &req); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestRecorderRoundTrip(t *testing.T) {
 
 func TestRecorderNilSafe(t *testing.T) {
 	var rec *Recorder
-	rec.RecordCall(0, &transport.Request{}, &transport.Response{}, 1)
+	rec.RecordCall(0, &msg.Request{}, &msg.Response{}, 1)
 	if allocs := testing.AllocsPerRun(100, func() {
 		rec.RecordCall(0, nil, nil, 0)
 	}); allocs != 0 {
@@ -169,7 +170,7 @@ func TestSinkFinishWritesFile(t *testing.T) {
 	s := NewSink(dir, 0)
 	h := testHeader(1)
 	rec := NewRecorder(h, time.Now())
-	recordFakes(t, rec, []fakeCall{{0, transport.KindInit, 0}})
+	recordFakes(t, rec, []fakeCall{{0, msg.KindInit, 0}})
 	sum := &codec.TranscriptSummary{Results: 2, ElapsedNS: 5}
 	path, err := s.Finish(rec, h, sum)
 	if err != nil {
@@ -189,10 +190,10 @@ func TestSinkFinishWritesFile(t *testing.T) {
 
 func TestCompareSelfEqual(t *testing.T) {
 	calls := []fakeCall{
-		{0, transport.KindInit, 0},
-		{0, transport.KindEvaluate, 10},
-		{0, transport.KindEvaluate, 11},
-		{0, transport.KindEndQuery, 0},
+		{0, msg.KindInit, 0},
+		{0, msg.KindEvaluate, 10},
+		{0, msg.KindEvaluate, 11},
+		{0, msg.KindEndQuery, 0},
 	}
 	tr := buildTranscript(t, calls, 1)
 	d, err := Compare(tr, tr)
@@ -215,11 +216,11 @@ func TestCompareSelfEqual(t *testing.T) {
 // first round where their feedback choices differ.
 func TestCompareLocalizesFeedbackDivergence(t *testing.T) {
 	mk := func(feeds []uint64) *Transcript {
-		calls := []fakeCall{{0, transport.KindInit, 0}}
+		calls := []fakeCall{{0, msg.KindInit, 0}}
 		for _, f := range feeds {
-			calls = append(calls, fakeCall{0, transport.KindEvaluate, f})
+			calls = append(calls, fakeCall{0, msg.KindEvaluate, f})
 		}
-		calls = append(calls, fakeCall{0, transport.KindEndQuery, 0})
+		calls = append(calls, fakeCall{0, msg.KindEndQuery, 0})
 		return buildTranscript(t, calls, 1)
 	}
 	a := mk([]uint64{10, 11, 12, 13})
@@ -241,8 +242,8 @@ func TestCompareLocalizesFeedbackDivergence(t *testing.T) {
 }
 
 func TestCompareHeaderAndPhaseDifferences(t *testing.T) {
-	a := buildTranscript(t, []fakeCall{{0, transport.KindInit, 0}}, 1)
-	b := buildTranscript(t, []fakeCall{{0, transport.KindInit, 0}, {0, transport.KindNext, 0}}, 1)
+	a := buildTranscript(t, []fakeCall{{0, msg.KindInit, 0}}, 1)
+	b := buildTranscript(t, []fakeCall{{0, msg.KindInit, 0}, {0, msg.KindNext, 0}}, 1)
 	b.Header.Threshold = 0.7
 	d, err := Compare(a, b)
 	if err != nil {
@@ -280,7 +281,7 @@ func TestSinkCounters(t *testing.T) {
 	s := NewSink(dir, 0)
 	h := testHeader(1)
 	rec := NewRecorder(h, time.Now())
-	recordFakes(t, rec, []fakeCall{{0, transport.KindInit, 0}})
+	recordFakes(t, rec, []fakeCall{{0, msg.KindInit, 0}})
 	if _, err := s.Finish(rec, h, nil); err != nil {
 		t.Fatal(err)
 	}

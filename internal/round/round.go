@@ -1,9 +1,10 @@
 // Package round is the paper's §5 in code: the coordinator side of the
 // shipping Baseline (§3.2), DSUD (§5.1) and e-DSUD (§5.2) as one
-// deterministic engine. Sites go in behind a two-method interface, the
-// options that change the algorithm go in beside them, every step the
-// algorithm takes comes out through one synchronous callback, and the
-// Outcome is a pure function of the sites' replies. The engine keeps no
+// deterministic engine. Sites go in behind a two-method interface that
+// speaks the protocol's own messages (internal/msg), the options that
+// change the algorithm go in beside them, every step the algorithm takes
+// comes out through one synchronous callback, and the Outcome is a pure
+// function of the sites' replies. The engine keeps no
 // clock, no log and no metric: whatever watches a query — timing,
 // profiling labels, delivery curves, the progressive result stream —
 // subscribes to the step stream from internal/core, and make check fails
@@ -13,63 +14,27 @@ package round
 import (
 	"context"
 
+	"repro/internal/msg"
 	"repro/internal/prtree"
 	"repro/internal/uncertain"
 )
 
-// Op names the requests the algorithms send to sites.
-type Op int
-
-// Site operations.
-const (
-	OpInit     Op = iota + 1 // open the query, ship the first representative (§4 step 1)
-	OpNext                   // ship the next representative
-	OpEvaluate               // return the eq. 9 factor of Request.Feed and prune against it
-	OpShipAll                // ship the whole partition (the Baseline)
-)
-
-// Representative is the paper's quaternion <t, P(t), P_sky(t, D_i)>: a
-// tuple and its skyline probability at its home site.
-type Representative struct {
-	Tuple     uncertain.Tuple
-	LocalProb float64
-}
-
-// Request is one message to a site; Feed is OpEvaluate's feedback tuple.
-type Request struct {
-	Op   Op
-	Feed Representative
-}
-
-// Response is a site's reply.
-type Response struct {
-	// Rep is the site's next representative, unless its local skyline is
-	// Exhausted (OpInit, OpNext).
-	Rep       Representative
-	Exhausted bool
-	// CrossProb is the eq. 9 factor of the feedback tuple at this site,
-	// Pruned what the feedback pruned there, SessionPruned the site's
-	// running total for the query, exact under retries (OpEvaluate).
-	CrossProb     float64
-	Pruned        int
-	SessionPruned int
-	// Tuples is the site's partition (OpShipAll).
-	Tuples uncertain.DB
-}
-
-// Sites is the engine's whole view of the cluster. Implementations bind
-// the query's session, threshold and subspace to the messages.
+// Sites is the engine's whole view of the cluster. The engine speaks the
+// protocol's own messages but fills only what the algorithm decides: each
+// slot's Kind (init, next, evaluate or ship-all) and an evaluate's Feed.
+// Implementations bind the query's session, threshold and subspace to the
+// messages.
 type Sites interface {
 	// Len is the number of sites; they are indexed from 0.
 	Len() int
 	// Fanout sends reqs[i] to site i for every slot that holds a request
-	// (the zero Request sends nothing), all at once, and returns the
-	// replies indexed the same way once the last has arrived. One slot per
-	// site means no fan-out addresses a site twice: each site sees its
-	// requests in the order the engine issued them, whatever the network
-	// does across sites. The reply slice is the implementation's to
-	// reuse: it is valid until the next Fanout.
-	Fanout(ctx context.Context, reqs []Request) ([]Response, error)
+	// (Kind 0 sends nothing), all at once, and returns the replies indexed
+	// the same way once the last has arrived; an empty slot's reply is
+	// nil. One slot per site means no fan-out addresses a site twice: each
+	// site sees its requests in the order the engine issued them, whatever
+	// the network does across sites. The reply slice is the
+	// implementation's to reuse: it is valid until the next Fanout.
+	Fanout(ctx context.Context, reqs []msg.Request) ([]*msg.Response, error)
 }
 
 // Options are the settings that change what the algorithm does.
@@ -127,7 +92,7 @@ type Outcome struct {
 // home-site local probability times every other site's eq. 9 factor, in
 // ascending site order. It also sums what the feedback pruned and copies
 // each site's running prune total into perSite.
-func fold(local float64, home int, evals []Response, perSite []SiteTally) (global float64, pruned int) {
+func fold(local float64, home int, evals []*msg.Response, perSite []SiteTally) (global float64, pruned int) {
 	global = local
 	for i, r := range evals {
 		if i == home {
@@ -149,19 +114,19 @@ type engine struct {
 	open  []Phase  // phases begun and not yet ended, innermost last
 	queue []queued // each site's current representative
 
-	reqs    []Request // the next fan-out's slots, empty between waits
-	victims []queued  // one expunge wave: out of the queue, not yet announced
+	reqs    []msg.Request // the next fan-out's slots, empty between waits
+	victims []queued      // one expunge wave: out of the queue, not yet announced
 }
 
 func newEngine(sites Sites, opts Options, on func(Step)) *engine {
-	return &engine{sites: sites, opts: opts, on: on, reqs: make([]Request, sites.Len()), out: &Outcome{
+	return &engine{sites: sites, opts: opts, on: on, reqs: make([]msg.Request, sites.Len()), out: &Outcome{
 		Sites:   make(map[uncertain.TupleID]int),
 		PerSite: make([]SiteTally, sites.Len()),
 	}}
 }
 
 // ask puts req in every slot of a fan-out but skip's (negative: all).
-func ask(reqs []Request, skip int, req Request) {
+func ask(reqs []msg.Request, skip int, req msg.Request) {
 	for i := range reqs {
 		if i != skip {
 			reqs[i] = req
@@ -171,7 +136,7 @@ func ask(reqs []Request, skip int, req Request) {
 
 // fanout is the one way the engine waits: it sends the filled slots and
 // empties them for the next wait.
-func (e *engine) fanout(ctx context.Context) ([]Response, error) {
+func (e *engine) fanout(ctx context.Context) ([]*msg.Response, error) {
 	resps, err := e.sites.Fanout(ctx, e.reqs)
 	clear(e.reqs)
 	return resps, err
@@ -224,7 +189,7 @@ func (e *engine) finish() *Outcome {
 func Baseline(ctx context.Context, sites Sites, opts Options, on func(Step)) (*Outcome, error) {
 	e := newEngine(sites, opts, on)
 	e.begin(PhaseToServer)
-	ask(e.reqs, -1, Request{Op: OpShipAll})
+	ask(e.reqs, -1, msg.Request{Kind: msg.KindShipAll})
 	resps, err := e.fanout(ctx)
 	e.end()
 	if err != nil {
@@ -235,9 +200,9 @@ func Baseline(ctx context.Context, sites Sites, opts Options, on func(Step)) (*O
 	home := make(map[uncertain.TupleID]int)
 	for i, resp := range resps {
 		e.out.PerSite[i].Shipped = int64(len(resp.Tuples))
-		union = append(union, resp.Tuples...)
-		for _, tu := range resp.Tuples {
-			home[tu.ID] = i
+		for _, rep := range resp.Tuples {
+			union = append(union, rep.Tuple)
+			home[rep.Tuple.ID] = i
 		}
 	}
 	if len(union) > 0 {
@@ -259,7 +224,7 @@ func Baseline(ctx context.Context, sites Sites, opts Options, on func(Step)) (*O
 // probability, so both algorithms share one selection loop).
 type queued struct {
 	site  int
-	rep   Representative
+	rep   msg.Representative
 	bound float64
 }
 
@@ -270,17 +235,18 @@ func Run(ctx context.Context, sites Sites, opts Options, on func(Step)) (*Outcom
 	// To-Server phase, first iteration: every site initialises and ships
 	// its first representative (§4 step 1).
 	e.begin(PhaseToServer)
-	ask(e.reqs, -1, Request{Op: OpInit})
+	ask(e.reqs, -1, msg.Request{Kind: msg.KindInit})
 	resps, err := e.fanout(ctx)
+	if err != nil {
+		e.end()
+		return nil, err
+	}
 	for i, resp := range resps {
 		if !resp.Exhausted {
 			e.enqueue(i, resp.Rep)
 		}
 	}
 	e.end()
-	if err != nil {
-		return nil, err
-	}
 
 	lastSite := -1
 	for len(e.queue) > 0 {
@@ -304,10 +270,11 @@ func Run(ctx context.Context, sites Sites, opts Options, on func(Step)) (*Outcom
 		// on the verdict — unless this round's report could be the last
 		// one asked for: no tuple ships that the answer never needed.
 		e.begin(PhaseServerDelivery)
-		ask(e.reqs, head.site, Request{Op: OpEvaluate, Feed: head.rep})
+		ask(e.reqs, head.site, msg.Request{Kind: msg.KindEvaluate,
+			Feed: msg.Feedback{Tuple: head.rep.Tuple, HomeLocalProb: head.rep.LocalProb}})
 		ahead := opts.MaxResults <= 0 || len(e.out.Skyline)+1 < opts.MaxResults
 		if ahead {
-			e.reqs[head.site] = Request{Op: OpNext}
+			e.reqs[head.site] = msg.Request{Kind: msg.KindNext}
 		}
 		evals, err := e.fanout(ctx)
 		e.end()
@@ -338,7 +305,7 @@ func Run(ctx context.Context, sites Sites, opts Options, on func(Step)) (*Outcom
 		// phase of the following iteration), fetched now if it was held back.
 		e.begin(PhaseToServer)
 		if !ahead {
-			e.reqs[head.site] = Request{Op: OpNext}
+			e.reqs[head.site] = msg.Request{Kind: msg.KindNext}
 			if evals, err = e.fanout(ctx); err != nil {
 				return nil, err
 			}
@@ -352,15 +319,15 @@ func Run(ctx context.Context, sites Sites, opts Options, on func(Step)) (*Outcom
 // enqueue admits site's representative to the queue. Its bound starts at
 // the Corollary-1 value (the local skyline probability); recomputeBounds
 // tightens it for e-DSUD.
-func (e *engine) enqueue(site int, rep Representative) {
+func (e *engine) enqueue(site int, rep msg.Representative) {
 	e.queue = append(e.queue, queued{site: site, rep: rep, bound: rep.LocalProb})
 	e.out.PerSite[site].Shipped++
 	e.event(Event{Kind: EventToServer, Site: site, Tuple: rep.Tuple, Prob: rep.LocalProb})
 }
 
-// admit takes site's reply to an OpNext: its next representative joins the
+// admit takes site's reply to a next: its next representative joins the
 // queue, unless its local skyline is exhausted.
-func (e *engine) admit(site int, resp Response) {
+func (e *engine) admit(site int, resp *msg.Response) {
 	if resp.Exhausted {
 		e.event(Event{Kind: EventRefill, Site: site})
 		return
@@ -396,7 +363,7 @@ func (e *engine) selectFeedback(ctx context.Context, lastSite int) (head queued,
 			for _, c := range e.queue[from:] {
 				if c.bound < working {
 					victims = append(victims, c)
-					e.reqs[c.site] = Request{Op: OpNext}
+					e.reqs[c.site] = msg.Request{Kind: msg.KindNext}
 				} else {
 					kept = append(kept, c)
 				}

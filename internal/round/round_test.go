@@ -11,13 +11,14 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/msg"
 	"repro/internal/uncertain"
 )
 
 // fakeSite is one in-memory site: its sorted local skyline, an eq. 9
 // oracle, and the Observation-2 pruning rule of site.Engine.
 type fakeSite struct {
-	sky    []Representative
+	sky    []msg.Representative
 	cross  func(uncertain.Tuple) float64
 	db     uncertain.DB
 	pruned int
@@ -31,24 +32,24 @@ type fakeSite struct {
 type fakeSites struct {
 	q       float64
 	sites   []*fakeSite
-	fanouts [][]Request
+	fanouts [][]msg.Request
 	home    map[uncertain.TupleID]int
-	replies []Response
+	replies []*msg.Response
 }
 
 func (f *fakeSites) Len() int { return len(f.sites) }
 
-func (f *fakeSites) Fanout(_ context.Context, reqs []Request) ([]Response, error) {
+func (f *fakeSites) Fanout(_ context.Context, reqs []msg.Request) ([]*msg.Response, error) {
 	if len(reqs) != len(f.sites) {
 		return nil, fmt.Errorf("fan-out of %d slots over %d sites", len(reqs), len(f.sites))
 	}
 	f.fanouts = append(f.fanouts, slices.Clone(reqs))
 	if f.replies == nil {
-		f.replies, f.home = make([]Response, len(f.sites)), make(map[uncertain.TupleID]int)
+		f.replies, f.home = make([]*msg.Response, len(f.sites)), make(map[uncertain.TupleID]int)
 	}
 	clear(f.replies)
 	for i, req := range reqs {
-		if req.Op == 0 {
+		if req.Kind == 0 {
 			continue
 		}
 		r, err := f.call(i, req)
@@ -60,20 +61,20 @@ func (f *fakeSites) Fanout(_ context.Context, reqs []Request) ([]Response, error
 	return f.replies, nil
 }
 
-func (f *fakeSites) call(i int, req Request) (Response, error) {
+func (f *fakeSites) call(i int, req msg.Request) (*msg.Response, error) {
 	s := f.sites[i]
-	switch req.Op {
-	case OpInit, OpNext:
+	switch req.Kind {
+	case msg.KindInit, msg.KindNext:
 		if len(s.sky) == 0 {
-			return Response{Exhausted: true}, nil
+			return &msg.Response{Exhausted: true}, nil
 		}
 		head := s.sky[0]
 		s.sky = s.sky[1:]
 		f.home[head.Tuple.ID] = i
-		return Response{Rep: head}, nil
-	case OpEvaluate:
+		return &msg.Response{Rep: head}, nil
+	case msg.KindEvaluate:
 		feed := req.Feed
-		homeFactor := feed.LocalProb / feed.Tuple.Prob * (1 - feed.Tuple.Prob)
+		homeFactor := feed.HomeLocalProb / feed.Tuple.Prob * (1 - feed.Tuple.Prob)
 		pruned := 0
 		kept := s.sky[:0]
 		for _, c := range s.sky {
@@ -85,15 +86,19 @@ func (f *fakeSites) call(i int, req Request) (Response, error) {
 		}
 		s.sky = kept
 		s.pruned += pruned
-		return Response{CrossProb: s.cross(feed.Tuple), Pruned: pruned, SessionPruned: s.pruned}, nil
-	case OpShipAll:
-		return Response{Tuples: s.db}, nil
+		return &msg.Response{CrossProb: s.cross(feed.Tuple), Pruned: pruned, SessionPruned: s.pruned}, nil
+	case msg.KindShipAll:
+		resp := &msg.Response{Tuples: make([]msg.Representative, len(s.db))}
+		for k, tu := range s.db {
+			resp.Tuples[k].Tuple = tu
+		}
+		return resp, nil
 	}
-	return Response{}, fmt.Errorf("fake site %d: unexpected op %d", i, req.Op)
+	return nil, fmt.Errorf("fake site %d: unexpected %v", i, req.Kind)
 }
 
-func rep(id uncertain.TupleID, x, y, prob, local float64) Representative {
-	return Representative{
+func rep(id uncertain.TupleID, x, y, prob, local float64) msg.Representative {
+	return msg.Representative{
 		Tuple:     uncertain.Tuple{ID: id, Point: geom.Point{x, y}, Prob: prob},
 		LocalProb: local,
 	}
@@ -112,9 +117,9 @@ func hotelSites() *fakeSites {
 		return 0.1
 	}
 	return &fakeSites{q: 0.3, sites: []*fakeSite{
-		{cross: cross, sky: []Representative{rep(1, 6, 6, 0.7, 0.65), rep(2, 8, 4, 0.8, 0.6), rep(3, 3, 8, 0.8, 0.5)}},
-		{cross: cross, sky: []Representative{rep(4, 6.5, 7, 0.8, 0.65), rep(5, 4, 9, 0.6, 0.6), rep(6, 9, 5, 0.7, 0.6)}},
-		{cross: cross, sky: []Representative{rep(7, 6.4, 7.5, 0.9, 0.8), rep(8, 3.5, 11, 0.7, 0.7), rep(9, 10, 4.5, 0.7, 0.7)}},
+		{cross: cross, sky: []msg.Representative{rep(1, 6, 6, 0.7, 0.65), rep(2, 8, 4, 0.8, 0.6), rep(3, 3, 8, 0.8, 0.5)}},
+		{cross: cross, sky: []msg.Representative{rep(4, 6.5, 7, 0.8, 0.65), rep(5, 4, 9, 0.6, 0.6), rep(6, 9, 5, 0.7, 0.6)}},
+		{cross: cross, sky: []msg.Representative{rep(7, 6.4, 7.5, 0.9, 0.8), rep(8, 3.5, 11, 0.7, 0.7), rep(9, 10, 4.5, 0.7, 0.7)}},
 	}}
 }
 
@@ -143,7 +148,7 @@ func dbSites(parts []uncertain.DB, q float64) *fakeSites {
 	for _, db := range parts {
 		s := &fakeSite{db: db, cross: func(t uncertain.Tuple) float64 { return db.CrossSkyProb(t, nil) }}
 		for _, m := range db.Skyline(q, nil) {
-			s.sky = append(s.sky, Representative{Tuple: m.Tuple, LocalProb: m.Prob})
+			s.sky = append(s.sky, msg.Representative{Tuple: m.Tuple, LocalProb: m.Prob})
 		}
 		f.sites = append(f.sites, s)
 	}
@@ -453,16 +458,22 @@ func TestSeededEDSUDPinned(t *testing.T) {
 func checkFanouts(t *testing.T, f *fakeSites, steps []Step) (waves int) {
 	t.Helper()
 	sent := 0
-	pop := func() []Request {
+	pop := func() []msg.Request {
 		if sent == len(f.fanouts) {
 			t.Fatalf("the stream implies more than the %d fan-outs sent", sent)
 		}
 		sent++
-		return f.fanouts[sent-1]
+		reqs := f.fanouts[sent-1]
+		for i, r := range reqs {
+			if r.Session != 0 || !reflect.DeepEqual(r.Query, msg.Query{}) || r.Seq != 0 || r.Client != 0 || r.Timed {
+				t.Fatalf("fan-out %d, site %d: the engine bound %+v, which is the Sites' job", sent, i, r)
+			}
+		}
+		return reqs
 	}
 	for i, r := range pop() {
-		if r.Op != OpInit {
-			t.Fatalf("first fan-out, site %d: op %d, want Init", i, r.Op)
+		if r.Kind != msg.KindInit {
+			t.Fatalf("first fan-out, site %d: %v, want init", i, r.Kind)
 		}
 	}
 	owed := map[int]bool{} // sites sent a Next whose refill is not announced yet
@@ -471,7 +482,7 @@ func checkFanouts(t *testing.T, f *fakeSites, steps []Step) (waves int) {
 		case s.Kind == StepBegin && s.Phase == PhaseServerDelivery:
 			reqs, home := pop(), -1
 			for _, r := range reqs {
-				if r.Op == OpEvaluate {
+				if r.Kind == msg.KindEvaluate {
 					home = f.home[r.Feed.Tuple.ID]
 				}
 			}
@@ -480,12 +491,12 @@ func checkFanouts(t *testing.T, f *fakeSites, steps []Step) (waves int) {
 			}
 			for i, r := range reqs {
 				switch {
-				case i != home && r.Op == OpEvaluate && f.home[r.Feed.Tuple.ID] == home:
-				case i == home && r.Op == OpNext:
+				case i != home && r.Kind == msg.KindEvaluate && f.home[r.Feed.Tuple.ID] == home:
+				case i == home && r.Kind == msg.KindNext:
 					owed[i] = true
-				case i == home && r.Op == 0:
+				case i == home && r.Kind == 0:
 				default:
-					t.Fatalf("step %d: broadcast of site %d's tuple sends site %d op %d", n, home, i, r.Op)
+					t.Fatalf("step %d: broadcast of site %d's tuple sends site %d %v", n, home, i, r.Kind)
 				}
 			}
 		case s.Kind == StepEvent && s.Event.Kind == EventExpunge && !owed[s.Event.Site]:
@@ -494,10 +505,10 @@ func checkFanouts(t *testing.T, f *fakeSites, steps []Step) (waves int) {
 			}
 			waves++
 			for i, r := range pop() {
-				if r.Op == OpNext {
+				if r.Kind == msg.KindNext {
 					owed[i] = true
-				} else if r.Op != 0 {
-					t.Fatalf("step %d: expunge wave sends site %d op %d", n, i, r.Op)
+				} else if r.Kind != 0 {
+					t.Fatalf("step %d: expunge wave sends site %d %v", n, i, r.Kind)
 				}
 			}
 			if !owed[s.Event.Site] {
@@ -505,8 +516,8 @@ func checkFanouts(t *testing.T, f *fakeSites, steps []Step) (waves int) {
 			}
 		case s.Kind == StepEvent && s.Event.Kind == EventRefill && !owed[s.Event.Site]:
 			for i, r := range pop() {
-				if (i == s.Event.Site) != (r.Op == OpNext) || (r.Op != OpNext && r.Op != 0) {
-					t.Fatalf("step %d: held-back refill of site %d sends site %d op %d", n, s.Event.Site, i, r.Op)
+				if (i == s.Event.Site) != (r.Kind == msg.KindNext) || (r.Kind != msg.KindNext && r.Kind != 0) {
+					t.Fatalf("step %d: held-back refill of site %d sends site %d %v", n, s.Event.Site, i, r.Kind)
 				}
 			}
 		case s.Kind == StepEvent && s.Event.Kind == EventRefill:

@@ -1,8 +1,8 @@
 package site
 
 import (
+	"repro/internal/msg"
 	"repro/internal/obs"
-	"repro/internal/transport"
 )
 
 // Instrument registers the engine's operational metrics with reg and
@@ -55,8 +55,8 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for k := 1; k <= transport.MaxKind; k++ {
-		kind := transport.Kind(k).String()
+	for k := 1; k <= msg.MaxKind; k++ {
+		kind := msg.Kind(k).String()
 		e.obsReqs[k] = reg.Counter("dsud_site_requests_total", "kind", kind)
 		e.obsLat[k] = reg.Histogram("dsud_site_handle_seconds", nil, "kind", kind)
 	}

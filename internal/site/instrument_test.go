@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/msg"
 	"repro/internal/obs"
-	"repro/internal/transport"
 	"repro/internal/uncertain"
 )
 
@@ -25,13 +25,13 @@ func TestEngineInstrument(t *testing.T) {
 	eng.Instrument(reg)
 
 	ctx := context.Background()
-	if _, err := eng.Handle(ctx, &transport.Request{
-		Kind: transport.KindInit, Session: 1,
-		Query: transport.Query{Threshold: 0.1},
+	if _, err := eng.Handle(ctx, &msg.Request{
+		Kind: msg.KindInit, Session: 1,
+		Query: msg.Query{Threshold: 0.1},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Handle(ctx, &transport.Request{Kind: transport.KindNext, Session: 1}); err != nil {
+	if _, err := eng.Handle(ctx, &msg.Request{Kind: msg.KindNext, Session: 1}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -46,10 +46,10 @@ func TestEngineInstrument(t *testing.T) {
 	}
 
 	// Dedup replays must count as replays, not as executed requests.
-	if _, err := eng.Handle(ctx, &transport.Request{Kind: transport.KindNext, Session: 1, Seq: 5, Client: 9}); err != nil {
+	if _, err := eng.Handle(ctx, &msg.Request{Kind: msg.KindNext, Session: 1, Seq: 5, Client: 9}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Handle(ctx, &transport.Request{Kind: transport.KindNext, Session: 1, Seq: 5, Client: 9}); err != nil {
+	if _, err := eng.Handle(ctx, &msg.Request{Kind: msg.KindNext, Session: 1, Seq: 5, Client: 9}); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("dsud_site_replays_total").Value(); got != 1 {
@@ -83,9 +83,9 @@ func TestEngineInstrument(t *testing.T) {
 	// Feedback pruning feeds the pruned counter. Tuple 1 as feedback with
 	// a harsh threshold prunes dominated survivors (if any remain).
 	before := reg.Counter("dsud_site_pruned_total").Value()
-	if _, err := eng.Handle(ctx, &transport.Request{
-		Kind: transport.KindEvaluate, Session: 1,
-		Feed: transport.Feedback{
+	if _, err := eng.Handle(ctx, &msg.Request{
+		Kind: msg.KindEvaluate, Session: 1,
+		Feed: msg.Feedback{
 			Tuple:         uncertain.Tuple{ID: 100, Point: []float64{0.5, 0.5}, Prob: 0.95},
 			HomeLocalProb: 0.95,
 		},
@@ -111,8 +111,8 @@ func TestSkyIndexSeries(t *testing.T) {
 		q      float64
 		builds int64
 	}{{0.5, 1}, {0.6, 1}, {0.1, 2}, {0.3, 2}} {
-		if _, err := eng.Handle(context.Background(), &transport.Request{
-			Kind: transport.KindInit, Query: transport.Query{Threshold: step.q},
+		if _, err := eng.Handle(context.Background(), &msg.Request{
+			Kind: msg.KindInit, Query: msg.Query{Threshold: step.q},
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -136,9 +136,9 @@ func TestUninstrumentedEngineUnaffected(t *testing.T) {
 	eng := New(0, instrTestDB(), 2, 0)
 	eng.Instrument(nil) // must be a no-op
 	ctx := context.Background()
-	resp, err := eng.Handle(ctx, &transport.Request{
-		Kind: transport.KindInit, Session: 1,
-		Query: transport.Query{Threshold: 0.1},
+	resp, err := eng.Handle(ctx, &msg.Request{
+		Kind: msg.KindInit, Session: 1,
+		Query: msg.Query{Threshold: 0.1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,8 +5,8 @@ import (
 	"log/slog"
 	"time"
 
+	"repro/internal/msg"
 	"repro/internal/obs"
-	"repro/internal/transport"
 )
 
 // serve wraps dispatch with the engine's per-request observability:
@@ -15,9 +15,9 @@ import (
 // off it is a tail call into dispatch and reads no clock. Called with e.mu
 // held, so ServiceNS is the handling time alone, not the wait for the
 // lock.
-func (e *Engine) serve(req *transport.Request) (*transport.Response, error) {
+func (e *Engine) serve(req *msg.Request) (*msg.Response, error) {
 	k := int(req.Kind)
-	instrumented := e.obsOn && k >= 1 && k <= transport.MaxKind
+	instrumented := e.obsOn && k >= 1 && k <= msg.MaxKind
 	if !instrumented && !req.Timed && e.logger == nil {
 		return e.dispatch(req)
 	}
@@ -53,7 +53,7 @@ func (e *Engine) SetLogger(l *slog.Logger, slow time.Duration) {
 }
 
 // logRequest emits one request record. Called with e.mu held.
-func (e *Engine) logRequest(req *transport.Request, err error, dur time.Duration) {
+func (e *Engine) logRequest(req *msg.Request, err error, dur time.Duration) {
 	switch {
 	case err != nil:
 		e.logger.Error("request failed",

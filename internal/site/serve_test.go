@@ -9,8 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/msg"
 	"repro/internal/obs"
-	"repro/internal/transport"
 )
 
 // A Timed Init's reply carries the site's handling time as ServiceNS.
@@ -18,8 +18,8 @@ import (
 func TestSampledInitPiggybacksSpans(t *testing.T) {
 	r := rand.New(rand.NewSource(81))
 	eng := New(4, randomPart(r, 300, 3), 3, 0)
-	resp, err := eng.Handle(context.Background(), &transport.Request{Kind: transport.KindInit, Session: 7,
-		Query: transport.Query{Threshold: 0.3}, Timed: true})
+	resp, err := eng.Handle(context.Background(), &msg.Request{Kind: msg.KindInit, Session: 7,
+		Query: msg.Query{Threshold: 0.3}, Timed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +34,11 @@ func TestUnsampledRequestHasNoBlob(t *testing.T) {
 	r := rand.New(rand.NewSource(82))
 	eng := New(4, randomPart(r, 300, 3), 3, 0)
 	ctx := context.Background()
-	if _, err := eng.Handle(ctx, &transport.Request{Kind: transport.KindInit, Session: 7,
-		Query: transport.Query{Threshold: 0.3}, Timed: true}); err != nil {
+	if _, err := eng.Handle(ctx, &msg.Request{Kind: msg.KindInit, Session: 7,
+		Query: msg.Query{Threshold: 0.3}, Timed: true}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := eng.Handle(ctx, &transport.Request{Kind: transport.KindNext, Session: 7})
+	resp, err := eng.Handle(ctx, &msg.Request{Kind: msg.KindNext, Session: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestUnsampledHandleZeroTracingAllocations(t *testing.T) {
 	initSite(t, eng, 0.3, nil)
 
 	ctx := context.Background()
-	req := &transport.Request{Kind: transport.KindEndQuery, Session: 1} // no such session: a no-op
+	req := &msg.Request{Kind: msg.KindEndQuery, Session: 1} // no such session: a no-op
 	base := testing.AllocsPerRun(200, func() {
 		if _, err := eng.dispatch(req); err != nil {
 			t.Fatal(err)
@@ -89,8 +89,8 @@ func TestRequestLogging(t *testing.T) {
 	}
 	eng.SetLogger(logger, time.Nanosecond) // everything is "slow"
 
-	if _, err := eng.Handle(context.Background(), &transport.Request{Kind: transport.KindInit, Session: 777,
-		Query: transport.Query{Threshold: 0.3}}); err != nil {
+	if _, err := eng.Handle(context.Background(), &msg.Request{Kind: msg.KindInit, Session: 777,
+		Query: msg.Query{Threshold: 0.3}}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -103,7 +103,7 @@ func TestRequestLogging(t *testing.T) {
 
 	buf.Reset()
 	eng.SetLogger(logger, 0) // slow log off: plain Debug records
-	if _, err := eng.Handle(context.Background(), &transport.Request{Kind: transport.KindNext, Session: 777}); err != nil {
+	if _, err := eng.Handle(context.Background(), &msg.Request{Kind: msg.KindNext, Session: 777}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `"level":"DEBUG"`) {
@@ -111,7 +111,7 @@ func TestRequestLogging(t *testing.T) {
 	}
 
 	buf.Reset()
-	if _, err := eng.Handle(context.Background(), &transport.Request{Kind: transport.Kind(99)}); err == nil {
+	if _, err := eng.Handle(context.Background(), &msg.Request{Kind: msg.Kind(99)}); err == nil {
 		t.Fatal("unknown kind must fail")
 	}
 	if !strings.Contains(buf.String(), `"level":"ERROR"`) {

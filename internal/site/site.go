@@ -6,7 +6,7 @@
 // applies the Observation-2 local pruning rule, and services the §5.4
 // update operations.
 //
-// Query state is kept per session (transport.Request.Session), so several
+// Query state is kept per session (msg.Request.Session), so several
 // coordinators — or several concurrent queries from one coordinator — can
 // share a site without trampling each other's cursors.
 package site
@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/msg"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/obs/slo"
@@ -35,7 +36,7 @@ const MaxSessions = 128
 
 // session is the per-query state created by KindInit.
 type session struct {
-	query transport.Query
+	query msg.Query
 	// sky is the not-yet-shipped suffix of SKY(D_i) as it stood at Init,
 	// in report order: a private copy of the maintained index's prefix,
 	// pruned in place, that later updates never touch.
@@ -67,7 +68,7 @@ type Engine struct {
 	replica map[uncertain.TupleID]uncertain.Tuple
 
 	// At-most-once dedup for retried requests, scoped per client ID
-	// (transport.Request.Client): a sliding window of recently served
+	// (msg.Request.Client): a sliding window of recently served
 	// sequence numbers and their outcomes (see dedupState). Sequence
 	// zero disables dedup (unsequenced callers).
 	dedup map[uint64]*dedupState
@@ -75,8 +76,8 @@ type Engine struct {
 	// Observability hooks, populated by Instrument; zero-valued (and paid
 	// for by a single flag check) when the engine is uninstrumented.
 	obsOn      bool
-	obsReqs    [transport.MaxKind + 1]*obs.Counter
-	obsLat     [transport.MaxKind + 1]*obs.Histogram
+	obsReqs    [msg.MaxKind + 1]*obs.Counter
+	obsLat     [msg.MaxKind + 1]*obs.Histogram
 	obsReplays *obs.Counter
 	obsPruned  *obs.Counter
 	// obsSkyBuilds counts cold local-skyline searches (skyIndex.build).
@@ -142,13 +143,13 @@ type dedupState struct {
 }
 
 type dedupOutcome struct {
-	resp *transport.Response
+	resp *msg.Response
 	err  error
 }
 
 // remember caches one served request's outcome, evicting the oldest
 // entry once the window is full.
-func (st *dedupState) remember(seq uint64, resp *transport.Response, err error) {
+func (st *dedupState) remember(seq uint64, resp *msg.Response, err error) {
 	if len(st.outcomes) >= DedupWindow {
 		old := st.order[st.head]
 		delete(st.outcomes, old)
@@ -247,7 +248,7 @@ func (e *Engine) Sessions() int {
 }
 
 // Handle implements transport.Handler.
-func (e *Engine) Handle(ctx context.Context, req *transport.Request) (*transport.Response, error) {
+func (e *Engine) Handle(ctx context.Context, req *msg.Request) (*msg.Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -258,7 +259,7 @@ func (e *Engine) Handle(ctx context.Context, req *transport.Request) (*transport
 	defer func() {
 		// Status probes stay out of the window: a coordinator's watch polls
 		// every interval and would otherwise measure itself.
-		if req.Kind != transport.KindStatus {
+		if req.Kind != msg.KindStatus {
 			e.win.Observe(time.Since(reqStart))
 		}
 	}()
@@ -296,32 +297,32 @@ func (e *Engine) Handle(ctx context.Context, req *transport.Request) (*transport
 	return e.serve(req)
 }
 
-func (e *Engine) dispatch(req *transport.Request) (*transport.Response, error) {
+func (e *Engine) dispatch(req *msg.Request) (*msg.Response, error) {
 	switch req.Kind {
-	case transport.KindInit:
+	case msg.KindInit:
 		return e.handleInit(req)
-	case transport.KindNext:
+	case msg.KindNext:
 		return e.handleNext(req)
-	case transport.KindEvaluate:
+	case msg.KindEvaluate:
 		return e.handleEvaluate(req)
-	case transport.KindEndQuery:
+	case msg.KindEndQuery:
 		if s := e.sessions[req.Session]; s != nil {
 			e.recordSession(req.Session, s)
 			delete(e.sessions, req.Session)
 		}
-		return &transport.Response{}, nil
-	case transport.KindShipAll:
+		return &msg.Response{}, nil
+	case msg.KindShipAll:
 		return e.handleShipAll()
-	case transport.KindInsert:
+	case msg.KindInsert:
 		return e.handleInsert(req)
-	case transport.KindDelete:
+	case msg.KindDelete:
 		return e.handleDelete(req)
-	case transport.KindCandidates:
+	case msg.KindCandidates:
 		return e.handleCandidates(req)
-	case transport.KindReplicate:
+	case msg.KindReplicate:
 		return e.handleReplicate(req)
-	case transport.KindStatus:
-		return &transport.Response{Status: e.statusLocked()}, nil
+	case msg.KindStatus:
+		return &msg.Response{Status: e.statusLocked()}, nil
 	default:
 		return nil, fmt.Errorf("site %d: unknown request kind %v", e.id, req.Kind)
 	}
@@ -329,7 +330,7 @@ func (e *Engine) dispatch(req *transport.Request) (*transport.Response, error) {
 
 // validQuery is Query.Validate against this site's dimensionality, so a
 // malformed threshold or subspace never reaches the tree or an index.
-func (e *Engine) validQuery(q transport.Query) error {
+func (e *Engine) validQuery(q msg.Query) error {
 	if err := q.Validate(e.index.Dims()); err != nil {
 		return fmt.Errorf("site %d: %w", e.id, err)
 	}
@@ -340,7 +341,7 @@ func (e *Engine) validQuery(q transport.Query) error {
 // query's threshold — a prefix of the subspace's maintained index, which
 // a first or lower-than-ever threshold builds with the PR-tree's
 // threshold-aware BBS search — and hand out the first representative.
-func (e *Engine) handleInit(req *transport.Request) (*transport.Response, error) {
+func (e *Engine) handleInit(req *msg.Request) (*msg.Response, error) {
 	if err := e.validQuery(req.Query); err != nil {
 		return nil, err
 	}
@@ -357,19 +358,19 @@ func (e *Engine) handleInit(req *transport.Request) (*transport.Response, error)
 
 // handleNext pops the most promising remaining local skyline tuple. The
 // session's members alias the tree's points; the response gets its own.
-func (e *Engine) handleNext(req *transport.Request) (*transport.Response, error) {
+func (e *Engine) handleNext(req *msg.Request) (*msg.Response, error) {
 	s := e.sessions[req.Session]
 	if s == nil {
 		return nil, fmt.Errorf("site %d: Next before Init (session %d)", e.id, req.Session)
 	}
 	if len(s.sky) == 0 {
-		return &transport.Response{Exhausted: true}, nil
+		return &msg.Response{Exhausted: true}, nil
 	}
 	head := s.sky[0]
 	s.sky = s.sky[1:]
 	s.shipped++
-	return &transport.Response{
-		Rep: transport.Representative{Tuple: head.Tuple.Clone(), LocalProb: head.Prob},
+	return &msg.Response{
+		Rep: msg.Representative{Tuple: head.Tuple.Clone(), LocalProb: head.Prob},
 	}, nil
 }
 
@@ -407,7 +408,7 @@ func (e *Engine) recordSession(id uint64, s *session) {
 // of t at t's home site also dominates s. Without a session (maintenance
 // traffic), the request's own Query supplies the dominance subspace, and
 // the request may batch: see evaluateBatch.
-func (e *Engine) handleEvaluate(req *transport.Request) (*transport.Response, error) {
+func (e *Engine) handleEvaluate(req *msg.Request) (*msg.Response, error) {
 	if len(req.Tuples) > 0 {
 		return e.evaluateBatch(req)
 	}
@@ -437,7 +438,7 @@ func (e *Engine) handleEvaluate(req *transport.Request) (*transport.Response, er
 		s.pruned += pruned
 		e.obsPruned.Add(int64(pruned))
 	}
-	resp := &transport.Response{CrossProb: cross, Pruned: pruned}
+	resp := &msg.Response{CrossProb: cross, Pruned: pruned}
 	if s != nil {
 		resp.SessionPruned = s.pruned
 	}
@@ -451,7 +452,7 @@ var ErrBatchedSession = errors.New("batched evaluate is sessionless")
 
 // evaluateBatch answers a sessionless Evaluate carrying candidates: the
 // eq. 9 factor of each at this site, aligned with them, and nothing pruned.
-func (e *Engine) evaluateBatch(req *transport.Request) (*transport.Response, error) {
+func (e *Engine) evaluateBatch(req *msg.Request) (*msg.Response, error) {
 	if req.Session != 0 {
 		return nil, fmt.Errorf("site %d: session %d: %w", e.id, req.Session, ErrBatchedSession)
 	}
@@ -467,24 +468,24 @@ func (e *Engine) evaluateBatch(req *transport.Request) (*transport.Response, err
 	for k, cand := range req.Tuples {
 		cross[k] = e.index.CrossSkyProb(cand.Tuple, req.Query.Dims)
 	}
-	return &transport.Response{CrossProbs: cross}, nil
+	return &msg.Response{CrossProbs: cross}, nil
 }
 
 // handleShipAll returns the whole partition (baseline algorithm).
-func (e *Engine) handleShipAll() (*transport.Response, error) {
-	out := make([]transport.Representative, 0, e.index.Len())
+func (e *Engine) handleShipAll() (*msg.Response, error) {
+	out := make([]msg.Representative, 0, e.index.Len())
 	e.index.All(func(tu uncertain.Tuple) bool {
-		out = append(out, transport.Representative{Tuple: tu.Clone()})
+		out = append(out, msg.Representative{Tuple: tu.Clone()})
 		return true
 	})
-	return &transport.Response{Tuples: out}, nil
+	return &msg.Response{Tuples: out}, nil
 }
 
 // handleInsert applies one insertion (§5.4) and returns the fresh local
 // skyline probability of the inserted tuple (in the request's subspace)
 // so the coordinator can start its global evaluation without another
 // round trip.
-func (e *Engine) handleInsert(req *transport.Request) (*transport.Response, error) {
+func (e *Engine) handleInsert(req *msg.Request) (*msg.Response, error) {
 	if err := req.Tuple.Validate(e.index.Dims()); err != nil {
 		return nil, fmt.Errorf("site %d: bad insert: %w", e.id, err)
 	}
@@ -507,8 +508,8 @@ func (e *Engine) handleInsert(req *transport.Request) (*transport.Response, erro
 		}
 		ix.inserted(req.Tuple, inSub)
 	}
-	resp := &transport.Response{
-		Rep: transport.Representative{Tuple: req.Tuple, LocalProb: local},
+	resp := &msg.Response{
+		Rep: msg.Representative{Tuple: req.Tuple, LocalProb: local},
 	}
 	// Replica filter (§5.4): if the global skyline copy alone pushes the
 	// newcomer's best possible global probability below the threshold,
@@ -529,7 +530,7 @@ func (e *Engine) handleInsert(req *transport.Request) (*transport.Response, erro
 }
 
 // handleReplicate applies a delta to the site's SKY(H) replica.
-func (e *Engine) handleReplicate(req *transport.Request) (*transport.Response, error) {
+func (e *Engine) handleReplicate(req *msg.Request) (*msg.Response, error) {
 	if e.replica == nil {
 		e.replica = make(map[uncertain.TupleID]uncertain.Tuple)
 	}
@@ -544,14 +545,14 @@ func (e *Engine) handleReplicate(req *transport.Request) (*transport.Response, e
 	}
 	e.replicaVersion++
 	e.lastUpdate.Store(time.Now().UnixNano())
-	return &transport.Response{}, nil
+	return &msg.Response{}, nil
 }
 
 // handleDelete applies one deletion (§5.4). A delete that names a Query
 // (incremental maintenance) then answers the promotion candidates, as
 // handleCandidates would right after it; the query is validated before
 // the tree is touched. A query-less delete (ApplyNaive) answers nothing.
-func (e *Engine) handleDelete(req *transport.Request) (*transport.Response, error) {
+func (e *Engine) handleDelete(req *msg.Request) (*msg.Response, error) {
 	q := req.Query
 	named := q.Threshold != 0 || q.Dims != nil || q.NoPrune
 	if named {
@@ -567,16 +568,16 @@ func (e *Engine) handleDelete(req *transport.Request) (*transport.Response, erro
 		ix.deleted(e.index, req.ID, req.Point)
 	}
 	if !named {
-		return &transport.Response{}, nil
+		return &msg.Response{}, nil
 	}
-	return &transport.Response{Tuples: e.candidates(uncertain.Tuple{ID: req.ID, Point: req.Point}, q)}, nil
+	return &msg.Response{Tuples: e.candidates(uncertain.Tuple{ID: req.ID, Point: req.Point}, q)}, nil
 }
 
 // handleCandidates finds, after the deletion of req.Feed.Tuple at another
 // site, the promotion candidates of incremental maintenance (candidates).
 // The threshold and subspace ride in the request's Query (maintenance is
 // independent of query sessions).
-func (e *Engine) handleCandidates(req *transport.Request) (*transport.Response, error) {
+func (e *Engine) handleCandidates(req *msg.Request) (*msg.Response, error) {
 	if err := e.validQuery(req.Query); err != nil {
 		return nil, err
 	}
@@ -584,7 +585,7 @@ func (e *Engine) handleCandidates(req *transport.Request) (*transport.Response, 
 	if err := gone.Validate(e.index.Dims()); err != nil {
 		return nil, fmt.Errorf("site %d: bad feedback: %w", e.id, err)
 	}
-	return &transport.Response{Tuples: e.candidates(gone, req.Query)}, nil
+	return &msg.Response{Tuples: e.candidates(gone, req.Query)}, nil
 }
 
 // candidates are the local tuples the deleted tuple gone used to dominate
@@ -592,11 +593,11 @@ func (e *Engine) handleCandidates(req *transport.Request) (*transport.Response, 
 // dominated members of SKY(D_i) at that threshold. The deleted tuple's home
 // site folded the deletion into its index when it applied it, and at every
 // other site D_i did not change.
-func (e *Engine) candidates(gone uncertain.Tuple, q transport.Query) []transport.Representative {
-	var out []transport.Representative
+func (e *Engine) candidates(gone uncertain.Tuple, q msg.Query) []msg.Representative {
+	var out []msg.Representative
 	for _, m := range e.localSkyline(q.Threshold, q.Dims) {
 		if m.Tuple.ID != gone.ID && gone.Dominates(m.Tuple, q.Dims) {
-			out = append(out, transport.Representative{Tuple: m.Tuple.Clone(), LocalProb: m.Prob})
+			out = append(out, msg.Representative{Tuple: m.Tuple.Clone(), LocalProb: m.Prob})
 		}
 	}
 	return out

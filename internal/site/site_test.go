@@ -13,7 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/transport"
+	"repro/internal/msg"
 	"repro/internal/uncertain"
 )
 
@@ -29,11 +29,11 @@ func randomPart(r *rand.Rand, n, d int) uncertain.DB {
 	return db
 }
 
-func initSite(t *testing.T, eng *Engine, q float64, dims []int) *transport.Response {
+func initSite(t *testing.T, eng *Engine, q float64, dims []int) *msg.Response {
 	t.Helper()
-	resp, err := eng.Handle(context.Background(), &transport.Request{
-		Kind:  transport.KindInit,
-		Query: transport.Query{Threshold: q, Dims: dims},
+	resp, err := eng.Handle(context.Background(), &msg.Request{
+		Kind:  msg.KindInit,
+		Query: msg.Query{Threshold: q, Dims: dims},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +52,7 @@ func TestInitStreamsLocalSkylineInOrder(t *testing.T) {
 	for !resp.Exhausted {
 		got = append(got, uncertain.SkylineMember{Tuple: resp.Rep.Tuple, Prob: resp.Rep.LocalProb})
 		var err error
-		resp, err = eng.Handle(context.Background(), &transport.Request{Kind: transport.KindNext})
+		resp, err = eng.Handle(context.Background(), &msg.Request{Kind: msg.KindNext})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,10 +72,10 @@ func TestInitStreamsLocalSkylineInOrder(t *testing.T) {
 
 func TestNextBeforeInitFails(t *testing.T) {
 	eng := New(0, nil, 2, 0)
-	if _, err := eng.Handle(context.Background(), &transport.Request{Kind: transport.KindNext}); err == nil {
+	if _, err := eng.Handle(context.Background(), &msg.Request{Kind: msg.KindNext}); err == nil {
 		t.Fatal("Next before Init must fail")
 	}
-	if _, err := eng.Handle(context.Background(), &transport.Request{Kind: transport.KindCandidates}); err == nil {
+	if _, err := eng.Handle(context.Background(), &msg.Request{Kind: msg.KindCandidates}); err == nil {
 		t.Fatal("Candidates before Init must fail")
 	}
 }
@@ -83,13 +83,13 @@ func TestNextBeforeInitFails(t *testing.T) {
 func TestInitValidatesQuery(t *testing.T) {
 	r := rand.New(rand.NewSource(52))
 	eng := New(0, randomPart(r, 10, 2), 2, 0)
-	bad := []transport.Query{
+	bad := []msg.Query{
 		{Threshold: 0},
 		{Threshold: 2},
 		{Threshold: 0.3, Dims: []int{9}},
 	}
 	for i, q := range bad {
-		if _, err := eng.Handle(context.Background(), &transport.Request{Kind: transport.KindInit, Query: q}); err == nil {
+		if _, err := eng.Handle(context.Background(), &msg.Request{Kind: msg.KindInit, Query: q}); err == nil {
 			t.Errorf("case %d: query %+v must be rejected", i, q)
 		}
 	}
@@ -103,11 +103,11 @@ func TestEvaluateReturnsCrossProbAndPrunes(t *testing.T) {
 	eng := New(0, part, 2, 0)
 	initSite(t, eng, 0.3, nil)
 
-	feed := transport.Feedback{
+	feed := msg.Feedback{
 		Tuple:         uncertain.Tuple{ID: 99, Point: geom.Point{0.8, 0.8}, Prob: 0.5},
 		HomeLocalProb: 0.5,
 	}
-	resp, err := eng.Handle(context.Background(), &transport.Request{Kind: transport.KindEvaluate, Feed: feed})
+	resp, err := eng.Handle(context.Background(), &msg.Request{Kind: msg.KindEvaluate, Feed: feed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestEvaluatePruningIsSound(t *testing.T) {
 		const q = 0.3
 		initSite(t, eng, q, nil)
 		// Skip the first representative (already popped by Init).
-		feed := transport.Feedback{
+		feed := msg.Feedback{
 			Tuple: uncertain.Tuple{
 				ID:    uncertain.TupleID(10_000 + trial),
 				Point: geom.Point{0.2 * r.Float64(), 0.2 * r.Float64()},
@@ -140,7 +140,7 @@ func TestEvaluatePruningIsSound(t *testing.T) {
 		}
 		feed.HomeLocalProb = feed.Tuple.Prob * (0.5 + 0.5*r.Float64())
 		before := eng.LocalSkylineSize()
-		resp, err := eng.Handle(context.Background(), &transport.Request{Kind: transport.KindEvaluate, Feed: feed})
+		resp, err := eng.Handle(context.Background(), &msg.Request{Kind: msg.KindEvaluate, Feed: feed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestEvaluatePruningIsSound(t *testing.T) {
 		// Survivors dominated by the feedback must have bound >= q.
 		homeFactor := feed.HomeLocalProb / feed.Tuple.Prob * (1 - feed.Tuple.Prob)
 		for eng.LocalSkylineSize() > 0 {
-			next, err := eng.Handle(context.Background(), &transport.Request{Kind: transport.KindNext})
+			next, err := eng.Handle(context.Background(), &msg.Request{Kind: msg.KindNext})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,8 +170,8 @@ func TestEvaluateRejectsBadFeedback(t *testing.T) {
 	r := rand.New(rand.NewSource(54))
 	eng := New(0, randomPart(r, 10, 2), 2, 0)
 	initSite(t, eng, 0.3, nil)
-	bad := transport.Feedback{Tuple: uncertain.Tuple{ID: 1, Point: geom.Point{1}, Prob: 0.5}}
-	if _, err := eng.Handle(context.Background(), &transport.Request{Kind: transport.KindEvaluate, Feed: bad}); err == nil {
+	bad := msg.Feedback{Tuple: uncertain.Tuple{ID: 1, Point: geom.Point{1}, Prob: 0.5}}
+	if _, err := eng.Handle(context.Background(), &msg.Request{Kind: msg.KindEvaluate, Feed: bad}); err == nil {
 		t.Fatal("dimension-mismatched feedback must be rejected")
 	}
 }
@@ -180,7 +180,7 @@ func TestShipAll(t *testing.T) {
 	r := rand.New(rand.NewSource(55))
 	part := randomPart(r, 64, 2)
 	eng := New(3, part, 2, 0)
-	resp, err := eng.Handle(context.Background(), &transport.Request{Kind: transport.KindShipAll})
+	resp, err := eng.Handle(context.Background(), &msg.Request{Kind: msg.KindShipAll})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestInsertDeleteRoundTrip(t *testing.T) {
 	eng := New(0, nil, 2, 0)
 	initSite(t, eng, 0.3, nil)
 	tu := uncertain.Tuple{ID: 1, Point: geom.Point{0.5, 0.5}, Prob: 0.8}
-	resp, err := eng.Handle(context.Background(), &transport.Request{Kind: transport.KindInsert, Tuple: tu})
+	resp, err := eng.Handle(context.Background(), &msg.Request{Kind: msg.KindInsert, Tuple: tu})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,23 +204,23 @@ func TestInsertDeleteRoundTrip(t *testing.T) {
 		t.Fatalf("LocalProb of sole tuple = %v, want its existential probability", resp.Rep.LocalProb)
 	}
 	dominator := uncertain.Tuple{ID: 2, Point: geom.Point{0.1, 0.1}, Prob: 0.5}
-	if _, err := eng.Handle(context.Background(), &transport.Request{Kind: transport.KindInsert, Tuple: dominator}); err != nil {
+	if _, err := eng.Handle(context.Background(), &msg.Request{Kind: msg.KindInsert, Tuple: dominator}); err != nil {
 		t.Fatal(err)
 	}
 	if eng.Len() != 2 {
 		t.Fatalf("Len = %d", eng.Len())
 	}
-	if _, err := eng.Handle(context.Background(), &transport.Request{Kind: transport.KindDelete, ID: 1, Point: tu.Point}); err != nil {
+	if _, err := eng.Handle(context.Background(), &msg.Request{Kind: msg.KindDelete, ID: 1, Point: tu.Point}); err != nil {
 		t.Fatal(err)
 	}
 	if eng.Len() != 1 {
 		t.Fatalf("Len after delete = %d", eng.Len())
 	}
-	if _, err := eng.Handle(context.Background(), &transport.Request{Kind: transport.KindDelete, ID: 1, Point: tu.Point}); err == nil {
+	if _, err := eng.Handle(context.Background(), &msg.Request{Kind: msg.KindDelete, ID: 1, Point: tu.Point}); err == nil {
 		t.Fatal("deleting a missing tuple must fail")
 	}
-	if _, err := eng.Handle(context.Background(), &transport.Request{
-		Kind:  transport.KindInsert,
+	if _, err := eng.Handle(context.Background(), &msg.Request{
+		Kind:  msg.KindInsert,
 		Tuple: uncertain.Tuple{ID: 3, Point: geom.Point{1}, Prob: 0.5},
 	}); err == nil {
 		t.Fatal("dimension-mismatched insert must be rejected")
@@ -239,15 +239,15 @@ func TestCandidatesFindsPromotions(t *testing.T) {
 	eng := New(0, part, 2, 0)
 	initSite(t, eng, 0.3, nil)
 	dominator := part[0]
-	if _, err := eng.Handle(context.Background(), &transport.Request{
-		Kind: transport.KindDelete, ID: dominator.ID, Point: dominator.Point,
+	if _, err := eng.Handle(context.Background(), &msg.Request{
+		Kind: msg.KindDelete, ID: dominator.ID, Point: dominator.Point,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := eng.Handle(context.Background(), &transport.Request{
-		Kind:  transport.KindCandidates,
-		Feed:  transport.Feedback{Tuple: dominator},
-		Query: transport.Query{Threshold: 0.3},
+	resp, err := eng.Handle(context.Background(), &msg.Request{
+		Kind:  msg.KindCandidates,
+		Feed:  msg.Feedback{Tuple: dominator},
+		Query: msg.Query{Threshold: 0.3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -276,9 +276,9 @@ func TestDeleteWithQueryAnswersCandidates(t *testing.T) {
 		{ID: 3, Point: geom.Point{0.6, 0.4}, Prob: 0.7},
 		{ID: 4, Point: geom.Point{0.9, 0.9}, Prob: 0.9},
 	}
-	q, gone := transport.Query{Threshold: 0.3}, part[0]
+	q, gone := msg.Query{Threshold: 0.3}, part[0]
 	named, bare := New(0, part, 2, 0), New(0, part, 2, 0)
-	handle := func(eng *Engine, req *transport.Request) *transport.Response {
+	handle := func(eng *Engine, req *msg.Request) *msg.Response {
 		t.Helper()
 		resp, err := eng.Handle(context.Background(), req)
 		if err != nil {
@@ -286,11 +286,11 @@ func TestDeleteWithQueryAnswersCandidates(t *testing.T) {
 		}
 		return resp
 	}
-	got := handle(named, &transport.Request{Kind: transport.KindDelete, ID: gone.ID, Point: gone.Point, Query: q})
-	if resp := handle(bare, &transport.Request{Kind: transport.KindDelete, ID: gone.ID, Point: gone.Point}); resp.Tuples != nil {
+	got := handle(named, &msg.Request{Kind: msg.KindDelete, ID: gone.ID, Point: gone.Point, Query: q})
+	if resp := handle(bare, &msg.Request{Kind: msg.KindDelete, ID: gone.ID, Point: gone.Point}); resp.Tuples != nil {
 		t.Fatalf("a query-less delete answered %v", resp.Tuples)
 	}
-	want := handle(bare, &transport.Request{Kind: transport.KindCandidates, Feed: transport.Feedback{Tuple: gone}, Query: q})
+	want := handle(bare, &msg.Request{Kind: msg.KindCandidates, Feed: msg.Feedback{Tuple: gone}, Query: q})
 	if len(got.Tuples) != 2 || !reflect.DeepEqual(got.Tuples, want.Tuples) || named.Len() != 3 {
 		t.Fatalf("delete answered %v (%d left), Candidates %v", got.Tuples, named.Len(), want.Tuples)
 	}
@@ -302,29 +302,29 @@ func TestDeleteWithQueryAnswersCandidates(t *testing.T) {
 func TestBatchedEvaluate(t *testing.T) {
 	r := rand.New(rand.NewSource(57))
 	eng := New(0, randomPart(r, 200, 2), 2, 0)
-	q := transport.Query{Threshold: 0.3, Dims: []int{1}}
-	var batch []transport.Representative
+	q := msg.Query{Threshold: 0.3, Dims: []int{1}}
+	var batch []msg.Representative
 	for k := 0; k < 5; k++ {
 		tu := uncertain.Tuple{ID: uncertain.TupleID(5000 + k), Point: geom.Point{r.Float64(), r.Float64()}, Prob: 0.5}
-		batch = append(batch, transport.Representative{Tuple: tu, LocalProb: 0.4})
+		batch = append(batch, msg.Representative{Tuple: tu, LocalProb: 0.4})
 	}
-	resp, err := eng.Handle(context.Background(), &transport.Request{Kind: transport.KindEvaluate, Tuples: batch, Query: q})
+	resp, err := eng.Handle(context.Background(), &msg.Request{Kind: msg.KindEvaluate, Tuples: batch, Query: q})
 	if err != nil || len(resp.CrossProbs) != len(batch) || resp.Pruned != 0 {
 		t.Fatalf("batched evaluate: %+v, %v", resp, err)
 	}
 	for k, cand := range batch {
-		one, err := eng.Handle(context.Background(), &transport.Request{Kind: transport.KindEvaluate, Query: q,
-			Feed: transport.Feedback{Tuple: cand.Tuple, HomeLocalProb: cand.LocalProb}})
+		one, err := eng.Handle(context.Background(), &msg.Request{Kind: msg.KindEvaluate, Query: q,
+			Feed: msg.Feedback{Tuple: cand.Tuple, HomeLocalProb: cand.LocalProb}})
 		if err != nil || math.Float64bits(one.CrossProb) != math.Float64bits(resp.CrossProbs[k]) {
 			t.Fatalf("candidate %d: batch factor %v, alone %v (%v)", k, resp.CrossProbs[k], one.CrossProb, err)
 		}
 	}
 	initSite(t, eng, 0.3, nil)
-	for name, req := range map[string]transport.Request{
-		"batched evaluate is sessionless": {Kind: transport.KindEvaluate, Session: 7, Tuples: batch, Query: q},
-		"outside (0,1]":                   {Kind: transport.KindEvaluate, Tuples: batch},
-		"bad candidate": {Kind: transport.KindEvaluate, Query: q,
-			Tuples: []transport.Representative{{Tuple: uncertain.Tuple{ID: 1, Point: geom.Point{1}, Prob: 0.5}}}},
+	for name, req := range map[string]msg.Request{
+		"batched evaluate is sessionless": {Kind: msg.KindEvaluate, Session: 7, Tuples: batch, Query: q},
+		"outside (0,1]":                   {Kind: msg.KindEvaluate, Tuples: batch},
+		"bad candidate": {Kind: msg.KindEvaluate, Query: q,
+			Tuples: []msg.Representative{{Tuple: uncertain.Tuple{ID: 1, Point: geom.Point{1}, Prob: 0.5}}}},
 	} {
 		_, err := eng.Handle(context.Background(), &req)
 		if err == nil || !strings.Contains(err.Error(), name) {
@@ -338,7 +338,7 @@ func TestBatchedEvaluate(t *testing.T) {
 
 func TestUnknownKind(t *testing.T) {
 	eng := New(0, nil, 2, 0)
-	if _, err := eng.Handle(context.Background(), &transport.Request{Kind: transport.Kind(77)}); err == nil {
+	if _, err := eng.Handle(context.Background(), &msg.Request{Kind: msg.Kind(77)}); err == nil {
 		t.Fatal("unknown kind must fail")
 	}
 }
@@ -347,7 +347,7 @@ func TestHandleHonoursContext(t *testing.T) {
 	eng := New(0, nil, 2, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.Handle(ctx, &transport.Request{Kind: transport.KindShipAll}); err == nil {
+	if _, err := eng.Handle(ctx, &msg.Request{Kind: msg.KindShipAll}); err == nil {
 		t.Fatal("cancelled context must fail")
 	}
 }
@@ -363,7 +363,7 @@ func TestSubspaceInit(t *testing.T) {
 	for !resp.Exhausted {
 		got = append(got, uncertain.SkylineMember{Tuple: resp.Rep.Tuple, Prob: resp.Rep.LocalProb})
 		var err error
-		resp, err = eng.Handle(context.Background(), &transport.Request{Kind: transport.KindNext})
+		resp, err = eng.Handle(context.Background(), &msg.Request{Kind: msg.KindNext})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,7 +379,7 @@ func TestReInitResetsState(t *testing.T) {
 	eng := New(0, part, 2, 0)
 	initSite(t, eng, 0.3, nil)
 	for i := 0; i < 3; i++ {
-		if _, err := eng.Handle(context.Background(), &transport.Request{Kind: transport.KindNext}); err != nil {
+		if _, err := eng.Handle(context.Background(), &msg.Request{Kind: msg.KindNext}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -418,7 +418,7 @@ func TestStatusEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("content-type %q", ct)
 	}
-	var got transport.SiteStatus
+	var got msg.SiteStatus
 	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/transport"
+	"repro/internal/msg"
 	"repro/internal/uncertain"
 )
 
@@ -29,7 +29,7 @@ func newChurn(t *testing.T, part uncertain.DB, d int) *churn {
 	return &churn{t: t, eng: New(0, part, d, 0), live: part.Clone(), nextID: 1 << 20}
 }
 
-func (c *churn) handle(req *transport.Request) *transport.Response {
+func (c *churn) handle(req *msg.Request) *msg.Response {
 	c.t.Helper()
 	resp, err := c.eng.Handle(context.Background(), req)
 	if err != nil {
@@ -42,7 +42,7 @@ func (c *churn) handle(req *transport.Request) *transport.Response {
 func (c *churn) init(q float64, dims []int) {
 	c.t.Helper()
 	c.sess++
-	c.handle(&transport.Request{Kind: transport.KindInit, Session: c.sess, Query: transport.Query{Threshold: q, Dims: dims}})
+	c.handle(&msg.Request{Kind: msg.KindInit, Session: c.sess, Query: msg.Query{Threshold: q, Dims: dims}})
 	want := c.eng.index.LocalSkyline(q, dims)
 	if len(want) > 0 {
 		want = want[1:] // Init shipped the head
@@ -50,7 +50,7 @@ func (c *churn) init(q float64, dims []int) {
 	if got := c.eng.sessions[c.sess].sky; !sameMembers(got, want) {
 		c.t.Fatalf("Init(q=%v, dims=%v) snapshot differs from a fresh search: %d vs %d members", q, dims, len(got), len(want))
 	}
-	c.handle(&transport.Request{Kind: transport.KindEndQuery, Session: c.sess})
+	c.handle(&msg.Request{Kind: msg.KindEndQuery, Session: c.sess})
 	c.check()
 }
 
@@ -58,7 +58,7 @@ func (c *churn) insert(point geom.Point, prob float64, dims []int) {
 	c.t.Helper()
 	tu := uncertain.Tuple{ID: c.nextID, Point: point, Prob: prob}
 	c.nextID++
-	c.handle(&transport.Request{Kind: transport.KindInsert, Tuple: tu, Query: transport.Query{Threshold: 0.3, Dims: dims}})
+	c.handle(&msg.Request{Kind: msg.KindInsert, Tuple: tu, Query: msg.Query{Threshold: 0.3, Dims: dims}})
 	c.live = append(c.live, tu)
 	c.check()
 }
@@ -69,12 +69,12 @@ func (c *churn) delete(i int, q float64, dims []int) {
 	c.t.Helper()
 	gone := c.live[i]
 	c.live = slices.Delete(c.live, i, i+1)
-	c.handle(&transport.Request{Kind: transport.KindDelete, ID: gone.ID, Point: gone.Point})
+	c.handle(&msg.Request{Kind: msg.KindDelete, ID: gone.ID, Point: gone.Point})
 	c.check()
 
-	resp := c.handle(&transport.Request{
-		Kind: transport.KindCandidates, Feed: transport.Feedback{Tuple: gone},
-		Query: transport.Query{Threshold: q, Dims: dims},
+	resp := c.handle(&msg.Request{
+		Kind: msg.KindCandidates, Feed: msg.Feedback{Tuple: gone},
+		Query: msg.Query{Threshold: q, Dims: dims},
 	})
 	var got, want []uncertain.SkylineMember
 	for _, rep := range resp.Tuples {
@@ -166,12 +166,12 @@ func TestSessionsSnapshotTheIndex(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	c := newChurn(t, randomPart(r, 1500, 3), 3)
 	const older, newer = 1, 2
-	query := transport.Query{Threshold: 0.3}
+	query := msg.Query{Threshold: 0.3}
 	feedbacks := uncertain.TupleID(1 << 30)
 	prune := func(session uint64, corner float64) {
 		t.Helper()
 		feedbacks++
-		if c.handle(&transport.Request{Kind: transport.KindEvaluate, Session: session, Feed: transport.Feedback{
+		if c.handle(&msg.Request{Kind: msg.KindEvaluate, Session: session, Feed: msg.Feedback{
 			Tuple: uncertain.Tuple{ID: feedbacks, Point: geom.Point{corner, corner, corner}, Prob: 0.99}, HomeLocalProb: 0.99,
 		}}).Pruned == 0 {
 			t.Fatalf("feedback at %v pruned nothing in session %d; the test needs pruning sessions", corner, session)
@@ -196,7 +196,7 @@ func TestSessionsSnapshotTheIndex(t *testing.T) {
 		}
 	}
 
-	c.handle(&transport.Request{Kind: transport.KindInit, Session: older, Query: query})
+	c.handle(&msg.Request{Kind: msg.KindInit, Session: older, Query: query})
 	prune(older, 0.06)
 	c.check() // pruning a session left the index whole
 	was := snapshot(older)
@@ -206,7 +206,7 @@ func TestSessionsSnapshotTheIndex(t *testing.T) {
 	c.delete(slices.IndexFunc(c.live, func(tu uncertain.Tuple) bool { return tu.ID == member }), 0.3, nil)
 	unchanged(older, was, "an insert and a delete")
 
-	c.handle(&transport.Request{Kind: transport.KindInit, Session: newer, Query: query})
+	c.handle(&msg.Request{Kind: msg.KindInit, Session: newer, Query: query})
 	fresh := snapshot(newer)
 	prune(older, 0.04)
 	unchanged(newer, fresh, "pruning the older session")
@@ -223,60 +223,60 @@ func TestUpdateHandlersValidateTheQuery(t *testing.T) {
 	tu := uncertain.Tuple{ID: 9000, Point: geom.Point{0.5, 0.5}, Prob: 0.5}
 	cases := []struct {
 		name     string
-		query    transport.Query
+		query    msg.Query
 		feed     uncertain.Tuple
 		want     string // in the Candidates error
 		insertOK bool   // Insert takes no feedback and may omit the threshold
 	}{
-		{name: "threshold above one", query: transport.Query{Threshold: 2}, feed: tu, want: "outside (0,1]"},
-		{name: "negative threshold", query: transport.Query{Threshold: -0.1}, feed: tu, want: "outside (0,1]"},
-		{name: "NaN threshold", query: transport.Query{Threshold: math.NaN()}, feed: tu, want: "outside (0,1]"},
-		{name: "dimension out of range", query: transport.Query{Threshold: 0.3, Dims: []int{9}}, feed: tu, want: "invalid subspace"},
-		{name: "duplicate dimension", query: transport.Query{Threshold: 0.3, Dims: []int{0, 0}}, feed: tu, want: "invalid subspace"},
-		{name: "empty mask", query: transport.Query{Threshold: 0.3, Dims: []int{}}, feed: tu, want: "invalid subspace"},
-		{name: "no threshold", query: transport.Query{}, feed: tu, want: "outside (0,1]", insertOK: true},
-		{name: "feedback of another dimensionality", query: transport.Query{Threshold: 0.3},
+		{name: "threshold above one", query: msg.Query{Threshold: 2}, feed: tu, want: "outside (0,1]"},
+		{name: "negative threshold", query: msg.Query{Threshold: -0.1}, feed: tu, want: "outside (0,1]"},
+		{name: "NaN threshold", query: msg.Query{Threshold: math.NaN()}, feed: tu, want: "outside (0,1]"},
+		{name: "dimension out of range", query: msg.Query{Threshold: 0.3, Dims: []int{9}}, feed: tu, want: "invalid subspace"},
+		{name: "duplicate dimension", query: msg.Query{Threshold: 0.3, Dims: []int{0, 0}}, feed: tu, want: "invalid subspace"},
+		{name: "empty mask", query: msg.Query{Threshold: 0.3, Dims: []int{}}, feed: tu, want: "invalid subspace"},
+		{name: "no threshold", query: msg.Query{}, feed: tu, want: "outside (0,1]", insertOK: true},
+		{name: "feedback of another dimensionality", query: msg.Query{Threshold: 0.3},
 			feed: uncertain.Tuple{ID: 1, Point: geom.Point{1}, Prob: 0.5}, want: "bad feedback", insertOK: true},
-		{name: "feedback without probability", query: transport.Query{Threshold: 0.3},
+		{name: "feedback without probability", query: msg.Query{Threshold: 0.3},
 			feed: uncertain.Tuple{ID: 1, Point: geom.Point{0.5, 0.5}}, want: "bad feedback", insertOK: true},
 	}
 	r := rand.New(rand.NewSource(22))
 	part := randomPart(r, 50, 2)
 	eng := New(0, part, 2, 0)
-	handle := func(req *transport.Request) string {
+	handle := func(req *msg.Request) string {
 		if _, err := eng.Handle(context.Background(), req); err != nil {
 			return err.Error()
 		}
 		return ""
 	}
 	for _, tc := range cases {
-		got := handle(&transport.Request{Kind: transport.KindCandidates, Feed: transport.Feedback{Tuple: tc.feed}, Query: tc.query})
+		got := handle(&msg.Request{Kind: msg.KindCandidates, Feed: msg.Feedback{Tuple: tc.feed}, Query: tc.query})
 		if !strings.Contains(got, tc.want) {
 			t.Errorf("Candidates, %s: error %q, want %q", tc.name, got, tc.want)
 		}
 		invalid := tc.query.Validate(2) != nil
 		if invalid {
-			says := handle(&transport.Request{Kind: transport.KindInit, Query: tc.query})
+			says := handle(&msg.Request{Kind: msg.KindInit, Query: tc.query})
 			if got != says {
 				t.Errorf("Candidates, %s: error %q, Init says %q", tc.name, got, says)
 			}
 			// A query-less delete is ApplyNaive's and applies.
 			if tc.query.Threshold != 0 {
-				del := &transport.Request{Kind: transport.KindDelete, ID: part[0].ID, Point: part[0].Point, Query: tc.query}
+				del := &msg.Request{Kind: msg.KindDelete, ID: part[0].ID, Point: part[0].Point, Query: tc.query}
 				if got := handle(del); got != says {
 					t.Errorf("Delete, %s: error %q, Init says %q", tc.name, got, says)
 				}
 			}
 		}
-		got = handle(&transport.Request{Kind: transport.KindInsert, Tuple: tu, Query: tc.query})
+		got = handle(&msg.Request{Kind: msg.KindInsert, Tuple: tu, Query: tc.query})
 		switch {
 		case tc.insertOK && got != "":
 			t.Errorf("Insert, %s: %s, want it applied", tc.name, got)
 		case tc.insertOK:
-			if undo := handle(&transport.Request{Kind: transport.KindDelete, ID: tu.ID, Point: tu.Point}); undo != "" {
+			if undo := handle(&msg.Request{Kind: msg.KindDelete, ID: tu.ID, Point: tu.Point}); undo != "" {
 				t.Fatal(undo)
 			}
-		case got == "" || got != handle(&transport.Request{Kind: transport.KindInit, Query: tc.query}):
+		case got == "" || got != handle(&msg.Request{Kind: msg.KindInit, Query: tc.query}):
 			t.Errorf("Insert, %s: error %q, want Init's", tc.name, got)
 		}
 	}

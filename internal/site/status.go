@@ -5,14 +5,14 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/msg"
 	"repro/internal/obs/slo"
-	"repro/internal/transport"
 )
 
 // Status returns the site's operational snapshot — the same struct
-// answered to transport.KindStatus, so the ops endpoint and the protocol
+// answered to msg.KindStatus, so the ops endpoint and the protocol
 // health probe can never disagree.
-func (e *Engine) Status() transport.SiteStatus {
+func (e *Engine) Status() msg.SiteStatus {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return *e.statusLocked()
@@ -21,9 +21,9 @@ func (e *Engine) Status() transport.SiteStatus {
 // statusLocked builds the snapshot; caller holds e.mu. inFlight counts
 // this request itself (it entered Handle), which is the honest view: a
 // probe observing "1 in flight" is watching itself be served.
-func (e *Engine) statusLocked() *transport.SiteStatus {
+func (e *Engine) statusLocked() *msg.SiteStatus {
 	now := time.Now()
-	st := &transport.SiteStatus{
+	st := &msg.SiteStatus{
 		ID:                 e.id,
 		Tuples:             e.index.Len(),
 		TreeHeight:         e.index.Height(),
@@ -55,7 +55,7 @@ func (e *Engine) statusLocked() *transport.SiteStatus {
 		st.MuxQueued = w.Queued
 	}
 	for _, o := range e.sloMon.LastInto(nil) {
-		st.SLO = append(st.SLO, transport.SiteSLO{Name: transport.SLOName(o.Name),
+		st.SLO = append(st.SLO, msg.SiteSLO{Name: o.Name,
 			Current: o.Current, Target: o.Target, Burn: o.Burn, Breached: o.Breached})
 	}
 	return st

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/geom"
+	"repro/internal/msg"
 	"repro/internal/obs/flight"
 	"repro/internal/obs/slo"
 	"repro/internal/transport"
@@ -34,29 +35,29 @@ func TestStatusUnderConcurrentUpdates(t *testing.T) {
 			for i := 0; i < opsPerWriter; i++ {
 				id := uncertain.TupleID(10_000 + w*opsPerWriter + i)
 				tu := uncertain.Tuple{ID: id, Point: geom.Point{0.5, 0.5}, Prob: 0.5}
-				if _, err := eng.Handle(ctx, &transport.Request{
-					Kind: transport.KindInsert, Tuple: tu, Query: transport.Query{Threshold: 0.3},
+				if _, err := eng.Handle(ctx, &msg.Request{
+					Kind: msg.KindInsert, Tuple: tu, Query: msg.Query{Threshold: 0.3},
 				}); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := eng.Handle(ctx, &transport.Request{
-					Kind:   transport.KindReplicate,
-					Tuples: []transport.Representative{{Tuple: tu}},
+				if _, err := eng.Handle(ctx, &msg.Request{
+					Kind:   msg.KindReplicate,
+					Tuples: []msg.Representative{{Tuple: tu}},
 				}); err != nil {
 					t.Error(err)
 					return
 				}
 				sid := uint64(w*opsPerWriter + i + 1)
-				if _, err := eng.Handle(ctx, &transport.Request{
-					Kind: transport.KindInit, Session: sid,
-					Query: transport.Query{Threshold: 0.3},
+				if _, err := eng.Handle(ctx, &msg.Request{
+					Kind: msg.KindInit, Session: sid,
+					Query: msg.Query{Threshold: 0.3},
 				}); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := eng.Handle(ctx, &transport.Request{
-					Kind: transport.KindEndQuery, Session: sid,
+				if _, err := eng.Handle(ctx, &msg.Request{
+					Kind: msg.KindEndQuery, Session: sid,
 				}); err != nil {
 					t.Error(err)
 					return
@@ -77,7 +78,7 @@ func TestStatusUnderConcurrentUpdates(t *testing.T) {
 		if st.ID != 3 || st.Tuples < 64 || st.InFlight < 0 || st.UptimeSeconds < 0 {
 			t.Fatalf("inconsistent status under load: %+v", st)
 		}
-		resp, err := eng.Handle(ctx, &transport.Request{Kind: transport.KindStatus})
+		resp, err := eng.Handle(ctx, &msg.Request{Kind: msg.KindStatus})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,16 +127,16 @@ func TestStatusTelemetryFields(t *testing.T) {
 
 	initSite(t, eng, 0.3, nil)
 	for i := 0; i < 5; i++ {
-		if _, err := eng.Handle(context.Background(), &transport.Request{Kind: transport.KindNext}); err != nil {
+		if _, err := eng.Handle(context.Background(), &msg.Request{Kind: msg.KindNext}); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	resp, err := eng.Handle(context.Background(), &transport.Request{Kind: transport.KindStatus})
+	resp, err := eng.Handle(context.Background(), &msg.Request{Kind: msg.KindStatus})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back transport.Response
+	var back msg.Response
 	if err := transport.DecodeResponse(transport.AppendResponse(nil, resp, nil), &back); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestStatusTelemetryFields(t *testing.T) {
 	if n < 6 {
 		t.Fatalf("window counts %d requests, want >= 6", n)
 	}
-	if len(st.SLO) != 1 || string(st.SLO[0].Name) != "query-p99" {
+	if len(st.SLO) != 1 || st.SLO[0].Name != "query-p99" {
 		t.Fatalf("slo = %+v", st.SLO)
 	}
 	if got := st.SLO[0]; got.Current != cached[0].Current || got.Target != cached[0].Target || got.Burn != cached[0].Burn {

@@ -7,17 +7,18 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/msg"
 	"repro/internal/obs"
 )
 
 // okHandler answers every request successfully.
 type okHandler struct{}
 
-func (okHandler) Handle(_ context.Context, req *Request) (*Response, error) {
-	if req.Kind == KindInit || req.Kind == KindNext {
-		return &Response{Exhausted: true}, nil
+func (okHandler) Handle(_ context.Context, req *msg.Request) (*msg.Response, error) {
+	if req.Kind == msg.KindInit || req.Kind == msg.KindNext {
+		return &msg.Response{Exhausted: true}, nil
 	}
-	return &Response{}, nil
+	return &msg.Response{}, nil
 }
 
 // A caller that times each call and hands its outcome to RPCMetrics gets
@@ -28,26 +29,26 @@ func TestInstrumentedClientCounts(t *testing.T) {
 	m := NewRPCMetrics(reg, "0")
 	c := Local(okHandler{})
 	ctx := context.Background()
-	call := func(k Kind) error {
+	call := func(k msg.Kind) error {
 		start := time.Now()
-		_, err := c.Call(ctx, &Request{Kind: k})
+		_, err := c.Call(ctx, &msg.Request{Kind: k})
 		m.Observe(k, time.Since(start), err)
 		return err
 	}
 	for i := 0; i < 3; i++ {
-		if err := call(KindNext); err != nil {
+		if err := call(msg.KindNext); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := call(KindEvaluate); err != nil {
+	if err := call(msg.KindEvaluate); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
-	if err := call(KindNext); err == nil {
+	if err := call(msg.KindNext); err == nil {
 		t.Fatal("closed client must fail")
 	}
 	m.Observe(0, time.Millisecond, nil)
-	m.Observe(Kind(MaxKind+1), time.Millisecond, nil)
+	m.Observe(msg.Kind(msg.MaxKind+1), time.Millisecond, nil)
 
 	if got := reg.Counter("dsud_rpc_requests_total", "site", "0", "kind", "next", "outcome", "ok").Value(); got != 3 {
 		t.Fatalf("next ok = %d, want 3", got)
@@ -63,7 +64,7 @@ func TestInstrumentedClientCounts(t *testing.T) {
 		t.Fatalf("next latency observations = %d, want 4", got)
 	}
 	// Resolving the site again yields the same series, not a second count.
-	if got := NewRPCMetrics(reg, "0"); got.ok[KindNext] != m.ok[KindNext] {
+	if got := NewRPCMetrics(reg, "0"); got.ok[msg.KindNext] != m.ok[msg.KindNext] {
 		t.Fatal("second NewRPCMetrics resolved a different next/ok series")
 	}
 }
@@ -84,7 +85,7 @@ func TestRetryStats(t *testing.T) {
 	// four calls each need one retry on a redialled connection.
 	const n = 9
 	for i := 1; i <= n; i++ {
-		if _, err := c.Call(context.Background(), &Request{Kind: KindNext}); err != nil {
+		if _, err := c.Call(context.Background(), &msg.Request{Kind: msg.KindNext}); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
@@ -108,7 +109,7 @@ func TestRetryStats(t *testing.T) {
 
 	// Sub gives phase deltas.
 	before := c.Stats()
-	if _, err := c.Call(context.Background(), &Request{Kind: KindNext}); err != nil {
+	if _, err := c.Call(context.Background(), &msg.Request{Kind: msg.KindNext}); err != nil {
 		t.Fatal(err)
 	}
 	d := c.Stats().Sub(before)
@@ -121,7 +122,7 @@ func TestRetryStatsExhaustion(t *testing.T) {
 	dial := func() (Client, error) { return nil, errLinkDown }
 	c := Retry(dial, 3)
 	defer c.Close()
-	if _, err := c.Call(context.Background(), &Request{Kind: KindNext}); err == nil {
+	if _, err := c.Call(context.Background(), &msg.Request{Kind: msg.KindNext}); err == nil {
 		t.Fatal("want failure")
 	}
 	s := c.Stats()
@@ -142,7 +143,7 @@ func TestMeterExposed(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := &Meter{}
 	ExposeMeter(reg, m)
-	m.Account(&Request{Kind: KindEvaluate}, &Response{})
+	m.Account(&msg.Request{Kind: msg.KindEvaluate}, &msg.Response{})
 	m.AddBytes(100)
 
 	var sb strings.Builder

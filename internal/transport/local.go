@@ -3,6 +3,8 @@ package transport
 import (
 	"context"
 	"sync"
+
+	"repro/internal/msg"
 )
 
 // Local returns an in-process Client that dispatches directly to h. Calls
@@ -18,7 +20,7 @@ type localClient struct {
 	closed  bool
 }
 
-func (c *localClient) Call(ctx context.Context, req *Request) (*Response, error) {
+func (c *localClient) Call(ctx context.Context, req *msg.Request) (*msg.Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/msg"
 	"repro/internal/obs"
 )
 
@@ -83,25 +84,25 @@ func (m *Meter) AddBytes(n int64) { m.bytes.Add(n) }
 //     the call), and so does the deletion notice of Candidates;
 //   - probability scalars, prune counts and sizes ride for free, like the
 //     paper's headers.
-func (m *Meter) Account(req *Request, resp *Response) {
+func (m *Meter) Account(req *msg.Request, resp *msg.Response) {
 	m.messages.Add(1)
 	switch req.Kind {
-	case KindInit, KindNext:
+	case msg.KindInit, msg.KindNext:
 		if resp != nil && !resp.Exhausted {
 			m.tuplesUp.Add(1)
 		}
-	case KindEvaluate:
+	case msg.KindEvaluate:
 		m.tuplesDown.Add(int64(max(1, len(req.Tuples))))
-	case KindShipAll, KindCandidates, KindDelete:
+	case msg.KindShipAll, msg.KindCandidates, msg.KindDelete:
 		if resp != nil {
 			m.tuplesUp.Add(int64(len(resp.Tuples)))
 		}
-		if req.Kind != KindShipAll {
+		if req.Kind != msg.KindShipAll {
 			m.tuplesDown.Add(1)
 		}
-	case KindInsert:
+	case msg.KindInsert:
 		m.tuplesDown.Add(1)
-	case KindReplicate:
+	case msg.KindReplicate:
 		// Replica adds travel downstream as whole tuples; removals are
 		// IDs and ride free like headers.
 		m.tuplesDown.Add(int64(len(req.Tuples)))
@@ -131,8 +132,8 @@ func ExposeMeter(reg *obs.Registry, m *Meter) {
 // RPCMetrics are one site's dsud_rpc_* series, indexed by Kind: the
 // round-trip latency of each call and its count by outcome.
 type RPCMetrics struct {
-	latency [MaxKind + 1]*obs.Histogram
-	ok, err [MaxKind + 1]*obs.Counter
+	latency [msg.MaxKind + 1]*obs.Histogram
+	ok, err [msg.MaxKind + 1]*obs.Counter
 }
 
 // NewRPCMetrics resolves site's series in reg for every Kind 1..MaxKind;
@@ -143,8 +144,8 @@ func NewRPCMetrics(reg *obs.Registry, site string) *RPCMetrics {
 		"dsud_rpc_duration_seconds", "Round-trip latency of protocol requests by site and kind.",
 	)
 	m := &RPCMetrics{}
-	for k := 1; k <= MaxKind; k++ {
-		kind := Kind(k).String()
+	for k := 1; k <= msg.MaxKind; k++ {
+		kind := msg.Kind(k).String()
 		m.latency[k] = reg.Histogram("dsud_rpc_duration_seconds", nil, "site", site, "kind", kind)
 		m.ok[k] = reg.Counter("dsud_rpc_requests_total", "site", site, "kind", kind, "outcome", "ok")
 		m.err[k] = reg.Counter("dsud_rpc_requests_total", "site", site, "kind", kind, "outcome", "error")
@@ -154,8 +155,8 @@ func NewRPCMetrics(reg *obs.Registry, site string) *RPCMetrics {
 
 // Observe records one call of kind k that took d and failed when err is
 // not nil. A kind outside 1..MaxKind has no series and is not recorded.
-func (m *RPCMetrics) Observe(k Kind, d time.Duration, err error) {
-	if k < 1 || int(k) > MaxKind {
+func (m *RPCMetrics) Observe(k msg.Kind, d time.Duration, err error) {
+	if k < 1 || int(k) > msg.MaxKind {
 		return
 	}
 	m.latency[k].Observe(d.Seconds())

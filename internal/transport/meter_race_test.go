@@ -3,6 +3,8 @@ package transport
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/msg"
 )
 
 // TestMeterConcurrency hammers one Meter from parallel writers while
@@ -45,11 +47,11 @@ func TestMeterConcurrency(t *testing.T) {
 			for i := 0; i < perW; i++ {
 				switch i % 3 {
 				case 0:
-					m.Account(&Request{Kind: KindNext}, &Response{}) // up-tuple
+					m.Account(&msg.Request{Kind: msg.KindNext}, &msg.Response{}) // up-tuple
 				case 1:
-					m.Account(&Request{Kind: KindEvaluate}, nil) // down-tuple
+					m.Account(&msg.Request{Kind: msg.KindEvaluate}, nil) // down-tuple
 				case 2:
-					m.Account(&Request{Kind: KindNext}, &Response{Exhausted: true})
+					m.Account(&msg.Request{Kind: msg.KindNext}, &msg.Response{Exhausted: true})
 				}
 				m.AddBytes(3)
 			}

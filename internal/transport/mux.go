@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/codec"
+	"repro/internal/msg"
 )
 
 // ByteReporter is the optional Client extension for transports that can
@@ -23,12 +24,12 @@ type ByteReporter interface {
 	// CallBytes is Call, additionally returning the wire bytes this
 	// request consumed (request frame + response frame). Zero when the
 	// call failed.
-	CallBytes(ctx context.Context, req *Request) (*Response, int64, error)
+	CallBytes(ctx context.Context, req *msg.Request) (*msg.Response, int64, error)
 }
 
 // CallBytes invokes cl preferring per-request byte attribution; clients
 // without it report zero bytes (an in-process client puts none on a wire).
-func CallBytes(cl Client, ctx context.Context, req *Request) (*Response, int64, error) {
+func CallBytes(cl Client, ctx context.Context, req *msg.Request) (*msg.Response, int64, error) {
 	if br, ok := cl.(ByteReporter); ok {
 		return br.CallBytes(ctx, req)
 	}
@@ -102,7 +103,7 @@ type MuxClient struct {
 }
 
 type muxResult struct {
-	resp  *Response
+	resp  *msg.Response
 	err   error
 	bytes int64 // response frame wire size
 }
@@ -133,7 +134,7 @@ func (c *MuxClient) readLoop() {
 		if fr.Type != codec.FrameResponse {
 			continue // unknown frame types are ignorable padding
 		}
-		res := muxResult{resp: new(Response), bytes: int64(n)}
+		res := muxResult{resp: new(msg.Response), bytes: int64(n)}
 		res.err = DecodeResponse(fr.Payload, res.resp)
 		c.mu.Lock()
 		ch := c.pending[fr.ID]
@@ -179,7 +180,7 @@ func (c *MuxClient) sendCancel(id uint64) {
 }
 
 // Call implements Client.
-func (c *MuxClient) Call(ctx context.Context, req *Request) (*Response, error) {
+func (c *MuxClient) Call(ctx context.Context, req *msg.Request) (*msg.Response, error) {
 	resp, _, err := c.CallBytes(ctx, req)
 	return resp, err
 }
@@ -187,7 +188,7 @@ func (c *MuxClient) Call(ctx context.Context, req *Request) (*Response, error) {
 // CallBytes implements ByteReporter: one pipelined request/response,
 // with the pair's exact framed wire size. Cancellation abandons the
 // slot (and notifies the server) without touching the connection.
-func (c *MuxClient) CallBytes(ctx context.Context, req *Request) (*Response, int64, error) {
+func (c *MuxClient) CallBytes(ctx context.Context, req *msg.Request) (*msg.Response, int64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
@@ -245,7 +246,7 @@ type muxWriter struct {
 
 // writeResponse encodes a handler's outcome and writes its frame. A write
 // error is dropped: the connection is dying and its read loop will notice.
-func (mw *muxWriter) writeResponse(id uint64, resp *Response, herr error) {
+func (mw *muxWriter) writeResponse(id uint64, resp *msg.Response, herr error) {
 	mw.mu.Lock()
 	mw.pbuf = AppendResponse(mw.pbuf[:0], resp, herr)
 	mw.buf = codec.AppendFrame(mw.buf[:0], codec.FrameResponse, id, mw.pbuf)
@@ -322,7 +323,7 @@ func (s *Server) serveMux(r io.Reader, w io.Writer) {
 		default:
 			continue // unknown frame types are ignorable padding
 		}
-		var req Request
+		var req msg.Request
 		if err := DecodeRequest(fr.Payload, &req); err != nil {
 			mw.writeResponse(fr.ID, nil, err)
 			continue
@@ -339,7 +340,7 @@ func (s *Server) serveMux(r io.Reader, w io.Writer) {
 		inflight[fr.ID] = cancel
 		imu.Unlock()
 		wg.Add(1)
-		go func(id uint64, req Request, ctx context.Context, cancel context.CancelFunc) {
+		go func(id uint64, req msg.Request, ctx context.Context, cancel context.CancelFunc) {
 			defer wg.Done()
 			defer func() { <-sem; s.busyWorkers.Add(-1) }()
 			defer func() {

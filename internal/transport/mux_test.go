@@ -13,12 +13,13 @@ import (
 	"time"
 
 	"repro/internal/codec"
+	"repro/internal/msg"
 )
 
 // sessionEcho answers every request with Pruned = int(req.Session), so a
 // test can verify responses are demultiplexed to the right caller.
-func sessionEcho(ctx context.Context, req *Request) (*Response, error) {
-	return &Response{Pruned: int(req.Session)}, nil
+func sessionEcho(ctx context.Context, req *msg.Request) (*msg.Response, error) {
+	return &msg.Response{Pruned: int(req.Session)}, nil
 }
 
 func startMuxServer(t *testing.T, h Handler) (string, *Server) {
@@ -61,7 +62,7 @@ func TestMuxConcurrentCalls(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perCaller; i++ {
 				want := uint64(g*perCaller + i + 1)
-				resp, n, err := mc.CallBytes(context.Background(), &Request{Kind: KindStatus, Session: want})
+				resp, n, err := mc.CallBytes(context.Background(), &msg.Request{Kind: msg.KindStatus, Session: want})
 				if err != nil {
 					errCh <- fmt.Errorf("caller %d call %d: %v", g, i, err)
 					return
@@ -93,7 +94,7 @@ func TestMuxConcurrentCalls(t *testing.T) {
 func TestMuxCancelKeepsConnectionUsable(t *testing.T) {
 	entered := make(chan struct{}, 1)
 	cancelled := make(chan struct{}, 1)
-	h := handlerFunc(func(ctx context.Context, req *Request) (*Response, error) {
+	h := handlerFunc(func(ctx context.Context, req *msg.Request) (*msg.Response, error) {
 		if req.Session == 999 { // the victim request parks until cancelled
 			entered <- struct{}{}
 			<-ctx.Done()
@@ -108,7 +109,7 @@ func TestMuxCancelKeepsConnectionUsable(t *testing.T) {
 	// A bystander call in flight... (proves cancellation is per-request)
 	bystander := make(chan error, 1)
 	go func() {
-		resp, err := mc.Call(context.Background(), &Request{Kind: KindStatus, Session: 7})
+		resp, err := mc.Call(context.Background(), &msg.Request{Kind: msg.KindStatus, Session: 7})
 		if err == nil && resp.Pruned != 7 {
 			err = fmt.Errorf("bystander got %d want 7", resp.Pruned)
 		}
@@ -118,7 +119,7 @@ func TestMuxCancelKeepsConnectionUsable(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	victim := make(chan error, 1)
 	go func() {
-		_, err := mc.Call(ctx, &Request{Kind: KindStatus, Session: 999})
+		_, err := mc.Call(ctx, &msg.Request{Kind: msg.KindStatus, Session: 999})
 		victim <- err
 	}()
 	<-entered // the victim is in the handler, mid-flight
@@ -139,7 +140,7 @@ func TestMuxCancelKeepsConnectionUsable(t *testing.T) {
 
 	// ...and the connection must still answer new calls afterwards.
 	for i := 1; i <= 10; i++ {
-		resp, err := mc.Call(context.Background(), &Request{Kind: KindStatus, Session: uint64(i)})
+		resp, err := mc.Call(context.Background(), &msg.Request{Kind: msg.KindStatus, Session: uint64(i)})
 		if err != nil {
 			t.Fatalf("call %d after cancellation: connection unusable: %v", i, err)
 		}
@@ -215,7 +216,7 @@ func TestMuxMalformedRequestKeepsConnection(t *testing.T) {
 	}
 
 	good := func(session uint64) []byte {
-		return AppendRequest(nil, &Request{Kind: KindStatus, Session: session})
+		return AppendRequest(nil, &msg.Request{Kind: msg.KindStatus, Session: session})
 	}
 	var out []byte
 	out = codec.AppendFrame(out, codec.FrameRequest, 1, good(11))
@@ -233,7 +234,7 @@ func TestMuxMalformedRequestKeepsConnection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("connection dropped after %d good, %d failed answers: %v", len(sizes), len(errs), err)
 		}
-		var resp Response
+		var resp msg.Response
 		if err := DecodeResponse(fr.Payload, &resp); err != nil {
 			errs[fr.ID] = err
 		} else {
@@ -251,7 +252,7 @@ func TestMuxMalformedRequestKeepsConnection(t *testing.T) {
 func TestMuxWorkerLimitBounds(t *testing.T) {
 	var inFlight, peak atomic.Int64
 	release := make(chan struct{})
-	h := handlerFunc(func(ctx context.Context, req *Request) (*Response, error) {
+	h := handlerFunc(func(ctx context.Context, req *msg.Request) (*msg.Response, error) {
 		cur := inFlight.Add(1)
 		defer inFlight.Add(-1)
 		for {
@@ -264,7 +265,7 @@ func TestMuxWorkerLimitBounds(t *testing.T) {
 		case <-release:
 		case <-ctx.Done():
 		}
-		return &Response{}, nil
+		return &msg.Response{}, nil
 	})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -282,7 +283,7 @@ func TestMuxWorkerLimitBounds(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			mc.Call(context.Background(), &Request{Kind: KindStatus})
+			mc.Call(context.Background(), &msg.Request{Kind: msg.KindStatus})
 		}()
 	}
 	// Give the dispatch loop time to (incorrectly) overshoot the limit.
@@ -302,9 +303,9 @@ func TestMuxWorkerLimitBounds(t *testing.T) {
 // what redials, not the mux client).
 func TestMuxBrokenConnectionFailsInFlight(t *testing.T) {
 	block := make(chan struct{})
-	h := handlerFunc(func(ctx context.Context, req *Request) (*Response, error) {
+	h := handlerFunc(func(ctx context.Context, req *msg.Request) (*msg.Response, error) {
 		<-block
-		return &Response{}, nil
+		return &msg.Response{}, nil
 	})
 	addr, s := startMuxServer(t, h)
 	mc := dialMux(t, addr)
@@ -313,7 +314,7 @@ func TestMuxBrokenConnectionFailsInFlight(t *testing.T) {
 	errs := make(chan error, callers)
 	for i := 0; i < callers; i++ {
 		go func() {
-			_, err := mc.Call(context.Background(), &Request{Kind: KindStatus})
+			_, err := mc.Call(context.Background(), &msg.Request{Kind: msg.KindStatus})
 			errs <- err
 		}()
 	}
@@ -337,7 +338,7 @@ func TestMuxBrokenConnectionFailsInFlight(t *testing.T) {
 	// must fail immediately rather than hang.
 	done := make(chan error, 1)
 	go func() {
-		_, err := mc.Call(context.Background(), &Request{Kind: KindStatus})
+		_, err := mc.Call(context.Background(), &msg.Request{Kind: msg.KindStatus})
 		done <- err
 	}()
 	select {
@@ -362,7 +363,7 @@ func TestRetryOverMuxRedials(t *testing.T) {
 	}, 5)
 	defer rc.Close()
 
-	if _, err := rc.Call(context.Background(), &Request{Kind: KindStatus, Session: 1}); err != nil {
+	if _, err := rc.Call(context.Background(), &msg.Request{Kind: msg.KindStatus, Session: 1}); err != nil {
 		t.Fatalf("warm-up call: %v", err)
 	}
 
@@ -379,7 +380,7 @@ func TestRetryOverMuxRedials(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			want := uint64(i + 10)
-			resp, err := rc.Call(context.Background(), &Request{Kind: KindStatus, Session: want})
+			resp, err := rc.Call(context.Background(), &msg.Request{Kind: msg.KindStatus, Session: want})
 			if err != nil {
 				errCh <- fmt.Errorf("call %d: %v", i, err)
 				return

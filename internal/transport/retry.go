@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/msg"
 	"repro/internal/obs"
 )
 
@@ -135,7 +136,7 @@ func (c *RetryClient) Observe(reg *obs.Registry, site string) *RetryClient {
 	return c
 }
 
-func (c *RetryClient) Call(ctx context.Context, req *Request) (*Response, error) {
+func (c *RetryClient) Call(ctx context.Context, req *msg.Request) (*msg.Response, error) {
 	resp, _, err := c.CallBytes(ctx, req)
 	return resp, err
 }
@@ -148,7 +149,7 @@ func (c *RetryClient) Call(ctx context.Context, req *Request) (*Response, error)
 // once; each then redials through current(), which dials once and hands
 // the fresh connection to all of them. Sequence-number dedup at the
 // sites keeps the re-sent requests exactly-once.
-func (c *RetryClient) CallBytes(ctx context.Context, req *Request) (*Response, int64, error) {
+func (c *RetryClient) CallBytes(ctx context.Context, req *msg.Request) (*msg.Response, int64, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/msg"
 )
 
 // lossyClient executes the call against the handler but "loses" the
@@ -22,7 +24,7 @@ type lossyClient struct {
 
 var errLinkDown = errors.New("simulated link failure")
 
-func (c *lossyClient) Call(ctx context.Context, req *Request) (*Response, error) {
+func (c *lossyClient) Call(ctx context.Context, req *msg.Request) (*msg.Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.dead {
@@ -49,15 +51,15 @@ func (c *lossyClient) Close() error {
 type seqCounter struct {
 	executed int
 	lastSeq  uint64
-	lastResp *Response
+	lastResp *msg.Response
 }
 
-func (h *seqCounter) Handle(_ context.Context, req *Request) (*Response, error) {
+func (h *seqCounter) Handle(_ context.Context, req *msg.Request) (*msg.Response, error) {
 	if req.Seq != 0 && req.Seq == h.lastSeq {
 		return h.lastResp, nil
 	}
 	h.executed++
-	resp := &Response{Pruned: h.executed}
+	resp := &msg.Response{Pruned: h.executed}
 	if req.Seq != 0 {
 		h.lastSeq, h.lastResp = req.Seq, resp
 	}
@@ -76,7 +78,7 @@ func TestRetryRedialsAndDedups(t *testing.T) {
 
 	const n = 20
 	for i := 1; i <= n; i++ {
-		resp, err := c.Call(context.Background(), &Request{Kind: KindNext})
+		resp, err := c.Call(context.Background(), &msg.Request{Kind: msg.KindNext})
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
@@ -95,7 +97,7 @@ func TestRetryExhaustsAttempts(t *testing.T) {
 	dial := func() (Client, error) { return nil, errLinkDown }
 	c := Retry(dial, 3)
 	defer c.Close()
-	_, err := c.Call(context.Background(), &Request{Kind: KindNext})
+	_, err := c.Call(context.Background(), &msg.Request{Kind: msg.KindNext})
 	if err == nil || !errors.Is(err, errLinkDown) {
 		t.Fatalf("err = %v, want wrapped link failure", err)
 	}
@@ -113,7 +115,7 @@ func TestRetryRespectsCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.Call(ctx, &Request{Kind: KindNext})
+	_, err := c.Call(ctx, &msg.Request{Kind: msg.KindNext})
 	if err == nil {
 		t.Fatal("forever-failing transport must eventually error")
 	}
@@ -130,13 +132,13 @@ func TestRetryCloseIsTerminal(t *testing.T) {
 		return &lossyClient{h: h, mu: &mu, callCount: &calls}, nil
 	}
 	c := Retry(dial, 2)
-	if _, err := c.Call(context.Background(), &Request{Kind: KindNext}); err != nil {
+	if _, err := c.Call(context.Background(), &msg.Request{Kind: msg.KindNext}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Call(context.Background(), &Request{Kind: KindNext}); !errors.Is(err, ErrClosed) {
+	if _, err := c.Call(context.Background(), &msg.Request{Kind: msg.KindNext}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 }
@@ -150,7 +152,7 @@ func TestRetryMinimumAttempts(t *testing.T) {
 	}
 	c := Retry(dial, 0) // clamps to 1
 	defer c.Close()
-	if _, err := c.Call(context.Background(), &Request{Kind: KindNext}); err != nil {
+	if _, err := c.Call(context.Background(), &msg.Request{Kind: msg.KindNext}); err != nil {
 		t.Fatal(err)
 	}
 }

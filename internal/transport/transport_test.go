@@ -5,24 +5,24 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/geom"
+	"repro/internal/msg"
 	"repro/internal/uncertain"
 )
 
 // echoHandler returns canned responses and records requests.
 type echoHandler struct {
 	mu   sync.Mutex
-	seen []Kind
-	resp Response
+	seen []msg.Kind
+	resp msg.Response
 	err  error
 }
 
-func (h *echoHandler) Handle(_ context.Context, req *Request) (*Response, error) {
+func (h *echoHandler) Handle(_ context.Context, req *msg.Request) (*msg.Response, error) {
 	h.mu.Lock()
 	h.seen = append(h.seen, req.Kind)
 	h.mu.Unlock()
@@ -33,61 +33,20 @@ func (h *echoHandler) Handle(_ context.Context, req *Request) (*Response, error)
 	return &resp, nil
 }
 
-func (h *echoHandler) kinds() []Kind {
+func (h *echoHandler) kinds() []msg.Kind {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return append([]Kind(nil), h.seen...)
+	return append([]msg.Kind(nil), h.seen...)
 }
 
 func sampleTuple(id uncertain.TupleID) uncertain.Tuple {
 	return uncertain.Tuple{ID: id, Point: geom.Point{1.5, 2.5}, Prob: 0.75}
 }
 
-func TestQueryValidate(t *testing.T) {
-	good := Query{Threshold: 0.3}
-	if err := good.Validate(3); err != nil {
-		t.Errorf("valid query rejected: %v", err)
-	}
-	if err := (Query{Threshold: 0.3, Dims: []int{0, 2}}).Validate(3); err != nil {
-		t.Errorf("valid subspace rejected: %v", err)
-	}
-	bad := []Query{
-		{Threshold: 0},
-		{Threshold: 1.2},
-		{Threshold: -1},
-		{Threshold: 0.3, Dims: []int{3}},
-		{Threshold: 0.3, Dims: []int{}},
-		{Threshold: 0.3, Dims: []int{1, 1}},
-	}
-	for i, q := range bad {
-		if err := q.Validate(3); err == nil {
-			t.Errorf("case %d: query %+v must be rejected", i, q)
-		}
-	}
-}
-
-func TestKindString(t *testing.T) {
-	// Every kind up to MaxKind has its own name: the numbering is dense,
-	// with no retired hole rendering as the Kind(n) fallback.
-	seen := map[string]bool{}
-	for k := Kind(1); int(k) <= MaxKind; k++ {
-		s := k.String()
-		if s == "" || seen[s] || strings.HasPrefix(s, "Kind(") {
-			t.Errorf("kind %d has empty/duplicate/fallback string %q", int(k), s)
-		}
-		seen[s] = true
-	}
-	for _, k := range []Kind{0, Kind(MaxKind + 1), 99} {
-		if want := fmt.Sprintf("Kind(%d)", int(k)); k.String() != want {
-			t.Errorf("unknown kind renders %q, want %q", k.String(), want)
-		}
-	}
-}
-
 func TestLocalClient(t *testing.T) {
-	h := &echoHandler{resp: Response{Pruned: 7}}
+	h := &echoHandler{resp: msg.Response{Pruned: 7}}
 	c := Local(h)
-	resp, err := c.Call(context.Background(), &Request{Kind: KindStatus})
+	resp, err := c.Call(context.Background(), &msg.Request{Kind: msg.KindStatus})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,12 +56,12 @@ func TestLocalClient(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Call(context.Background(), &Request{Kind: KindNext}); !errors.Is(err, ErrClosed) {
+	if _, err := c.Call(context.Background(), &msg.Request{Kind: msg.KindNext}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("call after close = %v, want ErrClosed", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Local(h).Call(ctx, &Request{Kind: KindNext}); err == nil {
+	if _, err := Local(h).Call(ctx, &msg.Request{Kind: msg.KindNext}); err == nil {
 		t.Fatal("cancelled context must fail")
 	}
 }
@@ -111,9 +70,9 @@ func TestLocalClient(t *testing.T) {
 // down, and a delete that answers candidates ships each of them up.
 func TestMeterAccountsMaintenanceBatches(t *testing.T) {
 	var m Meter
-	rep := Representative{Tuple: sampleTuple(1), LocalProb: 0.5}
-	m.Account(&Request{Kind: KindEvaluate, Tuples: []Representative{rep, rep, rep}}, &Response{CrossProbs: []float64{1, 1, 1}})
-	m.Account(&Request{Kind: KindDelete, Query: Query{Threshold: 0.3}}, &Response{Tuples: []Representative{rep, rep}})
+	rep := msg.Representative{Tuple: sampleTuple(1), LocalProb: 0.5}
+	m.Account(&msg.Request{Kind: msg.KindEvaluate, Tuples: []msg.Representative{rep, rep, rep}}, &msg.Response{CrossProbs: []float64{1, 1, 1}})
+	m.Account(&msg.Request{Kind: msg.KindDelete, Query: msg.Query{Threshold: 0.3}}, &msg.Response{Tuples: []msg.Representative{rep, rep}})
 	if s := m.Snapshot(); s.Messages != 2 || s.TuplesDown != 3+1 || s.TuplesUp != 2 {
 		t.Fatalf("got %+v, want 2 messages, 4 tuples down (3 candidates, 1 notice), 2 up", s)
 	}
@@ -121,17 +80,17 @@ func TestMeterAccountsMaintenanceBatches(t *testing.T) {
 
 func TestMeterAccounting(t *testing.T) {
 	var m Meter
-	rep := Representative{Tuple: sampleTuple(1), LocalProb: 0.5}
+	rep := msg.Representative{Tuple: sampleTuple(1), LocalProb: 0.5}
 
-	m.Account(&Request{Kind: KindInit}, &Response{Rep: rep})
-	m.Account(&Request{Kind: KindNext}, &Response{Rep: rep})
-	m.Account(&Request{Kind: KindNext}, &Response{Exhausted: true})
-	m.Account(&Request{Kind: KindEvaluate}, &Response{CrossProb: 1})
-	m.Account(&Request{Kind: KindShipAll}, &Response{Tuples: []Representative{rep, rep, rep}})
-	m.Account(&Request{Kind: KindCandidates}, &Response{Tuples: []Representative{rep}})
-	m.Account(&Request{Kind: KindInsert}, &Response{})
-	m.Account(&Request{Kind: KindDelete}, &Response{})
-	m.Account(&Request{Kind: KindStatus}, &Response{Pruned: 3})
+	m.Account(&msg.Request{Kind: msg.KindInit}, &msg.Response{Rep: rep})
+	m.Account(&msg.Request{Kind: msg.KindNext}, &msg.Response{Rep: rep})
+	m.Account(&msg.Request{Kind: msg.KindNext}, &msg.Response{Exhausted: true})
+	m.Account(&msg.Request{Kind: msg.KindEvaluate}, &msg.Response{CrossProb: 1})
+	m.Account(&msg.Request{Kind: msg.KindShipAll}, &msg.Response{Tuples: []msg.Representative{rep, rep, rep}})
+	m.Account(&msg.Request{Kind: msg.KindCandidates}, &msg.Response{Tuples: []msg.Representative{rep}})
+	m.Account(&msg.Request{Kind: msg.KindInsert}, &msg.Response{})
+	m.Account(&msg.Request{Kind: msg.KindDelete}, &msg.Response{})
+	m.Account(&msg.Request{Kind: msg.KindStatus}, &msg.Response{Pruned: 3})
 
 	s := m.Snapshot()
 	if s.Messages != 9 {
@@ -165,9 +124,9 @@ func TestMeterAccounting(t *testing.T) {
 // RetryClient too), and a failed call returns no response to charge.
 func TestMeteredClient(t *testing.T) {
 	var m Meter
-	h := &echoHandler{resp: Response{Rep: Representative{Tuple: sampleTuple(1)}}}
+	h := &echoHandler{resp: msg.Response{Rep: msg.Representative{Tuple: sampleTuple(1)}}}
 	charge := func(c Client) (int64, error) {
-		req := &Request{Kind: KindNext}
+		req := &msg.Request{Kind: msg.KindNext}
 		resp, n, err := CallBytes(c, context.Background(), req)
 		if err != nil {
 			if resp != nil || n != 0 {
@@ -234,11 +193,11 @@ func startServer(t *testing.T, h Handler, meter *Meter) (addr string, srv *Serve
 }
 
 func TestTCPRoundTrip(t *testing.T) {
-	want := Response{
-		Rep:           Representative{Tuple: sampleTuple(42), LocalProb: 0.625},
+	want := msg.Response{
+		Rep:           msg.Representative{Tuple: sampleTuple(42), LocalProb: 0.625},
 		CrossProb:     0.5,
 		Pruned:        3,
-		Tuples:        []Representative{{Tuple: sampleTuple(7), LocalProb: 0.9}},
+		Tuples:        []msg.Representative{{Tuple: sampleTuple(7), LocalProb: 0.9}},
 		SessionPruned: 11,
 	}
 	h := &echoHandler{resp: want}
@@ -250,10 +209,10 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 	defer c.Close()
 
-	req := &Request{
-		Kind:  KindEvaluate,
-		Query: Query{Threshold: 0.3, Dims: []int{0, 1}},
-		Feed:  Feedback{Tuple: sampleTuple(42), HomeLocalProb: 0.625},
+	req := &msg.Request{
+		Kind:  msg.KindEvaluate,
+		Query: msg.Query{Threshold: 0.3, Dims: []int{0, 1}},
+		Feed:  msg.Feedback{Tuple: sampleTuple(42), HomeLocalProb: 0.625},
 		Tuple: sampleTuple(1),
 		ID:    9,
 		Point: geom.Point{3, 4},
@@ -274,7 +233,7 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 	// Sequential calls on the same connection.
 	for i := 0; i < 5; i++ {
-		if _, err := c.Call(context.Background(), &Request{Kind: KindNext}); err != nil {
+		if _, err := c.Call(context.Background(), &msg.Request{Kind: msg.KindNext}); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
@@ -289,10 +248,10 @@ type blockingHandler struct {
 	release chan struct{}
 }
 
-func (h *blockingHandler) Handle(_ context.Context, _ *Request) (*Response, error) {
+func (h *blockingHandler) Handle(_ context.Context, _ *msg.Request) (*msg.Response, error) {
 	h.entered <- struct{}{}
 	<-h.release
-	return &Response{Pruned: 99}, nil
+	return &msg.Response{Pruned: 99}, nil
 }
 
 // Shutdown must let an in-flight request finish and answer, then close
@@ -314,12 +273,12 @@ func TestServerShutdownDrainsInFlight(t *testing.T) {
 	}
 	defer idle.Close()
 	type result struct {
-		resp *Response
+		resp *msg.Response
 		err  error
 	}
 	got := make(chan result, 1)
 	go func() {
-		resp, err := busy.Call(context.Background(), &Request{Kind: KindNext})
+		resp, err := busy.Call(context.Background(), &msg.Request{Kind: msg.KindNext})
 		got <- result{resp, err}
 	}()
 	<-h.entered // the request is now inside the handler
@@ -366,7 +325,7 @@ func TestServerShutdownTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	go c.Call(context.Background(), &Request{Kind: KindNext})
+	go c.Call(context.Background(), &msg.Request{Kind: msg.KindNext})
 	<-h.entered
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -386,19 +345,19 @@ func TestTCPHandlerError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, err = c.Call(context.Background(), &Request{Kind: KindNext})
+	_, err = c.Call(context.Background(), &msg.Request{Kind: msg.KindNext})
 	if err == nil || err.Error() != "site exploded" {
 		t.Fatalf("err = %v, want handler error text", err)
 	}
 	// The connection survives handler errors.
 	h.err = nil
-	if _, err := c.Call(context.Background(), &Request{Kind: KindNext}); err != nil {
+	if _, err := c.Call(context.Background(), &msg.Request{Kind: msg.KindNext}); err != nil {
 		t.Fatalf("connection should survive a handler error: %v", err)
 	}
 }
 
 func TestTCPConcurrentClients(t *testing.T) {
-	h := &echoHandler{resp: Response{Pruned: 1}}
+	h := &echoHandler{resp: msg.Response{Pruned: 1}}
 	addr, _ := startServer(t, h, nil)
 	const clients = 8
 	var wg sync.WaitGroup
@@ -414,7 +373,7 @@ func TestTCPConcurrentClients(t *testing.T) {
 			}
 			defer c.Close()
 			for k := 0; k < 20; k++ {
-				if _, err := c.Call(context.Background(), &Request{Kind: KindNext}); err != nil {
+				if _, err := c.Call(context.Background(), &msg.Request{Kind: msg.KindNext}); err != nil {
 					errs[i] = fmt.Errorf("call %d: %w", k, err)
 					return
 				}
@@ -434,9 +393,9 @@ func TestTCPConcurrentClients(t *testing.T) {
 
 func TestTCPCancellation(t *testing.T) {
 	block := make(chan struct{})
-	h := handlerFunc(func(context.Context, *Request) (*Response, error) {
+	h := handlerFunc(func(context.Context, *msg.Request) (*msg.Response, error) {
 		<-block
-		return &Response{}, nil
+		return &msg.Response{}, nil
 	})
 	addr, _ := startServer(t, h, nil)
 	c, err := DialAuto(addr, nil)
@@ -447,7 +406,7 @@ func TestTCPCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = c.Call(ctx, &Request{Kind: KindNext})
+	_, err = c.Call(ctx, &msg.Request{Kind: msg.KindNext})
 	close(block)
 	if err == nil {
 		t.Fatal("blocked call must fail on cancellation")
@@ -457,14 +416,14 @@ func TestTCPCancellation(t *testing.T) {
 	}
 }
 
-type handlerFunc func(context.Context, *Request) (*Response, error)
+type handlerFunc func(context.Context, *msg.Request) (*msg.Response, error)
 
-func (f handlerFunc) Handle(ctx context.Context, req *Request) (*Response, error) {
+func (f handlerFunc) Handle(ctx context.Context, req *msg.Request) (*msg.Response, error) {
 	return f(ctx, req)
 }
 
 func TestTCPClientClose(t *testing.T) {
-	h := &echoHandler{resp: Response{}}
+	h := &echoHandler{resp: msg.Response{}}
 	addr, _ := startServer(t, h, nil)
 	c, err := DialAuto(addr, nil)
 	if err != nil {
@@ -476,13 +435,13 @@ func TestTCPClientClose(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal("double close must be idempotent")
 	}
-	if _, err := c.Call(context.Background(), &Request{Kind: KindNext}); !errors.Is(err, ErrClosed) {
+	if _, err := c.Call(context.Background(), &msg.Request{Kind: msg.KindNext}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("call after close = %v, want ErrClosed", err)
 	}
 }
 
 func TestServerClose(t *testing.T) {
-	h := &echoHandler{resp: Response{}}
+	h := &echoHandler{resp: msg.Response{}}
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -494,7 +453,7 @@ func TestServerClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Call(context.Background(), &Request{Kind: KindNext}); err != nil {
+	if _, err := c.Call(context.Background(), &msg.Request{Kind: msg.KindNext}); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Close(); err != nil {
@@ -512,7 +471,7 @@ func TestServerClose(t *testing.T) {
 		t.Fatal("double close must be idempotent")
 	}
 	// Calls against the closed server fail.
-	if _, err := c.Call(context.Background(), &Request{Kind: KindNext}); err == nil {
+	if _, err := c.Call(context.Background(), &msg.Request{Kind: msg.KindNext}); err == nil {
 		t.Fatal("call against closed server must fail")
 	}
 	c.Close()

@@ -48,6 +48,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/geom"
+	"repro/internal/msg"
 	"repro/internal/uncertain"
 )
 
@@ -197,9 +198,9 @@ func tupleSet(t *uncertain.Tuple) bool {
 	return t.ID != 0 || len(t.Point) > 0 || t.Prob != 0
 }
 
-func (w *wire) reps(p *[]Representative, what string) {
+func (w *wire) reps(p *[]msg.Representative, what string) {
 	if n := w.count(len(*p), what, minRepBytes); w.decoding && n > 0 {
-		*p = make([]Representative, n)
+		*p = make([]msg.Representative, n)
 	}
 	for i := range *p {
 		w.tuple(&(*p)[i].Tuple, what)
@@ -217,7 +218,7 @@ func (w *wire) blob(p *[]byte, what string) {
 	}
 }
 
-func (w *wire) query(q *Query) {
+func (w *wire) query(q *msg.Query) {
 	w.float(&q.Threshold, "query threshold")
 	w.flag(&q.NoPrune, "query flags")
 	if n := w.count(len(q.Dims), "query dims", 1); w.decoding && n > 0 {
@@ -228,21 +229,21 @@ func (w *wire) query(q *Query) {
 	}
 }
 
-func (w *wire) status(p **SiteStatus) {
+func (w *wire) status(p **msg.SiteStatus) {
 	if !w.decoding {
 		w.blob(&w.doc, "status")
 		return
 	}
 	doc := w.Bytes("status", w.count(0, "status", 1))
 	if w.Err() == nil {
-		*p = new(SiteStatus)
+		*p = new(msg.SiteStatus)
 		if json.Unmarshal(doc, *p) != nil {
 			w.Fail("status document")
 		}
 	}
 }
 
-func (w *wire) request(q *Request) {
+func (w *wire) request(q *msg.Request) {
 	w.varint((*int)(&q.Kind), "kind")
 	if w.has(0, q.Session != 0) {
 		w.u64(&q.Session, "session")
@@ -283,7 +284,7 @@ func (w *wire) request(q *Request) {
 	w.bit(12, &q.Timed)
 }
 
-func (w *wire) response(p *Response) {
+func (w *wire) response(p *msg.Response) {
 	if w.has(0, tupleSet(&p.Rep.Tuple) || p.Rep.LocalProb != 0) {
 		w.tuple(&p.Rep.Tuple, "rep")
 		w.float(&p.Rep.LocalProb, "rep")
@@ -318,7 +319,7 @@ func (w *wire) response(p *Response) {
 
 // AppendRequest appends req's encoding to dst and returns the extended
 // slice. It allocates only to grow dst.
-func AppendRequest(dst []byte, req *Request) []byte {
+func AppendRequest(dst []byte, req *msg.Request) []byte {
 	w, maskAt := encoder(dst)
 	w.request(req)
 	return w.encoded(maskAt)
@@ -327,8 +328,8 @@ func AppendRequest(dst []byte, req *Request) []byte {
 // DecodeRequest parses a payload written by AppendRequest into *req,
 // overwriting it. Nothing in *req aliases data afterwards. It never
 // panics, whatever the input; a malformed payload is an ErrWire.
-func DecodeRequest(data []byte, req *Request) error {
-	*req = Request{}
+func DecodeRequest(data []byte, req *msg.Request) error {
+	*req = msg.Request{}
 	w := decoder(data, "request")
 	w.request(req)
 	return w.decoded()
@@ -338,12 +339,12 @@ func DecodeRequest(data []byte, req *Request) error {
 // error text when herr is non-nil, resp otherwise (a nil resp encodes as
 // the zero Response). It allocates only to grow dst, except for the cold
 // Status document.
-func AppendResponse(dst []byte, resp *Response, herr error) []byte {
+func AppendResponse(dst []byte, resp *msg.Response, herr error) []byte {
 	if herr != nil {
 		return append(append(dst, statusErr), herr.Error()...)
 	}
 	if resp == nil {
-		resp = &Response{}
+		resp = &msg.Response{}
 	}
 	w, maskAt := encoder(append(dst, statusOK))
 	if resp.Status != nil {
@@ -361,8 +362,8 @@ func AppendResponse(dst []byte, resp *Response, herr error) []byte {
 // response returns the handler's error text as a plain error; otherwise
 // *resp is overwritten and nothing in it aliases data afterwards. It never
 // panics, whatever the input; a malformed payload is an ErrWire.
-func DecodeResponse(data []byte, resp *Response) error {
-	*resp = Response{}
+func DecodeResponse(data []byte, resp *msg.Response) error {
+	*resp = msg.Response{}
 	if len(data) == 0 {
 		return fmt.Errorf("%w: empty response", ErrWire)
 	}

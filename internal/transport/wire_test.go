@@ -7,11 +7,13 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/codec"
 	"repro/internal/geom"
+	"repro/internal/msg"
 	"repro/internal/uncertain"
 )
 
@@ -30,6 +32,8 @@ func fillNonZero(t *testing.T, v reflect.Value, next *int) {
 		v.SetUint(uint64(*next))
 	case reflect.Float64:
 		v.SetFloat(float64(*next) + 0.25)
+	case reflect.String:
+		v.SetString(strconv.Itoa(*next))
 	case reflect.Slice:
 		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
 		for i := 0; i < v.Len(); i++ {
@@ -56,9 +60,9 @@ func fillNonZero(t *testing.T, v reflect.Value, next *int) {
 // of them without codec support fails here.
 func TestWireRoundTripEveryField(t *testing.T) {
 	next := 0
-	var req Request
+	var req msg.Request
 	fillNonZero(t, reflect.ValueOf(&req).Elem(), &next)
-	var gotReq Request
+	var gotReq msg.Request
 	if err := DecodeRequest(AppendRequest(nil, &req), &gotReq); err != nil {
 		t.Fatalf("DecodeRequest: %v", err)
 	}
@@ -66,9 +70,9 @@ func TestWireRoundTripEveryField(t *testing.T) {
 		t.Fatalf("request mangled:\n sent %+v\n  got %+v", req, gotReq)
 	}
 
-	var resp Response
+	var resp msg.Response
 	fillNonZero(t, reflect.ValueOf(&resp).Elem(), &next)
-	var gotResp Response
+	var gotResp msg.Response
 	if err := DecodeResponse(AppendResponse(nil, &resp, nil), &gotResp); err != nil {
 		t.Fatalf("DecodeResponse: %v", err)
 	}
@@ -81,80 +85,85 @@ func TestWireRoundTripEveryField(t *testing.T) {
 // The zero messages are the smallest ones, and absent fields decode to
 // their zero values (nil slices, nil pointers).
 func TestWireZeroValues(t *testing.T) {
-	if got := AppendRequest(nil, &Request{}); len(got) != 3 {
+	if got := AppendRequest(nil, &msg.Request{}); len(got) != 3 {
 		t.Fatalf("zero request is %d bytes (%x), want mask + kind", len(got), got)
 	}
-	req := Request{Kind: KindNext, Tuples: []Representative{{}}, Point: geom.Point{1}}
-	if err := DecodeRequest(AppendRequest(nil, &Request{}), &req); err != nil || !reflect.DeepEqual(req, Request{}) {
+	req := msg.Request{Kind: msg.KindNext, Tuples: []msg.Representative{{}}, Point: geom.Point{1}}
+	if err := DecodeRequest(AppendRequest(nil, &msg.Request{}), &req); err != nil || !reflect.DeepEqual(req, msg.Request{}) {
 		t.Fatalf("zero request decoded to %+v, %v", req, err)
 	}
-	for _, in := range []*Response{nil, {}} {
+	for _, in := range []*msg.Response{nil, {}} {
 		enc := AppendResponse(nil, in, nil)
 		if len(enc) != 3 {
 			t.Fatalf("zero response is %d bytes (%x), want status + mask", len(enc), enc)
 		}
-		resp := Response{Pruned: 9, Status: &SiteStatus{ID: 1}}
-		if err := DecodeResponse(enc, &resp); err != nil || !reflect.DeepEqual(resp, Response{}) {
+		resp := msg.Response{Pruned: 9, Status: &msg.SiteStatus{ID: 1}}
+		if err := DecodeResponse(enc, &resp); err != nil || !reflect.DeepEqual(resp, msg.Response{}) {
 			t.Fatalf("zero response decoded to %+v, %v", resp, err)
 		}
 	}
 }
 
 func TestWireErrorResponse(t *testing.T) {
-	enc := AppendResponse(nil, &Response{Pruned: 3}, errors.New("site exploded"))
-	var resp Response
+	enc := AppendResponse(nil, &msg.Response{Pruned: 3}, errors.New("site exploded"))
+	var resp msg.Response
 	err := DecodeResponse(enc, &resp)
 	if err == nil || err.Error() != "site exploded" || errors.Is(err, ErrWire) {
 		t.Fatalf("error response decoded to %v, want the handler's text", err)
 	}
-	if !reflect.DeepEqual(resp, Response{}) {
+	if !reflect.DeepEqual(resp, msg.Response{}) {
 		t.Fatalf("error response left fields behind: %+v", resp)
 	}
 }
 
 // sampleMessages returns request/response pairs shaped like the protocol's
 // real traffic, one per kind that matters to a query or an update.
-func sampleMessages() (reqs []Request, resps []Response) {
+func sampleMessages() (reqs []msg.Request, resps []msg.Response) {
 	tu := func(id uncertain.TupleID) uncertain.Tuple {
 		return uncertain.Tuple{ID: id, Point: geom.Point{0.125, 0.75, 0.4375}, Prob: 0.8125}
 	}
-	rep := func(id uncertain.TupleID) Representative { return Representative{Tuple: tu(id), LocalProb: 0.412} }
-	base := Request{Seq: 17, Client: 0xC0FFEE0DDBA11, Session: 0x9E3779B97F4A7C15}
-	with := func(f func(*Request)) Request { r := base; f(&r); return r }
-	reqs = []Request{
-		with(func(r *Request) {
-			r.Kind = KindInit
-			r.Query = Query{Threshold: 0.3, Dims: []int{0, 2}}
+	rep := func(id uncertain.TupleID) msg.Representative {
+		return msg.Representative{Tuple: tu(id), LocalProb: 0.412}
+	}
+	base := msg.Request{Seq: 17, Client: 0xC0FFEE0DDBA11, Session: 0x9E3779B97F4A7C15}
+	with := func(f func(*msg.Request)) msg.Request { r := base; f(&r); return r }
+	reqs = []msg.Request{
+		with(func(r *msg.Request) {
+			r.Kind = msg.KindInit
+			r.Query = msg.Query{Threshold: 0.3, Dims: []int{0, 2}}
 			r.Timed = true
 		}),
-		with(func(r *Request) { r.Kind = KindNext }),
-		with(func(r *Request) { r.Kind = KindEvaluate; r.Feed = Feedback{Tuple: tu(4711), HomeLocalProb: 0.412} }),
-		with(func(r *Request) { r.Kind = KindCandidates; r.Feed = Feedback{Tuple: tu(12)} }),
-		with(func(r *Request) {
-			r.Kind = KindReplicate
-			r.Tuples = []Representative{rep(5), rep(6)}
+		with(func(r *msg.Request) { r.Kind = msg.KindNext }),
+		with(func(r *msg.Request) {
+			r.Kind = msg.KindEvaluate
+			r.Feed = msg.Feedback{Tuple: tu(4711), HomeLocalProb: 0.412}
+		}),
+		with(func(r *msg.Request) { r.Kind = msg.KindCandidates; r.Feed = msg.Feedback{Tuple: tu(12)} }),
+		with(func(r *msg.Request) {
+			r.Kind = msg.KindReplicate
+			r.Tuples = []msg.Representative{rep(5), rep(6)}
 			r.RemoveIDs = []uncertain.TupleID{9, 10, 11}
 		}),
-		with(func(r *Request) { r.Kind = KindInsert; r.Tuple = tu(99) }),
-		with(func(r *Request) { r.Kind = KindDelete; r.ID = 99; r.Point = geom.Point{0.125, 0.75, 0.4375} }),
-		with(func(r *Request) { r.Kind = KindEndQuery }),
-		{Kind: KindStatus},
+		with(func(r *msg.Request) { r.Kind = msg.KindInsert; r.Tuple = tu(99) }),
+		with(func(r *msg.Request) { r.Kind = msg.KindDelete; r.ID = 99; r.Point = geom.Point{0.125, 0.75, 0.4375} }),
+		with(func(r *msg.Request) { r.Kind = msg.KindEndQuery }),
+		{Kind: msg.KindStatus},
 		// Maintenance traffic: a batched, sessionless Evaluate and a
 		// delete that answers its own promotion candidates.
-		{Kind: KindEvaluate, Seq: 18, Query: Query{Threshold: 0.3}, Tuples: []Representative{rep(40), rep(41)}},
-		{Kind: KindDelete, Seq: 19, ID: 99, Point: geom.Point{0.125, 0.75, 0.4375}, Query: Query{Threshold: 0.3}},
+		{Kind: msg.KindEvaluate, Seq: 18, Query: msg.Query{Threshold: 0.3}, Tuples: []msg.Representative{rep(40), rep(41)}},
+		{Kind: msg.KindDelete, Seq: 19, ID: 99, Point: geom.Point{0.125, 0.75, 0.4375}, Query: msg.Query{Threshold: 0.3}},
 	}
-	resps = []Response{
+	resps = []msg.Response{
 		{Rep: rep(1), ServiceNS: 48_213},
 		{Rep: rep(2)},
 		{Exhausted: true},
 		{CrossProb: 0.731, Pruned: 1, SessionPruned: 17},
-		{Tuples: []Representative{rep(3), rep(4), rep(5)}},
+		{Tuples: []msg.Representative{rep(3), rep(4), rep(5)}},
 		{},
 		{Hopeless: true},
 		{Rep: rep(6), Hopeless: true}, // an insert the replica vetoes
-		{Tuples: []Representative{{Tuple: tu(7)}, {Tuple: tu(8)}}}, // ship-all: no local probabilities
-		{Status: &SiteStatus{ID: 2, Tuples: 1000, TreeHeight: 3, RequestsTotal: 12345, LatencyP99Ms: 1.5, MuxWorkerLimit: 32}},
+		{Tuples: []msg.Representative{{Tuple: tu(7)}, {Tuple: tu(8)}}}, // ship-all: no local probabilities
+		{Status: &msg.SiteStatus{ID: 2, Tuples: 1000, TreeHeight: 3, RequestsTotal: 12345, LatencyP99Ms: 1.5, MuxWorkerLimit: 32}},
 		{CrossProbs: []float64{0.731, 1, 0.0625}}, // a batched evaluate's factors
 	}
 	return reqs, resps
@@ -163,13 +172,13 @@ func sampleMessages() (reqs []Request, resps []Response) {
 func TestWireSampleMessagesRoundTrip(t *testing.T) {
 	reqs, resps := sampleMessages()
 	for i := range reqs {
-		var got Request
+		var got msg.Request
 		if err := DecodeRequest(AppendRequest(nil, &reqs[i]), &got); err != nil || !reflect.DeepEqual(got, reqs[i]) {
 			t.Errorf("request %d (%v): got %+v, %v", i, reqs[i].Kind, got, err)
 		}
 	}
 	for i := range resps {
-		var got Response
+		var got msg.Response
 		if err := DecodeResponse(AppendResponse(nil, &resps[i], nil), &got); err != nil || !reflect.DeepEqual(got, resps[i]) {
 			t.Errorf("response %d: got %+v, %v", i, got, err)
 		}
@@ -180,16 +189,16 @@ func TestWireSampleMessagesRoundTrip(t *testing.T) {
 // rejected as ErrWire.
 func TestWireTruncationAndTrailingBytes(t *testing.T) {
 	next := 0
-	var req Request
+	var req msg.Request
 	fillNonZero(t, reflect.ValueOf(&req).Elem(), &next)
-	var resp Response
+	var resp msg.Response
 	fillNonZero(t, reflect.ValueOf(&resp).Elem(), &next)
 	reqs, resps := sampleMessages()
 	reqs, resps = append(reqs, req), append(resps, resp)
 
 	for i := range reqs {
 		enc := AppendRequest(nil, &reqs[i])
-		var got Request
+		var got msg.Request
 		for n := 0; n < len(enc); n++ {
 			if err := DecodeRequest(enc[:n], &got); !errors.Is(err, ErrWire) {
 				t.Fatalf("request %d cut to %d of %d bytes: %v", i, n, len(enc), err)
@@ -201,7 +210,7 @@ func TestWireTruncationAndTrailingBytes(t *testing.T) {
 	}
 	for i := range resps {
 		enc := AppendResponse(nil, &resps[i], nil)
-		var got Response
+		var got msg.Response
 		for n := 0; n < len(enc); n++ {
 			if err := DecodeResponse(enc[:n], &got); !errors.Is(err, ErrWire) {
 				t.Fatalf("response %d cut to %d of %d bytes: %v", i, n, len(enc), err)
@@ -220,7 +229,7 @@ func TestWireHostileCounts(t *testing.T) {
 	huge := binary.AppendUvarint(nil, 1<<40)
 	// Mask bits are given by number, as docs/TRANSPORT.md tabulates them.
 	request := func(bit uint, body ...byte) []byte {
-		return append(binary.AppendVarint(binary.LittleEndian.AppendUint16(nil, 1<<bit), int64(KindNext)), body...)
+		return append(binary.AppendVarint(binary.LittleEndian.AppendUint16(nil, 1<<bit), int64(msg.KindNext)), body...)
 	}
 	response := func(bit uint, body ...byte) []byte {
 		return append(binary.LittleEndian.AppendUint16([]byte{statusOK}, 1<<bit), body...)
@@ -236,7 +245,7 @@ func TestWireHostileCounts(t *testing.T) {
 		"retired mask 5": request(5, 1, 2, 1), // the trace context of generation 6
 		"unknown mask":   request(13),
 	} {
-		var req Request
+		var req msg.Request
 		if err := DecodeRequest(data, &req); !errors.Is(err, ErrWire) {
 			t.Errorf("request with hostile %s: %v", name, err)
 		}
@@ -253,7 +262,7 @@ func TestWireHostileCounts(t *testing.T) {
 		"unknown mask":    response(12),
 		"unknown status":  {7},
 	} {
-		var resp Response
+		var resp msg.Response
 		if err := DecodeResponse(data, &resp); !errors.Is(err, ErrWire) {
 			t.Errorf("response with hostile %s: %v", name, err)
 		}
@@ -325,14 +334,14 @@ func TestWireAllocs(t *testing.T) {
 	}
 	encNext := AppendResponse(nil, nextReply, nil)
 	if n := testing.AllocsPerRun(200, func() {
-		if err := DecodeResponse(encNext, new(Response)); err != nil {
+		if err := DecodeResponse(encNext, new(msg.Response)); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 2 {
 		t.Errorf("decoding a Next reply allocates %v, want <= 2 (Response, Point)", n)
 	}
 	encEvalReply := AppendResponse(nil, evaluateReply, nil)
-	var resp Response
+	var resp msg.Response
 	if n := testing.AllocsPerRun(200, func() {
 		if err := DecodeResponse(encEvalReply, &resp); err != nil {
 			t.Fatal(err)
@@ -341,7 +350,7 @@ func TestWireAllocs(t *testing.T) {
 		t.Errorf("decoding an Evaluate reply in place allocates %v, want 0", n)
 	}
 	encEval := AppendRequest(nil, evaluate)
-	var req Request
+	var req msg.Request
 	if n := testing.AllocsPerRun(200, func() {
 		if err := DecodeRequest(encEval, &req); err != nil {
 			t.Fatal(err)
@@ -363,7 +372,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var req Request
+		var req msg.Request
 		if err := DecodeRequest(data, &req); err != nil {
 			if !errors.Is(err, ErrWire) {
 				t.Fatalf("untyped decode error: %v", err)
@@ -371,7 +380,7 @@ func FuzzDecodeRequest(f *testing.F) {
 			return
 		}
 		canon := AppendRequest(nil, &req)
-		var again Request
+		var again msg.Request
 		if err := DecodeRequest(canon, &again); err != nil {
 			t.Fatalf("canonical encoding rejected: %v", err)
 		}
@@ -390,12 +399,12 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{statusOK, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var resp Response
+		var resp msg.Response
 		if err := DecodeResponse(data, &resp); err != nil {
 			return // malformed, or a well-formed error response
 		}
 		canon := AppendResponse(nil, &resp, nil)
-		var again Response
+		var again msg.Response
 		if err := DecodeResponse(canon, &again); err != nil {
 			t.Fatalf("canonical encoding rejected: %v", err)
 		}
@@ -411,8 +420,8 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	reqs, resps := sampleMessages()
 	for _, c := range []struct {
 		name string
-		req  *Request
-		resp *Response
+		req  *msg.Request
+		resp *msg.Response
 	}{
 		{"evaluate", &reqs[2], &resps[3]},
 		{"next", &reqs[1], &resps[1]},
@@ -420,7 +429,7 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			var buf []byte
-			var req Request
+			var req msg.Request
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				buf = AppendRequest(buf[:0], c.req)
@@ -429,7 +438,7 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 					b.Fatal(err)
 				}
 				buf = AppendResponse(buf[:0], c.resp, nil)
-				if err := DecodeResponse(buf, new(Response)); err != nil {
+				if err := DecodeResponse(buf, new(msg.Response)); err != nil {
 					b.Fatal(err)
 				}
 				b.SetBytes(int64(n + len(buf)))
