@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet boundary test race bench benchmark soak record replay verify examples figures clean
+.PHONY: all check build vet boundary test race bench bench-smoke benchmark soak record replay verify examples figures clean
 
 all: check
 
@@ -45,6 +45,11 @@ race:
 # Full benchmark sweep (several minutes). Writes bench_output.txt.
 bench:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
+
+# Every benchmark of the PR-tree kernel and the site engine, one iteration
+# each: they compile and run (a few seconds), and print a first reading.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/prtree ./internal/site
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md): every
 # workload, untraced then traced. Arguments pass through, e.g.

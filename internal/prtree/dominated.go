@@ -28,11 +28,10 @@ func (t *Tree) candidates(n *node, p []float64, dims []int, self uncertain.Tuple
 	for i := range n.entries {
 		lo, e := n.lo[i*d:(i+1)*d], &n.entries[i]
 		if n.leaf {
-			// P(t) bounds P_sky(t): the cheap test before the window query.
-			if !dominates(p, lo, dims) || e.tuple.ID == self || e.tuple.Prob < q {
+			if !dominates(p, lo, dims) || e.tuple.ID == self || t.prunes(n, i, dims, q) {
 				continue
 			}
-			if prob := e.tuple.Prob * t.cross(t.root, lo, e.tuple.ID, dims, 1); prob >= q {
+			if prob := t.bound(lo, e.tuple.ID, dims, e.tuple.Prob, q); prob >= q {
 				if !fn(uncertain.SkylineMember{Tuple: e.tuple, Prob: prob}) {
 					return false
 				}
@@ -40,9 +39,8 @@ func (t *Tree) candidates(n *node, p []float64, dims []int, self uncertain.Tuple
 			continue
 		}
 		// p dominates nothing in a box whose upper corner it exceeds on a
-		// compared dimension, and no tuple inside can reach q when even
-		// the box's best corner, at the subtree's best P, cannot.
-		if !covers(p, n.hi[i*d:(i+1)*d], dims) || e.pmax*t.cross(t.root, lo, uncertain.NoTuple, dims, 1) < q {
+		// compared dimension.
+		if !covers(p, n.hi[i*d:(i+1)*d], dims) || t.prunes(n, i, dims, q) {
 			continue
 		}
 		if !t.candidates(e.child, p, dims, self, q, fn) {

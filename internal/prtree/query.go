@@ -60,7 +60,15 @@ func (t *Tree) CrossSkyProb(probe uncertain.Tuple, dims []int) float64 {
 	if len(probe.Point) != t.dims {
 		return 1
 	}
-	return t.cross(t.root, probe.Point, probe.ID, t.space(dims), 1)
+	return t.cross(t.root, probe.Point, probe.ID, t.space(dims), 1, 0, 1)
+}
+
+// bound is scale × the eq. 9 product of p against the tree (dominators
+// other than id, on the resolved mask dims) when that value reaches q, and
+// some value below q when it does not: the threshold searches' one
+// question. A value that reaches q is the same float a full walk gives.
+func (t *Tree) bound(p []float64, id uncertain.TupleID, dims []int, scale, q float64) float64 {
+	return scale * t.cross(t.root, p, id, dims, scale, q, 1)
 }
 
 // cross is the dominance-window kernel under every search of the tree: it
@@ -71,7 +79,18 @@ func (t *Tree) CrossSkyProb(probe uncertain.Tuple, dims []int) float64 {
 // dominator; one whose upper corner dominates p holds nothing else, so its
 // cached product applies (p itself cannot be inside: nothing dominates
 // itself).
-func (t *Tree) cross(n *node, p []float64, id uncertain.TupleID, dims []int, prob float64) float64 {
+//
+// A caller that only compares scale × product against q passes both, and
+// the walk returns −1 as soon as scale × prob < q after an interior
+// entry's factor: a covered box's cached product or a finished child.
+// Every factor lies in [0, 1] and rounding is monotone, so no later factor
+// can lift the caller's own expression back to q: the cut changes no
+// decision, and a walk that is not cut multiplies exactly as before. Exact
+// callers pass q = 0, which never fires. The test is the caller's
+// expression itself, not prob < q/scale, whose rounding could drop a value
+// landing on q. A leaf, once entered, is finished: testing after each of
+// its factors as well cost the exact callers about 7 %.
+func (t *Tree) cross(n *node, p []float64, id uncertain.TupleID, dims []int, scale, q, prob float64) float64 {
 	d := t.dims
 	if n.leaf {
 		for i := range n.entries {
@@ -88,7 +107,10 @@ func (t *Tree) cross(n *node, p []float64, id uncertain.TupleID, dims []int, pro
 		if e := &n.entries[i]; dominates(n.hi[i*d:(i+1)*d], p, dims) {
 			prob *= e.prodInv
 		} else {
-			prob = t.cross(e.child, p, id, dims, prob)
+			prob = t.cross(e.child, p, id, dims, scale, q, prob)
+		}
+		if scale*prob < q {
+			return -1
 		}
 	}
 	return prob

@@ -49,15 +49,9 @@ func (t *Tree) LocalSkylineFunc(q float64, dims []int, fn func(uncertain.Skyline
 	dims = t.space(dims)
 	h := &entryHeap{}
 	push := func(n *node, i int) {
-		// No tuple below e can beat its own existential probability
-		// (P_sky <= P(t)), so pmax < q settles a leaf tuple and a subtree
-		// alike without a window query. Surviving subtrees get the
-		// sharper threshold prune, surviving leaf tuples the exact test.
-		e, r := &n.entries[i], n.rect(i, t.dims)
-		if e.pmax < q || e.child != nil && e.pmax*t.cross(t.root, r.Lo, uncertain.NoTuple, dims, 1) < q {
-			return
+		if !t.prunes(n, i, dims, q) {
+			heap.Push(h, heapItem{dist: n.rect(i, t.dims).MinDist(dims), e: &n.entries[i]})
 		}
-		heap.Push(h, heapItem{dist: r.MinDist(dims), e: e})
 	}
 	for i := range t.root.entries {
 		push(t.root, i)
@@ -70,12 +64,25 @@ func (t *Tree) LocalSkylineFunc(q float64, dims []int, fn func(uncertain.Skyline
 			}
 			continue
 		}
-		if p := e.tuple.Prob * t.cross(t.root, e.tuple.Point, e.tuple.ID, dims, 1); p >= q {
+		if p := t.bound(e.tuple.Point, e.tuple.ID, dims, e.tuple.Prob, q); p >= q {
 			if !fn(uncertain.SkylineMember{Tuple: e.tuple, Prob: p}) {
 				return
 			}
 		}
 	}
+}
+
+// prunes reports whether no tuple under entry i of n can reach skyline
+// probability q on dims, the subtree prune both threshold searches share.
+// No tuple can beat its own existential probability (P_sky <= P), so
+// pmax < q settles a leaf tuple and a subtree alike without a window
+// query. A subtree that survives it is cut when pmax times the survival
+// product of its box's lower corner falls below q: every tuple dominating
+// that corner dominates each tuple in the box. A leaf tuple that survives
+// gets its exact test from the caller.
+func (t *Tree) prunes(n *node, i int, dims []int, q float64) bool {
+	e := &n.entries[i]
+	return e.pmax < q || !n.leaf && t.bound(n.lo[i*t.dims:(i+1)*t.dims], uncertain.NoTuple, dims, e.pmax, q) < q
 }
 
 type heapItem struct {
