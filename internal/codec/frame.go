@@ -38,9 +38,11 @@ import (
 // wait on forever; generation 7 retired the trace context (request mask
 // bit 5) and the span blob (response bit 6) for a payload-less Timed bit
 // and a fixed-width ServiceNS, and a generation-6 coordinator would have
-// every traced request refused as an unknown bit. The frame layout is
-// unchanged.
-const FrameVersion = 7
+// every traced request refused as an unknown bit; generation 8 lets an
+// evaluate carry an expunged candidate's refill (request mask bit 13),
+// which a generation-7 site would refuse as an unknown bit. The frame
+// layout is unchanged.
+const FrameVersion = 8
 
 // MuxMagic opens the handshake.
 var MuxMagic = [4]byte{0xD5, 'S', 'Q', '2'}

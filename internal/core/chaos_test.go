@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -234,5 +236,72 @@ func TestTwoCoordinatorsShareSites(t *testing.T) {
 		if err != nil {
 			t.Fatalf("coordinator run %d: %v", i, err)
 		}
+	}
+}
+
+// restartClient serves a site engine and restarts it — a fresh engine over
+// the same partition, holding no session — before the first request after
+// Init, as a site daemon that crashed and came back between a query's Init
+// and its first broadcast.
+// first is what the restarted engine answered its first request.
+type restartClient struct {
+	mu        sync.Mutex
+	eng       *site.Engine
+	part      uncertain.DB
+	restarted bool
+	first     error
+}
+
+func (c *restartClient) Call(ctx context.Context, req *msg.Request) (*msg.Response, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if req.Kind == msg.KindInit || req.Kind == msg.KindEndQuery || c.restarted {
+		return c.eng.Handle(ctx, req)
+	}
+	c.eng, c.restarted = site.New(c.eng.ID(), c.part, 3, 0), true
+	resp, err := c.eng.Handle(ctx, req)
+	c.first = fmt.Errorf("%v: %w", req.Kind, err)
+	return resp, err
+}
+
+func (c *restartClient) Close() error { return nil }
+
+// A site that restarts between a subspace query's Init and its first
+// broadcast holds no session for it. The first request it is sent there —
+// an evaluate, or the home site's Next — fails with site.ErrNoSession
+// rather than answering a full-space factor without pruning, which would
+// give a [0,2] query a silently wrong P_g-sky; the query fails with it and
+// delivers nothing.
+func TestSiteRestartFailsTyped(t *testing.T) {
+	parts, _ := makeWorkload(t, 400, 3, 4, gen.Independent, 31)
+	evaluates := 0
+	for restarted := range parts {
+		clients := make([]transport.Client, len(parts))
+		var restart *restartClient
+		for i, part := range parts {
+			eng := site.New(i, part, 3, 0)
+			clients[i] = transport.Local(eng)
+			if i == restarted {
+				restart = &restartClient{eng: eng, part: part}
+				clients[i] = restart
+			}
+		}
+		cluster, err := NewClusterFromClients(clients, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delivered := 0
+		rep, err := Run(context.Background(), cluster, Options{Threshold: 0.3, Algorithm: EDSUD, Dims: []int{0, 2},
+			OnResult: func(Result) { delivered++ }})
+		if rep != nil || delivered != 0 || !errors.Is(err, site.ErrNoSession) || !errors.Is(restart.first, site.ErrNoSession) {
+			t.Fatalf("site %d restarted: report %v after %d deliveries, error %v, first request after the restart %v; want site.ErrNoSession",
+				restarted, rep, delivered, err, restart.first)
+		}
+		if strings.HasPrefix(restart.first.Error(), "evaluate") {
+			evaluates++
+		}
+	}
+	if evaluates == 0 {
+		t.Error("no restarted site was sent an evaluate")
 	}
 }

@@ -405,9 +405,9 @@ func (v *view) send(ctx context.Context, site int, req msg.Request) ([]*msg.Resp
 }
 
 // Len and Fanout make the view the round engine's Sites. The engine fills
-// each slot's Kind and an evaluate's Feed; the view binds its session to
-// every filled slot but a ship-all, and its query to an init, and the
-// replies go back to the engine as they came.
+// each slot's Kind and an evaluate's Feed and Refill; the view binds its
+// session to every filled slot but a ship-all, and its query to an init,
+// and the replies go back to the engine as they came.
 func (v *view) Len() int { return len(v.cluster.clients) }
 
 func (v *view) Fanout(ctx context.Context, reqs []msg.Request) ([]*msg.Response, error) {

@@ -27,12 +27,7 @@ type fakeSite struct {
 func (f *fakeSite) Handle(_ context.Context, req *msg.Request) (*msg.Response, error) {
 	switch req.Kind {
 	case msg.KindInit, msg.KindNext:
-		if len(f.sky) == 0 {
-			return &msg.Response{Exhausted: true}, nil
-		}
-		head := f.sky[0]
-		f.sky = f.sky[1:]
-		return &msg.Response{Rep: head}, nil
+		return f.next(&msg.Response{}), nil
 	case msg.KindEvaluate:
 		feed := req.Feed
 		homeFactor := feed.HomeLocalProb / feed.Tuple.Prob * (1 - feed.Tuple.Prob)
@@ -47,10 +42,25 @@ func (f *fakeSite) Handle(_ context.Context, req *msg.Request) (*msg.Response, e
 		}
 		f.sky = kept
 		f.pruned += pruned
-		return &msg.Response{CrossProb: f.cross(feed.Tuple.ID), Pruned: pruned, SessionPruned: f.pruned}, nil
+		resp := &msg.Response{CrossProb: f.cross(feed.Tuple.ID), Pruned: pruned, SessionPruned: f.pruned}
+		if req.Refill {
+			f.next(resp)
+		}
+		return resp, nil
 	default:
 		return nil, fmt.Errorf("fakeSite: unexpected kind %v", req.Kind)
 	}
+}
+
+// next pops the head of the local skyline into resp, or marks it
+// exhausted: a Next's answer, and a refill's after the evaluate's prune.
+func (f *fakeSite) next(resp *msg.Response) *msg.Response {
+	if len(f.sky) == 0 {
+		resp.Exhausted = true
+	} else {
+		resp.Rep, f.sky = f.sky[0], f.sky[1:]
+	}
+	return resp
 }
 
 func (f *fakeSite) client() transport.Client { return transport.Local(f) }

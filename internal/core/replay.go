@@ -39,9 +39,12 @@ func (r *ReplayResult) Ok() bool { return len(r.Mismatches) == 0 }
 
 // replayClient answers one site's RPCs verbatim from its recorded
 // exchange list, in order. Any skew between what the engine asks and
-// what the recording holds fails loudly with the ordinal where they
-// diverged. It implements ByteReporter so the recorded wire bytes flow
-// through the per-query meter exactly as they did live.
+// what the recording holds — the kind, an evaluate's feedback tuple or
+// its refill bit — fails loudly with the ordinal where they diverged,
+// even when a sibling's failure has already cancelled the fan-out, so the
+// first diverging site of a fan-out is the one the replay names. It
+// implements ByteReporter so the recorded wire bytes flow through the
+// per-query meter exactly as they did live.
 type replayClient struct {
 	site int
 	mu   sync.Mutex
@@ -55,9 +58,6 @@ func (c *replayClient) Call(ctx context.Context, req *msg.Request) (*msg.Respons
 }
 
 func (c *replayClient) CallBytes(ctx context.Context, req *msg.Request) (*msg.Response, int64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.next >= len(c.exs) {
@@ -66,8 +66,12 @@ func (c *replayClient) CallBytes(ctx context.Context, req *msg.Request) (*msg.Re
 	}
 	ex := c.exs[c.next]
 	if int64(req.Kind) != ex.Kind {
-		return nil, 0, fmt.Errorf("core: replay site %d ordinal %d: engine sent %v, recording holds %v",
-			c.site, c.next, req.Kind, msg.Kind(ex.Kind))
+		refill := ""
+		if req.Refill {
+			refill = " with a refill"
+		}
+		return nil, 0, fmt.Errorf("core: replay site %d ordinal %d: engine sent %v%s, recording holds %v",
+			c.site, c.next, req.Kind, refill, msg.Kind(ex.Kind))
 	}
 	if req.Kind == msg.KindEvaluate {
 		var rec msg.Request
@@ -78,6 +82,13 @@ func (c *replayClient) CallBytes(ctx context.Context, req *msg.Request) (*msg.Re
 			return nil, 0, fmt.Errorf("core: replay site %d ordinal %d: engine broadcast tuple %d, recording holds %d",
 				c.site, c.next, req.Feed.Tuple.ID, rec.Feed.Tuple.ID)
 		}
+		if rec.Refill != req.Refill {
+			return nil, 0, fmt.Errorf("core: replay site %d ordinal %d: engine sent refill=%v, recording holds refill=%v",
+				c.site, c.next, req.Refill, rec.Refill)
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, 0, err
 	}
 	resp := new(msg.Response)
 	if err := transport.DecodeResponse(ex.Response.Payload, resp); err != nil {

@@ -126,14 +126,47 @@ func TestRecordReplayLocal(t *testing.T) {
 	}
 }
 
+// A replayed evaluate must match the recorded one in its refill bit as
+// well as in its feedback tuple: a recording is answered only to the
+// request it recorded, and a mismatch names the site and the ordinal.
+func TestReplayClientComparesRefill(t *testing.T) {
+	feed := msg.Feedback{Tuple: uncertain.Tuple{ID: 9, Point: []float64{0.5, 0.5}, Prob: 0.5}, HomeLocalProb: 0.4}
+	recorded := msg.Request{Kind: msg.KindEvaluate, Feed: feed}
+	c := &replayClient{site: 2, exs: []transcript.Exchange{{
+		Kind:     int64(msg.KindEvaluate),
+		Request:  codec.TranscriptMessage{Payload: transport.AppendRequest(nil, &recorded)},
+		Response: codec.TranscriptMessage{Payload: transport.AppendResponse(nil, &msg.Response{CrossProb: 0.5}, nil)},
+	}}}
+	sent := recorded
+	sent.Refill = true
+	if _, err := c.Call(context.Background(), &sent); err == nil ||
+		!strings.Contains(err.Error(), "replay site 2 ordinal 0: engine sent refill=true, recording holds refill=false") {
+		t.Fatalf("a refill the recording does not hold: %v", err)
+	}
+	if resp, err := c.Call(context.Background(), &recorded); err != nil || resp.CrossProb != 0.5 || c.remaining() != 0 {
+		t.Fatalf("the recorded request: %+v, %v", resp, err)
+	}
+}
+
 // Transcripts recorded over TCP by the build whose loop waited once per
 // refill (PR 22, dsud-query -record against four dsud-site daemons:
-// e-DSUD and DSUD at q = 0.3, e-DSUD top-3 at q = 0.1) replay exactly:
-// each site is still sent the same kinds in the same order, so neither
-// the wire nor the transcript format needed a new generation.
+// e-DSUD and DSUD at q = 0.3, e-DSUD top-3 at q = 0.1) replay exactly
+// where this build sends each site the same kinds in the same order: DSUD
+// and top-k. The e-DSUD recording diverges where this build defers its
+// first expunged candidate's refill to the next broadcast: site 1's
+// ordinal 1, an evaluate with a refill where the recording holds the
+// Next of a standalone wave. pr40-edsud.dstr was recorded by this build
+// the same way (dsud-gen -n 2000 -d 3 -m 4 -values independent -seed 22,
+// e-DSUD at q = 0.3; nine deferred refills) and replays exactly.
 func TestParentTranscriptsReplayExactly(t *testing.T) {
-	for name, want := range map[string]struct{ results, refills int64 }{
-		"pr22-edsud.dstr": {15, 24}, "pr22-dsud.dstr": {15, 22}, "pr22-topk.dstr": {3, 31},
+	for name, want := range map[string]struct {
+		results, refills int64
+		diverges         string
+	}{
+		"pr22-edsud.dstr": {15, 24, "replay site 1 ordinal 1: engine sent evaluate with a refill, recording holds next"},
+		"pr22-dsud.dstr":  {15, 22, ""},
+		"pr22-topk.dstr":  {3, 31, ""},
+		"pr40-edsud.dstr": {43, 57, ""},
 	} {
 		tr, err := transcript.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
@@ -143,6 +176,12 @@ func TestParentTranscriptsReplayExactly(t *testing.T) {
 			t.Fatalf("%s: recorded summary %+v, want %d results and %d refills", name, tr.Summary, want.results, want.refills)
 		}
 		res, err := Replay(context.Background(), tr, nil)
+		if want.diverges != "" {
+			if err == nil || !strings.Contains(err.Error(), want.diverges) {
+				t.Errorf("%s: replay ended with %v, want the divergence %q", name, err, want.diverges)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

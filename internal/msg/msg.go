@@ -29,8 +29,9 @@ const (
 	// KindNext asks for the site's next representative tuple.
 	KindNext
 	// KindEvaluate ships a feedback tuple (§5: Server-Delivery phase); the
-	// site answers with its eq. 9 factor and prunes its local skyline.
-	// Without a session it may instead carry a batch of maintenance
+	// site answers with its eq. 9 factor and prunes its local skyline, and
+	// with Refill set it then answers as KindNext would, in the same
+	// reply. Without a session it may instead carry a batch of maintenance
 	// candidates in Tuples, answered with one factor each in CrossProbs.
 	KindEvaluate
 	// KindShipAll asks for the site's entire partition (baseline
@@ -162,6 +163,11 @@ type Request struct {
 	Kind  Kind
 	Query Query    // KindInit
 	Feed  Feedback // KindEvaluate, KindCandidates (the deleted tuple)
+	// Refill asks a KindEvaluate inside a session to pop the site's next
+	// representative once the feedback has pruned: the refill of a
+	// candidate e-DSUD expunged, riding the broadcast instead of a wait of
+	// its own. The reply carries Rep/Exhausted beside the factor.
+	Refill bool
 
 	Tuple uncertain.Tuple   // KindInsert
 	ID    uncertain.TupleID // KindDelete
@@ -176,8 +182,9 @@ type Request struct {
 
 // Response is the single protocol response envelope.
 type Response struct {
-	// Rep is the site's representative for KindInit/KindNext; Exhausted
-	// reports that the site's local skyline set is empty.
+	// Rep is the site's representative for KindInit/KindNext and a
+	// Refill evaluate; Exhausted reports that the site's local skyline
+	// set is empty.
 	Rep       Representative
 	Exhausted bool
 

@@ -21,7 +21,8 @@ import (
 
 // Sites is the engine's whole view of the cluster. The engine speaks the
 // protocol's own messages but fills only what the algorithm decides: each
-// slot's Kind (init, next, evaluate or ship-all) and an evaluate's Feed.
+// slot's Kind (init, next, evaluate or ship-all) and an evaluate's Feed
+// and Refill.
 // Implementations bind the query's session, threshold and subspace to the
 // messages.
 type Sites interface {
@@ -114,8 +115,11 @@ type engine struct {
 	open  []Phase  // phases begun and not yet ended, innermost last
 	queue []queued // each site's current representative
 
-	reqs    []msg.Request // the next fan-out's slots, empty between waits
-	victims []queued      // one expunge wave: out of the queue, not yet announced
+	reqs []msg.Request // the next fan-out's slots, empty between waits
+	// victims is one expunge wave: candidates out of the queue whose sites
+	// owe a refill. Between a Feedback-Select phase and the broadcast it
+	// follows, it holds the wave whose refills ride that broadcast.
+	victims []queued
 }
 
 func newEngine(sites Sites, opts Options, on func(Step)) *engine {
@@ -269,10 +273,15 @@ func Run(ctx context.Context, sites Sites, opts Options, on func(Step)) (*Outcom
 		// home site's Next rides the same fan-out — nothing in it depends
 		// on the verdict — unless this round's report could be the last
 		// one asked for: no tuple ships that the answer never needed.
+		// So does each deferred victim's refill, as the Refill bit of the
+		// evaluate its site is sent anyway.
 		e.begin(PhaseServerDelivery)
 		ask(e.reqs, head.site, msg.Request{Kind: msg.KindEvaluate,
 			Feed: msg.Feedback{Tuple: head.rep.Tuple, HomeLocalProb: head.rep.LocalProb}})
-		ahead := opts.MaxResults <= 0 || len(e.out.Skyline)+1 < opts.MaxResults
+		for _, victim := range e.victims {
+			e.reqs[victim.site].Refill = true
+		}
+		ahead := e.ahead()
 		if ahead {
 			e.reqs[head.site] = msg.Request{Kind: msg.KindNext}
 		}
@@ -302,7 +311,8 @@ func Run(ctx context.Context, sites Sites, opts Options, on func(Step)) (*Outcom
 			break
 		}
 		// The home site's next representative joins the queue (To-Server
-		// phase of the following iteration), fetched now if it was held back.
+		// phase of the following iteration), fetched now if it was held
+		// back, and then the deferred victims' refills.
 		e.begin(PhaseToServer)
 		if !ahead {
 			e.reqs[head.site] = msg.Request{Kind: msg.KindNext}
@@ -311,9 +321,20 @@ func Run(ctx context.Context, sites Sites, opts Options, on func(Step)) (*Outcom
 			}
 		}
 		e.admit(head.site, evals[head.site])
+		for _, victim := range e.victims {
+			e.admit(victim.site, evals[victim.site])
+		}
+		e.victims = e.victims[:0]
 		e.end()
 	}
 	return e.finish(), nil
+}
+
+// ahead says whether this round's report, if any, leaves MaxResults
+// unmet, so that a refill fetched with its broadcast cannot be one the
+// answer never needed.
+func (e *engine) ahead() bool {
+	return e.opts.MaxResults <= 0 || len(e.out.Skyline)+1 < e.opts.MaxResults
 }
 
 // enqueue admits site's representative to the queue. Its bound starts at
@@ -325,8 +346,9 @@ func (e *engine) enqueue(site int, rep msg.Representative) {
 	e.event(Event{Kind: EventToServer, Site: site, Tuple: rep.Tuple, Prob: rep.LocalProb})
 }
 
-// admit takes site's reply to a next: its next representative joins the
-// queue, unless its local skyline is exhausted.
+// admit takes site's reply to a next, or to an evaluate with a refill: its
+// next representative joins the queue, unless its local skyline is
+// exhausted.
 func (e *engine) admit(site int, resp *msg.Response) {
 	if resp.Exhausted {
 		e.event(Event{Kind: EventRefill, Site: site})
@@ -354,16 +376,21 @@ func (e *engine) selectFeedback(ctx context.Context, lastSite int) (head queued,
 	if e.opts.Enhanced && !e.opts.DisableExpunge {
 		// Expunge phase: candidates whose global upper bound cannot reach
 		// q are dropped without any broadcast and their home sites refill
-		// (§5.2), all the victims of one scan in one fan-out. The scan then
-		// runs on into what that wave appended — a top-k refill can arrive
-		// already below the working threshold — and starts over, on
-		// recomputed bounds, once it finds nothing more.
+		// (§5.2). When a scan leaves a survivor, the victims' refills ride
+		// the coming broadcast (Run) and the feedback is picked from the
+		// survivors on the bounds just computed — still sound, since each
+		// victim is a real tuple of its site (Corollary 2). Otherwise, and
+		// always under top-k or when this round's report could be the last
+		// one asked for, all the victims of one scan refill in one fan-out
+		// of their own. The scan then runs on into what that wave appended
+		// — a top-k refill can arrive already below the working threshold —
+		// and starts over, on recomputed bounds, once it finds nothing more.
+		deferrable := e.opts.TopK <= 0 && e.ahead()
 		for from, dropped := 0, false; ; {
 			kept, victims := e.queue[:from], e.victims[:0]
 			for _, c := range e.queue[from:] {
 				if c.bound < working {
 					victims = append(victims, c)
-					e.reqs[c.site] = msg.Request{Kind: msg.KindNext}
 				} else {
 					kept = append(kept, c)
 				}
@@ -376,6 +403,15 @@ func (e *engine) selectFeedback(ctx context.Context, lastSite int) (head queued,
 				e.recomputeBounds()
 				from, dropped = 0, false
 				continue
+			}
+			if deferrable && len(kept) > 0 {
+				for _, victim := range victims {
+					e.event(Event{Kind: EventExpunge, Site: victim.site, Tuple: victim.rep.Tuple, Prob: victim.bound})
+				}
+				break
+			}
+			for _, victim := range victims {
+				e.reqs[victim.site] = msg.Request{Kind: msg.KindNext}
 			}
 			resps, err := e.fanout(ctx)
 			if err != nil {

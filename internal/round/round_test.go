@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/msg"
+	"repro/internal/site"
 	"repro/internal/uncertain"
 )
 
@@ -28,24 +29,27 @@ type fakeSite struct {
 // clock: a fan-out visits its filled slots in index order. It keeps every
 // fan-out's slots and the home of every tuple it shipped, for checkFanouts,
 // and hands out one reply slice it overwrites each time, as the contract
-// allows.
+// allows. dims is the query's subspace (nil: the full space). With
+// engines set, the slots go to real site engines instead of sites.
 type fakeSites struct {
 	q       float64
+	dims    []int
 	sites   []*fakeSite
+	engines []*site.Engine
 	fanouts [][]msg.Request
 	home    map[uncertain.TupleID]int
 	replies []*msg.Response
 }
 
-func (f *fakeSites) Len() int { return len(f.sites) }
+func (f *fakeSites) Len() int { return max(len(f.sites), len(f.engines)) }
 
 func (f *fakeSites) Fanout(_ context.Context, reqs []msg.Request) ([]*msg.Response, error) {
-	if len(reqs) != len(f.sites) {
-		return nil, fmt.Errorf("fan-out of %d slots over %d sites", len(reqs), len(f.sites))
+	if len(reqs) != f.Len() {
+		return nil, fmt.Errorf("fan-out of %d slots over %d sites", len(reqs), f.Len())
 	}
 	f.fanouts = append(f.fanouts, slices.Clone(reqs))
 	if f.replies == nil {
-		f.replies, f.home = make([]*msg.Response, len(f.sites)), make(map[uncertain.TupleID]int)
+		f.replies, f.home = make([]*msg.Response, f.Len()), make(map[uncertain.TupleID]int)
 	}
 	clear(f.replies)
 	for i, req := range reqs {
@@ -56,45 +60,72 @@ func (f *fakeSites) Fanout(_ context.Context, reqs []msg.Request) ([]*msg.Respon
 		if err != nil {
 			return nil, err
 		}
+		if (req.Kind == msg.KindInit || req.Kind == msg.KindNext || req.Refill) && !r.Exhausted {
+			f.home[r.Rep.Tuple.ID] = i
+		}
 		f.replies[i] = r
 	}
 	return f.replies, nil
 }
 
 func (f *fakeSites) call(i int, req msg.Request) (*msg.Response, error) {
+	if f.engines != nil {
+		// The binding core's view does: one session, the query on Init.
+		req.Session = 1
+		if req.Kind == msg.KindInit {
+			req.Query = msg.Query{Threshold: f.q, Dims: f.dims}
+		}
+		return f.engines[i].Handle(context.Background(), &req)
+	}
 	s := f.sites[i]
+	resp := &msg.Response{}
 	switch req.Kind {
 	case msg.KindInit, msg.KindNext:
-		if len(s.sky) == 0 {
-			return &msg.Response{Exhausted: true}, nil
-		}
-		head := s.sky[0]
-		s.sky = s.sky[1:]
-		f.home[head.Tuple.ID] = i
-		return &msg.Response{Rep: head}, nil
+		f.next(i, resp)
 	case msg.KindEvaluate:
-		feed := req.Feed
-		homeFactor := feed.HomeLocalProb / feed.Tuple.Prob * (1 - feed.Tuple.Prob)
-		pruned := 0
-		kept := s.sky[:0]
-		for _, c := range s.sky {
-			if feed.Tuple.Dominates(c.Tuple, nil) && c.LocalProb*homeFactor < f.q {
-				pruned++
-				continue
-			}
-			kept = append(kept, c)
+		f.evaluate(i, req.Feed, resp)
+		if req.Refill {
+			f.next(i, resp)
 		}
-		s.sky = kept
-		s.pruned += pruned
-		return &msg.Response{CrossProb: s.cross(feed.Tuple), Pruned: pruned, SessionPruned: s.pruned}, nil
 	case msg.KindShipAll:
-		resp := &msg.Response{Tuples: make([]msg.Representative, len(s.db))}
+		resp.Tuples = make([]msg.Representative, len(s.db))
 		for k, tu := range s.db {
 			resp.Tuples[k].Tuple = tu
 		}
-		return resp, nil
+	default:
+		return nil, fmt.Errorf("fake site %d: unexpected %v", i, req.Kind)
 	}
-	return nil, fmt.Errorf("fake site %d: unexpected %v", i, req.Kind)
+	return resp, nil
+}
+
+// next pops site i's head into resp, as site.Engine answers a Next and
+// the refill of an evaluate.
+func (f *fakeSites) next(i int, resp *msg.Response) {
+	s := f.sites[i]
+	if len(s.sky) == 0 {
+		resp.Exhausted = true
+		return
+	}
+	resp.Rep, s.sky = s.sky[0], s.sky[1:]
+}
+
+// evaluate answers feed's factor at site i into resp after the
+// Observation-2 prune.
+func (f *fakeSites) evaluate(i int, feed msg.Feedback, resp *msg.Response) {
+	s := f.sites[i]
+	homeFactor := feed.HomeLocalProb / feed.Tuple.Prob * (1 - feed.Tuple.Prob)
+	pruned := 0
+	kept := s.sky[:0]
+	for _, c := range s.sky {
+		if feed.Tuple.Dominates(c.Tuple, f.dims) && c.LocalProb*homeFactor < f.q {
+			pruned++
+			continue
+		}
+		kept = append(kept, c)
+	}
+	s.sky = kept
+	s.pruned += pruned
+	resp.CrossProb, resp.Pruned, resp.SessionPruned = s.cross(feed.Tuple), pruned, s.pruned
 }
 
 func rep(id uncertain.TupleID, x, y, prob, local float64) msg.Representative {
@@ -124,18 +155,21 @@ func hotelSites() *fakeSites {
 }
 
 // seededParts draws m partitions of n two-dimensional tuples each.
-func seededParts(seed int64, m, n int) []uncertain.DB {
+func seededParts(seed int64, m, n int) []uncertain.DB { return drawParts(seed, m, n, 2) }
+
+// drawParts draws m partitions of n d-dimensional tuples each.
+func drawParts(seed int64, m, n, d int) []uncertain.DB {
 	rng := rand.New(rand.NewSource(seed))
 	parts := make([]uncertain.DB, m)
 	id := uncertain.TupleID(0)
 	for i := range parts {
 		for k := 0; k < n; k++ {
 			id++
-			parts[i] = append(parts[i], uncertain.Tuple{
-				ID:    id,
-				Point: geom.Point{rng.Float64(), rng.Float64()},
-				Prob:  0.05 + 0.95*rng.Float64(),
-			})
+			p := make(geom.Point, d)
+			for j := range p {
+				p[j] = rng.Float64()
+			}
+			parts[i] = append(parts[i], uncertain.Tuple{ID: id, Point: p, Prob: 0.05 + 0.95*rng.Float64()})
 		}
 	}
 	return parts
@@ -143,11 +177,14 @@ func seededParts(seed int64, m, n int) []uncertain.DB {
 
 // dbSites backs each fake site with a real partition: brute-force local
 // skylines and eq. 9 factors.
-func dbSites(parts []uncertain.DB, q float64) *fakeSites {
-	f := &fakeSites{q: q}
+func dbSites(parts []uncertain.DB, q float64) *fakeSites { return subspaceSites(parts, q, nil) }
+
+// subspaceSites is dbSites with dominance restricted to dims.
+func subspaceSites(parts []uncertain.DB, q float64, dims []int) *fakeSites {
+	f := &fakeSites{q: q, dims: dims}
 	for _, db := range parts {
-		s := &fakeSite{db: db, cross: func(t uncertain.Tuple) float64 { return db.CrossSkyProb(t, nil) }}
-		for _, m := range db.Skyline(q, nil) {
+		s := &fakeSite{db: db, cross: func(t uncertain.Tuple) float64 { return db.CrossSkyProb(t, dims) }}
+		for _, m := range db.Skyline(q, dims) {
 			s.sky = append(s.sky, msg.Representative{Tuple: m.Tuple, LocalProb: m.Prob})
 		}
 		f.sites = append(f.sites, s)
@@ -177,9 +214,12 @@ func collect(steps *[]Step) func(Step) { return func(s Step) { *steps = append(*
 
 // hotelSteps is the whole e-DSUD run over hotelSites, one step per line
 // (see line). Round 1: (6,6) dominates both other heads, so their
-// Corollary-2 bounds fall below q and they are expunged mid-selection,
-// each refill nesting a to-server phase inside feedback-select; round 5
-// does the same to (9,5), which (8,4) dominates.
+// Corollary-2 bounds fall below q and they are expunged, (6,6) survives
+// and is broadcast, and the victims' refills ride its broadcast: they are
+// admitted after the home site's own refill. Rounds 3 and 4 do the same to
+// (10,4.5), which (8,4) dominates, and to (4,9), which (3,8) dominates;
+// (8,4)'s feedback prunes (9,5) at its site first, so that refill comes
+// back exhausted.
 const hotelSteps = `begin to-server
 0 to-server s0 t1 p=0.65
 0 to-server s1 t4 p=0.65
@@ -187,93 +227,65 @@ const hotelSteps = `begin to-server
 end to-server
 begin feedback-select
 1 expunge s1 t4 p=0.1811
+1 expunge s2 t7 p=0.2229
+1 feedback-select s0 t1 p=0.65
+end feedback-select
+begin server-delivery
+end server-delivery
+begin local-pruning
+1 broadcast s0 t1 p=0.65
+1 report s0 t1 p=0.65
+end local-pruning
 begin to-server
+1 refill s0 n=1
+1 to-server s0 t2 p=0.6
 1 refill s1 n=1
 1 to-server s1 t5 p=0.6
-end to-server
-1 expunge s2 t7 p=0.2229
-begin to-server
 1 refill s2 n=1
 1 to-server s2 t8 p=0.7
 end to-server
-1 feedback-select s2 t8 p=0.7
+begin feedback-select
+2 feedback-select s2 t8 p=0.7
 end feedback-select
 begin server-delivery
 end server-delivery
 begin local-pruning
-1 broadcast s2 t8 p=0.7
-1 reject s2 t8 p=0.007
+2 broadcast s2 t8 p=0.7
+2 reject s2 t8 p=0.007
 end local-pruning
 begin to-server
-1 refill s2 n=1
-1 to-server s2 t9 p=0.7
+2 refill s2 n=1
+2 to-server s2 t9 p=0.7
 end to-server
 begin feedback-select
-2 feedback-select s2 t9 p=0.7
+3 expunge s2 t9 p=0.105
+3 feedback-select s0 t2 p=0.6
 end feedback-select
 begin server-delivery
 end server-delivery
 begin local-pruning
-2 broadcast s2 t9 p=0.7
-2 reject s2 t9 p=0.007
-end local-pruning
-begin to-server
-2 refill s2 n=0
-end to-server
-begin feedback-select
-3 feedback-select s0 t1 p=0.65
-end feedback-select
-begin server-delivery
-end server-delivery
-begin local-pruning
-3 broadcast s0 t1 p=0.65
-3 report s0 t1 p=0.65
+3 broadcast s0 t2 p=0.6
+3 prune 1
+3 report s0 t2 p=0.6
 end local-pruning
 begin to-server
 3 refill s0 n=1
-3 to-server s0 t2 p=0.6
+3 to-server s0 t3 p=0.5
+3 refill s2 n=0
 end to-server
 begin feedback-select
-4 feedback-select s1 t5 p=0.6
+4 expunge s1 t5 p=0.075
+4 feedback-select s0 t3 p=0.5
 end feedback-select
 begin server-delivery
 end server-delivery
 begin local-pruning
-4 broadcast s1 t5 p=0.6
-4 reject s1 t5 p=0.006
+4 broadcast s0 t3 p=0.5
+4 report s0 t3 p=0.5
 end local-pruning
 begin to-server
-4 refill s1 n=1
-4 to-server s1 t6 p=0.6
-end to-server
-begin feedback-select
-5 expunge s1 t6 p=0.09
-begin to-server
-5 refill s1 n=0
-end to-server
-5 feedback-select s0 t2 p=0.6
-end feedback-select
-begin server-delivery
-end server-delivery
-begin local-pruning
-5 broadcast s0 t2 p=0.6
-5 report s0 t2 p=0.6
-end local-pruning
-begin to-server
-5 refill s0 n=1
-5 to-server s0 t3 p=0.5
-end to-server
-begin feedback-select
-6 feedback-select s0 t3 p=0.5
-end feedback-select
-begin server-delivery
-end server-delivery
-begin local-pruning
-6 broadcast s0 t3 p=0.5
-6 report s0 t3 p=0.5
-end local-pruning
-begin to-server
-6 refill s0 n=0
+4 refill s0 n=0
+4 refill s1 n=0
 end to-server`
 
 // The §5.3 hotel example, step by step: e-DSUD reports (6,6), (8,4) and
@@ -292,6 +304,19 @@ func TestHotelExampleSteps(t *testing.T) {
 	if want := strings.Split(hotelSteps, "\n"); !slices.Equal(got, want) {
 		t.Fatalf("steps:\n%s\nwant:\n%s", strings.Join(got, "\n"), hotelSteps)
 	}
+	var reported []uncertain.TupleID
+	for _, s := range steps {
+		switch e := s.Event; {
+		case s.Kind != StepEvent:
+		case e.Kind == EventBroadcast && (e.Tuple.ID == 4 || e.Tuple.ID == 7):
+			t.Errorf("victim %d was broadcast", e.Tuple.ID)
+		case e.Kind == EventReport:
+			reported = append(reported, e.Tuple.ID)
+		}
+	}
+	if !slices.Equal(reported, []uncertain.TupleID{1, 2, 3}) {
+		t.Errorf("reported %v, want (6,6), (8,4), (3,8): tuples 1, 2, 3 in that order", reported)
+	}
 	wantSky := map[uncertain.TupleID]float64{1: 0.65, 2: 0.6, 3: 0.5}
 	if len(out.Skyline) != len(wantSky) {
 		t.Fatalf("skyline %v, want the example's three tuples", out.Skyline)
@@ -307,7 +332,7 @@ func TestHotelExampleSteps(t *testing.T) {
 	if !reflect.DeepEqual(out.Sites, map[uncertain.TupleID]int{1: 0, 2: 0, 3: 0}) {
 		t.Errorf("home sites %v", out.Sites)
 	}
-	if want := (Tally{Iterations: 6, Broadcasts: 6, Expunged: 3, Refills: 9}); out.Tally != want {
+	if want := (Tally{Iterations: 4, Broadcasts: 4, Expunged: 4, Refills: 8, PrunedLocal: 1}); out.Tally != want {
 		t.Errorf("tallies %+v, want %+v", out.Tally, want)
 	}
 }
@@ -434,17 +459,83 @@ func TestSeededEDSUDPinned(t *testing.T) {
 			order = append(order, s.Event.Tuple.ID)
 		}
 	}
-	if want := (Tally{Iterations: 5, Broadcasts: 5, Expunged: 14, Refills: 19, PrunedLocal: 3}); out.Tally != want {
+	if want := (Tally{Iterations: 5, Broadcasts: 5, Expunged: 7, Refills: 12, PrunedLocal: 10}); out.Tally != want {
 		t.Errorf("tallies %+v, want %+v", out.Tally, want)
 	}
-	if len(steps) != 139 {
-		t.Errorf("%d steps, want 139", len(steps))
+	if len(steps) != 91 {
+		t.Errorf("%d steps, want 91", len(steps))
 	}
-	if want := []uncertain.TupleID{34, 40, 98, 104, 126}; !slices.Equal(order, want) {
+	if want := []uncertain.TupleID{34, 98, 40, 104, 126}; !slices.Equal(order, want) {
 		t.Errorf("report order %v, want %v", order, want)
 	}
-	if want := []SiteTally{{5, 0}, {2, 0}, {6, 2}, {6, 1}}; !slices.Equal(out.PerSite, want) {
+	if want := []SiteTally{{5, 0}, {2, 0}, {3, 5}, {2, 5}}; !slices.Equal(out.PerSite, want) {
 		t.Errorf("per-site tallies %+v, want %+v", out.PerSite, want)
+	}
+}
+
+// The deferred refill against the oracle, over brute-force fake sites and
+// over real site engines: seeds 1–5, m ∈ {2, 3, 4, 8, 10}, q ∈ {0.1, 0.3,
+// 0.5}, the full space and [0,2]. Every run returns exactly the oracle's
+// answer, probabilities included, and checkFanouts holds: every expunged
+// site refills exactly once, by its evaluate in the next broadcast or in a
+// standalone wave. A plain run never needs the wave — the scan always
+// leaves the head no other head dominates, whose bound is its local
+// probability — so each configuration also runs with MaxResults = 2, whose
+// second round keeps it; both paths must occur.
+func TestDeferredRefillOracleSweep(t *testing.T) {
+	deferred, waves := 0, 0
+	for seed := int64(1); seed <= 5; seed++ {
+		for _, m := range []int{2, 3, 4, 8, 10} {
+			parts := drawParts(seed, m, 30, 3)
+			for _, q := range []float64{0.1, 0.3, 0.5} {
+				for _, dims := range [][]int{nil, {0, 2}} {
+					oracle := map[uncertain.TupleID]float64{}
+					for _, tu := range uncertain.Union(parts) {
+						if p := uncertain.GlobalSkyProb(tu, parts, dims); p >= q {
+							oracle[tu.ID] = p
+						}
+					}
+					for _, max := range []int{0, 2} {
+						engines := make([]*site.Engine, m)
+						for i, part := range parts {
+							engines[i] = site.New(i, part, 3, 0)
+						}
+						for _, f := range []*fakeSites{subspaceSites(parts, q, dims), {q: q, dims: dims, engines: engines}} {
+							name := fmt.Sprintf("seed %d m=%d q=%v dims=%v max=%d engines=%v", seed, m, q, dims, max, f.engines != nil)
+							var steps []Step
+							opts := Options{Threshold: q, Dims: dims, Enhanced: true, MaxResults: max}
+							out, err := Run(context.Background(), f, opts, collect(&steps))
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							want := len(oracle)
+							if max > 0 {
+								want = min(want, max)
+							}
+							if len(out.Skyline) != want {
+								t.Fatalf("%s: %d answers, want %d", name, len(out.Skyline), want)
+							}
+							for _, a := range out.Skyline {
+								if p, ok := oracle[a.Tuple.ID]; !ok || math.Abs(p-a.Prob) > 1e-9 {
+									t.Fatalf("%s: answer %v, oracle has P=%v (%v)", name, a, p, ok)
+								}
+							}
+							waves += checkFanouts(t, f, steps)
+							for _, reqs := range f.fanouts {
+								for _, r := range reqs {
+									if r.Refill {
+										deferred++
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if deferred == 0 || waves == 0 {
+		t.Errorf("%d deferred refills and %d standalone waves; the sweep must exercise both", deferred, waves)
 	}
 }
 
@@ -453,8 +544,11 @@ func TestSeededEDSUDPinned(t *testing.T) {
 // Server-Delivery phase one fan-out carrying the feedback to every site
 // but the tuple's home, whose slot holds the Next for its refill or — when
 // MaxResults held that back — nothing, the Next then following the verdict
-// alone; and per wave of expunged candidates one fan-out of Nexts to
-// exactly their sites. It returns the number of waves.
+// alone; and every expunged site refilled exactly once, either by the
+// Refill bit of its evaluate in the next broadcast (a deferred victim,
+// announced without a refill nested after it) or, per wave of victims
+// that left no survivor, by one fan-out of Nexts to exactly their sites.
+// It returns the number of standalone waves.
 func checkFanouts(t *testing.T, f *fakeSites, steps []Step) (waves int) {
 	t.Helper()
 	sent := 0
@@ -476,7 +570,8 @@ func checkFanouts(t *testing.T, f *fakeSites, steps []Step) (waves int) {
 			t.Fatalf("first fan-out, site %d: %v, want init", i, r.Kind)
 		}
 	}
-	owed := map[int]bool{} // sites sent a Next whose refill is not announced yet
+	owed := map[int]bool{}     // sites sent a request for a refill not announced yet
+	deferred := map[int]bool{} // sites expunged whose refill rides the next broadcast
 	for n, s := range steps {
 		switch {
 		case s.Kind == StepBegin && s.Phase == PhaseServerDelivery:
@@ -492,6 +587,12 @@ func checkFanouts(t *testing.T, f *fakeSites, steps []Step) (waves int) {
 			for i, r := range reqs {
 				switch {
 				case i != home && r.Kind == msg.KindEvaluate && f.home[r.Feed.Tuple.ID] == home:
+					if r.Refill != deferred[i] {
+						t.Fatalf("step %d: broadcast sends site %d refill=%v, deferred victims %v", n, i, r.Refill, deferred)
+					}
+					if r.Refill {
+						owed[i] = true
+					}
 				case i == home && r.Kind == msg.KindNext:
 					owed[i] = true
 				case i == home && r.Kind == 0:
@@ -499,9 +600,17 @@ func checkFanouts(t *testing.T, f *fakeSites, steps []Step) (waves int) {
 					t.Fatalf("step %d: broadcast of site %d's tuple sends site %d %v", n, home, i, r.Kind)
 				}
 			}
+			clear(deferred)
 		case s.Kind == StepEvent && s.Event.Kind == EventExpunge && !owed[s.Event.Site]:
-			if len(owed) != 0 {
-				t.Fatalf("step %d: a new wave with refills %v outstanding", n, owed)
+			if deferred[s.Event.Site] {
+				t.Fatalf("step %d: site %d expunged twice before one refill", n, s.Event.Site)
+			}
+			if next := steps[n+1]; next.Kind != StepBegin || next.Phase != PhaseToServer {
+				deferred[s.Event.Site] = true
+				continue
+			}
+			if len(owed) != 0 || len(deferred) != 0 {
+				t.Fatalf("step %d: a new wave with refills %v outstanding and %v deferred", n, owed, deferred)
 			}
 			waves++
 			for i, r := range pop() {
@@ -524,28 +633,32 @@ func checkFanouts(t *testing.T, f *fakeSites, steps []Step) (waves int) {
 			delete(owed, s.Event.Site)
 		}
 	}
-	if sent != len(f.fanouts) || len(owed) != 0 {
-		t.Fatalf("%d of %d fan-outs accounted for, refills %v never announced", sent, len(f.fanouts), owed)
+	if sent != len(f.fanouts) || len(owed) != 0 || len(deferred) != 0 {
+		t.Fatalf("%d of %d fan-outs accounted for, refills %v never announced, %v never sent", sent, len(f.fanouts), owed, deferred)
 	}
 	return waves
 }
 
 // Every wait of the loop is one fan-out: Init, one per broadcast (the home
-// site's Next riding it) and one per wave of expunged candidates, where
-// the loop used to wait once more per refill.
+// site's Next and the expunged candidates' refills riding it) and one per
+// standalone wave, where the loop used to wait once more per refill. Plain
+// e-DSUD needs no wave at all; a round whose report could meet MaxResults
+// sends its victims' Nexts as a wave of their own.
 func TestOneFanoutPerWait(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
 		sites        *fakeSites
 		enhanced     bool
+		max          int
 		waits, waves int
 	}{
-		{"hotel e-DSUD", hotelSites(), true, 9, 2},
-		{"seeded DSUD", dbSites(seededParts(42, 4, 60), 0.3), false, 12, 0},
-		{"seeded e-DSUD", dbSites(seededParts(42, 4, 60), 0.3), true, 20, 14},
+		{"hotel e-DSUD", hotelSites(), true, 0, 5, 0},
+		{"seeded DSUD", dbSites(seededParts(42, 4, 60), 0.3), false, 0, 12, 0},
+		{"seeded e-DSUD", dbSites(seededParts(42, 4, 60), 0.3), true, 0, 6, 0},
+		{"seeded e-DSUD, 3 results", dbSites(seededParts(42, 4, 60), 0.3), true, 3, 9, 5},
 	} {
 		var steps []Step
-		out, err := Run(context.Background(), tc.sites, Options{Threshold: 0.3, Enhanced: tc.enhanced}, collect(&steps))
+		out, err := Run(context.Background(), tc.sites, Options{Threshold: 0.3, Enhanced: tc.enhanced, MaxResults: tc.max}, collect(&steps))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -668,8 +781,12 @@ func TestTopKReExpungeSteps(t *testing.T) {
 }
 
 // When this round's report could be the last one asked for, the home
-// site's Next waits for the verdict: no site ships a tuple that the loop
-// it replaced would not have shipped. The tallies are that loop's.
+// site's Next waits for the verdict and that round's expunged candidates
+// refill in a wave of their own, before the feedback is picked: no site
+// ships a tuple that the answer never needed. For DSUD and for a first
+// round that is already the last, the tallies are those of the loop that
+// refilled one candidate per wait; with MaxResults 3, e-DSUD's first two
+// rounds defer their victims' refills to their broadcasts.
 func TestMaxResultsShipsNoSpeculativeTuple(t *testing.T) {
 	for _, tc := range []struct {
 		enhanced bool
@@ -680,7 +797,7 @@ func TestMaxResultsShipsNoSpeculativeTuple(t *testing.T) {
 		{false, 1, Tally{Iterations: 1, Broadcasts: 1, PrunedLocal: 2}, []SiteTally{{1, 0}, {1, 0}, {1, 1}, {1, 1}}},
 		{false, 2, Tally{Iterations: 3, Broadcasts: 3, Refills: 2, PrunedLocal: 10}, []SiteTally{{3, 0}, {1, 0}, {1, 6}, {1, 4}}},
 		{true, 1, Tally{Iterations: 1, Broadcasts: 1, Expunged: 5, Refills: 5, PrunedLocal: 1}, []SiteTally{{1, 0}, {1, 0}, {6, 0}, {1, 1}}},
-		{true, 3, Tally{Iterations: 3, Broadcasts: 3, Expunged: 14, Refills: 16, PrunedLocal: 3}, []SiteTally{{5, 0}, {1, 0}, {6, 2}, {6, 1}}},
+		{true, 3, Tally{Iterations: 3, Broadcasts: 3, Expunged: 8, Refills: 10, PrunedLocal: 7}, []SiteTally{{3, 0}, {2, 0}, {3, 5}, {5, 2}}},
 	} {
 		sites := dbSites(seededParts(42, 4, 60), 0.3)
 		var steps []Step

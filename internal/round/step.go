@@ -12,11 +12,12 @@ type Phase int
 // Protocol phases, in the paper's vocabulary.
 const (
 	// PhaseToServer covers the Init fan-out and every refill's admission;
-	// a refill's wait is in the phase whose fan-out carried its Next.
+	// a refill's wait is in the phase whose fan-out carried its request.
 	PhaseToServer Phase = iota
 	// PhaseFeedbackSelect covers the coordinator's candidate bookkeeping:
-	// Corollary-2 bounds, the expunge sweep with its one fan-out per wave
-	// (admissions nest inside as PhaseToServer) and the feedback selection.
+	// Corollary-2 bounds, the expunge sweep with its one fan-out per
+	// standalone wave (admissions nest inside as PhaseToServer) and the
+	// feedback selection.
 	PhaseFeedbackSelect
 	// PhaseServerDelivery covers the Evaluate broadcast round trips.
 	PhaseServerDelivery
@@ -175,8 +176,9 @@ type Tally struct {
 	// Expunged counts candidates e-DSUD discarded by the Corollary-2
 	// bound without broadcasting (always 0 for DSUD and the Baseline).
 	Expunged int
-	// Refills counts Next requests issued to top a site's slot back up
-	// after its representative was popped (broadcast or expunged).
+	// Refills counts requests issued to top a site's slot back up after
+	// its representative was popped (broadcast or expunged): a Next, or
+	// the Refill of an evaluate.
 	Refills int
 	// PrunedLocal sums local skyline tuples discarded by feedback pruning
 	// across all sites.

@@ -356,22 +356,36 @@ func (e *Engine) handleInit(req *msg.Request) (*msg.Response, error) {
 	return e.handleNext(req)
 }
 
-// handleNext pops the most promising remaining local skyline tuple. The
-// session's members alias the tree's points; the response gets its own.
+// ErrNoSession refuses a Next, a session evaluate or a refill for a query
+// session the site does not hold: one never initialised here, already
+// ended, or lost to a site restart. Answering such an evaluate from the
+// full space and without pruning would hand a subspace query a silently
+// wrong factor, so the coordinator gets this error instead.
+var ErrNoSession = errors.New("no such query session")
+
+// handleNext pops the most promising remaining local skyline tuple.
 func (e *Engine) handleNext(req *msg.Request) (*msg.Response, error) {
 	s := e.sessions[req.Session]
 	if s == nil {
-		return nil, fmt.Errorf("site %d: Next before Init (session %d)", e.id, req.Session)
+		return nil, fmt.Errorf("site %d: Next before Init (session %d): %w", e.id, req.Session, ErrNoSession)
 	}
+	resp := &msg.Response{}
+	s.next(resp)
+	return resp, nil
+}
+
+// next moves the session's head into resp as its representative, or marks
+// resp exhausted. The session's members alias the tree's points; the
+// response gets its own.
+func (s *session) next(resp *msg.Response) {
 	if len(s.sky) == 0 {
-		return &msg.Response{Exhausted: true}, nil
+		resp.Exhausted = true
+		return
 	}
 	head := s.sky[0]
 	s.sky = s.sky[1:]
 	s.shipped++
-	return &msg.Response{
-		Rep: msg.Representative{Tuple: head.Tuple.Clone(), LocalProb: head.Prob},
-	}, nil
+	resp.Rep = msg.Representative{Tuple: head.Tuple.Clone(), LocalProb: head.Prob}
 }
 
 // recordSession writes the flight record for a finished query session.
@@ -405,9 +419,12 @@ func (e *Engine) recordSession(id uint64, s *session) {
 //	P_sky(s, D_x) × P_sky(t, D_home)/P(t) × (1 − P(t))
 //
 // falls below the query threshold — a sound prune because every dominator
-// of t at t's home site also dominates s. Without a session (maintenance
-// traffic), the request's own Query supplies the dominance subspace, and
-// the request may batch: see evaluateBatch.
+// of t at t's home site also dominates s. A Refill evaluate then pops the
+// next representative, as a Next right after it would, so the refill of an
+// expunged candidate never ships a tuple this feedback pruned. Only session
+// 0 may be absent: without it (maintenance traffic), the request's own
+// Query supplies the dominance subspace, and the request may batch: see
+// evaluateBatch.
 func (e *Engine) handleEvaluate(req *msg.Request) (*msg.Response, error) {
 	if len(req.Tuples) > 0 {
 		return e.evaluateBatch(req)
@@ -417,6 +434,9 @@ func (e *Engine) handleEvaluate(req *msg.Request) (*msg.Response, error) {
 		return nil, fmt.Errorf("site %d: bad feedback: %w", e.id, err)
 	}
 	s := e.sessions[req.Session]
+	if s == nil && (req.Session != 0 || req.Refill) {
+		return nil, fmt.Errorf("site %d: evaluate in session %d: %w", e.id, req.Session, ErrNoSession)
+	}
 	dims := req.Query.Dims
 	if s != nil {
 		dims = s.query.Dims
@@ -441,19 +461,22 @@ func (e *Engine) handleEvaluate(req *msg.Request) (*msg.Response, error) {
 	resp := &msg.Response{CrossProb: cross, Pruned: pruned}
 	if s != nil {
 		resp.SessionPruned = s.pruned
+		if req.Refill {
+			s.next(resp)
+		}
 	}
 	return resp, nil
 }
 
 // ErrBatchedSession refuses an Evaluate that carries a batch of tuples
-// inside a query session: what a batch may prune is not defined yet, so a
-// batch is maintenance traffic only.
+// inside a query session, or a refill: what a batch may prune is not
+// defined yet, so a batch is maintenance traffic only.
 var ErrBatchedSession = errors.New("batched evaluate is sessionless")
 
 // evaluateBatch answers a sessionless Evaluate carrying candidates: the
 // eq. 9 factor of each at this site, aligned with them, and nothing pruned.
 func (e *Engine) evaluateBatch(req *msg.Request) (*msg.Response, error) {
-	if req.Session != 0 {
+	if req.Session != 0 || req.Refill {
 		return nil, fmt.Errorf("site %d: session %d: %w", e.id, req.Session, ErrBatchedSession)
 	}
 	if err := e.validQuery(req.Query); err != nil {

@@ -72,11 +72,79 @@ func TestInitStreamsLocalSkylineInOrder(t *testing.T) {
 
 func TestNextBeforeInitFails(t *testing.T) {
 	eng := New(0, nil, 2, 0)
-	if _, err := eng.Handle(context.Background(), &msg.Request{Kind: msg.KindNext}); err == nil {
-		t.Fatal("Next before Init must fail")
+	if _, err := eng.Handle(context.Background(), &msg.Request{Kind: msg.KindNext}); !errors.Is(err, ErrNoSession) {
+		t.Fatalf("Next before Init: %v, want ErrNoSession", err)
 	}
 	if _, err := eng.Handle(context.Background(), &msg.Request{Kind: msg.KindCandidates}); err == nil {
 		t.Fatal("Candidates before Init must fail")
+	}
+}
+
+// An evaluate with a refill answers exactly what the evaluate and then a
+// Next would: the same factor and prune, then the head of what the prune
+// left, until the site is exhausted.
+func TestEvaluateRefillIsEvaluateThenNext(t *testing.T) {
+	r := rand.New(rand.NewSource(58))
+	part := randomPart(r, 300, 3)
+	twin, eng := New(0, part, 3, 0), New(0, part, 3, 0)
+	const q = 0.2
+	dims := []int{0, 2}
+	initSite(t, twin, q, dims)
+	initSite(t, eng, q, dims)
+	ctx := context.Background()
+	for k := 0; ; k++ {
+		feed := msg.Feedback{Tuple: uncertain.Tuple{ID: uncertain.TupleID(10_000 + k),
+			Point: geom.Point{0.3 * r.Float64(), r.Float64(), 0.3 * r.Float64()}, Prob: 0.05 + 0.9*r.Float64()}}
+		feed.HomeLocalProb = feed.Tuple.Prob * r.Float64()
+		eval, err := twin.Handle(ctx, &msg.Request{Kind: msg.KindEvaluate, Feed: feed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, err := twin.Handle(ctx, &msg.Request{Kind: msg.KindNext})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := eng.Handle(ctx, &msg.Request{Kind: msg.KindEvaluate, Feed: feed, Refill: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := *eval
+		want.Rep, want.Exhausted = next.Rep, next.Exhausted
+		if !reflect.DeepEqual(*got, want) {
+			t.Fatalf("feedback %d: refill answered %+v, evaluate then Next %+v", k, *got, want)
+		}
+		if got.Exhausted {
+			if k < 5 || eng.PrunedTotal() == 0 {
+				t.Fatalf("exhausted after %d refills with %d pruned: the feedback never pruned", k, eng.PrunedTotal())
+			}
+			return
+		}
+	}
+}
+
+// A refill needs the query session whose cursor it pops: without one — a
+// session never initialised here, or lost to a restart, even the default
+// session 0 — it fails with ErrNoSession, and so does a session evaluate;
+// a batch cannot refill.
+func TestRefillWithoutSessionFails(t *testing.T) {
+	r := rand.New(rand.NewSource(59))
+	eng := New(0, randomPart(r, 50, 2), 2, 0)
+	feed := msg.Feedback{Tuple: uncertain.Tuple{ID: 99, Point: geom.Point{0.5, 0.5}, Prob: 0.5}, HomeLocalProb: 0.5}
+	ctx := context.Background()
+	for name, req := range map[string]msg.Request{
+		"refill, session 0": {Kind: msg.KindEvaluate, Feed: feed, Refill: true},
+		"refill, session 7": {Kind: msg.KindEvaluate, Session: 7, Feed: feed, Refill: true},
+		"evaluate, session 7": {Kind: msg.KindEvaluate, Session: 7, Feed: feed,
+			Query: msg.Query{Threshold: 0.3, Dims: []int{1}}},
+	} {
+		if _, err := eng.Handle(ctx, &req); !errors.Is(err, ErrNoSession) {
+			t.Errorf("%s: %v, want ErrNoSession", name, err)
+		}
+	}
+	batch := msg.Request{Kind: msg.KindEvaluate, Query: msg.Query{Threshold: 0.3}, Refill: true,
+		Tuples: []msg.Representative{{Tuple: feed.Tuple, LocalProb: 0.5}}}
+	if _, err := eng.Handle(ctx, &batch); !errors.Is(err, ErrBatchedSession) {
+		t.Errorf("batched refill: %v, want ErrBatchedSession", err)
 	}
 }
 

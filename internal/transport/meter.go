@@ -73,7 +73,8 @@ func (m *Meter) AddBytes(n int64) { m.bytes.Add(n) }
 // Account records the tuple and message cost of one completed call. The
 // rules implement the paper's accounting exactly:
 //
-//   - every Representative returned by Init/Next costs one up-tuple;
+//   - every Representative returned by Init/Next, or by an Evaluate that
+//     carries a refill, costs one up-tuple;
 //   - every Evaluate request ships the feedback tuple down (one per site
 //     contacted, so a broadcast to m−1 sites costs m−1), or a batch of
 //     maintenance candidates, one down-tuple each;
@@ -93,6 +94,9 @@ func (m *Meter) Account(req *msg.Request, resp *msg.Response) {
 		}
 	case msg.KindEvaluate:
 		m.tuplesDown.Add(int64(max(1, len(req.Tuples))))
+		if req.Refill && resp != nil && !resp.Exhausted {
+			m.tuplesUp.Add(1)
+		}
 	case msg.KindShipAll, msg.KindCandidates, msg.KindDelete:
 		if resp != nil {
 			m.tuplesUp.Add(int64(len(resp.Tuples)))

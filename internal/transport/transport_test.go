@@ -78,6 +78,23 @@ func TestMeterAccountsMaintenanceBatches(t *testing.T) {
 	}
 }
 
+// An Evaluate that carries an expunged candidate's refill ships the
+// feedback down and, unless the site is exhausted, the refill up.
+func TestMeterAccountsRefill(t *testing.T) {
+	var m Meter
+	rep := msg.Representative{Tuple: sampleTuple(1), LocalProb: 0.5}
+	refill := &msg.Request{Kind: msg.KindEvaluate, Refill: true}
+	m.Account(refill, &msg.Response{CrossProb: 0.5, Rep: rep})
+	if s := m.Snapshot(); s.Messages != 1 || s.TuplesDown != 1 || s.TuplesUp != 1 {
+		t.Fatalf("evaluate with a refill: %+v, want 1 message, 1 tuple down, 1 up", s)
+	}
+	m.Reset()
+	m.Account(refill, &msg.Response{CrossProb: 0.5, Exhausted: true})
+	if s := m.Snapshot(); s.Messages != 1 || s.TuplesDown != 1 || s.TuplesUp != 0 {
+		t.Fatalf("evaluate with an exhausted refill: %+v, want 1 message, 1 tuple down, none up", s)
+	}
+}
+
 func TestMeterAccounting(t *testing.T) {
 	var m Meter
 	rep := msg.Representative{Tuple: sampleTuple(1), LocalProb: 0.5}

@@ -26,6 +26,7 @@ package transport
 //	10 RemoveIDs  n × id uvarint             11 ServiceNS      u64
 //	11 (retired)
 //	12 Timed      (the bit is the value)
+//	13 Refill     (the bit is the value)
 //
 //	tuple = id uvarint | point | prob f64       point = n × f64
 //	rep   = tuple | localProb f64               n × x = n uvarint, then n of x
@@ -282,6 +283,7 @@ func (w *wire) request(q *msg.Request) {
 		}
 	}
 	w.bit(12, &q.Timed)
+	w.bit(13, &q.Refill)
 }
 
 func (w *wire) response(p *msg.Response) {

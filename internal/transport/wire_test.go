@@ -138,6 +138,11 @@ func sampleMessages() (reqs []msg.Request, resps []msg.Response) {
 			r.Kind = msg.KindEvaluate
 			r.Feed = msg.Feedback{Tuple: tu(4711), HomeLocalProb: 0.412}
 		}),
+		with(func(r *msg.Request) {
+			r.Kind = msg.KindEvaluate
+			r.Feed = msg.Feedback{Tuple: tu(4712), HomeLocalProb: 0.412}
+			r.Refill = true
+		}),
 		with(func(r *msg.Request) { r.Kind = msg.KindCandidates; r.Feed = msg.Feedback{Tuple: tu(12)} }),
 		with(func(r *msg.Request) {
 			r.Kind = msg.KindReplicate
@@ -158,6 +163,7 @@ func sampleMessages() (reqs []msg.Request, resps []msg.Response) {
 		{Rep: rep(2)},
 		{Exhausted: true},
 		{CrossProb: 0.731, Pruned: 1, SessionPruned: 17},
+		{CrossProb: 0.5, SessionPruned: 17, Rep: rep(13)}, // an evaluate's factor and its refill
 		{Tuples: []msg.Representative{rep(3), rep(4), rep(5)}},
 		{},
 		{Hopeless: true},
@@ -243,7 +249,7 @@ func TestWireHostileCounts(t *testing.T) {
 		"remove ids":     request(10, huge...),
 		"retired mask":   request(11),         // RemoveIDs before the renumbering
 		"retired mask 5": request(5, 1, 2, 1), // the trace context of generation 6
-		"unknown mask":   request(13),
+		"unknown mask":   request(14),
 	} {
 		var req msg.Request
 		if err := DecodeRequest(data, &req); !errors.Is(err, ErrWire) {
@@ -268,6 +274,31 @@ func TestWireHostileCounts(t *testing.T) {
 		}
 	}
 }
+
+// Refill rides request mask bit 13 alone: no payload byte, and nothing
+// else of the request moves.
+func TestWireRefillBit(t *testing.T) {
+	req := msg.Request{Kind: msg.KindEvaluate, Session: 7,
+		Feed: msg.Feedback{Tuple: uncertain.Tuple{ID: 3, Point: geom.Point{0.5}, Prob: 0.5}, HomeLocalProb: 0.25}}
+	plain := AppendRequest(nil, &req)
+	req.Refill = true
+	enc := AppendRequest(nil, &req)
+	if mask := binary.LittleEndian.Uint16(enc); mask != binary.LittleEndian.Uint16(plain)|1<<13 || !bytes.Equal(enc[2:], plain[2:]) {
+		t.Fatalf("refill encoded as %x, want %x with mask bit 13 set", enc, plain)
+	}
+	var got msg.Request
+	if err := DecodeRequest(enc, &got); err != nil || !reflect.DeepEqual(got, req) {
+		t.Fatalf("decoded %+v, %v; want %+v", got, err, req)
+	}
+	if err := DecodeRequest(plain, &got); err != nil || got.Refill {
+		t.Fatalf("a request without the bit decoded to refill=%v, %v", got.Refill, err)
+	}
+}
+
+// A generation-7 coordinator never asks for a refill inside an evaluate,
+// and a generation-7 site would refuse this build's as an unknown bit.
+// Neither side of a connection accepts its hello.
+func TestWireRefusesGenerationSeven(t *testing.T) { refusesGeneration(t, 7) }
 
 // A generation-4 peer would read a batched Evaluate as one empty feedback
 // tuple and answer a factor of 1.0 — every candidate promoted. Neither side
