@@ -18,13 +18,17 @@ vet:
 
 # internal/round is the paper's algorithm and nothing else: it must not
 # come to depend, even transitively, on the observability tree, the codec,
-# slog, pprof or net/http (so it cannot import internal/transport either).
-# It speaks internal/msg, the protocol's messages, which is a leaf: of this
-# repository's packages it may depend on geom and uncertain alone, and on
-# none of the above.
+# slog, pprof or net/http (so it cannot import internal/transport either),
+# and of this repository's packages it may depend on geom, uncertain, msg,
+# prtree (the Baseline's central solve) and serve (the maintained answer
+# an update reads) alone. It speaks internal/msg, the protocol's messages,
+# which is a leaf: of this repository's packages it may depend on geom and
+# uncertain alone, and on none of the above.
 boundary:
 	@if $(GO) list -deps ./internal/round | grep -E 'repro/internal/obs|repro/internal/codec|log/slog|runtime/pprof|net/http'; then \
 	  echo "internal/round depends on the packages above; observers belong in internal/core" >&2; exit 1; fi
+	@if $(GO) list -deps ./internal/round | grep -E '^repro/' | grep -vxE 'repro/internal/(round|geom|uncertain|msg|prtree|serve)'; then \
+	  echo "internal/round depends on the packages above; it may use geom, uncertain, msg, prtree and serve alone" >&2; exit 1; fi
 	@if $(GO) list -deps ./internal/msg | grep -E '^repro/|log/slog|runtime/pprof|net/http' | grep -vxE 'repro/internal/(msg|geom|uncertain)'; then \
 	  echo "internal/msg depends on the packages above; the message types are a leaf over geom and uncertain" >&2; exit 1; fi
 
@@ -36,12 +40,13 @@ test:
 # request, response and error buffers from one fan-out's goroutines to the
 # next's; the detector is the check, so the seam tests that mix kinds, fail
 # mid-fan-out and replay recordings run ten times over, and so do the
-# maintainer's two-wave updates, its failed-update path, the one call
-# path metering, timing and recording a fan-out's concurrent calls, and
-# the deferred refills an e-DSUD round admits from a broadcast's replies.
+# two-wave updates (through the maintainer and through the update engine
+# alone), the failed-update path, the one call path metering, timing and
+# recording a fan-out's concurrent calls, and the deferred refills an
+# e-DSUD round admits from a broadcast's replies.
 race:
 	$(GO) test -race ./internal/codec ./internal/obs/... ./internal/transport ./internal/round ./internal/core ./internal/serve ./internal/stream ./internal/site ./internal/audit ./internal/experiments
-	$(GO) test -race -count=10 -run 'Fanout|MaxResultsShips|ParentTranscripts|TopKReExpunge|UpdateWaves|FailedUpdate|OneCallPath|DeferredRefill|SiteRestart|ReplayClientComparesRefill' ./internal/round ./internal/core
+	$(GO) test -race -count=10 -run 'Fanout|MaxResultsShips|ParentTranscripts|TopKReExpunge|UpdateWaves|UpdateEngineOracleSweep|FailedUpdate|OneCallPath|DeferredRefill|SiteRestart|ReplayClientComparesRefill' ./internal/round ./internal/core
 
 # Full benchmark sweep (several minutes). Writes bench_output.txt.
 bench:

@@ -190,8 +190,7 @@ func (c *Cluster) countQuery(a Algorithm) {
 // its trace, whose context is stamped on every outgoing RPC, and its
 // transcript recorder. Each is nil when nobody reads it. It is the round
 // engine's Sites: session and query are what it binds to the engine's
-// requests (a maintainer's view has no session and fills its fan-outs
-// itself, under its query).
+// requests (a maintainer's view has no session, and binds its query).
 type view struct {
 	cluster *Cluster
 	meter   *transport.Meter
@@ -393,7 +392,7 @@ func (v *view) issue(ctx context.Context) ([]*msg.Response, error) {
 	return v.resps, cause
 }
 
-// send issues req to one site alone, or to every site when site is negative.
+// send issues req, unbound, to one site, or to all when site is negative.
 func (v *view) send(ctx context.Context, site int, req msg.Request) ([]*msg.Response, error) {
 	for i := range v.wire {
 		v.wire[i] = msg.Request{}
@@ -404,24 +403,37 @@ func (v *view) send(ctx context.Context, site int, req msg.Request) ([]*msg.Resp
 	return v.issue(ctx)
 }
 
-// Len and Fanout make the view the round engine's Sites. The engine fills
-// each slot's Kind and an evaluate's Feed and Refill; the view binds its
-// session to every filled slot but a ship-all, and its query to an init,
-// and the replies go back to the engine as they came.
+// Len and Fanout make the view the round engine's Sites: bind fills in
+// what the engine leaves to it, and the replies go back as they came.
 func (v *view) Len() int { return len(v.cluster.clients) }
 
 func (v *view) Fanout(ctx context.Context, reqs []msg.Request) ([]*msg.Response, error) {
 	for i, r := range reqs {
-		switch r.Kind {
-		case msg.KindInit:
-			r.Query = v.query
-			fallthrough
-		case msg.KindNext, msg.KindEvaluate:
-			r.Session = v.session
-		}
-		v.wire[i] = r
+		v.wire[i] = v.bind(r)
 	}
 	return v.issue(ctx)
+}
+
+// bind is the one place a request gets its session and query. A query's
+// view binds its session to an init, next, evaluate and end-query, and its
+// query to the init; a maintainer's has no session, and binds its query to
+// an insert, delete, candidates and (batched) evaluate.
+func (v *view) bind(r msg.Request) msg.Request {
+	switch r.Kind {
+	case msg.KindInit:
+		r.Session, r.Query = v.session, v.query
+	case msg.KindNext, msg.KindEndQuery:
+		r.Session = v.session
+	case msg.KindEvaluate:
+		if v.session != 0 {
+			r.Session = v.session
+		} else {
+			r.Query = v.query
+		}
+	case msg.KindInsert, msg.KindDelete, msg.KindCandidates:
+		r.Query = v.query
+	}
+	return r
 }
 
 // endSession releases the per-site session state when the query ends,
@@ -430,5 +442,5 @@ func (v *view) Fanout(ctx context.Context, reqs []msg.Request) ([]*msg.Response,
 func (v *view) endSession() {
 	cleanup, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	v.send(cleanup, -1, msg.Request{Kind: msg.KindEndQuery, Session: v.session})
+	v.send(cleanup, -1, v.bind(msg.Request{Kind: msg.KindEndQuery}))
 }

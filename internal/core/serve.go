@@ -95,9 +95,6 @@ func (c *Cluster) Serve(ctx context.Context, cfg ServeConfig) (*Server, error) {
 		return nil, ErrNilContext
 	}
 	mopts := Options{Threshold: cfg.Floor, Dims: cfg.Dims, Algorithm: cfg.Algorithm}.withDefaults()
-	if mopts.Algorithm == Baseline {
-		return nil, fmt.Errorf("%w: serving requires a DSUD-family algorithm, not %v", ErrAlgorithm, Baseline)
-	}
 	if err := mopts.Validate(c.dims); err != nil {
 		return nil, fmt.Errorf("core: serve config: %w", err)
 	}

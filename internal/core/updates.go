@@ -6,26 +6,17 @@ import (
 	"time"
 
 	"repro/internal/msg"
+	"repro/internal/round"
 	"repro/internal/serve"
 	"repro/internal/uncertain"
 )
 
 // Maintainer keeps the global skyline answer current while tuples are
-// inserted into and deleted from the local sites (§5.4). Two strategies
-// are provided:
-//
-//   - Incremental (the Insert/Delete methods): exploit the algebraic
-//     structure of eq. 5 — an update to tuple u only rescales the global
-//     probabilities of tuples u dominates — so each update touches the
-//     answer set directly and costs at most two fan-outs (plus a replica
-//     sync). This follows the paper's replica-of-SKY(H) design, with one
-//     soundness fix: the paper skips re-qualification when a deleted tuple
-//     was not itself in SKY(H), but deleting any high-probability
-//     dominator can promote tuples into the skyline, so we always run the
-//     promotion check (documented in DESIGN.md).
-//
-//   - Naive (the Refresh method): re-run the whole distributed query from
-//     scratch, the paper's strawman.
+// inserted into and deleted from the local sites (§5.4), by one of two
+// strategies: incremental (Insert/Delete: the round engine's update
+// protocol, which exploits that an update to tuple u only rescales the
+// global probabilities of tuples u dominates under eq. 5) or naive
+// (Refresh: re-run the whole query, the paper's strawman).
 //
 // Maintainer is not safe for concurrent use; updates are a totally ordered
 // stream, as in the paper. Its answer is one serve.Store at its threshold,
@@ -61,21 +52,17 @@ func NewMaintainer(ctx context.Context, c *Cluster, opts Options) (*Maintainer, 
 }
 
 // EnableReplicas pushes a copy of SKY(H) to every site and keeps it in
-// sync through subsequent updates (§5.4: "we duplicate SKY(H) at all
-// local sites"). Sites use the replica to veto the evaluation broadcast
-// for inserts that provably cannot qualify globally — a strictly stronger
-// filter than the local-probability check alone. The initial push costs
-// m × |SKY(H)| tuples and each answer change costs one small broadcast;
-// the saving is one m−1 broadcast per vetoed insert.
+// sync through subsequent updates (round.Replicate). Sites use it to veto
+// the evaluation of an insert that provably cannot qualify. The push costs
+// m × |SKY(H)| tuples, each answer change one small broadcast, and a veto
+// saves an m−1 broadcast.
 func (m *Maintainer) EnableReplicas(ctx context.Context) error {
 	entries := m.store.Entries()
 	adds := make([]msg.Representative, len(entries))
 	for i, e := range entries {
 		adds[i] = msg.Representative{Tuple: e.Member.Tuple, LocalProb: e.Member.Prob}
 	}
-	if _, err := m.view.send(ctx, -1, msg.Request{
-		Kind: msg.KindReplicate, Tuples: adds,
-	}); err != nil {
+	if err := round.Replicate(ctx, m.view, adds, nil); err != nil {
 		return err
 	}
 	m.replicated = true
@@ -92,163 +79,43 @@ func (m *Maintainer) Skyline() []uncertain.SkylineMember {
 	return members
 }
 
-// Insert adds tu at site home and updates the answer incrementally:
-//
-//  1. the home site computes tu's fresh local skyline probability;
-//  2. if that local bound reaches q, the coordinator broadcasts tu for its
-//     exact global probability (Lemma 1) and admits it when >= q;
-//  3. every current member dominated by tu is rescaled by (1 − P(tu)) and
-//     evicted if it falls below q. Non-members dominated by tu only lose
-//     probability, so no other tuple's membership can change — the update
-//     is exact.
+// Insert adds tu at site home and updates the answer incrementally, in
+// round.Insert's at most two fan-outs (plus a replica sync).
 func (m *Maintainer) Insert(ctx context.Context, home int, tu uncertain.Tuple) (err error) {
 	defer m.instr.begin(opInsert)(&err)
-	if err := m.prepare(ctx, home); err != nil {
-		return err
-	}
-	defer m.invalidateOnError(&err)
-	resps, err := m.view.send(ctx, home, msg.Request{
-		Kind: msg.KindInsert, Tuple: tu, Query: m.view.query,
-	})
-	if err != nil {
-		return err
-	}
-	var upserts []serve.Entry
-	var removed []uncertain.TupleID
-	if local := resps[home].Rep.LocalProb; local >= m.opts.Threshold && !resps[home].Hopeless {
-		global, err := m.evaluate(ctx, []candidate{{home, msg.Representative{Tuple: tu, LocalProb: local}}})
-		if err != nil {
-			return err
-		}
-		if global[0] >= m.opts.Threshold {
-			upserts = append(upserts, serve.Entry{Member: uncertain.SkylineMember{Tuple: tu.Clone(), Prob: global[0]}, Site: home})
-		}
-	}
-	rescored := 0
-	for _, e := range m.store.Entries() {
-		if e.Member.Tuple.ID != tu.ID && tu.Dominates(e.Member.Tuple, m.opts.Dims) {
-			rescored++
-			if e.Member.Prob *= 1 - tu.Prob; e.Member.Prob < m.opts.Threshold {
-				removed = append(removed, e.Member.Tuple.ID)
-			} else {
-				upserts = append(upserts, e)
-			}
-		}
-	}
-	return m.commit(ctx, upserts, removed, rescored)
+	return m.apply(ctx, round.Insert, home, tu)
 }
 
-// Delete removes tu (which must currently live at site home) and updates
-// the answer incrementally:
-//
-//  1. the home site drops the tuple from its index;
-//  2. tu itself leaves the answer if present;
-//  3. every member tu dominated is rescaled by 1/(1 − P(tu)) — their
-//     probability only grew, so they all stay qualified;
-//  4. non-members tu dominated may now qualify: each site reports the
-//     formerly dominated tuples whose fresh local probability reaches q —
-//     in the fan-out of step 1, the home site after applying it — and the
-//     coordinator evaluates all of those candidates exactly in a second.
+// Delete removes tu, which must live at site home, and updates the answer
+// incrementally, in round.Delete's at most two fan-outs (plus a replica
+// sync).
 func (m *Maintainer) Delete(ctx context.Context, home int, tu uncertain.Tuple) (err error) {
 	defer m.instr.begin(opDelete)(&err)
-	if err := m.prepare(ctx, home); err != nil {
-		return err
-	}
-	defer m.invalidateOnError(&err)
-	v := m.view
-	for j := range v.wire {
-		v.wire[j] = msg.Request{Kind: msg.KindCandidates, Feed: msg.Feedback{Tuple: tu}, Query: v.query}
-	}
-	v.wire[home] = msg.Request{Kind: msg.KindDelete, ID: tu.ID, Point: tu.Point, Query: v.query}
-	resps, err := v.issue(ctx)
-	if err != nil {
-		return err
-	}
-	var cands []candidate
-	for j, resp := range resps {
-		for _, rep := range resp.Tuples {
-			if !m.store.Has(rep.Tuple.ID) {
-				cands = append(cands, candidate{j, rep})
-			}
-		}
-	}
-	var upserts []serve.Entry
-	var removed []uncertain.TupleID
-	rescored := 0
-	for _, e := range m.store.Entries() {
-		if e.Member.Tuple.ID == tu.ID {
-			removed = append(removed, tu.ID)
-		} else if tu.Prob < 1 && tu.Dominates(e.Member.Tuple, m.opts.Dims) {
-			rescored++
-			// Numerical guard: a probability can never exceed the tuple's
-			// own existential probability.
-			e.Member.Prob = min(e.Member.Prob/(1-tu.Prob), e.Member.Tuple.Prob)
-			upserts = append(upserts, e)
-		}
-	}
-	global, err := m.evaluate(ctx, cands)
-	if err != nil {
-		return err
-	}
-	for k, c := range cands {
-		if global[k] >= m.opts.Threshold {
-			upserts = append(upserts, serve.Entry{Member: uncertain.SkylineMember{Tuple: c.rep.Tuple.Clone(), Prob: global[k]}, Site: c.site})
-		}
-	}
-	return m.commit(ctx, upserts, removed, rescored)
+	return m.apply(ctx, round.Delete, home, tu)
 }
 
-// prepare opens an incremental update at site home, Refreshing first if
-// the store is invalid: a failed update, or Server.Invalidate after an
-// out-of-band change, left it behind the sites.
-func (m *Maintainer) prepare(ctx context.Context, home int) error {
+// apply runs one incremental update at site home and installs what it
+// does to the answer in one Apply, Refreshing first if the store is
+// invalid (a failed update, ApplyNaive or Server.Invalidate left it behind
+// the sites). A failed update invalidates the store: a site may already
+// have applied it, so the answer is not to be trusted until a Refresh.
+func (m *Maintainer) apply(ctx context.Context, update func(context.Context, round.Sites, round.Options, *serve.Store, int, uncertain.Tuple) (round.Update, error), home int, tu uncertain.Tuple) error {
 	if home < 0 || home >= m.cluster.Sites() {
 		return fmt.Errorf("core: site %d out of range", home)
 	}
 	if !m.store.Valid() {
-		return m.Refresh(ctx)
-	}
-	return nil
-}
-
-// invalidateOnError invalidates the store when an update that prepare
-// opened fails: a site may already have applied it, so the answer is not
-// to be trusted — by readers or by the next update — until a Refresh.
-func (m *Maintainer) invalidateOnError(err *error) {
-	if *err != nil {
-		m.store.Invalidate()
-	}
-}
-
-// commit installs an update once every wave of it has succeeded: the
-// replicas first (one small broadcast of what it adds and removes), then
-// the store, in one Apply.
-func (m *Maintainer) commit(ctx context.Context, upserts []serve.Entry, removed []uncertain.TupleID, rescored int) error {
-	var adds []msg.Representative
-	for _, u := range upserts {
-		if !m.store.Has(u.Member.Tuple.ID) {
-			adds = append(adds, msg.Representative{Tuple: u.Member.Tuple})
+		if err := m.Refresh(ctx); err != nil {
+			return err
 		}
 	}
-	if err := m.replicate(ctx, adds, removed); err != nil {
+	upd, err := update(ctx, m.view, round.Options{Threshold: m.opts.Threshold, Dims: m.opts.Dims, Replicas: m.replicated}, m.store, home, tu)
+	if err != nil {
+		m.store.Invalidate()
 		return err
 	}
-	m.store.Apply(upserts, removed)
-	m.instr.addRescored(rescored)
-	m.instr.addAffected(len(adds) + len(removed))
+	m.store.Apply(upd.Upserts, upd.Removed)
+	m.instr.count(upd)
 	return nil
-}
-
-// replicate sends the sites' replicas one change (nothing when replicas
-// are off or the change is empty).
-func (m *Maintainer) replicate(ctx context.Context, adds []msg.Representative, removed []uncertain.TupleID) error {
-	if !m.replicated || len(adds)+len(removed) == 0 {
-		return nil
-	}
-	_, err := m.view.send(ctx, -1, msg.Request{
-		Kind: msg.KindReplicate, Tuples: adds, RemoveIDs: removed,
-	})
-	return err
 }
 
 // Refresh is the naive maintenance strategy: re-run the entire distributed
@@ -269,73 +136,29 @@ func (m *Maintainer) Refresh(ctx context.Context) error {
 	for _, e := range m.store.Entries() {
 		removed = append(removed, e.Member.Tuple.ID)
 	}
-	if err := m.replicate(ctx, adds, removed); err != nil {
-		return err
+	if m.replicated && len(adds)+len(removed) > 0 {
+		if err := round.Replicate(ctx, m.view, adds, removed); err != nil {
+			return err
+		}
 	}
 	m.store.Replace(entries, time.Now())
 	return nil
 }
 
-// candidate is a tuple an update may admit: its home site and its local
-// skyline probability there.
-type candidate struct {
-	site int
-	rep  msg.Representative
-}
-
-// evaluate is Lemma 1 for every candidate at once, in one fan-out: site j
-// is sent one batched Evaluate of the candidates whose home is not j (none:
-// nothing is sent), and each global probability folds local × Π_{j≠home}
-// of the factors in ascending site order, exactly as the round engine
-// folds one broadcast — the same numbers, bit for bit.
-func (m *Maintainer) evaluate(ctx context.Context, cands []candidate) ([]float64, error) {
-	v := m.view
-	for j := range v.wire {
-		v.wire[j] = msg.Request{}
-		for _, c := range cands {
-			if c.site != j {
-				v.wire[j].Tuples = append(v.wire[j].Tuples, c.rep)
-			}
-		}
-		if len(v.wire[j].Tuples) > 0 {
-			v.wire[j].Kind, v.wire[j].Query = msg.KindEvaluate, v.query
-		}
-	}
-	resps, err := v.issue(ctx)
-	if err != nil {
-		return nil, err
-	}
-	for j, resp := range resps {
-		if resp != nil && len(resp.CrossProbs) != len(v.wire[j].Tuples) {
-			return nil, fmt.Errorf("core: site %d evaluate: %d factors for %d candidates", j, len(resp.CrossProbs), len(v.wire[j].Tuples))
-		}
-	}
-	global, next := make([]float64, len(cands)), make([]int, len(resps))
-	for k, c := range cands {
-		global[k] = c.rep.LocalProb
-		for j, resp := range resps {
-			if j != c.site {
-				global[k] *= resp.CrossProbs[next[j]]
-				next[j]++
-			}
-		}
-	}
-	return global, nil
-}
-
 // ApplyNaive applies an update without incremental maintenance: the site
-// mutates its partition and the caller is expected to Refresh. It exists
-// so benchmarks charge the naive strategy the same site-update cost. Do
-// not interleave ApplyNaive with the incremental Insert/Delete while
-// replicas are enabled without an intervening Refresh — the replicas only
-// stay exact when every change flows through one of the two paths.
+// mutates its partition and the store is invalidated, so the caller is
+// expected to Refresh — and the next incremental update Refreshes first
+// if it does not. It exists so benchmarks charge the naive strategy the
+// same site-update cost.
 func (m *Maintainer) ApplyNaive(ctx context.Context, home int, insert bool, tu uncertain.Tuple) error {
 	if home < 0 || home >= m.cluster.Sites() {
 		return fmt.Errorf("core: site %d out of range", home)
 	}
+	m.store.Invalidate()
+	// A delete naming no query asks the site for no promotion candidates.
 	req := msg.Request{Kind: msg.KindDelete, ID: tu.ID, Point: tu.Point}
 	if insert {
-		req = msg.Request{Kind: msg.KindInsert, Tuple: tu, Query: m.view.query}
+		req = m.view.bind(msg.Request{Kind: msg.KindInsert, Tuple: tu})
 	}
 	_, err := m.view.send(ctx, home, req)
 	return err

@@ -2,8 +2,8 @@ package core
 
 // Instrumentation for the §5.4 incremental update path: counters for
 // applied updates, answer-member re-scorings and membership changes, a
-// rotating latency window for /statusz and /metrics, and pprof op
-// labels so profile samples attribute to insert vs delete maintenance.
+// rotating latency window, and pprof op labels so profile samples
+// attribute to insert vs delete maintenance.
 
 import (
 	"context"
@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/round"
 )
 
 const (
@@ -34,19 +35,16 @@ type maintInstr struct {
 	// labels are pre-built pprof-labelled contexts per op, applied only
 	// while obs.Profiling() is on.
 	labels [numOps]context.Context
-	base   context.Context
 }
 
-// instr returns the maintainer's instrumentation, creating an empty one
-// on first use (so Instrument and SetLatencyWindow compose in any order).
+// instrLazy returns the maintainer's instrumentation, creating it on
+// first use (so Instrument and SetLatencyWindow compose in any order).
 func (m *Maintainer) instrLazy() *maintInstr {
 	if m.instr == nil {
-		base := context.Background()
-		in := &maintInstr{base: base}
-		for op := 0; op < numOps; op++ {
-			in.labels[op] = pprof.WithLabels(base, pprof.Labels("op", "maintain-"+opNames[op]))
+		m.instr = &maintInstr{}
+		for op := range numOps {
+			m.instr.labels[op] = pprof.WithLabels(context.Background(), pprof.Labels("op", "maintain-"+opNames[op]))
 		}
-		m.instr = in
 	}
 	return m.instr
 }
@@ -79,15 +77,6 @@ func (m *Maintainer) SetLatencyWindow(w *obs.Window) {
 	m.instrLazy().window = w
 }
 
-// LatencyWindow returns the window attached with SetLatencyWindow (nil
-// when none), so harnesses can surface update quantiles in /statusz.
-func (m *Maintainer) LatencyWindow() *obs.Window {
-	if m.instr == nil {
-		return nil
-	}
-	return m.instr.window
-}
-
 func noopFin(*error) {}
 
 // begin opens one update span: pprof op labels while profiling, and a
@@ -111,25 +100,17 @@ func (in *maintInstr) begin(op int) func(*error) {
 			in.applied[op].Add(1)
 		}
 		if obs.Profiling() {
-			pprof.SetGoroutineLabels(in.base)
+			pprof.SetGoroutineLabels(context.Background())
 		}
 	}
 }
 
-// addRescored counts answer members whose probability was rescaled by an
-// update (the eq. 5 factor adjustments).
-func (in *maintInstr) addRescored(n int) {
-	if in == nil || in.rescored == nil || n == 0 {
+// count tallies an applied update's rescored members (its eq. 5 factor
+// adjustments) and its membership changes (admissions and evictions).
+func (in *maintInstr) count(upd round.Update) {
+	if in == nil {
 		return
 	}
-	in.rescored.Add(int64(n))
-}
-
-// addAffected counts answer membership changes: admissions, evictions
-// and promotions.
-func (in *maintInstr) addAffected(n int) {
-	if in == nil || in.affected == nil || n == 0 {
-		return
-	}
-	in.affected.Add(int64(n))
+	in.rescored.Add(int64(upd.Rescored))
+	in.affected.Add(int64(upd.Changed))
 }

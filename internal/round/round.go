@@ -1,14 +1,15 @@
 // Package round is the paper's §5 in code: the coordinator side of the
-// shipping Baseline (§3.2), DSUD (§5.1) and e-DSUD (§5.2) as one
-// deterministic engine. Sites go in behind a two-method interface that
-// speaks the protocol's own messages (internal/msg), the options that
-// change the algorithm go in beside them, every step the algorithm takes
-// comes out through one synchronous callback, and the Outcome is a pure
-// function of the sites' replies. The engine keeps no
-// clock, no log and no metric: whatever watches a query — timing,
-// profiling labels, delivery curves, the progressive result stream —
-// subscribes to the step stream from internal/core, and make check fails
-// if this package comes to depend on the observability tree.
+// shipping Baseline (§3.2), DSUD (§5.1), e-DSUD (§5.2) and the §5.4
+// update maintenance as one deterministic engine. Sites go in behind a
+// two-method interface that speaks the protocol's own messages
+// (internal/msg), the options that change the algorithm go in beside
+// them, every step a query takes comes out through one synchronous
+// callback, and the Outcome (an update's Update) is a pure function of
+// the sites' replies. The engine keeps no clock, no log and no metric:
+// whatever watches a query — timing, profiling labels, delivery curves,
+// the progressive result stream — subscribes to the step stream from
+// internal/core, and make check fails if this package comes to depend on
+// the observability tree.
 package round
 
 import (
@@ -21,8 +22,8 @@ import (
 
 // Sites is the engine's whole view of the cluster. The engine speaks the
 // protocol's own messages but fills only what the algorithm decides: each
-// slot's Kind (init, next, evaluate or ship-all) and an evaluate's Feed
-// and Refill.
+// slot's Kind, an evaluate's Feed and Refill or its batch of Tuples, and
+// an update's tuple, deletion or replica change.
 // Implementations bind the query's session, threshold and subspace to the
 // messages.
 type Sites interface {
@@ -58,6 +59,9 @@ type Options struct {
 	// best confirmed probability.
 	MaxResults int
 	TopK       int
+	// Replicas says the sites hold replicas of a maintained answer, which
+	// Insert and Delete keep in sync (§5.4).
+	Replicas bool
 }
 
 // SiteTally is one site's slice of a run's cost.
@@ -90,32 +94,43 @@ type Outcome struct {
 }
 
 // fold is Lemma 1: the global skyline probability of a tuple is its
-// home-site local probability times every other site's eq. 9 factor, in
-// ascending site order. It also sums what the feedback pruned and copies
-// each site's running prune total into perSite.
-func fold(local float64, home int, evals []*msg.Response, perSite []SiteTally) (global float64, pruned int) {
-	global = local
-	for i, r := range evals {
-		if i == home {
-			continue
+// home-site local probability times every other site's eq. 9 factor,
+// factor(j), in ascending site order. Queries and updates both fold here.
+func fold(local float64, home, sites int, factor func(site int) float64) float64 {
+	global := local
+	for j := range sites {
+		if j != home {
+			global *= factor(j)
 		}
-		global *= r.CrossProb
-		pruned += r.Pruned
-		perSite[i].Pruned = int64(r.SessionPruned)
 	}
-	return global, pruned
+	return global
+}
+
+// waits is how a query or an update reaches the sites: the next
+// fan-out's slots, empty between waits.
+type waits struct {
+	sites Sites
+	reqs  []msg.Request
+}
+
+func newWaits(sites Sites) waits { return waits{sites, make([]msg.Request, sites.Len())} }
+
+// fanout is the one way to wait: it sends the filled slots and empties
+// them for the next wait.
+func (w *waits) fanout(ctx context.Context) ([]*msg.Response, error) {
+	resps, err := w.sites.Fanout(ctx, w.reqs)
+	clear(w.reqs)
+	return resps, err
 }
 
 // engine is the state of one run.
 type engine struct {
-	sites Sites
+	waits
 	opts  Options
 	on    func(Step)
 	out   *Outcome
 	open  []Phase  // phases begun and not yet ended, innermost last
 	queue []queued // each site's current representative
-
-	reqs []msg.Request // the next fan-out's slots, empty between waits
 	// victims is one expunge wave: candidates out of the queue whose sites
 	// owe a refill. Between a Feedback-Select phase and the broadcast it
 	// follows, it holds the wave whose refills ride that broadcast.
@@ -123,7 +138,7 @@ type engine struct {
 }
 
 func newEngine(sites Sites, opts Options, on func(Step)) *engine {
-	return &engine{sites: sites, opts: opts, on: on, reqs: make([]msg.Request, sites.Len()), out: &Outcome{
+	return &engine{waits: newWaits(sites), opts: opts, on: on, out: &Outcome{
 		Sites:   make(map[uncertain.TupleID]int),
 		PerSite: make([]SiteTally, sites.Len()),
 	}}
@@ -136,14 +151,6 @@ func ask(reqs []msg.Request, skip int, req msg.Request) {
 			reqs[i] = req
 		}
 	}
-}
-
-// fanout is the one way the engine waits: it sends the filled slots and
-// empties them for the next wait.
-func (e *engine) fanout(ctx context.Context) ([]*msg.Response, error) {
-	resps, err := e.sites.Fanout(ctx, e.reqs)
-	clear(e.reqs)
-	return resps, err
 }
 
 func (e *engine) step(s Step) {
@@ -296,7 +303,14 @@ func Run(ctx context.Context, sites Sites, opts Options, on func(Step)) (*Outcom
 		e.begin(PhaseLocalPruning)
 		e.out.FeedbackLocal = append(e.out.FeedbackLocal, head.rep.LocalProb)
 		e.event(Event{Kind: EventBroadcast, Site: head.site, Tuple: head.rep.Tuple, Prob: head.rep.LocalProb})
-		global, pruned := fold(head.rep.LocalProb, head.site, evals, e.out.PerSite)
+		global := fold(head.rep.LocalProb, head.site, len(evals), func(j int) float64 { return evals[j].CrossProb })
+		pruned := 0
+		for i, r := range evals {
+			if i != head.site {
+				pruned += r.Pruned
+				e.out.PerSite[i].Pruned = int64(r.SessionPruned)
+			}
+		}
 		if pruned > 0 {
 			e.event(Event{Kind: EventPrune, Site: -1, Count: pruned})
 		}

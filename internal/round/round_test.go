@@ -9,9 +9,11 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/msg"
+	"repro/internal/serve"
 	"repro/internal/site"
 	"repro/internal/uncertain"
 )
@@ -30,12 +32,14 @@ type fakeSite struct {
 // fan-out's slots and the home of every tuple it shipped, for checkFanouts,
 // and hands out one reply slice it overwrites each time, as the contract
 // allows. dims is the query's subspace (nil: the full space). With
-// engines set, the slots go to real site engines instead of sites.
+// engines set, the slots go to real site engines instead of sites, bound
+// as a query's view binds them or, with maint, as a maintainer's.
 type fakeSites struct {
 	q       float64
 	dims    []int
 	sites   []*fakeSite
 	engines []*site.Engine
+	maint   bool
 	fanouts [][]msg.Request
 	home    map[uncertain.TupleID]int
 	replies []*msg.Response
@@ -70,10 +74,17 @@ func (f *fakeSites) Fanout(_ context.Context, reqs []msg.Request) ([]*msg.Respon
 
 func (f *fakeSites) call(i int, req msg.Request) (*msg.Response, error) {
 	if f.engines != nil {
-		// The binding core's view does: one session, the query on Init.
-		req.Session = 1
-		if req.Kind == msg.KindInit {
-			req.Query = msg.Query{Threshold: f.q, Dims: f.dims}
+		// The binding core's view does: a query's one session, its query
+		// on Init; a maintainer's query on each update and evaluate.
+		query := msg.Query{Threshold: f.q, Dims: f.dims}
+		switch {
+		case f.maint && req.Kind != msg.KindReplicate:
+			req.Query = query
+		case f.maint:
+		case req.Kind == msg.KindInit:
+			req.Session, req.Query = 1, query
+		default:
+			req.Session = 1
 		}
 		return f.engines[i].Handle(context.Background(), &req)
 	}
@@ -860,5 +871,232 @@ func TestStepWithNilCallbackAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("unobserved steps allocate %.1f per round, want 0", allocs)
+	}
+}
+
+// churn is one configuration of the update sweep: real site engines
+// bound as a maintainer's view binds them, what each site holds, and the
+// answer the update engine maintains, applied as core's maintainer
+// applies it.
+type churn struct {
+	t      *testing.T
+	name   string
+	f      *fakeSites
+	opts   Options
+	parts  []uncertain.DB
+	answer *serve.Store
+}
+
+// newChurn opens a configuration whose answer starts as e-DSUD's, with
+// the replicas, when on, pushed the whole answer first.
+func newChurn(t *testing.T, name string, parts []uncertain.DB, opts Options) *churn {
+	t.Helper()
+	engines := make([]*site.Engine, len(parts))
+	mirror := make([]uncertain.DB, len(parts))
+	for i, part := range parts {
+		engines[i], mirror[i] = site.New(i, part.Clone(), 3, 0), part.Clone()
+	}
+	f := &fakeSites{q: opts.Threshold, dims: opts.Dims, engines: engines}
+	out, err := Run(context.Background(), f, Options{Threshold: opts.Threshold, Dims: opts.Dims, Enhanced: true}, nil)
+	if err != nil {
+		t.Fatalf("%s: initial query: %v", name, err)
+	}
+	c := &churn{t: t, name: name, f: f, opts: opts, parts: mirror, answer: serve.New(opts.Threshold)}
+	entries := make([]serve.Entry, len(out.Skyline))
+	adds := make([]msg.Representative, len(out.Skyline))
+	for i, m := range out.Skyline {
+		entries[i] = serve.Entry{Member: m, Site: out.Sites[m.Tuple.ID]}
+		adds[i] = msg.Representative{Tuple: m.Tuple, LocalProb: m.Prob}
+	}
+	c.answer.Replace(entries, time.Time{})
+	f.maint = true
+	if opts.Replicas {
+		if err := Replicate(context.Background(), f, adds, nil); err != nil {
+			t.Fatalf("%s: replicas: %v", name, err)
+		}
+	}
+	c.check("initial answer")
+	return c
+}
+
+// op applies one update through the engine, checks its fan-outs and the
+// answer after it, and returns its fan-outs.
+func (c *churn) op(insert bool, home int, tu uncertain.Tuple) (Update, [][]msg.Request) {
+	c.t.Helper()
+	before := len(c.f.fanouts)
+	update, what := Delete, fmt.Sprintf("delete %v at %d", tu, home)
+	if insert {
+		update, what = Insert, fmt.Sprintf("insert %v at %d", tu, home)
+		c.parts[home] = append(c.parts[home], tu)
+	} else {
+		c.parts[home] = slices.DeleteFunc(c.parts[home], func(x uncertain.Tuple) bool { return x.ID == tu.ID })
+	}
+	upd, err := update(context.Background(), c.f, c.opts, c.answer, home, tu)
+	if err != nil {
+		c.t.Fatalf("%s: %s: %v", c.name, what, err)
+	}
+	c.answer.Apply(upd.Upserts, upd.Removed)
+	c.checkShape(what, insert, home, upd, c.f.fanouts[before:])
+	c.check(what)
+	return upd, c.f.fanouts[before:]
+}
+
+// checkShape fails unless an update's fan-outs are its first wave — the
+// insert alone, or the delete beside every other site's candidates — then
+// at most one wave of batched evaluates, then exactly one replicate wave
+// when replicas are on and the membership changed, and none otherwise.
+// The engine binds no session or query itself.
+func (c *churn) checkShape(what string, insert bool, home int, upd Update, fanouts [][]msg.Request) {
+	c.t.Helper()
+	fail := func(format string, args ...any) {
+		c.t.Helper()
+		c.t.Fatalf("%s: %s: "+format+"; fan-outs %+v", append([]any{c.name, what}, append(args, fanouts)...)...)
+	}
+	replicate := c.opts.Replicas && upd.Changed > 0
+	if replicate {
+		if len(fanouts) == 0 {
+			fail("no replicate wave")
+		}
+		for _, r := range fanouts[len(fanouts)-1] {
+			if r.Kind != msg.KindReplicate {
+				fail("last wave is not a replicate to every site")
+			}
+		}
+		fanouts = fanouts[:len(fanouts)-1]
+	}
+	if len(fanouts) == 0 || len(fanouts) > 2 {
+		fail("%d waits before the replicas, want 1 or 2", len(fanouts))
+	}
+	for k, reqs := range fanouts {
+		for i, r := range reqs {
+			if r.Session != 0 || !reflect.DeepEqual(r.Query, msg.Query{}) {
+				fail("the engine bound %+v, which is the Sites' job", r)
+			}
+			want := msg.KindEvaluate
+			switch {
+			case k == 0 && i == home && insert:
+				want = msg.KindInsert
+			case k == 0 && i == home:
+				want = msg.KindDelete
+			case k == 0 && insert:
+				want = 0
+			case k == 0:
+				want = msg.KindCandidates
+			case len(r.Tuples) == 0:
+				want = 0
+			}
+			if r.Kind != want || (r.Kind == msg.KindEvaluate) != (len(r.Tuples) > 0) {
+				fail("wave %d sends site %d %v with %d tuples, want %v", k+1, i, r.Kind, len(r.Tuples), want)
+			}
+		}
+	}
+}
+
+// check fails unless the answer is the oracle's at 1e-12, every member
+// at its home.
+func (c *churn) check(what string) {
+	c.t.Helper()
+	entries := c.answer.Entries()
+	members := make([]uncertain.SkylineMember, len(entries))
+	for i, e := range entries {
+		members[i] = e.Member
+		if !slices.ContainsFunc(c.parts[e.Site], func(x uncertain.Tuple) bool { return x.ID == e.Member.Tuple.ID }) {
+			c.t.Fatalf("%s: after %s: member %v is not at its recorded home %d", c.name, what, e.Member, e.Site)
+		}
+	}
+	if want := uncertain.Union(c.parts).Skyline(c.opts.Threshold, c.opts.Dims); !uncertain.MembersEqual(members, want, 1e-12) {
+		c.t.Fatalf("%s: after %s: answer %v, oracle %v", c.name, what, members, want)
+	}
+}
+
+// The update engine against the oracle with no cluster: random
+// insert/delete scripts over real site engines, seeds 1–5, m ∈ {2, 3, 8},
+// q ∈ {0.2, 0.3, 0.5}, the full space and [0,2], replicas off and on.
+// After every op the answer is the oracle's and the op kept its shape
+// (checkShape): a delete or an insert is at most two waits, plus one
+// replicate wave when replicas are on. Each configuration ends with a
+// metamorphic relation: inserting a fresh dominant tuple and then
+// deleting it restores the answer's IDs exactly and its probabilities
+// within 1e-12. Whether they come back bit for bit — a division undoing a
+// product may land an ulp away — is the business of sound floating-point
+// bounds, not of this test.
+func TestUpdateEngineOracleSweep(t *testing.T) {
+	var evaluated, promoted, evicted, replicated, undone int
+	for _, replicas := range []bool{false, true} {
+		for seed := int64(1); seed <= 5; seed++ {
+			for _, m := range []int{2, 3, 8} {
+				parts := drawParts(seed, m, 15, 3)
+				nextID := uncertain.TupleID(m*15 + 1)
+				for _, q := range []float64{0.2, 0.3, 0.5} {
+					for _, dims := range [][]int{nil, {0, 2}} {
+						name := fmt.Sprintf("replicas=%v seed %d m=%d q=%v dims=%v", replicas, seed, m, q, dims)
+						c := newChurn(t, name, parts, Options{Threshold: q, Dims: dims, Replicas: replicas})
+						r := rand.New(rand.NewSource(seed))
+						fresh := func(scale, minProb float64) uncertain.Tuple {
+							p := geom.Point{scale * r.Float64(), scale * r.Float64(), scale * r.Float64()}
+							nextID++
+							return uncertain.Tuple{ID: nextID, Point: p, Prob: minProb + (1-minProb)*r.Float64()}
+						}
+						for op := 0; op < 24; op++ {
+							home := r.Intn(m)
+							var upd Update
+							var fanouts [][]msg.Request
+							if len(c.parts[home]) == 0 || r.Intn(2) == 0 {
+								scale := 1.0
+								if r.Intn(4) == 0 {
+									scale = 0.1 // near the origin: rescales and evicts members
+								}
+								tu := fresh(scale, 0.05)
+								if r.Intn(10) == 0 {
+									tu.Prob = 1
+								}
+								upd, fanouts = c.op(true, home, tu)
+								evicted += len(upd.Removed)
+							} else {
+								// Delete a member half the time: that is what promotes.
+								victim := c.parts[home][r.Intn(len(c.parts[home]))]
+								if entries := c.answer.Entries(); r.Intn(2) == 0 && len(entries) > 0 {
+									if e := entries[r.Intn(len(entries))]; e.Site == home {
+										victim = e.Member.Tuple
+									}
+								}
+								had := c.answer.Len()
+								upd, fanouts = c.op(false, home, victim)
+								promoted += c.answer.Len() - had + len(upd.Removed)
+							}
+							for _, reqs := range fanouts {
+								if reqs[0].Kind == msg.KindReplicate {
+									replicated++
+								}
+								if slices.ContainsFunc(reqs, func(req msg.Request) bool { return req.Kind == msg.KindEvaluate }) {
+									evaluated++
+								}
+							}
+						}
+						// Insert, then delete: the answer comes back.
+						before := c.answer.Entries()
+						home, u := r.Intn(m), fresh(0.1, 0.3)
+						if upd, _ := c.op(true, home, u); upd.Rescored > 0 {
+							undone++
+						}
+						c.op(false, home, u)
+						after := c.answer.Entries()
+						if len(after) != len(before) {
+							t.Fatalf("%s: insert then delete of %v: %d members, want the %d before", name, u, len(after), len(before))
+						}
+						for _, b := range before {
+							k := slices.IndexFunc(after, func(a serve.Entry) bool { return a.Member.Tuple.ID == b.Member.Tuple.ID })
+							if k < 0 || after[k].Site != b.Site || math.Abs(after[k].Member.Prob-b.Member.Prob) > 1e-12 {
+								t.Fatalf("%s: insert then delete of %v: member %v at %d did not come back (%d)", name, u, b.Member, b.Site, k)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if evaluated == 0 || promoted == 0 || evicted == 0 || replicated == 0 || undone == 0 {
+		t.Errorf("%d evaluate waves, %d promotions, %d evictions, %d replicate waves, %d relations that moved a member; the sweep must exercise each",
+			evaluated, promoted, evicted, replicated, undone)
 	}
 }

@@ -537,9 +537,11 @@ func (e *Engine) handleInsert(req *msg.Request) (*msg.Response, error) {
 	// Replica filter (§5.4): if the global skyline copy alone pushes the
 	// newcomer's best possible global probability below the threshold,
 	// tell the coordinator to skip the evaluation broadcast. Sound: every
-	// replica member is a real tuple of D.
+	// replica member is a real tuple of D. The bound starts from P(u), not
+	// from local: local already carries this site's dominators, and a
+	// replica member homed here would count twice.
 	if e.replica != nil && req.Query.Threshold > 0 {
-		bound := local
+		bound := req.Tuple.Prob
 		for _, r := range e.replica {
 			if r.ID != req.Tuple.ID && r.Dominates(req.Tuple, req.Query.Dims) {
 				bound *= 1 - r.Prob
