@@ -7,11 +7,13 @@
 //
 //	dsud-query -addrs 127.0.0.1:7101,127.0.0.1:7102 -dims 3 -q 0.3 -algo edsud
 //
-// With -cluster-status it instead probes every site's health once and
-// prints one row per site. With -watch it runs as a long-lived watching
-// coordinator: it polls every site's status once per -poll-interval, keeps
-// a short per-site history and serves it at /clusterz (and as a Prometheus
-// federation view) on -debug-addr — the endpoint dsud-top -cluster reads.
+// With -cluster-status it instead polls every site's status once and
+// prints the cluster watch's table, one row per site. With -watch it runs
+// as a long-lived watching coordinator: it polls every site's status once
+// per -poll-interval, keeps a short per-site history and serves it at
+// /clusterz (and as a Prometheus federation view) on -debug-addr — the
+// endpoint dsud-top -cluster reads. With -slo-p99 the watch also judges
+// each site's and the merged cluster's windowed p99 against that target.
 // With -audit-fraction the completed query is
 // re-checked against exact oracles at that sampling rate, and with
 // -flight-dir the coordinator's flight recorder is dumped on exit (and
@@ -54,9 +56,10 @@ func main() {
 		stats   = flag.Bool("stats", false, "print the per-phase timing table after the query")
 		explain = flag.Bool("explain", false, "render the per-query explain report after the query: per-site contribution and wait/service time, phase breakdown and the ASCII delivery timeline")
 
-		clusterStatus = flag.Bool("cluster-status", false, "probe every site's health over the wire, print a status table and exit")
+		clusterStatus = flag.Bool("cluster-status", false, "poll every site's status once over the wire, print the cluster table and exit (1 unless every site answered)")
 		watch         = flag.Bool("watch", false, "run as a watching coordinator: poll every site's status and serve /clusterz plus the cluster federation view on -debug-addr until interrupted (no query runs)")
 		pollInterval  = flag.Duration("poll-interval", time.Second, "status poll cadence in -watch mode; a site that misses one poll is stale")
+		sloP99        = flag.Duration("slo-p99", 0, "in -watch mode, the windowed p99 request latency each site and the merged cluster must stay under; a breach for 3 polls is sustained (0 = no objectives)")
 		auditFraction = flag.Float64("audit-fraction", 0, "fraction of completed queries re-checked against exact oracles (0 = off, 1 = every query)")
 		auditMC       = flag.Int("audit-mc-samples", 0, "Monte-Carlo possible worlds per audited query (0 = exact checks only)")
 		flightDir     = flag.String("flight-dir", "", "directory for flight-recorder dumps (slow queries, audit violations, exit)")
@@ -81,14 +84,14 @@ func main() {
 		if *debugAddr == "" {
 			fatalf("-watch needs -debug-addr to serve /clusterz")
 		}
-		if err := watchCluster(ctx, *addrs, *dims, *debugAddr, *pollInterval, *logLevel, *logFormat); err != nil {
+		if err := watchCluster(ctx, *addrs, *dims, *debugAddr, *pollInterval, *sloP99, *logLevel, *logFormat); err != nil {
 			fatalf("%v", err)
 		}
 		return
 	}
 
 	if *clusterStatus {
-		// Status probes don't need the data dimensionality; any positive
+		// Status polls don't need the data dimensionality; any positive
 		// value satisfies the cluster constructor.
 		d := *dims
 		if d <= 0 {
@@ -99,13 +102,13 @@ func main() {
 			fatalf("%v", err)
 		}
 		defer cluster.Close()
-		// Bounded, so a site that echoes the hello but never answers the
-		// probe is reported DOWN instead of hanging the command.
-		hctx, cancel := context.WithTimeout(ctx, statusTimeout)
-		healths := cluster.Health(hctx)
-		cancel()
-		healthy := dsq.WriteClusterStatus(os.Stdout, healths, time.Now())
-		if healthy < len(healths) {
+		// One watch sweep, bounded by its interval, so a site that echoes
+		// the hello but never answers reads STALE instead of hanging the
+		// command.
+		w := cluster.Watch(ctx, statusTimeout, 0)
+		w.Stop()
+		w.WriteText(os.Stdout)
+		if doc := w.Snapshot(false); doc.Fresh < doc.Sites {
 			os.Exit(1)
 		}
 		return
@@ -338,10 +341,10 @@ func finalSnapshot(fr *dsq.FlightRecorder, reg *dsq.Metrics, dir string) {
 const statusTimeout = 5 * time.Second
 
 // watchCluster is the -watch serve mode: the coordinator polls every
-// site's status once per interval and serves /clusterz (JSON and
-// ?format=text), the federation /metrics view and the usual debug
-// endpoints until ctx is cancelled.
-func watchCluster(ctx context.Context, addrs string, dims int, debugAddr string, interval time.Duration, logLevel, logFormat string) error {
+// site's status once per interval, judges the p99 objectives (p99 > 0),
+// and serves /clusterz (JSON and ?format=text), the federation /metrics
+// view and the usual debug endpoints until ctx is cancelled.
+func watchCluster(ctx context.Context, addrs string, dims int, debugAddr string, interval, p99 time.Duration, logLevel, logFormat string) error {
 	d := dims
 	if d <= 0 {
 		d = 1 // status polls never ship tuples; any positive dims satisfies the constructor
@@ -368,7 +371,7 @@ func watchCluster(ctx context.Context, addrs string, dims int, debugAddr string,
 		return err
 	}
 	defer cluster.Close()
-	w := cluster.Watch(ctx, interval)
+	w := cluster.Watch(ctx, interval, p99)
 	defer w.Stop()
 	w.Expose(reg)
 

@@ -6,12 +6,14 @@
 //
 //	dsud-site -data /tmp/parts/site-0.dsud -addr 127.0.0.1:7101 -id 0
 //
-// With -http the daemon serves /healthz, /statusz (alias /status) and
-// /debug/flightz on an ops address; with -debug-addr it additionally
-// serves /metrics (Prometheus), /vars (JSON) and /debug/pprof/ there. On
-// SIGINT/SIGTERM it stops accepting requests, drains in-flight queries
-// for -drain, and (with -flight-dir) writes a final flight-recorder dump
-// and metrics snapshot before exiting.
+// With -http the daemon serves /healthz, /statusz and /debug/flightz on
+// an ops address; with -debug-addr it additionally serves /metrics
+// (Prometheus), /vars (JSON) and /debug/pprof/ there. The site judges no
+// objectives: its status reports its latency window, and a watching
+// coordinator (dsud-query -watch -slo-p99) judges it. On SIGINT/SIGTERM it
+// stops accepting requests, drains in-flight queries for -drain, and (with
+// -flight-dir) writes a final flight-recorder dump and metrics snapshot
+// before exiting.
 package main
 
 import (
@@ -31,7 +33,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
-	"repro/internal/obs/slo"
 	"repro/internal/site"
 	"repro/internal/transport"
 )
@@ -50,8 +51,6 @@ func main() {
 		flightSize = flag.Int("flight-size", flight.DefaultSize, "flight-recorder ring capacity in query records")
 		drain      = flag.Duration("drain", 10*time.Second, "how long shutdown waits for in-flight requests before closing hard")
 		conc       = flag.Int("concurrency", transport.DefaultWorkerLimit, "max requests served concurrently per connection")
-		sloP99     = flag.Duration("slo-p99", 0, "SLO: windowed p99 request latency must stay under this; serves /slostatusz and dumps the flight recorder on sustained breach (0 = off)")
-		sloEvery   = flag.Duration("slo-interval", 10*time.Second, "SLO evaluation cadence (needs -slo-p99)")
 	)
 	flag.Parse()
 	if *data == "" {
@@ -132,43 +131,18 @@ func main() {
 		ctrs[i].frames.Inc()
 		ctrs[i].bytes.Add(int64(n))
 	})
-	// Surface mux worker-pool saturation in /statusz and the windowed
-	// request-latency quantiles (p50/p95/p99 over the last ~10-20s) in
-	// /metrics — the live feed dsud-top renders.
+	// Surface mux worker-pool saturation in the status a watching
+	// coordinator polls (and /statusz), and the windowed request-latency
+	// quantiles (p50/p95/p99 over the last ~10-20s) in /metrics.
 	eng.SetWorkerStats(srv.WorkerStats)
 	obs.ExposeWindow(reg, "dsud_site_request_window_seconds", eng.Window(), "site", fmt.Sprint(*id))
 	fmt.Printf("dsud-site %d serving %d tuples (%d dims) on %s\n", *id, len(part), dims, lis.Addr())
 
-	// Declarative site-level SLO over the windowed request latency:
-	// evaluated in the background, served at /slostatusz, and a sustained
-	// breach leaves a flight-recorder dump behind (with -flight-dir).
-	var mon *slo.Monitor
-	if *sloP99 > 0 {
-		mon = slo.New(slo.Latency("request_p99", eng.Window(), 0.99, *sloP99))
-		mon.Instrument(reg)
-		eng.SetSLOMonitor(mon) // status polls carry the cached SLO state
-		mon.OnSustainedBreach(func(name string) {
-			fmt.Fprintf(os.Stderr, "dsud-site %d: SLO %q in sustained breach\n", *id, name)
-			if *flightDir != "" {
-				if path, err := fr.Dump("slo-breach-" + name); err != nil {
-					fmt.Fprintf(os.Stderr, "dsud-site %d: flight dump: %v\n", *id, err)
-				} else {
-					fmt.Fprintf(os.Stderr, "dsud-site %d: flight dump -> %s\n", *id, path)
-				}
-			}
-		})
-		go mon.Run(context.Background(), *sloEvery)
-	}
-
 	if *httpAddr != "" {
 		mux := http.NewServeMux()
-		mux.Handle("/status", eng.StatusHandler()) // back-compat alias of /statusz
 		mux.Handle("/statusz", eng.StatusHandler())
 		mux.Handle("/healthz", healthzHandler())
 		mux.Handle("/debug/flightz", fr.Handler())
-		if mon != nil {
-			mux.Handle("/slostatusz", mon.Handler())
-		}
 		opsLis, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
 			fatalf("ops listen: %v", err)
@@ -178,15 +152,10 @@ func main() {
 	}
 
 	if *debugAddr != "" {
-		extra := map[string]http.Handler{
-			"/status":        eng.StatusHandler(), // back-compat alias of /statusz
+		mux := obs.DebugMux(reg, map[string]http.Handler{
 			"/statusz":       eng.StatusHandler(),
 			"/debug/flightz": fr.Handler(),
-		}
-		if mon != nil {
-			extra["/slostatusz"] = mon.Handler()
-		}
-		mux := obs.DebugMux(reg, extra)
+		})
 		dbgLis, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
 			fatalf("debug listen: %v", err)

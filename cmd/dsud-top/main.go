@@ -1,35 +1,28 @@
 // Command dsud-top is a live terminal dashboard for a running DSUD
-// cluster: it polls each site's /statusz ops endpoint (and optionally a
-// /slostatusz SLO page, e.g. dsud-loadgen's) and renders per-site
-// request rate, in-flight count, windowed p50/p95/p99 latency, mux
-// worker-pool saturation and SLO burn in place, top(1)-style.
+// cluster. It reads a watching coordinator's /clusterz document
+// (dsud-query -watch) and renders, top(1)-style, every site's row from the
+// coordinator's latest status poll of that site: request rate, in-flight
+// count, windowed p50/p99 latency, mux worker-pool saturation, poll age,
+// staleness marks and a sparkline of recent p99 history from the
+// coordinator's per-site ring, with a line for each objective the watch
+// judges breached (dsud-query -watch -slo-p99). When the same coordinator
+// also serves /debug/flightz (its per-query records, each with its
+// delivery curve), the frame gains a per-site DLVRD (skyline tuples
+// delivered) column and a progressiveness summary line (median TTFR,
+// median bandwidth AUC); a coordinator without it renders "-" there and
+// still passes -once.
 //
 // Usage:
 //
-//	dsud-top -sites http://127.0.0.1:9101,http://127.0.0.1:9102
-//	dsud-top -sites ... -slo http://127.0.0.1:9100 -interval 1s
-//	dsud-top -sites ... -once        # single frame, no clearing (CI)
 //	dsud-top -cluster http://127.0.0.1:9100
+//	dsud-top -cluster 127.0.0.1:9100 -interval 1s
+//	dsud-top -cluster 127.0.0.1:9100 -once   # single frame, no clearing (CI)
 //
-// With -cluster it reads a watching coordinator's single /clusterz
-// endpoint (dsud-query -watch) instead of scraping sites directly: every
-// row comes from the coordinator's latest status poll of that site,
-// annotated with poll age, staleness marks, and a sparkline of recent p99
-// history from the coordinator's per-site ring. When the same
-// coordinator also serves /debug/flightz (its per-query records, each
-// with its delivery curve), the frame gains a per-site DLVRD (skyline
-// tuples delivered) column and a progressiveness summary line (median
-// TTFR, median bandwidth AUC); a coordinator without it renders "-"
-// there and still passes -once.
+// The address may omit the scheme (host:port implies http://).
 //
-// Site addresses may omit the scheme (host:port implies http://). The
-// request rate prefers the site's own rotating-window rate (exact over
-// the last ~10-20s) and falls back to Δrequests/Δpoll for sites that
-// predate the windowed telemetry.
-//
-// Exit status: 0; with -once, 1 when any scrape failed (site, SLO page,
-// or coordinator) or any site in the cluster view is stale — a partial
-// frame must not pass a CI smoke.
+// Exit status: 0; with -once, 1 when the coordinator is unreachable or any
+// site in the cluster view is stale — a partial frame must not pass a CI
+// smoke.
 package main
 
 import (
@@ -44,8 +37,6 @@ import (
 	"time"
 
 	"repro/dsq"
-	"repro/internal/msg"
-	"repro/internal/obs/slo"
 )
 
 func main() {
@@ -54,36 +45,18 @@ func main() {
 
 func run() int {
 	var (
-		sitesFlag   = flag.String("sites", "", "comma-separated site /statusz base URLs (this or -cluster is required)")
-		clusterFlag = flag.String("cluster", "", "watching coordinator /clusterz base URL (a dsud-query -watch -debug-addr); replaces per-site scraping")
-		sloFlag     = flag.String("slo", "", "optional /slostatusz base URL (e.g. a dsud-loadgen -debug-addr)")
+		clusterFlag = flag.String("cluster", "", "watching coordinator /clusterz base URL, a dsud-query -watch -debug-addr (required)")
 		interval    = flag.Duration("interval", 2*time.Second, "poll and redraw cadence")
 		once        = flag.Bool("once", false, "render a single frame without clearing and exit (scripting/CI)")
 	)
 	flag.Parse()
-	if (*sitesFlag == "") == (*clusterFlag == "") {
+	if *clusterFlag == "" {
 		flag.Usage()
 		return 2
 	}
-	var sites []string
-	if *sitesFlag != "" {
-		for _, s := range strings.Split(*sitesFlag, ",") {
-			sites = append(sites, normalizeURL(strings.TrimSpace(s)))
-		}
-	}
-	sloURL := ""
-	if *sloFlag != "" {
-		sloURL = normalizeURL(strings.TrimSpace(*sloFlag))
-	}
-
 	top := &top{
-		client: &http.Client{Timeout: 2 * time.Second},
-		sites:  sites,
-		slo:    sloURL,
-		prev:   make(map[string]sample),
-	}
-	if *clusterFlag != "" {
-		top.cluster = normalizeURL(strings.TrimSpace(*clusterFlag))
+		client:  &http.Client{Timeout: 2 * time.Second},
+		cluster: normalizeURL(strings.TrimSpace(*clusterFlag)),
 	}
 
 	if *once {
@@ -110,81 +83,16 @@ func run() int {
 	}
 }
 
-// sample remembers one poll's counter so the next poll can fall back to
-// Δrequests/Δt for sites without windowed telemetry.
-type sample struct {
-	requests uint64
-	at       time.Time
-}
-
 type top struct {
 	client  *http.Client
-	sites   []string
-	cluster string // /clusterz base URL; when set, replaces direct scrapes
-	slo     string
-	prev    map[string]sample
+	cluster string // /clusterz base URL
 }
 
-// render draws one frame and returns how many scrapes failed (dead
-// sites, a failed SLO fetch, an unreachable coordinator, stale cluster
-// entries) — the -once exit signal.
+// render draws one frame from the coordinator's /clusterz document and
+// returns how many entries are bad (coordinator unreachable, or sites
+// stale) — the -once exit signal. A coordinator without /debug/flightz is
+// a soft miss: the DLVRD column degrades to "-" and -once still passes.
 func (t *top) render(w *os.File) int {
-	if t.cluster != "" {
-		return t.renderCluster(w)
-	}
-	now := time.Now()
-	fmt.Fprintf(w, "dsud-top  %s  %d site(s)\n\n", now.Format("15:04:05"), len(t.sites))
-	fmt.Fprintf(w, "%-28s %-7s %8s %8s %8s %8s %8s %8s %8s %6s\n",
-		"SITE", "STATE", "TUPLES", "INFLIGHT", "RPS", "P50MS", "P95MS", "P99MS", "WORKERS", "QUEUED")
-	down := 0
-	for _, url := range t.sites {
-		st, err := t.fetchStatus(url)
-		if err != nil {
-			fmt.Fprintf(w, "%-28s %-7s %v\n", trimURL(url), "DOWN", err)
-			down++
-			continue
-		}
-		rps := st.WindowRate
-		if rps == 0 {
-			// Pre-window site (or idle): derive from the monotone counter.
-			if p, ok := t.prev[url]; ok && now.After(p.at) && st.RequestsTotal >= p.requests {
-				rps = float64(st.RequestsTotal-p.requests) / now.Sub(p.at).Seconds()
-			}
-		}
-		t.prev[url] = sample{requests: st.RequestsTotal, at: now}
-		workers := "-"
-		if st.MuxWorkerLimit > 0 {
-			workers = fmt.Sprintf("%d/%d", st.MuxWorkersBusy, st.MuxWorkerLimit)
-		}
-		fmt.Fprintf(w, "%-28s %-7s %8d %8d %8.1f %8s %8s %8s %8s %6d\n",
-			trimURL(url), "UP", st.Tuples, st.InFlight, rps,
-			ms(st.LatencyP50Ms), ms(st.LatencyP95Ms), ms(st.LatencyP99Ms),
-			workers, st.MuxQueued)
-	}
-	if t.slo != "" {
-		fmt.Fprintln(w)
-		statuses, err := t.fetchSLO(t.slo)
-		switch {
-		case err != nil:
-			// A failed SLO scrape is a failed scrape: -once must not pass
-			// a CI smoke on a partial frame.
-			fmt.Fprintf(w, "slo %s: %v\n", trimURL(t.slo), err)
-			down++
-		case len(statuses) == 0:
-			fmt.Fprintf(w, "slo %s: no objectives configured\n", trimURL(t.slo))
-		default:
-			slo.WriteText(w, statuses)
-		}
-	}
-	return down
-}
-
-// renderCluster draws one frame from the coordinator's aggregated
-// /clusterz document — no direct site scrapes. Returns how many entries
-// are bad (coordinator unreachable, or sites stale). A coordinator
-// without /debug/flightz is a soft miss: the DLVRD column degrades to
-// "-" and -once still passes.
-func (t *top) renderCluster(w *os.File) int {
 	doc, err := t.fetchClusterz()
 	if err != nil {
 		fmt.Fprintf(w, "cluster %s: %v\n", trimURL(t.cluster), err)
@@ -214,11 +122,11 @@ func (t *top) renderCluster(w *os.File) int {
 			s.Site, state, s.AgeSeconds, s.Polls, st.Tuples, st.InFlight, st.WindowRate,
 			ms(st.LatencyP50Ms), ms(st.LatencyP99Ms),
 			st.MuxWorkersBusy, st.MuxQueued, qz.delivered(s.Site), spark(s.History, 32))
-		for _, o := range st.SLO {
-			if o.Breached {
-				fmt.Fprintf(w, "      slo %s BREACHED: current %.4g target %.4g burn %.2f\n",
-					o.Name, o.Current, o.Target, o.Burn)
-			}
+	}
+	for _, o := range doc.SLO {
+		if o.Breached {
+			fmt.Fprintf(w, "slo %s BREACHED x%d: current %.4g target %.4g burn %.2f\n",
+				o.Name, o.SustainedBreaches, o.Current, o.Target, o.Burn)
 		}
 	}
 	fmt.Fprintln(w)
@@ -367,42 +275,8 @@ func spark(pts []dsq.WatchPoint, width int) string {
 	return b.String()
 }
 
-func (t *top) fetchStatus(base string) (*msg.SiteStatus, error) {
-	resp, err := t.client.Get(base + "/statusz")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("http %d", resp.StatusCode)
-	}
-	var st msg.SiteStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
-func (t *top) fetchSLO(base string) ([]slo.Status, error) {
-	resp, err := t.client.Get(base + "/slostatusz")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("http %d", resp.StatusCode)
-	}
-	var page struct {
-		Objectives []slo.Status `json:"objectives"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
-		return nil, err
-	}
-	return page.Objectives, nil
-}
-
-// ms renders a windowed latency figure, "-" when the site has no
-// windowed telemetry (older build) or saw no traffic in the window.
+// ms renders a windowed latency figure, "-" when the site saw no traffic
+// in the window.
 func ms(v float64) string {
 	if v <= 0 {
 		return "-"
@@ -419,7 +293,7 @@ func normalizeURL(s string) string {
 	return strings.TrimRight(s, "/")
 }
 
-// trimURL shortens a base URL for the SITE column.
+// trimURL shortens a base URL for the frame's header.
 func trimURL(s string) string {
 	s = strings.TrimPrefix(s, "http://")
 	if len(s) > 28 {

@@ -153,13 +153,6 @@ func WriteExplain(w io.Writer, rep *Report, stats *QueryStats) error {
 // NewAuditor builds an online invariant auditor. reg may be nil.
 func NewAuditor(cfg AuditConfig, reg *Metrics) *Auditor { return audit.New(cfg, reg) }
 
-// WriteClusterStatus renders a Cluster.Health sweep as a table and
-// returns the number of healthy sites (the dsud-query -cluster-status
-// output).
-func WriteClusterStatus(w io.Writer, healths []SiteHealth, now time.Time) int {
-	return core.WriteClusterStatus(w, healths, now)
-}
-
 // Windowed latency telemetry and declarative SLOs.
 type (
 	// Window is a rotating log-bucketed latency histogram covering

@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
-	"time"
 
 	"repro/internal/msg"
 	"repro/internal/uncertain"
@@ -73,42 +71,4 @@ func (c *Cluster) Partitions(ctx context.Context) (uncertain.DB, map[uncertain.T
 		}
 	}
 	return union, homes, nil
-}
-
-// WriteClusterStatus renders a health sweep as the human-readable table
-// behind dsud-query -cluster-status and returns the number of healthy
-// sites. now anchors the staleness column (pass time.Now()).
-func WriteClusterStatus(w io.Writer, healths []SiteHealth, now time.Time) int {
-	healthy := 0
-	fmt.Fprintf(w, "%-5s %-9s %8s %6s %8s %8s %9s %7s %6s %8s %8s %10s %s\n",
-		"SITE", "STATE", "TUPLES", "TREE", "SESSIONS", "INFLIGHT", "REPLICA", "WORKERS", "QUEUED", "P99MS", "UPTIME", "REQUESTS", "LAST-UPDATE")
-	for _, h := range healths {
-		if !h.Healthy() {
-			fmt.Fprintf(w, "%-5d %-9s %s\n", h.Site, "DOWN", h.Err)
-			continue
-		}
-		healthy++
-		st := h.Status
-		lastUpdate := "never"
-		if st.LastUpdateUnixNano != 0 {
-			lastUpdate = now.Sub(time.Unix(0, st.LastUpdateUnixNano)).Round(time.Second).String() + " ago"
-		}
-		// Workers reads busy/limit; an in-process site has no worker pool
-		// and shows "-" rather than a misleading 0/0.
-		workers := "-"
-		if st.MuxWorkerLimit > 0 {
-			workers = fmt.Sprintf("%d/%d", st.MuxWorkersBusy, st.MuxWorkerLimit)
-		}
-		p99 := "-"
-		if st.LatencyP99Ms > 0 {
-			p99 = fmt.Sprintf("%.2f", st.LatencyP99Ms)
-		}
-		fmt.Fprintf(w, "%-5d %-9s %8d %6d %8d %8d %4d@v%-3d %7s %6d %8s %8s %10d %s\n",
-			h.Site, "HEALTHY", st.Tuples, st.TreeHeight, st.Sessions, st.InFlight,
-			st.ReplicaSize, st.ReplicaVersion, workers, st.MuxQueued, p99,
-			(time.Duration(st.UptimeSeconds * float64(time.Second))).Round(time.Second),
-			st.RequestsTotal, lastUpdate)
-	}
-	fmt.Fprintf(w, "%d/%d sites healthy\n", healthy, len(healths))
-	return healthy
 }

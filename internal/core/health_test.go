@@ -10,8 +10,8 @@ import (
 )
 
 // A health sweep over two live TCP sites must report both healthy, with
-// their tuple counts and replica versions, and render as the
-// -cluster-status table.
+// their tuple counts and replica versions, and a watch over them renders
+// the -cluster-status table.
 func TestClusterHealthTwoSitesTCP(t *testing.T) {
 	parts, _ := makeWorkload(t, 200, 2, 2, gen.Independent, 71)
 	addrs := startTCPSites(t, parts, 2)
@@ -51,22 +51,28 @@ func TestClusterHealthTwoSitesTCP(t *testing.T) {
 		t.Fatalf("tuple totals = %d, want 200", total)
 	}
 
-	var sb strings.Builder
-	if n := WriteClusterStatus(&sb, healths, time.Now()); n != 2 {
-		t.Fatalf("WriteClusterStatus healthy = %d, want 2", n)
-	}
-	out := sb.String()
-	for _, want := range []string{"SITE", "HEALTHY", "REPLICA", "2/2 sites healthy"} {
+	out := statusTable(cluster)
+	for _, want := range []string{"SITE", "FRESH", "TREE", "SESSIONS", "REPLICA", "WORKERS", "UPTIME", "REQUESTS", "LAST-UPDATE", "2/2 sites fresh"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table missing %q:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "DOWN") {
-		t.Fatalf("no site should be down:\n%s", out)
+	if strings.Contains(out, "STALE") {
+		t.Fatalf("no site should be stale:\n%s", out)
 	}
 }
 
-// A dead site must yield a DOWN row, not a failed sweep.
+// statusTable renders one bounded watch sweep the way dsud-query
+// -cluster-status does.
+func statusTable(c *Cluster) string {
+	w := c.Watch(context.Background(), 5*time.Second, 0)
+	w.Stop()
+	var sb strings.Builder
+	w.WriteText(&sb)
+	return sb.String()
+}
+
+// A dead site must yield a STALE row, not a failed sweep.
 func TestClusterHealthDeadSite(t *testing.T) {
 	parts, _ := makeWorkload(t, 100, 2, 2, gen.Independent, 72)
 	addrs := startTCPSites(t, parts, 2)
@@ -88,11 +94,7 @@ func TestClusterHealthDeadSite(t *testing.T) {
 		t.Fatal("site 1 should be down after its connection closed")
 	}
 
-	var sb strings.Builder
-	if n := WriteClusterStatus(&sb, healths, time.Now()); n != 1 {
-		t.Fatalf("healthy = %d, want 1", n)
-	}
-	if !strings.Contains(sb.String(), "DOWN") || !strings.Contains(sb.String(), "1/2 sites healthy") {
-		t.Fatalf("table should show the dead site:\n%s", sb.String())
+	if out := statusTable(cluster); !strings.Contains(out, "STALE") || !strings.Contains(out, "1/2 sites fresh") {
+		t.Fatalf("table should show the dead site:\n%s", out)
 	}
 }

@@ -4,7 +4,9 @@ package core
 // ring of each site's polls, served as /clusterz (JSON and text) and as
 // Prometheus federation gauges. A site is stale when its latest poll
 // failed. The coordinator starts every exchange, exactly as a query does,
-// so the watch covers in-process and TCP sites alike.
+// so the watch covers in-process and TCP sites alike. The sites only
+// report their latency windows; the watch judges the latency objectives
+// over them.
 
 import (
 	"context"
@@ -18,6 +20,7 @@ import (
 
 	"repro/internal/msg"
 	"repro/internal/obs"
+	"repro/internal/obs/slo"
 )
 
 // watchRetention is how many answered polls each site's ring keeps: two
@@ -30,9 +33,11 @@ type ClusterWatch struct {
 	interval time.Duration
 	stop     context.CancelFunc
 	done     chan struct{}
+	mon      *slo.Monitor // nil without objectives
 
 	mu    sync.Mutex
 	sites []watchedSite
+	slo   []slo.Status // mon's evaluation at the end of the latest sweep
 }
 
 // watchedSite is what the watch retains of one site.
@@ -65,13 +70,29 @@ type WatchPoint struct {
 // before Watch returns. Poll failures and recoveries are logged through
 // ClusterConfig.Logger. Watching a cluster twice is harmless: each watch
 // only reads.
-func (c *Cluster) Watch(ctx context.Context, interval time.Duration) *ClusterWatch {
+//
+// p99 > 0 sets the latency objectives the watch judges at the end of
+// every sweep: site<i>_request_p99 over each site's latest polled window
+// and cluster_request_p99 over their merge. A stale site's objective
+// abstains. A breach held for slo.DefSustain consecutive sweeps is logged
+// at Warn. p99 == 0 sets none.
+func (c *Cluster) Watch(ctx context.Context, interval, p99 time.Duration) *ClusterWatch {
 	if interval <= 0 {
 		interval = time.Second
 	}
 	ctx, stop := context.WithCancel(ctx)
 	w := &ClusterWatch{cluster: c, interval: interval, stop: stop,
 		done: make(chan struct{}), sites: make([]watchedSite, len(c.clients))}
+	if p99 > 0 {
+		// The windows are read by the monitor's evaluation, which only
+		// sweep runs.
+		objectives := make([]slo.Objective, 0, len(w.sites)+1)
+		for i := range w.sites {
+			objectives = append(objectives, slo.Latency(fmt.Sprintf("site%d_request_p99", i),
+				windowFunc(func() obs.WindowSnapshot { return w.window(i) }), 0.99, p99))
+		}
+		w.mon = slo.New(append(objectives, slo.Latency("cluster_request_p99", windowFunc(w.merged), 0.99, p99))...)
+	}
 	w.sweep(ctx)
 	go w.run(ctx)
 	return w
@@ -120,7 +141,6 @@ func (w *ClusterWatch) sweep(ctx context.Context) {
 	}
 	now := time.Now().UnixNano()
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	for i, h := range healths {
 		s := &w.sites[i]
 		if s.err = h.Err; h.Err != nil {
@@ -135,12 +155,50 @@ func (w *ClusterWatch) sweep(ctx context.Context) {
 		s.history = append(s.history, WatchPoint{UnixNano: now, Rate: st.WindowRate,
 			P50Ms: st.LatencyP50Ms, P95Ms: st.LatencyP95Ms, P99Ms: st.LatencyP99Ms, Tuples: st.Tuples})
 	}
+	// Judged in the same critical section, so no reader sees a sweep's
+	// sites beside the previous sweep's verdicts. The breach is logged
+	// here rather than by the monitor's hook, which would run under w.mu.
+	verdicts := w.mon.Evaluate()
+	w.slo = verdicts
+	w.mu.Unlock()
+	if log := w.cluster.logger; log != nil {
+		for _, st := range verdicts {
+			if st.SustainedBreaches == slo.DefSustain {
+				log.Warn("slo sustained breach", "slo", st.Name, "current", st.Current, "target", st.Target)
+			}
+		}
+	}
+}
+
+// windowFunc adapts a function to the window source slo.Latency reads.
+type windowFunc func() obs.WindowSnapshot
+
+func (f windowFunc) Snapshot() obs.WindowSnapshot { return f() }
+
+// window is site i's latest polled latency window, empty while the site
+// is stale: its objective abstains rather than judge its last answer.
+// Callers hold w.mu or are sweep, the only writer of w.sites.
+func (w *ClusterWatch) window(i int) obs.WindowSnapshot {
+	if s := &w.sites[i]; !s.stale() {
+		return siteWindow(s.latest)
+	}
+	return obs.WindowSnapshot{}
+}
+
+// merged is the fresh sites' windows merged bucket by bucket. Callers hold
+// w.mu or are sweep.
+func (w *ClusterWatch) merged() obs.WindowSnapshot {
+	var win obs.WindowSnapshot
+	for i := range w.sites {
+		win.Merge(w.window(i))
+	}
+	return win
 }
 
 // Clusterz is the cluster document served at /clusterz: every site's
 // latest status and freshness, the cluster-wide latency quantiles merged
-// bucket by bucket over the fresh sites' windows, and optionally each
-// site's recent history.
+// bucket by bucket over the fresh sites' windows, the watch's latest SLO
+// verdicts, and optionally each site's recent history.
 type Clusterz struct {
 	UnixNano   int64          `json:"unix_nano"`
 	IntervalNS int64          `json:"interval_ns"`
@@ -152,6 +210,9 @@ type Clusterz struct {
 	P95Ms      float64        `json:"p95_ms"`
 	P99Ms      float64        `json:"p99_ms"`
 	PerSite    []ClusterzSite `json:"per_site"`
+	// SLO is the watch's evaluation at the end of its latest sweep, one
+	// entry per objective; empty when the watch judges none.
+	SLO []slo.Status `json:"slo,omitempty"`
 }
 
 // ClusterzSite is one site's entry in the Clusterz document.
@@ -178,8 +239,7 @@ func (w *ClusterWatch) Snapshot(withHistory bool) Clusterz {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	doc := Clusterz{UnixNano: now.UnixNano(), IntervalNS: int64(w.interval), Sites: len(w.sites),
-		PerSite: make([]ClusterzSite, len(w.sites))}
-	var merged obs.WindowSnapshot
+		PerSite: make([]ClusterzSite, len(w.sites)), SLO: w.slo}
 	for i := range w.sites {
 		s := &w.sites[i]
 		e := ClusterzSite{Site: i, Stale: s.stale(),
@@ -198,10 +258,10 @@ func (w *ClusterWatch) Snapshot(withHistory bool) Clusterz {
 		} else {
 			doc.Fresh++
 			doc.Rate += s.latest.WindowRate
-			merged.Merge(siteWindow(s.latest))
 		}
 		doc.PerSite[i] = e
 	}
+	merged := w.merged()
 	doc.P50Ms, doc.P95Ms, doc.P99Ms = quantileMs(merged, 0.50), quantileMs(merged, 0.95), quantileMs(merged, 0.99)
 	return doc
 }
@@ -246,11 +306,13 @@ func (w *ClusterWatch) Handler() http.Handler {
 }
 
 // WriteText renders the Clusterz document as the table behind
-// /clusterz?format=text.
+// /clusterz?format=text and dsud-query -cluster-status, with one line per
+// breached objective under it.
 func (w *ClusterWatch) WriteText(out io.Writer) {
 	doc := w.Snapshot(false)
-	fmt.Fprintf(out, "%-5s %-7s %8s %8s %9s %8s %8s %8s %9s %6s %8s %9s\n",
-		"SITE", "STATE", "AGE", "POLLS", "RATE", "P50MS", "P95MS", "P99MS", "INFLIGHT", "BUSY", "QUEUED", "TUPLES")
+	fmt.Fprintf(out, "%-5s %-7s %8s %8s %9s %8s %8s %8s %9s %7s %6s %9s %4s %8s %9s %8s %10s %s\n",
+		"SITE", "STATE", "AGE", "POLLS", "RATE", "P50MS", "P95MS", "P99MS", "INFLIGHT", "WORKERS", "QUEUED",
+		"TUPLES", "TREE", "SESSIONS", "REPLICA", "UPTIME", "REQUESTS", "LAST-UPDATE")
 	for _, s := range doc.PerSite {
 		state := "FRESH"
 		if s.Stale {
@@ -261,12 +323,29 @@ func (w *ClusterWatch) WriteText(out io.Writer) {
 			continue
 		}
 		st := s.Latest
-		fmt.Fprintf(out, "%-5d %-7s %7.1fs %8d %9.1f %8.2f %8.2f %8.2f %9d %6d %8d %9d\n",
+		// An in-process site has no worker pool: "-", not a misleading 0/0.
+		workers := "-"
+		if st.MuxWorkerLimit > 0 {
+			workers = fmt.Sprintf("%d/%d", st.MuxWorkersBusy, st.MuxWorkerLimit)
+		}
+		lastUpdate := "never"
+		if st.LastUpdateUnixNano != 0 {
+			lastUpdate = time.Duration(doc.UnixNano-st.LastUpdateUnixNano).Round(time.Second).String() + " ago"
+		}
+		fmt.Fprintf(out, "%-5d %-7s %7.1fs %8d %9.1f %8.2f %8.2f %8.2f %9d %7s %6d %9d %4d %8d %4d@v%-3d %8s %10d %s\n",
 			s.Site, state, s.AgeSeconds, s.Polls, st.WindowRate, st.LatencyP50Ms, st.LatencyP95Ms, st.LatencyP99Ms,
-			st.InFlight, st.MuxWorkersBusy, st.MuxQueued, st.Tuples)
+			st.InFlight, workers, st.MuxQueued, st.Tuples, st.TreeHeight, st.Sessions,
+			st.ReplicaSize, st.ReplicaVersion, time.Duration(st.UptimeSeconds*float64(time.Second)).Round(time.Second),
+			st.RequestsTotal, lastUpdate)
 	}
 	fmt.Fprintf(out, "%d/%d sites fresh; cluster rate %.1f/s p50 %.2fms p95 %.2fms p99 %.2fms\n",
 		doc.Fresh, doc.Sites, doc.Rate, doc.P50Ms, doc.P95Ms, doc.P99Ms)
+	for _, o := range doc.SLO {
+		if o.Breached {
+			fmt.Fprintf(out, "slo %s BREACHED x%d: current %.4g target %.4g burn %.2f\n",
+				o.Name, o.SustainedBreaches, o.Current, o.Target, o.Burn)
+		}
+	}
 }
 
 // watchGauges are the per-site federation gauges, read from each site's
@@ -288,8 +367,9 @@ var watchGauges = []struct {
 
 // Expose registers the federation view on reg: per site, an up mark, the
 // age of its newest answered poll and every watchGauges series, plus the
-// merged cluster quantiles — the whole cluster on the coordinator's own
-// /metrics. Call once, before the registry serves. Nil-safe.
+// merged cluster quantiles and the watch's dsud_slo_* series — the whole
+// cluster on the coordinator's own /metrics. Call once, before the
+// registry serves. Nil-safe.
 func (w *ClusterWatch) Expose(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -336,4 +416,5 @@ func (w *ClusterWatch) Expose(reg *obs.Registry) {
 	reg.GaugeFunc("dsud_cluster_merged_p50_ms", func() float64 { return w.Snapshot(false).P50Ms })
 	reg.GaugeFunc("dsud_cluster_merged_p95_ms", func() float64 { return w.Snapshot(false).P95Ms })
 	reg.GaugeFunc("dsud_cluster_merged_p99_ms", func() float64 { return w.Snapshot(false).P99Ms })
+	w.mon.Instrument(reg)
 }

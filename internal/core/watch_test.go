@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -22,8 +23,7 @@ import (
 )
 
 // startWatchedSite serves one partition from a TCP server wired the way
-// cmd/dsud-site wires it, with an SLO no request can meet evaluated every
-// 20ms.
+// cmd/dsud-site wires it.
 func startWatchedSite(t *testing.T, id int, part uncertain.DB, dims int, addrHint string) (string, *transport.Server) {
 	t.Helper()
 	lis, err := net.Listen("tcp", addrHint)
@@ -33,12 +33,8 @@ func startWatchedSite(t *testing.T, id int, part uncertain.DB, dims int, addrHin
 	eng := site.New(id, part, dims, 0)
 	srv := transport.NewServer(eng, nil)
 	eng.SetWorkerStats(srv.WorkerStats)
-	mon := slo.New(slo.Latency("request_p99", eng.Window(), 0.99, time.Nanosecond))
-	eng.SetSLOMonitor(mon)
-	ctx, cancel := context.WithCancel(context.Background())
-	go mon.Run(ctx, 20*time.Millisecond)
 	go srv.Serve(lis)
-	t.Cleanup(func() { cancel(); srv.Close() })
+	t.Cleanup(func() { srv.Close() })
 	return lis.Addr().String(), srv
 }
 
@@ -75,6 +71,14 @@ func clusterzDoc(t *testing.T, w *ClusterWatch, query string) Clusterz {
 	return doc
 }
 
+func sloByName(statuses []slo.Status) map[string]slo.Status {
+	m := make(map[string]slo.Status, len(statuses))
+	for _, st := range statuses {
+		m[st.Name] = st
+	}
+	return m
+}
+
 func federation(t *testing.T, reg *obs.Registry) string {
 	t.Helper()
 	var sb strings.Builder
@@ -85,9 +89,10 @@ func federation(t *testing.T, reg *obs.Registry) string {
 }
 
 // The acceptance path of the watch, under -race: two real TCP sites are
-// polled into /clusterz and the federation view; killing one turns it
-// stale there, and restarting it on the same address brings it back
-// through the retry transport's redial.
+// polled into /clusterz and the federation view, and the watch judges an
+// objective no request can meet over their windows; killing one turns it
+// stale there and its objective abstains, and restarting it on the same
+// address brings it back through the retry transport's redial.
 func TestClusterWatchKillAndRecover(t *testing.T) {
 	parts, _ := makeWorkload(t, 300, 2, 2, gen.Independent, 71)
 	const interval = 100 * time.Millisecond
@@ -104,7 +109,7 @@ func TestClusterWatchKillAndRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w := cluster.Watch(ctx, interval)
+	w := cluster.Watch(ctx, interval, time.Nanosecond)
 	defer w.Stop()
 	doc := clusterzDoc(t, w, "")
 	if doc.Sites != 2 || doc.Fresh != 2 || doc.Stale != 0 || doc.P99Ms <= 0 {
@@ -114,13 +119,15 @@ func TestClusterWatchKillAndRecover(t *testing.T) {
 	if s0.Latest == nil || s0.Latest.Tuples != len(parts[0]) || len(s0.History) == 0 || s0.History[0].Tuples != len(parts[0]) {
 		t.Fatalf("site 0 = %+v", s0)
 	}
-	// The objective abstains until its window holds 20 requests.
-	waitUntil(t, 5*time.Second, "site 0's SLO breach polled", func() bool {
+	// An objective abstains until its window holds 20 requests. Site 1's
+	// must breach too, or its abstaining once stale would prove nothing.
+	waitUntil(t, 5*time.Second, "the watch's SLO breaches", func() bool {
 		if _, err := cluster.Query(ctx, Options{Threshold: 0.3}); err != nil {
 			t.Fatal(err)
 		}
-		slos := w.Snapshot(false).PerSite[0].Latest.SLO
-		return len(slos) == 1 && slos[0].Name == "request_p99" && slos[0].Breached
+		slos := sloByName(w.Snapshot(false).SLO)
+		return slos["site0_request_p99"].Breached && slos["site1_request_p99"].Breached &&
+			slos["cluster_request_p99"].Breached
 	})
 	if withoutHist := clusterzDoc(t, w, "?history=0"); len(withoutHist.PerSite[0].History) != 0 {
 		t.Fatal("?history=0 still carries history")
@@ -134,6 +141,7 @@ func TestClusterWatchKillAndRecover(t *testing.T) {
 		`dsud_cluster_tuples{site="0"} 150`,
 		"dsud_cluster_last_poll_age_seconds",
 		"dsud_cluster_merged_p99_ms",
+		`dsud_slo_breached{slo="site0_request_p99"} 1`,
 	} {
 		if out := federation(t, reg); !strings.Contains(out, want) {
 			t.Fatalf("federation view missing %q in:\n%s", want, out)
@@ -149,6 +157,11 @@ func TestClusterWatchKillAndRecover(t *testing.T) {
 	t.Logf("stale after %v (interval %v)", time.Since(killed).Round(time.Millisecond), interval)
 	if text := clusterzGet(t, w, "?format=text"); !strings.Contains(text, "STALE") || !strings.Contains(text, "1/2 sites fresh") {
 		t.Fatalf("text view:\n%s", text)
+	}
+	// The sweep that found site 1 stale judged it too: its objective
+	// abstains rather than judge the last window it answered.
+	if st := sloByName(clusterzDoc(t, w, "?history=0").SLO)["site1_request_p99"]; st.Samples != 0 || st.Breached {
+		t.Fatalf("stale site's objective = %+v, want an abstention", st)
 	}
 	if out := federation(t, reg); !strings.Contains(out, `dsud_cluster_site_up{site="1"} 0`) {
 		t.Fatalf("federation view still has site 1 up:\n%s", out)
@@ -174,7 +187,7 @@ func TestClusterWatchInProcess(t *testing.T) {
 	if _, err := cluster.Query(ctx, Options{Threshold: 0.3}); err != nil {
 		t.Fatal(err)
 	}
-	w := cluster.Watch(ctx, 50*time.Millisecond)
+	w := cluster.Watch(ctx, 50*time.Millisecond, 0)
 	defer w.Stop()
 	doc := clusterzDoc(t, w, "")
 	if doc.Sites != 2 || doc.Fresh != 2 || doc.Stale != 0 || doc.P99Ms <= 0 {
@@ -184,6 +197,33 @@ func TestClusterWatchInProcess(t *testing.T) {
 		if s.Stale || s.Latest == nil || len(s.History) == 0 {
 			t.Fatalf("site %d = %+v", s.Site, s)
 		}
+	}
+}
+
+// A breach the watch judges for slo.DefSustain consecutive sweeps is
+// logged once at Warn through the cluster's logger.
+func TestClusterWatchLogsSustainedBreach(t *testing.T) {
+	parts, _ := makeWorkload(t, 100, 2, 2, gen.Independent, 73)
+	var logs bytes.Buffer
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	ctx := context.Background()
+	for i := 0; i < 10; i++ {
+		if _, err := cluster.Query(ctx, Options{Threshold: 0.3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cluster.logger = slog.New(slog.NewTextHandler(&logs, nil))
+	w := cluster.Watch(ctx, 10*time.Millisecond, time.Nanosecond)
+	waitUntil(t, 5*time.Second, "a sustained breach", func() bool {
+		return sloByName(w.Snapshot(false).SLO)["cluster_request_p99"].SustainedBreaches > slo.DefSustain
+	})
+	w.Stop()
+	if n := strings.Count(logs.String(), `level=WARN msg="slo sustained breach" slo=cluster_request_p99`); n != 1 {
+		t.Fatalf("sustained breach logged %d times, want once:\n%s", n, logs.String())
 	}
 }
 
@@ -217,7 +257,7 @@ func TestClusterWatchWedgedSite(t *testing.T) {
 
 	const interval = 100 * time.Millisecond
 	start := time.Now()
-	w := cluster.Watch(context.Background(), interval)
+	w := cluster.Watch(context.Background(), interval, 0)
 	waitUntil(t, 3*interval-time.Since(start), "site 1 stale, site 0 fresh", func() bool {
 		d := w.Snapshot(false)
 		return d.PerSite[1].Stale && !d.PerSite[0].Stale
@@ -228,6 +268,12 @@ func TestClusterWatchWedgedSite(t *testing.T) {
 		t.Fatalf("clusterz = %+v", doc)
 	}
 	w.Stop()
+	var sb strings.Builder
+	w.WriteText(&sb)
+	if !regexp.MustCompile(`(?m)^1 +STALE +context deadline exceeded$`).MatchString(sb.String()) ||
+		!strings.Contains(sb.String(), "1/2 sites fresh") {
+		t.Fatalf("status table:\n%s", sb.String())
+	}
 	if !strings.Contains(logs.String(), "site poll failed") || !strings.Contains(logs.String(), "site=1") {
 		t.Fatalf("poll failure not logged:\n%s", logs.String())
 	}
@@ -241,9 +287,5 @@ func TestClusterWatchWedgedSite(t *testing.T) {
 	}
 	if healths[0].Err != nil || !errors.Is(healths[1].Err, context.DeadlineExceeded) {
 		t.Fatalf("healths = %+v", healths)
-	}
-	var sb strings.Builder
-	if n := WriteClusterStatus(&sb, healths, time.Now()); n != 1 || !strings.Contains(sb.String(), "DOWN") {
-		t.Fatalf("status table (healthy %d):\n%s", n, sb.String())
 	}
 }

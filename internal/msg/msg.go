@@ -277,18 +277,4 @@ type SiteStatus struct {
 	// traffic.
 	WindowBoundsNS []int64  `json:"window_bounds_ns,omitempty"`
 	WindowCounts   []uint64 `json:"window_counts,omitempty"`
-
-	// SLO is the site monitor's latest evaluation, one entry per
-	// objective; empty when the daemon runs no monitor.
-	SLO []SiteSLO `json:"slo,omitempty"`
-}
-
-// SiteSLO is one objective's state as the site's SLO monitor last
-// evaluated it: its /slostatusz entry without the breach bookkeeping.
-type SiteSLO struct {
-	Name     string  `json:"name"`
-	Current  float64 `json:"current"`
-	Target   float64 `json:"target"`
-	Burn     float64 `json:"burn"`
-	Breached bool    `json:"breached"`
 }

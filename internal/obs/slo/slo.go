@@ -3,10 +3,10 @@
 // measurement (a windowed quantile, an error fraction) against a target
 // and reports a burn rate — how fast the error budget is being consumed,
 // with 1.0 meaning "exactly at target". A Monitor evaluates a set of
-// objectives on a fixed cadence, exports dsud_slo_* metrics, serves
-// /slostatusz, and invokes a breach hook (typically a flight-recorder
-// dump) when an objective stays breached for several consecutive
-// evaluations — sustained breach, not a single noisy window.
+// objectives on a fixed cadence or on demand, exports dsud_slo_* metrics,
+// serves /slostatusz, and invokes a breach hook (typically a
+// flight-recorder dump) when an objective stays breached for several
+// consecutive evaluations — sustained breach, not a single noisy window.
 //
 // Like the rest of the obs tree the package is dependency-free and
 // nil-safe: a nil *Monitor no-ops everywhere, so daemons wire it
@@ -25,7 +25,7 @@ import (
 )
 
 // Status is one objective's most recent evaluation, JSON-stable for
-// /slostatusz consumers (dsud-top, curl | jq).
+// /slostatusz and /clusterz consumers (dsud-top, curl | jq).
 type Status struct {
 	// Name identifies the objective ("query-p99", "error-rate", ...).
 	Name string `json:"name"`
@@ -66,15 +66,17 @@ const minSamples = 20
 // latencyObjective targets a windowed latency quantile.
 type latencyObjective struct {
 	name     string
-	win      *obs.Window
+	win      interface{ Snapshot() obs.WindowSnapshot }
 	quantile float64
 	max      time.Duration
 }
 
 // Latency declares "the q-th quantile of w stays below max" (e.g.
-// Latency("query-p99", w, 0.99, 250*time.Millisecond)). The objective
-// abstains while the window holds fewer than a minimum number of samples.
-func Latency(name string, w *obs.Window, quantile float64, max time.Duration) Objective {
+// Latency("query-p99", w, 0.99, 250*time.Millisecond)). w is a live
+// *obs.Window or any other source of window snapshots, such as a site's
+// polled window. The objective abstains while the window holds fewer than
+// a minimum number of samples.
+func Latency(name string, w interface{ Snapshot() obs.WindowSnapshot }, quantile float64, max time.Duration) Objective {
 	return &latencyObjective{name: name, win: w, quantile: quantile, max: max}
 }
 
@@ -163,21 +165,20 @@ func (o *errorRateObjective) Evaluate() Status {
 }
 
 // DefSustain is how many consecutive breached evaluations constitute a
-// sustained breach (and fire the breach hook) unless SetSustain changes
-// it. With the default evaluation cadence this is tens of seconds of
-// continuous violation — long enough to skip one noisy window.
+// sustained breach (and fire the breach hook). With the default
+// evaluation cadence this is tens of seconds of continuous violation —
+// long enough to skip one noisy window.
 const DefSustain = 3
 
 // Monitor evaluates a fixed set of objectives on demand or on a cadence.
 type Monitor struct {
 	objectives []Objective
 
-	mu      sync.Mutex
-	sustain int
-	streak  map[string]int
-	last    []Status
-	lastAt  time.Time
-	onHook  func(name string)
+	mu     sync.Mutex
+	streak map[string]int
+	last   []Status
+	lastAt time.Time
+	onHook func(name string)
 
 	// evalOnce guards Handler's lazy first evaluation: evaluating moves
 	// objective state (delta windows, breach streaks), so concurrent
@@ -194,24 +195,9 @@ type Monitor struct {
 func New(objectives ...Objective) *Monitor {
 	return &Monitor{
 		objectives:  objectives,
-		sustain:     DefSustain,
 		streak:      make(map[string]int),
 		breachTotal: make(map[string]*obs.Counter),
 	}
-}
-
-// SetSustain overrides how many consecutive breached evaluations trigger
-// the breach hook (n < 1 restores the default). Nil-safe.
-func (m *Monitor) SetSustain(n int) {
-	if m == nil {
-		return
-	}
-	if n < 1 {
-		n = DefSustain
-	}
-	m.mu.Lock()
-	m.sustain = n
-	m.mu.Unlock()
 }
 
 // OnSustainedBreach registers fn to run (in the evaluating goroutine)
@@ -273,21 +259,6 @@ func (m *Monitor) status(name string) Status {
 	return Status{Name: name}
 }
 
-// LastInto appends the most recent cached evaluation (what the cadenced
-// Run produced) to dst and returns the extended slice — allocation-free
-// given capacity, so a site's status can report SLO state on every poll
-// without re-evaluating objectives (which would move delta windows and
-// breach streaks). Empty result until the first evaluation. Nil-safe.
-func (m *Monitor) LastInto(dst []Status) []Status {
-	if m == nil {
-		return dst
-	}
-	m.mu.Lock()
-	dst = append(dst, m.last...)
-	m.mu.Unlock()
-	return dst
-}
-
 // Evaluate runs every objective once, updates breach streaks, fires the
 // sustained-breach hook for objectives that just crossed the threshold,
 // and returns the statuses in declaration order. Nil-safe (returns nil).
@@ -298,7 +269,6 @@ func (m *Monitor) Evaluate() []Status {
 	out := make([]Status, 0, len(m.objectives))
 	var fired []string
 	m.mu.Lock()
-	sustain := m.sustain
 	hook := m.onHook
 	m.mu.Unlock()
 	for _, o := range m.objectives {
@@ -306,7 +276,7 @@ func (m *Monitor) Evaluate() []Status {
 		m.mu.Lock()
 		if st.Breached {
 			m.streak[st.Name]++
-			if m.streak[st.Name] == sustain {
+			if m.streak[st.Name] == DefSustain {
 				fired = append(fired, st.Name)
 				if c := m.breachTotal[st.Name]; c != nil {
 					c.Inc()

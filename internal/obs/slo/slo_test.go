@@ -47,6 +47,29 @@ func TestLatencyObjective(t *testing.T) {
 	}
 }
 
+// snapshotSource is a window source that is not an *obs.Window, such as a
+// site's polled window.
+type snapshotSource obs.WindowSnapshot
+
+func (s snapshotSource) Snapshot() obs.WindowSnapshot { return obs.WindowSnapshot(s) }
+
+// A latency objective over a plain snapshot source judges exactly as it
+// does over the live window the snapshot was taken from.
+func TestLatencyObjectiveOverSnapshot(t *testing.T) {
+	w := obs.NewWindow(time.Hour) // wide: no rotation between the two reads
+	for i := 0; i < 100; i++ {
+		w.Observe(time.Duration(i+1) * time.Millisecond)
+	}
+	live := Latency("p99", w, 0.99, 50*time.Millisecond).Evaluate()
+	polled := Latency("p99", snapshotSource(w.Snapshot()), 0.99, 50*time.Millisecond).Evaluate()
+	if live != polled {
+		t.Fatalf("over the snapshot %+v, over the window %+v", polled, live)
+	}
+	if !live.Breached || live.Samples != 100 {
+		t.Fatalf("status = %+v, want a breach over 100 samples", live)
+	}
+}
+
 func TestErrorRateObjective(t *testing.T) {
 	var total, errs atomic.Int64
 	o := ErrorRate("errors", total.Load, errs.Load, 0.05)
@@ -118,7 +141,6 @@ func TestMonitorSustainedBreach(t *testing.T) {
 		w.Observe(time.Second) // far over target
 	}
 	m := New(Latency("p99", w, 0.99, time.Millisecond))
-	m.SetSustain(3)
 	var fired []string
 	m.OnSustainedBreach(func(name string) { fired = append(fired, name) })
 	reg := obs.NewRegistry()
@@ -218,40 +240,8 @@ func TestMonitorHandlerEvaluatesAtMostOnce(t *testing.T) {
 	}
 }
 
-func TestMonitorLastInto(t *testing.T) {
-	w := obs.NewWindow(time.Minute)
-	for i := 0; i < 100; i++ {
-		w.Observe(time.Millisecond)
-	}
-	m := New(Latency("query-p99", w, 0.99, 10*time.Millisecond))
-
-	// Empty before the first evaluation (and must not wipe dst).
-	dst := m.LastInto(nil)
-	if len(dst) != 0 {
-		t.Fatalf("LastInto before Evaluate = %+v", dst)
-	}
-	want := m.Evaluate()
-	dst = m.LastInto(dst[:0])
-	if len(dst) != 1 || dst[0] != want[0] {
-		t.Fatalf("LastInto = %+v, want %+v", dst, want)
-	}
-	// Steady-state append into pre-sized dst must not allocate.
-	allocs := testing.AllocsPerRun(1000, func() {
-		dst = m.LastInto(dst[:0])
-	})
-	if allocs != 0 {
-		t.Fatalf("warm LastInto allocates %v per run, want 0", allocs)
-	}
-	// Nil-safe.
-	var nilM *Monitor
-	if got := nilM.LastInto(dst[:0]); len(got) != 0 {
-		t.Fatalf("nil LastInto = %+v", got)
-	}
-}
-
 func TestMonitorNilSafe(t *testing.T) {
 	var m *Monitor
-	m.SetSustain(5)
 	m.OnSustainedBreach(func(string) {})
 	m.Instrument(obs.NewRegistry())
 	if got := m.Evaluate(); got != nil {

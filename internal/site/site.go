@@ -24,7 +24,6 @@ import (
 	"repro/internal/msg"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
-	"repro/internal/obs/slo"
 	"repro/internal/prtree"
 	"repro/internal/transport"
 	"repro/internal/uncertain"
@@ -113,10 +112,6 @@ type Engine struct {
 	// transport's v2 worker-pool saturation.
 	win         *obs.Window
 	workerStats func() transport.WorkerStats
-
-	// sloMon, when set (SetSLOMonitor), is the daemon's SLO monitor whose
-	// cached statuses Status reports.
-	sloMon *slo.Monitor
 
 	// forceBadPrune is a test-only fault injection: when set,
 	// handleEvaluate prunes every dominated candidate regardless of the
@@ -227,7 +222,7 @@ func (e *Engine) SetWorkerStats(fn func() transport.WorkerStats) {
 
 // Window returns the engine's rotating request-latency window, so
 // daemons can export its quantiles on their metrics registry
-// (obs.ExposeWindow) and SLO monitors can target it.
+// (obs.ExposeWindow).
 func (e *Engine) Window() *obs.Window { return e.win }
 
 // ID returns the site's index, fixed at construction.

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/msg"
-	"repro/internal/obs/slo"
 )
 
 // Status returns the site's operational snapshot — the same struct
@@ -54,21 +53,7 @@ func (e *Engine) statusLocked() *msg.SiteStatus {
 		st.MuxWorkerLimit = w.Limit
 		st.MuxQueued = w.Queued
 	}
-	for _, o := range e.sloMon.LastInto(nil) {
-		st.SLO = append(st.SLO, msg.SiteSLO{Name: o.Name,
-			Current: o.Current, Target: o.Target, Burn: o.Burn, Breached: o.Breached})
-	}
 	return st
-}
-
-// SetSLOMonitor attaches the daemon's SLO monitor so Status carries each
-// objective's cached state. Status reads the monitor's last evaluation and
-// never evaluates it: that would advance its windows and breach streaks.
-// nil detaches.
-func (e *Engine) SetSLOMonitor(m *slo.Monitor) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.sloMon = m
 }
 
 // StatusHandler serves the snapshot as JSON — mount it at /statusz on

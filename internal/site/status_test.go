@@ -1,16 +1,18 @@
 package site
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/geom"
 	"repro/internal/msg"
 	"repro/internal/obs/flight"
-	"repro/internal/obs/slo"
 	"repro/internal/transport"
 	"repro/internal/uncertain"
 )
@@ -112,18 +114,13 @@ func TestStatusUnderConcurrentUpdates(t *testing.T) {
 }
 
 // The status a coordinator polls carries the latency window's buckets, so
-// windows merge across sites, and the SLO monitor's cached state. Status
-// must read that state, not evaluate the monitor: an evaluation advances
-// breach streaks.
+// windows merge across sites and the coordinator can judge them.
 func TestStatusTelemetryFields(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	eng := New(3, randomPart(r, 50, 2), 2, 0)
-	if st := eng.Status(); len(st.WindowCounts) != 0 || len(st.SLO) != 0 {
-		t.Fatalf("idle engine without a monitor reports %+v", st)
+	if st := eng.Status(); len(st.WindowCounts) != 0 {
+		t.Fatalf("idle engine reports %+v", st)
 	}
-	mon := slo.New(slo.Latency("query-p99", eng.Window(), 0.99, time.Second))
-	cached := mon.Evaluate() // before any traffic: abstains on no samples
-	eng.SetSLOMonitor(mon)
 
 	initSite(t, eng, 0.3, nil)
 	for i := 0; i < 5; i++ {
@@ -151,13 +148,39 @@ func TestStatusTelemetryFields(t *testing.T) {
 	if n < 6 {
 		t.Fatalf("window counts %d requests, want >= 6", n)
 	}
-	if len(st.SLO) != 1 || st.SLO[0].Name != "query-p99" {
-		t.Fatalf("slo = %+v", st.SLO)
+}
+
+// A site built before the coordinator judged SLOs still ships its own
+// verdicts under "slo" in the status document. In a mixed-version cluster
+// that key must decode cleanly and be ignored.
+func TestStatusDecodesOldSLOKey(t *testing.T) {
+	r := rand.New(rand.NewSource(62))
+	eng := New(4, randomPart(r, 50, 2), 2, 0)
+	initSite(t, eng, 0.3, nil)
+	resp, err := eng.Handle(context.Background(), &msg.Request{Kind: msg.KindStatus})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := st.SLO[0]; got.Current != cached[0].Current || got.Target != cached[0].Target || got.Burn != cached[0].Burn {
-		t.Fatalf("status slo %+v is not the cached evaluation %+v", got, cached[0])
+	doc, err := json.Marshal(resp.Status)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if again := mon.LastInto(nil); again[0].Samples != cached[0].Samples {
-		t.Fatalf("Status re-evaluated the monitor: %+v", again[0])
+	// The status document is the frame's last field, after its uvarint
+	// length; swap in the old site's document.
+	enc := transport.AppendResponse(nil, resp, nil)
+	head := len(enc) - len(doc) - len(binary.AppendUvarint(nil, uint64(len(doc))))
+	if head < 0 || !bytes.HasSuffix(enc, doc) {
+		t.Fatalf("the status document is not the frame's tail: %x", enc)
+	}
+	old := append(doc[:len(doc)-1:len(doc)-1],
+		`,"slo":[{"name":"request_p99","current":0.5,"target":0.25,"burn":2,"breached":true}]}`...)
+	enc = append(binary.AppendUvarint(enc[:head:head], uint64(len(old))), old...)
+
+	var back msg.Response
+	if err := transport.DecodeResponse(enc, &back); err != nil {
+		t.Fatalf("old site's status: %v", err)
+	}
+	if back.Status == nil || !reflect.DeepEqual(*back.Status, *resp.Status) {
+		t.Fatalf("old site's status decoded to %+v, want %+v", back.Status, resp.Status)
 	}
 }
