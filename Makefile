@@ -42,11 +42,12 @@ test:
 # mid-fan-out and replay recordings run ten times over, and so do the
 # two-wave updates (through the maintainer and through the update engine
 # alone), the failed-update path, the one call path metering, timing and
-# recording a fan-out's concurrent calls, and the deferred refills an
-# e-DSUD round admits from a broadcast's replies.
+# recording a fan-out's concurrent calls, the deferred refills an
+# e-DSUD round admits from a broadcast's replies, and the resumed reads
+# that race the serving tier's updates under its read-write lock.
 race:
 	$(GO) test -race ./internal/codec ./internal/obs/... ./internal/transport ./internal/round ./internal/core ./internal/serve ./internal/stream ./internal/site ./internal/audit ./internal/experiments
-	$(GO) test -race -count=10 -run 'Fanout|MaxResultsShips|ParentTranscripts|TopKReExpunge|UpdateWaves|UpdateEngineOracleSweep|FailedUpdate|OneCallPath|DeferredRefill|SiteRestart|ReplayClientComparesRefill' ./internal/round ./internal/core
+	$(GO) test -race -count=10 -run 'Fanout|MaxResultsShips|ParentTranscripts|TopKReExpunge|UpdateWaves|UpdateEngineOracleSweep|FailedUpdate|OneCallPath|DeferredRefill|SiteRestart|ReplayClientComparesRefill|ResumedReadsRace' ./internal/round ./internal/core
 
 # Full benchmark sweep (several minutes). Writes bench_output.txt.
 bench:

@@ -40,9 +40,11 @@ import (
 // and a fixed-width ServiceNS, and a generation-6 coordinator would have
 // every traced request refused as an unknown bit; generation 8 lets an
 // evaluate carry an expunged candidate's refill (request mask bit 13),
-// which a generation-7 site would refuse as an unknown bit. The frame
-// layout is unchanged.
-const FrameVersion = 8
+// which a generation-7 site would refuse as an unknown bit; generation 9
+// lets a resumed query's Init carry the known answer (the Tuples and
+// RemoveIDs fields), which a generation-8 site would ignore and so ship
+// and re-derive every known answer. The frame layout is unchanged.
+const FrameVersion = 9
 
 // MuxMagic opens the handshake.
 var MuxMagic = [4]byte{0xD5, 'S', 'Q', '2'}

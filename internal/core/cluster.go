@@ -121,6 +121,7 @@ func (c *Cluster) recordFlight(o *observer, name string, rep *Report, err error,
 	if rep != nil {
 		rec.Curve = rep.Curve
 		rec.Results = len(rep.Skyline)
+		rec.Resumed = rep.Resumed
 		rec.Iterations = rep.Iterations
 		rec.Broadcasts = rep.Broadcasts
 		rec.Expunged = rep.Expunged

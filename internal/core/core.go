@@ -368,6 +368,11 @@ type Report struct {
 	// behind a refresh round. Cache-served reports carry a zero
 	// Bandwidth — the serving tier moved no protocol traffic for them.
 	Source Source
+	// Resumed counts the materialized answer's members a protocol round
+	// resumed from (Server.Query below the floor): it reported them at
+	// once and ran only over the band below the floor. Zero for a round
+	// from scratch; Source stays SourceProtocol either way.
+	Resumed int
 }
 
 // ErrNoSites reports a query against an empty cluster.

@@ -34,6 +34,9 @@ func WriteExplain(w io.Writer, rep *Report, stats *QueryStats) error {
 	}
 	fmt.Fprintf(w, "query %s  algorithm %s: %d result(s) in %s\n",
 		obs.QueryID(qid), algo, d.Results, rep.Elapsed)
+	if rep.Resumed > 0 {
+		fmt.Fprintf(w, "resumed: %d result(s) from the materialized answer, the rest from a round over the band below its floor\n", rep.Resumed)
+	}
 	fmt.Fprintf(w, "progress: ttfr %s  ttlast %s  auc(time) %.3f  auc(bandwidth) %.3f  tuples %d\n",
 		fmtNano(d.TTFirstNS), fmtNano(d.TTLastNS), d.AUCTime, d.AUCBandwidth, d.TuplesTotal)
 

@@ -71,4 +71,50 @@ func TestProtocolCostsGolden(t *testing.T) {
 			t.Errorf("%v: skyline (%d members) disagrees with %v's (%d)", g.algo, len(rep.Skyline), golden[0].algo, len(first))
 		}
 	}
+
+	// The same query as a ModeAuto read below a serving tier's floor of
+	// 0.4, which resumes from the store's 8 members: their IDs ride free
+	// to their home sites, and each site is sent the members homed
+	// elsewhere in its Init, one tuple down each (8 × 3 = 24). The band
+	// round then broadcasts none of them: DSUD 26 -> 14 rounds, 104 -> 80
+	// tuples; e-DSUD 19 -> 10 rounds, 84 -> 68 tuples. The 8 are
+	// delivered before Init, which is what lifts the bandwidth AUC.
+	resumed := []struct {
+		algo                          Algorithm
+		resumed, rounds               int
+		messages, up, down, wireBytes int64
+		aucBandwidth                  float64
+	}{
+		{DSUD, 8, 14, 64, 14, 66, 7062, 0.82890625},
+		{EDSUD, 8, 10, 48, 14, 54, 5639, 0.82261029},
+	}
+	for _, g := range resumed {
+		cluster, err := Open(ClusterConfig{Addrs: addrs, Dims: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep *Report
+		server, err := cluster.Serve(context.Background(), ServeConfig{Floor: 0.4, Algorithm: g.algo})
+		if err == nil {
+			rep, err = server.Query(context.Background(), Options{Threshold: 0.3, Algorithm: g.algo, Mode: ModeAuto})
+		}
+		if cerr := cluster.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatalf("resumed %v: %v", g.algo, err)
+		}
+		bw := rep.Bandwidth
+		got := [...]int64{int64(rep.Resumed), int64(rep.Iterations), bw.Messages, bw.TuplesUp, bw.TuplesDown, bw.Bytes}
+		want := [...]int64{int64(g.resumed), int64(g.rounds), g.messages, g.up, g.down, g.wireBytes}
+		if got != want {
+			t.Errorf("resumed %v: resumed/rounds/messages/up/down/wire bytes = %v, golden %v", g.algo, got, want)
+		}
+		if math.Abs(rep.Curve.AUCBandwidth-g.aucBandwidth) > 1e-8 {
+			t.Errorf("resumed %v: AUCBandwidth = %.8f, golden %.8f", g.algo, rep.Curve.AUCBandwidth, g.aucBandwidth)
+		}
+		if !uncertain.MembersEqual(rep.Skyline, first, 1e-9) {
+			t.Errorf("resumed %v: skyline (%d members) disagrees with %v's (%d)", g.algo, len(rep.Skyline), golden[0].algo, len(first))
+		}
+	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/obs/progress"
 	"repro/internal/obs/transcript"
 	"repro/internal/round"
+	"repro/internal/serve"
 	"repro/internal/transport"
 )
 
@@ -20,6 +21,15 @@ import (
 // algorithm itself is internal/round; Run binds it to the cluster's
 // connections and attaches everything that watches the query.
 func Run(ctx context.Context, c *Cluster, opts Options) (*Report, error) {
+	return run(ctx, c, opts, nil)
+}
+
+// run is Run, resumed from known when it is not empty: the members of a
+// maintained answer, which the round reports first and then runs only
+// over the band below them (round.Options.Known; Server.resume). A
+// resumed query is never sampled for recording: its replay would need
+// the answer it resumed from.
+func run(ctx context.Context, c *Cluster, opts Options, known []serve.Entry) (*Report, error) {
 	if ctx == nil {
 		return nil, ErrNilContext
 	}
@@ -60,7 +70,7 @@ func Run(ctx context.Context, c *Cluster, opts Options) (*Report, error) {
 	// on into the transcript. Unrecorded queries never take this branch —
 	// the sampling decision is the whole cost of the feature on the
 	// unsampled path.
-	if c.transcripts.ShouldRecord(opts.Record) {
+	if len(known) == 0 && c.transcripts.ShouldRecord(opts.Record) {
 		o.header = transcriptHeader(&opts, sid, start, len(c.clients), c.dims)
 		o.recorder = transcript.NewRecorder(o.header, start)
 		v.rec = o.recorder
@@ -74,6 +84,7 @@ func Run(ctx context.Context, c *Cluster, opts Options) (*Report, error) {
 		DisableExpunge: opts.DisableExpunge,
 		MaxResults:     opts.MaxResults,
 		TopK:           opts.TopK,
+		Known:          known,
 	}
 	var (
 		out *round.Outcome
@@ -90,7 +101,7 @@ func Run(ctx context.Context, c *Cluster, opts Options) (*Report, error) {
 		// The TCP transport attributes wire bytes per request, so the
 		// per-query meter is exact even under overlapping queries;
 		// in-process sites put nothing on a wire.
-		rep = &Report{Outcome: *out, Bandwidth: v.meter.Snapshot()}
+		rep = &Report{Outcome: *out, Bandwidth: v.meter.Snapshot(), Resumed: len(known)}
 	}
 	return o.finish(rep, err)
 }
@@ -218,13 +229,17 @@ func (o Options) logQuery(id uint64, rep *Report, err error, elapsed time.Durati
 			"threshold", o.Threshold, "dur", elapsed, "err", err)
 		return
 	}
+	args := []any{
+		"query_id", qid, "algorithm", o.Algorithm.String(),
+		"threshold", o.Threshold, "dur", elapsed,
+		"skyline", len(rep.Skyline), "iterations", rep.Iterations,
+		"tuples", rep.Bandwidth.Tuples(), "bytes", rep.Bandwidth.Bytes,
+	}
+	if rep.Resumed > 0 {
+		args = append(args, "resumed", rep.Resumed)
+	}
 	if o.SlowQuery > 0 && elapsed >= o.SlowQuery {
-		args := []any{
-			"query_id", qid, "algorithm", o.Algorithm.String(),
-			"threshold", o.Threshold, "dur", elapsed, "slow_threshold", o.SlowQuery,
-			"skyline", len(rep.Skyline), "iterations", rep.Iterations,
-			"tuples", rep.Bandwidth.Tuples(), "bytes", rep.Bandwidth.Bytes,
-		}
+		args = append(args, "slow_threshold", o.SlowQuery)
 		sum := o.Trace.Summary()
 		for _, p := range Phases() {
 			args = append(args, "phase_"+p.String(), sum.Phases[p].Total)
@@ -232,9 +247,5 @@ func (o Options) logQuery(id uint64, rep *Report, err error, elapsed time.Durati
 		o.Logger.Warn("slow query", args...)
 		return
 	}
-	o.Logger.Info("query done",
-		"query_id", qid, "algorithm", o.Algorithm.String(),
-		"threshold", o.Threshold, "dur", elapsed,
-		"skyline", len(rep.Skyline), "iterations", rep.Iterations,
-		"tuples", rep.Bandwidth.Tuples(), "bytes", rep.Bandwidth.Bytes)
+	o.Logger.Info("query done", args...)
 }

@@ -64,7 +64,8 @@ type ServeConfig struct {
 // refreshing it with (coalesced) protocol rounds only when the
 // freshness policy demands. Build one with Cluster.Serve. Safe for
 // concurrent use: reads share an RLock on the store; updates and
-// refreshes serialise on the maintainer.
+// refreshes serialise on the maintainer, and a read that resumes from
+// the store holds mu's read side so that none lands under it.
 type Server struct {
 	cluster  *Cluster
 	opts     Options // materialization options (Threshold = floor)
@@ -72,7 +73,9 @@ type Server struct {
 	maxStale time.Duration
 	key      string // coalescing key: one refresh per floor
 
-	mu    sync.Mutex  // serialises maintainer operations
+	// mu serialises maintainer operations (write side) against resumed
+	// reads (read side), which run concurrently with each other.
+	mu    sync.RWMutex
 	maint *Maintainer // its store is the materialization every read serves
 
 	group     serve.Group
@@ -176,7 +179,10 @@ func sameDims(a, b []int) bool {
 // a sorted-prefix read (refreshing first when stale, erring with
 // ErrUncovered when the materialization cannot answer); ModeAuto — the
 // recommended serving mode — serves when covered, and falls back to a
-// protocol round when not. Report.Source records which path ran.
+// protocol round when not, resumed from the materialization where it
+// can be (resume). Report.Source records which path ran. A resumed read
+// holds off updates while it runs, so its OnResult and OnEvent callbacks
+// must not call back into the Server.
 func (s *Server) Query(ctx context.Context, opts Options) (*Report, error) {
 	if ctx == nil {
 		return nil, ErrNilContext
@@ -191,7 +197,7 @@ func (s *Server) Query(ctx context.Context, opts Options) (*Report, error) {
 	if !s.covers(opts) {
 		if opts.Mode == ModeAuto {
 			s.miss()
-			return s.protocol(ctx, opts)
+			return s.resume(ctx, opts)
 		}
 		return nil, fmt.Errorf("%w: threshold %v / subspace %v against floor %v / subspace %v",
 			ErrUncovered, opts.Threshold, opts.Dims, s.maint.store.Floor(), s.opts.Dims)
@@ -234,6 +240,29 @@ func (s *Server) QueryWithStats(ctx context.Context, opts Options) (*Report, *Qu
 func (s *Server) protocol(ctx context.Context, opts Options) (*Report, error) {
 	opts.Mode = ModeProtocol
 	return Run(ctx, s.cluster, opts)
+}
+
+// resume answers an uncovered ModeAuto read. When the read is uncovered
+// only because its threshold lies below the floor — same subspace as a
+// set, DSUD or e-DSUD, neither TopK nor MaxResults, not forced to record
+// — and the store is valid and fresh, the round resumes from the store:
+// it reports the store's members at once and runs only over the band
+// below the floor (round.Options.Known). The read side of mu keeps every
+// update out from the snapshot to the end of the round, so the members
+// and the sites' data stay one state. Otherwise the read runs a full
+// round; an invalid or stale store never triggers a refresh here.
+func (s *Server) resume(ctx context.Context, opts Options) (*Report, error) {
+	if !sameDims(opts.Dims, s.opts.Dims) || opts.Algorithm == Baseline || opts.TopK > 0 || opts.MaxResults > 0 || opts.Record {
+		return s.protocol(ctx, opts)
+	}
+	s.mu.RLock()
+	if !s.maint.store.Fresh(time.Now(), s.maxStale) {
+		s.mu.RUnlock()
+		return s.protocol(ctx, opts)
+	}
+	defer s.mu.RUnlock()
+	opts.Mode = ModeProtocol
+	return run(ctx, s.cluster, opts, s.maint.store.Entries())
 }
 
 // refreshRound is the singleflight body: one full protocol round

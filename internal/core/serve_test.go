@@ -200,7 +200,8 @@ func TestServeProgressiveDelivery(t *testing.T) {
 // TestServeEquivalenceUnderChurn drives a random insert/delete stream
 // through the serving tier and checks, at several thresholds, that the
 // incrementally maintained materialization still answers exactly like a
-// fresh protocol round over the mutated sites.
+// fresh protocol round over the mutated sites — and so do ModeAuto reads
+// at descending thresholds below the floor, which resume from it.
 func TestServeEquivalenceUnderChurn(t *testing.T) {
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(17))
@@ -254,6 +255,20 @@ func TestServeEquivalenceUnderChurn(t *testing.T) {
 		if !uncertain.MembersEqual(served.Skyline, want, 1e-6) {
 			t.Fatalf("q=%v: served answer diverged after churn (%d vs %d members)",
 				q, len(served.Skyline), len(want))
+		}
+	}
+	for _, q := range []float64{0.19, 0.15, 0.1, 0.05} {
+		resumed, err := server.Query(ctx, Options{Threshold: q, Mode: ModeAuto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resumed.Source != SourceProtocol || resumed.Resumed == 0 {
+			t.Fatalf("q=%v: source %v, resumed %d; want a protocol round resumed from the store", q, resumed.Source, resumed.Resumed)
+		}
+		want := uncertain.Union(mirror).Skyline(q, nil)
+		if !uncertain.MembersEqual(resumed.Skyline, want, 1e-6) {
+			t.Fatalf("q=%v: resumed answer diverged after churn (%d vs %d members)",
+				q, len(resumed.Skyline), len(want))
 		}
 	}
 	if st := server.Stats(); st.Refreshes != 0 {

@@ -129,7 +129,7 @@ func (m *Maintainer) Refresh(ctx context.Context) error {
 	entries := make([]serve.Entry, len(rep.Skyline))
 	adds := make([]msg.Representative, len(rep.Skyline))
 	for i, member := range rep.Skyline {
-		entries[i] = serve.Entry{Member: member, Site: rep.Sites[member.Tuple.ID]}
+		entries[i] = serve.Entry{Member: member, Site: rep.Sites[member.Tuple.ID], Local: rep.Local[member.Tuple.ID]}
 		adds[i] = msg.Representative{Tuple: member.Tuple}
 	}
 	var removed []uncertain.TupleID

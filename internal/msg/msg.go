@@ -24,7 +24,8 @@ type Kind int
 // protocol surface.
 const (
 	// KindInit asks a site to run its local skyline phase for the given
-	// query and return its first representative.
+	// query and return its first representative; a resumed query's Init
+	// also carries the answer already known (Request.Tuples, RemoveIDs).
 	KindInit Kind = iota + 1
 	// KindNext asks for the site's next representative tuple.
 	KindNext
@@ -173,9 +174,11 @@ type Request struct {
 	ID    uncertain.TupleID // KindDelete
 	Point geom.Point        // KindDelete
 
-	// Tuples carries replica additions for KindReplicate and the
-	// candidates of a sessionless KindEvaluate batch; RemoveIDs the
-	// replica evictions.
+	// Tuples carries replica additions for KindReplicate, the
+	// candidates of a sessionless KindEvaluate batch and, on a resumed
+	// query's KindInit, the known answer's members homed at other sites
+	// (each at its home local probability, to prune by); RemoveIDs the
+	// replica evictions, or that Init's known members homed at this site.
 	Tuples    []Representative
 	RemoveIDs []uncertain.TupleID
 }
@@ -189,7 +192,8 @@ type Response struct {
 	Exhausted bool
 
 	// CrossProb is the eq. 9 factor for KindEvaluate; Pruned counts local
-	// skyline tuples discarded by the feedback.
+	// skyline tuples discarded by the feedback, or by the known answer a
+	// resumed KindInit carries.
 	CrossProb float64
 	Pruned    int
 	// SessionPruned is the session's cumulative Observation-2 prune

@@ -118,8 +118,11 @@ type Record struct {
 	// Err is the failure message for OutcomeError/OutcomeCanceled.
 	Err string `json:"err,omitempty"`
 
-	// Results is the number of skyline tuples delivered.
+	// Results is the number of skyline tuples delivered; Resumed, how
+	// many of them a protocol round resumed from a maintained answer
+	// rather than found (zero for a round from scratch).
 	Results int `json:"results"`
+	Resumed int `json:"resumed,omitempty"`
 	// Protocol tallies (coordinator records; zero for site records).
 	Iterations  int `json:"iterations,omitempty"`
 	Broadcasts  int `json:"broadcasts,omitempty"`

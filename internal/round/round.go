@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/msg"
 	"repro/internal/prtree"
+	"repro/internal/serve"
 	"repro/internal/uncertain"
 )
 
@@ -62,6 +63,15 @@ type Options struct {
 	// Replicas says the sites hold replicas of a maintained answer, which
 	// Insert and Delete keep in sync (§5.4).
 	Replicas bool
+	// Known resumes Run from an answer already held: every tuple whose
+	// global skyline probability reaches some floor above Threshold, each
+	// at its exact probability, home site and home local probability
+	// (serve.Entry.Local). Run reports them first, then its Init tells
+	// each site which known members it holds, so they never ship, and
+	// carries it the others as feedback, so it prunes by them at once:
+	// the round runs only over the band below the floor. Neither
+	// MaxResults nor TopK may be set with it.
+	Known []serve.Entry
 }
 
 // SiteTally is one site's slice of a run's cost.
@@ -84,6 +94,10 @@ type Outcome struct {
 	Tally
 	// PerSite breaks Shipped/Pruned down by site index.
 	PerSite []SiteTally
+	// Local maps each tuple a DSUD-family run reported to its home-site
+	// local skyline probability P_sky(t, D_home), which a maintained
+	// answer keeps beside the global one (serve.Entry.Local).
+	Local map[uncertain.TupleID]float64
 	// FeedbackLocal records, in broadcast order, the home-site local
 	// skyline probability of every feedback tuple. Under plain DSUD with
 	// the algorithm's own selection rule this sequence is non-increasing
@@ -140,6 +154,7 @@ type engine struct {
 func newEngine(sites Sites, opts Options, on func(Step)) *engine {
 	return &engine{waits: newWaits(sites), opts: opts, on: on, out: &Outcome{
 		Sites:   make(map[uncertain.TupleID]int),
+		Local:   make(map[uncertain.TupleID]float64),
 		PerSite: make([]SiteTally, sites.Len()),
 	}}
 }
@@ -243,19 +258,28 @@ type queued struct {
 // opts.Enhanced.
 func Run(ctx context.Context, sites Sites, opts Options, on func(Step)) (*Outcome, error) {
 	e := newEngine(sites, opts, on)
+	e.resume()
 	// To-Server phase, first iteration: every site initialises and ships
-	// its first representative (§4 step 1).
+	// its first representative (§4 step 1), after pruning by whatever
+	// known answer its Init carries.
 	e.begin(PhaseToServer)
 	ask(e.reqs, -1, msg.Request{Kind: msg.KindInit})
+	e.carryKnown()
 	resps, err := e.fanout(ctx)
 	if err != nil {
 		e.end()
 		return nil, err
 	}
+	pruned := 0
 	for i, resp := range resps {
+		pruned += resp.Pruned
+		e.out.PerSite[i].Pruned = int64(resp.SessionPruned)
 		if !resp.Exhausted {
 			e.enqueue(i, resp.Rep)
 		}
+	}
+	if pruned > 0 {
+		e.event(Event{Kind: EventPrune, Site: -1, Count: pruned})
 	}
 	e.end()
 
@@ -316,6 +340,7 @@ func Run(ctx context.Context, sites Sites, opts Options, on func(Step)) (*Outcom
 		}
 		full := false
 		if global >= opts.Threshold {
+			e.out.Local[head.rep.Tuple.ID] = head.rep.LocalProb
 			full = e.report(head.site, uncertain.SkylineMember{Tuple: head.rep.Tuple, Prob: global})
 		} else {
 			e.event(Event{Kind: EventReject, Site: head.site, Tuple: head.rep.Tuple, Prob: global})
@@ -342,6 +367,38 @@ func Run(ctx context.Context, sites Sites, opts Options, on func(Step)) (*Outcom
 		e.end()
 	}
 	return e.finish(), nil
+}
+
+// resume reports a resumed run's known answer at once, in the order
+// given, as one Server-Delivery phase ahead of Init.
+func (e *engine) resume() {
+	if len(e.opts.Known) == 0 {
+		return
+	}
+	e.begin(PhaseServerDelivery)
+	for _, k := range e.opts.Known {
+		e.out.Local[k.Member.Tuple.ID] = k.Local
+		e.report(k.Site, k.Member)
+	}
+	e.end()
+}
+
+// carryKnown fills each site's Init with the known answer: the IDs of the
+// members it holds, which it will not ship, and every other member as
+// feedback at its home local probability, which it prunes by. A member
+// never prunes at its own home, where its dominators already weigh on
+// every tuple it dominates.
+func (e *engine) carryKnown() {
+	for i := range e.reqs {
+		req := &e.reqs[i]
+		for _, k := range e.opts.Known {
+			if k.Site == i {
+				req.RemoveIDs = append(req.RemoveIDs, k.Member.Tuple.ID)
+			} else {
+				req.Tuples = append(req.Tuples, msg.Representative{Tuple: k.Member.Tuple, LocalProb: k.Local})
+			}
+		}
+	}
 }
 
 // ahead says whether this round's report, if any, leaves MaxResults
@@ -389,8 +446,9 @@ func (e *engine) selectFeedback(ctx context.Context, lastSite int) (head queued,
 
 	if e.opts.Enhanced && !e.opts.DisableExpunge {
 		// Expunge phase: candidates whose global upper bound cannot reach
-		// q are dropped without any broadcast and their home sites refill
-		// (§5.2). When a scan leaves a survivor, the victims' refills ride
+		// q, by the outward margin (uncertain.BoundBelow), are dropped
+		// without any broadcast and their home sites refill (§5.2). When
+		// a scan leaves a survivor, the victims' refills ride
 		// the coming broadcast (Run) and the feedback is picked from the
 		// survivors on the bounds just computed — still sound, since each
 		// victim is a real tuple of its site (Corollary 2). Otherwise, and
@@ -403,7 +461,7 @@ func (e *engine) selectFeedback(ctx context.Context, lastSite int) (head queued,
 		for from, dropped := 0, false; ; {
 			kept, victims := e.queue[:from], e.victims[:0]
 			for _, c := range e.queue[from:] {
-				if c.bound < working {
+				if uncertain.BoundBelow(c.bound, working) {
 					victims = append(victims, c)
 				} else {
 					kept = append(kept, c)

@@ -905,7 +905,7 @@ func newChurn(t *testing.T, name string, parts []uncertain.DB, opts Options) *ch
 	entries := make([]serve.Entry, len(out.Skyline))
 	adds := make([]msg.Representative, len(out.Skyline))
 	for i, m := range out.Skyline {
-		entries[i] = serve.Entry{Member: m, Site: out.Sites[m.Tuple.ID]}
+		entries[i] = serve.Entry{Member: m, Site: out.Sites[m.Tuple.ID], Local: out.Local[m.Tuple.ID]}
 		adds[i] = msg.Representative{Tuple: m.Tuple, LocalProb: m.Prob}
 	}
 	c.answer.Replace(entries, time.Time{})
@@ -993,7 +993,7 @@ func (c *churn) checkShape(what string, insert bool, home int, upd Update, fanou
 }
 
 // check fails unless the answer is the oracle's at 1e-12, every member
-// at its home.
+// at its home with its home local probability there at 1e-12 too.
 func (c *churn) check(what string) {
 	c.t.Helper()
 	entries := c.answer.Entries()
@@ -1002,6 +1002,9 @@ func (c *churn) check(what string) {
 		members[i] = e.Member
 		if !slices.ContainsFunc(c.parts[e.Site], func(x uncertain.Tuple) bool { return x.ID == e.Member.Tuple.ID }) {
 			c.t.Fatalf("%s: after %s: member %v is not at its recorded home %d", c.name, what, e.Member, e.Site)
+		}
+		if want := c.parts[e.Site].SkyProb(e.Member.Tuple, c.opts.Dims); math.Abs(e.Local-want) > 1e-12 {
+			c.t.Fatalf("%s: after %s: member %v has local probability %v at site %d, oracle %v", c.name, what, e.Member, e.Local, e.Site, want)
 		}
 	}
 	if want := uncertain.Union(c.parts).Skyline(c.opts.Threshold, c.opts.Dims); !uncertain.MembersEqual(members, want, 1e-12) {
@@ -1012,7 +1015,8 @@ func (c *churn) check(what string) {
 // The update engine against the oracle with no cluster: random
 // insert/delete scripts over real site engines, seeds 1–5, m ∈ {2, 3, 8},
 // q ∈ {0.2, 0.3, 0.5}, the full space and [0,2], replicas off and on.
-// After every op the answer is the oracle's and the op kept its shape
+// After every op the answer is the oracle's, each member's Local its home
+// site's fresh local probability, and the op kept its shape
 // (checkShape): a delete or an insert is at most two waits, plus one
 // replicate wave when replicas are on. Each configuration ends with a
 // metamorphic relation: inserting a fresh dominant tuple and then

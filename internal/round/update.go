@@ -31,8 +31,9 @@ type update struct {
 // Insert adds tu at site home in at most two waits: the home site applies
 // it and reports tu's local skyline probability (and whether its replica
 // vetoes tu); if that reaches q unvetoed, the other sites evaluate tu. A
-// member tu dominates is rescaled by 1 − P(tu) and evicted below q;
-// non-members only lose probability, so the update is exact.
+// member tu dominates is rescaled by 1 − P(tu), and so is its local
+// probability when it lives at home too, and evicted below q; non-members
+// only lose probability, so the update is exact.
 func Insert(ctx context.Context, sites Sites, opts Options, answer *serve.Store, home int, tu uncertain.Tuple) (Update, error) {
 	u := &update{waits: newWaits(sites), opts: opts, answer: answer}
 	u.reqs[home] = msg.Request{Kind: msg.KindInsert, Tuple: tu}
@@ -42,11 +43,14 @@ func Insert(ctx context.Context, sites Sites, opts Options, answer *serve.Store,
 	}
 	var cands []serve.Entry
 	if local := resps[home].Rep.LocalProb; local >= opts.Threshold && !resps[home].Hopeless {
-		cands = append(cands, serve.Entry{Member: uncertain.SkylineMember{Tuple: tu, Prob: local}, Site: home})
+		cands = append(cands, serve.Entry{Member: uncertain.SkylineMember{Tuple: tu, Prob: local}, Site: home, Local: local})
 	}
 	for _, e := range answer.Entries() {
 		if e.Member.Tuple.ID != tu.ID && tu.Dominates(e.Member.Tuple, opts.Dims) {
 			u.Rescored++
+			if e.Site == home {
+				e.Local *= 1 - tu.Prob
+			}
 			if e.Member.Prob *= 1 - tu.Prob; e.Member.Prob < opts.Threshold {
 				u.Removed = append(u.Removed, e.Member.Tuple.ID)
 			} else {
@@ -61,7 +65,8 @@ func Insert(ctx context.Context, sites Sites, opts Options, answer *serve.Store,
 // applies it and reports its promotion candidates (tuples tu dominated
 // whose local probability now reaches q) beside every other site's, and
 // then the candidates not already members are evaluated, all at once. tu
-// leaves the answer; a member it dominated is rescaled by 1/(1 − P(tu)).
+// leaves the answer; a member it dominated is rescaled by 1/(1 − P(tu)),
+// and so is its local probability when it lives at home too.
 // The promotion check runs even when tu was no member, unlike the
 // paper's: deleting any strong dominator can promote.
 func Delete(ctx context.Context, sites Sites, opts Options, answer *serve.Store, home int, tu uncertain.Tuple) (Update, error) {
@@ -77,7 +82,7 @@ func Delete(ctx context.Context, sites Sites, opts Options, answer *serve.Store,
 	for j, resp := range resps {
 		for _, rep := range resp.Tuples {
 			if !answer.Has(rep.Tuple.ID) {
-				cands = append(cands, serve.Entry{Member: uncertain.SkylineMember{Tuple: rep.Tuple, Prob: rep.LocalProb}, Site: j})
+				cands = append(cands, serve.Entry{Member: uncertain.SkylineMember{Tuple: rep.Tuple, Prob: rep.LocalProb}, Site: j, Local: rep.LocalProb})
 			}
 		}
 	}
@@ -89,6 +94,9 @@ func Delete(ctx context.Context, sites Sites, opts Options, answer *serve.Store,
 			// Numerical guard: a probability can never exceed the tuple's
 			// own existential probability.
 			e.Member.Prob = min(e.Member.Prob/(1-tu.Prob), e.Member.Tuple.Prob)
+			if e.Site == home {
+				e.Local = min(e.Local/(1-tu.Prob), e.Member.Tuple.Prob)
+			}
 			u.Upserts = append(u.Upserts, e)
 		}
 	}

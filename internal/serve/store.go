@@ -23,10 +23,14 @@ import (
 
 // Entry is one materialized answer member: the tuple with its exact
 // global skyline probability, plus the home site recorded so served
-// results carry the same provenance a protocol round reports.
+// results carry the same provenance a protocol round reports, and the
+// tuple's local skyline probability at that site, P_sky(t, D_home),
+// which a read resuming from the store carries to the other sites as
+// the member's Observation-2 bound.
 type Entry struct {
 	Member uncertain.SkylineMember
 	Site   int
+	Local  float64
 }
 
 // compare is the protocol's report order (uncertain.CompareMembers).

@@ -336,6 +336,13 @@ func (e *Engine) validQuery(q msg.Query) error {
 // query's threshold — a prefix of the subspace's maintained index, which
 // a first or lower-than-ever threshold builds with the PR-tree's
 // threshold-aware BBS search — and hand out the first representative.
+//
+// A resumed query's Init also carries the answer the coordinator already
+// holds: RemoveIDs names the known members homed here, which leave the
+// snapshot unshipped, and Tuples the known members homed elsewhere, each
+// at its home local probability, by which the snapshot is pruned in turn
+// exactly as that many evaluates would prune it (session.prune). So no
+// known answer is shipped or broadcast again.
 func (e *Engine) handleInit(req *msg.Request) (*msg.Response, error) {
 	if err := e.validQuery(req.Query); err != nil {
 		return nil, err
@@ -343,12 +350,32 @@ func (e *Engine) handleInit(req *msg.Request) (*msg.Response, error) {
 	if _, exists := e.sessions[req.Session]; !exists && len(e.sessions) >= MaxSessions {
 		return nil, fmt.Errorf("site %d: session limit (%d) reached", e.id, MaxSessions)
 	}
-	e.sessions[req.Session] = &session{
+	for _, known := range req.Tuples {
+		if err := known.Tuple.Validate(e.index.Dims()); err != nil {
+			return nil, fmt.Errorf("site %d: bad known member: %w", e.id, err)
+		}
+	}
+	s := &session{
 		query: req.Query,
 		sky:   slices.Clone(e.localSkyline(req.Query.Threshold, req.Query.Dims)),
 		start: time.Now().UnixNano(),
 	}
-	return e.handleNext(req)
+	if len(req.RemoveIDs) > 0 {
+		known := make(map[uncertain.TupleID]bool, len(req.RemoveIDs))
+		for _, id := range req.RemoveIDs {
+			known[id] = true
+		}
+		s.sky = slices.DeleteFunc(s.sky, func(m uncertain.SkylineMember) bool { return known[m.Tuple.ID] })
+	}
+	pruned := 0
+	for _, known := range req.Tuples {
+		pruned += s.prune(msg.Feedback{Tuple: known.Tuple, HomeLocalProb: known.LocalProb}, e.forceBadPrune)
+	}
+	e.obsPruned.Add(int64(pruned))
+	e.sessions[req.Session] = s
+	resp := &msg.Response{Pruned: pruned, SessionPruned: s.pruned}
+	s.next(resp)
+	return resp, nil
 }
 
 // ErrNoSession refuses a Next, a session evaluate or a refill for a query
@@ -407,14 +434,7 @@ func (e *Engine) recordSession(id uint64, s *session) {
 
 // handleEvaluate answers a feedback broadcast: report this site's eq. 9
 // factor for the feedback tuple and prune the session's local skyline
-// (Local-Pruning phase). A remaining tuple s is discarded iff the
-// feedback t dominates it and the Observation-2 upper bound on s's global
-// skyline probability,
-//
-//	P_sky(s, D_x) × P_sky(t, D_home)/P(t) × (1 − P(t))
-//
-// falls below the query threshold — a sound prune because every dominator
-// of t at t's home site also dominates s. A Refill evaluate then pops the
+// (Local-Pruning phase; session.prune). A Refill evaluate then pops the
 // next representative, as a Next right after it would, so the refill of an
 // expunged candidate never ships a tuple this feedback pruned. Only session
 // 0 may be absent: without it (maintenance traffic), the request's own
@@ -436,31 +456,46 @@ func (e *Engine) handleEvaluate(req *msg.Request) (*msg.Response, error) {
 	if s != nil {
 		dims = s.query.Dims
 	}
-	cross := e.index.CrossSkyProb(feed.Tuple, dims)
-	pruned := 0
-	if s != nil && !s.query.NoPrune && len(s.sky) > 0 {
-		homeFactor := feed.HomeLocalProb / feed.Tuple.Prob * (1 - feed.Tuple.Prob)
-		kept := s.sky[:0]
-		for _, cand := range s.sky {
-			if feed.Tuple.Dominates(cand.Tuple, dims) &&
-				(e.forceBadPrune || cand.Prob*homeFactor < s.query.Threshold) {
-				pruned++
-				continue
-			}
-			kept = append(kept, cand)
-		}
-		s.sky = kept
-		s.pruned += pruned
-		e.obsPruned.Add(int64(pruned))
-	}
-	resp := &msg.Response{CrossProb: cross, Pruned: pruned}
+	resp := &msg.Response{CrossProb: e.index.CrossSkyProb(feed.Tuple, dims)}
 	if s != nil {
+		resp.Pruned = s.prune(feed, e.forceBadPrune)
+		e.obsPruned.Add(int64(resp.Pruned))
 		resp.SessionPruned = s.pruned
 		if req.Refill {
 			s.next(resp)
 		}
 	}
 	return resp, nil
+}
+
+// prune discards the session's remaining local skyline tuples that the
+// feedback rules out and returns how many it dropped. A remaining tuple s
+// goes iff the feedback t dominates it and the Observation-2 upper bound
+// on s's global skyline probability,
+//
+//	P_sky(s, D_x) × P_sky(t, D_home)/P(t) × (1 − P(t))
+//
+// proves it below the query threshold (uncertain.BoundBelow) — a sound
+// prune because every dominator of t at t's home site also dominates s.
+// force drops every dominated tuple regardless (TestingForceBadPrune).
+func (s *session) prune(feed msg.Feedback, force bool) int {
+	if s.query.NoPrune || len(s.sky) == 0 {
+		return 0
+	}
+	homeFactor := feed.HomeLocalProb / feed.Tuple.Prob * (1 - feed.Tuple.Prob)
+	pruned := 0
+	kept := s.sky[:0]
+	for _, cand := range s.sky {
+		if feed.Tuple.Dominates(cand.Tuple, s.query.Dims) &&
+			(force || uncertain.BoundBelow(cand.Prob*homeFactor, s.query.Threshold)) {
+			pruned++
+			continue
+		}
+		kept = append(kept, cand)
+	}
+	s.sky = kept
+	s.pruned += pruned
+	return pruned
 }
 
 // ErrBatchedSession refuses an Evaluate that carries a batch of tuples

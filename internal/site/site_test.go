@@ -70,6 +70,65 @@ func TestInitStreamsLocalSkylineInOrder(t *testing.T) {
 	}
 }
 
+// A resumed query's Init: the known members homed here (RemoveIDs) never
+// ship, and the snapshot is pruned by each known member homed elsewhere
+// (Tuples, at its home local probability) by the evaluate's rule, before
+// the first representative is popped.
+func TestInitCarriesKnownAnswer(t *testing.T) {
+	r := rand.New(rand.NewSource(53))
+	part := randomPart(r, 200, 3)
+	const q = 0.2
+	sky := part.Skyline(q, nil)
+	if len(sky) < 6 {
+		t.Fatalf("local skyline of %d; pick another seed", len(sky))
+	}
+	removed := map[uncertain.TupleID]bool{sky[0].Tuple.ID: true, sky[3].Tuple.ID: true}
+	known := msg.Representative{Tuple: uncertain.Tuple{ID: 9999, Point: geom.Point{0.05, 0.01, 0.05}, Prob: 0.5}, LocalProb: 0.3}
+	homeFactor := known.LocalProb / known.Tuple.Prob * (1 - known.Tuple.Prob)
+	var want []uncertain.SkylineMember
+	pruned := 0
+	for _, m := range sky {
+		switch {
+		case removed[m.Tuple.ID]:
+		case known.Tuple.Dominates(m.Tuple, nil) && uncertain.BoundBelow(m.Prob*homeFactor, q):
+			pruned++
+		default:
+			want = append(want, m)
+		}
+	}
+	if pruned == 0 {
+		t.Fatal("the known member prunes nothing; move it")
+	}
+
+	eng := New(0, part, 3, 0)
+	resp, err := eng.Handle(context.Background(), &msg.Request{
+		Kind: msg.KindInit, Query: msg.Query{Threshold: q},
+		Tuples: []msg.Representative{known}, RemoveIDs: []uncertain.TupleID{sky[0].Tuple.ID, sky[3].Tuple.ID},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Pruned != pruned || resp.SessionPruned != pruned {
+		t.Fatalf("init pruned %d (session %d), want %d", resp.Pruned, resp.SessionPruned, pruned)
+	}
+	var got []uncertain.SkylineMember
+	for !resp.Exhausted {
+		got = append(got, uncertain.SkylineMember{Tuple: resp.Rep.Tuple, Prob: resp.Rep.LocalProb})
+		if resp, err = eng.Handle(context.Background(), &msg.Request{Kind: msg.KindNext}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("shipped %v, want %v", got, want)
+	}
+
+	bad := known
+	bad.Tuple.Prob = 0
+	if _, err := eng.Handle(context.Background(), &msg.Request{Kind: msg.KindInit, Query: msg.Query{Threshold: q}, Tuples: []msg.Representative{bad}}); err == nil {
+		t.Fatal("init accepted a known member with probability 0")
+	}
+}
+
 func TestNextBeforeInitFails(t *testing.T) {
 	eng := New(0, nil, 2, 0)
 	if _, err := eng.Handle(context.Background(), &msg.Request{Kind: msg.KindNext}); !errors.Is(err, ErrNoSession) {

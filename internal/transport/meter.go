@@ -75,6 +75,9 @@ func (m *Meter) AddBytes(n int64) { m.bytes.Add(n) }
 //
 //   - every Representative returned by Init/Next, or by an Evaluate that
 //     carries a refill, costs one up-tuple;
+//   - a resumed query's Init ships the known answer homed elsewhere down,
+//     one down-tuple per member it carries; the IDs of the known members
+//     homed at the site ride free, like replica evictions;
 //   - every Evaluate request ships the feedback tuple down (one per site
 //     contacted, so a broadcast to m−1 sites costs m−1), or a batch of
 //     maintenance candidates, one down-tuple each;
@@ -89,6 +92,7 @@ func (m *Meter) Account(req *msg.Request, resp *msg.Response) {
 	m.messages.Add(1)
 	switch req.Kind {
 	case msg.KindInit, msg.KindNext:
+		m.tuplesDown.Add(int64(len(req.Tuples)))
 		if resp != nil && !resp.Exhausted {
 			m.tuplesUp.Add(1)
 		}

@@ -95,6 +95,24 @@ func TestMeterAccountsRefill(t *testing.T) {
 	}
 }
 
+// A resumed query's Init ships each known member homed elsewhere down
+// and its first representative up; the IDs of the known members homed at
+// the site ride free.
+func TestMeterAccountsResumedInit(t *testing.T) {
+	var m Meter
+	rep := msg.Representative{Tuple: sampleTuple(1), LocalProb: 0.5}
+	init := &msg.Request{Kind: msg.KindInit, Tuples: []msg.Representative{rep, rep}, RemoveIDs: []uncertain.TupleID{7, 8, 9}}
+	m.Account(init, &msg.Response{Rep: rep})
+	if s := m.Snapshot(); s.Messages != 1 || s.TuplesDown != 2 || s.TuplesUp != 1 {
+		t.Fatalf("resumed init: %+v, want 1 message, 2 tuples down (the carried members), 1 up", s)
+	}
+	m.Reset()
+	m.Account(&msg.Request{Kind: msg.KindInit, RemoveIDs: []uncertain.TupleID{7}}, &msg.Response{Exhausted: true})
+	if s := m.Snapshot(); s.Messages != 1 || s.TuplesDown != 0 || s.TuplesUp != 0 {
+		t.Fatalf("init carrying IDs only, site exhausted: %+v, want 1 message and no tuple", s)
+	}
+}
+
 func TestMeterAccounting(t *testing.T) {
 	var m Meter
 	rep := msg.Representative{Tuple: sampleTuple(1), LocalProb: 0.5}

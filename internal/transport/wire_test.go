@@ -133,6 +133,12 @@ func sampleMessages() (reqs []msg.Request, resps []msg.Response) {
 			r.Query = msg.Query{Threshold: 0.3, Dims: []int{0, 2}}
 			r.Timed = true
 		}),
+		with(func(r *msg.Request) {
+			r.Kind = msg.KindInit
+			r.Query = msg.Query{Threshold: 0.2}
+			r.Tuples = []msg.Representative{rep(21), rep(22)}
+			r.RemoveIDs = []uncertain.TupleID{23}
+		}),
 		with(func(r *msg.Request) { r.Kind = msg.KindNext }),
 		with(func(r *msg.Request) {
 			r.Kind = msg.KindEvaluate
@@ -294,6 +300,11 @@ func TestWireRefillBit(t *testing.T) {
 		t.Fatalf("a request without the bit decoded to refill=%v, %v", got.Refill, err)
 	}
 }
+
+// A generation-8 site would ignore the known answer a resumed Init
+// carries and ship every known member again. Neither side of a connection
+// accepts its hello.
+func TestWireRefusesGenerationEight(t *testing.T) { refusesGeneration(t, 8) }
 
 // A generation-7 coordinator never asks for a refill inside an evaluate,
 // and a generation-7 site would refuse this build's as an unknown bit.

@@ -239,3 +239,16 @@ func MembersEqual(a, b []SkylineMember, tol float64) bool {
 	}
 	return true
 }
+
+// BoundMargin is γ, the relative slack an upper bound must clear before it
+// may discard a tuple: a bound and the fold it bounds are both
+// floating-point products of the same factors, and each may round on
+// either side of its real value by less than γ (docs/ALGORITHMS.md §3,
+// "The outward margin").
+const BoundMargin = 1e-9
+
+// BoundBelow reports whether bound, a computed upper bound on some
+// tuple's skyline probability, proves that probability below q even after
+// rounding: bound·(1+γ) < q. Every prune and expunge decides with it; a
+// report decides on the fold itself (>= q), which is the definition.
+func BoundBelow(bound, q float64) bool { return bound*(1+BoundMargin) < q }
