@@ -215,9 +215,9 @@ func main() {
 		opts.Logger = logger
 		opts.SlowQuery = *slowQuery
 	}
-	if *auditFraction > 0 {
-		// The auditor reads the query_id for its records from the
-		// caller's trace (QueryWithStats would attach a private one).
+	if *stats || *explain || opts.SlowQuery > 0 {
+		// The phase table, the per-site wait/service split and a slow
+		// query's logged phase durations are the trace's.
 		opts.Trace = dsq.NewTrace()
 	}
 	if *record != "" {
@@ -231,14 +231,11 @@ func main() {
 			fmt.Printf("skyline %s  P=%.4f  (site %d)\n", res.Tuple.Point, res.GlobalProb, res.Site)
 		}
 	}
-	var (
-		report *dsq.Report
-		qstats *dsq.QueryStats
-	)
+	var report *dsq.Report
 	if server != nil {
-		report, qstats, err = server.QueryWithStats(ctx, opts)
+		report, err = server.Query(ctx, opts)
 	} else {
-		report, qstats, err = cluster.QueryWithStats(ctx, opts)
+		report, err = cluster.Query(ctx, opts)
 	}
 	if err != nil {
 		finalSnapshot(fr, reg, *flightDir)
@@ -268,13 +265,13 @@ func main() {
 	}
 	if *stats {
 		fmt.Println()
-		if err := qstats.Trace.WriteTable(os.Stdout); err != nil {
+		if err := opts.Trace.Summary().WriteTable(os.Stdout, time.Duration(report.Curve.TTFirstNS)); err != nil {
 			fatalf("stats: %v", err)
 		}
 	}
 	if *explain {
 		fmt.Println()
-		if err := dsq.WriteExplain(os.Stdout, report, qstats); err != nil {
+		if err := dsq.WriteExplain(os.Stdout, report, opts.Trace); err != nil {
 			fatalf("explain: %v", err)
 		}
 	}

@@ -6,9 +6,9 @@
 //
 //	dsud-site -data /tmp/parts/site-0.dsud -addr 127.0.0.1:7101 -id 0
 //
-// With -http the daemon serves /healthz, /statusz and /debug/flightz on
-// an ops address; with -debug-addr it additionally serves /metrics
-// (Prometheus), /vars (JSON) and /debug/pprof/ there. The site judges no
+// With -debug-addr the daemon serves /healthz, /statusz, /debug/flightz,
+// /metrics (Prometheus), /vars (JSON) and /debug/pprof/ on one HTTP
+// address. The site judges no
 // objectives: its status reports its latency window, and a watching
 // coordinator (dsud-query -watch -slo-p99) judges it. On SIGINT/SIGTERM it
 // stops accepting requests, drains in-flight queries for -drain, and (with
@@ -18,7 +18,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -41,7 +40,6 @@ func main() {
 	var (
 		data       = flag.String("data", "", "partition file written by dsud-gen (required)")
 		addr       = flag.String("addr", "127.0.0.1:0", "listen address")
-		httpAddr   = flag.String("http", "", "optional ops address serving GET /healthz, /statusz and /debug/flightz")
 		debugAddr  = flag.String("debug-addr", "", "optional debug address serving /metrics, /vars, /healthz, /statusz, /debug/flightz and /debug/pprof/")
 		id         = flag.Int("id", 0, "site index (diagnostics only)")
 		logLevel   = flag.String("log-level", "", "structured log level: debug|info|warn|error (empty = logging off)")
@@ -138,19 +136,6 @@ func main() {
 	obs.ExposeWindow(reg, "dsud_site_request_window_seconds", eng.Window(), "site", fmt.Sprint(*id))
 	fmt.Printf("dsud-site %d serving %d tuples (%d dims) on %s\n", *id, len(part), dims, lis.Addr())
 
-	if *httpAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/statusz", eng.StatusHandler())
-		mux.Handle("/healthz", healthzHandler())
-		mux.Handle("/debug/flightz", fr.Handler())
-		opsLis, err := net.Listen("tcp", *httpAddr)
-		if err != nil {
-			fatalf("ops listen: %v", err)
-		}
-		fmt.Printf("dsud-site %d ops endpoint on http://%s/statusz\n", *id, opsLis.Addr())
-		go http.Serve(opsLis, mux)
-	}
-
 	if *debugAddr != "" {
 		mux := obs.DebugMux(reg, map[string]http.Handler{
 			"/statusz":       eng.StatusHandler(),
@@ -213,20 +198,6 @@ func finalSnapshot(fr *flight.Recorder, reg *obs.Registry, dir string, id int) {
 		return
 	}
 	fmt.Printf("dsud-site %d: metrics snapshot -> %s\n", id, path)
-}
-
-// healthzHandler is the ops-mux liveness probe, matching the debug mux's
-// /healthz contract: GET/HEAD only, application/json.
-func healthzHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet && req.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET, HEAD")
-			http.Error(w, "GET only", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]string{"status": "ok"})
-	})
 }
 
 func fatalf(format string, args ...interface{}) {

@@ -5,12 +5,7 @@
 // count, windowed p50/p99 latency, mux worker-pool saturation, poll age,
 // staleness marks and a sparkline of recent p99 history from the
 // coordinator's per-site ring, with a line for each objective the watch
-// judges breached (dsud-query -watch -slo-p99). When the same coordinator
-// also serves /debug/flightz (its per-query records, each with its
-// delivery curve), the frame gains a per-site DLVRD (skyline tuples
-// delivered) column and a progressiveness summary line (median TTFR,
-// median bandwidth AUC); a coordinator without it renders "-" there and
-// still passes -once.
+// judges breached (dsud-query -watch -slo-p99).
 //
 // Usage:
 //
@@ -32,7 +27,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"time"
 
@@ -90,21 +84,19 @@ type top struct {
 
 // render draws one frame from the coordinator's /clusterz document and
 // returns how many entries are bad (coordinator unreachable, or sites
-// stale) — the -once exit signal. A coordinator without /debug/flightz is
-// a soft miss: the DLVRD column degrades to "-" and -once still passes.
+// stale) — the -once exit signal.
 func (t *top) render(w *os.File) int {
 	doc, err := t.fetchClusterz()
 	if err != nil {
 		fmt.Fprintf(w, "cluster %s: %v\n", trimURL(t.cluster), err)
 		return 1
 	}
-	qz := t.fetchFlightz()
 	fmt.Fprintf(w, "dsud-top  %s  cluster %s  %d site(s): %d fresh, %d stale\n",
 		time.Now().Format("15:04:05"), trimURL(t.cluster), doc.Sites, doc.Fresh, doc.Stale)
 	fmt.Fprintf(w, "cluster rate %.1f/s  p50 %s  p95 %s  p99 %s  (merged over fresh sites, poll interval %v)\n\n",
 		doc.Rate, ms(doc.P50Ms), ms(doc.P95Ms), ms(doc.P99Ms), time.Duration(doc.IntervalNS))
-	fmt.Fprintf(w, "%-5s %-6s %7s %8s %8s %8s %8s %8s %8s %6s %6s %6s  %s\n",
-		"SITE", "STATE", "AGE", "POLLS", "TUPLES", "INFLIGHT", "RPS", "P50MS", "P99MS", "BUSY", "QUEUED", "DLVRD", "P99 HISTORY")
+	fmt.Fprintf(w, "%-5s %-6s %7s %8s %8s %8s %8s %8s %8s %6s %6s  %s\n",
+		"SITE", "STATE", "AGE", "POLLS", "TUPLES", "INFLIGHT", "RPS", "P50MS", "P99MS", "BUSY", "QUEUED", "P99 HISTORY")
 	bad := 0
 	for _, s := range doc.PerSite {
 		if s.Latest == nil {
@@ -118,10 +110,10 @@ func (t *top) render(w *os.File) int {
 			bad++
 		}
 		st := s.Latest
-		fmt.Fprintf(w, "%-5d %-6s %6.1fs %8d %8d %8d %8.1f %8s %8s %6d %6d %6s  %s\n",
+		fmt.Fprintf(w, "%-5d %-6s %6.1fs %8d %8d %8d %8.1f %8s %8s %6d %6d  %s\n",
 			s.Site, state, s.AgeSeconds, s.Polls, st.Tuples, st.InFlight, st.WindowRate,
 			ms(st.LatencyP50Ms), ms(st.LatencyP99Ms),
-			st.MuxWorkersBusy, st.MuxQueued, qz.delivered(s.Site), spark(s.History, 32))
+			st.MuxWorkersBusy, st.MuxQueued, spark(s.History, 32))
 	}
 	for _, o := range doc.SLO {
 		if o.Breached {
@@ -129,99 +121,7 @@ func (t *top) render(w *os.File) int {
 				o.Name, o.SustainedBreaches, o.Current, o.Target, o.Burn)
 		}
 	}
-	fmt.Fprintln(w)
-	qz.writeSummary(w)
 	return bad
-}
-
-// flightzDump is the slice of the coordinator's /debug/flightz document
-// dsud-top renders: per-site delivered counts and the progressiveness
-// summary of the retained query records. nil means the coordinator has no
-// /debug/flightz — every accessor degrades to "-".
-type flightzDump struct {
-	Total   uint64 `json:"total"`
-	Records []struct {
-		Slow  bool `json:"slow"`
-		Curve *struct {
-			AUCBandwidth float64 `json:"auc_bandwidth"`
-			TTFirstNS    int64   `json:"ttf_ns"`
-			PerSite      []int32 `json:"per_site"`
-		} `json:"curve"`
-	} `json:"records"`
-}
-
-// delivered sums a site's skyline contributions over the retained
-// curves; "-" when /debug/flightz is absent or the site is beyond the
-// curve's per-site capacity.
-func (fz *flightzDump) delivered(site int) string {
-	if fz == nil {
-		return "-"
-	}
-	total, tracked := int64(0), false
-	for _, r := range fz.Records {
-		if r.Curve != nil && site < len(r.Curve.PerSite) {
-			tracked = true
-			total += int64(r.Curve.PerSite[site])
-		}
-	}
-	if !tracked {
-		return "-"
-	}
-	return fmt.Sprintf("%d", total)
-}
-
-// writeSummary prints the one-line progressiveness rollup of the
-// retained answered queries (median TTFR and bandwidth AUC), or the
-// soft-miss note for coordinators without /debug/flightz.
-func (fz *flightzDump) writeSummary(w *os.File) {
-	if fz == nil {
-		fmt.Fprintf(w, "queries: /debug/flightz unavailable\n")
-		return
-	}
-	var ttfr, auc []float64
-	slow := 0
-	for _, r := range fz.Records {
-		if r.Curve == nil {
-			continue // failed: no curve
-		}
-		ttfr = append(ttfr, float64(r.Curve.TTFirstNS)/1e6)
-		auc = append(auc, r.Curve.AUCBandwidth)
-		if r.Slow {
-			slow++
-		}
-	}
-	if len(ttfr) == 0 {
-		fmt.Fprintf(w, "queries: none retained yet\n")
-		return
-	}
-	fmt.Fprintf(w, "queries: %d retained (%d recorded, %d slow)  ttfr p50 %s ms  auc(bw) p50 %.3f\n",
-		len(ttfr), fz.Total, slow, ms(median(ttfr)), median(auc))
-}
-
-// median of a non-empty slice (sorts in place).
-func median(xs []float64) float64 {
-	sort.Float64s(xs)
-	return xs[len(xs)/2]
-}
-
-// fetchFlightz reads the coordinator's /debug/flightz ring. Any failure —
-// 404, transport error — is a soft miss returning nil: coordinator
-// reachability is already gated by the /clusterz fetch, and a missing
-// flight ring must not fail -once.
-func (t *top) fetchFlightz() *flightzDump {
-	resp, err := t.client.Get(t.cluster + "/debug/flightz")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil
-	}
-	var fz flightzDump
-	if err := json.NewDecoder(resp.Body).Decode(&fz); err != nil {
-		return nil
-	}
-	return &fz
 }
 
 func (t *top) fetchClusterz() (*dsq.Clusterz, error) {

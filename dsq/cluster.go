@@ -7,13 +7,13 @@ import (
 )
 
 // Cluster construction, querying and serving. Connect is the single
-// constructor; Cluster.Query and Cluster.QueryWithStats run one
-// protocol round per call; Cluster.Serve materializes the answer once
+// constructor; Cluster.Query runs one protocol round per call and
+// returns its Report; Cluster.Serve materializes the answer once
 // and serves reads from it (docs/SERVING.md); NewMaintainer keeps an
 // answer current under updates.
 //
-// The constructors that predate Connect and the free Query /
-// QueryWithStats functions have been removed; see docs/SERVING.md
+// The constructors that predate Connect, the free query functions and
+// the per-query stats methods have been removed; see docs/SERVING.md
 // "Migrating from the deprecated API" for the one-line replacements.
 
 type (
@@ -28,11 +28,6 @@ type (
 	// dimensionality, transport behaviour (RetryAttempts) and
 	// observability attachments (Logger, Metrics, FlightRecorder).
 	ClusterConfig = core.ClusterConfig
-	// QueryStats aggregates one query's observability record: the
-	// per-phase timing trace and the bandwidth meter delta, alongside the
-	// algorithm that ran and the Source of the answer. Produced by
-	// Cluster.QueryWithStats and Server.QueryWithStats.
-	QueryStats = core.QueryStats
 	// Maintainer keeps a query answer current under inserts and deletes.
 	Maintainer = core.Maintainer
 

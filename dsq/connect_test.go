@@ -58,16 +58,13 @@ func TestConnectAndQuery(t *testing.T) {
 		}
 	}
 
-	// The stats method form works and agrees with the report.
-	rep, stats, err := cluster.QueryWithStats(context.Background(), dsq.Options{Threshold: 0.3})
+	// The report names the resolved default algorithm.
+	rep, err := cluster.Query(context.Background(), dsq.Options{Threshold: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Algorithm != dsq.EDSUD {
-		t.Fatalf("default algorithm: got %v", stats.Algorithm)
-	}
-	if stats.Bandwidth != rep.Bandwidth {
-		t.Fatalf("stats bandwidth %+v != report bandwidth %+v", stats.Bandwidth, rep.Bandwidth)
+	if rep.Algorithm != dsq.EDSUD {
+		t.Fatalf("default algorithm: got %v", rep.Algorithm)
 	}
 
 	// A second independently connected cluster answers identically.

@@ -39,7 +39,7 @@
 // The API is split by concern:
 //
 //   - cluster.go: building clusters (Connect, ClusterConfig) and running
-//     queries (Cluster.Query, Cluster.QueryWithStats, NewMaintainer).
+//     queries (Cluster.Query, NewMaintainer).
 //   - workload.go: synthetic workload generation and partitioning (§7 of
 //     the paper), vertical partitioning, and sliding-window streams.
 //   - observe.go: traces, metrics, structured logs, flight recording,
@@ -82,11 +82,10 @@ type (
 	Options = core.Options
 	// Result is one progressively delivered skyline tuple.
 	Result = core.Result
-	// Report summarises a completed query: the answer, bandwidth,
-	// iteration counters and the per-result progress trace.
+	// Report is the one record of a completed query: its query ID and
+	// algorithm, the answer, bandwidth, iteration counters, one
+	// DeliveryPoint per reported tuple and the delivery curve.
 	Report = core.Report
-	// ProgressPoint is one step of the progressiveness trace.
-	ProgressPoint = core.ProgressPoint
 )
 
 // Algorithms.

@@ -25,10 +25,9 @@ type (
 	Event = core.Event
 	// EventKind labels protocol steps.
 	EventKind = core.EventKind
-	// Trace collects one query's phase timings, event tallies,
-	// time-to-result latencies and per-site wait/service split (attach via
-	// Options.Trace, or use Cluster.QueryWithStats). Safe to Summary()
-	// while the query runs.
+	// Trace collects one query's phase timings, event tallies and
+	// per-site wait/service split (attach via Options.Trace; every other
+	// count is on the Report). Safe to Summary() while the query runs.
 	Trace = core.Trace
 	// TraceSummary is a point-in-time snapshot of a Trace.
 	TraceSummary = core.TraceSummary
@@ -135,19 +134,22 @@ type (
 	// DeliveryDigest is one query's delivery curve: checkpointed (t, k)
 	// pairs, the normalized progress AUCs (time and bandwidth axes),
 	// time-to-first/last result and per-site delivered counts. Every
-	// Report/QueryStats carries one (Report.Curve, QueryStats.Curve), and
-	// so does the query's FlightRecord.
+	// Report carries one (Report.Curve), and so does the query's
+	// FlightRecord.
 	DeliveryDigest = progress.Digest
-	// DeliveryPoint is one checkpoint on a delivery curve.
+	// DeliveryPoint is one point on a delivery curve: the K-th result,
+	// its time since query start and the cumulative tuples shipped by
+	// then (Report.Progress, DeliveryDigest checkpoints).
 	DeliveryPoint = progress.Point
 )
 
 // WriteExplain renders a completed query as a per-query explain report:
 // delivery timeline, per-site contribution table, phase breakdown and
-// the query_id cross-links (the dsud-query -explain output). stats may
-// be nil; the phase breakdown is then omitted.
-func WriteExplain(w io.Writer, rep *Report, stats *QueryStats) error {
-	return core.WriteExplain(w, rep, stats)
+// the query_id cross-links (the dsud-query -explain output). tr is the
+// Trace the query ran with, or nil; the per-site wait/service split and
+// the phase breakdown are then omitted.
+func WriteExplain(w io.Writer, rep *Report, tr *Trace) error {
+	return core.WriteExplain(w, rep, tr)
 }
 
 // NewAuditor builds an online invariant auditor. reg may be nil.

@@ -8,6 +8,8 @@ import (
 	"repro/dsq"
 )
 
+// A query's stats are its Report plus the Trace it ran with: the report
+// names the query and its resolved algorithm, the trace times its phases.
 func TestQueryWithStats(t *testing.T) {
 	parts, union := workload(t, 600, 3, 5)
 	cluster, err := dsq.Connect(dsq.ClusterConfig{Partitions: parts, Dims: 3})
@@ -16,7 +18,8 @@ func TestQueryWithStats(t *testing.T) {
 	}
 	defer cluster.Close()
 
-	rep, stats, err := cluster.QueryWithStats(context.Background(), dsq.Options{Threshold: 0.3})
+	trace := dsq.NewTrace()
+	rep, err := cluster.Query(context.Background(), dsq.Options{Threshold: 0.3, Trace: trace})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,13 +27,16 @@ func TestQueryWithStats(t *testing.T) {
 	if len(rep.Skyline) != len(want) {
 		t.Fatalf("answer size %d, central oracle %d", len(rep.Skyline), len(want))
 	}
-	if stats.Algorithm != dsq.EDSUD {
-		t.Fatalf("algorithm = %v, want the resolved default EDSUD", stats.Algorithm)
+	if rep.Algorithm != dsq.EDSUD {
+		t.Fatalf("algorithm = %v, want the resolved default EDSUD", rep.Algorithm)
+	}
+	if rep.QueryID == 0 {
+		t.Error("report carries no query ID")
 	}
 
-	tr := stats.Trace
+	tr := trace.Summary()
 	if !tr.Done {
-		t.Error("trace must be finished after QueryWithStats returns")
+		t.Error("trace must be finished after Query returns")
 	}
 	if tr.Elapsed <= 0 {
 		t.Error("elapsed must be positive")
@@ -40,8 +46,8 @@ func TestQueryWithStats(t *testing.T) {
 			t.Errorf("phase %v not timed: %+v", p, tr.Phases[p])
 		}
 	}
-	if tr.TimeToFirst() <= 0 {
-		t.Error("time-to-first must be positive when results were reported")
+	if rep.Curve.TTFirstNS <= 0 || len(rep.Progress) == 0 || rep.Progress[0].NS != rep.Curve.TTFirstNS {
+		t.Error("time-to-first must be positive and the first progress point's when results were reported")
 	}
 	if got := tr.Events[dsq.EventReport]; got != len(rep.Skyline) {
 		t.Errorf("trace reports %d, answer has %d", got, len(rep.Skyline))
@@ -49,24 +55,17 @@ func TestQueryWithStats(t *testing.T) {
 	if got := tr.Events[dsq.EventFeedbackSelect]; got != rep.Broadcasts {
 		t.Errorf("trace feedback-selects %d, broadcasts %d", got, rep.Broadcasts)
 	}
-	if stats.Bandwidth.Tuples() != rep.Bandwidth.Tuples() {
-		t.Errorf("stats bandwidth %d, report %d", stats.Bandwidth.Tuples(), rep.Bandwidth.Tuples())
-	}
 
-	// A caller-provided trace is used rather than replaced, staying
-	// readable after the call.
-	own := dsq.NewTrace()
-	_, stats2, err := cluster.QueryWithStats(context.Background(), dsq.Options{
-		Threshold: 0.3, Algorithm: dsq.DSUD, Trace: own,
-	})
+	// An untraced query carries the same record, and its own ID.
+	rep2, err := cluster.Query(context.Background(), dsq.Options{Threshold: 0.3, Algorithm: dsq.DSUD})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if own.Summary().Events[dsq.EventBroadcast] != stats2.Trace.Events[dsq.EventBroadcast] {
-		t.Error("caller trace and returned stats disagree")
+	if rep2.Algorithm != dsq.DSUD {
+		t.Fatalf("algorithm = %v, want DSUD", rep2.Algorithm)
 	}
-	if stats2.Algorithm != dsq.DSUD {
-		t.Fatalf("algorithm = %v, want DSUD", stats2.Algorithm)
+	if rep2.QueryID == 0 || rep2.QueryID == rep.QueryID {
+		t.Errorf("query IDs %x then %x, want two distinct nonzero IDs", rep.QueryID, rep2.QueryID)
 	}
 }
 

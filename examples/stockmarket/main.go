@@ -55,7 +55,7 @@ func main() {
 		trades, exchanges, threshold)
 
 	first := true
-	report, _, err := cluster.QueryWithStats(context.Background(), dsq.Options{
+	report, err := cluster.Query(context.Background(), dsq.Options{
 		Threshold: threshold,
 		Algorithm: dsq.EDSUD,
 		OnResult: func(res dsq.Result) {

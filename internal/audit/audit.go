@@ -219,7 +219,7 @@ func (a *Auditor) Audit(ctx context.Context, c *core.Cluster, opts core.Options,
 	if err != nil {
 		return nil, fmt.Errorf("audit: fetching partitions: %w", err)
 	}
-	out := &Outcome{QueryID: obs.QueryID(opts.Trace.ID())}
+	out := &Outcome{QueryID: obs.QueryID(rep.QueryID)}
 	a.auditSoundness(out, union, opts, rep)
 	a.auditMonotone(out, opts, rep)
 	a.auditDismissal(out, union, opts, rep)

@@ -244,3 +244,29 @@ func TestDismissalExemptForTruncatedQueries(t *testing.T) {
 		}
 	}
 }
+
+// An untraced query's audit outcome carries the query's own query_id, the
+// one its flight record is keyed by.
+func TestAuditUntracedQueryID(t *testing.T) {
+	parts := makeWorkload(t, 200, 2, 2, 74)
+	fr := flight.New(4)
+	cluster, err := core.Open(core.ClusterConfig{Partitions: parts, Dims: 2, FlightRecorder: fr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	a := New(Config{Fraction: 1, Seed: 5}, nil)
+	opts := core.Options{Threshold: 0.3}
+	rep, err := core.Run(context.Background(), cluster, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := a.Audit(context.Background(), cluster, opts, rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := fr.Snapshot()[0]
+	if want := obs.QueryID(rec.QueryID); rec.QueryID == 0 || out.QueryID != want {
+		t.Fatalf("audit outcome query_id %s, flight record %s", out.QueryID, want)
+	}
+}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
-	"repro/internal/obs/progress"
 	"repro/internal/obs/transcript"
 	"repro/internal/site"
 	"repro/internal/transport"
@@ -144,50 +143,4 @@ func Open(cfg ClusterConfig) (*Cluster, error) {
 // over the shared site connections.
 func (c *Cluster) Query(ctx context.Context, opts Options) (*Report, error) {
 	return Run(ctx, c, opts)
-}
-
-// QueryStats aggregates one query's observability record: the per-phase
-// timing trace and the bandwidth meter delta, alongside the algorithm
-// that ran.
-type QueryStats struct {
-	// Algorithm is the algorithm that executed (the default resolved).
-	Algorithm Algorithm
-	// Trace holds phase spans, event tallies, iteration count, the
-	// time-to-first/k-th-result series and the per-site wait/service
-	// split.
-	Trace TraceSummary
-	// Bandwidth is the tuple/message/byte cost of this query.
-	Bandwidth transport.Snapshot
-	// Curve is the delivery-curve digest ((t, k) checkpoints, progress
-	// AUCs, per-site delivered counts).
-	Curve *progress.Digest `json:"curve,omitempty"`
-	// Source records how the answer was produced (protocol round,
-	// materialized read, or materialized read behind a refresh).
-	Source Source
-}
-
-// QueryWithStats is Query plus a populated QueryStats. If opts.Trace is
-// nil a private trace is attached for the duration of the call;
-// otherwise the caller's trace is used (and remains readable live).
-func (c *Cluster) QueryWithStats(ctx context.Context, opts Options) (*Report, *QueryStats, error) {
-	return withStats(opts, func(opts Options) (*Report, error) { return Run(ctx, c, opts) })
-}
-
-// withStats is the body of both QueryWithStats methods.
-func withStats(opts Options, query func(Options) (*Report, error)) (*Report, *QueryStats, error) {
-	opts = opts.withDefaults()
-	if opts.Trace == nil {
-		opts.Trace = NewTrace()
-	}
-	rep, err := query(opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rep, &QueryStats{
-		Algorithm: opts.Algorithm,
-		Trace:     opts.Trace.Summary(),
-		Bandwidth: rep.Bandwidth,
-		Curve:     rep.Curve,
-		Source:    rep.Source,
-	}, nil
 }

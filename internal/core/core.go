@@ -69,9 +69,10 @@ type Options struct {
 	// expunge, feedback-select, broadcast, prune, report, reject, refill)
 	// for tracing and debugging. Purely observational.
 	OnEvent func(Event)
-	// Trace, when non-nil, collects per-phase span timings, event tallies
-	// and time-to-result latencies for this query. Run resets it at query
-	// start; read Trace.Summary during or after the run. Purely
+	// Trace, when non-nil, collects per-phase span timings and event
+	// tallies for this query (delivery times are the Report's). Run
+	// resets it at query start; read Trace.Summary during or after the
+	// run. Purely
 	// observational — a nil Trace costs one pointer test per span site.
 	// When set, every RPC the query issues is Timed: the sites stamp
 	// their handling time on the replies, and Summary().Sites splits each
@@ -253,7 +254,7 @@ var (
 // Validate checks the options against the cluster's data dimensionality
 // and returns a typed error (ErrThreshold, ErrSubspace, ErrAlgorithm,
 // ErrPolicy, ErrResultLimit, ErrMode — match with errors.Is) on the
-// first violation. Query, QueryWithStats and Server.Query all call it;
+// first violation. Query and Server.Query both call it;
 // callers constructing options programmatically can call it early to
 // fail before touching the cluster. dims <= 0 skips the subspace check.
 func (o Options) Validate(dims int) error {
@@ -296,8 +297,8 @@ func (o Options) Validate(dims int) error {
 
 // withDefaults resolves the defaulted fields — the one place the
 // "zero Algorithm means e-DSUD" rule lives. Every entry point (Run,
-// QueryWithStats, NewMaintainer, Server) normalises through it, so the
-// resolved options a query executes with are identical everywhere.
+// NewMaintainer, Server) normalises through it, so the resolved options
+// a query executes with are identical everywhere.
 func (o Options) withDefaults() Options {
 	if o.Algorithm == 0 {
 		o.Algorithm = EDSUD
@@ -336,29 +337,27 @@ type Result struct {
 	PrunedLocal int
 }
 
-// ProgressPoint records the cumulative cost at the moment one more skyline
-// tuple was reported — the raw series behind the paper's Fig. 12/13.
-type ProgressPoint struct {
-	// Reported is the number of skyline tuples delivered so far.
-	Reported int
-	// Tuples is the cumulative bandwidth (tuples transmitted).
-	Tuples int64
-	// Elapsed is the CPU/wall time since the query started.
-	Elapsed time.Duration
-}
-
-// Report summarises one completed query: what the round engine computed
-// (the answer, home sites, protocol tallies, per-site tallies and the
-// feedback sequence — see round.Outcome) plus what the coordinator
-// measured around it.
+// Report is the one record of a completed query the caller holds: what
+// the round engine computed (the answer, home sites, protocol tallies,
+// per-site tallies and the feedback sequence — see round.Outcome) plus
+// who ran it and what the coordinator measured around it.
 type Report struct {
 	round.Outcome
+	// QueryID is the query's ID: the query_id of its log records, its
+	// flight record and, for a protocol round, its sites' requests (the
+	// round's session ID).
+	QueryID uint64
+	// Algorithm is the algorithm the query ran with (the default
+	// resolved). A served read names its Source in the records instead.
+	Algorithm Algorithm
 	// Bandwidth is the transport meter delta for this query.
 	Bandwidth transport.Snapshot
 	// Elapsed is the total query duration.
 	Elapsed time.Duration
-	// Progress traces cumulative cost per reported tuple.
-	Progress []ProgressPoint
+	// Progress holds one point per reported tuple: its 1-based ordinal
+	// K, the time NS since query start and the cumulative tuples shipped
+	// by then — the raw series behind the paper's Fig. 12/13.
+	Progress []progress.Point
 	// Curve is the delivery-curve digest (checkpointed (t, k) pairs,
 	// normalized progress AUCs, per-site delivered counts); Run always
 	// populates it.

@@ -13,27 +13,22 @@ import (
 
 // WriteExplain renders a per-query explain report: identity header,
 // ASCII delivery timeline from the curve digest, per-site contribution
-// table (delivered / shipped / pruned, and with stats each site's wait and
-// service time), the per-phase timing breakdown, and the query_id
-// cross-link into the flight recorder and the sites' request logs. stats
-// may be nil (the query_id, the algorithm of a protocol round, the time
-// split and the phase breakdown are then unknown); rep must come from a
-// completed query.
-func WriteExplain(w io.Writer, rep *Report, stats *QueryStats) error {
+// table (delivered / shipped / pruned, and with a trace each site's wait
+// and service time), the per-phase timing breakdown, and the query_id
+// cross-link into the flight recorder and the sites' request logs. rep
+// must come from a completed query; tr is the trace the query ran with,
+// or nil (the time split and the phase breakdown are then omitted).
+func WriteExplain(w io.Writer, rep *Report, tr *Trace) error {
 	if rep == nil || rep.Curve == nil {
 		return errors.New("explain: no completed report")
 	}
 	d := rep.Curve
-	var qid uint64
 	algo := rep.Source.String()
-	if stats != nil {
-		qid = stats.Trace.QueryID
-		if rep.Source == SourceProtocol {
-			algo = stats.Algorithm.String()
-		}
+	if rep.Source == SourceProtocol {
+		algo = rep.Algorithm.String()
 	}
 	fmt.Fprintf(w, "query %s  algorithm %s: %d result(s) in %s\n",
-		obs.QueryID(qid), algo, d.Results, rep.Elapsed)
+		obs.QueryID(rep.QueryID), algo, d.Results, rep.Elapsed)
 	if rep.Resumed > 0 {
 		fmt.Fprintf(w, "resumed: %d result(s) from the materialized answer, the rest from a round over the band below its floor\n", rep.Resumed)
 	}
@@ -59,6 +54,10 @@ func WriteExplain(w io.Writer, rep *Report, stats *QueryStats) error {
 		}
 	}
 
+	var sum TraceSummary
+	if tr != nil {
+		sum = tr.Summary()
+	}
 	fmt.Fprintf(w, "\nper-site contribution:\n")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "site\tdelivered\tshipped\tpruned\twait\tservice")
@@ -76,8 +75,8 @@ func WriteExplain(w io.Writer, rep *Report, stats *QueryStats) error {
 			delivered = fmt.Sprintf("%d", d.PerSite[i])
 		}
 		wait, service := "-", "-"
-		if stats != nil && i < len(stats.Trace.Sites) {
-			st := stats.Trace.Sites[i]
+		if i < len(sum.Sites) {
+			st := sum.Sites[i]
 			wait, service = fmtNano(st.CallNS-st.ServiceNS), fmtNano(st.ServiceNS)
 		}
 		fmt.Fprintf(tw, "%d\t%s\t%d\t%d\t%s\t%s\n", i, delivered, shipped, pruned, wait, service)
@@ -89,15 +88,15 @@ func WriteExplain(w io.Writer, rep *Report, stats *QueryStats) error {
 		return err
 	}
 
-	if stats != nil {
+	if tr != nil {
 		fmt.Fprintf(w, "\nphase breakdown:\n")
-		if err := stats.Trace.WriteTable(w); err != nil {
+		if err := sum.WriteTable(w, time.Duration(d.TTFirstNS)); err != nil {
 			return err
 		}
 	}
 
 	_, err := fmt.Fprintf(w, "\ncross-link: query_id %s indexes /debug/flightz records and the sites' request logs\n",
-		obs.QueryID(qid))
+		obs.QueryID(rep.QueryID))
 	return err
 }
 

@@ -159,10 +159,7 @@ func TestOpenConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Query(context.Background(), Options{Threshold: 0.3}); err != nil {
-		t.Fatal(err)
-	}
-	if _, stats, err := c.QueryWithStats(context.Background(), Options{Threshold: 0.3}); err != nil || stats == nil || stats.Algorithm != EDSUD {
-		t.Fatalf("QueryWithStats: stats=%+v err=%v", stats, err)
+	if rep, err := c.Query(context.Background(), Options{Threshold: 0.3, Trace: NewTrace()}); err != nil || rep.Algorithm != EDSUD {
+		t.Fatalf("Query: algorithm=%v err=%v", rep.Algorithm, err)
 	}
 }

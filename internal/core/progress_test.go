@@ -128,7 +128,7 @@ func TestResultProvenance(t *testing.T) {
 
 // Run always attaches a curve digest whose totals reconcile with the
 // report, and the query's one flight record carries it beside the
-// trace's query_id, its identity and its costs.
+// report's query_id, its identity and its costs.
 func TestReportCurveAndLog(t *testing.T) {
 	parts, _ := makeWorkload(t, 500, 3, 3, gen.Independent, 3)
 	fr := flight.New(8)
@@ -138,7 +138,7 @@ func TestReportCurveAndLog(t *testing.T) {
 	}
 	defer cluster.Close()
 	tr := NewTrace()
-	rep, stats, err := cluster.QueryWithStats(context.Background(), Options{
+	rep, err := cluster.Query(context.Background(), Options{
 		Threshold: 0.3, Algorithm: EDSUD, Trace: tr,
 	})
 	if err != nil {
@@ -147,9 +147,6 @@ func TestReportCurveAndLog(t *testing.T) {
 	d := rep.Curve
 	if d == nil {
 		t.Fatal("report has no curve digest")
-	}
-	if stats.Curve != d {
-		t.Error("QueryWithStats does not expose the report's curve")
 	}
 	if int(d.Results) != len(rep.Skyline) || d.Sites != 3 {
 		t.Errorf("curve counted %d deliveries over %d sites, skyline has %d over 3", d.Results, d.Sites, len(rep.Skyline))
@@ -171,8 +168,8 @@ func TestReportCurveAndLog(t *testing.T) {
 	if r.Curve != d {
 		t.Error("flight record does not carry the report's curve")
 	}
-	if r.QueryID == 0 || r.QueryID != tr.ID() {
-		t.Errorf("query_id %x does not cross-link the trace %x", r.QueryID, tr.ID())
+	if r.QueryID == 0 || r.QueryID != rep.QueryID {
+		t.Errorf("query_id %x does not cross-link the report %x", r.QueryID, rep.QueryID)
 	}
 	if r.Algorithm != "e-dsud" || r.Threshold != 0.3 || r.Results != len(rep.Skyline) ||
 		r.Messages != rep.Bandwidth.Messages || r.ElapsedNS != int64(rep.Elapsed) || r.Transcript != "" {
@@ -218,12 +215,13 @@ func TestWriteExplain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	rep, stats, err := cluster.QueryWithStats(context.Background(), Options{Threshold: 0.3, Algorithm: EDSUD})
+	tr := NewTrace()
+	rep, err := cluster.Query(context.Background(), Options{Threshold: 0.3, Algorithm: EDSUD, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteExplain(&buf, rep, stats); err != nil {
+	if err := WriteExplain(&buf, rep, tr); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -235,8 +233,8 @@ func TestWriteExplain(t *testing.T) {
 			t.Errorf("explain output missing %q:\n%s", want, out)
 		}
 	}
-	// QueryWithStats traces the query, so every site row ends in its wait
-	// and service time.
+	// The query was traced, so every site row ends in its wait and
+	// service time.
 	table := out[strings.Index(out, "per-site contribution:"):]
 	rows := strings.Split(table[:strings.Index(table, "\n\n")], "\n")[1:]
 	if len(rows) != 1+len(parts) || strings.Join(strings.Fields(rows[0]), " ") != "site delivered shipped pruned wait service" {

@@ -50,7 +50,7 @@ func run(ctx context.Context, c *Cluster, opts Options, known []serve.Entry) (*R
 	}
 	start := time.Now()
 	sid := c.nextSession()
-	opts.Trace.begin(start, sid)
+	opts.Trace.begin(start)
 	defer opts.Trace.finish()
 	v := c.newView(opts.Trace, sid, msg.Query{
 		Threshold: opts.Threshold,
@@ -124,7 +124,7 @@ type observer struct {
 	tally  round.Tally      // recomputed from the stream, for Result provenance
 	tuples int64            // shipped so far, as the stream has announced them
 	curve  progress.Builder // per-delivery observations are alloc-free
-	points []ProgressPoint
+	points []progress.Point // Report.Progress; each also goes to curve
 
 	recorder *transcript.Recorder
 	header   *codec.TranscriptHeader
@@ -159,17 +159,17 @@ func (o *observer) step(s round.Step) {
 	if e.Kind != EventReport {
 		return
 	}
-	pp := ProgressPoint{Reported: len(o.points) + 1, Elapsed: time.Since(o.start), Tuples: o.tuples}
+	p := progress.Point{K: int32(len(o.points) + 1), NS: int64(time.Since(o.start)), Tuples: o.tuples}
 	if o.opts.Algorithm == Baseline && o.meter != nil {
 		// The Baseline announces no representative: all shipped up front.
-		pp.Tuples = o.meter.Snapshot().Tuples()
+		p.Tuples = o.meter.Snapshot().Tuples()
 	}
-	o.points = append(o.points, pp)
-	o.curve.Observe(e.Site, pp.Elapsed, pp.Tuples)
+	o.points = append(o.points, p)
+	o.curve.Observe(e.Site, p)
 	if o.opts.OnResult != nil {
 		o.opts.OnResult(Result{
 			Tuple: e.Tuple, GlobalProb: e.Prob, Site: e.Site,
-			Index: pp.Reported, Phase: s.Phase, Iteration: e.Iteration,
+			Index: int(p.K), Phase: s.Phase, Iteration: e.Iteration,
 			Broadcasts: o.tally.Broadcasts, Expunged: o.tally.Expunged,
 			Refills: o.tally.Refills, PrunedLocal: o.tally.PrunedLocal,
 		})
@@ -191,6 +191,7 @@ func (o *observer) finish(rep *Report, err error) (*Report, error) {
 		} else {
 			name = rep.Source.String()
 		}
+		rep.QueryID, rep.Algorithm = o.qid, opts.Algorithm
 		rep.Elapsed = elapsed
 		rep.Progress = o.points
 		rep.Curve = &progress.Digest{Sites: int32(len(c.clients))}

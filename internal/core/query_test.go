@@ -170,13 +170,13 @@ func TestProgressiveDelivery(t *testing.T) {
 		}
 		for i := 1; i < len(got.Progress); i++ {
 			p, prev := got.Progress[i], got.Progress[i-1]
-			if p.Reported != prev.Reported+1 {
+			if p.K != prev.K+1 {
 				t.Fatalf("%v: progress counts not sequential", algo)
 			}
 			if p.Tuples < prev.Tuples {
 				t.Fatalf("%v: cumulative bandwidth decreased", algo)
 			}
-			if p.Elapsed < prev.Elapsed {
+			if p.NS < prev.NS {
 				t.Fatalf("%v: cumulative time decreased", algo)
 			}
 		}
@@ -334,7 +334,7 @@ func TestProgressivenessUnderLatency(t *testing.T) {
 	if len(rep.Progress) < 5 {
 		t.Skipf("answer too small for the progressiveness check: %d", len(rep.Progress))
 	}
-	first := rep.Progress[0].Elapsed
+	first := time.Duration(rep.Progress[0].NS)
 	if first >= rep.Elapsed/2 {
 		t.Errorf("first answer after %v of %v total — progressiveness lost under latency",
 			first, rep.Elapsed)

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/geom"
+	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/uncertain"
 )
@@ -198,7 +199,8 @@ func TestResumedReadIsRecorded(t *testing.T) {
 	var logs bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&logs, nil))
 
-	rep, stats, err := server.QueryWithStats(ctx, Options{Threshold: 0.2, Mode: ModeAuto, Logger: logger})
+	tr := NewTrace()
+	rep, err := server.Query(ctx, Options{Threshold: 0.2, Mode: ModeAuto, Logger: logger, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +211,7 @@ func TestResumedReadIsRecorded(t *testing.T) {
 		t.Errorf("flight record: resumed %d, algorithm %q, results %d; want %d, e-dsud, %d", r.Resumed, r.Algorithm, r.Results, rep.Resumed, len(rep.Skyline))
 	}
 	var buf bytes.Buffer
-	if err := WriteExplain(&buf, rep, stats); err != nil {
+	if err := WriteExplain(&buf, rep, tr); err != nil {
 		t.Fatal(err)
 	}
 	if want := fmt.Sprintf("resumed: %d result(s)", rep.Resumed); !strings.Contains(buf.String(), want) {
@@ -225,6 +227,50 @@ func TestResumedReadIsRecorded(t *testing.T) {
 	}
 	if full.Resumed != 0 || fr.Snapshot()[1].Resumed != 0 {
 		t.Errorf("a round from scratch reports resumed %d (flight %d)", full.Resumed, fr.Snapshot()[1].Resumed)
+	}
+}
+
+// Every path a query can take — a protocol round, a served read, a
+// resumed read — hands back a Report whose QueryID is the query_id of its
+// log record and of its flight record, traced or not.
+func TestReportQueryIDMatchesRecords(t *testing.T) {
+	ctx := context.Background()
+	cluster, server := newTestServer(t, 300, 2, 3, 5, ServeConfig{Floor: 0.3})
+	fr := flight.New(8)
+	cluster.SetFlightRecorder(fr)
+	var logs bytes.Buffer
+	logger, err := obs.NewLogger(&logs, "json", slog.LevelInfo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		opts   Options
+		source Source
+	}{
+		{"protocol round", Options{Threshold: 0.3, Mode: ModeProtocol}, SourceProtocol},
+		{"served read", Options{Threshold: 0.4, Mode: ModeMaterialized}, SourceMaterialized},
+		{"resumed read", Options{Threshold: 0.2, Mode: ModeAuto, Trace: NewTrace()}, SourceProtocol},
+	} {
+		logs.Reset()
+		c.opts.Logger = logger
+		rep, err := server.Query(ctx, c.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if rep.Source != c.source || (c.name == "resumed read") != (rep.Resumed > 0) {
+			t.Fatalf("%s: source %v, resumed %d", c.name, rep.Source, rep.Resumed)
+		}
+		if rep.QueryID == 0 {
+			t.Fatalf("%s: report carries no query ID", c.name)
+		}
+		if ids := logQueryIDs(t, &logs); len(ids) != 1 || ids[0] != obs.QueryID(rep.QueryID) {
+			t.Errorf("%s: logged query_ids %v, report %s", c.name, ids, obs.QueryID(rep.QueryID))
+		}
+		recs := fr.Snapshot()
+		if got := recs[len(recs)-1].QueryID; got != rep.QueryID {
+			t.Errorf("%s: flight record query_id %x, report %x", c.name, got, rep.QueryID)
+		}
 	}
 }
 

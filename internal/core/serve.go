@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/progress"
 	"repro/internal/round"
 	"repro/internal/serve"
 	"repro/internal/uncertain"
@@ -207,7 +208,7 @@ func (s *Server) Query(ctx context.Context, opts Options) (*Report, error) {
 	}
 	start := time.Now()
 	qid := s.cluster.nextSession()
-	opts.Trace.begin(start, qid)
+	opts.Trace.begin(start)
 	defer opts.Trace.finish()
 	o := observer{c: s.cluster, opts: &opts, qid: qid, start: start}
 
@@ -227,13 +228,6 @@ func (s *Server) Query(ctx context.Context, opts Options) (*Report, error) {
 	rep, err := o.finish(s.servePrefix(&o, source), nil)
 	s.window.Observe(rep.Elapsed)
 	return rep, err
-}
-
-// QueryWithStats is Query plus a populated QueryStats (attaching a
-// private trace when opts.Trace is nil, exactly like the cluster
-// method).
-func (s *Server) QueryWithStats(ctx context.Context, opts Options) (*Report, *QueryStats, error) {
-	return withStats(opts, func(opts Options) (*Report, error) { return s.Query(ctx, opts) })
 }
 
 // protocol runs a full round on the underlying cluster.
@@ -298,7 +292,7 @@ func (s *Server) servePrefix(o *observer, source Source) *Report {
 	rep := &Report{Source: source}
 	rep.Skyline = make([]uncertain.SkylineMember, 0, limit)
 	rep.Sites = make(map[uncertain.TupleID]int, limit)
-	o.points = make([]ProgressPoint, 0, limit)
+	o.points = make([]progress.Point, 0, limit)
 	o.step(round.Step{Kind: round.StepBegin, Phase: PhaseServerDelivery})
 	for _, e := range entries[:limit] {
 		rep.Skyline = append(rep.Skyline, e.Member)

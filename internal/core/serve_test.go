@@ -87,36 +87,33 @@ func TestServeMatchesProtocolRound(t *testing.T) {
 }
 
 // TestServedReportBandwidthZero pins the satellite bugfix: a
-// cache-served query ran no protocol traffic, so its report and stats
-// must say so instead of inheriting stale meter numbers.
+// cache-served query ran no protocol traffic, so its report must say so
+// instead of inheriting stale meter numbers.
 func TestServedReportBandwidthZero(t *testing.T) {
 	ctx := context.Background()
 	cluster, server := newTestServer(t, 300, 2, 3, 5, ServeConfig{Floor: 0.3})
 
-	rep, stats, err := server.QueryWithStats(ctx, Options{Threshold: 0.3, Mode: ModeMaterialized})
+	rep, err := server.Query(ctx, Options{Threshold: 0.3, Mode: ModeMaterialized})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Bandwidth != (transport.Snapshot{}) {
 		t.Fatalf("served report bandwidth: got %+v, want zero", rep.Bandwidth)
 	}
-	if stats.Bandwidth != (transport.Snapshot{}) {
-		t.Fatalf("served stats bandwidth: got %+v, want zero", stats.Bandwidth)
-	}
-	if stats.Source != SourceMaterialized {
-		t.Fatalf("stats source: got %v", stats.Source)
+	if rep.Source != SourceMaterialized {
+		t.Fatalf("served report source: got %v", rep.Source)
 	}
 
 	// The protocol path keeps reporting its real traffic.
-	fresh, fstats, err := cluster.QueryWithStats(ctx, Options{Threshold: 0.3})
+	fresh, err := cluster.Query(ctx, Options{Threshold: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fresh.Bandwidth.TuplesUp == 0 {
 		t.Fatal("protocol round reported no shipped tuples")
 	}
-	if fstats.Source != SourceProtocol {
-		t.Fatalf("protocol stats source: got %v", fstats.Source)
+	if fresh.Source != SourceProtocol {
+		t.Fatalf("protocol report source: got %v", fresh.Source)
 	}
 }
 

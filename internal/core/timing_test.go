@@ -40,7 +40,7 @@ func openTCPTimingCluster(t *testing.T) (*Cluster, *flight.Recorder) {
 func TestTCPTwoSiteMergedTimeline(t *testing.T) {
 	cluster, fr := openTCPTimingCluster(t)
 	tr := NewTrace()
-	_, traced, _ := recordQuery(t, cluster, fr, Options{Threshold: 0.3, Algorithm: EDSUD, Trace: tr})
+	rep, traced, _ := recordQuery(t, cluster, fr, Options{Threshold: 0.3, Algorithm: EDSUD, Trace: tr})
 	sum := tr.Summary()
 	if len(sum.Sites) != cluster.Sites() {
 		t.Fatalf("the trace timed %d sites, want %d", len(sum.Sites), cluster.Sites())
@@ -54,8 +54,8 @@ func TestTCPTwoSiteMergedTimeline(t *testing.T) {
 			t.Errorf("site %d: flight record %+v, trace %+v", i, got, st)
 		}
 	}
-	if rec.QueryID != sum.QueryID || rec.QueryID != rec.Session || rec.QueryID == 0 {
-		t.Errorf("flight record query_id %x, session %x; trace %x", rec.QueryID, rec.Session, sum.QueryID)
+	if rec.QueryID != rep.QueryID || rec.QueryID != rec.Session || rec.QueryID == 0 {
+		t.Errorf("flight record query_id %x, session %x; report %x", rec.QueryID, rec.Session, rep.QueryID)
 	}
 	checkTimed(t, "traced", traced, true)
 }
@@ -92,8 +92,8 @@ func checkTimed(t *testing.T, name string, tr *transcript.Transcript, timed bool
 }
 
 // Untraced queries have query_ids of their own: the coordinator logs each
-// query under its session ID, and every request record a site logs for
-// the query carries the same ID.
+// query under its session ID, its report carries it, and every request
+// record a site logs for the query carries the same ID.
 func TestUntracedQueriesLogDistinctQueryIDs(t *testing.T) {
 	parts, _ := makeWorkload(t, 300, 2, 3, gen.Independent, 73)
 	siteLogs := make([]bytes.Buffer, len(parts))
@@ -123,7 +123,8 @@ func TestUntracedQueriesLogDistinctQueryIDs(t *testing.T) {
 		for i := range siteLogs {
 			siteLogs[i].Reset()
 		}
-		if _, err := Run(context.Background(), cluster, Options{Threshold: 0.3, Logger: logger}); err != nil {
+		rep, err := Run(context.Background(), cluster, Options{Threshold: 0.3, Logger: logger})
+		if err != nil {
 			t.Fatal(err)
 		}
 		ids := logQueryIDs(t, &coordLog)
@@ -133,6 +134,9 @@ func TestUntracedQueriesLogDistinctQueryIDs(t *testing.T) {
 		qid := ids[0]
 		if qid == obs.QueryID(0) || seen[qid] {
 			t.Fatalf("query %d: query_id %s is zero or was already used", q, qid)
+		}
+		if got := obs.QueryID(rep.QueryID); got != qid {
+			t.Fatalf("query %d: report query_id %s, logged %s", q, got, qid)
 		}
 		seen[qid] = true
 		for i := range siteLogs {

@@ -19,10 +19,12 @@ type PhaseStat struct {
 	Total time.Duration
 }
 
-// Trace collects one query's timing and protocol tallies. Attach a fresh
-// (or reused) Trace via Options.Trace; Run resets it at query start and
-// subscribes it to the round engine's step stream: events feed the
-// tallies, phase begins and ends open and close the spans.
+// Trace collects what only it measures of one query: the phase spans,
+// the per-EventKind tally and each site's call and service time. Every
+// other count of the query, and its delivery times, are on its Report.
+// Attach a fresh (or reused) Trace via Options.Trace; Run resets it at
+// query start and subscribes it to the round engine's step stream:
+// events feed the tally, phase begins and ends open and close the spans.
 // All methods are safe for concurrent use, so Summary can be read from
 // another goroutine while the query is still running (live
 // introspection). A nil *Trace is inert: every method no-ops, and the
@@ -34,19 +36,13 @@ type Trace struct {
 	end     time.Time // zero until the query finishes
 	phases  [numPhases]PhaseStat
 	tallies map[EventKind]int
-	tally   round.Tally
 	// open is the stack of phases begun and not yet ended, innermost
 	// last. Only the innermost clock runs, so a refill triggered
 	// mid-expunge is charged to to-server and not to the selection phase.
 	open []openSpan
-	// reports holds the offset from query start of every EventReport, in
-	// arrival order — the raw series behind time-to-first / time-to-k-th.
-	reports []time.Duration
-
-	// queryID is the query's session ID (see begin); sites holds, per
-	// site, the time its calls took at the coordinator and at the site.
-	queryID uint64
-	sites   []SiteTime
+	// sites holds, per site, the time its calls took at the coordinator
+	// and at the site.
+	sites []SiteTime
 }
 
 // openSpan is one phase interval in flight: t0 is when its clock last
@@ -70,9 +66,8 @@ type SiteTime struct {
 func NewTrace() *Trace { return &Trace{} }
 
 // begin (re)arms the trace at query start. Reuse across queries is safe:
-// each Run wipes the previous query's data. queryID is the query's session
-// ID, the query_id its log records, flight record and site requests carry.
-func (t *Trace) begin(start time.Time, queryID uint64) {
+// each Run wipes the previous query's data.
+func (t *Trace) begin(start time.Time) {
 	if t == nil {
 		return
 	}
@@ -83,10 +78,7 @@ func (t *Trace) begin(start time.Time, queryID uint64) {
 	t.end = time.Time{}
 	t.phases = [numPhases]PhaseStat{}
 	t.tallies = make(map[EventKind]int)
-	t.tally = round.Tally{}
 	t.open = t.open[:0]
-	t.reports = t.reports[:0]
-	t.queryID = queryID
 	t.sites = t.sites[:0]
 }
 
@@ -108,12 +100,11 @@ func (t *Trace) step(s round.Step) {
 		return
 	}
 	var now time.Time
-	if s.Kind != round.StepEvent || s.Event.Kind == EventReport {
+	if s.Kind != round.StepEvent {
 		now = time.Now()
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.tally.Observe(s)
 	last := len(t.open) - 1
 	switch s.Kind {
 	case round.StepBegin:
@@ -134,9 +125,6 @@ func (t *Trace) step(s round.Step) {
 			t.tallies = make(map[EventKind]int)
 		}
 		t.tallies[s.Event.Kind]++
-		if s.Event.Kind == EventReport {
-			t.reports = append(t.reports, now.Sub(t.start))
-		}
 	}
 }
 
@@ -155,16 +143,6 @@ func (t *Trace) addCall(i int, call time.Duration, serviceNS int64) {
 	t.sites[i].ServiceNS += serviceNS
 }
 
-// ID returns the query's ID (0 for nil or unstarted).
-func (t *Trace) ID() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.queryID
-}
-
 // TraceSummary is a point-in-time copy of a Trace. Phase totals need not
 // sum to Elapsed: spans measure the coordinator's attributable work, and
 // untimed glue (sorting the final answer, context plumbing) falls outside
@@ -177,19 +155,8 @@ type TraceSummary struct {
 	Done bool
 	// Phases holds the per-phase span statistics, indexed by Phase.
 	Phases [numPhases]PhaseStat
-	// Iterations is the number of coordinator loop iterations so far.
-	Iterations int
 	// Events tallies every protocol event kind observed.
 	Events map[EventKind]int
-	// PrunedLocal sums the sites' feedback-prune counts.
-	PrunedLocal int
-	// ReportTimes holds the offset from query start of each reported
-	// result, in arrival order.
-	ReportTimes []time.Duration
-
-	// QueryID is the query's session ID, as carried by every request it
-	// sends and every log record it writes.
-	QueryID uint64
 	// Sites holds, per site index, the time the query's calls took at the
 	// coordinator and at the site.
 	Sites []SiteTime
@@ -203,13 +170,9 @@ func (t *Trace) Summary() TraceSummary {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := TraceSummary{
-		Done:        !t.end.IsZero(),
-		Iterations:  t.tally.Iterations,
-		PrunedLocal: t.tally.PrunedLocal,
-		Events:      make(map[EventKind]int, len(t.tallies)),
-		ReportTimes: append([]time.Duration(nil), t.reports...),
-		QueryID:     t.queryID,
-		Sites:       append([]SiteTime(nil), t.sites...),
+		Done:   !t.end.IsZero(),
+		Events: make(map[EventKind]int, len(t.tallies)),
+		Sites:  append([]SiteTime(nil), t.sites...),
 	}
 	copy(s.Phases[:], t.phases[:])
 	for k, n := range t.tallies {
@@ -225,27 +188,11 @@ func (t *Trace) Summary() TraceSummary {
 	return s
 }
 
-// TimeToFirst returns the latency of the first reported result, or 0 when
-// nothing has been reported yet.
-func (s TraceSummary) TimeToFirst() time.Duration {
-	if len(s.ReportTimes) == 0 {
-		return 0
-	}
-	return s.ReportTimes[0]
-}
-
-// TimeToKth returns the latency of the k-th reported result (1-based), or
-// 0 when fewer than k results have arrived.
-func (s TraceSummary) TimeToKth(k int) time.Duration {
-	if k < 1 || len(s.ReportTimes) < k {
-		return 0
-	}
-	return s.ReportTimes[k-1]
-}
-
 // WriteTable renders the summary as an aligned phase-timing table — the
-// format dsud-bench's -trace-out emits for the Fig. 12/13 runs.
-func (s TraceSummary) WriteTable(w io.Writer) error {
+// format dsud-bench's -trace-out emits for the Fig. 12/13 runs. ttf, the
+// query's time to first result (its Report.Curve.TTFirstNS), closes the
+// table when positive.
+func (s TraceSummary) WriteTable(w io.Writer, ttf time.Duration) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "phase\tspans\ttotal\tmean\n")
 	for _, p := range Phases() {
@@ -265,7 +212,7 @@ func (s TraceSummary) WriteTable(w io.Writer) error {
 	for _, k := range kinds {
 		fmt.Fprintf(tw, "events.%s\t%d\t\t\n", k, s.Events[k])
 	}
-	if ttf := s.TimeToFirst(); ttf > 0 {
+	if ttf > 0 {
 		fmt.Fprintf(tw, "time-to-first\t\t%s\t\n", ttf)
 	}
 	return tw.Flush()

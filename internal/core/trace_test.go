@@ -93,9 +93,6 @@ func TestTracePaperExampleSequence(t *testing.T) {
 	if got := sum.Events[EventRefill]; got != rep.Refills {
 		t.Errorf("trace refills %d, report says %d", got, rep.Refills)
 	}
-	if sum.Iterations != rep.Iterations {
-		t.Errorf("trace iterations %d, report %d", sum.Iterations, rep.Iterations)
-	}
 
 	// Span counts: one to-server span for Init and one per broadcast,
 	// holding the home site's refill and the refills of the candidates
@@ -117,14 +114,18 @@ func TestTracePaperExampleSequence(t *testing.T) {
 	if !sum.Done {
 		t.Error("summary after Run must be Done")
 	}
-	if sum.TimeToFirst() <= 0 || sum.TimeToFirst() > sum.Elapsed {
-		t.Errorf("time-to-first %v outside (0, %v]", sum.TimeToFirst(), sum.Elapsed)
+	// Delivery times are the report's: one progress point per result.
+	if ttf := rep.Curve.TTFirstNS; ttf <= 0 || ttf > int64(rep.Elapsed) {
+		t.Errorf("time-to-first %v outside (0, %v]", time.Duration(ttf), rep.Elapsed)
 	}
-	if got := sum.TimeToKth(len(rep.Skyline)); got < sum.TimeToFirst() {
-		t.Errorf("time-to-last %v before time-to-first %v", got, sum.TimeToFirst())
+	if len(rep.Progress) == 0 || len(rep.Progress) != len(rep.Skyline) {
+		t.Fatalf("%d progress points for %d results", len(rep.Progress), len(rep.Skyline))
 	}
-	if sum.TimeToKth(len(rep.Skyline)+1) != 0 {
-		t.Error("time-to-kth beyond the answer must be 0")
+	if rep.Progress[0].NS != rep.Curve.TTFirstNS {
+		t.Errorf("first progress point at %d ns, time-to-first %d ns", rep.Progress[0].NS, rep.Curve.TTFirstNS)
+	}
+	if last := rep.Progress[len(rep.Progress)-1]; last.NS < rep.Curve.TTFirstNS {
+		t.Errorf("time-to-last %v before time-to-first %v", time.Duration(last.NS), time.Duration(rep.Curve.TTFirstNS))
 	}
 
 	// Determinism: a second run yields the identical event sequence.
@@ -170,15 +171,15 @@ func TestTraceSummaryOnRealWorkload(t *testing.T) {
 		t.Errorf("elapsed %v inconsistent with delivery total %v",
 			sum.Elapsed, sum.Phases[PhaseServerDelivery].Total)
 	}
-	last := time.Duration(0)
-	for i, r := range sum.ReportTimes {
-		if r < last {
-			t.Errorf("report time %d (%v) before its predecessor (%v)", i, r, last)
+	last := int64(0)
+	for i, p := range rep.Progress {
+		if p.NS < last {
+			t.Errorf("report time %d (%v) before its predecessor (%v)", i, time.Duration(p.NS), time.Duration(last))
 		}
-		last = r
+		last = p.NS
 	}
 	var sb strings.Builder
-	if err := sum.WriteTable(&sb); err != nil {
+	if err := sum.WriteTable(&sb, time.Duration(rep.Curve.TTFirstNS)); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"to-server", "feedback-select", "server-delivery", "local-pruning", "elapsed", "time-to-first"} {
@@ -250,9 +251,6 @@ func TestConcurrentTracesNeverInterleave(t *testing.T) {
 		if got := sum.Events[EventRefill]; got != rep.Refills {
 			t.Errorf("run %d: trace refills %d, report %d", i, got, rep.Refills)
 		}
-		if sum.PrunedLocal != rep.PrunedLocal {
-			t.Errorf("run %d: trace pruned %d, report %d", i, sum.PrunedLocal, rep.PrunedLocal)
-		}
 		if got := sum.Phases[PhaseServerDelivery].Spans; got != rep.Broadcasts {
 			t.Errorf("run %d: delivery spans %d, broadcasts %d", i, got, rep.Broadcasts)
 		}
@@ -263,14 +261,14 @@ func TestConcurrentTracesNeverInterleave(t *testing.T) {
 // no-op everywhere.
 func TestNilTraceIsInert(t *testing.T) {
 	var tr *Trace
-	tr.begin(time.Now(), 7)
+	tr.begin(time.Now())
 	tr.step(round.Step{Kind: round.StepBegin, Phase: PhaseToServer})
 	tr.step(round.Step{Event: Event{Kind: EventReport}})
 	tr.step(round.Step{Kind: round.StepEnd, Phase: PhaseToServer})
 	tr.addCall(0, time.Millisecond, 1)
 	tr.finish()
 	sum := tr.Summary()
-	if sum.Elapsed != 0 || len(sum.Events) != 0 || sum.QueryID != 0 || len(sum.Sites) != 0 {
+	if sum.Elapsed != 0 || len(sum.Events) != 0 || len(sum.Sites) != 0 {
 		t.Fatalf("nil trace summary not empty: %+v", sum)
 	}
 }
@@ -280,7 +278,7 @@ func TestNilTraceIsInert(t *testing.T) {
 // phase's clock.
 func TestSpanPauseExcludesForeignWork(t *testing.T) {
 	tr := NewTrace()
-	tr.begin(time.Now(), 1)
+	tr.begin(time.Now())
 	tr.step(round.Step{Kind: round.StepBegin, Phase: PhaseFeedbackSelect})
 	tr.step(round.Step{Kind: round.StepBegin, Phase: PhaseToServer})
 	time.Sleep(20 * time.Millisecond) // foreign work, must not be charged
@@ -312,20 +310,20 @@ func TestUnsampledZeroAllocations(t *testing.T) {
 	}
 }
 
-// Reusing one Trace across queries resets the query ID and the per-site
-// time split along with everything else.
+// Reusing one Trace across queries resets the per-site time split along
+// with everything else.
 func TestTraceReuseResets(t *testing.T) {
 	tr := NewTrace()
-	tr.begin(time.Now(), 41)
+	tr.begin(time.Now())
 	tr.addCall(2, 3*time.Millisecond, 1_000_000)
 	tr.finish()
-	if sum := tr.Summary(); sum.QueryID != 41 || len(sum.Sites) != 3 ||
+	if sum := tr.Summary(); len(sum.Sites) != 3 ||
 		sum.Sites[2] != (SiteTime{CallNS: 3_000_000, ServiceNS: 1_000_000}) {
 		t.Fatalf("first query's summary: %+v", sum)
 	}
 
-	tr.begin(time.Now(), 42)
-	if sum := tr.Summary(); sum.QueryID != 42 || len(sum.Sites) != 0 {
+	tr.begin(time.Now())
+	if sum := tr.Summary(); len(sum.Sites) != 0 {
 		t.Fatalf("stale state survived reuse: %+v", sum)
 	}
 }

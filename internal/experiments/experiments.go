@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/estimate"
 	"repro/internal/gen"
+	"repro/internal/obs/progress"
 	"repro/internal/uncertain"
 )
 
@@ -293,17 +294,17 @@ func Fig11(ctx context.Context, scale Scale) ([]Figure, error) {
 }
 
 // progressSeries downsamples a progress trace to at most 16 points.
-func progressSeries(name string, trace []core.ProgressPoint, y func(core.ProgressPoint) float64) Series {
+func progressSeries(name string, trace []progress.Point, y func(progress.Point) float64) Series {
 	s := Series{Name: name}
 	if len(trace) == 0 {
 		return s
 	}
 	step := (len(trace) + 15) / 16
 	for i := 0; i < len(trace); i += step {
-		s.Points = append(s.Points, Point{float64(trace[i].Reported), y(trace[i])})
+		s.Points = append(s.Points, Point{float64(trace[i].K), y(trace[i])})
 	}
 	last := trace[len(trace)-1]
-	s.Points = append(s.Points, Point{float64(last.Reported), y(last)})
+	s.Points = append(s.Points, Point{float64(last.K), y(last)})
 	return s
 }
 
@@ -373,8 +374,8 @@ func progressFigures(ctx context.Context, scale Scale, id string, cases []progre
 				Title:  fmt.Sprintf("Progressiveness (%s): bandwidth vs reported tuples", pc.label),
 				XLabel: "skyline tuples reported", YLabel: "tuples transmitted",
 				Series: []Series{
-					progressSeries("DSUD", dsud.Progress, func(p core.ProgressPoint) float64 { return float64(p.Tuples) }),
-					progressSeries("e-DSUD", edsud.Progress, func(p core.ProgressPoint) float64 { return float64(p.Tuples) }),
+					progressSeries("DSUD", dsud.Progress, func(p progress.Point) float64 { return float64(p.Tuples) }),
+					progressSeries("e-DSUD", edsud.Progress, func(p progress.Point) float64 { return float64(p.Tuples) }),
 				},
 			},
 			Figure{
@@ -382,8 +383,8 @@ func progressFigures(ctx context.Context, scale Scale, id string, cases []progre
 				Title:  fmt.Sprintf("Progressiveness (%s): CPU time vs reported tuples", pc.label),
 				XLabel: "skyline tuples reported", YLabel: "seconds",
 				Series: []Series{
-					progressSeries("DSUD", dsud.Progress, func(p core.ProgressPoint) float64 { return p.Elapsed.Seconds() }),
-					progressSeries("e-DSUD", edsud.Progress, func(p core.ProgressPoint) float64 { return p.Elapsed.Seconds() }),
+					progressSeries("DSUD", dsud.Progress, func(p progress.Point) float64 { return time.Duration(p.NS).Seconds() }),
+					progressSeries("e-DSUD", edsud.Progress, func(p progress.Point) float64 { return time.Duration(p.NS).Seconds() }),
 				},
 			},
 		)

@@ -203,8 +203,8 @@ func Latency(ctx context.Context, scale Scale) ([]Figure, error) {
 		if len(rep.Progress) == 0 {
 			continue
 		}
-		first := rep.Progress[0].Elapsed.Seconds()
-		half := rep.Progress[len(rep.Progress)/2].Elapsed.Seconds()
+		first := time.Duration(rep.Progress[0].NS).Seconds()
+		half := time.Duration(rep.Progress[len(rep.Progress)/2].NS).Seconds()
 		all := rep.Elapsed.Seconds()
 		fig.Series[si].Points = append(fig.Series[si].Points,
 			Point{1, first}, Point{2, half}, Point{3, all})

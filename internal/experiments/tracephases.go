@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -14,9 +15,10 @@ import (
 type PhaseTable struct {
 	// ID names the run: experiment, workload case and algorithm.
 	ID string
-	// Summary is the query's trace snapshot (phase spans, event tallies,
-	// time-to-result series).
+	// Summary is the query's trace snapshot (phase spans, event tallies).
 	Summary core.TraceSummary
+	// ttf is the query's time to first result, from its report's curve.
+	ttf time.Duration
 }
 
 // Render writes the table with its heading.
@@ -24,7 +26,7 @@ func (t PhaseTable) Render(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "== %s ==\n", t.ID); err != nil {
 		return err
 	}
-	if err := t.Summary.WriteTable(w); err != nil {
+	if err := t.Summary.WriteTable(w, t.ttf); err != nil {
 		return err
 	}
 	_, err := fmt.Fprintln(w)
@@ -53,12 +55,14 @@ func TracePhases(ctx context.Context, id string, scale Scale) ([]PhaseTable, err
 		}
 		for _, algo := range []core.Algorithm{core.DSUD, core.EDSUD} {
 			tr := core.NewTrace()
-			if _, err := runOnceTraced(ctx, cfg, algo, tr); err != nil {
+			rep, err := runOnceTraced(ctx, cfg, algo, tr)
+			if err != nil {
 				return nil, err
 			}
 			out = append(out, PhaseTable{
 				ID:      fmt.Sprintf("%s-%s-%s", id, pc.label, algo),
 				Summary: tr.Summary(),
+				ttf:     time.Duration(rep.Curve.TTFirstNS),
 			})
 		}
 	}

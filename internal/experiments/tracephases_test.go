@@ -40,7 +40,7 @@ func TestTracePhases(t *testing.T) {
 				t.Errorf("%s: phase %v not timed: %+v", table.ID, p, sum.Phases[p])
 			}
 		}
-		if sum.TimeToFirst() <= 0 {
+		if table.ttf <= 0 {
 			t.Errorf("%s: no time-to-first-result", table.ID)
 		}
 		var buf bytes.Buffer

@@ -112,20 +112,20 @@ func (b *Builder) Reset() {
 	}
 }
 
-// Observe records one delivered result: its home site, the elapsed time
-// since query start, and the cumulative tuple bandwidth at that moment.
+// Observe records one delivered result: its home site and its point on
+// the curve (p.K is the 1-based delivery ordinal, p.NS the time since
+// query start, p.Tuples the cumulative tuple bandwidth at that moment).
 // Allocation-free (pinned by TestObserveZeroAlloc); nil-safe.
-func (b *Builder) Observe(site int, elapsed time.Duration, tuples int64) {
+func (b *Builder) Observe(site int, p Point) {
 	if b == nil {
 		return
 	}
-	b.n++
-	ns := int64(elapsed)
+	b.n = p.K
 	if b.n == 1 {
-		b.firstNS = ns
+		b.firstNS = p.NS
 	}
-	b.sumT += float64(ns)
-	b.sumB += float64(tuples)
+	b.sumT += float64(p.NS)
+	b.sumB += float64(p.Tuples)
 	if site >= 0 {
 		if site >= MaxSites {
 			site = MaxSites - 1
@@ -133,7 +133,7 @@ func (b *Builder) Observe(site int, elapsed time.Duration, tuples int64) {
 		}
 		b.perSite[site]++
 	}
-	b.last = Point{K: b.n, NS: ns, Tuples: tuples}
+	b.last = p
 	if b.nextK == 0 {
 		b.nextK = 1
 	}

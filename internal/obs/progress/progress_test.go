@@ -10,8 +10,8 @@ import (
 func TestFinishAUC(t *testing.T) {
 	var b Builder
 	// Two deliveries: t = 0 and 50 of T = 100; b = 10 and 60 of B = 100.
-	b.Observe(0, 0, 10)
-	b.Observe(1, 50, 60)
+	b.Observe(0, Point{K: 1, NS: 0, Tuples: 10})
+	b.Observe(1, Point{K: 2, NS: 50, Tuples: 60})
 	var d Digest
 	b.Finish(&d, 100, 100)
 	// AUC_time = (2·100 − (0+50)) / (2·100) = 0.75
@@ -33,7 +33,7 @@ func TestFinishAUC(t *testing.T) {
 // Instant delivery scores 1.0; an empty query scores 0 everywhere.
 func TestFinishEdges(t *testing.T) {
 	var b Builder
-	b.Observe(0, 0, 0)
+	b.Observe(0, Point{K: 1})
 	var d Digest
 	b.Finish(&d, time.Second, 1000)
 	if d.AUCTime != 1 || d.AUCBandwidth != 1 {
@@ -55,7 +55,7 @@ func TestCheckpointsLogSpaced(t *testing.T) {
 	const n = 100000
 	var b Builder
 	for i := 0; i < n; i++ {
-		b.Observe(i%3, time.Duration(i)*time.Microsecond, int64(i*2))
+		b.Observe(i%3, Point{K: int32(i + 1), NS: int64(i) * 1000, Tuples: int64(i * 2)})
 	}
 	var d Digest
 	b.Finish(&d, n*time.Microsecond, 2*n)
@@ -80,8 +80,8 @@ func TestCheckpointsLogSpaced(t *testing.T) {
 // truncation flag; negative sites are ignored.
 func TestPerSiteOverflow(t *testing.T) {
 	var b Builder
-	b.Observe(MaxSites+3, time.Millisecond, 1)
-	b.Observe(-1, 2*time.Millisecond, 2)
+	b.Observe(MaxSites+3, Point{K: 1, NS: int64(time.Millisecond), Tuples: 1})
+	b.Observe(-1, Point{K: 2, NS: int64(2 * time.Millisecond), Tuples: 2})
 	var d Digest
 	b.Finish(&d, time.Second, 10)
 	if d.PerSite[MaxSites-1] != 1 || !d.SitesTruncated {
@@ -95,7 +95,7 @@ func TestPerSiteOverflow(t *testing.T) {
 func TestBuilderDeterministic(t *testing.T) {
 	feed := func(b *Builder) {
 		for i := 0; i < 500; i++ {
-			b.Observe(i%4, time.Duration(i*i)*time.Microsecond, int64(7*i))
+			b.Observe(i%4, Point{K: int32(i + 1), NS: int64(i*i) * 1000, Tuples: int64(7 * i)})
 		}
 	}
 	var b1, b2 Builder
@@ -115,8 +115,8 @@ func TestObserveZeroAlloc(t *testing.T) {
 	var b Builder
 	i := 0
 	if n := testing.AllocsPerRun(1000, func() {
-		b.Observe(i%8, time.Duration(i)*time.Microsecond, int64(i))
 		i++
+		b.Observe(i%8, Point{K: int32(i), NS: int64(i) * 1000, Tuples: int64(i)})
 	}); n != 0 {
 		t.Fatalf("Observe allocates %v times per call", n)
 	}
@@ -125,7 +125,7 @@ func TestObserveZeroAlloc(t *testing.T) {
 // Every method of a nil builder and nil digest must be a safe no-op.
 func TestNilSafe(t *testing.T) {
 	var b *Builder
-	b.Observe(0, time.Second, 1)
+	b.Observe(0, Point{K: 1, NS: int64(time.Second), Tuples: 1})
 	b.Reset()
 	b.Finish(&Digest{}, time.Second, 1)
 	if b.Results() != 0 {
