@@ -54,10 +54,7 @@ func WriteExplain(w io.Writer, rep *Report, tr *Trace) error {
 		}
 	}
 
-	var sum TraceSummary
-	if tr != nil {
-		sum = tr.Summary()
-	}
+	sum := tr.Summary() // zero for a nil trace
 	fmt.Fprintf(w, "\nper-site contribution:\n")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "site\tdelivered\tshipped\tpruned\twait\tservice")
