@@ -37,17 +37,20 @@ test:
 
 # ./internal/obs/... covers the black-box recorder (internal/obs/transcript)
 # alongside the rest of the observability tree. A core.view reuses its
-# request, response and error buffers from one fan-out's goroutines to the
-# next's; the detector is the check, so the seam tests that mix kinds, fail
-# mid-fan-out and replay recordings run ten times over, and so do the
+# request, response and error buffers and its reply channel from one
+# fan-out to the next, while mux read loops and the goroutines of other
+# clients deliver into them; the detector is the check, so the seam tests
+# that mix kinds, fail mid-fan-out (over TCP too, with late replies) and
+# replay recordings run ten times over, and so do the health sweep, the
 # two-wave updates (through the maintainer and through the update engine
 # alone), the failed-update path, the one call path metering, timing and
-# recording a fan-out's concurrent calls, the deferred refills an
-# e-DSUD round admits from a broadcast's replies, and the resumed reads
-# that race the serving tier's updates under its read-write lock.
+# recording a fan-out's calls, the slow-query record, the deferred
+# refills an e-DSUD round admits from a broadcast's replies, and the
+# resumed reads that race the serving tier's updates under its read-write
+# lock.
 race:
 	$(GO) test -race ./internal/codec ./internal/obs/... ./internal/transport ./internal/round ./internal/core ./internal/serve ./internal/stream ./internal/site ./internal/audit ./internal/experiments
-	$(GO) test -race -count=10 -run 'Fanout|MaxResultsShips|ParentTranscripts|TopKReExpunge|UpdateWaves|UpdateEngineOracleSweep|FailedUpdate|OneCallPath|DeferredRefill|SiteRestart|ReplayClientComparesRefill|ResumedReadsRace' ./internal/round ./internal/core
+	$(GO) test -race -count=10 -run 'Fanout|ClusterHealth|SlowQueryLogs|MaxResultsShips|ParentTranscripts|TopKReExpunge|UpdateWaves|UpdateEngineOracleSweep|FailedUpdate|OneCallPath|DeferredRefill|SiteRestart|ReplayClientComparesRefill|ResumedReadsRace' ./internal/round ./internal/core
 
 # Full benchmark sweep (several minutes). Writes bench_output.txt.
 bench:

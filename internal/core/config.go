@@ -33,8 +33,12 @@ type ClusterConfig struct {
 	// Capacity tunes the PR-tree fan-out of in-process sites (<4 =
 	// default). Ignored for remote sites, which index at the daemon.
 	Capacity int
-	// Latency adds a simulated per-message round-trip delay to
-	// in-process sites, for studying progressiveness in the time domain.
+	// Latency adds a simulated round-trip delay to in-process sites, for
+	// studying progressiveness in the time domain: one sleep in front of
+	// each fan-out, after which every call of it is in flight together.
+	// In-process sites then answer one after another on the caller's
+	// goroutine, so a fan-out costs one Latency plus its sites' summed
+	// service time.
 	Latency time.Duration
 
 	// RetryAttempts, when >= 1, wraps each remote connection in the

@@ -83,8 +83,8 @@ type Options struct {
 	// by query_id. Nil disables query logging entirely.
 	Logger *slog.Logger
 	// SlowQuery, when positive with Logger set, promotes queries that run
-	// at least this long to a Warn record carrying the per-phase time
-	// breakdown — the coordinator half of the slow-query log.
+	// at least this long to a Warn record carrying, when Trace is set, the
+	// per-phase time breakdown — the coordinator half of the slow-query log.
 	SlowQuery time.Duration
 	// MaxResults, when positive, stops the query as soon as that many
 	// qualified tuples have been reported. The tuples delivered are the

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/msg"
 	"repro/internal/uncertain"
@@ -22,33 +21,28 @@ type SiteHealth struct {
 // Healthy reports whether the probe got a status back.
 func (h SiteHealth) Healthy() bool { return h.Err == nil && h.Status != nil }
 
-// Health probes every site with KindStatus in parallel and returns one
-// entry per site, in site order. Unlike query broadcasts, one dead site
-// does not fail the sweep — its entry carries the error and the rest
+// Health probes every site with KindStatus in one fan-out and returns
+// one entry per site, in site order. Unlike query broadcasts, one dead
+// site does not fail the sweep — its entry carries the error and the rest
 // report normally. The sweep waits on every probe under ctx, so a caller
 // that must not hang on a site that never answers bounds ctx.
 func (c *Cluster) Health(ctx context.Context) []SiteHealth {
-	out := make([]SiteHealth, len(c.clients))
-	probe := view{cluster: c} // no meter, trace or transcript of its own
-	var wg sync.WaitGroup
-	for i := range c.clients {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out[i].Site = i
-			resp, err := probe.rpc(ctx, i, &msg.Request{Kind: msg.KindStatus})
-			if err != nil {
-				out[i].Err = err
-				return
-			}
-			if resp.Status == nil {
-				out[i].Err = fmt.Errorf("core: site %d returned no status (pre-health build?)", i)
-				return
-			}
-			out[i].Status = resp.Status
-		}(i)
+	probe := c.newView(nil, 0, msg.Query{}) // no meter, trace or transcript of its own
+	for i := range probe.wire {
+		probe.wire[i] = msg.Request{Kind: msg.KindStatus}
 	}
-	wg.Wait()
+	probe.fanout(ctx, false)
+	out := make([]SiteHealth, len(c.clients))
+	for i := range out {
+		out[i] = SiteHealth{Site: i, Err: probe.errs[i]}
+		switch {
+		case out[i].Err != nil:
+		case probe.resps[i].Status == nil:
+			out[i].Err = fmt.Errorf("core: site %d returned no status (pre-health build?)", i)
+		default:
+			out[i].Status = probe.resps[i].Status
+		}
+	}
 	return out
 }
 

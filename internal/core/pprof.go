@@ -13,9 +13,10 @@ import (
 // algorithm, protocol phase and query_id via runtime/pprof goroutine
 // labels. It subscribes to the step stream: the labelled contexts are
 // pre-built once per query, so a phase boundary inside the hot loop is a
-// single SetGoroutineLabels call — and goroutines spawned by a broadcast
-// inherit the current labels, so the fan-out work is attributed to the
-// phase that issued it.
+// single SetGoroutineLabels call. A fan-out's work is attributed to the
+// phase that issued it: in-process sites answer on the labelled
+// goroutine itself, and the goroutine transport.Send starts for any
+// other non-Sender client inherits its labels.
 //
 // A nil *profLabels (profiling disabled, the production default) makes
 // every method a no-op, guarded by TestProfLabelsZeroAllocWhenDisabled.

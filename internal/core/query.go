@@ -59,8 +59,9 @@ func run(ctx context.Context, c *Cluster, opts Options, known []serve.Entry) (*R
 	})
 	v.meter = &transport.Meter{}
 	// When profiling (obs.SetProfiling), attribute samples on the
-	// coordinator goroutine — and everything a broadcast spawns — to
-	// (algorithm, phase, query_id). Nil and free otherwise.
+	// coordinator goroutine — where in-process sites answer, and whose
+	// labels any goroutine a fan-out starts inherits — to (algorithm,
+	// phase, query_id). Nil and free otherwise.
 	o := &observer{c: c, opts: &opts, qid: sid, sid: sid, start: start, meter: v.meter,
 		labels: newProfLabels(ctx, opts.Algorithm, sid)}
 	defer o.labels.exit()
@@ -215,10 +216,10 @@ func (o *observer) finish(rep *Report, err error) (*Report, error) {
 }
 
 // logQuery emits the query's structured log record: Error on failure,
-// Warn with the per-phase breakdown when the query crossed the
-// SlowQuery threshold, Info otherwise. query_id is the session every RPC
-// of the query carries, so it matches the sites' request logs. No-op
-// without a logger.
+// Warn when the query crossed the SlowQuery threshold (with the per-phase
+// breakdown when it was traced), Info otherwise. query_id is the session
+// every RPC of the query carries, so it matches the sites' request logs.
+// No-op without a logger.
 func (o Options) logQuery(id uint64, rep *Report, err error, elapsed time.Duration) {
 	if o.Logger == nil {
 		return
@@ -241,9 +242,11 @@ func (o Options) logQuery(id uint64, rep *Report, err error, elapsed time.Durati
 	}
 	if o.SlowQuery > 0 && elapsed >= o.SlowQuery {
 		args = append(args, "slow_threshold", o.SlowQuery)
-		sum := o.Trace.Summary()
-		for _, p := range Phases() {
-			args = append(args, "phase_"+p.String(), sum.Phases[p].Total)
+		if o.Trace != nil { // an untraced query timed no phase
+			sum := o.Trace.Summary()
+			for _, p := range Phases() {
+				args = append(args, "phase_"+p.String(), sum.Phases[p].Total)
+			}
 		}
 		o.Logger.Warn("slow query", args...)
 		return

@@ -17,6 +17,13 @@ import (
 	"repro/internal/uncertain"
 )
 
+// rpc sends req to site i alone: a fan-out of one through the call path
+// every query and health sweep takes.
+func (v *view) rpc(ctx context.Context, i int, req *msg.Request) (*msg.Response, error) {
+	resps, err := v.send(ctx, i, *req)
+	return resps[i], err
+}
+
 // rpcCount reads one dsud_rpc_requests_total series.
 func rpcCount(reg *obs.Registry, site int, k msg.Kind, outcome string) int64 {
 	return reg.Counter("dsud_rpc_requests_total", "site", strconv.Itoa(site), "kind", k.String(), "outcome", outcome).Value()
@@ -305,5 +312,29 @@ func TestOneCallPathAccountsEveryRPC(t *testing.T) {
 	}
 	if status != int64(m) {
 		t.Errorf("%d status probes counted, want %d", status, m)
+	}
+}
+
+// ClusterConfig.Latency is one simulated round trip per fan-out, not one
+// per call: a broadcast to eight in-process sites, which answer one after
+// another on the caller's goroutine, still takes about one latency.
+func TestClusterLatencyIsOnePerFanout(t *testing.T) {
+	parts, _ := makeWorkload(t, 160, 2, 8, gen.Independent, 59)
+	const latency = 20 * time.Millisecond
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 2, Latency: latency})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	v := cluster.newView(nil, 0, msg.Query{})
+	start := time.Now()
+	if _, err := v.send(context.Background(), -1, msg.Request{Kind: msg.KindStatus}); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed < latency || elapsed >= 2*latency {
+		t.Fatalf("an 8-site fan-out under %v latency took %v, want at least one latency and under two", latency, elapsed)
+	}
+	if got := cluster.Meter().Snapshot().Messages; got != 8 {
+		t.Fatalf("cluster meter counted %d messages, want 8", got)
 	}
 }

@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/msg"
@@ -162,5 +165,81 @@ func TestUnknownKindOverMuxKeepsConnection(t *testing.T) {
 	resp, err := c.Call(ctx, &msg.Request{Kind: msg.KindStatus})
 	if err != nil || resp.Status == nil || resp.Status.Tuples != 50 {
 		t.Fatalf("status call on the same connection after the bad kind: %+v, %v", resp, err)
+	}
+}
+
+// firstEvaluate serves a site engine over TCP and spoils the first
+// evaluate it is sent: it fails it when fail is set, and otherwise
+// answers it late, after a pause that ignores the request's cancellation.
+type firstEvaluate struct {
+	eng  *site.Engine
+	fail bool
+	seen atomic.Bool
+}
+
+func (h *firstEvaluate) Handle(ctx context.Context, req *msg.Request) (*msg.Response, error) {
+	if req.Kind == msg.KindEvaluate && !h.seen.Swap(true) {
+		if h.fail {
+			return nil, errBoom
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	return h.eng.Handle(ctx, req)
+}
+
+// Over TCP, a fan-out that fails at one site while the others answer late
+// leaves nothing behind: the query fails with that site's error, and the
+// next query on the same cluster and connections equals the oracle. On
+// one view (a maintainer keeps one for its life), the fan-out after such
+// a failure reads its own replies, not the late ones.
+func TestTCPFailedFanoutLeavesNoLateReply(t *testing.T) {
+	parts, union := makeWorkload(t, 600, 3, 4, gen.Independent, 79)
+	addrs := make([]string, len(parts))
+	sites := make([]*firstEvaluate, len(parts))
+	for i, part := range parts {
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites[i] = &firstEvaluate{eng: site.New(i, part, 3, 0), fail: i == 2}
+		srv := transport.NewServer(sites[i], nil)
+		go srv.Serve(lis)
+		t.Cleanup(func() { srv.Close() })
+		addrs[i] = lis.Addr().String()
+	}
+	cluster, err := Open(ClusterConfig{Addrs: addrs, Dims: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	ctx := context.Background()
+	opts := Options{Threshold: 0.3, Algorithm: DSUD}
+	if rep, err := cluster.Query(ctx, opts); rep != nil || err == nil || !strings.Contains(err.Error(), errBoom.Error()) {
+		t.Fatalf("query through the failing site: report %v, error %v; want the site's own error", rep, err)
+	}
+	rep, err := cluster.Query(ctx, opts)
+	if err != nil {
+		t.Fatalf("query after the failed fan-out: %v", err)
+	}
+	if !uncertain.MembersEqual(rep.Skyline, union.Skyline(0.3, nil), 1e-9) {
+		t.Fatal("query after the failed fan-out disagreed with the oracle")
+	}
+
+	for _, s := range sites {
+		s.seen.Store(false)
+	}
+	v := cluster.newView(nil, 0, msg.Query{Threshold: 0.3})
+	feed := parts[0][0]
+	if _, err := v.send(ctx, -1, msg.Request{Kind: msg.KindEvaluate, Feed: msg.Feedback{Tuple: feed, HomeLocalProb: feed.Prob}}); !strings.Contains(fmt.Sprint(err), errBoom.Error()) {
+		t.Fatalf("evaluate fan-out through the failing site: %v, want the site's own error", err)
+	}
+	resps, err := v.send(ctx, -1, msg.Request{Kind: msg.KindStatus})
+	if err != nil {
+		t.Fatalf("status fan-out after the failed one: %v", err)
+	}
+	for i, resp := range resps {
+		if resp.Status == nil || resp.Status.Tuples != len(parts[i]) {
+			t.Errorf("site %d: status fan-out read %+v, want site %d's status", i, resp, i)
+		}
 	}
 }

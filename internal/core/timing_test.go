@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"log/slog"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/codec"
 	"repro/internal/gen"
@@ -149,6 +151,49 @@ func TestUntracedQueriesLogDistinctQueryIDs(t *testing.T) {
 					t.Fatalf("query %d: site %d logged a request under query_id %s, want %s", q, i, id, qid)
 				}
 			}
+		}
+	}
+}
+
+// A slow query's Warn record carries the per-phase breakdown only when
+// the query was traced: an untraced query timed no phase, and logs none
+// rather than every phase as 0s.
+func TestSlowQueryLogsPhasesOnlyWhenTraced(t *testing.T) {
+	parts, _ := makeWorkload(t, 300, 2, 3, gen.Independent, 73)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	for _, traced := range []bool{false, true} {
+		var buf bytes.Buffer
+		logger, err := obs.NewLogger(&buf, "json", slog.LevelInfo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Threshold: 0.3, Logger: logger, SlowQuery: time.Nanosecond}
+		want := 0
+		if traced {
+			opts.Trace, want = NewTrace(), len(Phases())
+		}
+		if _, err := cluster.Query(context.Background(), opts); err != nil {
+			t.Fatal(err)
+		}
+		var rec map[string]any
+		if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec["msg"] != "slow query" || rec["level"] != "WARN" {
+			t.Fatalf("traced=%v: logged %v, want one Warn slow-query record", traced, rec)
+		}
+		phases := 0
+		for k := range rec {
+			if strings.HasPrefix(k, "phase_") {
+				phases++
+			}
+		}
+		if phases != want {
+			t.Errorf("traced=%v: the slow-query record has %d phase_* keys, want %d: %v", traced, phases, want, rec)
 		}
 	}
 }

@@ -9,7 +9,8 @@ import (
 
 // Local returns an in-process Client that dispatches directly to h. Calls
 // are serialised per client (unlike the TCP transport, which pipelines
-// them) and honour context cancellation.
+// them) and honour context cancellation. It is a Sender whose Send runs
+// the handler on the caller's goroutine.
 func Local(h Handler) Client {
 	return &localClient{handler: h}
 }
@@ -30,6 +31,12 @@ func (c *localClient) Call(ctx context.Context, req *msg.Request) (*msg.Response
 		return nil, ErrClosed
 	}
 	return c.handler.Handle(ctx, req)
+}
+
+// Send implements Sender: the call runs to its end before Send returns.
+func (c *localClient) Send(ctx context.Context, req *msg.Request, slot int, done chan<- Reply) {
+	resp, err := c.Call(ctx, req)
+	done <- Reply{Slot: slot, Resp: resp, Err: err}
 }
 
 func (c *localClient) Close() error {

@@ -80,11 +80,12 @@ func DialAuto(addr string, meter *Meter) (Client, error) {
 	return NewMuxClient(conn), nil
 }
 
-// MuxClient is the TCP client: many concurrent Calls pipeline over one
-// connection as ID-tagged frames, a demux goroutine routes responses
-// (which may arrive out of order) back to their callers, and cancelling
-// one call abandons only that call's slot — the connection stays
-// usable. MuxClient is safe for concurrent use.
+// MuxClient is the TCP client: many concurrent calls pipeline over one
+// connection as ID-tagged frames, the caller's goroutine writes each
+// request, a demux goroutine delivers each response (they may arrive out
+// of order) to the Reply channel its Send named, and cancelling one call
+// abandons only that call's slot — the connection stays usable.
+// MuxClient is safe for concurrent use.
 type MuxClient struct {
 	conn net.Conn
 
@@ -97,28 +98,31 @@ type MuxClient struct {
 	nextID atomic.Uint64
 
 	mu      sync.Mutex
-	pending map[uint64]chan muxResult
+	pending map[uint64]muxCall
 	broken  error // terminal connection error; nil while healthy
 	closed  bool
 }
 
-type muxResult struct {
-	resp  *msg.Response
-	err   error
-	bytes int64 // response frame wire size
+// muxCall is one request in flight: where its Reply goes, and what it
+// has cost so far.
+type muxCall struct {
+	slot  int
+	done  chan<- Reply
+	bytes int64       // request frame wire size
+	stop  func() bool // unhooks the watch on the call's context
 }
 
 // NewMuxClient speaks the framed protocol over an already-handshaken
 // connection. Most callers want DialAuto; this exists for tests and
 // custom dialers.
 func NewMuxClient(conn net.Conn) *MuxClient {
-	c := &MuxClient{conn: conn, pending: make(map[uint64]chan muxResult)}
+	c := &MuxClient{conn: conn, pending: make(map[uint64]muxCall)}
 	go c.readLoop()
 	return c
 }
 
 // readLoop is the demux goroutine: it decodes response frames and
-// delivers each to its caller's channel. Any read error is terminal —
+// delivers each to its call's Reply channel. Any read error is terminal —
 // every in-flight call fails with it, and subsequent calls are refused
 // until the owner (usually a Retry client) discards and redials. A
 // response whose frame is intact but whose payload does not decode fails
@@ -134,16 +138,34 @@ func (c *MuxClient) readLoop() {
 		if fr.Type != codec.FrameResponse {
 			continue // unknown frame types are ignorable padding
 		}
-		res := muxResult{resp: new(msg.Response), bytes: int64(n)}
-		res.err = DecodeResponse(fr.Payload, res.resp)
-		c.mu.Lock()
-		ch := c.pending[fr.ID]
-		delete(c.pending, fr.ID)
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- res // buffered; a cancelled caller simply never reads it
+		call, ok := c.take(fr.ID)
+		if !ok {
+			continue // abandoned: its Reply has gone out already
 		}
+		resp := new(msg.Response)
+		if err := DecodeResponse(fr.Payload, resp); err != nil {
+			call.reply(nil, 0, err)
+			continue
+		}
+		call.reply(resp, call.bytes+int64(n), nil)
 	}
+}
+
+// reply delivers the call's one Reply. Whoever took the call out of the
+// pending table sends it, so there is never a second.
+func (call muxCall) reply(resp *msg.Response, n int64, err error) {
+	call.stop()
+	call.done <- Reply{Slot: call.slot, Resp: resp, Bytes: n, Err: err}
+}
+
+// take removes call id from the pending table, reporting whether it was
+// still there.
+func (c *MuxClient) take(id uint64) (muxCall, bool) {
+	c.mu.Lock()
+	call, ok := c.pending[id]
+	delete(c.pending, id)
+	c.mu.Unlock()
+	return call, ok
 }
 
 // fail marks the connection dead and errors out every in-flight call.
@@ -153,26 +175,25 @@ func (c *MuxClient) fail(err error) {
 		c.broken = err
 	}
 	pend := c.pending
-	c.pending = make(map[uint64]chan muxResult)
+	c.pending = make(map[uint64]muxCall)
 	c.mu.Unlock()
 	c.conn.Close()
-	for _, ch := range pend {
-		ch <- muxResult{err: err}
+	for _, call := range pend {
+		call.reply(nil, 0, err)
 	}
 }
 
-// forget abandons one request slot (cancellation).
-func (c *MuxClient) forget(id uint64) {
-	c.mu.Lock()
-	delete(c.pending, id)
-	c.mu.Unlock()
-}
-
-// sendCancel tells the server the request was abandoned so it can stop
-// working on it. Best-effort and asynchronous: a response already in
+// abandon ends call id with its context's error once that context is
+// done, and tells the server the request was abandoned so it can stop
+// working on it. The cancel frame is best-effort: a response already in
 // flight just gets dropped by the demux, and a write error means the
 // connection is dying anyway.
-func (c *MuxClient) sendCancel(id uint64) {
+func (c *MuxClient) abandon(id uint64, err error) {
+	call, ok := c.take(id)
+	if !ok {
+		return
+	}
+	call.reply(nil, 0, err)
 	frame := codec.AppendFrame(nil, codec.FrameCancel, id, nil)
 	c.wmu.Lock()
 	c.conn.Write(frame)
@@ -189,48 +210,48 @@ func (c *MuxClient) Call(ctx context.Context, req *msg.Request) (*msg.Response, 
 // with the pair's exact framed wire size. Cancellation abandons the
 // slot (and notifies the server) without touching the connection.
 func (c *MuxClient) CallBytes(ctx context.Context, req *msg.Request) (*msg.Response, int64, error) {
+	done := make(chan Reply, 1)
+	c.Send(ctx, req, 0, done)
+	r := <-done
+	return r.Resp, r.Bytes, r.Err
+}
+
+// Send implements Sender: the request frame is written on the caller's
+// goroutine, and the read loop delivers the Reply — or, if ctx ends
+// first, a watch on ctx abandons the call and delivers ctx's error.
+func (c *MuxClient) Send(ctx context.Context, req *msg.Request, slot int, done chan<- Reply) {
 	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+		done <- Reply{Slot: slot, Err: err}
+		return
 	}
 	id := c.nextID.Add(1)
-	ch := make(chan muxResult, 1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, 0, ErrClosed
-	}
-	if c.broken != nil {
-		err := c.broken
-		c.mu.Unlock()
-		return nil, 0, err
-	}
-	c.pending[id] = ch
-	c.mu.Unlock()
-
 	c.wmu.Lock()
+	defer c.wmu.Unlock()
 	c.pbuf = AppendRequest(c.pbuf[:0], req)
 	c.wbuf = codec.AppendFrame(c.wbuf[:0], codec.FrameRequest, id, c.pbuf)
-	reqBytes := int64(len(c.wbuf))
-	_, err := c.conn.Write(c.wbuf)
-	c.wmu.Unlock()
+	c.mu.Lock()
+	err := c.broken
+	if c.closed {
+		err = ErrClosed
+	}
+	if err == nil {
+		// Registered under mu, so the watch finds the call in the table
+		// even if ctx is done already.
+		stop := context.AfterFunc(ctx, func() { c.abandon(id, ctx.Err()) })
+		c.pending[id] = muxCall{slot: slot, done: done, bytes: int64(len(c.wbuf)), stop: stop}
+	}
+	c.mu.Unlock()
 	if err != nil {
-		c.forget(id)
+		done <- Reply{Slot: slot, Err: err}
+		return
+	}
+	if _, err := c.conn.Write(c.wbuf); err != nil {
+		if call, ok := c.take(id); ok {
+			call.reply(nil, 0, fmt.Errorf("transport: send: %w", err))
+		}
 		// A failed write may have put part of a frame on the wire; the
 		// connection is unusable for everyone.
 		c.fail(fmt.Errorf("%w: send: %v", errMuxBroken, err))
-		return nil, 0, fmt.Errorf("transport: send: %w", err)
-	}
-
-	select {
-	case res := <-ch:
-		if res.err != nil {
-			return nil, 0, res.err
-		}
-		return res.resp, reqBytes + res.bytes, nil
-	case <-ctx.Done():
-		c.forget(id)
-		go c.sendCancel(id)
-		return nil, 0, ctx.Err()
 	}
 }
 
