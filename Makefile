@@ -45,12 +45,13 @@ test:
 # two-wave updates (through the maintainer and through the update engine
 # alone), the failed-update path, the one call path metering, timing and
 # recording a fan-out's calls, the slow-query record, the deferred
-# refills an e-DSUD round admits from a broadcast's replies, and the
-# resumed reads that race the serving tier's updates under its read-write
-# lock.
+# refills an e-DSUD round admits from a broadcast's replies, the resumed
+# reads that race the serving tier's updates under its read-write lock,
+# and the routed rounds with the cluster's summary cache that concurrent
+# queries and updates share.
 race:
 	$(GO) test -race ./internal/codec ./internal/obs/... ./internal/transport ./internal/round ./internal/core ./internal/serve ./internal/stream ./internal/site ./internal/audit ./internal/experiments
-	$(GO) test -race -count=10 -run 'Fanout|ClusterHealth|SlowQueryLogs|MaxResultsShips|ParentTranscripts|TopKReExpunge|UpdateWaves|UpdateEngineOracleSweep|FailedUpdate|OneCallPath|DeferredRefill|SiteRestart|ReplayClientComparesRefill|ResumedReadsRace' ./internal/round ./internal/core
+	$(GO) test -race -count=10 -run 'Fanout|ClusterHealth|SlowQueryLogs|MaxResultsShips|ParentTranscripts|TopKReExpunge|UpdateWaves|UpdateEngineOracleSweep|FailedUpdate|OneCallPath|DeferredRefill|SiteRestart|ReplayClientComparesRefill|ResumedReadsRace|Routed|SummaryCache|RecordReplayWarm|CurveNeverOutruns|ConcurrentQueries' ./internal/round ./internal/core
 
 # Full benchmark sweep (several minutes). Writes bench_output.txt.
 bench:

@@ -123,11 +123,15 @@ func ExampleOptions_onResult() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Two representatives and each site's one-point summary come up; the
+	// two feedback tuples go to no site, since neither site holds a
+	// dominator of the other's; site 1 prunes by the first on the Next
+	// that finds it exhausted.
 	fmt.Printf("%d tuples over the wire\n", report.Bandwidth.Tuples())
 	// Output:
 	// found (1, 9) from site 0
 	// found (9, 1) from site 1
-	// 4 tuples over the wire
+	// 5 tuples over the wire
 }
 
 // SkylineProbability evaluates the paper's eq. 3 directly.

@@ -43,8 +43,13 @@ import (
 // which a generation-7 site would refuse as an unknown bit; generation 9
 // lets a resumed query's Init carry the known answer (the Tuples and
 // RemoveIDs fields), which a generation-8 site would ignore and so ship
-// and re-derive every known answer. The frame layout is unchanged.
-const FrameVersion = 9
+// and re-derive every known answer; generation 10 routes each feedback to
+// the sites whose summary may hold a dominator of it and lets a session's
+// next and evaluate carry the feedback a site was not sent (request mask
+// bit 14, response bits 12 and 13), and a generation-9 site would refuse
+// the summary version as an unknown bit, or treat the carried feedback as
+// a maintenance batch. The frame layout is unchanged.
+const FrameVersion = 10
 
 // MuxMagic opens the handshake.
 var MuxMagic = [4]byte{0xD5, 'S', 'Q', '2'}
@@ -164,16 +169,48 @@ func readBody(r io.Reader, buf []byte, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// maxRetainedFrame is the largest buffer a FrameReader keeps between
-// frames; one shipped partition must not pin its size for the life of
-// the connection.
-const maxRetainedFrame = 1 << 20
+// Buffer is one connection's reused buffer for reading or writing
+// messages (FrameReader, and internal/transport's writers). It keeps its
+// capacity while messages that need it keep coming, such as an update's
+// candidate batches. It drops a capacity past smallBuffer once keepLarge
+// messages in a row have fitted in smallBuffer, so a rare large message —
+// an Init reply carrying a site's summary — does not pin its size for the
+// life of the connection, and it never keeps one past maxRetainedFrame,
+// the size of a shipped partition.
+type Buffer struct {
+	b     []byte
+	small int // messages in a row that fitted in smallBuffer
+}
+
+const (
+	smallBuffer      = 2 << 10
+	keepLarge        = 16
+	maxRetainedFrame = 1 << 20
+)
+
+// Bytes returns the buffer, empty, for the next message.
+func (b *Buffer) Bytes() []byte { return b.b[:0] }
+
+// Keep takes back the buffer the last message was read or encoded into.
+func (b *Buffer) Keep(used []byte) {
+	switch {
+	case cap(used) > maxRetainedFrame:
+		used = nil
+	case len(used) > smallBuffer:
+		b.small = 0
+	case cap(used) > smallBuffer:
+		if b.small++; b.small >= keepLarge {
+			used, b.small = nil, 0
+		}
+	}
+	b.b = used
+}
 
 // FrameReader reads frames from one stream into a buffer it reuses, so a
 // steady stream of small frames allocates nothing.
 type FrameReader struct {
 	r   io.Reader
-	buf []byte
+	buf Buffer
 }
 
 // NewFrameReader returns a FrameReader over r.
@@ -195,15 +232,11 @@ func (fr *FrameReader) ReadFrame() (Frame, int, error) {
 	if body < frameHeaderLen+4 || body > MaxFramePayload+frameHeaderLen+4 {
 		return Frame{}, 0, fmt.Errorf("%w: implausible frame length %d", ErrFrame, body)
 	}
-	buf, err := readBody(fr.r, fr.buf, body)
+	buf, err := readBody(fr.r, fr.buf.Bytes(), body)
 	if err != nil {
 		return Frame{}, 0, fmt.Errorf("%w: truncated frame (%d byte body): %v", ErrFrame, body, err)
 	}
-	if cap(buf) <= maxRetainedFrame {
-		fr.buf = buf
-	} else {
-		fr.buf = nil
-	}
+	fr.buf.Keep(buf)
 	f, err := DecodeFrameBody(buf)
 	if err != nil {
 		return Frame{}, 0, err

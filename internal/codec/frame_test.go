@@ -167,3 +167,37 @@ func FuzzDecodeFrame(f *testing.F) {
 func appendCRC(dst, body []byte) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(body))
 }
+
+// A Buffer keeps a large capacity while large messages keep coming and
+// drops it once keepLarge small ones in a row have passed; it never keeps
+// one past maxRetainedFrame.
+func TestBufferKeepsLargeOnlyWhileNeeded(t *testing.T) {
+	var b Buffer
+	large := make([]byte, smallBuffer+1)
+	b.Keep(large)
+	for i := 0; i < 3*keepLarge; i++ {
+		if cap(b.Bytes()) != cap(large) {
+			t.Fatalf("message %d: a recurring large message lost its buffer", i)
+		}
+		if i%(keepLarge-1) == 0 {
+			b.Keep(large)
+		} else {
+			b.Keep(append(b.Bytes(), 1))
+		}
+	}
+	b.Keep(large)
+	for i := 0; i < keepLarge; i++ {
+		b.Keep(append(b.Bytes(), 1))
+	}
+	if cap(b.Bytes()) > smallBuffer {
+		t.Fatalf("after %d small messages the buffer still holds %d bytes", keepLarge, cap(b.Bytes()))
+	}
+	b.Keep(make([]byte, 8))
+	if cap(b.Bytes()) != 8 {
+		t.Fatal("a small buffer was not kept")
+	}
+	b.Keep(make([]byte, maxRetainedFrame+1))
+	if cap(b.Bytes()) != 0 {
+		t.Fatal("a buffer past maxRetainedFrame was kept")
+	}
+}

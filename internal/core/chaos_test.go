@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 
@@ -250,6 +250,9 @@ type restartClient struct {
 	part      uncertain.DB
 	restarted bool
 	first     error
+	// pruning says the first request after the restart was one that
+	// prunes: an evaluate, or a next carrying feedback the site was owed.
+	pruning bool
 }
 
 func (c *restartClient) Call(ctx context.Context, req *msg.Request) (*msg.Response, error) {
@@ -261,6 +264,7 @@ func (c *restartClient) Call(ctx context.Context, req *msg.Request) (*msg.Respon
 	c.eng, c.restarted = site.New(c.eng.ID(), c.part, 3, 0), true
 	resp, err := c.eng.Handle(ctx, req)
 	c.first = fmt.Errorf("%v: %w", req.Kind, err)
+	c.pruning = req.Kind == msg.KindEvaluate || len(req.Tuples) > 0
 	return resp, err
 }
 
@@ -268,13 +272,19 @@ func (c *restartClient) Close() error { return nil }
 
 // A site that restarts between a subspace query's Init and its first
 // broadcast holds no session for it. The first request it is sent there —
-// an evaluate, or the home site's Next — fails with site.ErrNoSession
-// rather than answering a full-space factor without pruning, which would
-// give a [0,2] query a silently wrong P_g-sky; the query fails with it and
-// delivers nothing.
+// an evaluate, a next carrying the feedback it is owed, or the home site's
+// Next — fails with site.ErrNoSession rather than answering a full-space
+// factor without pruning, which would give a [0,2] query a silently wrong
+// P_g-sky; the query fails with it. What it delivered before that request
+// was routed past the site by its summary, which holds no dominator of it,
+// and is the oracle's.
 func TestSiteRestartFailsTyped(t *testing.T) {
-	parts, _ := makeWorkload(t, 400, 3, 4, gen.Independent, 31)
-	evaluates := 0
+	parts, union := makeWorkload(t, 400, 3, 4, gen.Independent, 31)
+	oracle := map[uncertain.TupleID]float64{}
+	for _, m := range union.Skyline(0.3, []int{0, 2}) {
+		oracle[m.Tuple.ID] = m.Prob
+	}
+	pruning := 0
 	for restarted := range parts {
 		clients := make([]transport.Client, len(parts))
 		var restart *restartClient
@@ -290,18 +300,23 @@ func TestSiteRestartFailsTyped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		delivered := 0
+		var delivered []Result
 		rep, err := Run(context.Background(), cluster, Options{Threshold: 0.3, Algorithm: EDSUD, Dims: []int{0, 2},
-			OnResult: func(Result) { delivered++ }})
-		if rep != nil || delivered != 0 || !errors.Is(err, site.ErrNoSession) || !errors.Is(restart.first, site.ErrNoSession) {
+			OnResult: func(r Result) { delivered = append(delivered, r) }})
+		if rep != nil || !errors.Is(err, site.ErrNoSession) || !errors.Is(restart.first, site.ErrNoSession) {
 			t.Fatalf("site %d restarted: report %v after %d deliveries, error %v, first request after the restart %v; want site.ErrNoSession",
-				restarted, rep, delivered, err, restart.first)
+				restarted, rep, len(delivered), err, restart.first)
 		}
-		if strings.HasPrefix(restart.first.Error(), "evaluate") {
-			evaluates++
+		for _, r := range delivered {
+			if p, ok := oracle[r.Tuple.ID]; !ok || math.Abs(p-r.GlobalProb) > 1e-9 {
+				t.Fatalf("site %d restarted: delivered %v at %v before failing, oracle %v (%v)", restarted, r.Tuple, r.GlobalProb, p, ok)
+			}
+		}
+		if restart.pruning {
+			pruning++
 		}
 	}
-	if evaluates == 0 {
-		t.Error("no restarted site was sent an evaluate")
+	if pruning == 0 {
+		t.Error("no restarted site was first sent a request that prunes: an evaluate, or a next carrying feedback")
 	}
 }

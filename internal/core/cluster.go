@@ -39,6 +39,10 @@ type Cluster struct {
 	sessionBase uint64
 	sessions    atomic.Uint64
 
+	// summaries caches the sites' summaries a query routes its feedback
+	// by (summary.go).
+	summaries *summaries
+
 	// obsQueries counts completed queries per algorithm, populated by
 	// Instrument (nil entries no-op when uninstrumented).
 	obsQueries [algorithmEnd]*obs.Counter
@@ -198,6 +202,15 @@ type view struct {
 	rec     *transcript.Recorder
 	session uint64
 	query   msg.Query
+	// dims is the query's subspace in ascending order, the key of the
+	// summaries it routes by, and held the summary each site's Init was
+	// asked with: the cached one, sent back in the reply when the site
+	// ships none.
+	dims []int
+	held []summary
+	// summaryUp counts the summary points the sites shipped up, which
+	// the delivery curve charges ahead of every answer.
+	summaryUp int64
 	// One fan-out's buffers, indexed by site and reused by the next: the
 	// requests (Kind 0: nothing for that site), what came back and, once
 	// calls are timed, when each went out. done carries the replies; made
@@ -213,7 +226,7 @@ type view struct {
 // newView opens a view with no meter or recorder of its own. tr may be nil.
 func (c *Cluster) newView(tr *Trace, session uint64, query msg.Query) *view {
 	n := len(c.clients)
-	return &view{cluster: c, tr: tr, session: session, query: query,
+	return &view{cluster: c, tr: tr, session: session, query: query, dims: sortedDims(query.Dims),
 		wire: make([]msg.Request, n), resps: make([]*msg.Response, n),
 		errs: make([]error, n)}
 }
@@ -243,7 +256,8 @@ func NewClusterFromClients(clients []transport.Client, dims int) (*Cluster, erro
 	if len(clients) == 0 {
 		return nil, ErrNoSites
 	}
-	return &Cluster{clients: clients, meter: &transport.Meter{}, dims: dims, sessionBase: newSessionBase()}, nil
+	return &Cluster{clients: clients, meter: &transport.Meter{}, dims: dims, sessionBase: newSessionBase(),
+		summaries: newSummaries(len(clients))}, nil
 }
 
 // Sites returns the number of sites.
@@ -365,6 +379,7 @@ func (v *view) finish(r transport.Reply, timed bool) bool {
 		v.errs[i] = r.Err
 		return false
 	}
+	r.Resp = v.settle(i, req, r.Resp)
 	c.meter.Account(req, r.Resp)
 	if v.meter != nil {
 		v.meter.Account(req, r.Resp)
@@ -381,6 +396,40 @@ func (v *view) finish(r transport.Reply, timed bool) bool {
 	}
 	v.resps[i] = r.Resp
 	return true
+}
+
+// settle keeps the cluster's summaries in step with one reply: an Init
+// reply that ships a summary is cached, and one that names the version the
+// Init was asked with gets that version's summary back from the cache, in
+// a copy, so the engine and the transcript see the summary the query
+// routes by; an insert or delete reply moves the site's cached summaries
+// to its new version (summaries.updated).
+func (v *view) settle(i int, req *msg.Request, resp *msg.Response) *msg.Response {
+	sums := v.cluster.summaries
+	if req.Kind == msg.KindInit && resp.Version != req.SummaryVersion {
+		v.summaryUp += int64(resp.Summary.Len()) // as transport.Meter charges it
+	}
+	switch {
+	case resp.Version == 0:
+	case req.Kind == msg.KindInit && resp.Version == req.SummaryVersion:
+		filled := *resp
+		filled.Summary = v.held[i].Summary
+		return &filled
+	case req.Kind == msg.KindInit && resp.Summary.Fits(v.width()):
+		sums.put(i, v.dims, resp.Version, resp.Summary)
+	case req.Kind == msg.KindInsert || req.Kind == msg.KindDelete:
+		sums.updated(i, req, resp.Version)
+	}
+	return resp
+}
+
+// width is the number of coordinates of a summary point on the view's
+// subspace.
+func (v *view) width() int {
+	if v.dims == nil {
+		return v.cluster.dims
+	}
+	return len(v.dims)
 }
 
 // sleep waits d, or until ctx is done and then returns its error. A
@@ -437,9 +486,21 @@ func (v *view) Len() int { return len(v.cluster.clients) }
 func (v *view) Fanout(ctx context.Context, reqs []msg.Request) ([]*msg.Response, error) {
 	for i, r := range reqs {
 		v.wire[i] = v.bind(r)
+		if r.Kind == msg.KindInit {
+			if v.held == nil {
+				v.held = make([]summary, len(reqs))
+			}
+			v.held[i] = v.cluster.summaries.get(i, v.dims)
+			v.wire[i].SummaryVersion = v.held[i].version
+		}
 	}
 	return v.issue(ctx)
 }
+
+// Summary makes a maintainer's view the update engine's round.Summaries:
+// the cluster's cached summary of site on the view's subspace, which the
+// maintainer's own updates keep current.
+func (v *view) Summary(site int) msg.Summary { return v.cluster.summaries.get(site, v.dims).Summary }
 
 // bind is the one place a request gets its session and query. A query's
 // view binds its session to an init, next, evaluate and end-query, and its

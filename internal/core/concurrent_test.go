@@ -28,10 +28,19 @@ func TestConcurrentQueriesOnSharedCluster(t *testing.T) {
 		{Threshold: 0.3, Algorithm: Baseline},
 		{Threshold: 0.4, Algorithm: EDSUD, TopK: 5},
 	}
-	// Establish expected answers and sequential bandwidths first.
+	// Establish expected answers and sequential bandwidths first, on the
+	// shared cluster: each query's first run ships the sites' summaries of
+	// its subspace, which the cluster then holds, so the second is the
+	// reference every concurrent run must match.
 	sequential := make([]*Report, len(queries))
 	for i, opts := range queries {
-		sequential[i] = runAlgo(t, parts, 3, opts)
+		for range 2 {
+			rep, err := Run(context.Background(), cluster, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sequential[i] = rep
+		}
 	}
 
 	const rounds = 3

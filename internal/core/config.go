@@ -131,6 +131,7 @@ func Open(cfg ClusterConfig) (*Cluster, error) {
 		latency:     cfg.Latency,
 		sessionBase: newSessionBase(),
 		logger:      cfg.Logger,
+		summaries:   newSummaries(len(clients)),
 	}
 	cluster.Instrument(cfg.Metrics)
 	cluster.SetFlightRecorder(cfg.FlightRecorder)

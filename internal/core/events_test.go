@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/geom"
 	"repro/internal/transport"
 	"repro/internal/uncertain"
 )
@@ -51,7 +53,7 @@ func TestEventStreamConsistency(t *testing.T) {
 	parts, _ := makeWorkload(t, 800, 3, 6, gen.Anticorrelated, 111)
 	for _, algo := range []Algorithm{DSUD, EDSUD} {
 		counts := map[EventKind]int{}
-		pruneTotal := 0
+		pruneTotal, down := 0, 0
 		refillDelivered := 0
 		initialToServer := 0
 		var reported []uncertain.SkylineMember
@@ -60,6 +62,7 @@ func TestEventStreamConsistency(t *testing.T) {
 			Algorithm: algo,
 			OnEvent: func(e Event) {
 				counts[e.Kind]++
+				down += e.Down
 				switch e.Kind {
 				case EventPrune:
 					pruneTotal += e.Count
@@ -106,9 +109,11 @@ func TestEventStreamConsistency(t *testing.T) {
 		if initialToServer > len(parts) {
 			t.Errorf("%v: %d initial to-server events from %d sites", algo, initialToServer, len(parts))
 		}
-		// Every to-server event is one up-tuple; together with broadcasts
-		// they are the whole tuple bandwidth.
-		wantTuples := int64(counts[EventToServer]) + int64(rep.Broadcasts)*int64(len(parts)-1)
+		// Every to-server event is one up-tuple, and the events say what
+		// went down; together with the summaries the fresh cluster's Init
+		// fetched, one up-tuple per point, they are the whole tuple
+		// bandwidth.
+		wantTuples := int64(counts[EventToServer]) + int64(down) + int64(certainSkylinePoints(parts, nil))
 		if rep.Bandwidth.Tuples() != wantTuples {
 			t.Errorf("%v: bandwidth %d, events imply %d", algo, rep.Bandwidth.Tuples(), wantTuples)
 		}
@@ -178,4 +183,22 @@ func TestPaperExampleEventTrace(t *testing.T) {
 			t.Errorf("tuple %d should have been expunged", id)
 		}
 	}
+}
+
+// certainSkylinePoints counts the points of every partition's certain
+// skyline on dims, each point once per partition: the tuples a cold Init
+// fan-out ships up as the sites' summaries.
+func certainSkylinePoints(parts []uncertain.DB, dims []int) int {
+	n := 0
+	for _, part := range parts {
+		var kept []geom.Point
+		for _, tu := range part {
+			dominated := slices.ContainsFunc(part, func(o uncertain.Tuple) bool { return o.Point.DominatesIn(tu.Point, dims) })
+			if !dominated && !slices.ContainsFunc(kept, func(p geom.Point) bool { return p.Equal(tu.Point) }) {
+				kept = append(kept, tu.Point)
+			}
+		}
+		n += len(kept)
+	}
+	return n
 }

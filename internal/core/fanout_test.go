@@ -21,7 +21,8 @@ var errBoom = errors.New("boom")
 // the first Evaluate fan-out: the home site's Next succeeds and signals,
 // the site told to fail waits for that signal and then fails its
 // Evaluate, and every other Evaluate of that fan-out hangs until the
-// failure cancels it.
+// failure cancels it. It passes on no summary, so that fan-out sends every
+// site but the home an Evaluate, routed by nothing.
 type faultClient struct {
 	eng      *site.Engine
 	fail     bool
@@ -47,7 +48,11 @@ func (c *faultClient) Call(ctx context.Context, req *msg.Request) (*msg.Response
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	return c.eng.Handle(ctx, req)
+	resp, err := c.eng.Handle(ctx, req)
+	if err == nil {
+		resp.Summary = msg.Summary{}
+	}
+	return resp, err
 }
 
 func (c *faultClient) Close() error { return nil }
@@ -123,9 +128,11 @@ func TestMaxResultsShipsNoSpeculativeTuple(t *testing.T) {
 		for i, s := range rep.PerSite {
 			shipped[i] = s.Shipped
 		}
-		if len(rep.Skyline) != tc.max || rep.Bandwidth.TuplesUp != tc.up || !slices.Equal(shipped, tc.shipped) {
+		// The fresh cluster's Init also fetched the sites' summaries.
+		up := rep.Bandwidth.TuplesUp - int64(certainSkylinePoints(parts, nil))
+		if len(rep.Skyline) != tc.max || up != tc.up || !slices.Equal(shipped, tc.shipped) {
 			t.Errorf("%v max=%d: %d answers, %d tuples up, shipped %v; want %d up, %v",
-				tc.algo, tc.max, len(rep.Skyline), rep.Bandwidth.TuplesUp, shipped, tc.up, tc.shipped)
+				tc.algo, tc.max, len(rep.Skyline), up, shipped, tc.up, tc.shipped)
 		}
 	}
 }

@@ -284,3 +284,41 @@ func TestWriteExplain(t *testing.T) {
 func fmtSscan(line string, k *int) (int, error) {
 	return fmt.Sscanf(line, "k=%d", k)
 }
+
+// A delivery point is charged what the query had sent and taken in when
+// it reported, so no point of the curve exceeds the meter's final count,
+// cold (the Init fetched the summaries) or warm, whatever the routing
+// spared: a broadcast charged to every other site would outrun it.
+func TestCurveNeverOutrunsTheMeter(t *testing.T) {
+	parts, _ := makeWorkload(t, 1600, 3, 8, gen.Anticorrelated, 43)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	for _, opts := range []Options{
+		{Threshold: 0.3, Algorithm: DSUD},
+		{Threshold: 0.3, Algorithm: EDSUD},
+		{Threshold: 0.2, Algorithm: EDSUD, Dims: []int{0, 2}},
+	} {
+		for _, run := range []string{"cold", "warm"} {
+			rep, err := Run(context.Background(), cluster, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Progress) == 0 {
+				t.Fatalf("%v %v %s: no delivery", opts.Algorithm, opts.Dims, run)
+			}
+			prev := int64(0)
+			for _, p := range rep.Progress {
+				if p.Tuples < prev {
+					t.Fatalf("%v %v %s: point %d at %d tuples after %d", opts.Algorithm, opts.Dims, run, p.K, p.Tuples, prev)
+				}
+				prev = p.Tuples
+			}
+			if total := rep.Bandwidth.Tuples(); prev > total {
+				t.Errorf("%v %v %s: the curve ends at %d tuples, the meter counted %d", opts.Algorithm, opts.Dims, run, prev, total)
+			}
+		}
+	}
+}

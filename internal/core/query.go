@@ -62,7 +62,7 @@ func run(ctx context.Context, c *Cluster, opts Options, known []serve.Entry) (*R
 	// coordinator goroutine — where in-process sites answer, and whose
 	// labels any goroutine a fan-out starts inherits — to (algorithm,
 	// phase, query_id). Nil and free otherwise.
-	o := &observer{c: c, opts: &opts, qid: sid, sid: sid, start: start, meter: v.meter,
+	o := &observer{c: c, opts: &opts, qid: sid, sid: sid, start: start, meter: v.meter, view: v,
 		labels: newProfLabels(ctx, opts.Algorithm, sid)}
 	defer o.labels.exit()
 
@@ -85,6 +85,7 @@ func run(ctx context.Context, c *Cluster, opts Options, known []serve.Entry) (*R
 		DisableExpunge: opts.DisableExpunge,
 		MaxResults:     opts.MaxResults,
 		TopK:           opts.TopK,
+		NoPrune:        opts.DisableSitePruning,
 		Known:          known,
 	}
 	var (
@@ -121,6 +122,7 @@ type observer struct {
 	sid    uint64 // 0 for served reads: no site session
 	start  time.Time
 	meter  *transport.Meter // nil for served reads: no traffic to count
+	view   *view            // nil for served reads
 	labels *profLabels
 	tally  round.Tally      // recomputed from the stream, for Result provenance
 	tuples int64            // shipped so far, as the stream has announced them
@@ -151,16 +153,20 @@ func (o *observer) step(s round.Step) {
 	// A result is charged what the algorithm had taken in when it reported,
 	// not the meter's reading: the home site's next representative may
 	// have arrived beside the factors, and it belongs to the next result.
-	switch e.Kind {
-	case EventToServer:
+	// What went down is what the stream says each fan-out sent: a routed
+	// broadcast reaches only some sites, and the rest are owed it.
+	o.tuples += int64(e.Down)
+	if e.Kind == EventToServer {
 		o.tuples++
-	case EventBroadcast:
-		o.tuples += int64(len(o.c.clients) - 1)
 	}
 	if e.Kind != EventReport {
 		return
 	}
 	p := progress.Point{K: int32(len(o.points) + 1), NS: int64(time.Since(o.start)), Tuples: o.tuples}
+	if o.view != nil {
+		// The summaries an Init shipped came up before any answer.
+		p.Tuples += o.view.summaryUp
+	}
 	if o.opts.Algorithm == Baseline && o.meter != nil {
 		// The Baseline announces no representative: all shipped up front.
 		p.Tuples = o.meter.Snapshot().Tuples()

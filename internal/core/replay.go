@@ -151,12 +151,13 @@ func Replay(ctx context.Context, t *transcript.Transcript, onResult func(Result)
 	if err != nil {
 		return nil, err
 	}
+	opts := replayOptions(t)
+	primeSummaries(cluster, exs, opts.Dims)
 
 	res := &ReplayResult{}
 	mismatch := func(format string, args ...any) {
 		res.Mismatches = append(res.Mismatches, fmt.Sprintf(format, args...))
 	}
-	opts := replayOptions(t)
 	opts.OnResult = func(r Result) {
 		if r.Index != len(res.Delivered)+1 {
 			mismatch("delivery ordinal %d arrived after %d deliveries (must be strictly monotone, 1-based)",
@@ -185,6 +186,34 @@ func Replay(ctx context.Context, t *transcript.Transcript, onResult func(Result)
 		compareReplay(res, t, rep, mismatch)
 	}
 	return res, nil
+}
+
+// primeSummaries gives the replay's cluster every summary the recorded
+// query already held: an Init asked with the version its reply names,
+// whose recorded reply carries the cached summary the query routed by
+// (view.settle). So the replay asks with the same version, takes the same
+// summary from its cache and charges it, as the recording did, nothing.
+func primeSummaries(c *Cluster, exs [][]transcript.Exchange, dims []int) {
+	width := len(dims)
+	if dims == nil {
+		width = c.dims
+	}
+	for i, site := range exs {
+		if len(site) == 0 || site[0].Kind != int64(msg.KindInit) {
+			continue
+		}
+		var req msg.Request
+		var resp msg.Response
+		// A payload that does not decode primes nothing; the replay
+		// reports it when the engine asks for that exchange.
+		if transport.DecodeRequest(site[0].Request.Payload, &req) != nil ||
+			transport.DecodeResponse(site[0].Response.Payload, &resp) != nil {
+			continue
+		}
+		if req.SummaryVersion != 0 && resp.Version == req.SummaryVersion && resp.Summary.Fits(width) {
+			c.summaries.put(i, sortedDims(dims), resp.Version, resp.Summary)
+		}
+	}
 }
 
 // compareReplay checks the replayed report against the recorded summary

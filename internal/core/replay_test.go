@@ -155,9 +155,16 @@ func TestReplayClientComparesRefill(t *testing.T) {
 // and top-k. The e-DSUD recording diverges where this build defers its
 // first expunged candidate's refill to the next broadcast: site 1's
 // ordinal 1, an evaluate with a refill where the recording holds the
-// Next of a standalone wave. pr40-edsud.dstr was recorded by this build
-// the same way (dsud-gen -n 2000 -d 3 -m 4 -values independent -seed 22,
-// e-DSUD at q = 0.3; nine deferred refills) and replays exactly.
+// Next of a standalone wave. pr40-edsud.dstr was recorded the same way
+// (dsud-gen -n 2000 -d 3 -m 4 -values independent -seed 22, e-DSUD at
+// q = 0.3; nine deferred refills) by the build before routing; its sites
+// sent no summary, so this build routes every feedback to every site, as
+// that build did, and it replays exactly. pr48-edsud.dstr is the same
+// query recorded by this build against daemons that ship their
+// summaries: 76 messages where pr40-edsud.dstr holds 200, the same
+// answer, rounds and refills; it replays exactly too, and
+// TestRoutedTranscriptNeedsItsSummaries pins where it diverges without
+// them.
 func TestParentTranscriptsReplayExactly(t *testing.T) {
 	for name, want := range map[string]struct {
 		results, refills int64
@@ -167,6 +174,7 @@ func TestParentTranscriptsReplayExactly(t *testing.T) {
 		"pr22-dsud.dstr":  {15, 22, ""},
 		"pr22-topk.dstr":  {3, 31, ""},
 		"pr40-edsud.dstr": {43, 57, ""},
+		"pr48-edsud.dstr": {43, 57, ""},
 	} {
 		tr, err := transcript.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
@@ -182,6 +190,68 @@ func TestParentTranscriptsReplayExactly(t *testing.T) {
 			}
 			continue
 		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, m := range res.Mismatches {
+			t.Errorf("%s: %s", name, m)
+		}
+	}
+}
+
+// A routed recording replays only with the summaries its Init replies
+// carry: with them stripped, the replay sends the first feedback (t1961)
+// to every site, and diverges at the first site its recording skipped:
+// site 0's second recorded request is the evaluate of a later feedback,
+// t205.
+func TestRoutedTranscriptNeedsItsSummaries(t *testing.T) {
+	tr, err := transcript.ReadFile(filepath.Join("testdata", "pr48-edsud.dstr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stripped := 0
+	for k, m := range tr.Messages {
+		if m.Dir != codec.TranscriptDirResponse || m.Kind != int64(msg.KindInit) {
+			continue
+		}
+		var resp msg.Response
+		if err := transport.DecodeResponse(m.Payload, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Summary.Len() > 0 {
+			stripped++
+		}
+		resp.Summary = msg.Summary{}
+		tr.Messages[k].Payload = transport.AppendResponse(nil, &resp, nil)
+	}
+	if stripped != int(tr.Header.Sites) {
+		t.Fatalf("%d of %d Init replies carried a summary", stripped, tr.Header.Sites)
+	}
+	const diverges = "replay site 0 ordinal 1: engine broadcast tuple 1961, recording holds 205"
+	if _, err := Replay(context.Background(), tr, nil); err == nil || !strings.Contains(err.Error(), diverges) {
+		t.Fatalf("replay without summaries ended with %v, want the divergence %q", err, diverges)
+	}
+}
+
+// A warm query — one whose cluster already held the sites' summaries, so
+// its Init replies shipped none — records the summaries it routed by and
+// replays exactly, as the cold query before it does.
+func TestRecordReplayWarmQuery(t *testing.T) {
+	parts, _ := makeWorkload(t, 600, 3, 4, gen.Anticorrelated, 74)
+	fr := flight.New(4)
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 3, TranscriptDir: t.TempDir(), FlightRecorder: fr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	opts := Options{Threshold: 0.3, Algorithm: EDSUD, Dims: []int{2, 0}}
+	cold, coldTr, _ := recordQuery(t, cluster, fr, opts)
+	warm, warmTr, _ := recordQuery(t, cluster, fr, opts)
+	if summary := cold.Bandwidth.TuplesUp - warm.Bandwidth.TuplesUp; summary <= 0 {
+		t.Fatalf("cold query %d up, warm %d: the warm one fetched the summaries again", cold.Bandwidth.TuplesUp, warm.Bandwidth.TuplesUp)
+	}
+	for name, tr := range map[string]*transcript.Transcript{"cold": coldTr, "warm": warmTr} {
+		res, err := Replay(context.Background(), tr, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -55,6 +55,8 @@ type gatedClient struct {
 	g    *gate
 	// failEvaluate makes this site's Evaluate calls fail with errBoom.
 	failEvaluate bool
+	// bare passes on no summary, so every evaluate reaches every site.
+	bare bool
 }
 
 func (c *gatedClient) Call(ctx context.Context, req *msg.Request) (*msg.Response, error) {
@@ -65,6 +67,9 @@ func (c *gatedClient) Call(ctx context.Context, req *msg.Request) (*msg.Response
 		return nil, errBoom
 	}
 	resp, err := c.eng.Handle(ctx, req)
+	if err == nil && c.bare {
+		resp.Summary = msg.Summary{}
+	}
 	if open != nil {
 		desc := fmt.Sprintf("%d %v", c.site, req.Kind)
 		for _, rep := range req.Tuples {
@@ -147,9 +152,12 @@ func (g *gate) waves(t *testing.T, want [][]string, op func() error) [][]string 
 
 // TestUpdateWavesPerOperation pins what each kind of update costs: a
 // delete is one fan-out that applies it and gathers every site's
-// candidates, then one batched Evaluate per site that has something to
-// evaluate; with no candidates it is the first fan-out alone; an insert is
-// one call, plus one Evaluate fan-out when its local probability reaches q.
+// candidates, then one batched Evaluate per site that may hold a dominator
+// of something to evaluate; with no candidates it is the first fan-out
+// alone; an insert is one call, plus one Evaluate fan-out to those sites
+// when its local probability reaches q. The sites' summaries come from
+// the maintainer's first query: {d} at site 0, {a} at site 1, {b} at
+// site 2.
 func TestUpdateWavesPerOperation(t *testing.T) {
 	ctx := context.Background()
 	cluster, g, _ := gatedCluster(t, waveParts(), 2)
@@ -166,14 +174,22 @@ func TestUpdateWavesPerOperation(t *testing.T) {
 			[][]string{{"0 candidates", "1 delete", "2 candidates"}}},
 		{"insert, locally dominated", func() error { return maint.Insert(ctx, 2, waveF) },
 			[][]string{{"2 insert"}}},
-		{"insert, evaluated", func() error { return maint.Insert(ctx, 1, waveG) },
-			[][]string{{"1 insert"}, {"0 evaluate 7", "2 evaluate 7"}}},
+		// g reaches q at home, and neither d nor b dominates it: its
+		// factors at sites 0 and 2 are exactly 1, so it is sent nowhere
+		// (was {"0 evaluate 7", "2 evaluate 7"}). Site 1's summary gains g.
+		{"insert, qualifies, no dominator elsewhere", func() error { return maint.Insert(ctx, 1, waveG) },
+			[][]string{{"1 insert"}}},
 		{"delete, candidates at every site", func() error { return maint.Delete(ctx, 0, waveD) },
 			[][]string{
 				{"0 delete", "1 candidates", "2 candidates"},
-				// Site j evaluates the candidates homed elsewhere: c (4) from
-				// site 0, a (2) from site 1, b (3) from site 2.
-				{"0 evaluate 2 3", "1 evaluate 4 3", "2 evaluate 4 2"},
+				// The candidates are c (4) from site 0, a (2) from site 1
+				// and b (3) from site 2. Site 0's summary keeps d after the
+				// delete, a stale point that dominates a and b, so site 0
+				// still evaluates them; no point of site 1's {a, g} or of
+				// site 2's {b} dominates a candidate homed elsewhere, so
+				// they are sent nothing (was "1 evaluate 4 3", "2 evaluate
+				// 4 2").
+				{"0 evaluate 2 3"},
 			}},
 	} {
 		before := cluster.Meter().Snapshot()
@@ -390,6 +406,9 @@ func TestUpdateWavesMatchSerialReference(t *testing.T) {
 func TestFailedUpdateRefreshesServedReads(t *testing.T) {
 	ctx := context.Background()
 	cluster, _, gated := gatedCluster(t, waveParts(), 2)
+	for _, c := range gated {
+		c.bare = true // no site 2 holds a dominator of would be sent an evaluate
+	}
 	server, err := cluster.Serve(ctx, ServeConfig{Floor: 0.3})
 	if err != nil {
 		t.Fatal(err)

@@ -100,22 +100,80 @@ func runOnce(ctx context.Context, cfg config, algo core.Algorithm) (*core.Report
 	return runOnceTraced(ctx, cfg, algo, nil)
 }
 
+// measured is one configuration's averaged cost: the tuples a query sent
+// (on a fresh cluster, so its Init fetched the sites' summaries), the
+// tuples the paper's broadcast to all m−1 sites would have sent on the
+// same run, and the answer size (for the Ceiling).
+type measured struct {
+	tuples, paper, sky float64
+}
+
 // averageBandwidth runs the configuration scale.Queries times with
-// distinct seeds and averages the tuple bandwidth; it also returns the
-// average answer size for Ceiling computation.
-func averageBandwidth(ctx context.Context, cfg config, algo core.Algorithm, scale Scale) (bandwidth, skySize float64, err error) {
+// distinct seeds and averages what they cost. A routed run has the
+// rounds and the shipped representatives of the broadcast to all, so the
+// paper's count is the representatives up plus broadcasts × (m − 1).
+func averageBandwidth(ctx context.Context, cfg config, algo core.Algorithm, scale Scale) (measured, error) {
+	var avg measured
 	reps := scale.queries()
 	for k := 0; k < reps; k++ {
 		c := cfg
 		c.seed = scale.Seed + int64(k)*1000
 		report, err := runOnce(ctx, c, algo)
 		if err != nil {
-			return 0, 0, err
+			return measured{}, err
 		}
-		bandwidth += float64(report.Bandwidth.Tuples())
-		skySize += float64(len(report.Skyline))
+		avg.tuples += float64(report.Bandwidth.Tuples())
+		avg.paper += float64(report.Broadcasts) * float64(len(report.PerSite)-1)
+		for _, s := range report.PerSite {
+			avg.paper += float64(s.Shipped)
+		}
+		avg.sky += float64(len(report.Skyline))
 	}
-	return bandwidth / float64(reps), skySize / float64(reps), nil
+	n := float64(reps)
+	return measured{avg.tuples / n, avg.paper / n, avg.sky / n}, nil
+}
+
+// Names of the series every bandwidth figure carries beside each
+// algorithm's own: what the paper's broadcast to all sites would have
+// sent on the same runs.
+const (
+	dsudPaper  = "DSUD (broadcast to all)"
+	edsudPaper = "e-DSUD (broadcast to all)"
+)
+
+// bandwidthSeries names a bandwidth figure's series: DSUD, e-DSUD, any
+// extra, then both algorithms as the paper would have sent.
+func bandwidthSeries(extra ...string) []Series {
+	names := append(append([]string{"DSUD", "e-DSUD"}, extra...), dsudPaper, edsudPaper)
+	series := make([]Series, len(names))
+	for i, name := range names {
+		series[i].Name = name
+	}
+	return series
+}
+
+// measureBoth runs DSUD and e-DSUD on cfg and adds their points at x to
+// fig's series of those names.
+func measureBoth(ctx context.Context, fig *Figure, x float64, cfg config, scale Scale) (dsud, edsud measured, err error) {
+	if dsud, err = averageBandwidth(ctx, cfg, core.DSUD, scale); err != nil {
+		return
+	}
+	if edsud, err = averageBandwidth(ctx, cfg, core.EDSUD, scale); err != nil {
+		return
+	}
+	for name, y := range map[string]float64{"DSUD": dsud.tuples, "e-DSUD": edsud.tuples, dsudPaper: dsud.paper, edsudPaper: edsud.paper} {
+		fig.add(name, Point{x, y})
+	}
+	return dsud, edsud, nil
+}
+
+// add appends p to the series called name.
+func (f *Figure) add(name string, p Point) {
+	for i := range f.Series {
+		if f.Series[i].Name == name {
+			f.Series[i].Points = append(f.Series[i].Points, p)
+		}
+	}
 }
 
 // Fig8 reproduces "Performance versus Dimensionality d": bandwidth of
@@ -129,25 +187,18 @@ func Fig8(ctx context.Context, scale Scale) ([]Figure, error) {
 			ID:     "fig8-" + vd.String(),
 			Title:  fmt.Sprintf("Bandwidth vs dimensionality (%s)", vd),
 			XLabel: "d", YLabel: "tuples transmitted",
-			Series: []Series{{Name: "DSUD"}, {Name: "e-DSUD"}, {Name: "Ceiling"}},
+			Series: bandwidthSeries("Ceiling"),
 		}
 		for _, d := range dims {
 			cfg := config{
 				n: scale.N, d: d, m: scale.sites(), q: DefaultThreshold,
 				values: vd, probs: gen.UniformProb,
 			}
-			dsud, _, err := averageBandwidth(ctx, cfg, core.DSUD, scale)
+			_, edsud, err := measureBoth(ctx, &fig, float64(d), cfg, scale)
 			if err != nil {
 				return nil, err
 			}
-			edsud, sky, err := averageBandwidth(ctx, cfg, core.EDSUD, scale)
-			if err != nil {
-				return nil, err
-			}
-			x := float64(d)
-			fig.Series[0].Points = append(fig.Series[0].Points, Point{x, dsud})
-			fig.Series[1].Points = append(fig.Series[1].Points, Point{x, edsud})
-			fig.Series[2].Points = append(fig.Series[2].Points, Point{x, sky * float64(cfg.m)})
+			fig.add("Ceiling", Point{float64(d), edsud.sky * float64(cfg.m)})
 		}
 		out = append(out, fig)
 	}
@@ -164,23 +215,16 @@ func Fig9(ctx context.Context, scale Scale) ([]Figure, error) {
 			ID:     "fig9-" + vd.String(),
 			Title:  fmt.Sprintf("Bandwidth vs site count (%s)", vd),
 			XLabel: "m", YLabel: "tuples transmitted",
-			Series: []Series{{Name: "DSUD"}, {Name: "e-DSUD"}},
+			Series: bandwidthSeries(),
 		}
 		for _, m := range ms {
 			cfg := config{
 				n: scale.N, d: DefaultDims, m: m, q: DefaultThreshold,
 				values: vd, probs: gen.UniformProb,
 			}
-			dsud, _, err := averageBandwidth(ctx, cfg, core.DSUD, scale)
-			if err != nil {
+			if _, _, err := measureBoth(ctx, &fig, float64(m), cfg, scale); err != nil {
 				return nil, err
 			}
-			edsud, _, err := averageBandwidth(ctx, cfg, core.EDSUD, scale)
-			if err != nil {
-				return nil, err
-			}
-			fig.Series[0].Points = append(fig.Series[0].Points, Point{float64(m), dsud})
-			fig.Series[1].Points = append(fig.Series[1].Points, Point{float64(m), edsud})
 		}
 		out = append(out, fig)
 	}
@@ -197,23 +241,16 @@ func Fig10(ctx context.Context, scale Scale) ([]Figure, error) {
 			ID:     "fig10-" + vd.String(),
 			Title:  fmt.Sprintf("Bandwidth vs threshold (%s)", vd),
 			XLabel: "q", YLabel: "tuples transmitted",
-			Series: []Series{{Name: "DSUD"}, {Name: "e-DSUD"}},
+			Series: bandwidthSeries(),
 		}
 		for _, q := range qs {
 			cfg := config{
 				n: scale.N, d: DefaultDims, m: scale.sites(), q: q,
 				values: vd, probs: gen.UniformProb,
 			}
-			dsud, _, err := averageBandwidth(ctx, cfg, core.DSUD, scale)
-			if err != nil {
+			if _, _, err := measureBoth(ctx, &fig, q, cfg, scale); err != nil {
 				return nil, err
 			}
-			edsud, _, err := averageBandwidth(ctx, cfg, core.EDSUD, scale)
-			if err != nil {
-				return nil, err
-			}
-			fig.Series[0].Points = append(fig.Series[0].Points, Point{q, dsud})
-			fig.Series[1].Points = append(fig.Series[1].Points, Point{q, edsud})
 		}
 		out = append(out, fig)
 	}
@@ -227,45 +264,31 @@ func Fig11(ctx context.Context, scale Scale) ([]Figure, error) {
 	figA := Figure{
 		ID: "fig11a", Title: "NYSE: bandwidth vs site count",
 		XLabel: "m", YLabel: "tuples transmitted",
-		Series: []Series{{Name: "DSUD"}, {Name: "e-DSUD"}},
+		Series: bandwidthSeries(),
 	}
 	for _, m := range []int{40, 60, 80, 100} {
 		cfg := config{n: scale.N, m: m, q: DefaultThreshold, values: gen.NYSE, probs: gen.UniformProb}
-		dsud, _, err := averageBandwidth(ctx, cfg, core.DSUD, scale)
-		if err != nil {
+		if _, _, err := measureBoth(ctx, &figA, float64(m), cfg, scale); err != nil {
 			return nil, err
 		}
-		edsud, _, err := averageBandwidth(ctx, cfg, core.EDSUD, scale)
-		if err != nil {
-			return nil, err
-		}
-		figA.Series[0].Points = append(figA.Series[0].Points, Point{float64(m), dsud})
-		figA.Series[1].Points = append(figA.Series[1].Points, Point{float64(m), edsud})
 	}
 
 	figB := Figure{
 		ID: "fig11b", Title: "NYSE: bandwidth vs threshold",
 		XLabel: "q", YLabel: "tuples transmitted",
-		Series: []Series{{Name: "DSUD"}, {Name: "e-DSUD"}},
+		Series: bandwidthSeries(),
 	}
 	for _, q := range []float64{0.3, 0.5, 0.7, 0.9} {
 		cfg := config{n: scale.N, m: scale.sites(), q: q, values: gen.NYSE, probs: gen.UniformProb}
-		dsud, _, err := averageBandwidth(ctx, cfg, core.DSUD, scale)
-		if err != nil {
+		if _, _, err := measureBoth(ctx, &figB, q, cfg, scale); err != nil {
 			return nil, err
 		}
-		edsud, _, err := averageBandwidth(ctx, cfg, core.EDSUD, scale)
-		if err != nil {
-			return nil, err
-		}
-		figB.Series[0].Points = append(figB.Series[0].Points, Point{q, dsud})
-		figB.Series[1].Points = append(figB.Series[1].Points, Point{q, edsud})
 	}
 
 	figC := Figure{
 		ID: "fig11c", Title: "NYSE: bandwidth vs Gaussian probability mean",
 		XLabel: "mu", YLabel: "tuples transmitted",
-		Series: []Series{{Name: "DSUD"}, {Name: "e-DSUD"}},
+		Series: bandwidthSeries(),
 	}
 	figD := Figure{
 		ID: "fig11d", Title: "NYSE: skyline size vs Gaussian probability mean",
@@ -277,18 +300,12 @@ func Fig11(ctx context.Context, scale Scale) ([]Figure, error) {
 			n: scale.N, m: scale.sites(), q: DefaultThreshold,
 			values: gen.NYSE, probs: gen.GaussianProb, mu: mu, sigma: 0.2,
 		}
-		dsud, dsudSky, err := averageBandwidth(ctx, cfg, core.DSUD, scale)
+		dsud, edsud, err := measureBoth(ctx, &figC, mu, cfg, scale)
 		if err != nil {
 			return nil, err
 		}
-		edsud, edsudSky, err := averageBandwidth(ctx, cfg, core.EDSUD, scale)
-		if err != nil {
-			return nil, err
-		}
-		figC.Series[0].Points = append(figC.Series[0].Points, Point{mu, dsud})
-		figC.Series[1].Points = append(figC.Series[1].Points, Point{mu, edsud})
-		figD.Series[0].Points = append(figD.Series[0].Points, Point{mu, dsudSky})
-		figD.Series[1].Points = append(figD.Series[1].Points, Point{mu, edsudSky})
+		figD.add("DSUD", Point{mu, dsud.sky})
+		figD.add("e-DSUD", Point{mu, edsud.sky})
 	}
 	return []Figure{figA, figB, figC, figD}, nil
 }

@@ -11,6 +11,7 @@ package msg
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/uncertain"
@@ -24,16 +25,20 @@ type Kind int
 // protocol surface.
 const (
 	// KindInit asks a site to run its local skyline phase for the given
-	// query and return its first representative; a resumed query's Init
-	// also carries the answer already known (Request.Tuples, RemoveIDs).
+	// query and return its first representative, its Version and, unless
+	// the coordinator already holds that version's, its Summary; a resumed
+	// query's Init also carries the answer already known (Request.Tuples,
+	// RemoveIDs).
 	KindInit Kind = iota + 1
-	// KindNext asks for the site's next representative tuple.
+	// KindNext asks for the site's next representative tuple, after
+	// pruning by the feedback it carries in Tuples, if any.
 	KindNext
 	// KindEvaluate ships a feedback tuple (§5: Server-Delivery phase); the
-	// site answers with its eq. 9 factor and prunes its local skyline, and
-	// with Refill set it then answers as KindNext would, in the same
-	// reply. Without a session it may instead carry a batch of maintenance
-	// candidates in Tuples, answered with one factor each in CrossProbs.
+	// site prunes by the feedback carried in Tuples, answers with its eq. 9
+	// factor and prunes its local skyline, and with Refill set it then
+	// answers as KindNext would, in the same reply. One without a Feed and
+	// without a session carries a batch of maintenance candidates in
+	// Tuples instead, answered with one factor each in CrossProbs.
 	KindEvaluate
 	// KindShipAll asks for the site's entire partition (baseline
 	// algorithm).
@@ -175,13 +180,24 @@ type Request struct {
 	Point geom.Point        // KindDelete
 
 	// Tuples carries replica additions for KindReplicate, the
-	// candidates of a sessionless KindEvaluate batch and, on a resumed
-	// query's KindInit, the known answer's members homed at other sites
-	// (each at its home local probability, to prune by); RemoveIDs the
-	// replica evictions, or that Init's known members homed at this site.
+	// candidates of a sessionless KindEvaluate batch, on a resumed query's
+	// KindInit the known answer's members homed at other sites, and on a
+	// session's KindNext or KindEvaluate the feedback the site was not
+	// sent when it was broadcast (each at its home local probability, to
+	// prune by, in broadcast order); RemoveIDs the replica evictions, or
+	// that Init's known members homed at this site.
 	Tuples    []Representative
 	RemoveIDs []uncertain.TupleID
+
+	// SummaryVersion is, on KindInit, the site Version whose Summary of
+	// the query's subspace the coordinator holds (0: none). The site
+	// leaves Response.Summary out when it is still at that version.
+	SummaryVersion uint64
 }
+
+// HasFeed reports whether the request carries a feedback tuple: a
+// session's evaluate does, a maintenance batch does not.
+func (r *Request) HasFeed() bool { return len(r.Feed.Tuple.Point) > 0 }
 
 // Response is the single protocol response envelope.
 type Response struct {
@@ -221,6 +237,107 @@ type Response struct {
 	// ServiceNS is the site's handling time for a Timed request, in
 	// nanoseconds (at least 1); zero when the request was not timed.
 	ServiceNS int64
+
+	// Version names the state of the site's partition after KindInit,
+	// KindInsert and KindDelete: a random per-process epoch plus one per
+	// insert and delete, so a restarted site names values no coordinator
+	// cached from the process before it (but by a 2⁻⁶⁴ chance).
+	// Summary answers KindInit unless Request.SummaryVersion equals
+	// Version.
+	Version uint64
+	Summary Summary
+}
+
+// Summary is a site's certain skyline on a query's subspace: the points of
+// its tuples that no other of its tuples dominates there, probabilities
+// ignored, each point once. If any tuple of the site dominates t, one of
+// these points does, so a site whose summary dominates nothing of t holds
+// no dominator of t and its eq. 9 factor for t is exactly 1. A point that
+// no longer belongs to the site only makes the test say yes needlessly.
+type Summary struct {
+	// Width is the number of coordinates per point: the subspace's size,
+	// or the data's dimensionality for the full space. Zero means the
+	// site sent no summary.
+	Width int
+	// Coords holds the points one after another, each projected onto the
+	// subspace's dimensions in ascending order.
+	Coords []float64
+}
+
+// Len is the number of points in s.
+func (s Summary) Len() int {
+	if s.Width <= 0 {
+		return 0
+	}
+	return len(s.Coords) / s.Width
+}
+
+// Fits reports whether s is a whole summary of width points: the width
+// asked for, and whole points. The engines route by nothing else.
+func (s Summary) Fits(width int) bool {
+	return width > 0 && s.Width == width && len(s.Coords)%width == 0
+}
+
+// Project appends to dst the coordinates of p on dims, in order (nil:
+// every dimension): p as a summary on that subspace holds its points.
+func Project(dst []float64, p geom.Point, dims []int) []float64 {
+	if dims == nil {
+		return append(dst, p...)
+	}
+	for _, j := range dims {
+		dst = append(dst, p[j])
+	}
+	return dst
+}
+
+// Dominates reports whether some point of s dominates q, a point projected
+// as s's points are (Project); s must fit it (Fits).
+func (s Summary) Dominates(q []float64) bool {
+	return s.find(q, true)
+}
+
+// With returns s with p added, for a tuple inserted at the site: s itself
+// when a point of s dominates or equals p, otherwise a new summary without
+// the points p dominates and with p's projection last. s is never written,
+// so a summary a query still routes by stays as it was.
+func (s Summary) With(p geom.Point, dims []int) Summary {
+	q := Project(nil, p, dims)
+	if s.find(q, false) {
+		return s
+	}
+	w := s.Width
+	out := Summary{Width: w, Coords: make([]float64, 0, len(s.Coords)+w)}
+	for at := 0; at+w <= len(s.Coords); at += w {
+		// No point of s equals q here, so covering one is dominating it.
+		if point := s.Coords[at : at+w]; !covers(q, point) {
+			out.Coords = append(out.Coords, point...)
+		}
+	}
+	out.Coords = append(out.Coords, q...)
+	return out
+}
+
+// find reports whether some point of s dominates q or, unless strict,
+// equals it. It runs for every site a feedback might go to, so the test
+// is the tight loop of covers with the equality check only on a hit.
+func (s Summary) find(q []float64, strict bool) bool {
+	w := len(q)
+	for at := 0; w > 0 && at+w <= len(s.Coords); at += w {
+		if a := s.Coords[at : at+w]; covers(a, q) && (!strict || !slices.Equal(a, q)) {
+			return true
+		}
+	}
+	return false
+}
+
+// covers reports whether a is no larger than b on any coordinate.
+func covers(a, b []float64) bool {
+	for k, v := range a {
+		if v > b[k] {
+			return false
+		}
+	}
+	return true
 }
 
 // SiteStatus is one site's operational snapshot, answered to KindStatus

@@ -131,6 +131,15 @@ func (w *Window) Observe(d time.Duration) {
 	w.observe(time.Now().UnixNano(), int64(d))
 }
 
+// ObserveAt records one latency d that ended at now, for a caller that
+// has read the clock already. Nil-safe; negative durations clamp to 0.
+func (w *Window) ObserveAt(now time.Time, d time.Duration) {
+	if w == nil {
+		return
+	}
+	w.observe(now.UnixNano(), int64(d))
+}
+
 func (w *Window) observe(now, ns int64) {
 	w.maybeRotate(now)
 	if ns < 0 {

@@ -103,3 +103,91 @@ func (h *entryHeap) Pop() interface{} {
 	*h = old[:n-1]
 	return it
 }
+
+// CertainSkyline returns the skyline of the stored points on dims,
+// probabilities ignored and each point once, flat: the coordinates on
+// dims (in the order given; nil: every dimension) of one point after
+// another. It is a BBS search without a probability bound: entries leave
+// a min-heap on their lower corner's coordinate sum, and one is dropped as
+// soon as a point already found dominates or equals that corner, since
+// then it does so to everything under it. A popped point nothing found
+// covers is kept. So every stored point is kept or covered by a kept one
+// whatever the order, and the ascending sums, under which a dominator
+// pops first, keep the set minimal up to rounding ties.
+func (t *Tree) CertainSkyline(dims []int) []float64 {
+	dims = t.space(dims)
+	if t.size == 0 || len(dims) == 0 {
+		return nil
+	}
+	d, w := t.dims, len(dims)
+	var sky []float64
+	covered := func(lo []float64) bool {
+		for at := 0; at < len(sky); at += w {
+			if coversProjected(sky[at:at+w], lo, dims) {
+				return true
+			}
+		}
+		return false
+	}
+	var h cornerHeap
+	push := func(n *node) {
+		for i := range n.entries {
+			lo := n.lo[i*d : (i+1)*d]
+			if !covered(lo) {
+				sum := 0.0
+				for _, j := range dims {
+					sum += lo[j]
+				}
+				heap.Push(&h, corner{sum: sum, n: n, i: i})
+			}
+		}
+	}
+	push(t.root)
+	for h.Len() > 0 {
+		c := heap.Pop(&h).(corner)
+		lo := c.n.lo[c.i*d : (c.i+1)*d]
+		if covered(lo) {
+			continue
+		}
+		if !c.n.leaf {
+			push(c.n.entries[c.i].child)
+			continue
+		}
+		for _, j := range dims {
+			sky = append(sky, lo[j])
+		}
+	}
+	return sky
+}
+
+// coversProjected reports whether a, a point's coordinates on dims in
+// order, dominates or equals the full point b there.
+func coversProjected(a, b []float64, dims []int) bool {
+	for k, j := range dims {
+		if a[k] > b[j] {
+			return false
+		}
+	}
+	return true
+}
+
+// corner is one entry of CertainSkyline's heap: entry i of n, keyed by the
+// coordinate sum of its lower corner.
+type corner struct {
+	sum float64
+	n   *node
+	i   int
+}
+
+type cornerHeap []corner
+
+func (h cornerHeap) Len() int            { return len(h) }
+func (h cornerHeap) Less(i, j int) bool  { return h[i].sum < h[j].sum }
+func (h cornerHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *cornerHeap) Push(x interface{}) { *h = append(*h, x.(corner)) }
+func (h *cornerHeap) Pop() interface{} {
+	old := *h
+	c := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return c
+}

@@ -364,3 +364,73 @@ func TestCapacityFallback(t *testing.T) {
 		t.Fatalf("capacity fallback = %d, want %d", tr.max, DefaultCapacity)
 	}
 }
+
+// CertainSkyline is the set of points no other stored point dominates on
+// the subspace, each once, whichever way the tree was built and after
+// deletes; randomDB's coarse grid makes ties and duplicate points common.
+func TestCertainSkylineMatchesBruteForce(t *testing.T) {
+	r := rand.New(rand.NewSource(71))
+	for trial := 0; trial < 30; trial++ {
+		d := 2 + r.Intn(3)
+		db := randomDB(r, 1+r.Intn(300), d)
+		bulk, incr := buildBoth(t, db, d, 4+r.Intn(6))
+		live := db
+		if trial%3 == 0 {
+			for _, tu := range db[:len(db)/2] {
+				if err := incr.Delete(tu.ID, tu.Point); err != nil {
+					t.Fatal(err)
+				}
+			}
+			live = db[len(db)/2:]
+		}
+		for _, dims := range [][]int{nil, {d - 1, 0}, {1}} {
+			want := map[string]bool{}
+			for _, tu := range live {
+				dominated := false
+				for _, o := range live {
+					dominated = dominated || o.Point.DominatesIn(tu.Point, dims)
+				}
+				if !dominated {
+					want[projected(tu.Point, dims).String()] = true
+				}
+			}
+			for name, tree := range map[string]*Tree{"bulk": bulk, "incremental": incr} {
+				if name == "bulk" && len(live) != len(db) {
+					continue
+				}
+				got := map[string]bool{}
+				flat, w := tree.CertainSkyline(dims), len(dims)
+				if dims == nil {
+					w = d
+				}
+				for at := 0; at < len(flat); at += w {
+					key := geom.Point(flat[at : at+w]).String()
+					if got[key] {
+						t.Fatalf("trial %d %s dims %v: point %s twice", trial, name, dims, key)
+					}
+					got[key] = true
+				}
+				if len(got) != len(want) {
+					t.Fatalf("trial %d %s dims %v: %d points, brute force %d", trial, name, dims, len(got), len(want))
+				}
+				for key := range want {
+					if !got[key] {
+						t.Fatalf("trial %d %s dims %v: missing %s", trial, name, dims, key)
+					}
+				}
+			}
+		}
+	}
+}
+
+// projected is p's coordinates on dims, in the order given (nil: all).
+func projected(p geom.Point, dims []int) geom.Point {
+	if dims == nil {
+		return p
+	}
+	out := make(geom.Point, len(dims))
+	for k, j := range dims {
+		out[k] = p[j]
+	}
+	return out
+}

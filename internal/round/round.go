@@ -14,6 +14,7 @@ package round
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/msg"
 	"repro/internal/prtree"
@@ -40,6 +41,16 @@ type Sites interface {
 	Fanout(ctx context.Context, reqs []msg.Request) ([]*msg.Response, error)
 }
 
+// Summaries is what a Sites may also be: the keeper of each site's
+// summary (msg.Summary) on the subspace of the updates it carries, by
+// which an update sends its candidates only to the sites that may hold a
+// dominator of one of them. A site it holds none for (Width 0) is sent
+// every candidate. A query routes by the summaries its Init replies carry
+// instead.
+type Summaries interface {
+	Summary(site int) msg.Summary
+}
+
 // Options are the settings that change what the algorithm does.
 type Options struct {
 	// Threshold is the paper's q; Dims restricts dominance to a subspace
@@ -60,6 +71,9 @@ type Options struct {
 	// best confirmed probability.
 	MaxResults int
 	TopK       int
+	// NoPrune says the sites do not prune by feedback (msg.Query.NoPrune),
+	// so a site an evaluate skips is owed nothing.
+	NoPrune bool
 	// Replicas says the sites hold replicas of a maintained answer, which
 	// Insert and Delete keep in sync (§5.4).
 	Replicas bool
@@ -109,7 +123,9 @@ type Outcome struct {
 
 // fold is Lemma 1: the global skyline probability of a tuple is its
 // home-site local probability times every other site's eq. 9 factor,
-// factor(j), in ascending site order. Queries and updates both fold here.
+// factor(j), in ascending site order. A site that was not asked (route)
+// holds no dominator of the tuple: its factor is exactly 1, and a product
+// times 1 keeps every bit. Queries and updates both fold here.
 func fold(local float64, home, sites int, factor func(site int) float64) float64 {
 	global := local
 	for j := range sites {
@@ -118,6 +134,34 @@ func fold(local float64, home, sites int, factor func(site int) float64) float64
 		}
 	}
 	return global
+}
+
+// route decides which sites an evaluate of a tuple goes to: a site whose
+// summary dominates nothing of the tuple holds no dominator of it (see
+// msg.Summary), so its eq. 9 factor is exactly 1 and it is not asked. A
+// site with no summary, or one of the wrong width, is asked everything.
+type route struct {
+	sums []msg.Summary
+	dims []int     // the subspace in ascending order; nil: the full space
+	q    []float64 // the tuple being routed, projected (to)
+}
+
+func newRoute(dims []int, sites int) route {
+	r := route{sums: make([]msg.Summary, sites)}
+	if dims != nil {
+		r.dims = slices.Clone(dims)
+		slices.Sort(r.dims)
+	}
+	return r
+}
+
+// to makes t the tuple holds asks about.
+func (r *route) to(t uncertain.Tuple) { r.q = msg.Project(r.q[:0], t.Point, r.dims) }
+
+// holds says whether site may hold a dominator of the tuple (to).
+func (r *route) holds(site int) bool {
+	s := r.sums[site]
+	return !s.Fits(len(r.q)) || s.Dominates(r.q)
 }
 
 // waits is how a query or an update reaches the sites: the next
@@ -149,14 +193,27 @@ type engine struct {
 	// owe a refill. Between a Feedback-Select phase and the broadcast it
 	// follows, it holds the wave whose refills ride that broadcast.
 	victims []queued
+	// route holds the summaries the sites' Init replies carried; asked
+	// marks the sites the current broadcast's evaluate went to.
+	route route
+	asked []bool
+	// owed[j] is the feedback site j was not sent, in broadcast order,
+	// which the next request sent to it carries to prune by (carry), and
+	// carried[j] how many the last carry put in its slot; done[j] says
+	// j's local skyline is exhausted, which leaves nothing to prune.
+	owed    [][]msg.Representative
+	carried []int
+	done    []bool
 }
 
 func newEngine(sites Sites, opts Options, on func(Step)) *engine {
+	m := sites.Len()
 	return &engine{waits: newWaits(sites), opts: opts, on: on, out: &Outcome{
 		Sites:   make(map[uncertain.TupleID]int),
 		Local:   make(map[uncertain.TupleID]float64),
-		PerSite: make([]SiteTally, sites.Len()),
-	}}
+		PerSite: make([]SiteTally, m),
+	}, route: newRoute(opts.Dims, m), asked: make([]bool, m),
+		owed: make([][]msg.Representative, m), carried: make([]int, m), done: make([]bool, m)}
 }
 
 // ask puts req in every slot of a fan-out but skip's (negative: all).
@@ -270,17 +327,14 @@ func Run(ctx context.Context, sites Sites, opts Options, on func(Step)) (*Outcom
 		e.end()
 		return nil, err
 	}
-	pruned := 0
 	for i, resp := range resps {
-		pruned += resp.Pruned
-		e.out.PerSite[i].Pruned = int64(resp.SessionPruned)
+		e.route.sums[i] = resp.Summary
 		if !resp.Exhausted {
 			e.enqueue(i, resp.Rep)
 		}
+		e.done[i] = resp.Exhausted
 	}
-	if pruned > 0 {
-		e.event(Event{Kind: EventPrune, Site: -1, Count: pruned})
-	}
+	e.pruned(resps)
 	e.end()
 
 	lastSite := -1
@@ -299,23 +353,29 @@ func Run(ctx context.Context, sites Sites, opts Options, on func(Step)) (*Outcom
 		}
 		lastSite = head.site
 
-		// Server-Delivery phase: broadcast the feedback to the other
-		// sites, collect eq. 9 factors (Lemma 1) and prune remotely. The
-		// home site's Next rides the same fan-out — nothing in it depends
-		// on the verdict — unless this round's report could be the last
-		// one asked for: no tuple ships that the answer never needed.
-		// So does each deferred victim's refill, as the Refill bit of the
-		// evaluate its site is sent anyway.
+		// Server-Delivery phase: send the feedback to the other sites
+		// that may hold a dominator of it, collect their eq. 9 factors
+		// (Lemma 1) and prune remotely; every other site is owed it, to
+		// prune by before it next answers. The home site's Next rides the
+		// same fan-out — nothing in it depends on the verdict — unless
+		// this round's report could be the last one asked for: no tuple
+		// ships that the answer never needed. So does each deferred
+		// victim's refill, as the Refill bit of the evaluate its site is
+		// sent, or as a Next when it is sent none.
 		e.begin(PhaseServerDelivery)
-		ask(e.reqs, head.site, msg.Request{Kind: msg.KindEvaluate,
-			Feed: msg.Feedback{Tuple: head.rep.Tuple, HomeLocalProb: head.rep.LocalProb}})
+		down := e.deliver(head)
 		for _, victim := range e.victims {
-			e.reqs[victim.site].Refill = true
+			if r := &e.reqs[victim.site]; r.Kind == msg.KindEvaluate {
+				r.Refill = true
+			} else {
+				*r = msg.Request{Kind: msg.KindNext}
+			}
 		}
 		ahead := e.ahead()
 		if ahead {
 			e.reqs[head.site] = msg.Request{Kind: msg.KindNext}
 		}
+		down += e.carry()
 		evals, err := e.fanout(ctx)
 		e.end()
 		if err != nil {
@@ -326,18 +386,14 @@ func Run(ctx context.Context, sites Sites, opts Options, on func(Step)) (*Outcom
 		// factors and prune counts into the verdict.
 		e.begin(PhaseLocalPruning)
 		e.out.FeedbackLocal = append(e.out.FeedbackLocal, head.rep.LocalProb)
-		e.event(Event{Kind: EventBroadcast, Site: head.site, Tuple: head.rep.Tuple, Prob: head.rep.LocalProb})
-		global := fold(head.rep.LocalProb, head.site, len(evals), func(j int) float64 { return evals[j].CrossProb })
-		pruned := 0
-		for i, r := range evals {
-			if i != head.site {
-				pruned += r.Pruned
-				e.out.PerSite[i].Pruned = int64(r.SessionPruned)
+		e.event(Event{Kind: EventBroadcast, Site: head.site, Tuple: head.rep.Tuple, Prob: head.rep.LocalProb, Down: down})
+		global := fold(head.rep.LocalProb, head.site, len(evals), func(j int) float64 {
+			if !e.asked[j] {
+				return 1
 			}
-		}
-		if pruned > 0 {
-			e.event(Event{Kind: EventPrune, Site: -1, Count: pruned})
-		}
+			return evals[j].CrossProb
+		})
+		e.pruned(evals)
 		full := false
 		if global >= opts.Threshold {
 			e.out.Local[head.rep.Tuple.ID] = head.rep.LocalProb
@@ -353,15 +409,18 @@ func Run(ctx context.Context, sites Sites, opts Options, on func(Step)) (*Outcom
 		// phase of the following iteration), fetched now if it was held
 		// back, and then the deferred victims' refills.
 		e.begin(PhaseToServer)
+		down = 0
 		if !ahead {
 			e.reqs[head.site] = msg.Request{Kind: msg.KindNext}
+			down = e.carry()
 			if evals, err = e.fanout(ctx); err != nil {
 				return nil, err
 			}
+			e.pruned(evals)
 		}
-		e.admit(head.site, evals[head.site])
+		e.admit(head.site, evals[head.site], down)
 		for _, victim := range e.victims {
-			e.admit(victim.site, evals[victim.site])
+			e.admit(victim.site, evals[victim.site], 0)
 		}
 		e.victims = e.victims[:0]
 		e.end()
@@ -401,6 +460,56 @@ func (e *engine) carryKnown() {
 	}
 }
 
+// deliver fills the broadcast of head's tuple: an evaluate for each other
+// site whose route says it may hold a dominator of it, and the tuple onto
+// the owed list of each site skipped, unless sites do not prune or that
+// one is exhausted. It marks the asked sites and returns how many.
+func (e *engine) deliver(head queued) (asked int) {
+	feed := msg.Feedback{Tuple: head.rep.Tuple, HomeLocalProb: head.rep.LocalProb}
+	e.route.to(feed.Tuple)
+	for j := range e.reqs {
+		e.asked[j] = j != head.site && e.route.holds(j)
+		switch {
+		case e.asked[j]:
+			e.reqs[j] = msg.Request{Kind: msg.KindEvaluate, Feed: feed}
+			asked++
+		case j != head.site && !e.opts.NoPrune && !e.done[j]:
+			e.owed[j] = append(e.owed[j], head.rep)
+		}
+	}
+	return asked
+}
+
+// carry hands every site sent a request in the coming fan-out the feedback
+// it is owed, in its request's Tuples, and returns how many tuples that
+// sends down (per site in carried).
+func (e *engine) carry() (down int) {
+	for j := range e.reqs {
+		e.carried[j] = 0
+		if e.reqs[j].Kind != 0 && len(e.owed[j]) > 0 {
+			e.reqs[j].Tuples, e.owed[j] = e.owed[j], nil
+			e.carried[j] = len(e.reqs[j].Tuples)
+			down += e.carried[j]
+		}
+	}
+	return down
+}
+
+// pruned folds a fan-out's prune counts into the per-site tallies (each
+// reply's session total, which only grows) and announces their sum.
+func (e *engine) pruned(resps []*msg.Response) {
+	sum := 0
+	for i, r := range resps {
+		if r != nil {
+			sum += r.Pruned
+			e.out.PerSite[i].Pruned = max(e.out.PerSite[i].Pruned, int64(r.SessionPruned))
+		}
+	}
+	if sum > 0 {
+		e.event(Event{Kind: EventPrune, Site: -1, Count: sum})
+	}
+}
+
 // ahead says whether this round's report, if any, leaves MaxResults
 // unmet, so that a refill fetched with its broadcast cannot be one the
 // answer never needed.
@@ -419,13 +528,15 @@ func (e *engine) enqueue(site int, rep msg.Representative) {
 
 // admit takes site's reply to a next, or to an evaluate with a refill: its
 // next representative joins the queue, unless its local skyline is
-// exhausted.
-func (e *engine) admit(site int, resp *msg.Response) {
+// exhausted. down is what the request carried down, when it was a next
+// of its own.
+func (e *engine) admit(site int, resp *msg.Response, down int) {
 	if resp.Exhausted {
-		e.event(Event{Kind: EventRefill, Site: site})
+		e.done[site] = true
+		e.event(Event{Kind: EventRefill, Site: site, Down: down})
 		return
 	}
-	e.event(Event{Kind: EventRefill, Site: site, Tuple: resp.Rep.Tuple, Prob: resp.Rep.LocalProb, Count: 1})
+	e.event(Event{Kind: EventRefill, Site: site, Tuple: resp.Rep.Tuple, Prob: resp.Rep.LocalProb, Count: 1, Down: down})
 	e.enqueue(site, resp.Rep)
 }
 
@@ -485,15 +596,17 @@ func (e *engine) selectFeedback(ctx context.Context, lastSite int) (head queued,
 			for _, victim := range victims {
 				e.reqs[victim.site] = msg.Request{Kind: msg.KindNext}
 			}
+			e.carry()
 			resps, err := e.fanout(ctx)
 			if err != nil {
 				return head, false, err
 			}
+			e.pruned(resps)
 			dropped = true
 			for _, victim := range victims {
 				e.event(Event{Kind: EventExpunge, Site: victim.site, Tuple: victim.rep.Tuple, Prob: victim.bound})
 				e.begin(PhaseToServer)
-				e.admit(victim.site, resps[victim.site])
+				e.admit(victim.site, resps[victim.site], e.carried[victim.site])
 				e.end()
 			}
 		}

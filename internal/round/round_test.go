@@ -33,16 +33,20 @@ type fakeSite struct {
 // and hands out one reply slice it overwrites each time, as the contract
 // allows. dims is the query's subspace (nil: the full space). With
 // engines set, the slots go to real site engines instead of sites, bound
-// as a query's view binds them or, with maint, as a maintainer's.
+// as a query's view binds them or, with maint, as a maintainer's; their
+// Init replies keep the summary the engine routes by only with summaries
+// set, and then pass it through mutate first when that is set.
 type fakeSites struct {
-	q       float64
-	dims    []int
-	sites   []*fakeSite
-	engines []*site.Engine
-	maint   bool
-	fanouts [][]msg.Request
-	home    map[uncertain.TupleID]int
-	replies []*msg.Response
+	q         float64
+	dims      []int
+	sites     []*fakeSite
+	engines   []*site.Engine
+	maint     bool
+	summaries bool
+	mutate    func(site int, s *msg.Summary)
+	fanouts   [][]msg.Request
+	home      map[uncertain.TupleID]int
+	replies   []*msg.Response
 }
 
 func (f *fakeSites) Len() int { return max(len(f.sites), len(f.engines)) }
@@ -86,7 +90,16 @@ func (f *fakeSites) call(i int, req msg.Request) (*msg.Response, error) {
 		default:
 			req.Session = 1
 		}
-		return f.engines[i].Handle(context.Background(), &req)
+		resp, err := f.engines[i].Handle(context.Background(), &req)
+		if err == nil {
+			switch {
+			case !f.summaries:
+				resp.Summary = msg.Summary{}
+			case f.mutate != nil && req.Kind == msg.KindInit:
+				f.mutate(i, &resp.Summary)
+			}
+		}
+		return resp, err
 	}
 	s := f.sites[i]
 	resp := &msg.Response{}

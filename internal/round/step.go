@@ -58,8 +58,9 @@ const (
 	// EventExpunge: e-DSUD discarded a queued tuple whose Corollary-2
 	// bound fell below the threshold, without broadcasting it.
 	EventExpunge
-	// EventBroadcast: the coordinator broadcast a feedback tuple to the
-	// other sites (Server-Delivery phase).
+	// EventBroadcast: the coordinator broadcast a feedback tuple
+	// (Server-Delivery phase): sent to the other sites that may hold a
+	// dominator of it, owed to the rest.
 	EventBroadcast
 	// EventPrune: sites discarded local skyline tuples in response to a
 	// feedback broadcast (Local-Pruning phase); Count carries the total.
@@ -123,6 +124,13 @@ type Event struct {
 	Prob float64
 	// Count carries the pruned-tuple total for EventPrune.
 	Count int
+	// Down counts the tuples the event's fan-out sent down: on
+	// EventBroadcast the feedback's evaluates plus every owed feedback
+	// its requests carried, and on the EventRefill of a Next sent on its
+	// own the owed feedback that Next carried. (A resumed run's Init
+	// carries its known answer down before any of these; no event counts
+	// it.)
+	Down int
 }
 
 // String renders the event as one log line.
@@ -171,7 +179,8 @@ type Step struct {
 type Tally struct {
 	// Iterations counts coordinator loop iterations (feedback rounds).
 	Iterations int
-	// Broadcasts counts feedback tuples broadcast (each costs m−1 tuples).
+	// Broadcasts counts feedback tuples broadcast (each is sent to the
+	// sites that may hold a dominator of it, and owed to the others).
 	Broadcasts int
 	// Expunged counts candidates e-DSUD discarded by the Corollary-2
 	// bound without broadcasting (always 0 for DSUD and the Baseline).

@@ -106,16 +106,34 @@ func Delete(ctx context.Context, sites Sites, opts Options, answer *serve.Store,
 // admit evaluates every candidate — a tuple an update may admit, at its
 // home site's local skyline probability — at once, and upserts those
 // whose global probability reaches q. Site j is sent one batched evaluate
-// of the candidates homed elsewhere, in order (none: nothing is sent),
-// and each candidate folds its factors as a query's broadcast does.
+// of the candidates homed elsewhere, in order, when its summary (see
+// Summaries) may dominate one of them, and nothing otherwise; each
+// candidate folds its factors as a query's broadcast does. The test is
+// per site, not per candidate: scanning every summary for every candidate
+// of a delete that promotes hundreds costs the coordinator more than the
+// evaluations it would spare the sites, and the first candidate a summary
+// dominates settles a site.
 func (u *update) admit(ctx context.Context, cands []serve.Entry) error {
 	if len(cands) == 0 {
 		return nil
 	}
+	r := newRoute(u.opts.Dims, len(u.reqs))
+	if s, ok := u.sites.(Summaries); ok {
+		for j := range r.sums {
+			r.sums[j] = s.Summary(j)
+		}
+	}
+	asked := make([]bool, len(u.reqs))
+	for _, c := range cands {
+		r.to(c.Member.Tuple)
+		for j := range asked {
+			asked[j] = asked[j] || c.Site != j && r.holds(j)
+		}
+	}
 	sent := make([]int, len(u.reqs))
 	for j := range u.reqs {
 		for _, c := range cands {
-			if c.Site != j {
+			if asked[j] && c.Site != j {
 				u.reqs[j].Tuples = append(u.reqs[j].Tuples, msg.Representative{Tuple: c.Member.Tuple, LocalProb: c.Member.Prob})
 			}
 		}
@@ -135,6 +153,9 @@ func (u *update) admit(ctx context.Context, cands []serve.Entry) error {
 	next := make([]int, len(resps))
 	for _, c := range cands {
 		c.Member.Prob = fold(c.Member.Prob, c.Site, len(resps), func(j int) float64 {
+			if !asked[j] {
+				return 1
+			}
 			next[j]++
 			return resps[j].CrossProbs[next[j]-1]
 		})

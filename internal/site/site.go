@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math/rand/v2"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -99,6 +100,10 @@ type Engine struct {
 	lastUpdate    atomic.Int64
 	// replicaVersion counts replica deltas applied (guarded by e.mu).
 	replicaVersion uint64
+	// epoch is drawn at random when the engine is built and updates counts
+	// its inserts and deletes (guarded by e.mu): their sum is the version
+	// a coordinator holds a summary of the partition at (version).
+	epoch, updates uint64
 
 	// flight, when set (SetFlightRecorder), receives one record per
 	// finished query session. Nil-safe, so no guard at the record site.
@@ -179,6 +184,7 @@ func New(id int, part uncertain.DB, dims, capacity int) *Engine {
 		index:    prtree.Bulk(part, dims, capacity),
 		sessions: make(map[uint64]*session),
 		dedup:    make(map[uint64]*dedupState),
+		epoch:    rand.Uint64(),
 		start:    time.Now(),
 		win:      obs.NewWindow(obs.DefWindowWidth),
 	}
@@ -253,9 +259,11 @@ func (e *Engine) Handle(ctx context.Context, req *msg.Request) (*msg.Response, e
 	reqStart := time.Now()
 	defer func() {
 		// Status probes stay out of the window: a coordinator's watch polls
-		// every interval and would otherwise measure itself.
+		// every interval and would otherwise measure itself. The end time
+		// is read once, for the latency and the window's rotation both.
 		if req.Kind != msg.KindStatus {
-			e.win.Observe(time.Since(reqStart))
+			end := time.Now()
+			e.win.ObserveAt(end, end.Sub(reqStart))
 		}
 	}()
 	e.mu.Lock()
@@ -332,10 +340,17 @@ func (e *Engine) validQuery(q msg.Query) error {
 	return nil
 }
 
+// version names the partition's current state (msg.Response.Version).
+// Caller holds e.mu.
+func (e *Engine) version() uint64 { return e.epoch + e.updates }
+
 // handleInit runs the local computing phase: snapshot SKY(D_i) at the
 // query's threshold — a prefix of the subspace's maintained index, which
 // a first or lower-than-ever threshold builds with the PR-tree's
 // threshold-aware BBS search — and hand out the first representative.
+// The reply names the partition's version and, unless the coordinator
+// already holds that version's, carries the summary of the query's
+// subspace, which a BBS search computes afresh (summary).
 //
 // A resumed query's Init also carries the answer the coordinator already
 // holds: RemoveIDs names the known members homed here, which leave the
@@ -350,10 +365,8 @@ func (e *Engine) handleInit(req *msg.Request) (*msg.Response, error) {
 	if _, exists := e.sessions[req.Session]; !exists && len(e.sessions) >= MaxSessions {
 		return nil, fmt.Errorf("site %d: session limit (%d) reached", e.id, MaxSessions)
 	}
-	for _, known := range req.Tuples {
-		if err := known.Tuple.Validate(e.index.Dims()); err != nil {
-			return nil, fmt.Errorf("site %d: bad known member: %w", e.id, err)
-		}
+	if err := e.validCarried(req); err != nil {
+		return nil, err
 	}
 	s := &session{
 		query: req.Query,
@@ -367,15 +380,47 @@ func (e *Engine) handleInit(req *msg.Request) (*msg.Response, error) {
 		}
 		s.sky = slices.DeleteFunc(s.sky, func(m uncertain.SkylineMember) bool { return known[m.Tuple.ID] })
 	}
-	pruned := 0
-	for _, known := range req.Tuples {
-		pruned += s.prune(msg.Feedback{Tuple: known.Tuple, HomeLocalProb: known.LocalProb}, e.forceBadPrune)
-	}
-	e.obsPruned.Add(int64(pruned))
 	e.sessions[req.Session] = s
-	resp := &msg.Response{Pruned: pruned, SessionPruned: s.pruned}
+	resp := &msg.Response{Version: e.version()}
+	if req.SummaryVersion != resp.Version {
+		resp.Summary = e.summary(req.Query.Dims)
+	}
+	e.pruneCarried(s, req, resp)
 	s.next(resp)
 	return resp, nil
+}
+
+// summary is the certain skyline of the partition on dims, taken as a set
+// (msg.Summary): a BBS search over the PR-tree, kept nowhere.
+func (e *Engine) summary(dims []int) msg.Summary {
+	width := e.index.Dims()
+	if dims != nil {
+		dims, width = slices.Clone(dims), len(dims)
+		slices.Sort(dims)
+	}
+	return msg.Summary{Width: width, Coords: e.index.CertainSkyline(dims)}
+}
+
+// validCarried validates the tuples a session request carries to prune by.
+func (e *Engine) validCarried(req *msg.Request) error {
+	for _, carried := range req.Tuples {
+		if err := carried.Tuple.Validate(e.index.Dims()); err != nil {
+			return fmt.Errorf("site %d: bad carried feedback: %w", e.id, err)
+		}
+	}
+	return nil
+}
+
+// pruneCarried prunes s by each tuple req carries, in order, exactly as
+// that many evaluates would (session.prune), and puts the counts in resp:
+// a resumed Init's known answer, or the feedback the coordinator did not
+// send this site when it was broadcast, owed before the site answers.
+func (e *Engine) pruneCarried(s *session, req *msg.Request, resp *msg.Response) {
+	for _, carried := range req.Tuples {
+		resp.Pruned += s.prune(msg.Feedback{Tuple: carried.Tuple, HomeLocalProb: carried.LocalProb}, e.forceBadPrune)
+	}
+	e.obsPruned.Add(int64(resp.Pruned))
+	resp.SessionPruned = s.pruned
 }
 
 // ErrNoSession refuses a Next, a session evaluate or a refill for a query
@@ -385,13 +430,18 @@ func (e *Engine) handleInit(req *msg.Request) (*msg.Response, error) {
 // wrong factor, so the coordinator gets this error instead.
 var ErrNoSession = errors.New("no such query session")
 
-// handleNext pops the most promising remaining local skyline tuple.
+// handleNext pops the most promising remaining local skyline tuple, after
+// pruning by whatever feedback the request carries.
 func (e *Engine) handleNext(req *msg.Request) (*msg.Response, error) {
 	s := e.sessions[req.Session]
 	if s == nil {
 		return nil, fmt.Errorf("site %d: Next before Init (session %d): %w", e.id, req.Session, ErrNoSession)
 	}
+	if err := e.validCarried(req); err != nil {
+		return nil, err
+	}
 	resp := &msg.Response{}
+	e.pruneCarried(s, req, resp)
 	s.next(resp)
 	return resp, nil
 }
@@ -432,16 +482,17 @@ func (e *Engine) recordSession(id uint64, s *session) {
 	e.flight.Record(&rec)
 }
 
-// handleEvaluate answers a feedback broadcast: report this site's eq. 9
-// factor for the feedback tuple and prune the session's local skyline
-// (Local-Pruning phase; session.prune). A Refill evaluate then pops the
-// next representative, as a Next right after it would, so the refill of an
-// expunged candidate never ships a tuple this feedback pruned. Only session
-// 0 may be absent: without it (maintenance traffic), the request's own
-// Query supplies the dominance subspace, and the request may batch: see
+// handleEvaluate answers a feedback broadcast: prune the session's local
+// skyline by the feedback the request carries, report this site's eq. 9
+// factor for the feedback tuple and prune by it too (Local-Pruning phase;
+// session.prune). A Refill evaluate then pops the next representative, as
+// a Next right after it would, so the refill of an expunged candidate never
+// ships a tuple this feedback pruned. Only session 0 may be absent: without
+// it (maintenance traffic), the request's own Query supplies the dominance
+// subspace, and a request with no feedback tuple is a batch: see
 // evaluateBatch.
 func (e *Engine) handleEvaluate(req *msg.Request) (*msg.Response, error) {
-	if len(req.Tuples) > 0 {
+	if !req.HasFeed() && len(req.Tuples) > 0 {
 		return e.evaluateBatch(req)
 	}
 	feed := req.Feed
@@ -449,8 +500,11 @@ func (e *Engine) handleEvaluate(req *msg.Request) (*msg.Response, error) {
 		return nil, fmt.Errorf("site %d: bad feedback: %w", e.id, err)
 	}
 	s := e.sessions[req.Session]
-	if s == nil && (req.Session != 0 || req.Refill) {
+	if s == nil && (req.Session != 0 || req.Refill || len(req.Tuples) > 0) {
 		return nil, fmt.Errorf("site %d: evaluate in session %d: %w", e.id, req.Session, ErrNoSession)
+	}
+	if err := e.validCarried(req); err != nil {
+		return nil, err
 	}
 	dims := req.Query.Dims
 	if s != nil {
@@ -458,8 +512,10 @@ func (e *Engine) handleEvaluate(req *msg.Request) (*msg.Response, error) {
 	}
 	resp := &msg.Response{CrossProb: e.index.CrossSkyProb(feed.Tuple, dims)}
 	if s != nil {
-		resp.Pruned = s.prune(feed, e.forceBadPrune)
-		e.obsPruned.Add(int64(resp.Pruned))
+		e.pruneCarried(s, req, resp)
+		pruned := s.prune(feed, e.forceBadPrune)
+		e.obsPruned.Add(int64(pruned))
+		resp.Pruned += pruned
 		resp.SessionPruned = s.pruned
 		if req.Refill {
 			s.next(resp)
@@ -498,16 +554,13 @@ func (s *session) prune(feed msg.Feedback, force bool) int {
 	return pruned
 }
 
-// ErrBatchedSession refuses an Evaluate that carries a batch of tuples
-// inside a query session, or a refill: what a batch may prune is not
-// defined yet, so a batch is maintenance traffic only.
-var ErrBatchedSession = errors.New("batched evaluate is sessionless")
-
 // evaluateBatch answers a sessionless Evaluate carrying candidates: the
 // eq. 9 factor of each at this site, aligned with them, and nothing pruned.
+// A session's evaluate always carries its feedback tuple, so one without
+// it inside a session, or with a refill, is malformed.
 func (e *Engine) evaluateBatch(req *msg.Request) (*msg.Response, error) {
 	if req.Session != 0 || req.Refill {
-		return nil, fmt.Errorf("site %d: session %d: %w", e.id, req.Session, ErrBatchedSession)
+		return nil, fmt.Errorf("site %d: evaluate in session %d without a feedback tuple", e.id, req.Session)
 	}
 	if err := e.validQuery(req.Query); err != nil {
 		return nil, err
@@ -552,6 +605,7 @@ func (e *Engine) handleInsert(req *msg.Request) (*msg.Response, error) {
 		return nil, err
 	}
 	e.index.Insert(req.Tuple)
+	e.updates++
 	e.lastUpdate.Store(time.Now().UnixNano())
 	local := e.index.SkyProb(req.Tuple, req.Query.Dims)
 	if ix := e.hotSkyIndex(); ix != nil {
@@ -562,7 +616,8 @@ func (e *Engine) handleInsert(req *msg.Request) (*msg.Response, error) {
 		ix.inserted(req.Tuple, inSub)
 	}
 	resp := &msg.Response{
-		Rep: msg.Representative{Tuple: req.Tuple, LocalProb: local},
+		Rep:     msg.Representative{Tuple: req.Tuple, LocalProb: local},
+		Version: e.version(),
 	}
 	// Replica filter (§5.4): if the global skyline copy alone pushes the
 	// newcomer's best possible global probability below the threshold,
@@ -618,14 +673,16 @@ func (e *Engine) handleDelete(req *msg.Request) (*msg.Response, error) {
 	if err := e.index.Delete(req.ID, req.Point); err != nil {
 		return nil, fmt.Errorf("site %d: delete %d: %w", e.id, req.ID, err)
 	}
+	e.updates++
 	e.lastUpdate.Store(time.Now().UnixNano())
 	if ix := e.hotSkyIndex(); ix != nil {
 		ix.deleted(e.index, req.ID, req.Point)
 	}
-	if !named {
-		return &msg.Response{}, nil
+	resp := &msg.Response{Version: e.version()}
+	if named {
+		resp.Tuples = e.candidates(uncertain.Tuple{ID: req.ID, Point: req.Point}, q)
 	}
-	return &msg.Response{Tuples: e.candidates(uncertain.Tuple{ID: req.ID, Point: req.Point}, q)}, nil
+	return resp, nil
 }
 
 // handleCandidates finds, after the deletion of req.Feed.Tuple at another

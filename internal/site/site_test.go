@@ -183,8 +183,8 @@ func TestEvaluateRefillIsEvaluateThenNext(t *testing.T) {
 
 // A refill needs the query session whose cursor it pops: without one — a
 // session never initialised here, or lost to a restart, even the default
-// session 0 — it fails with ErrNoSession, and so does a session evaluate;
-// a batch cannot refill.
+// session 0 — it fails with ErrNoSession, and so does a session evaluate
+// and one that carries feedback to prune by; a batch cannot refill.
 func TestRefillWithoutSessionFails(t *testing.T) {
 	r := rand.New(rand.NewSource(59))
 	eng := New(0, randomPart(r, 50, 2), 2, 0)
@@ -195,6 +195,8 @@ func TestRefillWithoutSessionFails(t *testing.T) {
 		"refill, session 7": {Kind: msg.KindEvaluate, Session: 7, Feed: feed, Refill: true},
 		"evaluate, session 7": {Kind: msg.KindEvaluate, Session: 7, Feed: feed,
 			Query: msg.Query{Threshold: 0.3, Dims: []int{1}}},
+		"carried feedback, session 0": {Kind: msg.KindEvaluate, Feed: feed,
+			Tuples: []msg.Representative{{Tuple: feed.Tuple, LocalProb: 0.5}}},
 	} {
 		if _, err := eng.Handle(ctx, &req); !errors.Is(err, ErrNoSession) {
 			t.Errorf("%s: %v, want ErrNoSession", name, err)
@@ -202,8 +204,8 @@ func TestRefillWithoutSessionFails(t *testing.T) {
 	}
 	batch := msg.Request{Kind: msg.KindEvaluate, Query: msg.Query{Threshold: 0.3}, Refill: true,
 		Tuples: []msg.Representative{{Tuple: feed.Tuple, LocalProb: 0.5}}}
-	if _, err := eng.Handle(ctx, &batch); !errors.Is(err, ErrBatchedSession) {
-		t.Errorf("batched refill: %v, want ErrBatchedSession", err)
+	if _, err := eng.Handle(ctx, &batch); err == nil || !strings.Contains(err.Error(), "without a feedback tuple") {
+		t.Errorf("batched refill: %v, want a refusal", err)
 	}
 }
 
@@ -448,17 +450,14 @@ func TestBatchedEvaluate(t *testing.T) {
 	}
 	initSite(t, eng, 0.3, nil)
 	for name, req := range map[string]msg.Request{
-		"batched evaluate is sessionless": {Kind: msg.KindEvaluate, Session: 7, Tuples: batch, Query: q},
-		"outside (0,1]":                   {Kind: msg.KindEvaluate, Tuples: batch},
+		"without a feedback tuple": {Kind: msg.KindEvaluate, Session: 7, Tuples: batch, Query: q},
+		"outside (0,1]":            {Kind: msg.KindEvaluate, Tuples: batch},
 		"bad candidate": {Kind: msg.KindEvaluate, Query: q,
 			Tuples: []msg.Representative{{Tuple: uncertain.Tuple{ID: 1, Point: geom.Point{1}, Prob: 0.5}}}},
 	} {
 		_, err := eng.Handle(context.Background(), &req)
 		if err == nil || !strings.Contains(err.Error(), name) {
 			t.Errorf("%s: got %v", name, err)
-		}
-		if name == "batched evaluate is sessionless" && !errors.Is(err, ErrBatchedSession) {
-			t.Errorf("a session batch failed with %v, want ErrBatchedSession", err)
 		}
 	}
 }

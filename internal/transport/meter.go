@@ -74,13 +74,16 @@ func (m *Meter) AddBytes(n int64) { m.bytes.Add(n) }
 // rules implement the paper's accounting exactly:
 //
 //   - every Representative returned by Init/Next, or by an Evaluate that
-//     carries a refill, costs one up-tuple;
+//     carries a refill, costs one up-tuple, and so does every point of a
+//     summary an Init reply ships (one the coordinator already held, at
+//     the version it asked with, is free);
 //   - a resumed query's Init ships the known answer homed elsewhere down,
 //     one down-tuple per member it carries; the IDs of the known members
 //     homed at the site ride free, like replica evictions;
-//   - every Evaluate request ships the feedback tuple down (one per site
-//     contacted, so a broadcast to m−1 sites costs m−1), or a batch of
-//     maintenance candidates, one down-tuple each;
+//   - every Evaluate request ships its feedback tuple down (one per site
+//     contacted, so a broadcast routed to k sites costs k), and a Next or
+//     Evaluate ships each feedback it carries for the site to prune by,
+//     or each candidate of a maintenance batch, one down-tuple each;
 //   - ShipAll, Candidates and Delete responses cost one up-tuple per tuple
 //     they carry (the partition, the promotion candidates);
 //   - Insert/Delete requests ship one tuple of update traffic down only
@@ -96,8 +99,15 @@ func (m *Meter) Account(req *msg.Request, resp *msg.Response) {
 		if resp != nil && !resp.Exhausted {
 			m.tuplesUp.Add(1)
 		}
+		if resp != nil && resp.Version != req.SummaryVersion {
+			m.tuplesUp.Add(int64(resp.Summary.Len()))
+		}
 	case msg.KindEvaluate:
-		m.tuplesDown.Add(int64(max(1, len(req.Tuples))))
+		down := len(req.Tuples) // a batch's candidates, or carried feedback
+		if down == 0 || req.HasFeed() {
+			down++
+		}
+		m.tuplesDown.Add(int64(down))
 		if req.Refill && resp != nil && !resp.Exhausted {
 			m.tuplesUp.Add(1)
 		}

@@ -92,8 +92,8 @@ type MuxClient struct {
 	// wmu serialises frame writes and guards the two buffers they reuse:
 	// the encoded message and the frame around it.
 	wmu  sync.Mutex
-	pbuf []byte
-	wbuf []byte
+	pbuf codec.Buffer
+	wbuf codec.Buffer
 
 	nextID atomic.Uint64
 
@@ -227,8 +227,9 @@ func (c *MuxClient) Send(ctx context.Context, req *msg.Request, slot int, done c
 	id := c.nextID.Add(1)
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.pbuf = AppendRequest(c.pbuf[:0], req)
-	c.wbuf = codec.AppendFrame(c.wbuf[:0], codec.FrameRequest, id, c.pbuf)
+	pbuf := AppendRequest(c.pbuf.Bytes(), req)
+	wbuf := codec.AppendFrame(c.wbuf.Bytes(), codec.FrameRequest, id, pbuf)
+	defer func() { c.pbuf.Keep(pbuf); c.wbuf.Keep(wbuf) }()
 	c.mu.Lock()
 	err := c.broken
 	if c.closed {
@@ -238,14 +239,14 @@ func (c *MuxClient) Send(ctx context.Context, req *msg.Request, slot int, done c
 		// Registered under mu, so the watch finds the call in the table
 		// even if ctx is done already.
 		stop := context.AfterFunc(ctx, func() { c.abandon(id, ctx.Err()) })
-		c.pending[id] = muxCall{slot: slot, done: done, bytes: int64(len(c.wbuf)), stop: stop}
+		c.pending[id] = muxCall{slot: slot, done: done, bytes: int64(len(wbuf)), stop: stop}
 	}
 	c.mu.Unlock()
 	if err != nil {
 		done <- Reply{Slot: slot, Err: err}
 		return
 	}
-	if _, err := c.conn.Write(c.wbuf); err != nil {
+	if _, err := c.conn.Write(wbuf); err != nil {
 		if call, ok := c.take(id); ok {
 			call.reply(nil, 0, fmt.Errorf("transport: send: %w", err))
 		}
@@ -261,20 +262,22 @@ type muxWriter struct {
 	mu   sync.Mutex
 	w    io.Writer
 	tap  FrameTap // observes response frames; may be nil
-	pbuf []byte
-	buf  []byte
+	pbuf codec.Buffer
+	buf  codec.Buffer
 }
 
 // writeResponse encodes a handler's outcome and writes its frame. A write
 // error is dropped: the connection is dying and its read loop will notice.
 func (mw *muxWriter) writeResponse(id uint64, resp *msg.Response, herr error) {
 	mw.mu.Lock()
-	mw.pbuf = AppendResponse(mw.pbuf[:0], resp, herr)
-	mw.buf = codec.AppendFrame(mw.buf[:0], codec.FrameResponse, id, mw.pbuf)
-	mw.w.Write(mw.buf)
+	pbuf := AppendResponse(mw.pbuf.Bytes(), resp, herr)
+	buf := codec.AppendFrame(mw.buf.Bytes(), codec.FrameResponse, id, pbuf)
+	mw.w.Write(buf)
 	if mw.tap != nil {
-		mw.tap(TapOutbound, codec.FrameResponse, len(mw.buf))
+		mw.tap(TapOutbound, codec.FrameResponse, len(buf))
 	}
+	mw.pbuf.Keep(pbuf)
+	mw.buf.Keep(buf)
 	mw.mu.Unlock()
 }
 

@@ -24,17 +24,18 @@ package transport
 //	8  Point      point                      9  CrossProbs     n × f64
 //	9  Tuples     n × rep                    10 (retired)
 //	10 RemoveIDs  n × id uvarint             11 ServiceNS      u64
-//	11 (retired)
-//	12 Timed      (the bit is the value)
+//	11 (retired)                             12 Version        u64
+//	12 Timed      (the bit is the value)     13 Summary        width varint | n × f64
 //	13 Refill     (the bit is the value)
+//	14 SummaryVersion u64
 //
 //	tuple = id uvarint | point | prob f64       point = n × f64
 //	rep   = tuple | localProb f64               n × x = n uvarint, then n of x
 //
 // Fixed-width words are little-endian; floats are their IEEE-754 bits.
-// Session and client ids are random 64-bit values, so they ride
-// fixed-width, and so does ServiceNS, whose varint length would follow the
-// clock; every other integer is small and rides as a varint. An empty
+// Session and client ids and site versions are random 64-bit values, so
+// they ride fixed-width, and so does ServiceNS, whose varint length would
+// follow the clock; every other integer is small and rides as a varint. An empty
 // slice and a nil slice encode alike (absent) and decode to nil. New fields
 // take the next free bit, and a retired field's bit is never reused: a bit
 // this build does not know is an error, because it cannot skip a field
@@ -284,6 +285,9 @@ func (w *wire) request(q *msg.Request) {
 	}
 	w.bit(12, &q.Timed)
 	w.bit(13, &q.Refill)
+	if w.has(14, q.SummaryVersion != 0) {
+		w.u64(&q.SummaryVersion, "summary version")
+	}
 }
 
 func (w *wire) response(p *msg.Response) {
@@ -316,6 +320,13 @@ func (w *wire) response(p *msg.Response) {
 		if w.u64(&ns, "service ns"); w.decoding {
 			p.ServiceNS = int64(ns)
 		}
+	}
+	if w.has(12, p.Version != 0) {
+		w.u64(&p.Version, "version")
+	}
+	if w.has(13, p.Summary.Width != 0) {
+		w.varint(&p.Summary.Width, "summary width")
+		w.point((*geom.Point)(&p.Summary.Coords), "summary") // n × f64
 	}
 }
 
