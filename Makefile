@@ -47,20 +47,23 @@ test:
 # recording a fan-out's calls, the slow-query record, the deferred
 # refills an e-DSUD round admits from a broadcast's replies, the resumed
 # reads that race the serving tier's updates under its read-write lock,
-# and the routed rounds with the cluster's summary cache that concurrent
-# queries and updates share.
+# the routed rounds with the cluster's summary cache that concurrent
+# queries and updates share, the indexes that cache builds once per entry,
+# the owed feedback lists a round reuses while the view still holds the
+# last fan-out's requests, and the site's bound-cut prune.
 race:
 	$(GO) test -race ./internal/codec ./internal/obs/... ./internal/transport ./internal/round ./internal/core ./internal/serve ./internal/stream ./internal/site ./internal/audit ./internal/experiments
-	$(GO) test -race -count=10 -run 'Fanout|ClusterHealth|SlowQueryLogs|MaxResultsShips|ParentTranscripts|TopKReExpunge|UpdateWaves|UpdateEngineOracleSweep|FailedUpdate|OneCallPath|DeferredRefill|SiteRestart|ReplayClientComparesRefill|ResumedReadsRace|Routed|SummaryCache|RecordReplayWarm|CurveNeverOutruns|ConcurrentQueries' ./internal/round ./internal/core
+	$(GO) test -race -count=10 -run 'Fanout|ClusterHealth|SlowQueryLogs|MaxResultsShips|ParentTranscripts|TopKReExpunge|UpdateWaves|UpdateEngineOracleSweep|FailedUpdate|OneCallPath|DeferredRefill|SiteRestart|ReplayClientComparesRefill|ResumedReadsRace|Routed|SummaryCache|SummaryIndexedOnce|RecordReplayWarm|CurveNeverOutruns|ConcurrentQueries|BoundsAndCarries|PruneMatchesScan' ./internal/round ./internal/core ./internal/site
 
 # Full benchmark sweep (several minutes). Writes bench_output.txt.
 bench:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
-# Every benchmark of the PR-tree kernel and the site engine, one iteration
-# each: they compile and run (a few seconds), and print a first reading.
+# Every benchmark of the PR-tree kernel, the site engine, the summary index
+# and the round's bound refresh, one iteration each: they compile and run
+# (a few seconds), and print a first reading.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/prtree ./internal/site
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/prtree ./internal/site ./internal/msg ./internal/round
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md): every
 # workload, untraced then traced. Arguments pass through, e.g.

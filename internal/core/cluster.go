@@ -203,11 +203,13 @@ type view struct {
 	session uint64
 	query   msg.Query
 	// dims is the query's subspace in ascending order, the key of the
-	// summaries it routes by, and held the summary each site's Init was
-	// asked with: the cached one, sent back in the reply when the site
-	// ships none.
-	dims []int
-	held []summary
+	// summaries it routes by, held the summary each site's Init was asked
+	// with: the cached one, sent back in the reply when the site ships
+	// none, and routes the index of the summary each Init reply carried
+	// (settle), which the engine routes by (Summary).
+	dims   []int
+	held   []summary
+	routes []*msg.Index
 	// summaryUp counts the summary points the sites shipped up, which
 	// the delivery curve charges ahead of every answer.
 	summaryUp int64
@@ -402,25 +404,50 @@ func (v *view) finish(r transport.Reply, timed bool) bool {
 // reply that ships a summary is cached, and one that names the version the
 // Init was asked with gets that version's summary back from the cache, in
 // a copy, so the engine and the transcript see the summary the query
-// routes by; an insert or delete reply moves the site's cached summaries
-// to its new version (summaries.updated).
+// routes by; either way the view routes that site by the index the cache
+// keeps (index). An insert or delete reply moves the site's cached
+// summaries to its new version (summaries.updated).
 func (v *view) settle(i int, req *msg.Request, resp *msg.Response) *msg.Response {
-	sums := v.cluster.summaries
-	if req.Kind == msg.KindInit && resp.Version != req.SummaryVersion {
-		v.summaryUp += int64(resp.Summary.Len()) // as transport.Meter charges it
-	}
 	switch {
-	case resp.Version == 0:
-	case req.Kind == msg.KindInit && resp.Version == req.SummaryVersion:
-		filled := *resp
-		filled.Summary = v.held[i].Summary
-		return &filled
-	case req.Kind == msg.KindInit && resp.Summary.Fits(v.width()):
-		sums.put(i, v.dims, resp.Version, resp.Summary)
-	case req.Kind == msg.KindInsert || req.Kind == msg.KindDelete:
-		sums.updated(i, req, resp.Version)
+	case req.Kind == msg.KindInit:
+		if resp.Version != req.SummaryVersion {
+			v.summaryUp += int64(resp.Summary.Len()) // as transport.Meter charges it
+		}
+		if v.routes == nil {
+			v.routes = make([]*msg.Index, len(v.wire))
+		}
+		v.routes[i] = v.index(i, req, resp)
+		if resp.Version != 0 && resp.Version == req.SummaryVersion && v.routes[i] != nil {
+			filled := *resp
+			filled.Summary = v.routes[i].Summary
+			return &filled
+		}
+	case resp.Version != 0 && (req.Kind == msg.KindInsert || req.Kind == msg.KindDelete):
+		v.cluster.summaries.updated(i, req, resp.Version)
 	}
 	return resp
+}
+
+// index is the index of the summary an Init reply carries or, when it
+// names the version the Init was asked with, of the cached summary it
+// stands for: the cache's own, built once per entry, unless the entry
+// moved on since.
+func (v *view) index(i int, req *msg.Request, resp *msg.Response) *msg.Index {
+	sums := v.cluster.summaries
+	switch {
+	case resp.Version == 0:
+	case resp.Version == req.SummaryVersion:
+		if x := sums.indexed(i, v.dims, resp.Version); x != nil {
+			return x
+		}
+		return v.held[i].Index()
+	case resp.Summary.Fits(v.width()):
+		sums.put(i, v.dims, resp.Version, resp.Summary)
+		if x := sums.indexed(i, v.dims, resp.Version); x != nil {
+			return x
+		}
+	}
+	return resp.Summary.Index()
 }
 
 // width is the number of coordinates of a summary point on the view's
@@ -497,10 +524,16 @@ func (v *view) Fanout(ctx context.Context, reqs []msg.Request) ([]*msg.Response,
 	return v.issue(ctx)
 }
 
-// Summary makes a maintainer's view the update engine's round.Summaries:
-// the cluster's cached summary of site on the view's subspace, which the
-// maintainer's own updates keep current.
-func (v *view) Summary(site int) msg.Summary { return v.cluster.summaries.get(site, v.dims).Summary }
+// Summary makes a view the engines' round.Summaries: on a query's view the
+// index of the summary site's Init reply carried, and on a maintainer's,
+// which sends no Init, the index of the cluster's cached summary of site
+// on the view's subspace, which the maintainer's own updates keep current.
+func (v *view) Summary(site int) *msg.Index {
+	if v.routes != nil {
+		return v.routes[site]
+	}
+	return v.cluster.summaries.indexed(site, v.dims, 0)
+}
 
 // bind is the one place a request gets its session and query. A query's
 // view binds its session to an init, next, evaluate and end-query, and its

@@ -12,18 +12,22 @@ import (
 // the site version it describes. A query's Init asks with the cached
 // version and the site ships a summary only when its own differs; the
 // coordinator's own inserts and deletes keep the cache current between
-// queries (updated), so a maintained answer's reads never refetch.
+// queries (updated), so a maintained answer's reads never refetch. An
+// entry is indexed when it is first routed by and keeps its index until it
+// changes or goes (indexed).
 type summaries struct {
 	mu    sync.Mutex
 	sites [][]summary
 }
 
 // summary is one cached summary: the subspace in ascending order (nil:
-// the full space) and the site version it was taken at.
+// the full space), the site version it was taken at and, once built, its
+// index, whose points are the summary's (in the index's order).
 type summary struct {
 	dims    []int
 	version uint64
 	msg.Summary
+	index *msg.Index
 }
 
 // maxSummaries bounds the subspaces cached per site; beyond it the least
@@ -52,6 +56,29 @@ func (c *summaries) get(site int, dims []int) summary {
 		}
 	}
 	return summary{}
+}
+
+// indexed returns the index of site's cached summary on dims (sorted),
+// which the entry keeps: so each cached (site, subspace, version) is
+// indexed once, when a query or an update first routes by it. With
+// version nonzero only an entry at that version answers; nil when none
+// does.
+func (c *summaries) indexed(site int, dims []int, version uint64) *msg.Index {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for k := range c.sites[site] {
+		s := &c.sites[site][k]
+		if !slices.Equal(s.dims, dims) || version != 0 && s.version != version {
+			continue
+		}
+		if s.index == nil {
+			if s.index = s.Index(); s.index != nil {
+				s.Summary = s.index.Summary // one copy of the points, not two
+			}
+		}
+		return s.index
+	}
+	return nil
 }
 
 // put caches what an Init reply shipped: site's summary on dims (sorted)
@@ -83,7 +110,11 @@ func (c *summaries) updated(site int, req *msg.Request, version uint64) {
 			continue
 		}
 		if req.Kind == msg.KindInsert {
-			s.Summary = s.With(req.Tuple.Point, s.dims)
+			// With hands back the summary itself when a point covers the
+			// insert; then the set, and so the index, stay.
+			if grown := s.With(req.Tuple.Point, s.dims); len(grown.Coords) != len(s.Coords) || &grown.Coords[0] != &s.Coords[0] {
+				s.Summary, s.index = grown, nil
+			}
 		}
 		s.version = version
 		cached = append(cached, s)

@@ -152,3 +152,54 @@ func TestSummaryCacheFollowsTheSites(t *testing.T) {
 		t.Fatalf("after an own insert behind another cluster's the query fetched %d summary points: site 3 was not refetched", n)
 	}
 }
+
+// Each cached summary is indexed once: a cold Init's view routes by the
+// index the cache then keeps, a warm Init's by that same index, and an own
+// insert keeps it when a cached point covers the insert and replaces it
+// (with one holding the new point) when none does.
+func TestSummaryIndexedOncePerEntry(t *testing.T) {
+	parts, _ := makeWorkload(t, 800, 3, 4, gen.Independent, 92)
+	sites := make([]*swapSite, len(parts))
+	for i, part := range parts {
+		sites[i] = &swapSite{eng: site.New(i, part, 3, 0)}
+	}
+	c := summaryCluster(t, sites)
+	query := msg.Query{Threshold: 0.3, Dims: []int{2, 0}}
+	dims := sortedDims(query.Dims)
+	routes := func(what string) []*msg.Index {
+		t.Helper()
+		v := c.newView(nil, c.nextSession(), query)
+		defer v.endSession()
+		reqs := make([]msg.Request, len(sites))
+		for i := range reqs {
+			reqs[i].Kind = msg.KindInit
+		}
+		if _, err := v.Fanout(context.Background(), reqs); err != nil {
+			t.Fatal(err)
+		}
+		out := make([]*msg.Index, len(sites))
+		for i := range out {
+			if out[i] = v.Summary(i); out[i] == nil || out[i] != c.summaries.indexed(i, dims, 0) {
+				t.Fatalf("%s: site %d routed by %p, the cache keeps %p", what, i, out[i], c.summaries.indexed(i, dims, 0))
+			}
+		}
+		return out
+	}
+	cold, warm := routes("cold"), routes("warm")
+	for i := range cold {
+		if warm[i] != cold[i] {
+			t.Fatalf("site %d: the warm Init's index was built again", i)
+		}
+	}
+	insert := func(p geom.Point) *msg.Index {
+		req := &msg.Request{Kind: msg.KindInsert, Tuple: uncertain.Tuple{ID: 90100, Point: p, Prob: 0.5}}
+		c.summaries.updated(0, req, c.summaries.get(0, dims).version+1)
+		return c.summaries.indexed(0, dims, 0)
+	}
+	if insert(geom.Point{0.99, 0.99, 0.99}) != cold[0] {
+		t.Fatal("an insert the summary covers rebuilt the index")
+	}
+	if x := insert(geom.Point{0.0001, 0.5, 0.0001}); x == cold[0] || !x.Dominates([]float64{0.0002, 0.0002}) {
+		t.Fatal("an insert of a new dominator kept the old index")
+	}
+}

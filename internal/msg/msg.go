@@ -11,7 +11,6 @@ package msg
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/uncertain"
@@ -246,98 +245,6 @@ type Response struct {
 	// Version.
 	Version uint64
 	Summary Summary
-}
-
-// Summary is a site's certain skyline on a query's subspace: the points of
-// its tuples that no other of its tuples dominates there, probabilities
-// ignored, each point once. If any tuple of the site dominates t, one of
-// these points does, so a site whose summary dominates nothing of t holds
-// no dominator of t and its eq. 9 factor for t is exactly 1. A point that
-// no longer belongs to the site only makes the test say yes needlessly.
-type Summary struct {
-	// Width is the number of coordinates per point: the subspace's size,
-	// or the data's dimensionality for the full space. Zero means the
-	// site sent no summary.
-	Width int
-	// Coords holds the points one after another, each projected onto the
-	// subspace's dimensions in ascending order.
-	Coords []float64
-}
-
-// Len is the number of points in s.
-func (s Summary) Len() int {
-	if s.Width <= 0 {
-		return 0
-	}
-	return len(s.Coords) / s.Width
-}
-
-// Fits reports whether s is a whole summary of width points: the width
-// asked for, and whole points. The engines route by nothing else.
-func (s Summary) Fits(width int) bool {
-	return width > 0 && s.Width == width && len(s.Coords)%width == 0
-}
-
-// Project appends to dst the coordinates of p on dims, in order (nil:
-// every dimension): p as a summary on that subspace holds its points.
-func Project(dst []float64, p geom.Point, dims []int) []float64 {
-	if dims == nil {
-		return append(dst, p...)
-	}
-	for _, j := range dims {
-		dst = append(dst, p[j])
-	}
-	return dst
-}
-
-// Dominates reports whether some point of s dominates q, a point projected
-// as s's points are (Project); s must fit it (Fits).
-func (s Summary) Dominates(q []float64) bool {
-	return s.find(q, true)
-}
-
-// With returns s with p added, for a tuple inserted at the site: s itself
-// when a point of s dominates or equals p, otherwise a new summary without
-// the points p dominates and with p's projection last. s is never written,
-// so a summary a query still routes by stays as it was.
-func (s Summary) With(p geom.Point, dims []int) Summary {
-	q := Project(nil, p, dims)
-	if s.find(q, false) {
-		return s
-	}
-	w := s.Width
-	out := Summary{Width: w, Coords: make([]float64, 0, len(s.Coords)+w)}
-	for at := 0; at+w <= len(s.Coords); at += w {
-		// No point of s equals q here, so covering one is dominating it.
-		if point := s.Coords[at : at+w]; !covers(q, point) {
-			out.Coords = append(out.Coords, point...)
-		}
-	}
-	out.Coords = append(out.Coords, q...)
-	return out
-}
-
-// find reports whether some point of s dominates q or, unless strict,
-// equals it. It runs for every site a feedback might go to, so the test
-// is the tight loop of covers with the equality check only on a hit.
-func (s Summary) find(q []float64, strict bool) bool {
-	w := len(q)
-	for at := 0; w > 0 && at+w <= len(s.Coords); at += w {
-		if a := s.Coords[at : at+w]; covers(a, q) && (!strict || !slices.Equal(a, q)) {
-			return true
-		}
-	}
-	return false
-}
-
-// covers reports whether a is no larger than b on any coordinate.
-func covers(a, b []float64) bool {
-	for k, v := range a {
-		if v > b[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // SiteStatus is one site's operational snapshot, answered to KindStatus

@@ -7,7 +7,7 @@ import (
 	"repro/internal/geom"
 )
 
-// A summary on the subspace [0,2] of 3-d points: Dominates compares the
+// A summary on the subspace [0,2] of 3-d points: its index's Dominates compares the
 // projected coordinates with the point's own on those dimensions, With
 // adds a point only when nothing covers it, drops what it dominates, and
 // never writes the summary it was called on.
@@ -24,7 +24,7 @@ func TestSummaryDominatesAndWith(t *testing.T) {
 		{geom.Point{0.5, 0, 9}, false},
 		{geom.Point{9, 9, 0.5}, false},
 	} {
-		if got := s.Dominates(Project(nil, tc.p, dims)); got != tc.want {
+		if got := s.Index().Dominates(Project(nil, tc.p, dims)); got != tc.want {
 			t.Errorf("Dominates(%v) = %v, want %v", tc.p, got, tc.want)
 		}
 	}

@@ -41,14 +41,17 @@ type Sites interface {
 	Fanout(ctx context.Context, reqs []msg.Request) ([]*msg.Response, error)
 }
 
-// Summaries is what a Sites may also be: the keeper of each site's
-// summary (msg.Summary) on the subspace of the updates it carries, by
-// which an update sends its candidates only to the sites that may hold a
-// dominator of one of them. A site it holds none for (Width 0) is sent
-// every candidate. A query routes by the summaries its Init replies carry
-// instead.
+// Summaries is what a Sites may also be: the keeper of the sites'
+// summaries (msg.Summary), which hands each out with its index
+// (msg.Index), built once for as long as it keeps the summary. After a
+// query's Init, Summary is the index of the summary site's Init reply
+// carried; for an update, the index of its summary of site on the
+// updates' subspace, by which an update sends its candidates only to the
+// sites that may hold a dominator of one of them. A site it holds none for
+// (nil) is asked everything. A query over a Sites that keeps none routes
+// by indexes it builds from the Init replies.
 type Summaries interface {
-	Summary(site int) msg.Summary
+	Summary(site int) *msg.Index
 }
 
 // Options are the settings that change what the algorithm does.
@@ -140,14 +143,15 @@ func fold(local float64, home, sites int, factor func(site int) float64) float64
 // summary dominates nothing of the tuple holds no dominator of it (see
 // msg.Summary), so its eq. 9 factor is exactly 1 and it is not asked. A
 // site with no summary, or one of the wrong width, is asked everything.
+// Each summary is searched through its index (msg.Index).
 type route struct {
-	sums []msg.Summary
-	dims []int     // the subspace in ascending order; nil: the full space
-	q    []float64 // the tuple being routed, projected (to)
+	index []*msg.Index
+	dims  []int     // the subspace in ascending order; nil: the full space
+	q     []float64 // the tuple being routed, projected (to)
 }
 
 func newRoute(dims []int, sites int) route {
-	r := route{sums: make([]msg.Summary, sites)}
+	r := route{index: make([]*msg.Index, sites)}
 	if dims != nil {
 		r.dims = slices.Clone(dims)
 		slices.Sort(r.dims)
@@ -155,13 +159,23 @@ func newRoute(dims []int, sites int) route {
 	return r
 }
 
+// set makes site routed by s, the summary its Init reply carried: by the
+// index keeper keeps of it or, without a keeper, one built here.
+func (r *route) set(site int, s msg.Summary, keeper Summaries) {
+	if keeper != nil {
+		r.index[site] = keeper.Summary(site)
+	} else {
+		r.index[site] = s.Index()
+	}
+}
+
 // to makes t the tuple holds asks about.
 func (r *route) to(t uncertain.Tuple) { r.q = msg.Project(r.q[:0], t.Point, r.dims) }
 
 // holds says whether site may hold a dominator of the tuple (to).
 func (r *route) holds(site int) bool {
-	s := r.sums[site]
-	return !s.Fits(len(r.q)) || s.Dominates(r.q)
+	x := r.index[site]
+	return x == nil || x.Width != len(r.q) || x.Dominates(r.q)
 }
 
 // waits is how a query or an update reaches the sites: the next
@@ -199,11 +213,16 @@ type engine struct {
 	asked []bool
 	// owed[j] is the feedback site j was not sent, in broadcast order,
 	// which the next request sent to it carries to prune by (carry), and
-	// carried[j] how many the last carry put in its slot; done[j] says
-	// j's local skyline is exhausted, which leaves nothing to prune.
-	owed    [][]msg.Representative
-	carried []int
-	done    []bool
+	// carried[j] how many the last carry put in its slot; spare[j] is the
+	// list the carry before that sent, which owed[j] reuses after it; done[j]
+	// says j's local skyline is exhausted, which leaves nothing to prune.
+	owed, spare [][]msg.Representative
+	carried     []int
+	done        []bool
+	// dominates[x·m+y] says site x's queued representative dominates site
+	// y's, for e-DSUD's bounds: a site has at most one representative
+	// queued, and enqueue refreshes its row and column (recomputeBounds).
+	dominates []bool
 }
 
 func newEngine(sites Sites, opts Options, on func(Step)) *engine {
@@ -213,7 +232,8 @@ func newEngine(sites Sites, opts Options, on func(Step)) *engine {
 		Local:   make(map[uncertain.TupleID]float64),
 		PerSite: make([]SiteTally, m),
 	}, route: newRoute(opts.Dims, m), asked: make([]bool, m),
-		owed: make([][]msg.Representative, m), carried: make([]int, m), done: make([]bool, m)}
+		owed: make([][]msg.Representative, m), spare: make([][]msg.Representative, m),
+		carried: make([]int, m), done: make([]bool, m), dominates: make([]bool, m*m)}
 }
 
 // ask puts req in every slot of a fan-out but skip's (negative: all).
@@ -304,17 +324,24 @@ func Baseline(ctx context.Context, sites Sites, opts Options, on func(Step)) (*O
 // queued is one coordinator-side candidate: a site's current
 // representative, annotated with the Corollary-2 upper bound on its global
 // skyline probability (for DSUD the bound simply mirrors the local
-// probability, so both algorithms share one selection loop).
+// probability, so both algorithms share one selection loop), and the
+// Observation-2 factor P_sky(t, D_x)/P(t) × (1 − P(t)) it puts on the
+// bound of each candidate it dominates.
 type queued struct {
-	site  int
-	rep   msg.Representative
-	bound float64
+	site   int
+	rep    msg.Representative
+	bound  float64
+	factor float64
 }
 
 // Run executes the iterative protocol of §5: DSUD, or e-DSUD with
 // opts.Enhanced.
 func Run(ctx context.Context, sites Sites, opts Options, on func(Step)) (*Outcome, error) {
-	e := newEngine(sites, opts, on)
+	return newEngine(sites, opts, on).run(ctx)
+}
+
+func (e *engine) run(ctx context.Context) (*Outcome, error) {
+	opts := e.opts
 	e.resume()
 	// To-Server phase, first iteration: every site initialises and ships
 	// its first representative (§4 step 1), after pruning by whatever
@@ -327,8 +354,9 @@ func Run(ctx context.Context, sites Sites, opts Options, on func(Step)) (*Outcom
 		e.end()
 		return nil, err
 	}
+	keeper, _ := e.sites.(Summaries)
 	for i, resp := range resps {
-		e.route.sums[i] = resp.Summary
+		e.route.set(i, resp.Summary, keeper)
 		if !resp.Exhausted {
 			e.enqueue(i, resp.Rep)
 		}
@@ -482,12 +510,17 @@ func (e *engine) deliver(head queued) (asked int) {
 
 // carry hands every site sent a request in the coming fan-out the feedback
 // it is owed, in its request's Tuples, and returns how many tuples that
-// sends down (per site in carried).
+// sends down (per site in carried). The list handed over is the site's
+// spare from then on, and the spare the next list it is owed: Sites may
+// hold a request until its next fan-out returns (core's view keeps its
+// slots until then), and a list is written again only after the fan-out
+// that follows the one it rode.
 func (e *engine) carry() (down int) {
 	for j := range e.reqs {
 		e.carried[j] = 0
 		if e.reqs[j].Kind != 0 && len(e.owed[j]) > 0 {
-			e.reqs[j].Tuples, e.owed[j] = e.owed[j], nil
+			e.reqs[j].Tuples = e.owed[j]
+			e.owed[j], e.spare[j] = e.spare[j][:0], e.owed[j]
 			e.carried[j] = len(e.reqs[j].Tuples)
 			down += e.carried[j]
 		}
@@ -519,9 +552,19 @@ func (e *engine) ahead() bool {
 
 // enqueue admits site's representative to the queue. Its bound starts at
 // the Corollary-1 value (the local skyline probability); recomputeBounds
-// tightens it for e-DSUD.
+// tightens it for e-DSUD, by the dominance between it and every other
+// queued representative, which enqueue tests once, here.
 func (e *engine) enqueue(site int, rep msg.Representative) {
-	e.queue = append(e.queue, queued{site: site, rep: rep, bound: rep.LocalProb})
+	t := rep.Tuple
+	c := queued{site: site, rep: rep, bound: rep.LocalProb, factor: rep.LocalProb / t.Prob * (1 - t.Prob)}
+	if e.opts.Enhanced {
+		m := len(e.done)
+		for _, o := range e.queue {
+			e.dominates[site*m+o.site] = t.Dominates(o.rep.Tuple, e.opts.Dims)
+			e.dominates[o.site*m+site] = o.rep.Tuple.Dominates(t, e.opts.Dims)
+		}
+	}
+	e.queue = append(e.queue, c)
 	e.out.PerSite[site].Shipped++
 	e.event(Event{Kind: EventToServer, Site: site, Tuple: rep.Tuple, Prob: rep.LocalProb})
 }
@@ -636,11 +679,12 @@ func (e *engine) selectFeedback(ctx context.Context, lastSite int) (head queued,
 
 // recomputeBounds refreshes each queued candidate's upper bound. For DSUD
 // the bound is Corollary 1 (the local skyline probability). For e-DSUD it
-// is Corollary 2: the local probability multiplied, for every *other* site
-// whose queued representative dominates the candidate, by that
-// representative's Observation-2 factor P_sky(t, D_x)/P(t) × (1 − P(t)).
+// is Corollary 2: the local probability multiplied, in queue order, for
+// every *other* site whose queued representative dominates the candidate,
+// by that representative's Observation-2 factor. Which ones dominate is
+// read from the matrix enqueue keeps, so a refresh tests no dominance.
 func (e *engine) recomputeBounds() {
-	queue := e.queue
+	queue, m := e.queue, len(e.done)
 	for k := range queue {
 		queue[k].bound = queue[k].rep.LocalProb
 	}
@@ -649,13 +693,9 @@ func (e *engine) recomputeBounds() {
 	}
 	for k := range queue {
 		s := &queue[k]
-		for j := range queue {
-			t := &queue[j]
-			if t.site == s.site {
-				continue
-			}
-			if t.rep.Tuple.Dominates(s.rep.Tuple, e.opts.Dims) {
-				s.bound *= t.rep.LocalProb / t.rep.Tuple.Prob * (1 - t.rep.Tuple.Prob)
+		for _, t := range queue {
+			if t.site != s.site && e.dominates[t.site*m+s.site] {
+				s.bound *= t.factor
 			}
 		}
 	}

@@ -119,8 +119,8 @@ func (u *update) admit(ctx context.Context, cands []serve.Entry) error {
 	}
 	r := newRoute(u.opts.Dims, len(u.reqs))
 	if s, ok := u.sites.(Summaries); ok {
-		for j := range r.sums {
-			r.sums[j] = s.Summary(j)
+		for j := range r.index {
+			r.index[j] = s.Summary(j)
 		}
 	}
 	asked := make([]bool, len(u.reqs))

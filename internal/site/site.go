@@ -18,6 +18,7 @@ import (
 	"log/slog"
 	"math/rand/v2"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,8 +40,13 @@ type session struct {
 	query msg.Query
 	// sky is the not-yet-shipped suffix of SKY(D_i) as it stood at Init,
 	// in report order: a private copy of the maintained index's prefix,
-	// pruned in place, that later updates never touch.
-	sky []uncertain.SkylineMember
+	// pruned in place, that later updates never touch. points holds their
+	// points projected onto the query's dimensions (msg.Project), width
+	// coordinates each, in the same order, and feed a subspace feedback's.
+	sky    []uncertain.SkylineMember
+	points []float64
+	width  int
+	feed   []float64
 	// pruned counts local skyline tuples discarded by feedback.
 	pruned int
 	// shipped counts representatives handed to the coordinator; start
@@ -368,18 +374,15 @@ func (e *Engine) handleInit(req *msg.Request) (*msg.Response, error) {
 	if err := e.validCarried(req); err != nil {
 		return nil, err
 	}
-	s := &session{
-		query: req.Query,
-		sky:   slices.Clone(e.localSkyline(req.Query.Threshold, req.Query.Dims)),
-		start: time.Now().UnixNano(),
-	}
+	sky := slices.Clone(e.localSkyline(req.Query.Threshold, req.Query.Dims))
 	if len(req.RemoveIDs) > 0 {
 		known := make(map[uncertain.TupleID]bool, len(req.RemoveIDs))
 		for _, id := range req.RemoveIDs {
 			known[id] = true
 		}
-		s.sky = slices.DeleteFunc(s.sky, func(m uncertain.SkylineMember) bool { return known[m.Tuple.ID] })
+		sky = slices.DeleteFunc(sky, func(m uncertain.SkylineMember) bool { return known[m.Tuple.ID] })
 	}
+	s := newSession(req.Query, sky, e.index.Dims())
 	e.sessions[req.Session] = s
 	resp := &msg.Response{Version: e.version()}
 	if req.SummaryVersion != resp.Version {
@@ -446,6 +449,20 @@ func (e *Engine) handleNext(req *msg.Request) (*msg.Response, error) {
 	return resp, nil
 }
 
+// newSession opens a session of query over sky, its local skyline in
+// report order, on points of d dimensions.
+func newSession(query msg.Query, sky []uncertain.SkylineMember, d int) *session {
+	s := &session{query: query, sky: sky, width: d, start: time.Now().UnixNano()}
+	if query.Dims != nil {
+		s.width = len(query.Dims)
+	}
+	s.points = make([]float64, 0, len(sky)*s.width)
+	for _, m := range sky {
+		s.points = msg.Project(s.points, m.Tuple.Point, query.Dims)
+	}
+	return s
+}
+
 // next moves the session's head into resp as its representative, or marks
 // resp exhausted. The session's members alias the tree's points; the
 // response gets its own.
@@ -455,7 +472,7 @@ func (s *session) next(resp *msg.Response) {
 		return
 	}
 	head := s.sky[0]
-	s.sky = s.sky[1:]
+	s.sky, s.points = s.sky[1:], s.points[s.width:]
 	s.shipped++
 	resp.Rep = msg.Representative{Tuple: head.Tuple.Clone(), LocalProb: head.Prob}
 }
@@ -533,25 +550,58 @@ func (e *Engine) handleEvaluate(req *msg.Request) (*msg.Response, error) {
 //
 // proves it below the query threshold (uncertain.BoundBelow) — a sound
 // prune because every dominator of t at t's home site also dominates s.
-// force drops every dominated tuple regardless (TestingForceBadPrune).
+// The bound only falls with P_sky(s, D_x), which falls along the report
+// order, so the tuples it proves below the threshold are a suffix of the
+// remaining ones, found by binary search; only they are tested for
+// dominance, on the projected points, and only the list from the first
+// one pruned is moved up. force drops every dominated tuple regardless
+// (TestingForceBadPrune).
 func (s *session) prune(feed msg.Feedback, force bool) int {
 	if s.query.NoPrune || len(s.sky) == 0 {
 		return 0
 	}
 	homeFactor := feed.HomeLocalProb / feed.Tuple.Prob * (1 - feed.Tuple.Prob)
-	pruned := 0
-	kept := s.sky[:0]
-	for _, cand := range s.sky {
-		if feed.Tuple.Dominates(cand.Tuple, s.query.Dims) &&
-			(force || uncertain.BoundBelow(cand.Prob*homeFactor, s.query.Threshold)) {
-			pruned++
-			continue
-		}
-		kept = append(kept, cand)
+	from := 0
+	if !force {
+		from = sort.Search(len(s.sky), func(i int) bool {
+			return uncertain.BoundBelow(s.sky[i].Prob*homeFactor, s.query.Threshold)
+		})
 	}
-	s.sky = kept
+	w, q := s.width, []float64(feed.Tuple.Point)
+	if s.query.Dims != nil {
+		s.feed = msg.Project(s.feed[:0], q, s.query.Dims)
+		q = s.feed
+	}
+	kept := from
+	for i := from; i < len(s.sky); i++ {
+		if point := s.points[i*w : i*w+w]; !dominates(q, point) {
+			if kept < i {
+				s.sky[kept] = s.sky[i]
+				copy(s.points[kept*w:kept*w+w], point)
+			}
+			kept++
+		}
+	}
+	pruned := len(s.sky) - kept
+	s.sky, s.points = s.sky[:kept], s.points[:kept*w]
 	s.pruned += pruned
 	return pruned
+}
+
+// dominates reports whether a dominates b, two points of one width: no
+// larger on any coordinate and smaller on one (geom.Point.DominatesIn on
+// the projections).
+func dominates(a, b []float64) bool {
+	strict := false
+	for k, v := range a {
+		switch {
+		case v > b[k]:
+			return false
+		case v < b[k]:
+			strict = true
+		}
+	}
+	return strict
 }
 
 // evaluateBatch answers a sessionless Evaluate carrying candidates: the
