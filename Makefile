@@ -42,11 +42,12 @@ test:
 # clients deliver into them; the detector is the check, so the seam tests
 # that mix kinds, fail mid-fan-out (over TCP too, with late replies) and
 # replay recordings run ten times over, and so do the health sweep, the
-# two-wave updates (through the maintainer and through the update engine
+# two-wave updates (through the Server and through the update engine
 # alone), the failed-update path, the one call path metering, timing and
 # recording a fan-out's calls, the slow-query record, the deferred
 # refills an e-DSUD round admits from a broadcast's replies, the resumed
-# reads that race the serving tier's updates under its read-write lock,
+# and protocol reads that race the serving tier's updates under its
+# read-write lock,
 # the routed rounds with the cluster's summary cache that concurrent
 # queries and updates share, the indexes that cache builds once per entry,
 # the owed feedback lists a round reuses while the view still holds the

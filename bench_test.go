@@ -260,7 +260,7 @@ func benchUpdates(b *testing.B, parts []uncertain.DB, incremental bool) {
 		b.Fatal(err)
 	}
 	defer cluster.Close()
-	maint, err := core.NewMaintainer(ctx, cluster, core.Options{Threshold: 0.3})
+	maint, err := cluster.Serve(ctx, core.ServeConfig{Floor: 0.3})
 	if err != nil {
 		b.Fatal(err)
 	}

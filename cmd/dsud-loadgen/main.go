@@ -153,14 +153,6 @@ func run() int {
 	}
 	cluster.SetFlightRecorder(fr)
 
-	// With a maintenance mix, the §5.4 update path gets its own latency
-	// window and dsud_update_* counters alongside the query windows.
-	var updWindow *obs.Window
-	if *updFrac > 0 {
-		updWindow = obs.NewWindow(obs.DefWindowWidth)
-		obs.ExposeWindow(reg, "dsud_update_latency_seconds", updWindow)
-	}
-
 	// -mode materialized warms a coordinator-side serving tier once and
 	// answers every query from its sorted prefix; the update stream (if
 	// any) flows through the same tier so reads stay exact.
@@ -241,7 +233,6 @@ func run() int {
 		BurstPeriod:    *burstP,
 		Seed:           *seed,
 		Window:         sched,
-		UpdateWindow:   updWindow,
 		UpdateMetrics:  reg,
 		Auditor:        auditor,
 		Requests:       requests,

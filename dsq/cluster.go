@@ -8,9 +8,9 @@ import (
 
 // Cluster construction, querying and serving. Connect is the single
 // constructor; Cluster.Query runs one protocol round per call and
-// returns its Report; Cluster.Serve materializes the answer once
-// and serves reads from it (docs/SERVING.md); NewMaintainer keeps an
-// answer current under updates.
+// returns its Report; Cluster.Serve materializes the answer once,
+// keeps it current under the inserts and deletes routed through the
+// Server, and serves reads from it (docs/SERVING.md).
 //
 // The constructors that predate Connect, the free query functions and
 // the per-query stats methods have been removed; see docs/SERVING.md
@@ -28,14 +28,12 @@ type (
 	// dimensionality, transport behaviour (RetryAttempts) and
 	// observability attachments (Logger, Metrics, FlightRecorder).
 	ClusterConfig = core.ClusterConfig
-	// Maintainer keeps a query answer current under inserts and deletes.
-	Maintainer = core.Maintainer
 
 	// Server answers queries from a coordinator-side materialized global
-	// skyline: one protocol round builds a sorted P_g-sky index, updates
-	// keep it positioned, and a read with threshold q becomes an
-	// O(answer) sorted-prefix scan. Built by Cluster.Serve; see
-	// docs/SERVING.md.
+	// skyline: one protocol round builds a sorted P_g-sky index, its
+	// Insert and Delete keep it positioned (§5.4), and a read with
+	// threshold q becomes an O(answer) sorted-prefix scan. Built by
+	// Cluster.Serve; see docs/SERVING.md.
 	Server = core.Server
 	// ServeConfig configures Cluster.Serve: the materialization floor
 	// threshold, subspace, refresh algorithm, staleness bound and
@@ -103,12 +101,6 @@ var (
 // done.
 func Connect(cfg ClusterConfig) (*Cluster, error) {
 	return core.Open(cfg)
-}
-
-// NewMaintainer runs the initial query and returns a maintainer that keeps
-// the answer current while tuples are inserted and deleted (§5.4).
-func NewMaintainer(ctx context.Context, cluster *Cluster, opts Options) (*Maintainer, error) {
-	return core.NewMaintainer(ctx, cluster, opts)
 }
 
 // QueryPartitions is a convenience one-shot: build an in-process cluster

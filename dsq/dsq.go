@@ -38,8 +38,9 @@
 //
 // The API is split by concern:
 //
-//   - cluster.go: building clusters (Connect, ClusterConfig) and running
-//     queries (Cluster.Query, NewMaintainer).
+//   - cluster.go: building clusters (Connect, ClusterConfig), running
+//     queries (Cluster.Query) and serving a maintained answer
+//     (Cluster.Serve).
 //   - workload.go: synthetic workload generation and partitioning (§7 of
 //     the paper), vertical partitioning, and sliding-window streams.
 //   - observe.go: traces, metrics, structured logs, flight recording,

@@ -88,7 +88,7 @@ func TestMaintainerThroughFacade(t *testing.T) {
 	}
 	defer cluster.Close()
 	ctx := context.Background()
-	maint, err := dsq.NewMaintainer(ctx, cluster, dsq.Options{Threshold: 0.3})
+	maint, err := cluster.Serve(ctx, dsq.ServeConfig{Floor: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}

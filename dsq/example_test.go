@@ -37,9 +37,9 @@ func ExampleConnect() {
 	// (3, 2) P=0.60
 }
 
-// A maintained query: the answer stays current as tuples are inserted
-// and deleted, without re-running the query from scratch (§5.4).
-func ExampleNewMaintainer() {
+// A served answer stays current as tuples are inserted and deleted
+// through its Server, without re-running the query from scratch (§5.4).
+func ExampleCluster_Serve() {
 	parts := []dsq.DB{
 		{{ID: 1, Point: dsq.Point{5, 5}, Prob: 0.9}},
 		{{ID: 2, Point: dsq.Point{8, 8}, Prob: 0.8}},
@@ -51,7 +51,7 @@ func ExampleNewMaintainer() {
 	defer cluster.Close()
 
 	ctx := context.Background()
-	m, err := dsq.NewMaintainer(ctx, cluster, dsq.Options{Threshold: 0.3})
+	m, err := cluster.Serve(ctx, dsq.ServeConfig{Floor: 0.3})
 	if err != nil {
 		log.Fatal(err)
 	}

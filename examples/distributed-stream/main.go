@@ -1,6 +1,6 @@
 // Distributed stream: a continuously maintained global skyline over
 // sliding windows at the sites — composing the §5.4 incremental
-// maintainer with window semantics.
+// maintenance of a served answer with window semantics.
 //
 // Each of four regional gateways keeps only its most recent readings
 // (a per-site sliding window). Every arrival is an Insert, every expiry a
@@ -49,13 +49,10 @@ func main() {
 	defer cluster.Close()
 	ctx := context.Background()
 
-	maint, err := dsq.NewMaintainer(ctx, cluster, dsq.Options{Threshold: 0.3})
-	if err != nil {
-		log.Fatal(err)
-	}
 	// Replicate SKY(H) to the gateways so hopeless arrivals never trigger
 	// a global round (§5.4).
-	if err := maint.EnableReplicas(ctx); err != nil {
+	srv, err := cluster.Serve(ctx, dsq.ServeConfig{Floor: 0.3, Replicate: true})
+	if err != nil {
 		log.Fatal(err)
 	}
 
@@ -79,16 +76,16 @@ func main() {
 		// Slide: evict the oldest reading at this gateway first.
 		oldest := windows[gw][0]
 		windows[gw] = windows[gw][1:]
-		if err := maint.Delete(ctx, gw, oldest); err != nil {
+		if err := srv.Delete(ctx, gw, oldest); err != nil {
 			log.Fatal(err)
 		}
-		if err := maint.Insert(ctx, gw, reading); err != nil {
+		if err := srv.Insert(ctx, gw, reading); err != nil {
 			log.Fatal(err)
 		}
 		windows[gw] = append(windows[gw], reading)
 
 		if (arrival+1)%3000 == 0 {
-			sky := maint.Skyline()
+			sky := srv.Skyline()
 			fmt.Printf("after %5d arrivals: %2d global skyline readings (best P = %.3f)\n",
 				arrival+1, len(sky), sky[0].Prob)
 		}
@@ -98,5 +95,5 @@ func main() {
 		arrivals, elapsed.Round(time.Millisecond),
 		float64(elapsed.Microseconds())/float64(arrivals)/1000)
 	fmt.Printf("final answer: %d readings across %d gateways\n",
-		len(maint.Skyline()), gateways)
+		len(srv.Skyline()), gateways)
 }

@@ -47,12 +47,12 @@ func main() {
 	ctx := context.Background()
 
 	start := time.Now()
-	maint, err := dsq.NewMaintainer(ctx, cluster, dsq.Options{Threshold: 0.3})
+	srv, err := cluster.Serve(ctx, dsq.ServeConfig{Floor: 0.3})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("initial query over %d readings: %d skyline tuples in %v\n\n",
-		readings, len(maint.Skyline()), time.Since(start).Round(1e6))
+		readings, len(srv.Skyline()), time.Since(start).Round(1e6))
 
 	// Mirror the partitions so we can pick live victims to delete.
 	live := make([]dsq.DB, gateways)
@@ -73,7 +73,7 @@ func main() {
 				Prob:  0.05 + 0.95*r.Float64(),
 			}
 			nextID++
-			if err := maint.Insert(ctx, gw, tu); err != nil {
+			if err := srv.Insert(ctx, gw, tu); err != nil {
 				log.Fatal(err)
 			}
 			live[gw] = append(live[gw], tu)
@@ -82,7 +82,7 @@ func main() {
 			k := r.Intn(len(live[gw]))
 			victim := live[gw][k]
 			live[gw] = append(live[gw][:k], live[gw][k+1:]...)
-			if err := maint.Delete(ctx, gw, victim); err != nil {
+			if err := srv.Delete(ctx, gw, victim); err != nil {
 				log.Fatal(err)
 			}
 			deletes++
@@ -92,16 +92,16 @@ func main() {
 	fmt.Printf("incremental maintenance: %d inserts + %d deletes in %v (%.2f ms/update)\n",
 		inserts, deletes, incElapsed.Round(1e6),
 		float64(incElapsed.Microseconds())/float64(churn)/1000)
-	fmt.Printf("answer is now %d skyline tuples\n\n", len(maint.Skyline()))
+	fmt.Printf("answer is now %d skyline tuples\n\n", len(srv.Skyline()))
 
 	// The naive alternative: a full re-query per update. One is enough to
 	// make the point.
 	start = time.Now()
-	if err := maint.Refresh(ctx); err != nil {
+	if err := srv.Refresh(ctx); err != nil {
 		log.Fatal(err)
 	}
 	refresh := time.Since(start)
 	fmt.Printf("one naive recompute costs %v — %d of them would have taken %v\n",
 		refresh.Round(1e6), churn, (refresh * churn).Round(1e8))
-	fmt.Printf("(and the refresh confirms the incremental answer: %d tuples)\n", len(maint.Skyline()))
+	fmt.Printf("(and the refresh confirms the incremental answer: %d tuples)\n", len(srv.Skyline()))
 }

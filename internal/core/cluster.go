@@ -188,13 +188,13 @@ func (c *Cluster) countQuery(a Algorithm) {
 	}
 }
 
-// view is one query's (or one maintainer's) handle on the cluster: the
+// view is one query's (or one Server's updates') handle on the cluster: the
 // shared connections plus what watches this caller's calls — its own
 // meter, so per-query bandwidth stays exact even when queries overlap,
 // its trace, whose context is stamped on every outgoing RPC, and its
 // transcript recorder. Each is nil when nobody reads it. It is the round
 // engine's Sites: session and query are what it binds to the engine's
-// requests (a maintainer's view has no session, and binds its query).
+// requests (an update view has no session, and binds its query).
 type view struct {
 	cluster *Cluster
 	meter   *transport.Meter
@@ -283,7 +283,7 @@ func (c *Cluster) Close() error {
 }
 
 // fanout is the coordinator's one call path to the sites: every view's
-// fan-outs (queries, maintainers, Cluster.Partitions) and every health
+// fan-outs (queries, updates, Cluster.Partitions) and every health
 // sweep go through it. It sends every filled slot of v.wire to its site,
 // then collects one reply per slot into v.resps and v.errs, in arrival
 // order and all on the caller's goroutine: in-process sites answer inside
@@ -511,9 +511,10 @@ func (v *view) send(ctx context.Context, site int, req msg.Request) ([]*msg.Resp
 func (v *view) Len() int { return len(v.cluster.clients) }
 
 func (v *view) Fanout(ctx context.Context, reqs []msg.Request) ([]*msg.Response, error) {
-	for i, r := range reqs {
-		v.wire[i] = v.bind(r)
-		if r.Kind == msg.KindInit {
+	for i := range reqs {
+		v.wire[i] = reqs[i]
+		v.bind(&v.wire[i])
+		if v.wire[i].Kind == msg.KindInit {
 			if v.held == nil {
 				v.held = make([]summary, len(reqs))
 			}
@@ -525,9 +526,9 @@ func (v *view) Fanout(ctx context.Context, reqs []msg.Request) ([]*msg.Response,
 }
 
 // Summary makes a view the engines' round.Summaries: on a query's view the
-// index of the summary site's Init reply carried, and on a maintainer's,
+// index of the summary site's Init reply carried, and on an update view,
 // which sends no Init, the index of the cluster's cached summary of site
-// on the view's subspace, which the maintainer's own updates keep current.
+// on the view's subspace, which the coordinator's own updates keep current.
 func (v *view) Summary(site int) *msg.Index {
 	if v.routes != nil {
 		return v.routes[site]
@@ -535,11 +536,12 @@ func (v *view) Summary(site int) *msg.Index {
 	return v.cluster.summaries.indexed(site, v.dims, 0)
 }
 
-// bind is the one place a request gets its session and query. A query's
-// view binds its session to an init, next, evaluate and end-query, and its
-// query to the init; a maintainer's has no session, and binds its query to
-// an insert, delete, candidates and (batched) evaluate.
-func (v *view) bind(r msg.Request) msg.Request {
+// bind is the one place a request gets its session and query, filled in
+// place. A query's view binds its session to an init, next, evaluate and
+// end-query, and its query to the init; a Server's update view has no
+// session, and binds its query to an insert, delete, candidates and
+// (batched) evaluate.
+func (v *view) bind(r *msg.Request) {
 	switch r.Kind {
 	case msg.KindInit:
 		r.Session, r.Query = v.session, v.query
@@ -554,7 +556,6 @@ func (v *view) bind(r msg.Request) msg.Request {
 	case msg.KindInsert, msg.KindDelete, msg.KindCandidates:
 		r.Query = v.query
 	}
-	return r
 }
 
 // endSession releases the per-site session state when the query ends,
@@ -563,5 +564,7 @@ func (v *view) bind(r msg.Request) msg.Request {
 func (v *view) endSession() {
 	cleanup, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	v.send(cleanup, -1, v.bind(msg.Request{Kind: msg.KindEndQuery}))
+	req := msg.Request{Kind: msg.KindEndQuery}
+	v.bind(&req)
+	v.send(cleanup, -1, req)
 }

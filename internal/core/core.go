@@ -297,8 +297,8 @@ func (o Options) Validate(dims int) error {
 
 // withDefaults resolves the defaulted fields — the one place the
 // "zero Algorithm means e-DSUD" rule lives. Every entry point (Run,
-// NewMaintainer, Server) normalises through it, so the resolved options
-// a query executes with are identical everywhere.
+// Cluster.Serve, Server.Query) normalises through it, so the resolved
+// options a query executes with are identical everywhere.
 func (o Options) withDefaults() Options {
 	if o.Algorithm == 0 {
 		o.Algorithm = EDSUD

@@ -79,13 +79,26 @@ func TestResumedReadMatchesProtocolRound(t *testing.T) {
 	}
 }
 
-// Resumed reads race a stream of Server.Insert/Delete calls. Each read
-// holds the update lock's read side from its store snapshot to the end of
-// its round, so it sees the data after some whole number of updates: the
-// answer must be the oracle's (at the churn tolerance) for one of the
-// states between the updates done when it started and those begun when
-// it returned. Every message waits 200µs, so rounds span many updates.
+// Reads through a Server race a stream of its Insert/Delete calls:
+// resumed ModeAuto reads, and full ModeProtocol rounds of DSUD and of
+// e-DSUD. Each round holds the update lock's read side (a resumed one
+// from its store snapshot) to its end, so it sees the data after some
+// whole number of updates: the answer must be the oracle's (at the churn
+// tolerance) for one of the states between the updates done when it
+// started and those begun when it returned. Every message waits 200µs,
+// so rounds span many updates; a protocol round that let updates land
+// under it misses that in most runs of 200 updates, and not in 40.
 func TestResumedReadsRaceUpdates(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mode Mode
+		algo Algorithm
+	}{{"auto", ModeAuto, 0}, {"protocol-dsud", ModeProtocol, DSUD}, {"protocol-edsud", ModeProtocol, EDSUD}} {
+		t.Run(tc.name, func(t *testing.T) { raceReadsAgainstUpdates(t, tc.mode, tc.algo) })
+	}
+}
+
+func raceReadsAgainstUpdates(t *testing.T, mode Mode, algo Algorithm) {
 	ctx := context.Background()
 	const floor = 0.3
 	qs := []float64{0.25, 0.18, 0.1}
@@ -122,7 +135,7 @@ func TestResumedReadsRaceUpdates(t *testing.T) {
 	states := [][][]uncertain.SkylineMember{oracle()}
 	var ops []op
 	nextID := uncertain.TupleID(len(union) + 1)
-	for len(ops) < 40 {
+	for len(ops) < 200 {
 		home := r.Intn(len(mirror))
 		if r.Intn(2) == 0 {
 			tu := uncertain.Tuple{ID: nextID, Point: geom.Point{0.3 * r.Float64(), 0.3 * r.Float64()}, Prob: 0.05 + 0.95*r.Float64()}
@@ -163,14 +176,14 @@ func TestResumedReadsRaceUpdates(t *testing.T) {
 			for i := 0; done.Load() < int64(len(ops)) || i < 3; i++ {
 				k := (reader + i) % len(qs)
 				lo := done.Load()
-				rep, err := server.Query(ctx, Options{Threshold: qs[k], Mode: ModeAuto})
+				rep, err := server.Query(ctx, Options{Threshold: qs[k], Mode: mode, Algorithm: algo})
 				hi := begun.Load()
 				if err != nil {
 					t.Errorf("read q=%v: %v", qs[k], err)
 					return
 				}
-				if rep.Resumed == 0 || rep.Source != SourceProtocol {
-					t.Errorf("read q=%v: source %v, resumed %d; want a resumed protocol round", qs[k], rep.Source, rep.Resumed)
+				if (rep.Resumed > 0) != (mode == ModeAuto) || rep.Source != SourceProtocol {
+					t.Errorf("read q=%v: source %v, resumed %d; want a protocol round, resumed only under ModeAuto", qs[k], rep.Source, rep.Resumed)
 				}
 				match := false
 				for j := lo; j <= hi && !match; j++ {

@@ -233,7 +233,7 @@ func TestClusterLatencyDelaysEachCall(t *testing.T) {
 // a trace and recording all on: the transcript holds exactly the
 // calls the query's meter charged and their wire bytes, the query's meter
 // equals the cluster meter's delta over it, and the rpc counters count
-// exactly the messages the cluster meter did — maintainer updates and
+// exactly the messages the cluster meter did — Server updates and
 // status probes included.
 func TestOneCallPathAccountsEveryRPC(t *testing.T) {
 	parts, union := makeWorkload(t, 400, 2, 3, gen.Anticorrelated, 97)
@@ -284,7 +284,7 @@ func TestOneCallPathAccountsEveryRPC(t *testing.T) {
 		}
 	}
 
-	maint, err := NewMaintainer(ctx, cluster, Options{Threshold: 0.3})
+	maint, err := cluster.Serve(ctx, ServeConfig{Floor: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}

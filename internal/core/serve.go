@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/msg"
 	"repro/internal/obs"
 	"repro/internal/obs/progress"
 	"repro/internal/round"
@@ -18,9 +19,9 @@ import (
 )
 
 // This file is the coordinator-side materialized serving tier: the
-// Maintainer's answer is a sorted index (internal/serve) that its updates
-// edit in place, and reads of it are O(answer) sorted-prefix scans
-// instead of protocol rounds. See docs/SERVING.md.
+// Server's answer is a sorted index (internal/serve) that its updates
+// (updates.go) edit in place, and reads of it are O(answer) sorted-prefix
+// scans instead of protocol rounds. See docs/SERVING.md.
 
 // ErrUncovered reports a ModeMaterialized query the materialization
 // cannot answer: its threshold lies below the Server's floor, or its
@@ -48,12 +49,13 @@ type ServeConfig struct {
 	// through Server.Insert/Delete.
 	MaxStaleness time.Duration
 	// Replicate pushes SKY(H) replicas to the sites and keeps them in
-	// sync (Maintainer.EnableReplicas), letting sites veto hopeless
-	// insert evaluations.
+	// sync through every update, letting sites veto hopeless insert
+	// evaluations.
 	Replicate bool
 	// Metrics, when set, registers the serving counters
 	// (dsud_serve_{hits,misses,refreshes,coalesced}_total), store gauges
-	// and serve-latency quantiles on the registry.
+	// and serve-latency quantiles on the registry, and the update path's
+	// dsud_update_* counters and its dsud_update_latency_seconds window.
 	Metrics *obs.Registry
 	// Window, when set, receives one latency observation per served
 	// read (default: a fresh one-minute window, readable via Stats and
@@ -62,11 +64,12 @@ type ServeConfig struct {
 }
 
 // Server answers skyline queries from a materialized global skyline,
-// refreshing it with (coalesced) protocol rounds only when the
-// freshness policy demands. Build one with Cluster.Serve. Safe for
-// concurrent use: reads share an RLock on the store; updates and
-// refreshes serialise on the maintainer, and a read that resumes from
-// the store holds mu's read side so that none lands under it.
+// keeps it current under inserts and deletes (§5.4), and refreshes it
+// with (coalesced) protocol rounds only when the freshness policy
+// demands. Build one with Cluster.Serve. Safe for concurrent use:
+// covered reads share an RLock on the store; updates and refreshes hold
+// mu's write side, and every protocol round holds its read side, so that
+// no update lands under a round.
 type Server struct {
 	cluster  *Cluster
 	opts     Options // materialization options (Threshold = floor)
@@ -74,10 +77,16 @@ type Server struct {
 	maxStale time.Duration
 	key      string // coalescing key: one refresh per floor
 
-	// mu serialises maintainer operations (write side) against resumed
-	// reads (read side), which run concurrently with each other.
-	mu    sync.RWMutex
-	maint *Maintainer // its store is the materialization every read serves
+	// mu serialises updates and refreshes (write side) against protocol
+	// rounds (read side), which run concurrently with each other. It
+	// guards the update path's state: the store, which is the answer every
+	// covered read serves (invalid after a failed update until a refresh),
+	// the update view and whether the sites hold replicas.
+	mu         sync.RWMutex
+	store      *serve.Store
+	view       *view
+	replicated bool
+	instr      *maintInstr // nil without ServeConfig.Metrics
 
 	group     serve.Group
 	hits      atomic.Int64
@@ -89,11 +98,12 @@ type Server struct {
 }
 
 // Serve materializes the global skyline at cfg.Floor with one protocol
-// round and returns the serving tier over it. The Server owns a
-// Maintainer: route updates through Server.Insert/Delete and the
-// materialization stays exact; if updates can bypass the server, set
-// MaxStaleness (or call Invalidate) so reads re-converge via refresh
-// rounds.
+// round and returns the serving tier over it: route updates through
+// Server.Insert/Delete and the materialization stays exact; if updates
+// can bypass the server, set MaxStaleness (or call Invalidate) so reads
+// re-converge via refresh rounds. The Baseline algorithm is rejected:
+// maintenance relies on the per-site query state that only the
+// DSUD-family protocols establish.
 func (c *Cluster) Serve(ctx context.Context, cfg ServeConfig) (*Server, error) {
 	if ctx == nil {
 		return nil, ErrNilContext
@@ -102,14 +112,8 @@ func (c *Cluster) Serve(ctx context.Context, cfg ServeConfig) (*Server, error) {
 	if err := mopts.Validate(c.dims); err != nil {
 		return nil, fmt.Errorf("core: serve config: %w", err)
 	}
-	maint, err := NewMaintainer(ctx, c, mopts)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Replicate {
-		if err := maint.EnableReplicas(ctx); err != nil {
-			return nil, err
-		}
+	if mopts.Algorithm == Baseline {
+		return nil, fmt.Errorf("%w: serving requires DSUD or EDSUD, not %v", ErrAlgorithm, mopts.Algorithm)
 	}
 	win := cfg.Window
 	if win == nil {
@@ -121,7 +125,17 @@ func (c *Cluster) Serve(ctx context.Context, cfg ServeConfig) (*Server, error) {
 		window:   win,
 		maxStale: cfg.MaxStaleness,
 		key:      fmt.Sprintf("refresh@%g", cfg.Floor),
-		maint:    maint,
+		store:    serve.New(mopts.Threshold),
+		view:     c.newView(nil, 0, msg.Query{Threshold: mopts.Threshold, Dims: mopts.Dims}),
+		instr:    newMaintInstr(cfg.Metrics),
+	}
+	if err := s.refresh(ctx); err != nil {
+		return nil, err
+	}
+	if cfg.Replicate {
+		if err := s.replicate(ctx); err != nil {
+			return nil, err
+		}
 	}
 	s.instrument(cfg.Metrics)
 	return s, nil
@@ -143,15 +157,15 @@ func (s *Server) instrument(reg *obs.Registry) {
 	s.cMisses = reg.Counter("dsud_serve_misses_total")
 	s.cRefreshes = reg.Counter("dsud_serve_refreshes_total")
 	s.cCoalesced = reg.Counter("dsud_serve_coalesced_total")
-	reg.GaugeFunc("dsud_serve_entries", func() float64 { return float64(s.maint.store.Len()) })
-	reg.GaugeFunc("dsud_serve_version", func() float64 { return float64(s.maint.store.Version()) })
+	reg.GaugeFunc("dsud_serve_entries", func() float64 { return float64(s.store.Len()) })
+	reg.GaugeFunc("dsud_serve_version", func() float64 { return float64(s.store.Version()) })
 	obs.ExposeWindow(reg, "dsud_serve_latency", s.window)
 }
 
 // covers reports whether the materialization can answer opts exactly:
 // same subspace, threshold at or above the floor.
 func (s *Server) covers(opts Options) bool {
-	return s.maint.store.Covers(opts.Threshold) && sameDims(opts.Dims, s.opts.Dims)
+	return s.store.Covers(opts.Threshold) && sameDims(opts.Dims, s.opts.Dims)
 }
 
 // sameDims compares two subspaces as sets (dominance does not depend
@@ -181,9 +195,9 @@ func sameDims(a, b []int) bool {
 // ErrUncovered when the materialization cannot answer); ModeAuto — the
 // recommended serving mode — serves when covered, and falls back to a
 // protocol round when not, resumed from the materialization where it
-// can be (resume). Report.Source records which path ran. A resumed read
-// holds off updates while it runs, so its OnResult and OnEvent callbacks
-// must not call back into the Server.
+// can be (protocol). Report.Source records which path ran. A protocol
+// round, resumed or not, holds off updates while it runs, so its OnResult
+// and OnEvent callbacks must not call back into the Server.
 func (s *Server) Query(ctx context.Context, opts Options) (*Report, error) {
 	if ctx == nil {
 		return nil, ErrNilContext
@@ -193,15 +207,15 @@ func (s *Server) Query(ctx context.Context, opts Options) (*Report, error) {
 		return nil, err
 	}
 	if opts.Mode == ModeProtocol {
-		return s.protocol(ctx, opts)
+		return s.protocol(ctx, opts, false)
 	}
 	if !s.covers(opts) {
 		if opts.Mode == ModeAuto {
 			s.miss()
-			return s.resume(ctx, opts)
+			return s.protocol(ctx, opts, true)
 		}
 		return nil, fmt.Errorf("%w: threshold %v / subspace %v against floor %v / subspace %v",
-			ErrUncovered, opts.Threshold, opts.Dims, s.maint.store.Floor(), s.opts.Dims)
+			ErrUncovered, opts.Threshold, opts.Dims, s.store.Floor(), s.opts.Dims)
 	}
 	if opts.Logger == nil {
 		opts.Logger = s.cluster.logger
@@ -213,7 +227,7 @@ func (s *Server) Query(ctx context.Context, opts Options) (*Report, error) {
 	o := observer{c: s.cluster, opts: &opts, qid: qid, start: start}
 
 	source := SourceMaterialized
-	if s.maint.store.Fresh(start, s.maxStale) {
+	if s.store.Fresh(start, s.maxStale) {
 		s.hit()
 	} else {
 		// Stale: every concurrent compatible query shares one refresh
@@ -230,44 +244,37 @@ func (s *Server) Query(ctx context.Context, opts Options) (*Report, error) {
 	return rep, err
 }
 
-// protocol runs a full round on the underlying cluster.
-func (s *Server) protocol(ctx context.Context, opts Options) (*Report, error) {
+// protocol runs a round on the underlying cluster under the read side of
+// mu, which keeps every update out to the end of the round: the sites'
+// data, and a store the round resumes from, stay one state. With resume
+// (an uncovered ModeAuto read) the round resumes from the store when the
+// read is uncovered only because its threshold lies below the floor —
+// same subspace as a set, DSUD or e-DSUD, neither TopK nor MaxResults,
+// not forced to record — and the store is valid and fresh: it reports
+// the store's members at once and runs only over the band below the
+// floor (round.Options.Known). Otherwise it runs a full round; an invalid
+// or stale store never triggers a refresh here.
+func (s *Server) protocol(ctx context.Context, opts Options, resume bool) (*Report, error) {
 	opts.Mode = ModeProtocol
-	return Run(ctx, s.cluster, opts)
-}
-
-// resume answers an uncovered ModeAuto read. When the read is uncovered
-// only because its threshold lies below the floor — same subspace as a
-// set, DSUD or e-DSUD, neither TopK nor MaxResults, not forced to record
-// — and the store is valid and fresh, the round resumes from the store:
-// it reports the store's members at once and runs only over the band
-// below the floor (round.Options.Known). The read side of mu keeps every
-// update out from the snapshot to the end of the round, so the members
-// and the sites' data stay one state. Otherwise the read runs a full
-// round; an invalid or stale store never triggers a refresh here.
-func (s *Server) resume(ctx context.Context, opts Options) (*Report, error) {
-	if !sameDims(opts.Dims, s.opts.Dims) || opts.Algorithm == Baseline || opts.TopK > 0 || opts.MaxResults > 0 || opts.Record {
-		return s.protocol(ctx, opts)
-	}
+	resume = resume && sameDims(opts.Dims, s.opts.Dims) && opts.Algorithm != Baseline &&
+		opts.TopK == 0 && opts.MaxResults == 0 && !opts.Record
 	s.mu.RLock()
-	if !s.maint.store.Fresh(time.Now(), s.maxStale) {
-		s.mu.RUnlock()
-		return s.protocol(ctx, opts)
-	}
 	defer s.mu.RUnlock()
-	opts.Mode = ModeProtocol
-	return run(ctx, s.cluster, opts, s.maint.store.Entries())
+	var known []serve.Entry
+	if resume && s.store.Fresh(time.Now(), s.maxStale) {
+		known = s.store.Entries()
+	}
+	return run(ctx, s.cluster, opts, known)
 }
 
-// refreshRound is the singleflight body: one full protocol round
-// through the maintainer, which replaces the store wholesale (clearing
-// any invalidation).
+// refreshRound is the singleflight body: one full protocol round, which
+// replaces the store wholesale (clearing any invalidation).
 func (s *Server) refreshRound(ctx context.Context) error {
 	s.refreshes.Add(1)
 	s.cRefreshes.Inc()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.maint.Refresh(ctx)
+	return s.refresh(ctx)
 }
 
 // servePrefix is the materialized read: one sorted-prefix scan of the
@@ -279,7 +286,7 @@ func (s *Server) refreshRound(ctx context.Context) error {
 // produced.
 func (s *Server) servePrefix(o *observer, source Source) *Report {
 	opts := o.opts
-	entries, _ := s.maint.store.Prefix(opts.Threshold)
+	entries, _ := s.store.Prefix(opts.Threshold)
 	limit := len(entries)
 	// The store is sorted by descending probability, so both result
 	// limits are exact head truncations.
@@ -315,31 +322,6 @@ func (s *Server) miss() {
 	s.cMisses.Inc()
 }
 
-// Insert routes one insert through the serving tier's maintainer, which
-// repositions the affected tuples in the store (§5.4). Updates serialise;
-// reads proceed concurrently against the previous version until the
-// update lands. An update that fails after a site may have applied it
-// invalidates the store, so covered reads — and the next update — refresh
-// rather than serve the answer it changed.
-func (s *Server) Insert(ctx context.Context, home int, tu uncertain.Tuple) error {
-	return s.update(ctx, s.maint.Insert, home, tu)
-}
-
-// Delete routes one delete through the serving tier's maintainer; see
-// Insert.
-func (s *Server) Delete(ctx context.Context, home int, tu uncertain.Tuple) error {
-	return s.update(ctx, s.maint.Delete, home, tu)
-}
-
-func (s *Server) update(ctx context.Context, apply func(context.Context, int, uncertain.Tuple) error, home int, tu uncertain.Tuple) error {
-	if ctx == nil {
-		return ErrNilContext
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return apply(ctx, home, tu)
-}
-
 // Refresh forces a full protocol round and replaces the
 // materialization, coalescing with any in-flight refresh.
 func (s *Server) Refresh(ctx context.Context) error {
@@ -357,19 +339,18 @@ func (s *Server) Refresh(ctx context.Context) error {
 // Invalidate marks the materialization stale: the next materialized
 // read triggers (or joins) a refresh round, and the next update refreshes
 // before it applies. Use it when sites changed out-of-band.
-func (s *Server) Invalidate() { s.maint.store.Invalidate() }
-
-// InstrumentUpdates registers the maintainer's dsud_update_* metrics
-// for the serving tier's update path (nil-safe).
-func (s *Server) InstrumentUpdates(reg *obs.Registry) { s.maint.Instrument(reg) }
-
-// SetUpdateLatencyWindow attaches a rotating latency window to the
-// serving tier's update path.
-func (s *Server) SetUpdateLatencyWindow(w *obs.Window) { s.maint.SetLatencyWindow(w) }
+func (s *Server) Invalidate() { s.store.Invalidate() }
 
 // Skyline returns the current materialized answer at the floor
 // threshold, in report order.
-func (s *Server) Skyline() []uncertain.SkylineMember { return s.maint.Skyline() }
+func (s *Server) Skyline() []uncertain.SkylineMember {
+	entries, _ := s.store.Prefix(s.store.Floor())
+	members := make([]uncertain.SkylineMember, len(entries))
+	for i, e := range entries {
+		members[i] = e.Member
+	}
+	return members
+}
 
 // Cluster returns the underlying cluster.
 func (s *Server) Cluster() *Cluster { return s.cluster }
@@ -398,12 +379,12 @@ func (s *Server) Stats() ServeStats {
 		Misses:       s.misses.Load(),
 		Refreshes:    s.refreshes.Load(),
 		Coalesced:    s.coalesced.Load(),
-		Entries:      s.maint.store.Len(),
-		Version:      s.maint.store.Version(),
-		Floor:        s.maint.store.Floor(),
+		Entries:      s.store.Len(),
+		Version:      s.store.Version(),
+		Floor:        s.store.Floor(),
 		MaxStaleness: s.maxStale,
-		LastRefresh:  s.maint.store.LastRefresh(),
-		Fresh:        s.maint.store.Fresh(time.Now(), s.maxStale),
+		LastRefresh:  s.store.LastRefresh(),
+		Fresh:        s.store.Fresh(time.Now(), s.maxStale),
 	}
 }
 

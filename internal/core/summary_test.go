@@ -72,7 +72,7 @@ var dominant = uncertain.Tuple{ID: 90001, Point: geom.Point{0.002, 0.5, 0.001}, 
 // site 0 ships its new summary, and the answer is the oracle's. A site
 // that restarts over a partition that changed, having seen no update
 // since, names a version from a new random epoch and is refetched too.
-// Inserts through the coordinator's own maintainer keep its cache current,
+// Inserts through the coordinator's own Server keep its cache current,
 // so its reads ship no summary at all, unless another cluster's update
 // came between.
 func TestSummaryCacheFollowsTheSites(t *testing.T) {
@@ -89,7 +89,7 @@ func TestSummaryCacheFollowsTheSites(t *testing.T) {
 	}
 
 	// Another coordinator's insert.
-	other, err := NewMaintainer(context.Background(), b, Options{Threshold: 0.3, Dims: []int{2, 0}})
+	other, err := b.Serve(context.Background(), ServeConfig{Floor: 0.3, Dims: []int{2, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestSummaryCacheFollowsTheSites(t *testing.T) {
 	}
 
 	// The coordinator's own inserts: the cache follows, nothing ships.
-	own, err := NewMaintainer(context.Background(), a, Options{Threshold: 0.3, Dims: []int{2, 0}})
+	own, err := a.Serve(context.Background(), ServeConfig{Floor: 0.3, Dims: []int{2, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func TestTCPMaintainer(t *testing.T) {
 	defer cluster.Close()
 
 	ctx := context.Background()
-	maint, err := NewMaintainer(ctx, cluster, Options{Threshold: 0.3})
+	maint, err := cluster.Serve(ctx, ServeConfig{Floor: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func (h *firstEvaluate) Handle(ctx context.Context, req *msg.Request) (*msg.Resp
 // Over TCP, a fan-out that fails at one site while the others answer late
 // leaves nothing behind: the query fails with that site's error, and the
 // next query on the same cluster and connections equals the oracle. On
-// one view (a maintainer keeps one for its life), the fan-out after such
+// one view (a Server keeps one for its life), the fan-out after such
 // a failure reads its own replies, not the late ones.
 func TestTCPFailedFanoutLeavesNoLateReply(t *testing.T) {
 	parts, union := makeWorkload(t, 600, 3, 4, gen.Independent, 79)

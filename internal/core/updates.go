@@ -1,128 +1,99 @@
 package core
 
+// The Server's update path: it keeps the served answer current while
+// tuples are inserted into and deleted from the local sites (§5.4), by one
+// of two strategies: incremental (Insert/Delete: the round engine's update
+// protocol, which exploits that an update to tuple u only rescales the
+// global probabilities of tuples u dominates under eq. 5) or naive
+// (ApplyNaive then Refresh: re-run the whole query, the paper's strawman).
+// Updates are a totally ordered stream, as in the paper: each holds the
+// write side of the Server's mu.
+
 import (
 	"context"
 	"fmt"
+	"runtime/pprof"
 	"time"
 
 	"repro/internal/msg"
+	"repro/internal/obs"
 	"repro/internal/round"
 	"repro/internal/serve"
 	"repro/internal/uncertain"
 )
 
-// Maintainer keeps the global skyline answer current while tuples are
-// inserted into and deleted from the local sites (§5.4), by one of two
-// strategies: incremental (Insert/Delete: the round engine's update
-// protocol, which exploits that an update to tuple u only rescales the
-// global probabilities of tuples u dominates under eq. 5) or naive
-// (Refresh: re-run the whole query, the paper's strawman).
-//
-// Maintainer is not safe for concurrent use; updates are a totally ordered
-// stream, as in the paper. Its answer is one serve.Store at its threshold,
-// read and edited in place: the Server built over it serves that same store.
-type Maintainer struct {
-	cluster    *Cluster
-	view       *view
-	opts       Options
-	replicated bool
-	store      *serve.Store // the answer; invalid after a failed update until a Refresh
-	instr      *maintInstr  // optional; see Instrument / SetLatencyWindow
-}
-
-// NewMaintainer runs the initial query (with opts.Algorithm, defaulting to
-// e-DSUD) and returns a maintainer holding the live answer. The Baseline
-// algorithm is rejected: maintenance relies on the per-site query state
-// that only the DSUD-family protocols establish.
-func NewMaintainer(ctx context.Context, c *Cluster, opts Options) (*Maintainer, error) {
-	if opts.Algorithm == Baseline {
-		return nil, fmt.Errorf("%w: maintainer requires DSUD or EDSUD, not %v", ErrAlgorithm, opts.Algorithm)
-	}
-	opts = opts.withDefaults()
-	m := &Maintainer{
-		cluster: c,
-		view:    c.newView(nil, 0, msg.Query{Threshold: opts.Threshold, Dims: opts.Dims}),
-		opts:    opts,
-		store:   serve.New(opts.Threshold),
-	}
-	if err := m.Refresh(ctx); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// EnableReplicas pushes a copy of SKY(H) to every site and keeps it in
-// sync through subsequent updates (round.Replicate). Sites use it to veto
-// the evaluation of an insert that provably cannot qualify. The push costs
+// replicate pushes a copy of SKY(H) to every site and keeps it in sync
+// through subsequent updates (round.Replicate). Sites use it to veto the
+// evaluation of an insert that provably cannot qualify. The push costs
 // m × |SKY(H)| tuples, each answer change one small broadcast, and a veto
 // saves an m−1 broadcast.
-func (m *Maintainer) EnableReplicas(ctx context.Context) error {
-	entries := m.store.Entries()
+func (s *Server) replicate(ctx context.Context) error {
+	entries := s.store.Entries()
 	adds := make([]msg.Representative, len(entries))
 	for i, e := range entries {
 		adds[i] = msg.Representative{Tuple: e.Member.Tuple, LocalProb: e.Member.Prob}
 	}
-	if err := round.Replicate(ctx, m.view, adds, nil); err != nil {
+	if err := round.Replicate(ctx, s.view, adds, nil); err != nil {
 		return err
 	}
-	m.replicated = true
+	s.replicated = true
 	return nil
 }
 
-// Skyline returns the current answer, sorted by descending probability.
-func (m *Maintainer) Skyline() []uncertain.SkylineMember {
-	entries, _ := m.store.Prefix(m.store.Floor())
-	members := make([]uncertain.SkylineMember, len(entries))
-	for i, e := range entries {
-		members[i] = e.Member
-	}
-	return members
+// Insert adds tu at site home and repositions the affected tuples in the
+// store, in round.Insert's at most two fan-outs (plus a replica sync).
+// Updates serialise, and wait for the protocol rounds in flight; covered
+// reads proceed against the previous version until the update lands. An
+// update that fails after a site may have applied it invalidates the
+// store, so covered reads — and the next update — refresh rather than
+// serve the answer it changed.
+func (s *Server) Insert(ctx context.Context, home int, tu uncertain.Tuple) (err error) {
+	defer s.instr.begin(opInsert)(&err)
+	return s.apply(ctx, round.Insert, home, tu)
 }
 
-// Insert adds tu at site home and updates the answer incrementally, in
-// round.Insert's at most two fan-outs (plus a replica sync).
-func (m *Maintainer) Insert(ctx context.Context, home int, tu uncertain.Tuple) (err error) {
-	defer m.instr.begin(opInsert)(&err)
-	return m.apply(ctx, round.Insert, home, tu)
-}
-
-// Delete removes tu, which must live at site home, and updates the answer
-// incrementally, in round.Delete's at most two fan-outs (plus a replica
-// sync).
-func (m *Maintainer) Delete(ctx context.Context, home int, tu uncertain.Tuple) (err error) {
-	defer m.instr.begin(opDelete)(&err)
-	return m.apply(ctx, round.Delete, home, tu)
+// Delete removes tu, which must live at site home, in round.Delete's at
+// most two fan-outs (plus a replica sync); see Insert.
+func (s *Server) Delete(ctx context.Context, home int, tu uncertain.Tuple) (err error) {
+	defer s.instr.begin(opDelete)(&err)
+	return s.apply(ctx, round.Delete, home, tu)
 }
 
 // apply runs one incremental update at site home and installs what it
-// does to the answer in one Apply, Refreshing first if the store is
-// invalid (a failed update, ApplyNaive or Server.Invalidate left it behind
-// the sites). A failed update invalidates the store: a site may already
-// have applied it, so the answer is not to be trusted until a Refresh.
-func (m *Maintainer) apply(ctx context.Context, update func(context.Context, round.Sites, round.Options, *serve.Store, int, uncertain.Tuple) (round.Update, error), home int, tu uncertain.Tuple) error {
-	if home < 0 || home >= m.cluster.Sites() {
+// does to the answer in one Apply, refreshing first if the store is
+// invalid (a failed update, ApplyNaive or Invalidate left it behind the
+// sites). A failed update invalidates the store: a site may already have
+// applied it, so the answer is not to be trusted until a refresh.
+func (s *Server) apply(ctx context.Context, update func(context.Context, round.Sites, round.Options, *serve.Store, int, uncertain.Tuple) (round.Update, error), home int, tu uncertain.Tuple) error {
+	if ctx == nil {
+		return ErrNilContext
+	}
+	if home < 0 || home >= s.cluster.Sites() {
 		return fmt.Errorf("core: site %d out of range", home)
 	}
-	if !m.store.Valid() {
-		if err := m.Refresh(ctx); err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.store.Valid() {
+		if err := s.refresh(ctx); err != nil {
 			return err
 		}
 	}
-	upd, err := update(ctx, m.view, round.Options{Threshold: m.opts.Threshold, Dims: m.opts.Dims, Replicas: m.replicated}, m.store, home, tu)
+	upd, err := update(ctx, s.view, round.Options{Threshold: s.opts.Threshold, Dims: s.opts.Dims, Replicas: s.replicated}, s.store, home, tu)
 	if err != nil {
-		m.store.Invalidate()
+		s.store.Invalidate()
 		return err
 	}
-	m.store.Apply(upd.Upserts, upd.Removed)
-	m.instr.count(upd)
+	s.store.Apply(upd.Upserts, upd.Removed)
+	s.instr.count(upd)
 	return nil
 }
 
-// Refresh is the naive maintenance strategy: re-run the entire distributed
+// refresh is the naive maintenance strategy: re-run the entire distributed
 // query from scratch and Replace the store — replicas included, so it is
-// also the recovery path after ApplyNaive or a failed update.
-func (m *Maintainer) Refresh(ctx context.Context) error {
-	rep, err := Run(ctx, m.cluster, m.opts)
+// also the recovery path after ApplyNaive or a failed update. The caller
+// holds the write side of mu.
+func (s *Server) refresh(ctx context.Context) error {
+	rep, err := Run(ctx, s.cluster, s.opts)
 	if err != nil {
 		return err
 	}
@@ -133,33 +104,124 @@ func (m *Maintainer) Refresh(ctx context.Context) error {
 		adds[i] = msg.Representative{Tuple: member.Tuple}
 	}
 	var removed []uncertain.TupleID
-	for _, e := range m.store.Entries() {
+	for _, e := range s.store.Entries() {
 		removed = append(removed, e.Member.Tuple.ID)
 	}
-	if m.replicated && len(adds)+len(removed) > 0 {
-		if err := round.Replicate(ctx, m.view, adds, removed); err != nil {
+	if s.replicated && len(adds)+len(removed) > 0 {
+		if err := round.Replicate(ctx, s.view, adds, removed); err != nil {
 			return err
 		}
 	}
-	m.store.Replace(entries, time.Now())
+	s.store.Replace(entries, time.Now())
 	return nil
 }
 
 // ApplyNaive applies an update without incremental maintenance: the site
 // mutates its partition and the store is invalidated, so the caller is
-// expected to Refresh — and the next incremental update Refreshes first
+// expected to Refresh — and the next incremental update refreshes first
 // if it does not. It exists so benchmarks charge the naive strategy the
 // same site-update cost.
-func (m *Maintainer) ApplyNaive(ctx context.Context, home int, insert bool, tu uncertain.Tuple) error {
-	if home < 0 || home >= m.cluster.Sites() {
+func (s *Server) ApplyNaive(ctx context.Context, home int, insert bool, tu uncertain.Tuple) error {
+	if home < 0 || home >= s.cluster.Sites() {
 		return fmt.Errorf("core: site %d out of range", home)
 	}
-	m.store.Invalidate()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.store.Invalidate()
 	// A delete naming no query asks the site for no promotion candidates.
 	req := msg.Request{Kind: msg.KindDelete, ID: tu.ID, Point: tu.Point}
 	if insert {
-		req = m.view.bind(msg.Request{Kind: msg.KindInsert, Tuple: tu})
+		req = msg.Request{Kind: msg.KindInsert, Tuple: tu}
+		s.view.bind(&req)
 	}
-	_, err := m.view.send(ctx, home, req)
+	_, err := s.view.send(ctx, home, req)
 	return err
+}
+
+// Instrumentation for the update path: counters for applied updates,
+// answer-member re-scorings and membership changes, a rotating latency
+// window, and pprof op labels so profile samples attribute to insert vs
+// delete maintenance.
+
+const (
+	opInsert = iota
+	opDelete
+	numOps
+)
+
+var opNames = [numOps]string{"insert", "delete"}
+
+// maintInstr carries a Server's update instrumentation. A nil *maintInstr
+// (no ServeConfig.Metrics) costs each update one pointer test — the same
+// discipline as profLabels.
+type maintInstr struct {
+	applied  [numOps]*obs.Counter
+	errors   [numOps]*obs.Counter
+	rescored *obs.Counter
+	affected *obs.Counter
+	window   *obs.Window
+
+	// labels are pre-built pprof-labelled contexts per op, applied only
+	// while obs.Profiling() is on.
+	labels [numOps]context.Context
+}
+
+// newMaintInstr registers the update path's series on reg, or returns nil
+// when reg is nil:
+//
+//	dsud_update_applied_total{op}   updates applied successfully
+//	dsud_update_errors_total{op}    updates that failed
+//	dsud_update_rescored_total      answer members whose probability was rescaled
+//	dsud_update_affected_total      answer membership changes (admissions + evictions)
+//	dsud_update_latency_seconds     each Insert/Delete's latency (obs.ExposeWindow)
+func newMaintInstr(reg *obs.Registry) *maintInstr {
+	if reg == nil {
+		return nil
+	}
+	in := &maintInstr{window: obs.NewWindow(obs.DefWindowWidth)}
+	for op := range numOps {
+		in.applied[op] = reg.Counter("dsud_update_applied_total", "op", opNames[op])
+		in.errors[op] = reg.Counter("dsud_update_errors_total", "op", opNames[op])
+		in.labels[op] = pprof.WithLabels(context.Background(), pprof.Labels("op", "maintain-"+opNames[op]))
+	}
+	in.rescored = reg.Counter("dsud_update_rescored_total")
+	in.affected = reg.Counter("dsud_update_affected_total")
+	obs.ExposeWindow(reg, "dsud_update_latency_seconds", in.window)
+	return in
+}
+
+func noopFin(*error) {}
+
+// begin opens one update span: pprof op labels while profiling, and a
+// closure that settles the applied/errors counters and the latency
+// window from the update's result once it finishes (defer it).
+func (in *maintInstr) begin(op int) func(*error) {
+	if in == nil {
+		return noopFin
+	}
+	if obs.Profiling() {
+		pprof.SetGoroutineLabels(in.labels[op])
+	}
+	start := time.Now()
+	return func(err *error) {
+		in.window.Observe(time.Since(start))
+		if *err != nil {
+			in.errors[op].Add(1)
+		} else {
+			in.applied[op].Add(1)
+		}
+		if obs.Profiling() {
+			pprof.SetGoroutineLabels(context.Background())
+		}
+	}
+}
+
+// count tallies an applied update's rescored members (its eq. 5 factor
+// adjustments) and its membership changes (admissions and evictions).
+func (in *maintInstr) count(upd round.Update) {
+	if in == nil {
+		return
+	}
+	in.rescored.Add(int64(upd.Rescored))
+	in.affected.Add(int64(upd.Changed))
 }

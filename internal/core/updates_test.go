@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -40,16 +42,9 @@ func newTrackedCluster(t *testing.T, n, d, m int, seed int64) *trackedCluster {
 
 func (tc *trackedCluster) union() uncertain.DB { return uncertain.Union(tc.parts) }
 
-func TestMaintainerRejectsBaseline(t *testing.T) {
-	tc := newTrackedCluster(t, 50, 2, 3, 41)
-	if _, err := NewMaintainer(context.Background(), tc.cluster, Options{Threshold: 0.3, Algorithm: Baseline}); err == nil {
-		t.Fatal("Baseline maintainer must be rejected")
-	}
-}
-
 func TestMaintainerInitialAnswerMatchesOracle(t *testing.T) {
 	tc := newTrackedCluster(t, 400, 3, 5, 42)
-	m, err := NewMaintainer(context.Background(), tc.cluster, Options{Threshold: 0.3})
+	m, err := tc.cluster.Serve(context.Background(), ServeConfig{Floor: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +65,7 @@ func TestIncrementalMaintenanceMatchesOracle(t *testing.T) {
 		mSites := 2 + r.Intn(5)
 		tc := newTrackedCluster(t, 150, d, mSites, r.Int63())
 		q := []float64{0.2, 0.3, 0.5}[r.Intn(3)]
-		maint, err := NewMaintainer(ctx, tc.cluster, Options{Threshold: q})
+		maint, err := tc.cluster.Serve(ctx, ServeConfig{Floor: q})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +122,7 @@ func TestMaintainerSubspace(t *testing.T) {
 	ctx := context.Background()
 	tc := newTrackedCluster(t, 200, 3, 4, 44)
 	dims := []int{0, 2}
-	maint, err := NewMaintainer(ctx, tc.cluster, Options{Threshold: 0.3, Dims: dims})
+	maint, err := tc.cluster.Serve(ctx, ServeConfig{Floor: 0.3, Dims: dims})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +158,7 @@ func TestMaintainerSubspace(t *testing.T) {
 func TestMaintainerBadSiteIndex(t *testing.T) {
 	ctx := context.Background()
 	tc := newTrackedCluster(t, 40, 2, 2, 46)
-	maint, err := NewMaintainer(ctx, tc.cluster, Options{Threshold: 0.3})
+	maint, err := tc.cluster.Serve(ctx, ServeConfig{Floor: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +183,7 @@ func TestMaintainerBadSiteIndex(t *testing.T) {
 func TestApplyNaivePlusRefreshMatchesOracle(t *testing.T) {
 	ctx := context.Background()
 	tc := newTrackedCluster(t, 150, 2, 3, 47)
-	maint, err := NewMaintainer(ctx, tc.cluster, Options{Threshold: 0.3})
+	maint, err := tc.cluster.Serve(ctx, ServeConfig{Floor: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +231,7 @@ func TestApplyNaiveThenInsertRefreshesFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	maint, err := NewMaintainer(ctx, cluster, Options{Threshold: 0.3})
+	maint, err := cluster.Serve(ctx, ServeConfig{Floor: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,11 +258,8 @@ func TestReplicatedMaintenanceMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(49))
 	ctx := context.Background()
 	tc := newTrackedCluster(t, 200, 2, 4, 50)
-	maint, err := NewMaintainer(ctx, tc.cluster, Options{Threshold: 0.3})
+	maint, err := tc.cluster.Serve(ctx, ServeConfig{Floor: 0.3, Replicate: true})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := maint.EnableReplicas(ctx); err != nil {
 		t.Fatal(err)
 	}
 	for op := 0; op < 80; op++ {
@@ -309,19 +301,22 @@ func TestReplicatedMaintenanceMatchesOracle(t *testing.T) {
 	}
 }
 
-// The update path's counters and latency window must tally every applied
-// operation, and the disabled (nil) path must keep working untouched.
+// The update path's counters and latency window, registered by
+// ServeConfig.Metrics, must tally every applied operation, and a Server
+// without Metrics must keep applying updates untouched.
 func TestMaintainerInstrumentation(t *testing.T) {
 	ctx := context.Background()
 	tc := newTrackedCluster(t, 200, 2, 3, 51)
-	maint, err := NewMaintainer(ctx, tc.cluster, Options{Threshold: 0.3})
+	reg := obs.NewRegistry()
+	maint, err := tc.cluster.Serve(ctx, ServeConfig{Floor: 0.3, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	maint.Instrument(reg)
-	win := obs.NewWindow(obs.DefWindowWidth)
-	maint.SetLatencyWindow(win)
+	// bare takes the same updates over a copy of the same data.
+	bare, err := newTrackedCluster(t, 200, 2, 3, 51).cluster.Serve(ctx, ServeConfig{Floor: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	r := rand.New(rand.NewSource(52))
 	inserts, deletes := 0, 0
@@ -338,8 +333,10 @@ func TestMaintainerInstrumentation(t *testing.T) {
 				Prob:  0.05 + 0.95*r.Float64(),
 			}
 			tc.nextID++
-			if err := maint.Insert(ctx, home, tu); err != nil {
-				t.Fatal(err)
+			for _, s := range []*Server{maint, bare} {
+				if err := s.Insert(ctx, home, tu); err != nil {
+					t.Fatal(err)
+				}
 			}
 			tc.parts[home] = append(tc.parts[home], tu)
 			inserts++
@@ -347,8 +344,10 @@ func TestMaintainerInstrumentation(t *testing.T) {
 			idx := r.Intn(len(tc.parts[home]))
 			victim := tc.parts[home][idx]
 			tc.parts[home] = append(tc.parts[home][:idx], tc.parts[home][idx+1:]...)
-			if err := maint.Delete(ctx, home, victim); err != nil {
-				t.Fatal(err)
+			for _, s := range []*Server{maint, bare} {
+				if err := s.Delete(ctx, home, victim); err != nil {
+					t.Fatal(err)
+				}
 			}
 			deletes++
 		}
@@ -372,8 +371,12 @@ func TestMaintainerInstrumentation(t *testing.T) {
 	if reg.Counter("dsud_update_affected_total").Value() == 0 {
 		t.Error("affected counter never moved")
 	}
-	if snap := win.Snapshot(); snap.Count != uint64(inserts+deletes) {
-		t.Errorf("latency window saw %d observations, want %d", snap.Count, inserts+deletes)
+	var text strings.Builder
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("\ndsud_update_latency_seconds_count %d\n", inserts+deletes); !strings.Contains(text.String(), want) {
+		t.Errorf("latency window: no %q in\n%s", want[1:len(want)-1], text.String())
 	}
 
 	// A failed update lands in errors, not applied.
@@ -385,10 +388,14 @@ func TestMaintainerInstrumentation(t *testing.T) {
 		t.Errorf("errors{delete} = %d, want 1", got)
 	}
 
-	// The instrumented run must not have perturbed correctness.
+	// Neither the instrumented run nor the bare one may have perturbed
+	// correctness.
 	want := tc.union().Skyline(0.3, nil)
 	if !uncertain.MembersEqual(maint.Skyline(), want, 1e-6) {
 		t.Fatal("instrumented incremental answer diverged from oracle")
+	}
+	if bare.instr != nil || !uncertain.MembersEqual(bare.Skyline(), want, 1e-6) {
+		t.Fatal("uninstrumented incremental answer diverged from oracle")
 	}
 }
 
@@ -408,11 +415,8 @@ func TestReplicaVetoesHopelessInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	maint, err := NewMaintainer(ctx, cluster, Options{Threshold: 0.3})
+	maint, err := cluster.Serve(ctx, ServeConfig{Floor: 0.3, Replicate: true})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := maint.EnableReplicas(ctx); err != nil {
 		t.Fatal(err)
 	}
 	before := cluster.Meter().Snapshot()
@@ -447,11 +451,8 @@ func TestReplicaVetoCountsHomeDominatorsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	maint, err := NewMaintainer(ctx, cluster, Options{Threshold: 0.3})
+	maint, err := cluster.Serve(ctx, ServeConfig{Floor: 0.3, Replicate: true})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := maint.EnableReplicas(ctx); err != nil {
 		t.Fatal(err)
 	}
 	u := uncertain.Tuple{ID: 2, Point: geom.Point{0.5, 0.5}, Prob: 0.9}

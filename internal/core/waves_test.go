@@ -156,12 +156,12 @@ func (g *gate) waves(t *testing.T, want [][]string, op func() error) [][]string 
 // of something to evaluate; with no candidates it is the first fan-out
 // alone; an insert is one call, plus one Evaluate fan-out to those sites
 // when its local probability reaches q. The sites' summaries come from
-// the maintainer's first query: {d} at site 0, {a} at site 1, {b} at
+// the Server's first query: {d} at site 0, {a} at site 1, {b} at
 // site 2.
 func TestUpdateWavesPerOperation(t *testing.T) {
 	ctx := context.Background()
 	cluster, g, _ := gatedCluster(t, waveParts(), 2)
-	maint, err := NewMaintainer(ctx, cluster, Options{Threshold: 0.3})
+	maint, err := cluster.Serve(ctx, ServeConfig{Floor: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,8 +315,8 @@ func (r *serialRef) entries() []serve.Entry {
 }
 
 // TestUpdateWavesMatchSerialReference drives a seeded 300-op churn through
-// the two-wave maintainer and, over an identical second cluster, through
-// the serial reference: after every op the maintainer's store must hold
+// the Server's two-wave updates and, over an identical second cluster, through
+// the serial reference: after every op the Server's store must hold
 // the reference's answer in the same order, with the same probabilities
 // bit for bit and the same home sites.
 func TestUpdateWavesMatchSerialReference(t *testing.T) {
@@ -329,7 +329,7 @@ func TestUpdateWavesMatchSerialReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	maint, err := NewMaintainer(ctx, cluster, Options{Threshold: q})
+	maint, err := cluster.Serve(ctx, ServeConfig{Floor: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func TestFailedUpdateRefreshesServedReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := server.maint.store
+	store := server.store
 	fail := func(on bool) {
 		gated[0].g.mu.Lock()
 		gated[2].failEvaluate = on
@@ -481,7 +481,7 @@ func TestInvalidatedServerRefreshesOnUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := server.maint.store
+	store := server.store
 	// g lands at site 1 behind the server's back; h, inserted through it,
 	// dominates g, so the insert rescales a member only a refresh knows.
 	if _, err := gated[1].eng.Handle(ctx, &msg.Request{Kind: msg.KindInsert, Tuple: waveG, Query: msg.Query{Threshold: 0.3}}); err != nil {

@@ -488,7 +488,7 @@ func updateRun(ctx context.Context, scale Scale, vd gen.ValueDist, rate int, fra
 	}
 	defer cluster.Close()
 
-	maint, err := core.NewMaintainer(ctx, cluster, core.Options{Threshold: DefaultThreshold})
+	srv, err := cluster.Serve(ctx, core.ServeConfig{Floor: DefaultThreshold})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -508,14 +508,14 @@ func updateRun(ctx context.Context, scale Scale, vd gen.ValueDist, rate int, fra
 		if k%2 == 0 {
 			victim := parts[home][k%len(parts[home])]
 			parts[home] = append(parts[home][:k%len(parts[home])], parts[home][(k%len(parts[home]))+1:]...)
-			if err := maint.Delete(ctx, home, victim); err != nil {
+			if err := srv.Delete(ctx, home, victim); err != nil {
 				return 0, 0, err
 			}
 		} else {
 			tu := db[(k*7)%len(db)].Clone()
 			tu.ID = uncertain.TupleID(nextID)
 			nextID++
-			if err := maint.Insert(ctx, home, tu); err != nil {
+			if err := srv.Insert(ctx, home, tu); err != nil {
 				return 0, 0, err
 			}
 			parts[home] = append(parts[home], tu)
@@ -535,10 +535,10 @@ func updateRun(ctx context.Context, scale Scale, vd gen.ValueDist, rate int, fra
 		tu := db[(k*13)%len(db)].Clone()
 		tu.ID = uncertain.TupleID(nextID)
 		nextID++
-		if err := maint.ApplyNaive(ctx, home, true, tu); err != nil {
+		if err := srv.ApplyNaive(ctx, home, true, tu); err != nil {
 			return 0, 0, err
 		}
-		if err := maint.Refresh(ctx); err != nil {
+		if err := srv.Refresh(ctx); err != nil {
 			return 0, 0, err
 		}
 	}

@@ -81,11 +81,10 @@ type SoakOptions struct {
 	// in dsud-loadgen. (Time-to-first-result needs no option here: the
 	// cluster's own window, Cluster.SetLatencyWindows, sees every query.)
 	Window *obs.Window
-	// UpdateWindow, when set, observes every incremental update's
-	// (insert/delete maintenance) end-to-end latency. UpdateMetrics,
-	// when set, registers the dsud_update_* counters on it. Both only
-	// matter with UpdateFraction > 0.
-	UpdateWindow  *obs.Window
+	// UpdateMetrics is the ServeConfig.Metrics of the Server the soak
+	// serves for its updates when Server is not set: the dsud_serve_*
+	// and dsud_update_* series, dsud_update_latency_seconds among them.
+	// It only matters with UpdateFraction > 0.
 	UpdateMetrics *obs.Registry
 	// Server, when set, routes every query through the materialized
 	// serving tier (core.Server) instead of running protocol rounds on
@@ -241,12 +240,11 @@ func Soak(ctx context.Context, cluster *core.Cluster, opts SoakOptions) (*SoakRe
 		return nil, fmt.Errorf("experiments: update fraction %v outside [0,1)", opts.UpdateFraction)
 	}
 
-	// The update stream goes through a Server's maintainer, whose
-	// construction runs the initial global query — do it once, outside the
-	// measured window. A Server target takes the updates itself (a second
-	// maintainer would diverge from the answer its served queries read);
-	// otherwise the soak serves one of its own at the threshold, which is
-	// the maintainer and nothing more until something reads it.
+	// The update stream goes through a Server, whose construction runs
+	// the initial global query — do it once, outside the measured window.
+	// A Server target takes the updates itself (a second Server would
+	// diverge from the answer its served queries read); otherwise the soak
+	// serves one of its own at the threshold, which nothing reads.
 	upd := &updateStream{
 		rng:   rand.New(rand.NewSource(opts.Seed)),
 		dims:  cluster.Dims(),
@@ -256,14 +254,10 @@ func Soak(ctx context.Context, cluster *core.Cluster, opts SoakOptions) (*SoakRe
 		upd.srv = opts.Server
 		if upd.srv == nil {
 			var err error
-			upd.srv, err = cluster.Serve(ctx, core.ServeConfig{Floor: opts.Threshold, Algorithm: opts.Algorithm})
+			upd.srv, err = cluster.Serve(ctx, core.ServeConfig{Floor: opts.Threshold, Algorithm: opts.Algorithm, Metrics: opts.UpdateMetrics})
 			if err != nil {
-				return nil, fmt.Errorf("experiments: soak maintainer: %w", err)
+				return nil, fmt.Errorf("experiments: soak server: %w", err)
 			}
-		}
-		upd.srv.InstrumentUpdates(opts.UpdateMetrics)
-		if opts.UpdateWindow != nil {
-			upd.srv.SetUpdateLatencyWindow(opts.UpdateWindow)
 		}
 	}
 

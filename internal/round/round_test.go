@@ -889,7 +889,7 @@ func TestStepWithNilCallbackAllocatesNothing(t *testing.T) {
 
 // churn is one configuration of the update sweep: real site engines
 // bound as a maintainer's view binds them, what each site holds, and the
-// answer the update engine maintains, applied as core's maintainer
+// answer the update engine maintains, applied as core's Server
 // applies it.
 type churn struct {
 	t      *testing.T

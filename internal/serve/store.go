@@ -4,13 +4,13 @@
 // threshold q is a sorted-prefix read — O(answer), no protocol round.
 //
 // The store is the maintained answer itself, not a copy of it:
-// core.Maintainer owns one, installs every protocol round's answer
-// wholesale (Replace) and edits it in place per incremental update
-// (Apply); core.Server reads that same instance. Every mutation bumps
-// one version counter; readers take a consistent snapshot under an
-// RLock. Freshness is the Server's policy call — the store only tracks
-// the wall-clock of the last wholesale refresh and an invalidation
-// mark, which the maintainer also sets when an update fails.
+// core.Server owns one, installs every refresh round's answer wholesale
+// (Replace), edits it in place per incremental update (Apply) and serves
+// its reads from that same instance. Every mutation bumps one version
+// counter; readers take a consistent snapshot under an RLock. Freshness
+// is the Server's policy call — the store only tracks the wall-clock of
+// the last wholesale refresh and an invalidation mark, which the Server
+// also sets when an update fails.
 package serve
 
 import (
@@ -86,7 +86,7 @@ func (s *Store) Len() int {
 
 // LastRefresh returns the wall-clock of the last wholesale Replace.
 // Incremental Apply calls deliberately do not reset it: they keep the
-// index exact for changes that flowed through the maintainer, while
+// index exact for changes that flowed through the Server, while
 // the refresh clock bounds drift from changes that did not.
 func (s *Store) LastRefresh() time.Time {
 	s.mu.RLock()
@@ -96,7 +96,7 @@ func (s *Store) LastRefresh() time.Time {
 
 // Invalidate marks the materialization stale regardless of age; the
 // next freshness check fails until a Replace. Use it when sites were
-// updated out-of-band (bypassing the serving tier's maintainer).
+// updated out-of-band (bypassing the Server's updates).
 func (s *Store) Invalidate() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

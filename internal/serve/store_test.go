@@ -94,7 +94,7 @@ func TestStoreApply(t *testing.T) {
 	}
 }
 
-// TestStoreCopyOnWrite pins what lets the maintainer walk Entries without
+// TestStoreCopyOnWrite pins what lets an update walk Entries without
 // copying: a slice Entries returned is never written by a later Apply or
 // Replace.
 func TestStoreCopyOnWrite(t *testing.T) {
