@@ -123,7 +123,16 @@ func run() int {
 		}
 	}
 
-	cluster, err := dsq.Connect(dsq.ClusterConfig{Addrs: siteAddrs, Dims: *dims})
+	// Instrumentation: the cluster's registry and flight recorder, the
+	// scheduled-arrival window (what a caller feels under load, queueing
+	// included), and the cluster's own service window (cluster-side
+	// elapsed, what the coordinator worked) and time-to-first-result.
+	reg := dsq.NewMetrics()
+	fr := dsq.NewFlightRecorder(0)
+	if *flightDir != "" {
+		fr.SetDumpDir(*flightDir)
+	}
+	cluster, err := dsq.Connect(dsq.ClusterConfig{Addrs: siteAddrs, Dims: *dims, Metrics: reg, FlightRecorder: fr})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dsud-loadgen: connect: %v\n", err)
 		return 1
@@ -133,32 +142,20 @@ func run() int {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
 
-	// Instrumentation: the scheduled-arrival window (what a caller feels
-	// under load, queueing included), the service window (cluster-side
-	// elapsed, what the coordinator worked), and time-to-first-result.
-	reg := dsq.NewMetrics()
 	sched := obs.NewWindow(obs.DefWindowWidth)
-	service := obs.NewWindow(obs.DefWindowWidth)
-	first := obs.NewWindow(obs.DefWindowWidth)
-	cluster.SetLatencyWindows(service, first)
+	service, first := cluster.Windows()
 	obs.ExposeWindow(reg, "dsud_loadgen_request_window_seconds", sched)
 	obs.ExposeWindow(reg, "dsud_loadgen_service_window_seconds", service)
 	obs.ExposeWindow(reg, "dsud_loadgen_ttfr_window_seconds", first)
 	requests := reg.Counter("dsud_loadgen_requests_total")
 	failures := reg.Counter("dsud_loadgen_failures_total")
 
-	fr := dsq.NewFlightRecorder(0)
-	if *flightDir != "" {
-		fr.SetDumpDir(*flightDir)
-	}
-	cluster.SetFlightRecorder(fr)
-
 	// -mode materialized warms a coordinator-side serving tier once and
 	// answers every query from its sorted prefix; the update stream (if
 	// any) flows through the same tier so reads stay exact.
 	var server *dsq.Server
 	if *mode == "materialized" {
-		server, err = cluster.Serve(ctx, dsq.ServeConfig{Floor: *threshold, Algorithm: algorithm, Metrics: reg})
+		server, err = cluster.Serve(ctx, dsq.ServeConfig{Floor: *threshold, Algorithm: algorithm})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dsud-loadgen: serve: %v\n", err)
 			return 1
@@ -233,7 +230,6 @@ func run() int {
 		BurstPeriod:    *burstP,
 		Seed:           *seed,
 		Window:         sched,
-		UpdateMetrics:  reg,
 		Auditor:        auditor,
 		Requests:       requests,
 		Failures:       failures,

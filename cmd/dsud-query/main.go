@@ -28,6 +28,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -146,10 +147,21 @@ func main() {
 		fr.SetDumpDir(*flightDir)
 	}
 	reg := dsq.NewMetrics()
+	var logger *slog.Logger
+	if *logLevel != "" {
+		level, err := dsq.ParseLogLevel(*logLevel)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		if logger, err = dsq.NewLogger(os.Stderr, *logFormat, level); err != nil {
+			fatalf("%v", err)
+		}
+	}
 
 	cluster, err := dsq.Connect(dsq.ClusterConfig{
 		Addrs:          strings.Split(*addrs, ","),
 		Dims:           *dims,
+		Logger:         logger,
 		Metrics:        reg,
 		FlightRecorder: fr,
 		TranscriptDir:  *record,
@@ -182,7 +194,6 @@ func main() {
 			Floor:     f,
 			Dims:      subspace,
 			Algorithm: algorithm,
-			Metrics:   reg,
 		})
 		if err != nil {
 			fatalf("serve: %v", err)
@@ -203,16 +214,7 @@ func main() {
 	}
 
 	opts := dsq.Options{Threshold: *q, Dims: subspace, Algorithm: algorithm, TopK: *topk, Mode: queryMode}
-	if *logLevel != "" {
-		level, err := dsq.ParseLogLevel(*logLevel)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		logger, err := dsq.NewLogger(os.Stderr, *logFormat, level)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		opts.Logger = logger
+	if logger != nil {
 		opts.SlowQuery = *slowQuery
 	}
 	if *stats || *explain || opts.SlowQuery > 0 {
@@ -280,7 +282,7 @@ func main() {
 		auditor := dsq.NewAuditor(dsq.AuditConfig{
 			Fraction:  *auditFraction,
 			MCSamples: *auditMC,
-			Logger:    opts.Logger,
+			Logger:    logger,
 			Flight:    fr,
 		}, reg)
 		outcome, err := auditor.MaybeAudit(ctx, cluster, opts, report)

@@ -1,6 +1,6 @@
 // Command dsud-replay consumes black-box transcripts (.dstr files)
-// recorded by the coordinator (dsud-query -record, or sampled via
-// -record-sample / ClusterConfig.TranscriptSample).
+// recorded by the coordinator (dsud-query -record, or Options.Record on a
+// cluster with a ClusterConfig.TranscriptDir).
 //
 // Replay mode re-runs the recorded query offline through the real round
 // engine against stub sites that answer verbatim from the recording —

@@ -36,8 +36,8 @@ type (
 	// Cluster.Serve; see docs/SERVING.md.
 	Server = core.Server
 	// ServeConfig configures Cluster.Serve: the materialization floor
-	// threshold, subspace, refresh algorithm, staleness bound and
-	// observability attachments.
+	// threshold, subspace, refresh algorithm and replica switch. A
+	// Server reports on its cluster's registry (ClusterConfig.Metrics).
 	ServeConfig = core.ServeConfig
 	// ServeStats snapshots the serving tier's hit/miss/refresh/coalesce
 	// counters and store state (Server.Stats, the /servez document).
@@ -57,7 +57,7 @@ const (
 	// failing with ErrUncovered when the materialization cannot cover the
 	// query.
 	ModeMaterialized = core.ModeMaterialized
-	// ModeAuto serves from the materialization when covered and fresh,
+	// ModeAuto serves from the materialization when covered and valid,
 	// and falls back to a protocol round otherwise.
 	ModeAuto = core.ModeAuto
 

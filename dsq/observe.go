@@ -88,8 +88,8 @@ func QueryID(id uint64) string { return obs.QueryID(id) }
 
 // NewLogger builds a structured logger writing to w in the given format
 // ("text" or "json") at the given minimum level. Attach it via
-// ClusterConfig.Logger (or per-query Options.Logger) and site
-// Engine.SetLogger for query-ID-correlated logs.
+// ClusterConfig.Logger and site Engine.SetLogger for query-ID-correlated
+// logs.
 func NewLogger(w io.Writer, format string, level slog.Level) (*slog.Logger, error) {
 	return obs.NewLogger(w, format, level)
 }
@@ -159,8 +159,8 @@ func NewAuditor(cfg AuditConfig, reg *Metrics) *Auditor { return audit.New(cfg, 
 type (
 	// Window is a rotating log-bucketed latency histogram covering
 	// roughly the last one-to-two widths, with zero-allocation Observe
-	// and quantile estimation by bucket interpolation (attach to a
-	// Cluster via SetLatencyWindows, expose via ExposeWindow).
+	// and quantile estimation by bucket interpolation (a Cluster's own
+	// are Cluster.Windows; expose one via ExposeWindow).
 	Window = obs.Window
 	// WindowSnapshot is a merged point-in-time view of a Window.
 	WindowSnapshot = obs.WindowSnapshot

@@ -71,14 +71,13 @@ func TestQueryWithStats(t *testing.T) {
 
 func TestMetricsThroughFacade(t *testing.T) {
 	parts, _ := workload(t, 300, 2, 3)
-	cluster, err := dsq.Connect(dsq.ClusterConfig{Partitions: parts, Dims: 2})
+	reg := dsq.NewMetrics()
+	cluster, err := dsq.Connect(dsq.ClusterConfig{Partitions: parts, Dims: 2, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
 
-	reg := dsq.NewMetrics()
-	cluster.Instrument(reg)
 	if _, err := cluster.Query(context.Background(), dsq.Options{Threshold: 0.3}); err != nil {
 		t.Fatal(err)
 	}

@@ -108,16 +108,14 @@ func TestAuditDetectsInjectedPruneBug(t *testing.T) {
 	for _, eng := range engines {
 		eng.TestingForceBadPrune(true)
 	}
-	cluster, err := core.Open(core.ClusterConfig{Addrs: addrs, Dims: 3})
+	dumpDir := t.TempDir()
+	fr := flight.New(16)
+	fr.SetDumpDir(dumpDir)
+	cluster, err := core.Open(core.ClusterConfig{Addrs: addrs, Dims: 3, FlightRecorder: fr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-
-	dumpDir := t.TempDir()
-	fr := flight.New(16)
-	fr.SetDumpDir(dumpDir)
-	cluster.SetFlightRecorder(fr)
 
 	reg := obs.NewRegistry()
 	a := New(Config{Fraction: 1.0, MaxReportChecks: -1, MaxDismissalChecks: -1, Seed: 7, Flight: fr}, reg)

@@ -30,8 +30,10 @@ type Cluster struct {
 	// latency is the simulated round trip every fan-out sleeps before its
 	// calls are made (ClusterConfig.Latency; in-process sites only).
 	latency time.Duration
-	// rpcs holds each site's per-kind RPC instruments, resolved by
-	// Instrument; nil when uninstrumented, and then no call is timed.
+	// reg is the registry ClusterConfig.Metrics names (nil without one);
+	// rpcs holds each site's per-kind RPC instruments resolved on it, nil
+	// when uninstrumented, and then no call is timed.
+	reg  *obs.Registry
 	rpcs []*transport.RPCMetrics
 	// sessionBase is a random 64-bit nonce so session IDs from different
 	// coordinator processes sharing the same site daemons never collide;
@@ -44,50 +46,38 @@ type Cluster struct {
 	summaries *summaries
 
 	// obsQueries counts completed queries per algorithm, populated by
-	// Instrument (nil entries no-op when uninstrumented).
+	// instrument (nil entries no-op when uninstrumented).
 	obsQueries [algorithmEnd]*obs.Counter
 
-	// flight, when set (SetFlightRecorder), receives one record per
-	// completed query — success or failure, served reads included.
+	// flight, when set (ClusterConfig.FlightRecorder), receives one record
+	// per completed query — success or failure, served reads included.
 	// Nil-safe at the record site.
 	flight *flight.Recorder
 
-	// logger, when set (ClusterConfig.Logger), is the default query
-	// logger for runs whose Options carry none of their own.
+	// logger, when set (ClusterConfig.Logger), logs every query.
 	logger *slog.Logger
 
-	// winQuery and winFirst, when set (SetLatencyWindows), observe each
-	// successful query's end-to-end latency and time-to-first-result into
-	// rotating windows — the coordinator-side feed for live percentiles
-	// and SLO evaluation. Nil-safe at the observe site.
+	// winQuery and winFirst observe each successful query's end-to-end
+	// latency and time-to-first-result into rotating windows — the
+	// coordinator-side feed for live percentiles and SLO evaluation
+	// (Windows).
 	winQuery *obs.Window
 	winFirst *obs.Window
 
-	// transcripts, when set (SetTranscriptSink), samples queries for
-	// black-box recording: the full coordinator↔site exchange captured
-	// as a replayable transcript. Nil-safe at the sampling site.
+	// transcripts, when set (ClusterConfig.TranscriptDir), writes the
+	// transcripts of the queries run with Options.Record: the full
+	// coordinator↔site exchange, replayable. Nil-safe.
 	transcripts *transcript.Sink
 }
 
-// SetLatencyWindows attaches rotating latency windows to the query path:
-// query observes every successful Run's end-to-end latency, firstResult
-// every successful query's time-to-first-result, traced or not and
-// served reads included (it comes from the always-on delivery curve).
-// Either may be nil. Call before serving queries; not synchronised with
-// in-flight Runs.
-func (c *Cluster) SetLatencyWindows(query, firstResult *obs.Window) {
-	c.winQuery = query
-	c.winFirst = firstResult
+// Windows returns the cluster's rotating latency windows: query observes
+// every successful protocol round's end-to-end latency, firstResult every
+// successful query's time-to-first-result, traced or not and served reads
+// included (it comes from the always-on delivery curve). Both are always
+// on; expose them with obs.ExposeWindow or judge them with an SLO.
+func (c *Cluster) Windows() (query, firstResult *obs.Window) {
+	return c.winQuery, c.winFirst
 }
-
-// SetFlightRecorder attaches a flight recorder: every query Run executes
-// leaves one record (algorithm, threshold, outcome, protocol tallies,
-// bandwidth, per-phase timing, per-site shipped/pruned, the delivery
-// curve and the transcript's path), keyed by query_id. A nil recorder
-// (the default) disables recording — the Report still carries its own
-// curve. Call before serving queries; not synchronised with in-flight
-// Runs.
-func (c *Cluster) SetFlightRecorder(r *flight.Recorder) { c.flight = r }
 
 // recordFlight writes one query's flight record under name, its algorithm
 // or, for a served read, its source. rep is nil on failure; transcript
@@ -159,17 +149,16 @@ func (c *Cluster) recordFlight(o *observer, name string, rep *Report, err error,
 	c.flight.Record(&rec)
 }
 
-// Instrument wires the cluster into reg: every call to a site is timed
-// and counted by outcome (dsud_rpc_*), the shared bandwidth meter is
-// exposed (dsud_transport_*), and completed queries are counted per
-// algorithm (dsud_queries_total). Call before the first query; a nil
-// registry is a no-op, and a second call resolves the same series again
-// rather than counting every call twice. Concurrent queries may share
-// the instrumented cluster as usual.
-func (c *Cluster) Instrument(reg *obs.Registry) {
+// instrument wires the cluster into reg (ClusterConfig.Metrics): every
+// call to a site is timed and counted by outcome (dsud_rpc_*), the shared
+// bandwidth meter is exposed (dsud_transport_*), and completed queries
+// are counted per algorithm (dsud_queries_total). A nil registry is a
+// no-op.
+func (c *Cluster) instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
+	c.reg = reg
 	c.rpcs = make([]*transport.RPCMetrics, len(c.clients))
 	for i := range c.rpcs {
 		c.rpcs[i] = transport.NewRPCMetrics(reg, strconv.Itoa(i))
@@ -258,8 +247,21 @@ func NewClusterFromClients(clients []transport.Client, dims int) (*Cluster, erro
 	if len(clients) == 0 {
 		return nil, ErrNoSites
 	}
-	return &Cluster{clients: clients, meter: &transport.Meter{}, dims: dims, sessionBase: newSessionBase(),
-		summaries: newSummaries(len(clients))}, nil
+	return newCluster(clients, &transport.Meter{}, dims), nil
+}
+
+// newCluster is what both constructors build: the clients, their meter,
+// and the state every cluster owns, with no observer attached.
+func newCluster(clients []transport.Client, meter *transport.Meter, dims int) *Cluster {
+	return &Cluster{
+		clients:     clients,
+		meter:       meter,
+		dims:        dims,
+		sessionBase: newSessionBase(),
+		summaries:   newSummaries(len(clients)),
+		winQuery:    obs.NewWindow(obs.DefWindowWidth),
+		winFirst:    obs.NewWindow(obs.DefWindowWidth),
+	}
 }
 
 // Sites returns the number of sites.

@@ -17,9 +17,9 @@ import (
 
 // ClusterConfig is the one place to describe a cluster: where the sites
 // are (in-process partitions or remote TCP daemons), the data
-// dimensionality, transport behaviour (retry budget), and the
-// observability attachments that previously required separate
-// post-construction calls. Open validates it and builds the Cluster.
+// dimensionality, transport behaviour (retry budget), and the one place a
+// coordinator's observers attach (Logger, Metrics, FlightRecorder,
+// TranscriptDir). Open validates it and builds the Cluster.
 type ClusterConfig struct {
 	// Partitions runs one in-process site engine per partition. Exactly
 	// one of Partitions or Addrs must be set.
@@ -30,9 +30,6 @@ type ClusterConfig struct {
 	// Dims is the data dimensionality (required, > 0).
 	Dims int
 
-	// Capacity tunes the PR-tree fan-out of in-process sites (<4 =
-	// default). Ignored for remote sites, which index at the daemon.
-	Capacity int
 	// Latency adds a simulated round-trip delay to in-process sites, for
 	// studying progressiveness in the time domain: one sleep in front of
 	// each fan-out, after which every call of it is in flight together.
@@ -49,28 +46,27 @@ type ClusterConfig struct {
 	// dials eagerly.
 	RetryAttempts int
 
-	// Logger, when set, becomes the default query logger: every query
-	// run without an Options.Logger of its own logs through it. A
-	// Cluster.Watch logs its sites' poll failures and recoveries there.
+	// Logger, when set, receives one structured record per query (Info
+	// on completion, Warn past Options.SlowQuery, Error on failure),
+	// correlated with site logs by query_id. A Cluster.Watch logs its
+	// sites' poll failures and recoveries there.
 	Logger *slog.Logger
-	// Metrics, when set, instruments the cluster against the registry
-	// exactly like Cluster.Instrument.
+	// Metrics, when set, instruments the cluster against the registry:
+	// every call to a site is timed and counted by outcome (dsud_rpc_*),
+	// the bandwidth meter is exposed (dsud_transport_*) and completed
+	// queries are counted per algorithm (dsud_queries_total). A Server the
+	// cluster builds reports there too (dsud_serve_*, dsud_update_*).
 	Metrics *obs.Registry
-	// FlightRecorder, when set, receives one record per completed query
-	// exactly like Cluster.SetFlightRecorder: its outcome and costs, its
-	// delivery curve and its transcript's path (mount its Handler at
-	// /debug/flightz).
+	// FlightRecorder, when set, receives one record per completed query:
+	// its outcome and costs, its delivery curve and its transcript's path
+	// (mount its Handler at /debug/flightz).
 	FlightRecorder *flight.Recorder
 
-	// TranscriptDir, when set, enables the black-box recorder: sampled
-	// queries (TranscriptSample) and forced ones (Options.Record) have
-	// their complete coordinator↔site exchange written there as
-	// replayable .dstr files (cmd/dsud-replay consumes them).
+	// TranscriptDir, when set, enables the black-box recorder: a query
+	// run with Options.Record has its complete coordinator↔site exchange
+	// written there as a replayable .dstr file (cmd/dsud-replay consumes
+	// them).
 	TranscriptDir string
-	// TranscriptSample is the fraction of queries recorded without being
-	// forced (0 = on-demand only, 1 = every query). It needs a
-	// TranscriptDir.
-	TranscriptSample float64
 }
 
 // ErrConfig reports an invalid ClusterConfig.
@@ -89,8 +85,6 @@ func Open(cfg ClusterConfig) (*Cluster, error) {
 		return nil, fmt.Errorf("%w: set Partitions or Addrs, not both", ErrConfig)
 	case len(cfg.Partitions) == 0 && len(cfg.Addrs) == 0:
 		return nil, ErrNoSites
-	case cfg.TranscriptSample != 0 && cfg.TranscriptDir == "":
-		return nil, fmt.Errorf("%w: TranscriptSample needs a TranscriptDir", ErrConfig)
 	}
 
 	meter := &transport.Meter{}
@@ -101,7 +95,7 @@ func Open(cfg ClusterConfig) (*Cluster, error) {
 			if err := part.Validate(cfg.Dims); err != nil {
 				return nil, fmt.Errorf("core: partition %d: %w", i, err)
 			}
-			clients[i] = transport.Local(site.New(i, part, cfg.Dims, cfg.Capacity))
+			clients[i] = transport.Local(site.New(i, part, cfg.Dims, 0))
 		}
 	} else {
 		clients = make([]transport.Client, 0, len(cfg.Addrs))
@@ -124,19 +118,13 @@ func Open(cfg ClusterConfig) (*Cluster, error) {
 		}
 	}
 
-	cluster := &Cluster{
-		clients:     clients,
-		meter:       meter,
-		dims:        cfg.Dims,
-		latency:     cfg.Latency,
-		sessionBase: newSessionBase(),
-		logger:      cfg.Logger,
-		summaries:   newSummaries(len(clients)),
-	}
-	cluster.Instrument(cfg.Metrics)
-	cluster.SetFlightRecorder(cfg.FlightRecorder)
+	cluster := newCluster(clients, meter, cfg.Dims)
+	cluster.latency = cfg.Latency
+	cluster.logger = cfg.Logger
+	cluster.flight = cfg.FlightRecorder
+	cluster.instrument(cfg.Metrics)
 	if cfg.TranscriptDir != "" {
-		cluster.SetTranscriptSink(transcript.NewSink(cfg.TranscriptDir, cfg.TranscriptSample))
+		cluster.transcripts = transcript.NewSink(cfg.TranscriptDir)
 	}
 	return cluster, nil
 }

@@ -8,7 +8,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"log/slog"
 	"time"
 
 	"repro/internal/geom"
@@ -78,13 +77,10 @@ type Options struct {
 	// their handling time on the replies, and Summary().Sites splits each
 	// site's calls into wait and service time.
 	Trace *Trace
-	// Logger, when non-nil, receives one structured record per query
-	// (Info on completion, Error on failure), correlated with site logs
-	// by query_id. Nil disables query logging entirely.
-	Logger *slog.Logger
-	// SlowQuery, when positive with Logger set, promotes queries that run
-	// at least this long to a Warn record carrying, when Trace is set, the
-	// per-phase time breakdown — the coordinator half of the slow-query log.
+	// SlowQuery, when positive on a cluster with a Logger
+	// (ClusterConfig.Logger), promotes queries that run at least this long
+	// to a Warn record carrying, when Trace is set, the per-phase time
+	// breakdown — the coordinator half of the slow-query log.
 	SlowQuery time.Duration
 	// MaxResults, when positive, stops the query as soon as that many
 	// qualified tuples have been reported. The tuples delivered are the
@@ -105,8 +101,8 @@ type Options struct {
 	TopK int
 
 	// Ablation switches. These exist to measure where e-DSUD's advantage
-	// comes from (see BenchmarkAblation); production callers should leave
-	// them zero.
+	// comes from (dsud-bench -exp ablation); production callers should
+	// leave them zero.
 
 	// Policy overrides the feedback-selection rule (default: the
 	// algorithm's own rule — Corollary 2 bounds for e-DSUD, local
@@ -120,10 +116,10 @@ type Options struct {
 	// sites, so feedback tuples only contribute their eq. 9 factors.
 	DisableSitePruning bool
 
-	// Record forces black-box recording of this query regardless of the
-	// transcript sink's sampling fraction (dsud-query -record). It needs
-	// a sink attached (ClusterConfig.TranscriptDir / SetTranscriptSink);
-	// without one it is a no-op.
+	// Record asks for black-box recording of this query (dsud-query
+	// -record): its transcript is written to ClusterConfig.TranscriptDir
+	// and named in its flight record. Without a TranscriptDir it is a
+	// no-op.
 	Record bool
 
 	// Mode selects how the answer is produced. The default, ModeProtocol,
@@ -144,13 +140,13 @@ const (
 	ModeProtocol Mode = iota
 	// ModeMaterialized answers from the Server's materialized global
 	// skyline as a sorted-prefix read — O(answer) — refreshing first if
-	// the store is stale. Queries the materialization cannot cover (a
+	// the store was invalidated. Queries the materialization cannot cover (a
 	// threshold below the Server's floor, or a different subspace) fail
 	// with ErrUncovered rather than silently falling back.
 	ModeMaterialized
 	// ModeAuto serves from the materialized store when it covers the
-	// query and is fresh, joins (or triggers) a coalesced refresh when it
-	// is stale, and falls back to a full protocol round when the store
+	// query and is valid, joins (or triggers) a coalesced refresh when it
+	// was invalidated, and falls back to a full protocol round when the store
 	// cannot cover the query at all.
 	ModeAuto
 )

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/gen"
-	"repro/internal/obs"
 	"repro/internal/obs/flight"
 )
 
@@ -179,7 +178,7 @@ func TestReportCurveAndLog(t *testing.T) {
 
 // The time-to-first-result window is fed from the always-on delivery
 // curve, so an untraced query lands one observation (it used to take a
-// trace to be counted).
+// trace to be counted). Both of the cluster's windows are always on.
 func TestUntracedQueryFeedsTTFRWindow(t *testing.T) {
 	parts, _ := makeWorkload(t, 500, 3, 3, gen.Independent, 3)
 	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 3})
@@ -187,8 +186,7 @@ func TestUntracedQueryFeedsTTFRWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	query, first := obs.NewWindow(time.Minute), obs.NewWindow(time.Minute)
-	cluster.SetLatencyWindows(query, first)
+	query, first := cluster.Windows()
 	rep, err := Run(context.Background(), cluster, Options{Threshold: 0.3})
 	if err != nil {
 		t.Fatal(err)

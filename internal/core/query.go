@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"time"
 
 	"repro/internal/codec"
@@ -27,8 +28,8 @@ func Run(ctx context.Context, c *Cluster, opts Options) (*Report, error) {
 // run is Run, resumed from known when it is not empty: the members of a
 // maintained answer, which the round reports first and then runs only
 // over the band below them (round.Options.Known; Server.resume). A
-// resumed query is never sampled for recording: its replay would need
-// the answer it resumed from.
+// resumed query is never recorded: its replay would need the answer it
+// resumed from.
 func run(ctx context.Context, c *Cluster, opts Options, known []serve.Entry) (*Report, error) {
 	if ctx == nil {
 		return nil, ErrNilContext
@@ -44,9 +45,6 @@ func run(ctx context.Context, c *Cluster, opts Options, known []serve.Entry) (*R
 		// The protocol path serves ModeProtocol only; the materialized
 		// modes need the serving tier's store and coalescing state.
 		return nil, fmt.Errorf("%w: mode %v", ErrNoServer, opts.Mode)
-	}
-	if opts.Logger == nil {
-		opts.Logger = c.logger // cluster-wide default (ClusterConfig.Logger)
 	}
 	start := time.Now()
 	sid := c.nextSession()
@@ -66,12 +64,10 @@ func run(ctx context.Context, c *Cluster, opts Options, known []serve.Entry) (*R
 		labels: newProfLabels(ctx, opts.Algorithm, sid)}
 	defer o.labels.exit()
 
-	// Black-box recording: when the transcript sink samples this query
-	// (or Options.Record forces it), the view records every RPC from here
-	// on into the transcript. Unrecorded queries never take this branch —
-	// the sampling decision is the whole cost of the feature on the
-	// unsampled path.
-	if len(known) == 0 && c.transcripts.ShouldRecord(opts.Record) {
+	// Black-box recording: when Options.Record asks for it and the cluster
+	// has a transcript directory, the view records every RPC from here on
+	// into the transcript. Unrecorded queries never take this branch.
+	if opts.Record && c.transcripts != nil && len(known) == 0 {
 		o.header = transcriptHeader(&opts, sid, start, len(c.clients), c.dims)
 		o.recorder = transcript.NewRecorder(o.header, start)
 		v.rec = o.recorder
@@ -189,12 +185,13 @@ func (o *observer) step(s round.Step) {
 // Server's own window owns that latency.
 func (o *observer) finish(rep *Report, err error) (*Report, error) {
 	c, opts := o.c, o.opts
-	elapsed := time.Since(o.start)
+	now := time.Now()
+	elapsed := now.Sub(o.start)
 	name := opts.Algorithm.String()
 	if err == nil {
 		if rep.Source == SourceProtocol {
 			c.countQuery(opts.Algorithm)
-			c.winQuery.Observe(elapsed)
+			c.winQuery.ObserveAt(now, elapsed)
 		} else {
 			name = rep.Source.String()
 		}
@@ -204,35 +201,35 @@ func (o *observer) finish(rep *Report, err error) (*Report, error) {
 		rep.Curve = &progress.Digest{Sites: int32(len(c.clients))}
 		o.curve.Finish(rep.Curve, elapsed, rep.Bandwidth.Tuples())
 		if ttf := rep.Curve.TTFirstNS; ttf > 0 {
-			c.winFirst.Observe(time.Duration(ttf))
+			c.winFirst.ObserveAt(now, time.Duration(ttf))
 		}
 	}
-	opts.logQuery(o.qid, rep, err, elapsed)
+	opts.logQuery(c.logger, o.qid, rep, err, elapsed)
 	var path string
 	var werr error
 	if o.recorder != nil {
 		// A failed query seals what was captured with no summary frame: a
 		// truncated transcript still shows how far the exchange got.
-		if path, werr = c.transcripts.Finish(o.recorder, o.header, transcriptSummary(rep)); werr != nil && opts.Logger != nil {
-			opts.Logger.Warn("transcript not written", "query_id", obs.QueryID(o.qid), "err", werr)
+		if path, werr = c.transcripts.Finish(o.recorder, o.header, transcriptSummary(rep)); werr != nil && c.logger != nil {
+			c.logger.Warn("transcript not written", "query_id", obs.QueryID(o.qid), "err", werr)
 		}
 	}
 	c.recordFlight(o, name, rep, err, elapsed, path, werr)
 	return rep, err
 }
 
-// logQuery emits the query's structured log record: Error on failure,
-// Warn when the query crossed the SlowQuery threshold (with the per-phase
-// breakdown when it was traced), Info otherwise. query_id is the session
-// every RPC of the query carries, so it matches the sites' request logs.
-// No-op without a logger.
-func (o Options) logQuery(id uint64, rep *Report, err error, elapsed time.Duration) {
-	if o.Logger == nil {
+// logQuery emits the query's structured log record to l: Error on
+// failure, Warn when the query crossed the SlowQuery threshold (with the
+// per-phase breakdown when it was traced), Info otherwise. query_id is the
+// session every RPC of the query carries, so it matches the sites'
+// request logs. No-op without a logger.
+func (o Options) logQuery(l *slog.Logger, id uint64, rep *Report, err error, elapsed time.Duration) {
+	if l == nil {
 		return
 	}
 	qid := obs.QueryID(id)
 	if err != nil {
-		o.Logger.Error("query failed",
+		l.Error("query failed",
 			"query_id", qid, "algorithm", o.Algorithm.String(),
 			"threshold", o.Threshold, "dur", elapsed, "err", err)
 		return
@@ -254,8 +251,8 @@ func (o Options) logQuery(id uint64, rep *Report, err error, elapsed time.Durati
 				args = append(args, "phase_"+p.String(), sum.Phases[p].Total)
 			}
 		}
-		o.Logger.Warn("slow query", args...)
+		l.Warn("slow query", args...)
 		return
 	}
-	o.Logger.Info("query done", args...)
+	l.Info("query done", args...)
 }

@@ -4,17 +4,7 @@ import (
 	"time"
 
 	"repro/internal/codec"
-	"repro/internal/obs/transcript"
 )
-
-// SetTranscriptSink attaches the black-box recorder: queries the sink
-// samples (or that force recording via Options.Record) have their
-// complete coordinator↔site exchange captured into transcript files,
-// named in the query's flight record. A nil sink (the default) disables
-// recording; unsampled queries pay one allocation-free sampling decision
-// and nothing else. Call before serving queries; not synchronised with
-// in-flight Runs.
-func (c *Cluster) SetTranscriptSink(s *transcript.Sink) { c.transcripts = s }
 
 // transcriptHeader builds the transcript's query-identity frame from
 // resolved options (algorithm defaulted). A protocol round's query ID is

@@ -445,10 +445,10 @@ func TestReplayBinaryRefusesOldGeneration(t *testing.T) {
 	}
 }
 
-// Unsampled queries on a recording cluster do not record; with no
-// directory there is nothing to record into, even forced; sampling every
-// query needs no force; and a transcript that cannot be written leaves
-// the query's answer alone and says why in its flight record.
+// Queries on a recording cluster record only when Options.Record asks;
+// with no directory there is nothing to record into, even asked; and a
+// transcript that cannot be written leaves the query's answer alone and
+// says why in its flight record.
 func TestTranscriptSamplingModes(t *testing.T) {
 	parts, _ := makeWorkload(t, 200, 2, 2, gen.Independent, 83)
 	ctx := context.Background()
@@ -461,7 +461,7 @@ func TestTranscriptSamplingModes(t *testing.T) {
 		return recs[len(recs)-1]
 	}
 
-	// Unforced: sample is 0, nothing recorded.
+	// Not asked: nothing recorded.
 	dir := t.TempDir()
 	fr := flight.New(4)
 	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 2, TranscriptDir: dir, FlightRecorder: fr})
@@ -473,13 +473,13 @@ func TestTranscriptSamplingModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r := last(fr); r.Transcript != "" || r.TranscriptErr != "" {
-		t.Fatalf("unsampled query recorded a transcript: %+v", r)
+		t.Fatalf("unrecorded query recorded a transcript: %+v", r)
 	}
 	if files, _ := os.ReadDir(dir); len(files) != 0 {
-		t.Fatalf("unsampled query wrote %d files", len(files))
+		t.Fatalf("unrecorded query wrote %d files", len(files))
 	}
 
-	// No directory: forcing records nothing, and sampling is a config error.
+	// No directory: asking records nothing.
 	bare, err := Open(ClusterConfig{Partitions: parts, Dims: 2, FlightRecorder: fr})
 	if err != nil {
 		t.Fatal(err)
@@ -491,23 +491,14 @@ func TestTranscriptSamplingModes(t *testing.T) {
 	if r := last(fr); r.Transcript != "" || r.TranscriptErr != "" {
 		t.Fatalf("directory-less cluster recorded a transcript: %+v", r)
 	}
-	if _, err := Open(ClusterConfig{Partitions: parts, Dims: 2, TranscriptSample: 1}); !errors.Is(err, ErrConfig) {
-		t.Fatalf("TranscriptSample without TranscriptDir: %v, want ErrConfig", err)
-	}
 
-	// Sample = 1: every query records, no force needed.
-	dir2 := t.TempDir()
-	c2, err := Open(ClusterConfig{Partitions: parts, Dims: 2, TranscriptDir: dir2, TranscriptSample: 1, FlightRecorder: fr})
-	if err != nil {
+	// Asked: the query records into the cluster's directory.
+	if _, err := Run(ctx, cluster, Options{Threshold: 0.3, Record: true}); err != nil {
 		t.Fatal(err)
 	}
-	defer c2.Close()
-	if _, err := Run(ctx, c2, Options{Threshold: 0.3}); err != nil {
-		t.Fatal(err)
-	}
-	files, err := filepath.Glob(filepath.Join(dir2, "query-*.dstr"))
+	files, err := filepath.Glob(filepath.Join(dir, "query-*.dstr"))
 	if err != nil || len(files) != 1 {
-		t.Fatalf("sample=1 wrote %d files (%v)", len(files), err)
+		t.Fatalf("a recorded query wrote %d files (%v)", len(files), err)
 	}
 	if r := last(fr); r.Transcript != files[0] {
 		t.Fatalf("flight record names %q, the file is %q", r.Transcript, files[0])

@@ -206,21 +206,21 @@ func raceReadsAgainstUpdates(t *testing.T, mode Mode, algo Algorithm) {
 // report and the query log line all carry it.
 func TestResumedReadIsRecorded(t *testing.T) {
 	ctx := context.Background()
-	cluster, server := newTestServer(t, 300, 2, 3, 5, ServeConfig{Floor: 0.3})
 	fr := flight.New(8)
-	cluster.SetFlightRecorder(fr)
 	var logs bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&logs, nil))
+	_, server := newObservedServer(t, ClusterConfig{Logger: logger, FlightRecorder: fr}, 300, 2, 3, 5, ServeConfig{Floor: 0.3})
 
+	// Record 0 is the Server's initial round.
 	tr := NewTrace()
-	rep, err := server.Query(ctx, Options{Threshold: 0.2, Mode: ModeAuto, Logger: logger, Trace: tr})
+	rep, err := server.Query(ctx, Options{Threshold: 0.2, Mode: ModeAuto, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Resumed == 0 || rep.Resumed != len(server.Skyline()) {
 		t.Fatalf("resumed %d, want the store's %d members", rep.Resumed, len(server.Skyline()))
 	}
-	if r := fr.Snapshot()[0]; r.Resumed != rep.Resumed || r.Algorithm != "e-dsud" || r.Results != len(rep.Skyline) {
+	if r := fr.Snapshot()[1]; r.Resumed != rep.Resumed || r.Algorithm != "e-dsud" || r.Results != len(rep.Skyline) {
 		t.Errorf("flight record: resumed %d, algorithm %q, results %d; want %d, e-dsud, %d", r.Resumed, r.Algorithm, r.Results, rep.Resumed, len(rep.Skyline))
 	}
 	var buf bytes.Buffer
@@ -234,12 +234,12 @@ func TestResumedReadIsRecorded(t *testing.T) {
 		t.Errorf("query log lacks %q: %s", want, logs.String())
 	}
 
-	full, err := server.Query(ctx, Options{Threshold: 0.2, Mode: ModeProtocol, Logger: logger})
+	full, err := server.Query(ctx, Options{Threshold: 0.2, Mode: ModeProtocol})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Resumed != 0 || fr.Snapshot()[1].Resumed != 0 {
-		t.Errorf("a round from scratch reports resumed %d (flight %d)", full.Resumed, fr.Snapshot()[1].Resumed)
+	if full.Resumed != 0 || fr.Snapshot()[2].Resumed != 0 {
+		t.Errorf("a round from scratch reports resumed %d (flight %d)", full.Resumed, fr.Snapshot()[2].Resumed)
 	}
 }
 
@@ -248,14 +248,13 @@ func TestResumedReadIsRecorded(t *testing.T) {
 // log record and of its flight record, traced or not.
 func TestReportQueryIDMatchesRecords(t *testing.T) {
 	ctx := context.Background()
-	cluster, server := newTestServer(t, 300, 2, 3, 5, ServeConfig{Floor: 0.3})
 	fr := flight.New(8)
-	cluster.SetFlightRecorder(fr)
 	var logs bytes.Buffer
 	logger, err := obs.NewLogger(&logs, "json", slog.LevelInfo)
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, server := newObservedServer(t, ClusterConfig{Logger: logger, FlightRecorder: fr}, 300, 2, 3, 5, ServeConfig{Floor: 0.3})
 	for _, c := range []struct {
 		name   string
 		opts   Options
@@ -266,7 +265,6 @@ func TestReportQueryIDMatchesRecords(t *testing.T) {
 		{"resumed read", Options{Threshold: 0.2, Mode: ModeAuto, Trace: NewTrace()}, SourceProtocol},
 	} {
 		logs.Reset()
-		c.opts.Logger = logger
 		rep, err := server.Query(ctx, c.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)

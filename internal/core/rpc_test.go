@@ -40,31 +40,6 @@ func rpcTotal(reg *obs.Registry, sites int, outcome string) int64 {
 	return n
 }
 
-// Open with Metrics instruments the cluster; calling Instrument again on
-// the same registry must re-resolve the same series, not count each call
-// a second time.
-func TestInstrumentTwiceCountsOnce(t *testing.T) {
-	parts, _ := makeWorkload(t, 300, 2, 3, gen.Independent, 83)
-	reg := obs.NewRegistry()
-	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 2, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	cluster.Instrument(reg)
-	if _, err := cluster.Query(context.Background(), Options{Threshold: 0.3}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < len(parts); i++ {
-		if got := rpcCount(reg, i, msg.KindInit, "ok"); got != 1 {
-			t.Errorf("site %d: init ok = %d after one query, want 1", i, got)
-		}
-	}
-	if got, want := rpcTotal(reg, len(parts), "ok"), cluster.Meter().Snapshot().Messages; got != want {
-		t.Errorf("rpc counters total %d, cluster meter %d messages", got, want)
-	}
-}
-
 // scriptedHandler answers every kind; Next carries a representative, and
 // err, when set, fails every request.
 type scriptedHandler struct{ err error }
@@ -87,7 +62,7 @@ func scriptedCluster(t *testing.T, h transport.Handler, reg *obs.Registry) (*Clu
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster.Instrument(reg)
+	cluster.instrument(reg)
 	v := cluster.newView(nil, 0, msg.Query{})
 	v.meter = &transport.Meter{}
 	return cluster, v
@@ -164,7 +139,7 @@ func TestRPCInstrumentsEveryKind(t *testing.T) {
 func TestRPCUninstrumentedTakesNoTiming(t *testing.T) {
 	cluster, v := scriptedCluster(t, &scriptedHandler{}, nil)
 	if cluster.rpcs != nil {
-		t.Fatal("Instrument(nil) resolved instruments")
+		t.Fatal("instrument(nil) resolved instruments")
 	}
 	if _, err := v.rpc(context.Background(), 0, &msg.Request{Kind: msg.KindStatus}); err != nil {
 		t.Fatal(err)

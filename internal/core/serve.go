@@ -42,40 +42,28 @@ type ServeConfig struct {
 	// e-DSUD; Baseline is rejected — maintenance needs the per-site
 	// state only the DSUD-family protocols establish).
 	Algorithm Algorithm
-	// MaxStaleness bounds the age of the materialization: a covered
-	// query finding the last refresh older than this joins a coalesced
-	// refresh round before being served. Zero trusts incremental
-	// maintenance indefinitely — correct whenever every update flows
-	// through Server.Insert/Delete.
-	MaxStaleness time.Duration
 	// Replicate pushes SKY(H) replicas to the sites and keeps them in
 	// sync through every update, letting sites veto hopeless insert
 	// evaluations.
 	Replicate bool
-	// Metrics, when set, registers the serving counters
-	// (dsud_serve_{hits,misses,refreshes,coalesced}_total), store gauges
-	// and serve-latency quantiles on the registry, and the update path's
-	// dsud_update_* counters and its dsud_update_latency_seconds window.
-	Metrics *obs.Registry
-	// Window, when set, receives one latency observation per served
-	// read (default: a fresh one-minute window, readable via Stats and
-	// the /servez handler).
-	Window *obs.Window
 }
 
 // Server answers skyline queries from a materialized global skyline,
 // keeps it current under inserts and deletes (§5.4), and refreshes it
-// with (coalesced) protocol rounds only when the freshness policy
-// demands. Build one with Cluster.Serve. Safe for concurrent use:
-// covered reads share an RLock on the store; updates and refreshes hold
-// mu's write side, and every protocol round holds its read side, so that
-// no update lands under a round.
+// with (coalesced) protocol rounds only when the store was invalidated.
+// Build one with Cluster.Serve. When its cluster has a registry
+// (ClusterConfig.Metrics), the Server registers there the serving
+// counters (dsud_serve_{hits,misses,refreshes,coalesced}_total), store
+// gauges and serve-latency quantiles, and the update path's dsud_update_*
+// counters and its dsud_update_latency_seconds window. Safe for
+// concurrent use: covered reads share an RLock on the store; updates and
+// refreshes hold mu's write side, and every protocol round holds its read
+// side, so that no update lands under a round.
 type Server struct {
-	cluster  *Cluster
-	opts     Options // materialization options (Threshold = floor)
-	window   *obs.Window
-	maxStale time.Duration
-	key      string // coalescing key: one refresh per floor
+	cluster *Cluster
+	opts    Options     // materialization options (Threshold = floor)
+	window  *obs.Window // one observation per served read, over a minute
+	key     string      // coalescing key: one refresh per floor
 
 	// mu serialises updates and refreshes (write side) against protocol
 	// rounds (read side), which run concurrently with each other. It
@@ -86,7 +74,7 @@ type Server struct {
 	store      *serve.Store
 	view       *view
 	replicated bool
-	instr      *maintInstr // nil without ServeConfig.Metrics
+	instr      *maintInstr // nil without ClusterConfig.Metrics
 
 	group     serve.Group
 	hits      atomic.Int64
@@ -100,10 +88,9 @@ type Server struct {
 // Serve materializes the global skyline at cfg.Floor with one protocol
 // round and returns the serving tier over it: route updates through
 // Server.Insert/Delete and the materialization stays exact; if updates
-// can bypass the server, set MaxStaleness (or call Invalidate) so reads
-// re-converge via refresh rounds. The Baseline algorithm is rejected:
-// maintenance relies on the per-site query state that only the
-// DSUD-family protocols establish.
+// bypass the server, call Invalidate so reads re-converge via a refresh
+// round. The Baseline algorithm is rejected: maintenance relies on the
+// per-site query state that only the DSUD-family protocols establish.
 func (c *Cluster) Serve(ctx context.Context, cfg ServeConfig) (*Server, error) {
 	if ctx == nil {
 		return nil, ErrNilContext
@@ -115,19 +102,14 @@ func (c *Cluster) Serve(ctx context.Context, cfg ServeConfig) (*Server, error) {
 	if mopts.Algorithm == Baseline {
 		return nil, fmt.Errorf("%w: serving requires DSUD or EDSUD, not %v", ErrAlgorithm, mopts.Algorithm)
 	}
-	win := cfg.Window
-	if win == nil {
-		win = obs.NewWindow(time.Minute)
-	}
 	s := &Server{
-		cluster:  c,
-		opts:     mopts,
-		window:   win,
-		maxStale: cfg.MaxStaleness,
-		key:      fmt.Sprintf("refresh@%g", cfg.Floor),
-		store:    serve.New(mopts.Threshold),
-		view:     c.newView(nil, 0, msg.Query{Threshold: mopts.Threshold, Dims: mopts.Dims}),
-		instr:    newMaintInstr(cfg.Metrics),
+		cluster: c,
+		opts:    mopts,
+		window:  obs.NewWindow(time.Minute),
+		key:     fmt.Sprintf("refresh@%g", cfg.Floor),
+		store:   serve.New(mopts.Threshold),
+		view:    c.newView(nil, 0, msg.Query{Threshold: mopts.Threshold, Dims: mopts.Dims}),
+		instr:   newMaintInstr(c.reg),
 	}
 	if err := s.refresh(ctx); err != nil {
 		return nil, err
@@ -137,7 +119,7 @@ func (c *Cluster) Serve(ctx context.Context, cfg ServeConfig) (*Server, error) {
 			return nil, err
 		}
 	}
-	s.instrument(cfg.Metrics)
+	s.instrument(c.reg)
 	return s, nil
 }
 
@@ -191,7 +173,7 @@ func sameDims(a, b []int) bool {
 
 // Query answers one skyline query, routed by opts.Mode: ModeProtocol
 // runs a full round on the underlying cluster; ModeMaterialized serves
-// a sorted-prefix read (refreshing first when stale, erring with
+// a sorted-prefix read (refreshing first when invalidated, erring with
 // ErrUncovered when the materialization cannot answer); ModeAuto — the
 // recommended serving mode — serves when covered, and falls back to a
 // protocol round when not, resumed from the materialization where it
@@ -217,9 +199,6 @@ func (s *Server) Query(ctx context.Context, opts Options) (*Report, error) {
 		return nil, fmt.Errorf("%w: threshold %v / subspace %v against floor %v / subspace %v",
 			ErrUncovered, opts.Threshold, opts.Dims, s.store.Floor(), s.opts.Dims)
 	}
-	if opts.Logger == nil {
-		opts.Logger = s.cluster.logger
-	}
 	start := time.Now()
 	qid := s.cluster.nextSession()
 	opts.Trace.begin(start)
@@ -227,10 +206,10 @@ func (s *Server) Query(ctx context.Context, opts Options) (*Report, error) {
 	o := observer{c: s.cluster, opts: &opts, qid: qid, start: start}
 
 	source := SourceMaterialized
-	if s.store.Fresh(start, s.maxStale) {
+	if s.store.Valid() {
 		s.hit()
 	} else {
-		// Stale: every concurrent compatible query shares one refresh
+		// Invalidated: every concurrent compatible query shares one refresh
 		// round. The executor's context drives the round; joiners wait
 		// for it and then read the same replaced store.
 		s.miss()
@@ -250,10 +229,10 @@ func (s *Server) Query(ctx context.Context, opts Options) (*Report, error) {
 // (an uncovered ModeAuto read) the round resumes from the store when the
 // read is uncovered only because its threshold lies below the floor —
 // same subspace as a set, DSUD or e-DSUD, neither TopK nor MaxResults,
-// not forced to record — and the store is valid and fresh: it reports
-// the store's members at once and runs only over the band below the
-// floor (round.Options.Known). Otherwise it runs a full round; an invalid
-// or stale store never triggers a refresh here.
+// not asked to record — and the store is valid: it reports the store's
+// members at once and runs only over the band below the floor
+// (round.Options.Known). Otherwise it runs a full round; an invalid store
+// never triggers a refresh here.
 func (s *Server) protocol(ctx context.Context, opts Options, resume bool) (*Report, error) {
 	opts.Mode = ModeProtocol
 	resume = resume && sameDims(opts.Dims, s.opts.Dims) && opts.Algorithm != Baseline &&
@@ -261,7 +240,7 @@ func (s *Server) protocol(ctx context.Context, opts Options, resume bool) (*Repo
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var known []serve.Entry
-	if resume && s.store.Fresh(time.Now(), s.maxStale) {
+	if resume && s.store.Valid() {
 		known = s.store.Entries()
 	}
 	return run(ctx, s.cluster, opts, known)
@@ -364,27 +343,25 @@ type ServeStats struct {
 	Refreshes int64 `json:"refreshes"`
 	Coalesced int64 `json:"coalesced"`
 
-	Entries      int           `json:"entries"`
-	Version      uint64        `json:"version"`
-	Floor        float64       `json:"floor"`
-	MaxStaleness time.Duration `json:"max_staleness"`
-	LastRefresh  time.Time     `json:"last_refresh"`
-	Fresh        bool          `json:"fresh"`
+	Entries     int       `json:"entries"`
+	Version     uint64    `json:"version"`
+	Floor       float64   `json:"floor"`
+	LastRefresh time.Time `json:"last_refresh"`
+	Fresh       bool      `json:"fresh"`
 }
 
 // Stats snapshots the serving counters and store state.
 func (s *Server) Stats() ServeStats {
 	return ServeStats{
-		Hits:         s.hits.Load(),
-		Misses:       s.misses.Load(),
-		Refreshes:    s.refreshes.Load(),
-		Coalesced:    s.coalesced.Load(),
-		Entries:      s.store.Len(),
-		Version:      s.store.Version(),
-		Floor:        s.store.Floor(),
-		MaxStaleness: s.maxStale,
-		LastRefresh:  s.store.LastRefresh(),
-		Fresh:        s.store.Fresh(time.Now(), s.maxStale),
+		Hits:        s.hits.Load(),
+		Misses:      s.misses.Load(),
+		Refreshes:   s.refreshes.Load(),
+		Coalesced:   s.coalesced.Load(),
+		Entries:     s.store.Len(),
+		Version:     s.store.Version(),
+		Floor:       s.store.Floor(),
+		LastRefresh: s.store.LastRefresh(),
+		Fresh:       s.store.Valid(),
 	}
 }
 

@@ -20,8 +20,17 @@ import (
 
 func newTestServer(t *testing.T, n, d, m int, seed int64, cfg ServeConfig) (*Cluster, *Server) {
 	t.Helper()
+	return newObservedServer(t, ClusterConfig{}, n, d, m, seed, cfg)
+}
+
+// newObservedServer is newTestServer on a cluster with the observers
+// observed attaches (its Logger, Metrics, FlightRecorder, TranscriptDir).
+// They see the Server's initial round too.
+func newObservedServer(t *testing.T, observed ClusterConfig, n, d, m int, seed int64, cfg ServeConfig) (*Cluster, *Server) {
+	t.Helper()
 	parts, _ := makeWorkload(t, n, d, m, gen.Independent, seed)
-	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: d})
+	observed.Partitions, observed.Dims = parts, d
+	cluster, err := Open(observed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +133,15 @@ func TestServedReportBandwidthZero(t *testing.T) {
 // (Server.window owns served latency).
 func TestServedReadReachesQuerySinks(t *testing.T) {
 	ctx := context.Background()
-	cluster, server := newTestServer(t, 300, 2, 3, 5, ServeConfig{Floor: 0.3})
 	fr := flight.New(8)
-	cluster.SetFlightRecorder(fr)
-	query, first := obs.NewWindow(time.Minute), obs.NewWindow(time.Minute)
-	cluster.SetLatencyWindows(query, first)
+	cluster, server := newObservedServer(t, ClusterConfig{FlightRecorder: fr}, 300, 2, 3, 5, ServeConfig{Floor: 0.3})
+	// The Server's initial round is one protocol round: one flight record
+	// and one observation in each window.
+	query, first := cluster.Windows()
+	if fr.Total() != 1 || query.Snapshot().Count != 1 || first.Snapshot().Count != 1 {
+		t.Fatalf("after Serve: %d flight records, %d query and %d ttfr observations, want 1 each",
+			fr.Total(), query.Snapshot().Count, first.Snapshot().Count)
+	}
 
 	rep, err := server.Query(ctx, Options{Threshold: 0.4, Mode: ModeMaterialized})
 	if err != nil {
@@ -137,20 +150,51 @@ func TestServedReadReachesQuerySinks(t *testing.T) {
 	if len(rep.Skyline) == 0 {
 		t.Fatal("served read returned nothing; pick a different seed")
 	}
-	if fr.Total() != 1 {
-		t.Fatalf("flight recorder holds %d records after a served read, want 1", fr.Total())
+	if fr.Total() != 2 {
+		t.Fatalf("flight recorder holds %d records after a served read, want 2", fr.Total())
 	}
-	if r := fr.Snapshot()[0]; r.Algorithm != "materialized" || r.Results != len(rep.Skyline) || r.Session != 0 || r.QueryID == 0 || r.Messages != 0 {
+	if r := fr.Snapshot()[1]; r.Algorithm != "materialized" || r.Results != len(rep.Skyline) || r.Session != 0 || r.QueryID == 0 || r.Messages != 0 {
 		t.Errorf("served flight record %+v", r)
 	}
-	if d := fr.Snapshot()[0].Curve; d == nil || int(d.Results) != len(rep.Skyline) || d.TuplesTotal != 0 {
+	if d := fr.Snapshot()[1].Curve; d == nil || int(d.Results) != len(rep.Skyline) || d.TuplesTotal != 0 {
 		t.Errorf("served digest %+v", d)
 	}
-	if n := first.Snapshot().Count; n != 1 {
-		t.Errorf("time-to-first-result window holds %d observations, want 1", n)
+	if n := first.Snapshot().Count; n != 2 {
+		t.Errorf("time-to-first-result window holds %d observations, want 2", n)
 	}
-	if n := query.Snapshot().Count; n != 0 {
-		t.Errorf("query-latency window holds %d observations of a served read, want 0", n)
+	if n := query.Snapshot().Count; n != 1 {
+		t.Errorf("query-latency window holds %d observations, want the initial round's 1: a served read is not one", n)
+	}
+}
+
+// A Server reports on its cluster's registry: with ClusterConfig.Metrics
+// set and nothing on the ServeConfig, a covered read lands on
+// dsud_serve_hits_total and an insert on dsud_update_applied_total, beside
+// the cluster's own series.
+func TestServerReportsOnClusterRegistry(t *testing.T) {
+	ctx := context.Background()
+	reg := obs.NewRegistry()
+	cluster, server := newObservedServer(t, ClusterConfig{Metrics: reg}, 300, 2, 3, 5, ServeConfig{Floor: 0.3})
+	rep, err := server.Query(ctx, Options{Threshold: 0.4, Mode: ModeMaterialized})
+	if err != nil || rep.Source != SourceMaterialized {
+		t.Fatalf("covered read: source %v, err %v", rep.Source, err)
+	}
+	if err := server.Insert(ctx, 1, uncertain.Tuple{ID: 1 << 40, Point: geom.Point{0.01, 0.01}, Prob: 0.9}); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("dsud_serve_hits_total").Value(); got != 1 {
+		t.Errorf("dsud_serve_hits_total = %d, want 1", got)
+	}
+	if got := reg.Counter("dsud_update_applied_total", "op", "insert").Value(); got != 1 {
+		t.Errorf(`dsud_update_applied_total{op="insert"} = %d, want 1`, got)
+	}
+	// The initial round is the cluster's one protocol query, and every
+	// call it and the insert made is counted once.
+	if got := reg.Counter("dsud_queries_total", "algorithm", "e-dsud").Value(); got != 1 {
+		t.Errorf(`dsud_queries_total{algorithm="e-dsud"} = %d, want 1`, got)
+	}
+	if got, want := rpcTotal(reg, cluster.Sites(), "ok"), cluster.Meter().Snapshot().Messages; got != want {
+		t.Errorf("rpc counters total %d, cluster meter %d messages", got, want)
 	}
 }
 
@@ -342,8 +386,7 @@ func TestModeRouting(t *testing.T) {
 
 // TestServeFreshness pins the staleness machinery: Invalidate forces the
 // next serving read through a refresh round (SourceRefreshed), after
-// which reads are hits again; a MaxStaleness bound in the past has the
-// same effect.
+// which reads are hits again.
 func TestServeFreshness(t *testing.T) {
 	ctx := context.Background()
 	_, server := newTestServer(t, 300, 2, 3, 37, ServeConfig{Floor: 0.3})
@@ -365,14 +408,6 @@ func TestServeFreshness(t *testing.T) {
 	st := server.Stats()
 	if st.Hits != 2 || st.Misses != 1 || st.Refreshes != 1 {
 		t.Fatalf("counters: %+v", st)
-	}
-
-	// An unmeetable staleness bound sends every read through a refresh.
-	_, stale := newTestServer(t, 100, 2, 2, 38, ServeConfig{Floor: 0.3, MaxStaleness: time.Nanosecond})
-	time.Sleep(time.Millisecond)
-	rep, err = stale.Query(ctx, Options{Threshold: 0.3, Mode: ModeMaterialized})
-	if err != nil || rep.Source != SourceRefreshed {
-		t.Fatalf("stale-bound read: source %v, err %v", rep.Source, err)
 	}
 }
 

@@ -114,8 +114,7 @@ func TestUntracedQueriesLogDistinctQueryIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var coordLog bytes.Buffer
-	logger, err := obs.NewLogger(&coordLog, "json", slog.LevelInfo)
-	if err != nil {
+	if cluster.logger, err = obs.NewLogger(&coordLog, "json", slog.LevelInfo); err != nil {
 		t.Fatal(err)
 	}
 
@@ -125,7 +124,7 @@ func TestUntracedQueriesLogDistinctQueryIDs(t *testing.T) {
 		for i := range siteLogs {
 			siteLogs[i].Reset()
 		}
-		rep, err := Run(context.Background(), cluster, Options{Threshold: 0.3, Logger: logger})
+		rep, err := Run(context.Background(), cluster, Options{Threshold: 0.3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,18 +159,19 @@ func TestUntracedQueriesLogDistinctQueryIDs(t *testing.T) {
 // rather than every phase as 0s.
 func TestSlowQueryLogsPhasesOnlyWhenTraced(t *testing.T) {
 	parts, _ := makeWorkload(t, 300, 2, 3, gen.Independent, 73)
-	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 2})
+	var buf bytes.Buffer
+	logger, err := obs.NewLogger(&buf, "json", slog.LevelInfo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 2, Logger: logger})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
 	for _, traced := range []bool{false, true} {
-		var buf bytes.Buffer
-		logger, err := obs.NewLogger(&buf, "json", slog.LevelInfo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := Options{Threshold: 0.3, Logger: logger, SlowQuery: time.Nanosecond}
+		buf.Reset()
+		opts := Options{Threshold: 0.3, SlowQuery: time.Nanosecond}
 		want := 0
 		if traced {
 			opts.Trace, want = NewTrace(), len(Phases())

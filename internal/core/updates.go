@@ -152,7 +152,7 @@ const (
 var opNames = [numOps]string{"insert", "delete"}
 
 // maintInstr carries a Server's update instrumentation. A nil *maintInstr
-// (no ServeConfig.Metrics) costs each update one pointer test — the same
+// (no ClusterConfig.Metrics) costs each update one pointer test — the same
 // discipline as profLabels.
 type maintInstr struct {
 	applied  [numOps]*obs.Counter

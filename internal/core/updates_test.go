@@ -23,8 +23,15 @@ type trackedCluster struct {
 
 func newTrackedCluster(t *testing.T, n, d, m int, seed int64) *trackedCluster {
 	t.Helper()
+	return newMeteredTrackedCluster(t, nil, n, d, m, seed)
+}
+
+// newMeteredTrackedCluster is newTrackedCluster on a cluster instrumented
+// against reg (ClusterConfig.Metrics), which its Servers report on too.
+func newMeteredTrackedCluster(t *testing.T, reg *obs.Registry, n, d, m int, seed int64) *trackedCluster {
+	t.Helper()
 	parts, union := makeWorkload(t, n, d, m, gen.Independent, seed)
-	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: d})
+	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: d, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,14 +308,15 @@ func TestReplicatedMaintenanceMatchesOracle(t *testing.T) {
 	}
 }
 
-// The update path's counters and latency window, registered by
-// ServeConfig.Metrics, must tally every applied operation, and a Server
-// without Metrics must keep applying updates untouched.
+// The update path's counters and latency window, registered on the
+// cluster's ClusterConfig.Metrics, must tally every applied operation, and
+// a Server on a cluster without Metrics must keep applying updates
+// untouched.
 func TestMaintainerInstrumentation(t *testing.T) {
 	ctx := context.Background()
-	tc := newTrackedCluster(t, 200, 2, 3, 51)
 	reg := obs.NewRegistry()
-	maint, err := tc.cluster.Serve(ctx, ServeConfig{Floor: 0.3, Metrics: reg})
+	tc := newMeteredTrackedCluster(t, reg, 200, 2, 3, 51)
+	maint, err := tc.cluster.Serve(ctx, ServeConfig{Floor: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,13 +79,10 @@ type SoakOptions struct {
 	// Window, when set, observes every request's scheduled-arrival
 	// latency — the feed for live quantile exposition and SLO objectives
 	// in dsud-loadgen. (Time-to-first-result needs no option here: the
-	// cluster's own window, Cluster.SetLatencyWindows, sees every query.)
+	// cluster's own window, Cluster.Windows, sees every query, and the
+	// Server the soak serves for its updates reports on the cluster's
+	// registry, ClusterConfig.Metrics.)
 	Window *obs.Window
-	// UpdateMetrics is the ServeConfig.Metrics of the Server the soak
-	// serves for its updates when Server is not set: the dsud_serve_*
-	// and dsud_update_* series, dsud_update_latency_seconds among them.
-	// It only matters with UpdateFraction > 0.
-	UpdateMetrics *obs.Registry
 	// Server, when set, routes every query through the materialized
 	// serving tier (core.Server) instead of running protocol rounds on
 	// the cluster, and routes update traffic through Server.Insert /
@@ -254,7 +251,7 @@ func Soak(ctx context.Context, cluster *core.Cluster, opts SoakOptions) (*SoakRe
 		upd.srv = opts.Server
 		if upd.srv == nil {
 			var err error
-			upd.srv, err = cluster.Serve(ctx, core.ServeConfig{Floor: opts.Threshold, Algorithm: opts.Algorithm, Metrics: opts.UpdateMetrics})
+			upd.srv, err = cluster.Serve(ctx, core.ServeConfig{Floor: opts.Threshold, Algorithm: opts.Algorithm})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: soak server: %w", err)
 			}

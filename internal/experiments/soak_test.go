@@ -142,8 +142,7 @@ func TestSoakEndToEnd(t *testing.T) {
 	defer cluster.Close()
 
 	win := obs.NewWindow(obs.DefWindowWidth)
-	first := obs.NewWindow(obs.DefWindowWidth)
-	cluster.SetLatencyWindows(nil, first)
+	_, first := cluster.Windows()
 	var logged int
 	res, err := Soak(context.Background(), cluster, SoakOptions{
 		RPS:            60,

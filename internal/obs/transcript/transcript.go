@@ -8,9 +8,8 @@
 //
 // Recording hooks in at the coordinator's one call path: a recorded
 // query's view hands every successful RPC to its Recorder, and an
-// unrecorded query's Recorder is nil, so the unsampled path never touches
-// this package and stays zero-alloc (the sampling decision itself is
-// allocation-free, pinned by TestShouldRecordZeroAlloc).
+// unrecorded query's Recorder is nil, so the unrecorded path never
+// touches this package and stays zero-alloc.
 package transcript
 
 import (
@@ -18,7 +17,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/codec"
@@ -158,51 +156,15 @@ func (r *Recorder) Bytes(sum *codec.TranscriptSummary) []byte {
 	return r.buf
 }
 
-// Sink decides which queries get recorded and writes their transcripts
-// into a directory of .dstr files; the query's flight record names the
-// file. A nil *Sink records nothing.
+// Sink writes recorded queries' transcripts into a directory of .dstr
+// files; the query's flight record names the file. A nil *Sink records
+// nothing.
 type Sink struct {
-	dir    string
-	sample float64
-	rng    atomic.Uint64
+	dir string
 }
 
-// NewSink returns a sink writing transcript files to dir, sampling the
-// given fraction of queries (0 disables sampling; forced recording via
-// ShouldRecord(true) still works).
-func NewSink(dir string, sample float64) *Sink {
-	s := &Sink{dir: dir, sample: sample}
-	s.rng.Store(uint64(time.Now().UnixNano()) | 1)
-	return s
-}
-
-// ShouldRecord makes the per-query sampling decision: true when forced
-// (dsud-query -record) or when the query falls in the sampled fraction.
-// Nil-safe and allocation-free — this is the only cost an unsampled
-// query pays (pinned by TestShouldRecordZeroAlloc).
-func (s *Sink) ShouldRecord(force bool) bool {
-	if s == nil {
-		return false
-	}
-	if force {
-		return true
-	}
-	if s.sample <= 0 {
-		return false
-	}
-	if s.sample >= 1 {
-		return true
-	}
-	// splitmix64 over an atomic counter: cheap, lock-free, good enough
-	// for sampling.
-	x := s.rng.Add(0x9E3779B97F4A7C15)
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return float64(x>>11)/(1<<53) < s.sample
-}
+// NewSink returns a sink writing transcript files to dir.
+func NewSink(dir string) *Sink { return &Sink{dir: dir} }
 
 // Finish seals rec — with the summary frame when sum is non-nil (a
 // failed query has none) — and writes the transcript file, returning its

@@ -115,59 +115,9 @@ func TestRecorderNilSafe(t *testing.T) {
 	}
 }
 
-// The unsampled hot path: one ShouldRecord call per query, zero
-// allocations whether or not a sink is attached.
-func TestShouldRecordZeroAlloc(t *testing.T) {
-	var nilSink *Sink
-	if allocs := testing.AllocsPerRun(1000, func() {
-		if nilSink.ShouldRecord(false) {
-			t.Fatal("nil sink recorded")
-		}
-	}); allocs != 0 {
-		t.Fatalf("nil-sink ShouldRecord allocates %v/op", allocs)
-	}
-	s := NewSink("", 0.5)
-	if allocs := testing.AllocsPerRun(1000, func() {
-		s.ShouldRecord(false)
-	}); allocs != 0 {
-		t.Fatalf("sampling ShouldRecord allocates %v/op", allocs)
-	}
-}
-
-func TestShouldRecordSampling(t *testing.T) {
-	var nilSink *Sink
-	if nilSink.ShouldRecord(true) {
-		t.Fatal("nil sink must never record, even forced")
-	}
-	s0 := NewSink("", 0)
-	if s0.ShouldRecord(false) {
-		t.Fatal("sample=0 recorded without force")
-	}
-	if !s0.ShouldRecord(true) {
-		t.Fatal("force must override sample=0")
-	}
-	s1 := NewSink("", 1)
-	for i := 0; i < 100; i++ {
-		if !s1.ShouldRecord(false) {
-			t.Fatal("sample=1 skipped a query")
-		}
-	}
-	half := NewSink("", 0.5)
-	hits := 0
-	const trials = 20000
-	for i := 0; i < trials; i++ {
-		if half.ShouldRecord(false) {
-			hits++
-		}
-	}
-	if hits < trials*4/10 || hits > trials*6/10 {
-		t.Fatalf("sample=0.5 hit %d/%d", hits, trials)
-	}
-}
-
 func TestSinkFinishWritesFile(t *testing.T) {
 	dir := t.TempDir()
-	s := NewSink(dir, 0)
+	s := NewSink(dir)
 	h := testHeader(1)
 	rec := NewRecorder(h, time.Now())
 	recordFakes(t, rec, []fakeCall{{0, msg.KindInit, 0}})
@@ -278,7 +228,7 @@ func TestReadRejectsGarbage(t *testing.T) {
 
 func TestSinkCounters(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "sub") // Finish must MkdirAll
-	s := NewSink(dir, 0)
+	s := NewSink(dir)
 	h := testHeader(1)
 	rec := NewRecorder(h, time.Now())
 	recordFakes(t, rec, []fakeCall{{0, msg.KindInit, 0}})

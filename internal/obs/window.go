@@ -30,8 +30,8 @@ import (
 //     an audit log, and the error is bounded by the race window.
 //   - Nil-safe: every method of a nil *Window no-ops.
 //
-// Buckets are logarithmically spaced (DefWindowBounds: 10µs growing by
-// 1.5x to beyond 60s), so quantile estimates by in-bucket interpolation
+// Buckets are logarithmically spaced (10µs growing by 1.5x to beyond
+// 60s), so quantile estimates by in-bucket interpolation
 // (WindowSnapshot.Quantile) carry a bounded relative error at every
 // magnitude the transports produce.
 type Window struct {
@@ -72,16 +72,6 @@ func defWindowBounds() []int64 {
 	}
 }
 
-// DefWindowBounds returns the default bucket upper bounds (a fresh copy).
-func DefWindowBounds() []time.Duration {
-	raw := defWindowBounds()
-	out := make([]time.Duration, len(raw))
-	for i, v := range raw {
-		out[i] = time.Duration(v)
-	}
-	return out
-}
-
 // DefWindowWidth is the rotation period daemons use unless configured:
 // short enough that /statusz and SLO evaluation see fresh tails, long
 // enough that p99 at modest request rates has samples behind it.
@@ -90,27 +80,13 @@ const DefWindowWidth = 10 * time.Second
 // NewWindow returns a windowed histogram with the default log-spaced
 // bounds rotating every width (width <= 0 selects DefWindowWidth).
 func NewWindow(width time.Duration) *Window {
-	return NewWindowBounds(width, nil)
-}
-
-// NewWindowBounds is NewWindow with explicit bucket upper bounds (nil or
-// empty selects DefWindowBounds). Bounds must be ascending.
-func NewWindowBounds(width time.Duration, bounds []time.Duration) *Window {
 	if width <= 0 {
 		width = DefWindowWidth
 	}
-	var raw []int64
-	if len(bounds) == 0 {
-		raw = defWindowBounds()
-	} else {
-		raw = make([]int64, len(bounds))
-		for i, b := range bounds {
-			raw[i] = int64(b)
-		}
-	}
-	w := &Window{width: int64(width), bounds: raw}
+	bounds := defWindowBounds()
+	w := &Window{width: int64(width), bounds: bounds}
 	for i := range w.banks {
-		w.banks[i].counts = make([]atomic.Uint64, len(raw)+1)
+		w.banks[i].counts = make([]atomic.Uint64, len(bounds)+1)
 	}
 	return w
 }

@@ -7,10 +7,10 @@
 // core.Server owns one, installs every refresh round's answer wholesale
 // (Replace), edits it in place per incremental update (Apply) and serves
 // its reads from that same instance. Every mutation bumps one version
-// counter; readers take a consistent snapshot under an RLock. Freshness
-// is the Server's policy call — the store only tracks the wall-clock of
-// the last wholesale refresh and an invalidation mark, which the Server
-// also sets when an update fails.
+// counter; readers take a consistent snapshot under an RLock. The store
+// is fresh exactly when it is Valid: it tracks an invalidation mark, which
+// the Server sets when an update fails or sites changed out-of-band, and
+// the wall-clock of the last wholesale refresh, which it only reports.
 package serve
 
 import (
@@ -85,18 +85,17 @@ func (s *Store) Len() int {
 }
 
 // LastRefresh returns the wall-clock of the last wholesale Replace.
-// Incremental Apply calls deliberately do not reset it: they keep the
-// index exact for changes that flowed through the Server, while
-// the refresh clock bounds drift from changes that did not.
+// Incremental Apply calls do not reset it: they keep the index exact for
+// changes that flowed through the Server.
 func (s *Store) LastRefresh() time.Time {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.refreshed
 }
 
-// Invalidate marks the materialization stale regardless of age; the
-// next freshness check fails until a Replace. Use it when sites were
-// updated out-of-band (bypassing the Server's updates).
+// Invalidate marks the materialization stale: Valid reports false until
+// the next Replace. Use it when sites were updated out-of-band (bypassing
+// the Server's updates).
 func (s *Store) Invalidate() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -110,22 +109,6 @@ func (s *Store) Valid() bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return !s.invalid
-}
-
-// Fresh reports whether the materialization may be served under the
-// given staleness bound: not explicitly invalidated, and — when
-// maxStale > 0 — refreshed within the last maxStale. maxStale == 0
-// trusts incremental maintenance indefinitely.
-func (s *Store) Fresh(now time.Time, maxStale time.Duration) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.invalid {
-		return false
-	}
-	if maxStale <= 0 {
-		return true
-	}
-	return now.Sub(s.refreshed) <= maxStale
 }
 
 // Replace installs a complete new answer (one protocol/refresh round's

@@ -115,41 +115,33 @@ func TestStoreCopyOnWrite(t *testing.T) {
 	}
 }
 
-// TestStoreFreshness pins the policy inputs: only Replace resets the
-// refresh clock, Invalidate fails freshness until the next Replace, and
-// maxStale == 0 trusts incremental maintenance forever.
+// TestStoreFreshness pins the freshness inputs: the store is fresh
+// exactly when it is Valid, Invalidate makes it stale until the next
+// Replace, and only Replace resets the refresh clock.
 func TestStoreFreshness(t *testing.T) {
 	s := New(0.3)
 	t0 := time.Now()
 	s.Replace(nil, t0)
-
-	if !s.Fresh(t0.Add(time.Hour), 0) {
-		t.Fatal("maxStale 0 must trust the store indefinitely")
-	}
-	if !s.Fresh(t0.Add(time.Second), time.Minute) {
-		t.Fatal("inside the staleness bound must be fresh")
-	}
-	if s.Fresh(t0.Add(2*time.Minute), time.Minute) {
-		t.Fatal("past the staleness bound must be stale")
+	if !s.Valid() {
+		t.Fatal("a replaced store must be valid")
 	}
 
-	// Apply does not reset the refresh clock — it keeps the index exact
-	// for in-band changes while the clock bounds out-of-band drift.
+	// Apply does not reset the refresh clock and keeps the store valid.
 	s.Apply([]Entry{entry(9, 0.8, 0)}, nil)
-	if got := s.LastRefresh(); !got.Equal(t0) {
-		t.Fatalf("Apply moved the refresh clock: %v != %v", got, t0)
+	if got := s.LastRefresh(); !got.Equal(t0) || !s.Valid() {
+		t.Fatalf("Apply moved the refresh clock (%v != %v) or invalidated the store", got, t0)
 	}
 
 	v := s.Version()
 	s.Invalidate()
-	if s.Fresh(t0, 0) || s.Valid() {
-		t.Fatal("invalidated store must not be fresh at any bound")
+	if s.Valid() {
+		t.Fatal("invalidated store must not be valid")
 	}
 	if s.Version() == v {
 		t.Fatal("Invalidate must bump the version")
 	}
 	s.Replace(nil, t0.Add(time.Minute))
-	if !s.Fresh(t0.Add(time.Minute), time.Minute) || !s.Valid() {
-		t.Fatal("Replace must clear the invalidation")
+	if !s.Valid() || !s.LastRefresh().Equal(t0.Add(time.Minute)) {
+		t.Fatal("Replace must clear the invalidation and stamp the refresh clock")
 	}
 }

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -315,5 +316,38 @@ func TestAppendDeltaErrorPropagates(t *testing.T) {
 	bad := uncertain.Tuple{ID: 1, Point: geom.Point{1}, Prob: 9}
 	if _, err := w.AppendDelta(bad); err == nil {
 		t.Fatal("invalid tuple must fail through AppendDelta")
+	}
+}
+
+// Sliding-window continuous skyline: per-arrival maintenance cost.
+func BenchmarkSlidingWindow(b *testing.B) {
+	for _, capacity := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("w=%d", capacity), func(b *testing.B) {
+			w, err := New(capacity, 0.3, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := rand.New(rand.NewSource(77))
+			mk := func(id int) uncertain.Tuple {
+				return uncertain.Tuple{
+					ID:    uncertain.TupleID(id + 1),
+					Point: []float64{r.Float64(), r.Float64()},
+					Prob:  0.05 + 0.95*r.Float64(),
+				}
+			}
+			for i := 0; i < capacity; i++ {
+				if _, err := w.Append(mk(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := w.Append(mk(capacity + i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(w.Candidates()), "candidates")
+		})
 	}
 }
