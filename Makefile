@@ -109,10 +109,17 @@ endif
 replay:
 	$(GO) run ./cmd/dsud-replay $$(ls -t $(RECORD_DIR)/*.dstr | head -1)
 
-# Cross-check every engine against every oracle.
+# Cross-check every engine against every oracle on generated data: the
+# distributed algorithms (Baseline, DSUD, e-DSUD over independent,
+# anticorrelated and correlated values), the PR-tree search and the
+# vertical VDSUD against the brute-force oracle, and the distributed answer
+# and the Monte Carlo sampler against possible-world sampling. A live
+# cluster over a loaded dataset is checked by dsud-query -audit-fraction 1.
 verify:
-	$(GO) run ./cmd/dsud-verify -n 2000 -values anticorrelated
-	$(GO) run ./cmd/dsud-verify -n 2000 -values independent -q 0.5
+	$(GO) test -count=1 -run 'TestAlgorithmsAgreeWithOracle|TestDistributedAnswerMatchesMonteCarlo' ./internal/core
+	$(GO) test -count=1 -run 'TestLocalSkylineMatchesOracle' ./internal/prtree
+	$(GO) test -count=1 -run 'TestQueryMatchesOracle' ./internal/vertical
+	$(GO) test -count=1 -run 'TestEstimatesMatchExact' ./internal/montecarlo
 
 # Run every example end to end.
 examples:

@@ -14,11 +14,13 @@
 //
 // With -self-host the generator spins up loopback site daemons itself
 // (no external cluster needed — the CI smoke mode). With -debug-addr it
-// serves /metrics, /vars, /slostatusz and /debug/pprof/ live during the
-// run. Declarative SLOs (-slo-p99, -slo-error-rate, -slo-ttfr-p95) are
-// evaluated over rotating windows while the load runs; a sustained
-// breach triggers a flight-recorder dump (with -flight-dir) and, with
-// -slo-strict, a nonzero exit.
+// serves /metrics, /vars, /slostatusz, /debug/flightz and /debug/pprof/
+// live during the run; with -mode materialized, /metrics carries the
+// serving tier's dsud_serve_* series (hits, entries, floor, freshness,
+// answer age, read latency). Declarative SLOs (-slo-p99,
+// -slo-error-rate, -slo-ttfr-p95) are evaluated over rotating windows
+// while the load runs; a sustained breach triggers a flight-recorder dump
+// (with -flight-dir) and, with -slo-strict, a nonzero exit.
 //
 // Exit status: 0 on success, 1 when -max-error-rate or a -slo-strict
 // objective failed, 2 on usage errors, 3 on audit invariant violations.
@@ -77,7 +79,7 @@ func run() int {
 		sloEvery   = flag.Duration("slo-interval", 2*time.Second, "SLO evaluation cadence during the run")
 		sloStrict  = flag.Bool("slo-strict", false, "exit 1 when any SLO is breached at the final evaluation")
 
-		debugAddr = flag.String("debug-addr", "", "serve /metrics, /vars, /slostatusz, /debug/flightz and /debug/pprof/ here during the run")
+		debugAddr = flag.String("debug-addr", "", "serve /metrics (with the serving tier's dsud_serve_* series under -mode materialized), /vars, /slostatusz, /debug/flightz and /debug/pprof/ here during the run")
 		flightDir = flag.String("flight-dir", "", "directory for flight-recorder dumps on sustained SLO breach")
 		quiet     = flag.Bool("quiet", false, "suppress per-iteration progress lines")
 	)
@@ -190,14 +192,10 @@ func run() int {
 	})
 
 	if *debugAddr != "" {
-		extras := map[string]http.Handler{
+		mux := obs.DebugMux(reg, map[string]http.Handler{
 			"/slostatusz":    mon.Handler(),
 			"/debug/flightz": fr.Handler(),
-		}
-		if server != nil {
-			extras["/servez"] = server.Handler()
-		}
-		mux := obs.DebugMux(reg, extras)
+		})
 		lis, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dsud-loadgen: debug listen: %v\n", err)

@@ -8,19 +8,22 @@
 //	dsud-query -addrs 127.0.0.1:7101,127.0.0.1:7102 -dims 3 -q 0.3 -algo edsud
 //
 // With -cluster-status it instead polls every site's status once and
-// prints the cluster watch's table, one row per site. With -watch it runs
-// as a long-lived watching coordinator: it polls every site's status once
-// per -poll-interval, keeps a short per-site history and serves it at
-// /clusterz (and as a Prometheus federation view) on -debug-addr — the
-// endpoint dsud-top -cluster reads. With -slo-p99 the watch also judges
-// each site's and the merged cluster's windowed p99 against that target.
-// With -audit-fraction the completed query is
-// re-checked against exact oracles at that sampling rate, and with
-// -flight-dir the coordinator's flight recorder is dumped on exit (and
-// automatically on slow queries or audit violations). With -explain the
-// finished query is rendered as an explain report: per-site
-// contribution, per-phase timing and the ASCII delivery timeline of the
-// curve its /debug/flightz record carries.
+// prints the cluster watch's table, one row per site (a site that does not
+// answer, or refuses the dial, is a STALE row with its error; exit 1
+// unless every site is fresh). With -watch it runs as a long-lived
+// watching coordinator: it polls every site's status once per
+// -poll-interval, keeps a short per-site history and serves it at
+// /clusterz (JSON, or the same table with a p99 history column at
+// ?format=text) and as a Prometheus federation view on -debug-addr. With
+// -slo-p99 the watch also judges each site's and the merged cluster's
+// windowed p99 against that target. With -mode materialized|auto and
+// -debug-addr, the serving tier's dsud_serve_* series are on /metrics.
+// With -audit-fraction the completed query is re-checked against exact
+// oracles at that sampling rate, and with -flight-dir the coordinator's
+// flight recorder is dumped on exit (and automatically on slow queries or
+// audit violations). With -explain the finished query is rendered as an
+// explain report: per-site contribution, per-phase timing and the ASCII
+// delivery timeline of the curve its /debug/flightz record carries.
 package main
 
 import (
@@ -57,7 +60,7 @@ func main() {
 		stats   = flag.Bool("stats", false, "print the per-phase timing table after the query")
 		explain = flag.Bool("explain", false, "render the per-query explain report after the query: per-site contribution and wait/service time, phase breakdown and the ASCII delivery timeline")
 
-		clusterStatus = flag.Bool("cluster-status", false, "poll every site's status once over the wire, print the cluster table and exit (1 unless every site answered)")
+		clusterStatus = flag.Bool("cluster-status", false, "poll every site's status once over the wire, print the cluster table (an unreachable site is a STALE row) and exit (1 unless every site answered)")
 		watch         = flag.Bool("watch", false, "run as a watching coordinator: poll every site's status and serve /clusterz plus the cluster federation view on -debug-addr until interrupted (no query runs)")
 		pollInterval  = flag.Duration("poll-interval", time.Second, "status poll cadence in -watch mode; a site that misses one poll is stale")
 		sloP99        = flag.Duration("slo-p99", 0, "in -watch mode, the windowed p99 request latency each site and the merged cluster must stay under; a breach for 3 polls is sustained (0 = no objectives)")
@@ -67,7 +70,7 @@ func main() {
 		flightSize    = flag.Int("flight-size", 0, "flight-recorder ring capacity in query records (0 = default)")
 		record        = flag.String("record", "", "directory for a black-box transcript of this query: every coordinator<->site message is captured into a replayable .dstr file (consume with dsud-replay)")
 
-		debugAddr = flag.String("debug-addr", "", "optional debug address serving /metrics, /vars, /healthz, /debug/flightz and /debug/pprof/")
+		debugAddr = flag.String("debug-addr", "", "optional debug address serving /metrics (with the serving tier's dsud_serve_* series under -mode materialized|auto), /vars, /healthz, /debug/flightz and /debug/pprof/")
 		logLevel  = flag.String("log-level", "", "structured log level: debug|info|warn|error (empty = logging off)")
 		logFormat = flag.String("log-format", "text", "structured log format: text|json")
 		slowQuery = flag.Duration("slow-query", 0, "log queries at least this slow at Warn with a phase breakdown (0 = off; needs -log-level)")
@@ -92,20 +95,14 @@ func main() {
 	}
 
 	if *clusterStatus {
-		// Status polls don't need the data dimensionality; any positive
-		// value satisfies the cluster constructor.
-		d := *dims
-		if d <= 0 {
-			d = 1
-		}
-		cluster, err := dsq.Connect(dsq.ClusterConfig{Addrs: strings.Split(*addrs, ","), Dims: d})
+		cluster, err := statusCluster(dsq.ClusterConfig{Addrs: strings.Split(*addrs, ","), Dims: *dims})
 		if err != nil {
 			fatalf("%v", err)
 		}
 		defer cluster.Close()
 		// One watch sweep, bounded by its interval, so a site that echoes
 		// the hello but never answers reads STALE instead of hanging the
-		// command.
+		// command, as does a site that refuses the dial.
 		w := cluster.Watch(ctx, statusTimeout, 0)
 		w.Stop()
 		w.WriteText(os.Stdout)
@@ -206,11 +203,7 @@ func main() {
 			fatalf("debug listen: %v", err)
 		}
 		fmt.Printf("debug endpoint on http://%s/metrics\n", lis.Addr())
-		extras := map[string]http.Handler{"/debug/flightz": fr.Handler()}
-		if server != nil {
-			extras["/servez"] = server.Handler()
-		}
-		go http.Serve(lis, obs.DebugMux(reg, extras))
+		go http.Serve(lis, obs.DebugMux(reg, map[string]http.Handler{"/debug/flightz": fr.Handler()}))
 	}
 
 	opts := dsq.Options{Threshold: *q, Dims: subspace, Algorithm: algorithm, TopK: *topk, Mode: queryMode}
@@ -344,18 +337,8 @@ const statusTimeout = 5 * time.Second
 // and serves /clusterz (JSON and ?format=text), the federation /metrics
 // view and the usual debug endpoints until ctx is cancelled.
 func watchCluster(ctx context.Context, addrs string, dims int, debugAddr string, interval, p99 time.Duration, logLevel, logFormat string) error {
-	d := dims
-	if d <= 0 {
-		d = 1 // status polls never ship tuples; any positive dims satisfies the constructor
-	}
 	reg := dsq.NewMetrics()
-	cfg := dsq.ClusterConfig{
-		Addrs:   strings.Split(addrs, ","),
-		Dims:    d,
-		Metrics: reg,
-		// Redialling transport: a restarted site answers the next poll.
-		RetryAttempts: 3,
-	}
+	cfg := dsq.ClusterConfig{Addrs: strings.Split(addrs, ","), Dims: dims, Metrics: reg}
 	if logLevel != "" {
 		level, err := dsq.ParseLogLevel(logLevel)
 		if err != nil {
@@ -365,7 +348,7 @@ func watchCluster(ctx context.Context, addrs string, dims int, debugAddr string,
 			return err
 		}
 	}
-	cluster, err := dsq.Connect(cfg)
+	cluster, err := statusCluster(cfg)
 	if err != nil {
 		return err
 	}
@@ -391,6 +374,19 @@ func watchCluster(ctx context.Context, addrs string, dims int, debugAddr string,
 		return err
 	}
 	return nil
+}
+
+// statusCluster opens the cluster a status sweep polls. Status polls ship
+// no tuples, so any positive dims satisfies the constructor. The
+// redialling transport dials lazily, inside the sweep: a site that is down
+// reads STALE with its dial error instead of failing the open, and a
+// restarted site answers the watch's next poll.
+func statusCluster(cfg dsq.ClusterConfig) (*dsq.Cluster, error) {
+	if cfg.Dims <= 0 {
+		cfg.Dims = 1
+	}
+	cfg.RetryAttempts = 3
+	return dsq.Connect(cfg)
 }
 
 func fatalf(format string, args ...interface{}) {

@@ -6,9 +6,10 @@
 //
 //	dsud-site -data /tmp/parts/site-0.dsud -addr 127.0.0.1:7101 -id 0
 //
-// With -debug-addr the daemon serves /healthz, /statusz, /debug/flightz,
-// /metrics (Prometheus), /vars (JSON) and /debug/pprof/ on one HTTP
-// address. The site judges no
+// With -debug-addr the daemon serves /healthz, /debug/flightz, /metrics
+// (Prometheus), /vars (JSON) and /debug/pprof/ on one HTTP address. Its
+// status is the KindStatus reply a coordinator polls (dsud-query
+// -cluster-status, or -watch and its /clusterz). The site judges no
 // objectives: its status reports its latency window, and a watching
 // coordinator (dsud-query -watch -slo-p99) judges it. On SIGINT/SIGTERM it
 // stops accepting requests, drains in-flight queries for -drain, and (with
@@ -40,7 +41,7 @@ func main() {
 	var (
 		data       = flag.String("data", "", "partition file written by dsud-gen (required)")
 		addr       = flag.String("addr", "127.0.0.1:0", "listen address")
-		debugAddr  = flag.String("debug-addr", "", "optional debug address serving /metrics, /vars, /healthz, /statusz, /debug/flightz and /debug/pprof/")
+		debugAddr  = flag.String("debug-addr", "", "optional debug address serving /metrics, /vars, /healthz, /debug/flightz and /debug/pprof/")
 		id         = flag.Int("id", 0, "site index (diagnostics only)")
 		logLevel   = flag.String("log-level", "", "structured log level: debug|info|warn|error (empty = logging off)")
 		logFormat  = flag.String("log-format", "text", "structured log format: text|json")
@@ -130,17 +131,14 @@ func main() {
 		ctrs[i].bytes.Add(int64(n))
 	})
 	// Surface mux worker-pool saturation in the status a watching
-	// coordinator polls (and /statusz), and the windowed request-latency
-	// quantiles (p50/p95/p99 over the last ~10-20s) in /metrics.
+	// coordinator polls, and the windowed request-latency quantiles
+	// (p50/p95/p99 over the last ~10-20s) in /metrics.
 	eng.SetWorkerStats(srv.WorkerStats)
 	obs.ExposeWindow(reg, "dsud_site_request_window_seconds", eng.Window(), "site", fmt.Sprint(*id))
 	fmt.Printf("dsud-site %d serving %d tuples (%d dims) on %s\n", *id, len(part), dims, lis.Addr())
 
 	if *debugAddr != "" {
-		mux := obs.DebugMux(reg, map[string]http.Handler{
-			"/statusz":       eng.StatusHandler(),
-			"/debug/flightz": fr.Handler(),
-		})
+		mux := obs.DebugMux(reg, map[string]http.Handler{"/debug/flightz": fr.Handler()})
 		dbgLis, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
 			fatalf("debug listen: %v", err)

@@ -40,7 +40,8 @@ type (
 	// Server reports on its cluster's registry (ClusterConfig.Metrics).
 	ServeConfig = core.ServeConfig
 	// ServeStats snapshots the serving tier's hit/miss/refresh/coalesce
-	// counters and store state (Server.Stats, the /servez document).
+	// counters and store state (Server.Stats; the dsud_serve_* series on
+	// the cluster's registry carry the same figures).
 	ServeStats = core.ServeStats
 	// Mode selects how a query's answer is produced (Options.Mode):
 	// a full protocol round, a materialized read, or automatic routing.

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"net"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -96,5 +98,29 @@ func TestClusterHealthDeadSite(t *testing.T) {
 
 	if out := statusTable(cluster); !strings.Contains(out, "STALE") || !strings.Contains(out, "1/2 sites fresh") {
 		t.Fatalf("table should show the dead site:\n%s", out)
+	}
+}
+
+// A site that refuses the dial fails neither the open of a redialling
+// cluster (it dials lazily, inside the sweep) nor the sweep: its row is
+// STALE with the dial error beside the live site's FRESH one.
+func TestClusterHealthUnreachableSite(t *testing.T) {
+	parts, _ := makeWorkload(t, 100, 2, 2, gen.Independent, 75)
+	live, _ := startWatchedSite(t, 0, parts[0], 2, "127.0.0.1:0")
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := lis.Addr().String()
+	lis.Close()
+	cluster, err := Open(ClusterConfig{Addrs: []string{live, dead}, Dims: 2, RetryAttempts: 1})
+	if err != nil {
+		t.Fatalf("open with a dead site: %v", err)
+	}
+	defer cluster.Close()
+	out := statusTable(cluster)
+	if !strings.Contains(out, "1/2 sites fresh") || !regexp.MustCompile(`(?m)^0 +FRESH `).MatchString(out) ||
+		!regexp.MustCompile(`(?m)^1 +STALE +.*dial`).MatchString(out) {
+		t.Fatalf("status table:\n%s", out)
 	}
 }

@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,7 +52,8 @@ type ServeConfig struct {
 // Build one with Cluster.Serve. When its cluster has a registry
 // (ClusterConfig.Metrics), the Server registers there the serving
 // counters (dsud_serve_{hits,misses,refreshes,coalesced}_total), store
-// gauges and serve-latency quantiles, and the update path's dsud_update_*
+// gauges (dsud_serve_{entries,version,floor,fresh,age_seconds}) and
+// serve-latency quantiles, and the update path's dsud_update_*
 // counters and its dsud_update_latency_seconds window. Safe for
 // concurrent use: covered reads share an RLock on the store; updates and
 // refreshes hold mu's write side, and every protocol round holds its read
@@ -134,6 +133,9 @@ func (s *Server) instrument(reg *obs.Registry) {
 		"dsud_serve_coalesced_total", "Queries that shared another query's in-flight refresh round.",
 		"dsud_serve_entries", "Materialized skyline entries at the floor threshold.",
 		"dsud_serve_version", "Materialized store version (bumps on every mutation).",
+		"dsud_serve_floor", "Materialization floor threshold: reads at or above it are covered.",
+		"dsud_serve_fresh", "1 while the materialized answer is valid, 0 after a failed update or Invalidate until a refresh.",
+		"dsud_serve_age_seconds", "Seconds since the materialized answer was last rebuilt by a protocol round.",
 	)
 	s.cHits = reg.Counter("dsud_serve_hits_total")
 	s.cMisses = reg.Counter("dsud_serve_misses_total")
@@ -141,6 +143,14 @@ func (s *Server) instrument(reg *obs.Registry) {
 	s.cCoalesced = reg.Counter("dsud_serve_coalesced_total")
 	reg.GaugeFunc("dsud_serve_entries", func() float64 { return float64(s.store.Len()) })
 	reg.GaugeFunc("dsud_serve_version", func() float64 { return float64(s.store.Version()) })
+	reg.GaugeFunc("dsud_serve_floor", s.store.Floor)
+	reg.GaugeFunc("dsud_serve_fresh", func() float64 {
+		if s.store.Valid() {
+			return 1
+		}
+		return 0
+	})
+	reg.GaugeFunc("dsud_serve_age_seconds", func() float64 { return time.Since(s.store.LastRefresh()).Seconds() })
 	obs.ExposeWindow(reg, "dsud_serve_latency", s.window)
 }
 
@@ -336,18 +346,19 @@ func (s *Server) Cluster() *Cluster { return s.cluster }
 
 // ServeStats is one consistent-enough snapshot of the serving tier's
 // counters and store state (counters are read individually; exactness
-// across them is not guaranteed under load).
+// across them is not guaranteed under load). The same figures are the
+// dsud_serve_* series on the cluster's registry.
 type ServeStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Refreshes int64 `json:"refreshes"`
-	Coalesced int64 `json:"coalesced"`
+	Hits      int64
+	Misses    int64
+	Refreshes int64
+	Coalesced int64
 
-	Entries     int       `json:"entries"`
-	Version     uint64    `json:"version"`
-	Floor       float64   `json:"floor"`
-	LastRefresh time.Time `json:"last_refresh"`
-	Fresh       bool      `json:"fresh"`
+	Entries     int
+	Version     uint64
+	Floor       float64
+	LastRefresh time.Time
+	Fresh       bool
 }
 
 // Stats snapshots the serving counters and store state.
@@ -363,37 +374,4 @@ func (s *Server) Stats() ServeStats {
 		LastRefresh: s.store.LastRefresh(),
 		Fresh:       s.store.Valid(),
 	}
-}
-
-// Handler serves the /servez debug document: the serving counters,
-// store state and serve-latency quantiles, as JSON.
-func (s *Server) Handler() http.Handler {
-	type latency struct {
-		P50  time.Duration `json:"p50"`
-		P95  time.Duration `json:"p95"`
-		P99  time.Duration `json:"p99"`
-		Rate float64       `json:"rate_per_sec"`
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		st := s.Stats()
-		snap := s.window.Snapshot()
-		doc := struct {
-			ServeStats
-			AgeMS   int64   `json:"age_ms"`
-			Latency latency `json:"latency"`
-		}{
-			ServeStats: st,
-			AgeMS:      time.Since(st.LastRefresh).Milliseconds(),
-			Latency: latency{
-				P50:  snap.Quantile(0.50),
-				P95:  snap.Quantile(0.95),
-				P99:  snap.Quantile(0.99),
-				Rate: snap.Rate(),
-			},
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(doc)
-	})
 }

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"math/rand"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -185,6 +185,14 @@ func TestServerReportsOnClusterRegistry(t *testing.T) {
 	if got := reg.Counter("dsud_serve_hits_total").Value(); got != 1 {
 		t.Errorf("dsud_serve_hits_total = %d, want 1", got)
 	}
+	// The store's state and the served reads' latency are gauges beside
+	// the counters: the answer's size, floor, freshness and age.
+	vars := registryVars(t, reg)
+	if vars["dsud_serve_entries"] <= 0 || vars["dsud_serve_floor"] != 0.3 || vars["dsud_serve_fresh"] != 1 ||
+		vars["dsud_serve_age_seconds"] < 0 || vars["dsud_serve_age_seconds"] > 60 ||
+		vars[`dsud_serve_latency{quantile="0.5"}`] <= 0 {
+		t.Errorf("serving gauges: %v", vars)
+	}
 	if got := reg.Counter("dsud_update_applied_total", "op", "insert").Value(); got != 1 {
 		t.Errorf(`dsud_update_applied_total{op="insert"} = %d, want 1`, got)
 	}
@@ -196,6 +204,32 @@ func TestServerReportsOnClusterRegistry(t *testing.T) {
 	if got, want := rpcTotal(reg, cluster.Sites(), "ok"), cluster.Meter().Snapshot().Messages; got != want {
 		t.Errorf("rpc counters total %d, cluster meter %d messages", got, want)
 	}
+	server.Invalidate()
+	if got := registryVars(t, reg)["dsud_serve_fresh"]; got != 0 {
+		t.Errorf("dsud_serve_fresh after Invalidate = %v, want 0", got)
+	}
+}
+
+// registryVars reads every numeric series of reg, keyed as /vars keys
+// them (name{labels}).
+func registryVars(t *testing.T, reg *obs.Registry) map[string]float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
+		t.Fatal(err)
+	}
+	vars := make(map[string]float64, len(raw))
+	for k, v := range raw {
+		var f float64
+		if json.Unmarshal(v, &f) == nil {
+			vars[k] = f
+		}
+	}
+	return vars
 }
 
 // TestServeProgressiveDelivery pins the synthetic provenance: served
@@ -551,35 +585,5 @@ func TestServeConfigValidation(t *testing.T) {
 	}
 	if _, err := cluster.Serve(context.Background(), ServeConfig{Floor: 0.3, Algorithm: Baseline}); !errors.Is(err, ErrAlgorithm) {
 		t.Fatalf("baseline: got %v", err)
-	}
-}
-
-// TestServezHandler pins the /servez debug document shape.
-func TestServezHandler(t *testing.T) {
-	ctx := context.Background()
-	_, server := newTestServer(t, 200, 2, 3, 53, ServeConfig{Floor: 0.3})
-	if _, err := server.Query(ctx, Options{Threshold: 0.3, Mode: ModeMaterialized}); err != nil {
-		t.Fatal(err)
-	}
-
-	rec := httptest.NewRecorder()
-	server.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/servez", nil))
-	if rec.Code != 200 {
-		t.Fatalf("status %d", rec.Code)
-	}
-	var doc struct {
-		Hits    int64   `json:"hits"`
-		Entries int     `json:"entries"`
-		Floor   float64 `json:"floor"`
-		Fresh   bool    `json:"fresh"`
-		Latency struct {
-			P50 float64 `json:"p50"`
-		} `json:"latency"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
-		t.Fatalf("servez document: %v\n%s", err, rec.Body.String())
-	}
-	if doc.Hits != 1 || doc.Entries == 0 || doc.Floor != 0.3 || !doc.Fresh {
-		t.Fatalf("servez content: %+v\n%s", doc, rec.Body.String())
 	}
 }

@@ -13,8 +13,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -307,12 +309,13 @@ func (w *ClusterWatch) Handler() http.Handler {
 
 // WriteText renders the Clusterz document as the table behind
 // /clusterz?format=text and dsud-query -cluster-status, with one line per
-// breached objective under it.
+// breached objective under it. Each answering site's row ends with a
+// sparkline of the p99 over its newest sparkWidth polls.
 func (w *ClusterWatch) WriteText(out io.Writer) {
-	doc := w.Snapshot(false)
-	fmt.Fprintf(out, "%-5s %-7s %8s %8s %9s %8s %8s %8s %9s %7s %6s %9s %4s %8s %9s %8s %10s %s\n",
+	doc := w.Snapshot(true)
+	fmt.Fprintf(out, "%-5s %-7s %8s %8s %9s %8s %8s %8s %9s %7s %6s %9s %4s %8s %9s %8s %10s %-11s %s\n",
 		"SITE", "STATE", "AGE", "POLLS", "RATE", "P50MS", "P95MS", "P99MS", "INFLIGHT", "WORKERS", "QUEUED",
-		"TUPLES", "TREE", "SESSIONS", "REPLICA", "UPTIME", "REQUESTS", "LAST-UPDATE")
+		"TUPLES", "TREE", "SESSIONS", "REPLICA", "UPTIME", "REQUESTS", "LAST-UPDATE", "P99-HISTORY")
 	for _, s := range doc.PerSite {
 		state := "FRESH"
 		if s.Stale {
@@ -332,11 +335,11 @@ func (w *ClusterWatch) WriteText(out io.Writer) {
 		if st.LastUpdateUnixNano != 0 {
 			lastUpdate = time.Duration(doc.UnixNano-st.LastUpdateUnixNano).Round(time.Second).String() + " ago"
 		}
-		fmt.Fprintf(out, "%-5d %-7s %7.1fs %8d %9.1f %8.2f %8.2f %8.2f %9d %7s %6d %9d %4d %8d %4d@v%-3d %8s %10d %s\n",
+		fmt.Fprintf(out, "%-5d %-7s %7.1fs %8d %9.1f %8.2f %8.2f %8.2f %9d %7s %6d %9d %4d %8d %4d@v%-3d %8s %10d %-11s %s\n",
 			s.Site, state, s.AgeSeconds, s.Polls, st.WindowRate, st.LatencyP50Ms, st.LatencyP95Ms, st.LatencyP99Ms,
 			st.InFlight, workers, st.MuxQueued, st.Tuples, st.TreeHeight, st.Sessions,
 			st.ReplicaSize, st.ReplicaVersion, time.Duration(st.UptimeSeconds*float64(time.Second)).Round(time.Second),
-			st.RequestsTotal, lastUpdate)
+			st.RequestsTotal, lastUpdate, spark(s.History))
 	}
 	fmt.Fprintf(out, "%d/%d sites fresh; cluster rate %.1f/s p50 %.2fms p95 %.2fms p99 %.2fms\n",
 		doc.Fresh, doc.Sites, doc.Rate, doc.P50Ms, doc.P95Ms, doc.P99Ms)
@@ -346,6 +349,33 @@ func (w *ClusterWatch) WriteText(out io.Writer) {
 				o.Name, o.SustainedBreaches, o.Current, o.Target, o.Burn)
 		}
 	}
+}
+
+// sparkWidth is how many of a site's newest polls its P99-HISTORY
+// sparkline shows.
+const sparkWidth = 32
+
+var sparkLevels = []rune("▁▂▃▄▅▆▇█")
+
+// spark renders the p99 of a site's newest sparkWidth polls, one rune per
+// poll, scaled to their own maximum (a flat zero history is a floor line).
+func spark(pts []WatchPoint) string {
+	if len(pts) > sparkWidth {
+		pts = pts[len(pts)-sparkWidth:]
+	}
+	max := 0.0
+	for _, p := range pts {
+		max = math.Max(max, p.P99Ms)
+	}
+	var b strings.Builder
+	for _, p := range pts {
+		i := 0
+		if max > 0 {
+			i = int(p.P99Ms / max * float64(len(sparkLevels)-1))
+		}
+		b.WriteRune(sparkLevels[i])
+	}
+	return b.String()
 }
 
 // watchGauges are the per-site federation gauges, read from each site's

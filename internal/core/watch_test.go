@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"log/slog"
 	"net"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/gen"
 	"repro/internal/msg"
@@ -175,7 +177,9 @@ func TestClusterWatchKillAndRecover(t *testing.T) {
 }
 
 // An in-process cluster is watched like a TCP one: every site is fresh,
-// with history, from the first sweep on.
+// with history, from the first sweep on, and the text table ends every
+// answering site's row with its p99 history, one sparkline rune per
+// retained poll.
 func TestClusterWatchInProcess(t *testing.T) {
 	parts, _ := makeWorkload(t, 100, 2, 2, gen.Independent, 72)
 	cluster, err := Open(ClusterConfig{Partitions: parts, Dims: 2})
@@ -196,6 +200,20 @@ func TestClusterWatchInProcess(t *testing.T) {
 	for _, s := range doc.PerSite {
 		if s.Stale || s.Latest == nil || len(s.History) == 0 {
 			t.Fatalf("site %d = %+v", s.Site, s)
+		}
+	}
+
+	waitUntil(t, 5*time.Second, "three polls", func() bool { return w.Snapshot(false).PerSite[1].Polls >= 3 })
+	w.Stop()
+	var sb strings.Builder
+	w.WriteText(&sb)
+	if header, _, _ := strings.Cut(sb.String(), "\n"); !strings.HasSuffix(header, " P99-HISTORY") {
+		t.Fatalf("header has no P99-HISTORY column:\n%s", sb.String())
+	}
+	for _, s := range w.Snapshot(true).PerSite {
+		row := regexp.MustCompile(fmt.Sprintf(`(?m)^%d +FRESH .* ([▁▂▃▄▅▆▇█]+)$`, s.Site)).FindStringSubmatch(sb.String())
+		if row == nil || utf8.RuneCountInString(row[1]) != len(s.History) {
+			t.Fatalf("site %d: %d retained polls, row %q in:\n%s", s.Site, len(s.History), row, sb.String())
 		}
 	}
 }

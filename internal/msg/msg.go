@@ -248,8 +248,9 @@ type Response struct {
 }
 
 // SiteStatus is one site's operational snapshot, answered to KindStatus
-// and served as JSON at /statusz. The JSON field names are wire-stable:
-// the same document is the protocol's encoding of the struct.
+// (a watching coordinator's /clusterz carries each site's latest one
+// verbatim). The JSON field names are wire-stable: the JSON document is
+// the protocol's encoding of the struct.
 type SiteStatus struct {
 	// ID is the site index the daemon was started with.
 	ID int `json:"id"`

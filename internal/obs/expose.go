@@ -178,8 +178,8 @@ func getOnly(h http.Handler) http.Handler {
 // GET/HEAD only (pprof manages its own methods — /debug/pprof/symbol
 // legitimately accepts POST). extra handlers (path → handler) are
 // mounted verbatim, letting callers add component-specific pages (e.g.
-// the site's /statusz or the flight recorder's /debug/flightz); they are
-// expected to enforce their own methods.
+// a watching coordinator's /clusterz or the flight recorder's
+// /debug/flightz); they are expected to enforce their own methods.
 func DebugMux(r *Registry, extra map[string]http.Handler) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", getOnly(r.Handler()))

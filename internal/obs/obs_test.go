@@ -241,7 +241,7 @@ func TestDebugMuxExtraHandlers(t *testing.T) {
 	r := NewRegistry()
 	calls := 0
 	mux := DebugMux(r, map[string]http.Handler{
-		"/statusz": http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		"/debug/extra": http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 			calls++
 			w.Header().Set("Content-Type", "application/json")
 			io.WriteString(w, `{"id":7}`)
@@ -256,9 +256,9 @@ func TestDebugMuxExtraHandlers(t *testing.T) {
 	})
 
 	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/statusz", nil))
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/extra", nil))
 	if rec.Code != 200 || rec.Body.String() != `{"id":7}` || calls != 1 {
-		t.Fatalf("/statusz: code %d body %q calls %d", rec.Code, rec.Body.String(), calls)
+		t.Fatalf("/debug/extra: code %d body %q calls %d", rec.Code, rec.Body.String(), calls)
 	}
 
 	// The extra handler's own method policy applies, not the mux's.

@@ -25,7 +25,7 @@ import (
 )
 
 // Status is one objective's most recent evaluation, JSON-stable for
-// /slostatusz and /clusterz consumers (dsud-top, curl | jq).
+// /slostatusz and /clusterz consumers (curl | jq).
 type Status struct {
 	// Name identifies the objective ("query-p99", "error-rate", ...).
 	Name string `json:"name"`
@@ -370,7 +370,7 @@ func (m *Monitor) Handler() http.Handler {
 }
 
 // WriteText renders the latest statuses as an aligned operator table —
-// the dsud-top SLO pane and a human-friendly curl target.
+// the SLO table at the end of dsud-loadgen's summary.
 func WriteText(w interface{ Write([]byte) (int, error) }, statuses []Status) {
 	fmt.Fprintf(w, "%-18s %-10s %10s %10s %8s  %s\n", "SLO", "KIND", "CURRENT", "TARGET", "BURN", "STATE")
 	for _, st := range statuses {

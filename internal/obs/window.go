@@ -73,8 +73,8 @@ func defWindowBounds() []int64 {
 }
 
 // DefWindowWidth is the rotation period daemons use unless configured:
-// short enough that /statusz and SLO evaluation see fresh tails, long
-// enough that p99 at modest request rates has samples behind it.
+// short enough that a site's status and SLO evaluation see fresh tails,
+// long enough that p99 at modest request rates has samples behind it.
 const DefWindowWidth = 10 * time.Second
 
 // NewWindow returns a windowed histogram with the default log-spaced

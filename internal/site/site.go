@@ -94,7 +94,7 @@ type Engine struct {
 	logger  *slog.Logger
 	slowReq time.Duration
 
-	// Health bookkeeping for KindStatus / /statusz. inFlight counts
+	// Health bookkeeping for KindStatus. inFlight counts
 	// requests between Handle entry and exit (including those queued
 	// behind e.mu); requestsTotal counts requests ever entered;
 	// lastUpdate is the UnixNano of the last mutating operation (insert,
@@ -115,7 +115,7 @@ type Engine struct {
 	// finished query session. Nil-safe, so no guard at the record site.
 	flight *flight.Recorder
 
-	// win is the always-on rotating latency window behind the /statusz
+	// win is the always-on rotating latency window behind the status's
 	// percentiles (LatencyP50Ms..P99Ms): request durations measured from
 	// Handle entry to exit, so time queued behind e.mu counts — that is
 	// the latency the coordinator actually experiences. workerStats, when

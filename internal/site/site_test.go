@@ -2,12 +2,9 @@ package site
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -534,31 +531,14 @@ func TestStatusEndpoint(t *testing.T) {
 	if st.StartUnixNano == 0 || st.UptimeSeconds < 0 {
 		t.Fatalf("uptime fields = %d, %v", st.StartUnixNano, st.UptimeSeconds)
 	}
-	srv := httptest.NewServer(eng.StatusHandler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL)
+	// The KindStatus reply a coordinator polls is the same snapshot.
+	resp, err := eng.Handle(context.Background(), &msg.Request{Kind: msg.KindStatus})
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("content-type %q", ct)
-	}
-	var got msg.SiteStatus
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
 	// Uptime advances between the two snapshots; compare stable fields.
-	if got.ID != st.ID || got.Tuples != st.Tuples || got.Sessions != st.Sessions ||
+	if got := resp.Status; got == nil || got.ID != st.ID || got.Tuples != st.Tuples || got.Sessions != st.Sessions ||
 		got.TreeHeight != st.TreeHeight || got.StartUnixNano != st.StartUnixNano {
-		t.Fatalf("http status %+v, want %+v", got, st)
-	}
-	post, err := http.Post(srv.URL, "text/plain", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	post.Body.Close()
-	if post.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("POST status = %d", post.StatusCode)
+		t.Fatalf("KindStatus reply %+v, want %+v", got, st)
 	}
 }

@@ -1,16 +1,13 @@
 package site
 
 import (
-	"encoding/json"
-	"net/http"
 	"time"
 
 	"repro/internal/msg"
 )
 
-// Status returns the site's operational snapshot — the same struct
-// answered to msg.KindStatus, so the ops endpoint and the protocol
-// health probe can never disagree.
+// Status returns the site's operational snapshot, the same struct
+// answered to msg.KindStatus.
 func (e *Engine) Status() msg.SiteStatus {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -54,23 +51,4 @@ func (e *Engine) statusLocked() *msg.SiteStatus {
 		st.MuxQueued = w.Queued
 	}
 	return st
-}
-
-// StatusHandler serves the snapshot as JSON — mount it at /statusz on
-// the ops port next to the TCP protocol listener (see cmd/dsud-site
-// -http). GET/HEAD only.
-func (e *Engine) StatusHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET, HEAD")
-			http.Error(w, "GET only", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(e.Status()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
 }

@@ -353,8 +353,8 @@ func (s *Server) serveMux(r io.Reader, w io.Writer) {
 			continue
 		}
 		// A full pool parks this read loop on sem; the queued gauge is
-		// what makes that saturation visible to /statusz before clients
-		// feel it as TCP backpressure.
+		// what makes that saturation visible to a coordinator's status
+		// poll before clients feel it as TCP backpressure.
 		s.queuedReqs.Add(1)
 		sem <- struct{}{}
 		s.queuedReqs.Add(-1)

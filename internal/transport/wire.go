@@ -20,7 +20,7 @@ package transport
 //	              (NoPrune) | n × dim varint 5  Tuples         n × rep
 //	5  (retired)                             6  (retired)
 //	6  Tuple      tuple                      7  Hopeless       (the bit is the value)
-//	7  ID         uvarint                    8  Status         n bytes: the /statusz JSON document
+//	7  ID         uvarint                    8  Status         n bytes: the SiteStatus JSON document
 //	8  Point      point                      9  CrossProbs     n × f64
 //	9  Tuples     n × rep                    10 (retired)
 //	10 RemoveIDs  n × id uvarint             11 ServiceNS      u64
